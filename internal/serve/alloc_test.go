@@ -1,0 +1,147 @@
+package serve_test
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"sgxbench/internal/core"
+	"sgxbench/internal/serve"
+	"sgxbench/internal/sgx"
+)
+
+// allocScenario is one of the four event-loop shapes of the repository
+// benchmark's serve_scale rep, rebuilt over the synthetic workload: the
+// deeply saturated open loops (global queue, and sharded with
+// batching), the closed loop collapsing on the SDK mutex with EDMM
+// commits, and the crash-storm with deadlines, retries and admission
+// control.
+type allocScenario struct {
+	name string
+	w    *serve.Workload
+	cfg  func(rpc int) serve.Config
+	rpc  int // requests per client the budget is stated at
+	// budget is the committed ceiling on bytes allocated per logical
+	// request. The floor is what Simulate must keep per request: an
+	// 8-byte latency and a 40-byte attempt record, plus a 32-byte
+	// request slot in the open loop; the rest is retried attempts, queue
+	// rings and per-run state. The slice-growth event loop before the
+	// pre-sized one measured 723, 772, 348 and 949 B on these four.
+	budget float64
+}
+
+func allocScenarios() []allocScenario {
+	const service = 10_000
+	weights := []int{3, 1}
+	open := func(d serve.DispatchKind, batch int) func(int) serve.Config {
+		return func(rpc int) serve.Config {
+			return serve.Config{
+				Clients: 2048, Workers: 64, RequestsPerClient: rpc,
+				Sync: serve.SyncLockFree, Mem: serve.MemPreSized,
+				Weights: weights, JitterPct: 10, Seed: 7, Dispatch: d, Batch: batch,
+				// Mean service is 12 500 cycles; a gap of ten of them per
+				// client offers 204.8 workers' worth of load to 64.
+				Arrival: &serve.ArrivalPlan{Kind: serve.ArrivalPoisson, MeanGapCycles: 125_000},
+			}
+		}
+	}
+	const s = 15_000 // unweighted mean service: the fault plan's time unit
+	fc := sgx.DefaultFaultCosts()
+	fc.Teardown, fc.RebuildBase = s/2, 3*s
+	return []allocScenario{
+		{"OpenGlobal", synthetic(core.SGXDiE, service, 0), open(serve.DispatchGlobal, 0), 16, 110},
+		{"OpenShardBatch", synthetic(core.SGXDiE, service, 0), open(serve.DispatchSharded, 16), 16, 110},
+		{"ClosedMutex", synthetic(core.SGXDiE, service, 16), func(rpc int) serve.Config {
+			return serve.Config{
+				Clients: 32, Workers: 16, RequestsPerClient: rpc,
+				Sync: serve.SyncMutex, Mem: serve.MemDynamic,
+				Weights: weights, JitterPct: 10, Seed: 7,
+			}
+		}, 512, 54},
+		{"CrashStorm", synthetic(core.SGXDiE, service, 0), func(rpc int) serve.Config {
+			return serve.Config{
+				Clients: 64, Workers: 8, RequestsPerClient: rpc,
+				Sync: serve.SyncLockFree, Mem: serve.MemPreSized,
+				Weights: weights, ThinkCycles: 12 * s, JitterPct: 10, Seed: 7,
+				DeadlineCycles: 7 * s, MaxRetries: 7, BackoffBase: s, BackoffCap: 16 * s,
+				AdmitDepth: 12,
+				Fault: &serve.FaultPlan{
+					Seed: 11, StormInterval: 20 * s, StormLen: 9 * s, StormAEXGap: fc.AEX / 5,
+					CrashInterval: 60 * s, FailPct: 2, RebuildPages: 64, Costs: fc,
+				},
+			}
+		}, 256, 380},
+	}
+}
+
+// simAllocs replays c three times and returns the fewest heap objects
+// and bytes one replay allocated (the replay is deterministic; anything
+// above the minimum came from the runtime or the test binary) and the
+// logical requests it finished. Both counters are cumulative, so a
+// collection in between changes neither.
+func simAllocs(t *testing.T, w *serve.Workload, c serve.Config) (mallocs, bytes uint64, requests int) {
+	t.Helper()
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := mustSim(t, w, c)
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		requests = res.Requests
+	}
+	return mallocs, bytes, requests
+}
+
+// TestSimulateAllocBudget is the host-independent gate on the event
+// loop's allocation behaviour: bytes per request stay under a committed
+// budget, and the number of allocations does not depend on how many
+// requests a client issues.
+func TestSimulateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, sc := range allocScenarios() {
+		mallocs, bytes, requests := simAllocs(t, sc.w, sc.cfg(sc.rpc))
+		perReq := float64(bytes) / float64(requests)
+		t.Logf("%s: %d requests, %d allocations, %.1f B/request (budget %.0f)", sc.name, requests, mallocs, perReq, sc.budget)
+		if perReq > sc.budget {
+			t.Errorf("%s: %.1f B/request, budget %.0f", sc.name, perReq, sc.budget)
+		}
+		// The only allocations that may follow the request count are
+		// capacity doublings: two per queue ring when the peak depth
+		// quadruples, and the retry tail of the attempt slice.
+		big := sc.cfg(4 * sc.rpc)
+		slack := uint64(2*big.Workers + 8)
+		if mallocs4, _, _ := simAllocs(t, sc.w, big); mallocs4 > mallocs+slack {
+			t.Errorf("%s: %d allocations at %d requests/client but %d at %d: the count follows the request count",
+				sc.name, mallocs, sc.rpc, mallocs4, 4*sc.rpc)
+		}
+	}
+}
+
+var benchSink *serve.Result
+
+func benchmarkSimulate(b *testing.B, name string) {
+	for _, sc := range allocScenarios() {
+		if sc.name != name {
+			continue
+		}
+		c := sc.cfg(sc.rpc)
+		b.ReportAllocs()
+		for b.Loop() {
+			res, err := sc.w.Simulate(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = res
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchSink.Requests), "ns/request")
+	}
+}
+
+func BenchmarkSimulateOpenGlobal(b *testing.B)     { benchmarkSimulate(b, "OpenGlobal") }
+func BenchmarkSimulateOpenShardBatch(b *testing.B) { benchmarkSimulate(b, "OpenShardBatch") }
+func BenchmarkSimulateClosedMutex(b *testing.B)    { benchmarkSimulate(b, "ClosedMutex") }
+func BenchmarkSimulateCrashStorm(b *testing.B)     { benchmarkSimulate(b, "CrashStorm") }

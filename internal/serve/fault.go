@@ -129,6 +129,16 @@ func (c Config) Validate(nClasses int) error {
 	if c.Workers == 0 && c.Clients > 0 {
 		return fmt.Errorf("serve: zero workers cannot serve %d clients", c.Clients)
 	}
+	// The event loop indexes workers, requests and attempts with 32 bits
+	// and sizes its per-request slices up front; the bound also keeps the
+	// request total from overflowing int.
+	if c.Workers > maxIndex {
+		return fmt.Errorf("serve: %d workers exceed the %d the simulator can index", c.Workers, maxIndex)
+	}
+	if n := c.normalized(); n.RequestsPerClient > maxIndex/n.Clients {
+		return fmt.Errorf("serve: %d clients x %d requests/client exceed the %d requests the simulator can index",
+			n.Clients, n.RequestsPerClient, maxIndex)
+	}
 	if c.JitterPct < 0 || c.JitterPct >= 100 {
 		return fmt.Errorf("serve: JitterPct %d outside [0, 100)", c.JitterPct)
 	}
@@ -147,8 +157,8 @@ func (c Config) Validate(nClasses int) error {
 			return fmt.Errorf("serve: class weights sum to zero")
 		}
 	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("serve: negative MaxRetries %d", c.MaxRetries)
+	if c.MaxRetries < 0 || c.MaxRetries >= maxIndex {
+		return fmt.Errorf("serve: MaxRetries %d outside [0, %d)", c.MaxRetries, maxIndex)
 	}
 	if c.AdmitDepth < 0 {
 		return fmt.Errorf("serve: negative AdmitDepth %d", c.AdmitDepth)

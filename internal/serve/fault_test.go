@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -63,6 +64,11 @@ func TestConfigValidate(t *testing.T) {
 		{"jitter 100", func(c *serve.Config) { c.JitterPct = 100 }, "JitterPct"},
 		{"negative jitter", func(c *serve.Config) { c.JitterPct = -1 }, "JitterPct"},
 		{"negative retries", func(c *serve.Config) { c.MaxRetries = -1 }, "MaxRetries"},
+		{"retries past the attempt counter", func(c *serve.Config) { c.MaxRetries = math.MaxInt32 }, "MaxRetries"},
+		{"request total overflows int", func(c *serve.Config) { c.Clients, c.RequestsPerClient = math.MaxInt, 2 }, "can index"},
+		{"request total past 32-bit indices", func(c *serve.Config) { c.Clients, c.RequestsPerClient = 1<<16, 1<<15 }, "can index"},
+		{"clients past 32-bit indices, defaulted requests", func(c *serve.Config) { c.Clients, c.RequestsPerClient = 1<<31, 0 }, "can index"},
+		{"workers past 32-bit indices", func(c *serve.Config) { c.Workers = 1 << 31 }, "can index"},
 		{"negative admit depth", func(c *serve.Config) { c.AdmitDepth = -1 }, "AdmitDepth"},
 		{"backoff base above cap", func(c *serve.Config) { c.BackoffBase = 10; c.BackoffCap = 5 }, "BackoffBase"},
 		{"no-op fault plan", func(c *serve.Config) { c.Fault = &serve.FaultPlan{} }, "injects nothing"},
@@ -116,6 +122,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := ok.Validate(len(w.Classes)); err != nil {
 		t.Errorf("Validate rejected the baseline config: %v", err)
+	}
+	atLimit := ok
+	atLimit.Clients, atLimit.RequestsPerClient = math.MaxInt32, 1
+	if err := atLimit.Validate(len(w.Classes)); err != nil {
+		t.Errorf("Validate rejected the largest indexable request total: %v", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"sgxbench/internal/agg"
@@ -106,11 +106,6 @@ type Config struct {
 	// happens as the event loop passes each boundary and never
 	// schedules events, so it cannot perturb event order.
 	Metrics *obs.Metrics `json:"-"`
-
-	// useHeap replays the scenario on the original container/heap event
-	// queue instead of the timer wheel — the differential-test knob
-	// proving both orderings are bit-identical.
-	useHeap bool
 }
 
 func (c Config) normalized() Config {
@@ -240,66 +235,51 @@ const (
 	evItemDone
 )
 
+// maxIndex is the largest request, attempt, worker or pending-event
+// count a replay can hold. The event loop's records are packed — 32-bit
+// indices, shard, worker and class, flags in one byte — to 32 B (event),
+// 32 B (request) and 40 B (attempt); TestRecordSizes pins the sizes.
+// Config.Validate bounds the configured counts, submit and scheduleGen
+// the totals only the replay knows.
+const maxIndex = math.MaxInt32
+
 type event struct {
 	t    uint64
 	seq  uint64 // schedule order: deterministic tie-break at equal times
-	kind int
-	who  int    // request (evIssue), attempt (evEnqueue/evTimeout/evItemDone), worker (evDone/evCrash/evRebuilt), client (evArrive)
 	gen  uint64 // worker generation (evDone/evItemDone): stale completions are ignored
+	who  int32  // request (evIssue), attempt (evEnqueue/evTimeout/evItemDone), worker (evDone/evCrash/evRebuilt), client (evArrive)
+	kind uint8
 }
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// heapQueue adapts eventHeap to the eventQueue interface — the ordering
-// oracle the timer wheel is differentially tested against.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(e event) { heap.Push(&q.h, e) }
-func (q *heapQueue) pop() event   { return heap.Pop(&q.h).(event) }
-func (q *heapQueue) empty() bool  { return len(q.h) == 0 }
 
 // request is one logical client request: the unit of the latency
 // percentiles and the retry budget. Closed loop keeps one live slot per
 // client; open loop appends a new one per arrival, so a client can have
 // several in flight.
 type request struct {
-	client     int
-	class      int
-	attempt    int // attempts used so far
 	service    uint64
 	firstIssue uint64
+	client     int32
+	class      int32
+	attempt    int32 // attempts used so far
 	active     bool
 }
 
+// attempt flags.
+const (
+	attAbandoned = 1 << iota // client gave up (deadline passed)
+	attDone                  // server finished it (or it was lost to a crash)
+	attAborted               // batched path: transient abort planned at dispatch
+)
+
 // attempt is one issued try of a logical request.
 type attempt struct {
-	req       int
-	class     int
-	service   uint64
-	issue     uint64 // this attempt's issue time
-	enq       uint64 // time it became poppable
-	shard     int    // queue it was pushed to
-	worker    int    // worker executing it (batched path)
-	abandoned bool   // client gave up (deadline passed)
-	done      bool   // server finished it (or it was lost to a crash)
-	aborted   bool   // batched path: transient abort planned at dispatch
+	service uint64
+	enq     uint64 // time it became poppable
+	req     int32
+	class   int32
+	shard   int32 // queue it was pushed to
+	worker  int32 // worker executing it (batched path)
+	flags   uint8
 }
 
 // clientState tracks one client's issue progress.
@@ -308,36 +288,49 @@ type clientState struct {
 }
 
 type worker struct {
-	att       int
+	att       int32
 	busy      bool
 	down      bool // enclave torn down, rebuild pending
 	inIdle    bool
 	gen       uint64
-	abort     bool  // planned transient abort of the running attempt (unbatched)
-	batch     []int // attempts of the running batched entry
+	abort     bool    // planned transient abort of the running attempt (unbatched)
+	batch     []int32 // attempts of the running batched entry
 	steals    uint64
 	nextCrash uint64
 	crashes   uint64 // per-worker crash count, salts the next schedule draw
 }
 
+// fifo is a growable ring of indices: capacity tracks the peak depth,
+// not the number of indices ever pushed.
+type fifo struct {
+	buf  []int32 // length zero or a power of two
+	head int
+	n    int
+}
+
+func (f *fifo) push(v int32) {
+	if f.n == len(f.buf) {
+		buf := make([]int32, max(2*len(f.buf), 8))
+		k := copy(buf, f.buf[f.head:])
+		copy(buf[k:], f.buf[:f.head])
+		f.buf, f.head = buf, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+func (f *fifo) pop() int32 {
+	v := f.buf[f.head]
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return v
+}
+
 // shard is one dispatch queue with its own lock state. DispatchGlobal
 // uses a single shard; DispatchSharded one per worker.
 type shard struct {
-	queue    []int // FIFO of attempt indices (head index avoids O(n) shifts)
-	qHead    int
+	queue    fifo   // attempt indices
 	lockFree uint64 // this queue's dispatch-lock state
-}
-
-func (sh *shard) depth() int { return len(sh.queue) - sh.qHead }
-
-func (sh *shard) pop() int {
-	idx := sh.queue[sh.qHead]
-	sh.qHead++
-	if sh.qHead == len(sh.queue) {
-		sh.queue = sh.queue[:0]
-		sh.qHead = 0
-	}
-	return idx
 }
 
 // sim is the mutable state of one scenario replay.
@@ -348,13 +341,14 @@ type sim struct {
 	trans uint64 // one-way transition cost (0 outside enclaves)
 	fc    sgx.FaultCosts
 
-	events eventQueue
+	events *timerWheel
 	seq    uint64
+	cumW   []int // running sums of cfg.Weights (nil: uniform mix)
+	err    error // set when a count outgrows the packed index width
 
 	shards      []shard
 	rr          uint64 // round-robin submission spread over shards
-	idle        []int  // idle worker ids, FIFO
-	iHead       int
+	idle        fifo   // idle worker ids
 	workers     []worker
 	atts        []attempt
 	reqs        []request
@@ -395,12 +389,13 @@ const (
 	tracePIDClient = 1
 )
 
-func (s *sim) schedule(t uint64, kind, who int) {
-	s.seq++
-	s.events.push(event{t: t, seq: s.seq, kind: kind, who: who})
-}
+func (s *sim) schedule(t uint64, kind uint8, who int32) { s.scheduleGen(t, kind, who, 0) }
 
-func (s *sim) scheduleGen(t uint64, kind, who int, gen uint64) {
+func (s *sim) scheduleGen(t uint64, kind uint8, who int32, gen uint64) {
+	if s.events.n == maxIndex {
+		s.err = fmt.Errorf("serve: more than %d pending events", maxIndex)
+		return
+	}
 	s.seq++
 	s.events.push(event{t: t, seq: s.seq, kind: kind, who: who, gen: gen})
 }
@@ -428,18 +423,18 @@ func (s *sim) sharded() bool { return len(s.shards) > 1 }
 
 // pickShard spreads submissions round-robin over the shards — the
 // deterministic stand-in for a client-side shard choice.
-func (s *sim) pickShard() int {
+func (s *sim) pickShard() int32 {
 	if !s.sharded() {
 		return 0
 	}
-	si := int(s.rr % uint64(len(s.shards)))
+	si := int32(s.rr % uint64(len(s.shards)))
 	s.rr++
 	return si
 }
 
 // drawService draws a class's jittered service time from the request's
 // class-pick random value.
-func (s *sim) drawService(class int, r uint64) uint64 {
+func (s *sim) drawService(class int32, r uint64) uint64 {
 	base := s.w.Classes[class].ServiceCycles
 	if j := s.cfg.JitterPct; j > 0 {
 		// base scaled into [100-j, 100+j] percent, deterministically.
@@ -452,7 +447,7 @@ func (s *sim) drawService(class int, r uint64) uint64 {
 // loop the request slot doubles as the client's current logical
 // request: an inactive slot means this is the fresh issue (class pick
 // and service draw happen now).
-func (s *sim) issueReq(idx int, t uint64) {
+func (s *sim) issueReq(idx int32, t uint64) {
 	r := &s.reqs[idx]
 	if !r.active {
 		c := r.client
@@ -469,25 +464,23 @@ func (s *sim) issueReq(idx int, t uint64) {
 // arrive starts open-loop client c's next logical request at time t and
 // schedules the following arrival — independent of any response, which
 // is what makes the load open-loop.
-func (s *sim) arrive(c int, t uint64) {
+func (s *sim) arrive(c int32, t uint64) {
 	cs := &s.clients[c]
 	rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(cs.issued))
-	idx := len(s.reqs)
-	s.reqs = append(s.reqs, request{client: c, active: true, firstIssue: t})
-	r := &s.reqs[idx]
-	r.class = s.pickClass(rnd)
-	r.service = s.drawService(r.class, rnd)
+	idx := int32(len(s.reqs))
+	class := s.pickClass(rnd)
+	s.reqs = append(s.reqs, request{client: c, class: class, service: s.drawService(class, rnd), active: true, firstIssue: t})
 	s.submit(idx, t)
 	if cs.issued < s.cfg.RequestsPerClient {
 		cs.issued++
-		s.schedule(t+s.cfg.Arrival.gap(s.cfg.Seed, c, cs.issued, t), evArrive, c)
+		s.schedule(t+s.cfg.Arrival.gap(s.cfg.Seed, int(c), cs.issued, t), evArrive, c)
 	}
 }
 
 // submit pushes request idx's next attempt: the client's ECALL, the
 // push through the target shard's dispatch lock — where admission
 // control may shed it — and the EEXIT.
-func (s *sim) submit(idx int, t uint64) {
+func (s *sim) submit(idx int32, t uint64) {
 	r := &s.reqs[idx]
 	r.attempt++
 	if s.trans > 0 {
@@ -497,7 +490,7 @@ func (s *sim) submit(idx int, t uint64) {
 	si := s.pickShard()
 	sh := &s.shards[si]
 	pushDone := s.lockPass(sh, t+s.trans)
-	if s.cfg.AdmitDepth > 0 && sh.depth() >= s.cfg.AdmitDepth {
+	if s.cfg.AdmitDepth > 0 && sh.queue.n >= s.cfg.AdmitDepth {
 		// Admission control: the push found the queue at its depth
 		// limit and is rejected inside the same critical section — a
 		// cheap, immediate failure the client can back off from,
@@ -506,18 +499,22 @@ func (s *sim) submit(idx int, t uint64) {
 		s.bd.Shed++
 		if tr := s.cfg.Trace; tr != nil {
 			tr.Record(obs.Span{Name: "shed", Cat: "client", Ph: obs.PhInstant, T: pushDone,
-				PID: tracePIDClient, TID: r.client, Args: []obs.Attr{
+				PID: tracePIDClient, TID: int(r.client), Args: []obs.Attr{
 					{Key: "req", Val: uint64(idx)}, {Key: "attempt", Val: uint64(r.attempt)},
 					{Key: "shard", Val: uint64(si)}}})
 		}
 		s.failAttempt(idx, pushDone)
 		return
 	}
-	s.atts = append(s.atts, attempt{req: idx, class: r.class, service: r.service, issue: t, shard: si, worker: -1})
-	ai := len(s.atts) - 1
+	if len(s.atts) == maxIndex {
+		s.err = fmt.Errorf("serve: more than %d attempts", maxIndex)
+		return
+	}
+	ai := int32(len(s.atts))
+	s.atts = append(s.atts, attempt{req: idx, class: r.class, service: r.service, shard: si, worker: -1})
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Record(obs.Span{Name: "submit", Cat: "client", Ph: obs.PhComplete, T: t, Dur: pushDone - t,
-			PID: tracePIDClient, TID: r.client, Args: []obs.Attr{
+			PID: tracePIDClient, TID: int(r.client), Args: []obs.Attr{
 				{Key: "req", Val: uint64(idx)}, {Key: "attempt", Val: uint64(r.attempt)},
 				{Key: "shard", Val: uint64(si)}}})
 	}
@@ -527,34 +524,28 @@ func (s *sim) submit(idx int, t uint64) {
 	}
 }
 
-func (s *sim) pickClass(r uint64) int {
-	ws := s.cfg.Weights
-	if ws == nil {
-		return int(r % uint64(len(s.w.Classes)))
+func (s *sim) pickClass(r uint64) int32 {
+	cum := s.cumW
+	if cum == nil {
+		return int32(r % uint64(len(s.w.Classes)))
 	}
-	total := 0
-	for _, w := range ws {
-		total += w
+	pick := int(r % uint64(cum[len(cum)-1]))
+	i := 0
+	for pick >= cum[i] {
+		i++
 	}
-	pick := int(r % uint64(total))
-	for i, w := range ws {
-		pick -= w
-		if pick < 0 {
-			return i
-		}
-	}
-	return len(ws) - 1
+	return int32(i)
 }
 
 // backoff returns attempt n's retry delay: capped exponential growth
 // from BackoffBase, with deterministic jitter spreading concurrent
 // retries over the top quarter of the interval.
-func (s *sim) backoff(c, n int) uint64 {
+func (s *sim) backoff(c, n int32) uint64 {
 	b := s.cfg.BackoffBase
 	if b == 0 {
 		return 0
 	}
-	for i := 1; i < n && i < 63; i++ {
+	for i := int32(1); i < n && i < 63; i++ {
 		b <<= 1
 		if bc := s.cfg.BackoffCap; bc > 0 && b >= bc {
 			b = bc
@@ -571,9 +562,9 @@ func (s *sim) backoff(c, n int) uint64 {
 // failAttempt handles a retriable failure (shed, timeout, transient
 // abort, crash loss) of request idx's current attempt at time t: back
 // off and retry if budget remains, otherwise drop the logical request.
-func (s *sim) failAttempt(idx int, t uint64) {
+func (s *sim) failAttempt(idx int32, t uint64) {
 	r := &s.reqs[idx]
-	if r.attempt <= s.cfg.MaxRetries {
+	if int(r.attempt) <= s.cfg.MaxRetries {
 		s.bd.Retries++
 		s.schedule(t+s.backoff(r.client, r.attempt), evIssue, idx)
 		return
@@ -584,7 +575,7 @@ func (s *sim) failAttempt(idx int, t uint64) {
 // think returns the closed-loop pause before client c's n-th logical
 // request: ThinkCycles, optionally stretched by the deterministic
 // heavy-tail table (mean preserved).
-func (s *sim) think(c, n int) uint64 {
+func (s *sim) think(c int32, n int) uint64 {
 	tc := s.cfg.ThinkCycles
 	if !s.cfg.ThinkHeavyTail || tc == 0 {
 		return tc
@@ -596,7 +587,7 @@ func (s *sim) think(c, n int) uint64 {
 // finishRequest records the terminal state of request idx at time t;
 // in the closed loop it also closes the client loop (think, then the
 // next logical request).
-func (s *sim) finishRequest(idx int, t uint64, success bool) {
+func (s *sim) finishRequest(idx int32, t uint64, success bool) {
 	r := &s.reqs[idx]
 	lat := t - r.firstIssue
 	s.lats = append(s.lats, lat)
@@ -623,7 +614,7 @@ func (s *sim) finishRequest(idx int, t uint64, success bool) {
 			ok = 1
 		}
 		tr.Record(obs.Span{Name: "request", Cat: "client", Ph: obs.PhComplete, T: r.firstIssue, Dur: lat,
-			PID: tracePIDClient, TID: r.client, Args: []obs.Attr{
+			PID: tracePIDClient, TID: int(r.client), Args: []obs.Attr{
 				{Key: "class", Val: uint64(r.class)}, {Key: "attempts", Val: uint64(r.attempt)},
 				{Key: "ok", Val: ok}}})
 	}
@@ -691,32 +682,20 @@ func (s *sim) advanceWork(t, work uint64) (uint64, uint64) {
 // whole in-flight batch) is lost, and the worker leaves the pool for
 // teardown plus a rebuild serialized on the kernel's
 // enclave-management lock.
-func (s *sim) crash(w int, t uint64) {
+func (s *sim) crash(w int32, t uint64) {
 	wk := &s.workers[w]
 	wk.crashes++
 	s.bd.Crashes++
-	s.recordFault(FaultEvent{T: t, Kind: "crash", Worker: w})
+	s.recordFault(FaultEvent{T: t, Kind: "crash", Worker: int(w)})
 	if wk.busy {
 		wk.gen++ // pending evDone/evItemDone events are now stale
 		wk.busy = false
 		if s.cfg.Batch > 1 {
 			for _, ai := range wk.batch {
-				att := &s.atts[ai]
-				if !att.done {
-					att.done = true
-					if !att.abandoned {
-						s.failAttempt(att.req, t)
-					}
-				}
+				s.loseAttempt(ai, t)
 			}
 		} else {
-			att := &s.atts[wk.att]
-			if !att.done {
-				att.done = true
-				if !att.abandoned {
-					s.failAttempt(att.req, t)
-				}
-			}
+			s.loseAttempt(wk.att, t)
 		}
 	}
 	wk.down = true
@@ -735,10 +714,10 @@ func (s *sim) crash(w int, t uint64) {
 	s.bd.RebuildCycles += done - t
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Record(obs.Span{Name: "crash", Cat: "fault", Ph: obs.PhInstant, T: t,
-			PID: tracePIDServe, TID: w, Args: []obs.Attr{
+			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 				{Key: "gen", Val: wk.gen}, {Key: "crashes", Val: wk.crashes}}})
 		tr.Record(obs.Span{Name: "rebuild", Cat: "fault", Ph: obs.PhComplete, T: t, Dur: done - t,
-			PID: tracePIDServe, TID: w})
+			PID: tracePIDServe, TID: int(w)})
 	}
 	s.schedule(done, evRebuilt, w)
 	// The replacement enclave's own crash clock starts after the
@@ -747,10 +726,22 @@ func (s *sim) crash(w int, t uint64) {
 	s.schedule(wk.nextCrash, evCrash, w)
 }
 
+// loseAttempt fails attempt ai, in flight on an enclave that crashed at
+// time t, unless it already finished or its client gave up.
+func (s *sim) loseAttempt(ai int32, t uint64) {
+	att := &s.atts[ai]
+	if att.flags&attDone == 0 {
+		att.flags |= attDone
+		if att.flags&attAbandoned == 0 {
+			s.failAttempt(att.req, t)
+		}
+	}
+}
+
 // crashDelay draws worker w's deterministic time-to-next-crash: spread
 // over [interval/2, 3*interval/2) so the pool's enclaves neither die in
 // lockstep nor settle into one stable phase.
-func (s *sim) crashDelay(w int, nth uint64) uint64 {
+func (s *sim) crashDelay(w int32, nth uint64) uint64 {
 	p := s.cfg.Fault
 	r := splitmix64(p.Seed ^ 0xc4a54ed ^ uint64(w)<<32 ^ nth)
 	return p.CrashInterval/2 + r%p.CrashInterval
@@ -768,14 +759,9 @@ func (s *sim) recordFault(e FaultEvent) {
 // were idle stay in the FIFO as tombstones and are skipped here, as are
 // entries gone stale because claimWorker took their worker out of band;
 // crashed workers re-enter via evRebuilt.
-func (s *sim) popIdle() int {
-	for s.iHead < len(s.idle) {
-		w := s.idle[s.iHead]
-		s.iHead++
-		if s.iHead == len(s.idle) { // compact the drained FIFO
-			s.idle = s.idle[:0]
-			s.iHead = 0
-		}
+func (s *sim) popIdle() int32 {
+	for s.idle.n > 0 {
+		w := s.idle.pop()
 		if !s.workers[w].inIdle {
 			continue // stale: claimed out of band since it was pushed
 		}
@@ -787,10 +773,10 @@ func (s *sim) popIdle() int {
 	return -1
 }
 
-func (s *sim) pushIdle(w int) {
+func (s *sim) pushIdle(w int32) {
 	if !s.workers[w].inIdle {
 		s.workers[w].inIdle = true
-		s.idle = append(s.idle, w)
+		s.idle.push(w)
 	}
 }
 
@@ -798,7 +784,7 @@ func (s *sim) pushIdle(w int) {
 // sharded dispatch the shard's own worker has affinity (claimed out of
 // band, its idle-FIFO entry left behind as a stale tombstone), falling
 // back to the global idle FIFO either way.
-func (s *sim) claimWorker(si int) int {
+func (s *sim) claimWorker(si int32) int32 {
 	if s.sharded() {
 		if wk := &s.workers[si]; wk.inIdle && !wk.down {
 			wk.inIdle = false
@@ -810,7 +796,7 @@ func (s *sim) claimWorker(si int) int {
 
 // homeShard is the queue worker w drains first: its own under sharded
 // dispatch, the global queue otherwise.
-func (s *sim) homeShard(w int) int {
+func (s *sim) homeShard(w int32) int32 {
 	if s.sharded() {
 		return w
 	}
@@ -819,9 +805,9 @@ func (s *sim) homeShard(w int) int {
 
 // findWork is a freed (or rebuilt) worker's hunt at time t: drain the
 // home shard, else steal, else go idle.
-func (s *sim) findWork(w int, t uint64) {
+func (s *sim) findWork(w int32, t uint64) {
 	home := s.homeShard(w)
-	if s.shards[home].depth() > 0 {
+	if s.shards[home].queue.n > 0 {
 		s.dispatch(w, home, t)
 		return
 	}
@@ -836,18 +822,18 @@ func (s *sim) findWork(w int, t uint64) {
 // own, then dispatch from home. Two critical sections are charged: the
 // victim's (claim the half) and the home shard's (deposit); probing an
 // empty queue is free (an uncontended emptiness check).
-func (s *sim) trySteal(w int, t uint64) bool {
-	ns := len(s.shards)
+func (s *sim) trySteal(w int32, t uint64) bool {
+	ns := int32(len(s.shards))
 	if ns < 2 {
 		return false
 	}
 	wk := &s.workers[w]
 	r := splitmix64(s.cfg.Seed ^ 0x57ea1c0de ^ uint64(w)<<32 ^ wk.steals)
-	start := int(r % uint64(ns-1))
-	for i := 0; i < ns-1; i++ {
+	start := int32(r % uint64(ns-1))
+	for i := int32(0); i < ns-1; i++ {
 		v := (w + 1 + (start+i)%(ns-1)) % ns
 		vic := &s.shards[v]
-		d := vic.depth()
+		d := vic.queue.n
 		if d == 0 {
 			continue
 		}
@@ -858,7 +844,7 @@ func (s *sim) trySteal(w int, t uint64) bool {
 		home := &s.shards[w]
 		th := s.lockPass(home, tv)
 		for j := 0; j < k; j++ {
-			home.queue = append(home.queue, vic.pop())
+			home.queue.push(vic.queue.pop())
 		}
 		s.ds.StolenAttempts += uint64(k)
 		s.dispatch(w, w, th)
@@ -872,14 +858,14 @@ func (s *sim) trySteal(w int, t uint64) bool {
 // pop through the dispatch lock, worker ECALL, page commits, service
 // stretched by any AEX storm windows, a possible transient abort,
 // worker EEXIT.
-func (s *sim) dispatch(w, si int, t uint64) {
+func (s *sim) dispatch(w, si int32, t uint64) {
 	if s.cfg.Batch > 1 {
 		s.dispatchBatch(w, si, t)
 		return
 	}
 	sh := &s.shards[si]
 	popDone := s.lockPass(sh, t)
-	idx := sh.pop()
+	idx := sh.queue.pop()
 	att := &s.atts[idx]
 	att.worker = w
 	s.bd.QueueWaitCycles += popDone - att.enq
@@ -915,14 +901,14 @@ func (s *sim) dispatch(w, si int, t uint64) {
 	done := end + s.trans // worker EEXIT
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Record(obs.Span{Name: "queue", Cat: "serve", Ph: obs.PhComplete, T: att.enq, Dur: popDone - att.enq,
-			PID: tracePIDServe, TID: w, Args: []obs.Attr{
+			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 				{Key: "req", Val: uint64(att.req)}, {Key: "shard", Val: uint64(si)}}})
 		var abort uint64
 		if wk.abort {
 			abort = 1
 		}
 		tr.Record(obs.Span{Name: s.w.Classes[att.class].Name, Cat: "service", Ph: obs.PhComplete,
-			T: popDone, Dur: done - popDone, PID: tracePIDServe, TID: w, Args: []obs.Attr{
+			T: popDone, Dur: done - popDone, PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 				{Key: "req", Val: uint64(att.req)}, {Key: "gen", Val: wk.gen},
 				{Key: "aex", Val: aexN}, {Key: "abort", Val: abort}}})
 	}
@@ -932,7 +918,7 @@ func (s *sim) dispatch(w, si int, t uint64) {
 // commitPages charges the dynamic-memory page commits for one attempt
 // of the given class starting at start, returning when execution can
 // begin. MemPreSized is free.
-func (s *sim) commitPages(class int, start uint64) uint64 {
+func (s *sim) commitPages(class int32, start uint64) uint64 {
 	if s.cfg.Mem != MemDynamic {
 		return start
 	}
@@ -964,13 +950,10 @@ func (s *sim) commitPages(class int, start uint64) uint64 {
 // run, so the two transitions amortize across the batch. Each attempt's
 // result is handed back the moment it finishes (evItemDone — exit-less
 // async completion); the final evDone only frees the worker.
-func (s *sim) dispatchBatch(w, si int, t uint64) {
+func (s *sim) dispatchBatch(w, si int32, t uint64) {
 	sh := &s.shards[si]
 	popDone := s.lockPass(sh, t)
-	n := sh.depth()
-	if n > s.cfg.Batch {
-		n = s.cfg.Batch
-	}
+	n := min(sh.queue.n, s.cfg.Batch)
 	wk := &s.workers[w]
 	wk.gen++
 	wk.busy = true
@@ -983,7 +966,7 @@ func (s *sim) dispatchBatch(w, si int, t uint64) {
 	}
 	start := popDone + s.trans // worker ECALL
 	for i := 0; i < n; i++ {
-		idx := sh.pop()
+		idx := sh.queue.pop()
 		att := &s.atts[idx]
 		att.worker = w
 		wk.batch = append(wk.batch, idx)
@@ -991,10 +974,12 @@ func (s *sim) dispatchBatch(w, si int, t uint64) {
 		itemStart := start
 		start = s.commitPages(att.class, start)
 		work := att.service
+		var abort uint64
 		if p := s.cfg.Fault; p != nil && p.FailPct > 0 {
 			fr := splitmix64(p.Seed ^ 0xfa17 ^ uint64(idx)<<16)
 			if int(fr%100) < p.FailPct {
-				att.aborted = true
+				att.flags |= attAborted
+				abort = 1
 				work = att.service * (1 + (fr>>8)%98) / 100
 			}
 		}
@@ -1002,19 +987,15 @@ func (s *sim) dispatchBatch(w, si int, t uint64) {
 		s.bd.AEXEvents += aexN
 		s.bd.AEXCycles += aexN * s.fc.AEX
 		s.bd.ServiceCycles += work
-		if att.aborted {
+		if abort != 0 {
 			end += s.fc.AbortDetect
 		}
 		if tr := s.cfg.Trace; tr != nil {
 			tr.Record(obs.Span{Name: "queue", Cat: "serve", Ph: obs.PhComplete, T: att.enq, Dur: popDone - att.enq,
-				PID: tracePIDServe, TID: w, Args: []obs.Attr{
+				PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 					{Key: "req", Val: uint64(att.req)}, {Key: "shard", Val: uint64(si)}}})
-			var abort uint64
-			if att.aborted {
-				abort = 1
-			}
 			tr.Record(obs.Span{Name: s.w.Classes[att.class].Name, Cat: "service", Ph: obs.PhComplete,
-				T: itemStart, Dur: end - itemStart, PID: tracePIDServe, TID: w, Args: []obs.Attr{
+				T: itemStart, Dur: end - itemStart, PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 					{Key: "req", Val: uint64(att.req)}, {Key: "gen", Val: wk.gen},
 					{Key: "aex", Val: aexN}, {Key: "abort", Val: abort}}})
 		}
@@ -1024,7 +1005,7 @@ func (s *sim) dispatchBatch(w, si int, t uint64) {
 	done := start + s.trans // worker EEXIT after the batch
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Record(obs.Span{Name: "batch", Cat: "serve", Ph: obs.PhComplete, T: popDone, Dur: done - popDone,
-			PID: tracePIDServe, TID: w, Args: []obs.Attr{
+			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 				{Key: "n", Val: uint64(n)}, {Key: "gen", Val: wk.gen}, {Key: "shard", Val: uint64(si)}}})
 	}
 	s.scheduleGen(done, evDone, w, wk.gen)
@@ -1033,20 +1014,20 @@ func (s *sim) dispatchBatch(w, si int, t uint64) {
 // itemDone completes one attempt of a batched entry at time t: the
 // response leaves through the exit-less completion queue while the
 // worker keeps running the rest of the batch.
-func (s *sim) itemDone(ai int, t uint64, gen uint64) {
+func (s *sim) itemDone(ai int32, t uint64, gen uint64) {
 	att := &s.atts[ai]
 	wk := &s.workers[att.worker]
 	if wk.gen != gen {
 		return // the enclave crashed mid-batch; the attempt was re-routed
 	}
-	att.done = true
+	att.flags |= attDone
 	if t > s.makespan {
 		s.makespan = t
 	}
-	if att.abandoned {
+	if att.flags&attAbandoned != 0 {
 		return // wasted work: the client's deadline already passed
 	}
-	if att.aborted {
+	if att.flags&attAborted != 0 {
 		s.failAttempt(att.req, t)
 	} else {
 		s.finishRequest(att.req, t, true)
@@ -1059,13 +1040,13 @@ func (s *sim) itemDone(ai int, t uint64, gen uint64) {
 // the per-attempt outcomes already happened at their evItemDone times
 // and this is just the EEXIT. Either way the freed worker hunts for the
 // next work.
-func (s *sim) complete(w int, t uint64) {
+func (s *sim) complete(w int32, t uint64) {
 	wk := &s.workers[w]
 	wk.busy = false
 	if s.cfg.Batch <= 1 {
 		att := &s.atts[wk.att]
-		att.done = true
-		if !att.abandoned {
+		att.flags |= attDone
+		if att.flags&attAbandoned == 0 {
 			if wk.abort {
 				s.failAttempt(att.req, t)
 			} else {
@@ -1085,6 +1066,16 @@ func (s *sim) complete(w int, t uint64) {
 // invalid Config (see Config.Validate) returns an error instead of a
 // skewed replay.
 func (w *Workload) Simulate(cfg Config) (*Result, error) {
+	s, err := w.replay(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.result(), nil
+}
+
+// replay validates cfg and runs its event loop to the last terminal
+// request.
+func (w *Workload) replay(cfg Config) (*sim, error) {
 	if err := cfg.Validate(len(w.Classes)); err != nil {
 		return nil, err
 	}
@@ -1093,21 +1084,31 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 	if cfg.Dispatch == DispatchSharded {
 		nShards = cfg.Workers
 	}
+	// Every logical request leaves one latency and takes at least one
+	// attempt, so those slices are made once at their known size (atts
+	// still grows past it for retries).
+	nReq := cfg.Clients * cfg.RequestsPerClient
 	s := &sim{
 		w:         w,
 		cfg:       cfg,
 		q:         w.queueModel(cfg.Sync),
+		events:    newTimerWheel(),
 		shards:    make([]shard, nShards),
 		workers:   make([]worker, cfg.Workers),
+		atts:      make([]attempt, 0, nReq),
 		clients:   make([]clientState, cfg.Clients),
+		lats:      make([]uint64, 0, nReq),
 		perClient: make([]ClientSummary, cfg.Clients),
 		classReq:  make([]int, len(w.Classes)),
 		classLat:  make([]uint64, len(w.Classes)),
 	}
-	if cfg.useHeap {
-		s.events = &heapQueue{}
-	} else {
-		s.events = newTimerWheel()
+	if cfg.Weights != nil {
+		s.cumW = make([]int, len(cfg.Weights))
+		total := 0
+		for i, wt := range cfg.Weights {
+			total += wt
+			s.cumW[i] = total
+		}
 	}
 	if w.InEnclave {
 		s.trans = w.OS.Transition
@@ -1115,7 +1116,7 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 	if cfg.Fault != nil {
 		s.fc = cfg.Fault.costs()
 	}
-	for wi := 0; wi < cfg.Workers; wi++ {
+	for wi := int32(0); wi < int32(cfg.Workers); wi++ {
 		s.pushIdle(wi)
 		if cfg.Fault != nil && cfg.Fault.CrashInterval > 0 {
 			s.workers[wi].nextCrash = s.crashDelay(wi, 0)
@@ -1125,20 +1126,25 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 	if cfg.Arrival != nil {
 		// Open loop: one request slot per arrival, appended as clients'
 		// arrival clocks fire; the first arrival is one drawn gap in.
+		s.reqs = make([]request, 0, nReq)
 		for c := 0; c < cfg.Clients; c++ {
 			s.clients[c].issued = 1
-			s.schedule(cfg.Arrival.gap(cfg.Seed, c, 0, 0), evArrive, c)
+			s.schedule(cfg.Arrival.gap(cfg.Seed, c, 0, 0), evArrive, int32(c))
 		}
 	} else {
 		// Closed loop: request slot c is client c's live logical request.
 		s.reqs = make([]request, cfg.Clients)
-		for c := 0; c < cfg.Clients; c++ {
-			s.reqs[c].client = c
+		for c := range s.reqs {
+			s.reqs[c].client = int32(c)
 			s.clients[c].issued = 1
-			s.schedule(0, evIssue, c)
+			s.schedule(0, evIssue, int32(c))
 		}
 	}
-	for !s.events.empty() {
+	// Crash schedules stop once every client is done: without the
+	// terminal test the crash-interval event chain would keep the loop
+	// alive long after the last request completed. Terminal requests are
+	// exactly Clients*RequestsPerClient, each counted once.
+	for s.bd.Requests < uint64(nReq) && s.err == nil && !s.events.empty() {
 		ev := s.events.pop()
 		// Metrics sampling: between events the simulated state is
 		// constant, so every boundary the clock is about to pass gets a
@@ -1157,15 +1163,14 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 			s.arrive(ev.who, ev.t)
 		case evEnqueue:
 			att := &s.atts[ev.who]
-			if att.abandoned {
+			if att.flags&attAbandoned != 0 {
 				// The deadline expired before the push even landed; the
 				// client is already retrying.
-				att.done = true
+				att.flags |= attDone
 				break
 			}
 			att.enq = ev.t
-			sh := &s.shards[att.shard]
-			sh.queue = append(sh.queue, ev.who)
+			s.shards[att.shard].queue.push(ev.who)
 			if wi := s.claimWorker(att.shard); wi >= 0 {
 				s.dispatch(wi, att.shard, ev.t)
 			}
@@ -1177,12 +1182,12 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 			s.itemDone(ev.who, ev.t, ev.gen)
 		case evTimeout:
 			att := &s.atts[ev.who]
-			if !att.done && !att.abandoned {
-				att.abandoned = true
+			if att.flags&(attDone|attAbandoned) == 0 {
+				att.flags |= attAbandoned
 				s.bd.Timeouts++
 				if tr := s.cfg.Trace; tr != nil {
 					tr.Record(obs.Span{Name: "timeout", Cat: "client", Ph: obs.PhInstant, T: ev.t,
-						PID: tracePIDClient, TID: s.reqs[att.req].client, Args: []obs.Attr{
+						PID: tracePIDClient, TID: int(s.reqs[att.req].client), Args: []obs.Attr{
 							{Key: "req", Val: uint64(att.req)}, {Key: "attempt", Val: uint64(ev.who)}}})
 				}
 				s.failAttempt(att.req, ev.t)
@@ -1192,18 +1197,11 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 		case evRebuilt:
 			wk := &s.workers[ev.who]
 			wk.down = false
-			s.recordFault(FaultEvent{T: ev.t, Kind: "rebuilt", Worker: ev.who})
+			s.recordFault(FaultEvent{T: ev.t, Kind: "rebuilt", Worker: int(ev.who)})
 			s.findWork(ev.who, ev.t)
 		}
-		// Crash schedules stop once every client is done: without this
-		// the crash-interval event chain would keep the loop alive
-		// long after the last request completed. Terminal requests are
-		// exactly Clients*RequestsPerClient, each counted once.
-		if int(s.bd.Requests) == cfg.Clients*cfg.RequestsPerClient {
-			break
-		}
 	}
-	return s.result(), nil
+	return s, s.err
 }
 
 // gauges snapshots the simulator's instantaneous state for the metrics
@@ -1216,7 +1214,7 @@ func (s *sim) gauges() (obs.Gauges, []uint64) {
 		shards = make([]uint64, len(s.shards))
 	}
 	for i := range s.shards {
-		d := uint64(s.shards[i].depth())
+		d := uint64(s.shards[i].queue.n)
 		g.QueueDepth += d
 		if d > g.MaxShardDepth {
 			g.MaxShardDepth = d

@@ -4,17 +4,6 @@ import (
 	"math/bits"
 )
 
-// eventQueue is the simulator's pending-event set. Two implementations
-// exist: the original container/heap binary heap (kept as the ordering
-// oracle for differential tests) and the hierarchical timer wheel below
-// (the default). Both pop events in strictly identical
-// (time, schedule-seq) order, so a replay is bit-identical under either.
-type eventQueue interface {
-	push(event)
-	pop() event
-	empty() bool
-}
-
 const (
 	wheelBits   = 6                                // slots per level = 2^6
 	wheelSlots  = 1 << wheelBits                   // 64
@@ -22,22 +11,38 @@ const (
 	wheelLevels = (64 + wheelBits - 1) / wheelBits // 11 levels cover a full uint64 clock
 )
 
-// timerWheel is an indexed hierarchical timer wheel over the virtual
-// clock: wheelLevels levels of wheelSlots slots, each level one 6-bit
-// digit of the 64-bit timestamp. An event lives at the highest level
-// whose digit differs from the wheel's current time `cur`; per-level
-// uint64 occupancy bitmaps make "find the earliest non-empty slot" one
-// TrailingZeros64, so push and pop are O(1) amortized regardless of how
-// many events are in flight — the heap's O(log n) sift at 10^4+ pending
-// events is what this replaces.
+// wheelNode is one pending event in the wheel's slab, linked into its
+// slot's FIFO (or the free chain) by slab index. Index 0 is a sentinel
+// that is never handed out, so a zero link means "none".
+type wheelNode struct {
+	ev   event
+	next int32
+}
+
+// evList is an intrusive FIFO of slab nodes; the zero value is empty.
+type evList struct{ head, tail int32 }
+
+// timerWheel is the simulator's pending-event set: an indexed
+// hierarchical timer wheel over the virtual clock, wheelLevels levels of
+// wheelSlots slots, each level one 6-bit digit of the 64-bit timestamp.
+// An event lives at the highest level whose digit differs from the
+// wheel's current time `cur` (at level 0, in cur's own slot, when none
+// does); per-level uint64 occupancy bitmaps make "find the earliest
+// non-empty slot" one TrailingZeros64, so push and pop are O(1)
+// amortized regardless of how many events are in flight.
 //
-// Ordering proof sketch (why pops are bit-identical to the heap's
-// (t, seq) order):
+// Every pending event is one node of a single slab; slots are FIFO
+// lists threaded through it and popped nodes are recycled, so a cascade
+// relinks nodes instead of copying events and storage is O(peak pending
+// events) however long the run.
+//
+// Pops come out in strictly (time, schedule-seq) order — the order of
+// the container/heap oracle in wheel_test.go. Proof sketch:
 //   - Two events with equal t share every digit, hence the same slot at
-//     every level they ever occupy; slots are FIFO slices, cascades
-//     preserve slot order, and a direct push always carries a larger
-//     seq than anything already resident. Equal-t pops are therefore in
-//     push (= seq) order.
+//     every level they ever occupy; slots are FIFO, cascades preserve
+//     slot order, and a direct push always carries a larger seq than
+//     anything already resident. Equal-t pops are therefore in push
+//     (= seq) order.
 //   - Within a level every occupied digit is >= cur's digit at that
 //     level (t >= cur and the higher digits match cur), so the lowest
 //     set occupancy bit is the earliest slot; and any event at level
@@ -47,12 +52,10 @@ type timerWheel struct {
 	cur  uint64 // lower bound on every pending event's time
 	n    int
 	occ  [wheelLevels]uint64
-	slot [wheelLevels][wheelSlots][]event
+	slot [wheelLevels][wheelSlots]evList
 
-	// ready holds the currently-draining level-0 slot: events whose
-	// t == cur exactly, in seq order. Pushes at t == cur append here.
-	ready     []event
-	readyHead int
+	nodes []wheelNode
+	free  int32 // head of the recycled-node chain
 
 	// late catches pushes with t < cur. The simulator never schedules
 	// into the past, but the heap would serve such an event first and
@@ -61,7 +64,7 @@ type timerWheel struct {
 	late []event
 }
 
-func newTimerWheel() *timerWheel { return &timerWheel{} }
+func newTimerWheel() *timerWheel { return &timerWheel{nodes: make([]wheelNode, 1, 64)} }
 
 func (w *timerWheel) empty() bool { return w.n == 0 }
 
@@ -77,20 +80,44 @@ func (w *timerWheel) push(e event) {
 		w.late[i] = e
 		return
 	}
-	w.place(e)
+	i := w.free
+	if i != 0 {
+		w.free = w.nodes[i].next
+	} else {
+		i = int32(len(w.nodes))
+		w.nodes = append(w.nodes, wheelNode{})
+	}
+	// Field by field: e arrives in registers, and a whole-struct copy
+	// would spill it to the stack first and stall reading it back.
+	ev := &w.nodes[i].ev
+	ev.t, ev.seq, ev.gen, ev.who, ev.kind = e.t, e.seq, e.gen, e.who, e.kind
+	w.place(i)
 }
 
-// place files an event with t >= cur into its wheel position.
-func (w *timerWheel) place(e event) {
-	d := e.t ^ w.cur
-	if d == 0 {
-		w.ready = append(w.ready, e)
-		return
+// levelOf maps bits.Len64(t ^ cur) to the level of the highest digit in
+// which an event's time differs from cur. An event at cur itself (length
+// 0) belongs to the level-0 slot being drained.
+var levelOf = func() (lv [65]uint8) {
+	for n := 1; n <= 64; n++ {
+		lv[n] = uint8((n - 1) / wheelBits)
 	}
-	lvl := (63 - bits.LeadingZeros64(d)) / wheelBits
-	s := int(e.t>>(uint(lvl)*wheelBits)) & wheelMask
-	w.slot[lvl][s] = append(w.slot[lvl][s], e)
-	w.occ[lvl] |= 1 << uint(s)
+	return
+}()
+
+// place links node i (t >= cur) at the tail of its slot.
+func (w *timerWheel) place(i int32) {
+	nd := &w.nodes[i]
+	nd.next = 0
+	lvl := levelOf[bits.Len64(nd.ev.t^w.cur)]
+	s := (nd.ev.t >> (lvl * wheelBits)) & wheelMask
+	w.occ[lvl] |= 1 << s
+	l := &w.slot[lvl][s]
+	if l.head == 0 {
+		l.head = i
+	} else {
+		w.nodes[l.tail].next = i
+	}
+	l.tail = i
 }
 
 func (w *timerWheel) pop() event {
@@ -100,41 +127,42 @@ func (w *timerWheel) pop() event {
 		w.late = w.late[1:]
 		return e
 	}
-	for {
-		if w.readyHead < len(w.ready) {
-			e := w.ready[w.readyHead]
-			w.readyHead++
-			if w.readyHead == len(w.ready) {
-				w.ready = w.ready[:0]
-				w.readyHead = 0
-			}
-			return e
-		}
-		lvl := 0
+	for w.occ[0] == 0 {
+		// Cascade the earliest slot of the lowest occupied level: advance
+		// cur's digit at that level to the slot's, zero the digits below,
+		// and re-file the slot's nodes in order — each lands at a strictly
+		// lower level (its digit at this level now matches cur), so this
+		// terminates. Shift counts >= 64 are defined as 0 in Go, which
+		// makes the top level's mask come out all-ones for free.
+		lvl := 1
 		for lvl < wheelLevels && w.occ[lvl] == 0 {
 			lvl++
 		}
 		s := bits.TrailingZeros64(w.occ[lvl]) // panics via index if popped empty — caller bug
-		evs := w.slot[lvl][s]
+		l := w.slot[lvl][s]
+		w.slot[lvl][s] = evList{}
 		w.occ[lvl] &^= 1 << uint(s)
-		if lvl == 0 {
-			// Advance to the slot's (single) timestamp and serve it FIFO.
-			w.cur = w.cur&^wheelMask | uint64(s)
-			w.slot[0][s] = w.ready[:0] // recycle the drained ready backing array
-			w.ready, w.readyHead = evs, 0
-			continue
-		}
-		// Cascade: advance cur's digit at this level to s, zero the
-		// digits below, and re-file the slot's events — each lands at a
-		// strictly lower level (its level-lvl digit now matches cur), so
-		// this terminates. Shift counts >= 64 are defined as 0 in Go,
-		// which makes the top level's mask come out all-ones for free.
 		shift := uint(lvl) * wheelBits
 		mask := uint64(1)<<(shift+wheelBits) - 1
 		w.cur = w.cur&^mask | uint64(s)<<shift
-		for _, e := range evs {
-			w.place(e)
+		for i := l.head; i != 0; {
+			next := w.nodes[i].next
+			w.place(i)
+			i = next
 		}
-		w.slot[lvl][s] = evs[:0] // events are re-filed; recycle the backing array
 	}
+	// Advance to the earliest level-0 slot's (single) timestamp and serve
+	// it FIFO; pushes at that time join its tail.
+	s := bits.TrailingZeros64(w.occ[0])
+	w.cur = w.cur&^wheelMask | uint64(s)
+	l := &w.slot[0][s]
+	i := l.head
+	nd := &w.nodes[i]
+	l.head = nd.next
+	if nd.next == 0 {
+		w.occ[0] &^= 1 << uint(s)
+	}
+	nd.next = w.free
+	w.free = i
+	return nd.ev
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/heap"
 	"testing"
 
 	"sgxbench/internal/core"
@@ -8,10 +9,38 @@ import (
 	"sgxbench/internal/sgx"
 )
 
+// eventHeap is the container/heap binary heap the simulator ran on
+// before the timer wheel — kept here as the (time, seq) ordering oracle
+// the wheel is differentially tested against.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+type heapQueue struct{ h eventHeap }
+
+func (q *heapQueue) push(e event) { heap.Push(&q.h, e) }
+func (q *heapQueue) pop() event   { return heap.Pop(&q.h).(event) }
+func (q *heapQueue) empty() bool  { return len(q.h) == 0 }
+
 // popBoth pops one event from each queue and fails on any divergence:
 // the wheel must reproduce the heap's (time, seq) order bit-exactly,
 // including the full event payload.
-func popBoth(t *testing.T, wh, hp eventQueue, step int) event {
+func popBoth(t *testing.T, wh *timerWheel, hp *heapQueue, step int) event {
 	t.Helper()
 	a, b := wh.pop(), hp.pop()
 	if a != b {
@@ -55,7 +84,7 @@ func TestWheelDifferentialRandom(t *testing.T) {
 			}
 			lastPush = tt
 			seq++
-			e := event{t: tt, seq: seq, kind: int(next(6)), who: int(next(1024))}
+			e := event{t: tt, seq: seq, kind: uint8(next(6)), who: int32(next(1024))}
 			wh.push(e)
 			hp.push(e)
 			pending++
@@ -92,7 +121,7 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 	r := uint64(99)
 	for seq := uint64(1); seq <= 4096; seq++ {
 		r = splitmix64(r)
-		e := event{t: times[r%uint64(len(times))], seq: seq, who: int(seq)}
+		e := event{t: times[r%uint64(len(times))], seq: seq, who: int32(seq)}
 		wh.push(e)
 		hp.push(e)
 	}
@@ -134,14 +163,16 @@ func wheelTestWorkload(setting core.Setting) *Workload {
 	}
 }
 
-// TestSimulateHeapWheelIdentical replays a scenario matrix spanning
-// every simulator feature — legacy global closed loop, faults with
+// TestSimulatePinnedReplays replays a scenario matrix spanning every
+// simulator feature — legacy global closed loop, faults with
 // deadlines/retries/admission, sharded stealing, batching, and
-// open-loop arrivals of every kind — once on the heap and once on the
-// wheel, and requires bit-identical results. Together with the golden
-// gate (whose snapshots predate the wheel) this proves the event-loop
-// refactor changed nothing observable.
-func TestSimulateHeapWheelIdentical(t *testing.T) {
+// open-loop arrivals of every kind — and requires the values the
+// container/heap event loop produced for them (captured on the last
+// commit that could still replay on the heap, where heap and wheel
+// agreed on every one). Together with the golden gate (whose snapshots
+// predate the wheel) this pins that no event-loop change since moved
+// anything observable.
+func TestSimulatePinnedReplays(t *testing.T) {
 	base := Config{Clients: 48, Workers: 8, RequestsPerClient: 6, Sync: SyncLockFree, JitterPct: 10, Seed: 7}
 	fault := &FaultPlan{Seed: 11, CrashInterval: 4_000_000, StormInterval: 2_000_000,
 		StormLen: 900_000, StormAEXGap: 2_000, FailPct: 3}
@@ -185,27 +216,58 @@ func TestSimulateHeapWheelIdentical(t *testing.T) {
 			return c
 		},
 	}
-	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-		w := wheelTestWorkload(setting)
-		for name, mut := range cfgs {
-			cfg := mut(base)
-			wheel, err := w.Simulate(cfg)
-			if err != nil {
-				t.Fatalf("%v/%s (wheel): %v", setting, name, err)
-			}
-			cfg.useHeap = true
-			hp, err := w.Simulate(cfg)
-			if err != nil {
-				t.Fatalf("%v/%s (heap): %v", setting, name, err)
-			}
-			if wheel.Check != hp.Check || wheel.MakespanCycles != hp.MakespanCycles ||
-				wheel.Breakdown != hp.Breakdown || wheel.DispatchStats != hp.DispatchStats ||
-				wheel.P50 != hp.P50 || wheel.P99 != hp.P99 ||
-				wheel.Succeeded != hp.Succeeded || wheel.Failed != hp.Failed {
-				t.Errorf("%v/%s: wheel and heap replays diverge:\nwheel: check=%#x makespan=%d %+v\nheap:  check=%#x makespan=%d %+v",
-					setting, name, wheel.Check, wheel.MakespanCycles, wheel.Breakdown,
-					hp.Check, hp.MakespanCycles, hp.Breakdown)
-			}
+	pins := []struct {
+		setting  core.Setting
+		name     string
+		check    uint64
+		makespan uint64
+		bd       Breakdown
+	}{
+		{core.PlainCPU, "closed.thinktail", 0x85f816617a0bd1e2, 4_446_064,
+			Breakdown{Requests: 288, QueueWaitCycles: 27590832, LockCycles: 62420, ServiceCycles: 18576700}},
+		{core.PlainCPU, "legacy.fault", 0x654b80cbe739041e, 3_975_008,
+			Breakdown{Requests: 288, QueueWaitCycles: 33371359, LockCycles: 74419, ServiceCycles: 18929792, Retries: 175, Shed: 167, Crashes: 3, RebuildCycles: 7130504, AEXEvents: 789, AEXCycles: 5523000}},
+		{core.PlainCPU, "legacy.mutex.dyn", 0x9f6f2df01cf8a90, 3_510_100,
+			Breakdown{Requests: 288, QueueWaitCycles: 79300200, LockCycles: 2477600, CommitCycles: 8604000, PagesCommitted: 5736, ServiceCycles: 18576700}},
+		{core.PlainCPU, "open.bursty.shard.batch", 0x4b00361b2f149b0e, 12_569_645,
+			Breakdown{Requests: 288, QueueWaitCycles: 5226607, LockCycles: 21870, ServiceCycles: 18576700}},
+		{core.PlainCPU, "open.diurnal", 0x3ea787a149e1620c, 2_683_078,
+			Breakdown{Requests: 288, QueueWaitCycles: 89182306, LockCycles: 17888, ServiceCycles: 18576700}},
+		{core.PlainCPU, "open.heavytail", 0xd52404f67d892755, 5_125_887,
+			Breakdown{Requests: 288, QueueWaitCycles: 72867127, LockCycles: 17886, ServiceCycles: 18576700}},
+		{core.PlainCPU, "open.poisson", 0x9b38a5b8dce1b34f, 4_693_752,
+			Breakdown{Requests: 288, QueueWaitCycles: 22926904, LockCycles: 18055, ServiceCycles: 18576700}},
+		{core.PlainCPU, "shard.batch.fault", 0x85c1a4e67083e133, 3_220_630,
+			Breakdown{Requests: 288, QueueWaitCycles: 53271773, LockCycles: 17190, ServiceCycles: 19035222, Retries: 11, Crashes: 1, RebuildCycles: 1748000, AEXEvents: 776, AEXCycles: 5432000}},
+		{core.PlainCPU, "shard.steal", 0x1189782e661cac7b, 4_774_050,
+			Breakdown{Requests: 576, QueueWaitCycles: 368449290, LockCycles: 55660, ServiceCycles: 37698100}},
+		{core.SGXDiE, "closed.thinktail", 0xc55ff5bfe6166483, 4_872_465,
+			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 47718579, LockCycles: 586745, ServiceCycles: 18576700}},
+		{core.SGXDiE, "legacy.fault", 0x4ebd9ea6484e2dda, 4_107_577,
+			Breakdown{Requests: 288, Transitions: 1724, TransitionCycles: 13792000, QueueWaitCycles: 46228907, LockCycles: 917900, ServiceCycles: 18095832, Retries: 288, Shed: 290, Crashes: 3, RebuildCycles: 7130504, AEXEvents: 712, AEXCycles: 4984000}},
+		{core.SGXDiE, "legacy.mutex.dyn", 0x503f352bcde30b18, 231_041_300,
+			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 8339051800, LockCycles: 48592000, CommitWaitCycles: 1562386300, CommitCycles: 229440000, PagesCommitted: 5736, ServiceCycles: 18576700}},
+		{core.SGXDiE, "open.bursty.shard.batch", 0x1a391a36b4a12cf8, 12_585_645,
+			Breakdown{Requests: 288, Transitions: 1086, TransitionCycles: 8688000, QueueWaitCycles: 7422646, LockCycles: 26531, ServiceCycles: 18576700}},
+		{core.SGXDiE, "open.diurnal", 0xc5e015a3fc44f278, 3_033_784,
+			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 185700531, LockCycles: 653486, ServiceCycles: 18576700}},
+		{core.SGXDiE, "open.heavytail", 0x18780cc6e260f178, 5_149_887,
+			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 158703867, LockCycles: 616939, ServiceCycles: 18576700}},
+		{core.SGXDiE, "open.poisson", 0x463291de8ac7b44c, 4_717_752,
+			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 86792689, LockCycles: 699994, ServiceCycles: 18576700}},
+		{core.SGXDiE, "shard.batch.fault", 0x85542bd94198b840, 3_316_640,
+			Breakdown{Requests: 288, Transitions: 748, TransitionCycles: 5984000, QueueWaitCycles: 62686644, LockCycles: 45830, ServiceCycles: 19071528, Retries: 11, Crashes: 1, RebuildCycles: 1748000, AEXEvents: 789, AEXCycles: 5523000}},
+		{core.SGXDiE, "shard.steal", 0x8b2e3bc6e6e6920e, 5_988_320,
+			Breakdown{Requests: 576, Transitions: 2304, TransitionCycles: 18432000, QueueWaitCycles: 461885640, LockCycles: 276050, ServiceCycles: 37698100}},
+	}
+	for _, p := range pins {
+		res, err := wheelTestWorkload(p.setting).Simulate(cfgs[p.name](base))
+		if err != nil {
+			t.Fatalf("%v/%s: %v", p.setting, p.name, err)
+		}
+		if res.Check != p.check || res.MakespanCycles != p.makespan || res.Breakdown != p.bd {
+			t.Errorf("%v/%s: replay moved:\ngot:  check=%#x makespan=%d %+v\nwant: check=%#x makespan=%d %+v",
+				p.setting, p.name, res.Check, res.MakespanCycles, res.Breakdown, p.check, p.makespan, p.bd)
 		}
 	}
 }
