@@ -1,1423 +1,68 @@
-// Command bench measures the simulator's host-side performance: it runs a
-// fixed scan + join + query-pipeline suite across the paper's four
-// execution settings on the batched fast path (the "sweep"), then
-// compares the fast path against the per-op reference engine on
-// representative workloads (the "speedup" section), asserting that both
-// produce identical simulated results. Results are written to a
-// BENCH_engine.json trajectory file so future performance PRs are
-// comparable.
-//
-// Methodology: every workload is prepared once (environment, input data,
-// pre-allocated result buffers — the paper pre-allocates result memory)
-// and then run N times; the reported host_ns is the median repetition,
-// the right estimator on a noisy single-CPU container. Simulated caches
-// start cold on every repetition (each run builds fresh threads), so the
-// simulated results of a repetition are independent of the others.
-//
-// Golden gate: because the simulation is fully deterministic, CI can
-// gate on *exact* simulated numbers. The deterministic sweep entries of
-// a -quick run (everything except multi-threaded shared-table joins)
-// are compared against the committed BENCH_GOLDEN.json; any drift in
-// simulated cycles, checks or statistics fails the run. Refresh the
-// snapshot intentionally with -update-golden after a change that is
-// *supposed* to move simulated numbers.
-//
-// Usage:
-//
-//	go run ./cmd/bench                        # full suite (minutes)
-//	go run ./cmd/bench -quick                 # small sizes, CI smoke run
-//	go run ./cmd/bench -quick -check-golden   # CI regression gate
-//	go run ./cmd/bench -quick -update-golden  # refresh BENCH_GOLDEN.json
+// Command bench runs the simulator's performance and fidelity suite
+// (internal/bench) and writes its BENCH_engine.json trajectory file:
+// minutes at full scale, seconds with -quick, which is also the scale the
+// golden snapshot (-check-golden / -update-golden) pins.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
-	"runtime"
-	"runtime/debug"
-	"sort"
-	"time"
+	"path/filepath"
 
-	"sgxbench/internal/agg"
-	"sgxbench/internal/core"
-	"sgxbench/internal/engine"
-	"sgxbench/internal/join"
-	"sgxbench/internal/kernels"
-	"sgxbench/internal/obs"
-	"sgxbench/internal/plan"
-	"sgxbench/internal/platform"
-	"sgxbench/internal/query"
-	"sgxbench/internal/rel"
-	"sgxbench/internal/scan"
-	"sgxbench/internal/serve"
-	"sgxbench/internal/sgx"
+	"sgxbench/internal/bench"
 )
 
-var (
-	quick        = flag.Bool("quick", false, "small sizes and single repetitions (CI smoke run)")
-	out          = flag.String("out", "BENCH_engine.json", "output JSON trajectory file")
-	threads      = flag.Int("threads", 4, "worker threads for the sweep workloads")
-	goldenPath   = flag.String("golden", "BENCH_GOLDEN.json", "golden snapshot of deterministic -quick simulated numbers")
-	checkGolden  = flag.Bool("check-golden", false, "fail on any drift of deterministic simulated numbers vs the golden snapshot (-quick only)")
-	updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapshot from this run (-quick only); use after intentional timing-model changes")
-)
-
-// rhoRatioScale is the largest platform scale-down factor at which the
-// RHO fast-vs-reference ratio assertion is meaningful: the scale-4
-// inputs (25 MB join 100 MB) keep the partition passes long enough that
-// per-run fixed costs (cold simulated caches, state setup) do not
-// dominate the ratio. At smaller data the ratio flakes; the target check
-// below skips itself rather than asserting noise.
-const rhoRatioScale = 4
-
-// Serving scenario shape: a pool saturated by many closed-loop clients
-// issuing small queries — the regime where the paper's two concurrency
-// collapses (SDK mutex contention, Section 4.4; serialized EDMM commits,
-// Fig 12) dominate. Unlike the host wall-clock ratio targets above,
-// the serve collapse ratios are ratios of *simulated* throughput:
-// deterministic, noise-free, and therefore asserted as a hard gate in
-// quick mode too (the rhoRatioScale idiom applied to a guard that is a
-// workload property — the client count — rather than host noise).
-const (
-	serveClients    = 32
-	serveWorkers    = 16
-	serveReqsPerCli = 8
-	// serveCollapseClients is the minimum client count at which the
-	// collapse ratios are asserted: below that the dispatch queue and
-	// the EDMM commit lock are not saturated and the gaps are not a
-	// property of the contention model.
-	serveCollapseClients = 8
-	// serveSyncCollapseMin is the asserted minimum throughput ratio of
-	// the lock-free dispatch queue over the SGX SDK mutex (paper
-	// Section 4.4 / Fig 11 regime; the scenario measures ~8x).
-	serveSyncCollapseMin = 4.0
-	// serveEDMMCollapseMin is the asserted minimum throughput ratio of
-	// the pre-sized enclave over the dynamically-sized (EDMM) one.
-	// Fig 12 reports ~95 % loss (~20x); the scenario — every request
-	// recommitting its full working set against the enclave-global
-	// page-table lock — collapses far harder, so 20x is the floor.
-	serveEDMMCollapseMin = 20.0
-)
-
-// The Fig 3 hash-vs-sort contrast as a hard gate: the sort-merge query
-// path (q5 — sequential run passes, streaming merges, cursor stores the
-// SSB mitigation cannot serialize) must show a strictly smaller
-// simulated enclave slowdown (SGX DiE cycles / Plain CPU cycles) than
-// the radix-hash query path (q2 — data-dependent scatters and probes).
-// Both slowdowns are ratios of deterministic simulated numbers from the
-// sweep, so the gate is asserted in quick mode too and any regression
-// of the timing model that inverts the paper's headline contrast fails
-// the run.
-const (
-	hashGateWorkload = query.Q2Name
-	sortGateWorkload = query.Q5Name
-)
-
-// The EPC oversubscription degradation gate: at 2x and 4x
-// oversubscription (EPC capacity = working set / ratio) the
-// spill-partitioned operators — GRACE join and the spill group-by, which
-// stage partition runs in untrusted memory through sequential streaming
-// writes — must stay under spillDegradeMax slowdown against their own
-// fully-resident runs, while the naive in-EPC operators (PHT's shared
-// hash table, the single-table direct group-by) collapse past
-// naiveCollapseMin under demand paging. All four curves are ratios of
-// deterministic simulated cycles, so the gate is hard in quick mode too.
-const (
-	spillDegradeMax  = 3.0
-	naiveCollapseMin = 10.0
-)
-
-// spillRatios is the oversubscription axis (0: fully resident baseline).
-var spillRatios = []int64{0, 2, 4}
-
-// spillRatioTag names a ratio in workload identifiers.
-func spillRatioTag(ratio int64) string {
-	if ratio == 0 {
-		return "resident"
+// validateFlags rejects what would silently mis-run, before any workload
+// runs (the full suite takes minutes). Positional args also mean flag
+// parsing stopped early and every later flag was ignored.
+func validateFlags(o bench.Options, args []string) error {
+	switch {
+	case len(args) > 0:
+		return fmt.Errorf("unexpected argument %q (flags after it were not parsed)", args[0])
+	case o.Threads < 1:
+		return fmt.Errorf("-threads %d must be >= 1", o.Threads)
+	case o.CheckGolden && o.UpdateGolden:
+		return fmt.Errorf("-check-golden and -update-golden are mutually exclusive")
+	case (o.CheckGolden || o.UpdateGolden) && !o.Quick:
+		return fmt.Errorf("the golden snapshot covers -quick numbers only; add -quick")
 	}
-	return fmt.Sprintf("%dx", ratio)
+	if err := writableDir("-out", o.Out); err != nil || !o.UpdateGolden {
+		return err
+	}
+	return writableDir("-golden", o.Golden)
 }
 
-// serveConfigs is the scenario matrix: every synchronization model
-// crossed with both memory-provisioning modes, at a fixed saturating
-// client/worker shape. Identical in quick and full runs, so the golden
-// gate pins all of them and the collapse ratios are comparable.
-func serveConfigs() []serve.Config {
-	var cfgs []serve.Config
-	for _, sync := range []serve.SyncKind{serve.SyncMutex, serve.SyncSpin, serve.SyncLockFree} {
-		for _, mem := range []serve.MemMode{serve.MemPreSized, serve.MemDynamic} {
-			cfgs = append(cfgs, serve.Config{
-				Clients: serveClients, Workers: serveWorkers,
-				RequestsPerClient: serveReqsPerCli,
-				Sync:              sync, Mem: mem,
-				JitterPct: 10, Seed: 7,
-			})
-		}
-	}
-	return cfgs
-}
-
-// obsPctlViolations collects any serving run where the histogram-backed
-// percentiles strayed from the exact sorted-slice oracle by more than
-// one bucket width (or Max stopped being exact). Always empty on a
-// healthy build; reported as obs_percentiles_ok and gated at exit.
-var obsPctlViolations []string
-
-// simulate replays one scenario, treating a config error as fatal —
-// every bench scenario is built here and must validate. Every run is
-// executed with a tracer and metrics timeline attached: the golden gate
-// downstream then doubles as the zero-perturbation proof for the
-// observability layer, and each run's histogram percentiles are checked
-// against the exact sorted-slice oracle.
-func simulate(w *serve.Workload, cfg serve.Config) *serve.Result {
-	cfg.Trace = obs.NewTracer(1 << 12)
-	cfg.Metrics = obs.NewMetrics(1<<16, 1<<10)
-	res, err := w.Simulate(cfg)
+// writableDir checks that the file a flag names can be created.
+func writableDir(flagName, path string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".bench-probe-*")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+		return fmt.Errorf("%s %s: %w", flagName, path, err)
 	}
-	checkPercentiles(res)
-	return res
-}
-
-// checkPercentiles asserts the satellite guarantee on a finished run:
-// each histogram percentile is >= its exact value and within one bucket
-// width of it, and Max is exact.
-func checkPercentiles(res *serve.Result) {
-	e50, e95, e99, emax := res.ExactPercentiles()
-	label := res.Config.Name() + "/" + res.Setting
-	for _, pc := range []struct {
-		name       string
-		got, exact uint64
-	}{{"p50", res.P50, e50}, {"p95", res.P95, e95}, {"p99", res.P99, e99}} {
-		if pc.got < pc.exact || pc.got-pc.exact > obs.BucketWidth(pc.exact) {
-			obsPctlViolations = append(obsPctlViolations, fmt.Sprintf(
-				"%s: %s = %d, exact %d (bucket width %d)",
-				label, pc.name, pc.got, pc.exact, obs.BucketWidth(pc.exact)))
-		}
-	}
-	if res.Max != emax {
-		obsPctlViolations = append(obsPctlViolations, fmt.Sprintf(
-			"%s: max = %d, exact %d", label, res.Max, emax))
-	}
-}
-
-// Fault-injected serving: the resilience analogue of the spill gate.
-// Three fault plans — fault-free, AEX interrupt storms, and the
-// crash-storm (storms + enclave crash-loop + transient aborts) — are
-// each served twice: once behind queue-depth admission control and once
-// with the naive unbounded queue. Both variants carry identical
-// client-side deadlines and capped-backoff retries; only the admission
-// limit differs. Every scenario's timing constants scale off the
-// calibrated mean service time, so quick and full runs exercise the
-// same regime and all twelve numbers stay deterministic and
-// golden-pinned.
-//
-// The hard gate (fault_degradation_ok): under the crash-storm plan,
-// admission-controlled goodput must keep >= faultGoodputMin of its own
-// fault-free goodput, while the naive variant's p99 must blow past
-// naiveP99CollapseMin times its fault-free p99 AND its goodput must
-// fall below half of the admission-controlled variant's — the serving
-// analogue of the spill-vs-naive degradation curve: mitigations bound
-// the damage, the naive shape melts down.
-const (
-	faultClients        = 64
-	faultWorkers        = 8
-	faultReqsPerCli     = 4
-	faultGoodputMin     = 0.5
-	naiveP99CollapseMin = 10.0
-)
-
-// Production-scale serving: the shard_scaling_ok gate. An open-loop
-// Poisson client population — far past what the closed-loop scenarios
-// above can express — drives a 64-worker DiE pool through three
-// dispatch shapes: the single global lock-free queue, per-worker shards
-// with deterministic work stealing, and shards plus request batching
-// (one enclave transition pair amortized over up to scaleBatch queued
-// requests). The per-client mean gap is scaleGapServiceMult times the
-// calibrated mean service time, so at >= 1024 clients the offered load
-// deep-saturates even the batched pool and measured throughput is each
-// shape's capacity, not the arrival rate. All nine numbers are
-// deterministic and golden-pinned; the gate asserts that at 1024 and
-// 2048 clients sharded+batched dispatch holds >= scaleTputRatioMin the
-// global queue's throughput with p99 at most 1/scaleP99RatioMin of it —
-// the transition-amortization headroom the cost model predicts
-// (~2.4x: 2 x 8000-cycle transitions per attempt vs ~1000 amortized).
-const (
-	scaleWorkers    = 64
-	scaleReqsPerCli = 16
-	scaleBatch      = 16
-	// scaleGapServiceMult is the per-client Poisson mean inter-arrival
-	// gap in multiples of the calibrated mean service time: at c clients
-	// the offered load is c/scaleGapServiceMult worker-equivalents.
-	scaleGapServiceMult = 10
-	scaleTputRatioMin   = 2.0
-	scaleP99RatioMin    = 2.0
-)
-
-// scaleClients is the open-loop population axis; the gate asserts at
-// the saturated points (>= 1024), the 256-client point documents the
-// saturation edge of the global queue.
-var scaleClients = []int{256, 1024, 2048}
-var scaleGateClients = []int{1024, 2048}
-
-// faultScenario is one (fault plan x admission) point of the sweep.
-type faultScenario struct {
-	name string
-	cfg  serve.Config
-}
-
-// faultConfigs derives the fault sweep from the calibrated workload:
-// every interval, deadline and backoff is a multiple of the mean
-// calibrated service time S, so the scenario shape — storm windows that
-// stretch service past the deadline, rebuild outages spanning several
-// deadlines, backoff caps that let shed clients ride out an outage —
-// is invariant under quick/full calibration sizes.
-func faultConfigs(w *serve.Workload) []faultScenario {
-	var sum uint64
-	for _, c := range w.Classes {
-		sum += c.ServiceCycles
-	}
-	s := sum / uint64(len(w.Classes))
-	// A pool kept healthy by think time (offered load ~60% of capacity)
-	// but heavily oversubscribed in clients, so that once service times
-	// stretch the naive unbounded queue can amplify to several times the
-	// worker count. The deadline sits between the fault-free p99 and a
-	// storm-stretched service time: fault-free runs keep a small timeout
-	// tail (deadline-aware clients under a saturated tail) while storm
-	// windows push whole queue generations past it.
-	base := serve.Config{
-		Clients: faultClients, Workers: faultWorkers,
-		RequestsPerClient: faultReqsPerCli,
-		Sync:              serve.SyncLockFree, Mem: serve.MemPreSized,
-		ThinkCycles: 12 * s, JitterPct: 10, Seed: 7,
-		DeadlineCycles: 7 * s,
-		MaxRetries:     7,
-		BackoffBase:    s,
-		BackoffCap:     16 * s,
-	}
-	fc := sgx.DefaultFaultCosts()
-	// Enclave rebuild outages scale with the calibrated service time so
-	// the scenario keeps its shape across platform scales: ~3.5s of
-	// serialized rebuild per crash against a 60s per-worker crash
-	// interval keeps the kernel enclave-management lock under saturation
-	// (the admission variant must be able to ride the outages out).
-	fc.Teardown = s / 2
-	fc.RebuildBase = 3 * s
-	storm := &serve.FaultPlan{
-		Seed:          11,
-		StormInterval: 20 * s,
-		StormLen:      9 * s,
-		// Each AEX stalls ~5x its gap: service stretches ~6x inside a
-		// storm window, pushing queue waits past the deadline.
-		StormAEXGap: fc.AEX / 5,
-		Costs:       fc,
-	}
-	crash := &serve.FaultPlan{}
-	*crash = *storm
-	crash.CrashInterval = 60 * s
-	crash.FailPct = 2
-	crash.RebuildPages = 64
-	var out []faultScenario
-	for _, p := range []struct {
-		tag  string
-		plan *serve.FaultPlan
-	}{{"none", nil}, {"storm", storm}, {"crash", crash}} {
-		for _, admit := range []bool{true, false} {
-			cfg := base
-			cfg.Fault = p.plan
-			mode := "naive"
-			if admit {
-				cfg.AdmitDepth = 12
-				mode = "admit"
-			}
-			out = append(out, faultScenario{
-				name: fmt.Sprintf("fault.%s.%s", p.tag, mode),
-				cfg:  cfg,
-			})
-		}
-	}
-	return out
-}
-
-// wlResult is one (workload, setting, engine-mode) measurement.
-type wlResult struct {
-	Workload  string       `json:"workload"`
-	Setting   string       `json:"setting"`
-	Mode      string       `json:"mode"`    // "fast" or "per-op"
-	HostNS    int64        `json:"host_ns"` // median over repetitions
-	Reps      int          `json:"reps"`
-	SimCycles uint64       `json:"sim_cycles"`
-	Check     uint64       `json:"check"` // matches / cycle checksum for equivalence
-	Det       bool         `json:"deterministic"`
-	Stats     engine.Stats `json:"stats"`
-}
-
-type report struct {
-	Schema      string             `json:"schema"`
-	Timestamp   string             `json:"timestamp"`
-	GoVersion   string             `json:"go_version"`
-	NumCPU      int                `json:"num_cpu"`
-	Quick       bool               `json:"quick"`
-	Sweep       []wlResult         `json:"sweep"`
-	Serve       []*serve.Result    `json:"serve"`
-	Speedup     []wlResult         `json:"speedup"`
-	Speedups    map[string]float64 `json:"speedups"`
-	Equivalent  bool               `json:"equivalence_ok"`
-	GoldenOK    bool               `json:"golden_ok"`
-	ServeOK     bool               `json:"serve_collapse_ok"`
-	HashSortOK  bool               `json:"hash_vs_sort_ok"`
-	PlannerOK   bool               `json:"planner_ok"`
-	SpillOK     bool               `json:"spill_degradation_ok"`
-	FaultOK     bool               `json:"fault_degradation_ok"`
-	ShardOK     bool               `json:"shard_scaling_ok"`
-	ObsOK       bool               `json:"obs_percentiles_ok"`
-	TargetsMet  bool               `json:"targets_met"`
-	TargetNotes []string           `json:"target_notes"`
-}
-
-// goldenEntry is one deterministic sweep measurement in the snapshot.
-type goldenEntry struct {
-	Workload  string       `json:"workload"`
-	Setting   string       `json:"setting"`
-	SimCycles uint64       `json:"sim_cycles"`
-	Check     uint64       `json:"check"`
-	Stats     engine.Stats `json:"stats"`
-}
-
-type goldenFile struct {
-	Schema  string        `json:"schema"`
-	Quick   bool          `json:"quick"`
-	Threads int           `json:"threads"`
-	Entries []goldenEntry `json:"entries"`
-}
-
-const goldenSchema = "sgxbench/bench_golden/v1"
-
-func settings() []core.Setting {
-	return []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
-}
-
-func median(ds []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
-// runner executes one timed repetition of a prepared workload and
-// returns (host time, simulated cycles, check value, simulated stats).
-type runner func() (time.Duration, uint64, uint64, engine.Stats)
-
-// --- workload preparation; each returns a runner over reusable state ---
-
-func prepSeq(ref bool, setting core.Setting, bytes int64) runner {
-	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
-	buf := env.Space.Raw("seq", bytes, env.DataRegion())
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		t := engine.NewThread(env.EngineConfig(), 0)
-		start := time.Now()
-		cyc := kernels.StreamRead(t, buf, 0, bytes)
-		st := t.Stats()
-		st.Cycles = cyc
-		return time.Since(start), cyc, cyc, st
-	}
-}
-
-func prepScan(ref bool, setting core.Setting, bytes int, rowIDs bool, thr int) runner {
-	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
-	col := env.Space.AllocU8("col", bytes, env.DataRegion())
-	scan.GenColumn(col, 9)
-	opt := scan.Options{Threads: thr, Pred: scan.Predicate{Lo: 16, Hi: 127}, RowIDs: rowIDs}
-	if rowIDs {
-		opt.IDs = env.Space.AllocU64("scan.ids", col.Len()+64, env.DataRegion())
-	} else {
-		opt.Bits = env.Space.AllocU64("scan.bits", col.Len()/64+2, env.DataRegion())
-	}
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		start := time.Now()
-		res := scan.Run(env, col, opt)
-		return time.Since(start), res.WallCycles, res.Matches, res.Stats
-	}
-}
-
-// prepGather prepares the filter→gather plan: the row-id scan runs once
-// (untimed), its ids are shuffled into an unclustered list, and each
-// repetition re-gathers the payload column at those ids. maxIDs caps the
-// gather volume so the suite stays within minutes (random accesses are
-// the most expensive pattern to simulate).
-func prepGather(ref bool, setting core.Setting, bytes, thr, maxIDs int) runner {
-	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
-	col := env.Space.AllocU8("col", bytes, env.DataRegion())
-	scan.GenColumn(col, 9)
-	sc := scan.Run(env, col, scan.Options{Threads: thr, Pred: scan.Predicate{Lo: 16, Hi: 127}, RowIDs: true})
-	n := int(sc.Matches)
-	scan.ShuffleIDs(sc.IDs, n, 21)
-	if n > maxIDs {
-		n = maxIDs
-	}
-	gopt := scan.GatherOptions{Threads: thr, Out: env.Space.AllocU8("scan.gathered", n, env.DataRegion())}
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		start := time.Now()
-		res := scan.Gather(env, col, sc.IDs, n, gopt)
-		return time.Since(start), res.WallCycles, res.Sum, res.Stats
-	}
-}
-
-// prepMicroGather prepares the Fig 5 random-access micro-benchmark in its
-// batched form (kernels.GatherAccess) over a DRAM-sized array.
-func prepMicroGather(ref bool, setting core.Setting, arr int64, ops int) runner {
-	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
-	buf := env.Space.Raw("gather.arr", arr, env.DataRegion())
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		t := engine.NewThread(env.EngineConfig(), 0)
-		start := time.Now()
-		cyc := kernels.GatherAccess(t, buf, ops, false, 5)
-		st := t.Stats()
-		st.Cycles = cyc
-		return time.Since(start), cyc, cyc, st
-	}
-}
-
-// prepJoin builds the join inputs once; every repetition re-runs the
-// algorithm (fresh per-run state is allocated from the same simulated
-// space, so repetition k sees the same addresses in both engine modes).
-func prepJoin(ref bool, setting core.Setting, alg join.Algorithm, scale int64, thr int) runner {
-	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(scale), Setting: setting, Reference: ref})
-	nR := rel.RowsForMB(100) / int(scale)
-	nS := rel.RowsForMB(400) / int(scale)
-	build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		start := time.Now()
-		res, err := alg.Run(env, build, probe, join.Options{Threads: thr, Optimized: true})
-		if err != nil {
-			panic(err)
-		}
-		return time.Since(start), res.WallCycles, res.Matches, res.Stats
-	}
-}
-
-// prepSpillJoin prepares one join under an EPC capacity of the inputs'
-// working set divided by ratio (0: unlimited — the resident baseline).
-func prepSpillJoin(ref bool, setting core.Setting, alg join.Algorithm, nR, nS int, ratio int64, thr int) runner {
-	var pages int64
-	if ratio > 0 {
-		pages = int64(nR+nS) * rel.TupleBytes / 4096 / ratio
-	}
-	env := core.NewEnv(core.Options{
-		Plat: platform.XeonGold6326().Scaled(256), Setting: setting,
-		Reference: ref, EPCPages: pages,
-	})
-	build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 99)
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		start := time.Now()
-		res, err := alg.Run(env, build, probe, join.Options{Threads: thr, Optimized: true})
-		if err != nil {
-			panic(err)
-		}
-		return time.Since(start), res.WallCycles, res.Matches, res.Stats
-	}
-}
-
-// prepSpillAgg prepares the spill-partitioned (or naive direct) group-by
-// over n fact tuples with the given group count, under an EPC capacity
-// of the input working set divided by ratio (0: unlimited).
-func prepSpillAgg(ref bool, setting core.Setting, spill bool, n, groups int, ratio int64, thr int) runner {
-	var pages int64
-	if ratio > 0 {
-		pages = int64(n) * 8 / 4096 / ratio
-	}
-	env := core.NewEnv(core.Options{
-		Plat: platform.XeonGold6326().Scaled(256), Setting: setting,
-		Reference: ref, EPCPages: pages,
-	})
-	_, fact := rel.GenFKPair(env.Space, groups, n, env.DataRegion(), 99)
-	ins := []agg.Input{{Tup: fact.Tup, N: n}}
-	opt := agg.Options{Threads: thr, Sel: agg.ByKey, Groups: groups}
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		start := time.Now()
-		var res *agg.Result
-		if spill {
-			res = agg.SpillRun(env, ins, opt)
-		} else {
-			res = agg.DirectRun(env, ins, opt)
-		}
-		return time.Since(start), res.WallCycles, res.Check, res.Stats
-	}
-}
-
-// prepPipeline prepares one end-to-end query pipeline: the star-schema
-// dataset and all inter-stage scratch are allocated once; every
-// repetition re-runs the whole plan (scan → [join →] aggregation) on a
-// fresh thread group. maxRows caps the filtered rows fed downstream
-// (0: no cap; the scratch is then sized for the full fact table).
-func prepPipeline(ref bool, setting core.Setting, p query.Pipeline, nDim, nFact, maxRows, thr int) runner {
-	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
-	ds := query.GenDataset(env, nDim, nFact, 4242)
-	capRows := nFact
-	if maxRows > 0 && maxRows < capRows {
-		capRows = maxRows
-	}
-	// A cycle-attribution profiler rides along on every pipeline run:
-	// the golden gate's bit-identical checks then prove the profiling
-	// hooks perturb nothing.
-	opt := query.Options{
-		Threads:  thr,
-		Pred:     scan.Predicate{Lo: 16, Hi: 127},
-		MaxRows:  maxRows,
-		Scratch:  query.NewScratch(env, ds, thr, capRows),
-		Profiler: obs.NewProfiler("run"),
-	}
-	return func() (time.Duration, uint64, uint64, engine.Stats) {
-		start := time.Now()
-		res := p.Run(env, ds, opt)
-		return time.Since(start), res.WallCycles, res.Check, res.Stats
-	}
-}
-
-// measure runs r reps times and returns the median host time plus the
-// per-repetition simulated cycles, checks and stats (index 0 is the
-// value the sweep reports and the golden gate compares). The preceding
-// workload's buffers (hundreds of MB) are collected up front so a GC
-// cycle over the accumulated heap never lands inside a timed region.
-func measure(r runner, reps int) (time.Duration, []uint64, []uint64, []engine.Stats) {
-	runtime.GC()
-	hosts := make([]time.Duration, reps)
-	cycs := make([]uint64, reps)
-	chks := make([]uint64, reps)
-	stats := make([]engine.Stats, reps)
-	for k := 0; k < reps; k++ {
-		hosts[k], cycs[k], chks[k], stats[k] = r()
-	}
-	return median(hosts), cycs, chks, stats
+	f.Close()
+	return os.Remove(f.Name())
 }
 
 func main() {
+	var o bench.Options
+	flag.BoolVar(&o.Quick, "quick", false, "small sizes and single repetitions (CI smoke run)")
+	flag.StringVar(&o.Out, "out", "BENCH_engine.json", "output JSON trajectory file")
+	flag.IntVar(&o.Threads, "threads", 4, "worker threads for the sweep workloads")
+	flag.StringVar(&o.Golden, "golden", "BENCH_GOLDEN.json", "golden snapshot of deterministic -quick simulated numbers")
+	flag.BoolVar(&o.CheckGolden, "check-golden", false, "fail on any drift of deterministic simulated numbers vs the golden snapshot (-quick only)")
+	flag.BoolVar(&o.UpdateGolden, "update-golden", false, "rewrite the golden snapshot from this run (-quick only); use after intentional timing-model changes")
 	flag.Parse()
-	// The suite holds a few large long-lived buffers and produces modest
-	// per-repetition garbage; a higher GC target keeps collector cycles
-	// out of the timed regions (benchmark hygiene, not a result lever —
-	// both engine modes run under the same setting).
-	debug.SetGCPercent(400)
-	rep := &report{
-		Schema:    "sgxbench/bench_engine/v3",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Quick:     *quick,
-		Speedups:  map[string]float64{},
-		GoldenOK:  true,
+	if err := validateFlags(o, flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	seqBytes := int64(256 << 20)
-	scanBytes := 64 << 20
-	gatherIDs := 4 << 20
-	gatherOps := 1 << 21
-	gatherArr := int64(256 << 20)
-	rhoScale := int64(rhoRatioScale) // 25 MB join 100 MB: near-full-size working set
-	qDim := 1 << 16
-	qFact := 2 << 20
-	qMaxRows := 1 << 20
-	q3Fact := 1 << 20     // unfiltered join-agg: keep the probe side bounded
-	spillJoinScale := 128 // 800 KB join 3.2 MB against a scaled-down EPC
-	spillAggN := 1 << 19
-	spillAggGroups := 1 << 16
-	reps := 5
-	joinReps := 5
-	if *quick {
-		seqBytes = 16 << 20
-		scanBytes = 4 << 20
-		gatherIDs = 1 << 17
-		gatherOps = 1 << 16
-		gatherArr = 16 << 20
-		rhoScale = 64
-		qDim = 1 << 10
-		qFact = 1 << 16
-		qMaxRows = 1 << 14
-		q3Fact = 1 << 15
-		spillJoinScale = 512
-		spillAggN = 1 << 17
-		spillAggGroups = 1 << 14
-		reps = 1
-		joinReps = 1
-	}
-	q1, _ := query.ByName(query.Q1Name)
-	q2, _ := query.ByName(query.Q2Name)
-	q3, _ := query.ByName(query.Q3Name)
-	q4, _ := query.ByName(query.Q4Name)
-	q5, _ := query.ByName(query.Q5Name)
-	q2s, _ := query.ByName(query.Q2SName)
-	q3s, _ := query.ByName(query.Q3SName)
-
-	// --- Sweep: the fixed suite across all four settings, fast path ---
-	rep.Equivalent = true
-	fmt.Printf("== sweep (batched fast path, median of %d) ==\n", reps)
-	for _, s := range settings() {
-		type wl struct {
-			name string
-			prep func() runner
-			n    int
-			det  bool // simulated numbers are run-to-run deterministic
-		}
-		// Every entry is deterministic and feeds the golden gate: the PHT
-		// shared-table build preclaims its insert slots in input order, so
-		// even multi-threaded shared-table workloads (join.PHT, q3) repeat
-		// bit-identically.
-		wls := []wl{
-			{"scan.bv", func() runner { return prepScan(false, s, scanBytes, false, *threads) }, reps, true},
-			{"scan.rowid", func() runner { return prepScan(false, s, scanBytes, true, *threads) }, reps, true},
-			{"scan.gather", func() runner { return prepGather(false, s, scanBytes, *threads, gatherIDs) }, reps, true},
-			{"micro.gather", func() runner { return prepMicroGather(false, s, gatherArr, gatherOps) }, reps, true},
-			{"join.RHO", func() runner { return prepJoin(false, s, join.NewRHO(), rhoScale*8, *threads) }, joinReps, true},
-			{"join.PHT", func() runner { return prepJoin(false, s, join.NewPHT(), rhoScale*8, *threads) }, joinReps, true},
-			{"join.MWAY", func() runner { return prepJoin(false, s, join.NewMWAY(), rhoScale*8, *threads) }, joinReps, true},
-			{"join.CrkJoin", func() runner { return prepJoin(false, s, join.NewCrk(), rhoScale*8, *threads) }, joinReps, true},
-			{query.Q1Name, func() runner { return prepPipeline(false, s, q1, qDim, qFact, qMaxRows, *threads) }, joinReps, true},
-			{query.Q2Name, func() runner { return prepPipeline(false, s, q2, qDim, qFact, qMaxRows, *threads) }, joinReps, true},
-			{query.Q3Name, func() runner { return prepPipeline(false, s, q3, qDim, q3Fact, 0, *threads) }, joinReps, true},
-			{query.Q4Name, func() runner { return prepPipeline(false, s, q4, qDim, qFact, qMaxRows, *threads) }, joinReps, true},
-			{query.Q5Name, func() runner { return prepPipeline(false, s, q5, qDim, q3Fact, 0, *threads) }, joinReps, true},
-			{query.Q2SName, func() runner { return prepPipeline(false, s, q2s, qDim, qFact, qMaxRows, *threads) }, joinReps, true},
-			{query.Q3SName, func() runner { return prepPipeline(false, s, q3s, qDim, q3Fact, 0, *threads) }, joinReps, true},
-		}
-		for _, w := range wls {
-			host, cycs, chks, stats := measure(w.prep(), w.n)
-			// Check values (matches / checksums) must be deterministic
-			// across repetitions; sim_cycles of workloads that allocate
-			// fresh simulated state per repetition are not and are
-			// reported from the first repetition.
-			for k, c := range chks {
-				if c != chks[0] {
-					fmt.Printf("  CHECK DIVERGENCE: %s/%s rep %d check=%d vs %d\n", w.name, s, k, c, chks[0])
-					rep.Equivalent = false
-				}
-			}
-			rep.Sweep = append(rep.Sweep, wlResult{w.name, s.String(), "fast", host.Nanoseconds(), w.n, cycs[0], chks[0], w.det, stats[0]})
-			fmt.Printf("  %-18s %-11s host=%-12v simMcyc=%d\n", w.name, s, host.Round(time.Millisecond), cycs[0]/1e6)
-		}
-	}
-
-	// --- The Fig 3 hash-vs-sort contrast gate over the sweep numbers ---
-	// Simulated enclave slowdown (DiE / plain cycles) of the sort-merge
-	// query must be strictly below the radix-hash query's. Deterministic,
-	// hence a hard gate at every size.
-	rep.HashSortOK = true
-	{
-		sim := func(wl string, s core.Setting) (uint64, bool) {
-			for _, w := range rep.Sweep {
-				if w.Workload == wl && w.Setting == s.String() {
-					return w.SimCycles, true
-				}
-			}
-			return 0, false
-		}
-		slowdown := func(wl string) float64 {
-			die, okD := sim(wl, core.SGXDiE)
-			plain, okP := sim(wl, core.PlainCPU)
-			if !okD || !okP || plain == 0 {
-				return 0
-			}
-			return float64(die) / float64(plain)
-		}
-		hashSlow, sortSlow := slowdown(hashGateWorkload), slowdown(sortGateWorkload)
-		note := fmt.Sprintf("hash-vs-sort gate (simulated DiE/plain slowdown): %s %.3fx vs %s %.3fx (want sort < hash)",
-			sortGateWorkload, sortSlow, hashGateWorkload, hashSlow)
-		if !(sortSlow > 0 && hashSlow > 0 && sortSlow < hashSlow) {
-			rep.HashSortOK = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("== hash vs sort ==")
-		fmt.Println("  " + note)
-	}
-
-	// --- Spill: EPC oversubscription degradation sweep (SGX DiE) ---
-	// Every (operator, ratio) point runs once on each engine path: the
-	// fast run feeds the sweep and the golden gate, the reference run must
-	// reproduce it bit for bit — including the demand-paging fault,
-	// eviction and paging-cycle counters — and oversubscribed points must
-	// actually fault. The degradation gate then compares each operator's
-	// oversubscribed points against its own resident baseline.
-	rep.SpillOK = true
-	fmt.Println("== spill (EPC oversubscription, SGX DiE) ==")
-	{
-		die := core.SGXDiE
-		nR := rel.RowsForMB(100) / spillJoinScale
-		nS := rel.RowsForMB(400) / spillJoinScale
-		type spillWL struct {
-			name  string
-			spill bool // spill-aware operator (gated < spillDegradeMax)
-			prep  func(ref bool, ratio int64) runner
-		}
-		wls := []spillWL{
-			{"spill.join.grace", true, func(ref bool, ratio int64) runner {
-				return prepSpillJoin(ref, die, join.NewGrace(), nR, nS, ratio, *threads)
-			}},
-			{"spill.join.pht", false, func(ref bool, ratio int64) runner {
-				return prepSpillJoin(ref, die, join.NewPHT(), nR, nS, ratio, *threads)
-			}},
-			{"spill.agg", true, func(ref bool, ratio int64) runner {
-				return prepSpillAgg(ref, die, true, spillAggN, spillAggGroups, ratio, *threads)
-			}},
-			{"spill.agg.direct", false, func(ref bool, ratio int64) runner {
-				return prepSpillAgg(ref, die, false, spillAggN, spillAggGroups, ratio, *threads)
-			}},
-		}
-		sim := map[string]uint64{}
-		for _, w := range wls {
-			for _, ratio := range spillRatios {
-				name := w.name + "@" + spillRatioTag(ratio)
-				rHost, rCycs, rChks, rStats := measure(w.prep(true, ratio), 1)
-				fHost, fCycs, fChks, fStats := measure(w.prep(false, ratio), 1)
-				_ = rHost
-				if rCycs[0] != fCycs[0] || rChks[0] != fChks[0] || rStats[0] != fStats[0] {
-					fmt.Printf("  SPILL EQUIVALENCE FAILURE: %s differs between engine paths\n", name)
-					rep.Equivalent = false
-				}
-				if ratio > 0 && fStats[0].EPCFaults == 0 {
-					fmt.Printf("  SPILL GATE FAILURE: %s never demand-paged\n", name)
-					rep.SpillOK = false
-				}
-				if ratio == 0 && fStats[0].EPCFaults != 0 {
-					fmt.Printf("  SPILL GATE FAILURE: resident %s faulted %d times\n", name, fStats[0].EPCFaults)
-					rep.SpillOK = false
-				}
-				sim[name] = fCycs[0]
-				rep.Sweep = append(rep.Sweep, wlResult{name, die.String(), "fast", fHost.Nanoseconds(), 1, fCycs[0], fChks[0], true, fStats[0]})
-				fmt.Printf("  %-24s host=%-12v simMcyc=%-8d faults=%d evictions=%d\n",
-					name, fHost.Round(time.Millisecond), fCycs[0]/1e6, fStats[0].EPCFaults, fStats[0].EPCEvictions)
-			}
-		}
-		for _, w := range wls {
-			base := sim[w.name+"@resident"]
-			for _, ratio := range spillRatios {
-				if ratio == 0 {
-					continue
-				}
-				slow := float64(sim[w.name+"@"+spillRatioTag(ratio)]) / float64(base)
-				var note string
-				if w.spill {
-					note = fmt.Sprintf("spill gate: %s at %dx oversubscription %.2fx slowdown (want < %.1fx)",
-						w.name, ratio, slow, spillDegradeMax)
-					if !(slow < spillDegradeMax) {
-						rep.SpillOK = false
-						note += " MISS"
-					}
-				} else {
-					note = fmt.Sprintf("spill gate: %s at %dx oversubscription %.2fx slowdown (want > %.1fx naive collapse)",
-						w.name, ratio, slow, naiveCollapseMin)
-					if !(slow > naiveCollapseMin) {
-						rep.SpillOK = false
-						note += " MISS"
-					}
-				}
-				rep.TargetNotes = append(rep.TargetNotes, note)
-				fmt.Println("  " + note)
-			}
-		}
-	}
-
-	// --- Planner: cost-based strategy choice over the 20-query suite ---
-	// Every suite query runs under every static strategy alternative in a
-	// fresh identically-prepared environment, then the enclave-aware cost
-	// model picks per setting. The planner_ok gate is hard: the pick's
-	// measured simulated cycles must never exceed the worst static
-	// choice's (strictly below it whenever the field is spread out), and
-	// on the EPC oversubscription axis the pick must flip to the spill
-	// aggregation exactly where the measured costs cross (2-4x). All
-	// chosen runs are deterministic and feed the golden gate as
-	// "plan.<query>" entries.
-	rep.PlannerOK = true
-	{
-		planDim, planFact := 1<<12, 1<<17
-		if *quick {
-			planDim, planFact = 512, 1<<14
-		}
-		const tieTol = 0.05 // measured near-ties carry no signal
-		suite := plan.Suite()
-		fmt.Printf("== planner (cost-based pick, %d-query suite, %d dim x %d fact) ==\n", len(suite), planDim, planFact)
-		prepEnv := func(s core.Setting, q plan.Query, epcRatio int64) (*core.Env, *plan.Dataset) {
-			var pages int64
-			if epcRatio > 0 {
-				wsBytes := int64(planFact)*(9+7*8) + int64(planDim)*8
-				pages = (wsBytes/4096 + 1) / epcRatio
-			}
-			env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: s, EPCPages: pages})
-			return env, plan.GenSuiteDataset(env, q, planDim, planFact, 4242)
-		}
-		// runAll measures every alternative and returns the results plus
-		// the planner's choice for the same environment shape.
-		runAll := func(s core.Setting, q plan.Query, epcRatio int64) (map[string]*plan.Result, map[string]time.Duration, plan.Alternative) {
-			measured := map[string]*plan.Result{}
-			hosts := map[string]time.Duration{}
-			for _, alt := range q.Alternatives() {
-				env, ds := prepEnv(s, q, epcRatio)
-				opt := plan.Options{Threads: *threads, Pred: q.Pred, Limit: q.Limit}
-				start := time.Now()
-				measured[alt.String()] = plan.Execute(env, ds, opt, q.Name, q.Tree(alt))
-				hosts[alt.String()] = time.Since(start)
-			}
-			env, ds := prepEnv(s, q, epcRatio)
-			_, alt := q.Plan(env, ds, *threads)
-			return measured, hosts, alt
-		}
-		spread := func(measured map[string]*plan.Result) (best, worst uint64) {
-			for _, r := range measured {
-				if best == 0 || r.WallCycles < best {
-					best = r.WallCycles
-				}
-				if r.WallCycles > worst {
-					worst = r.WallCycles
-				}
-			}
-			return best, worst
-		}
-		agree, decided := 0, 0
-		for _, s := range settings() {
-			for _, q := range suite {
-				measured, hosts, alt := runAll(s, q, 0)
-				chosen := measured[alt.String()]
-				best, worst := spread(measured)
-				if chosen.WallCycles > worst ||
-					(len(measured) > 1 && chosen.WallCycles == worst && float64(worst-best) > tieTol*float64(best)) {
-					rep.PlannerOK = false
-					fmt.Printf("  PLANNER GATE FAILURE: %s/%s chose %s (%d cycles; field best %d worst %d)\n",
-						q.Name, s, alt, chosen.WallCycles, best, worst)
-				}
-				if float64(worst-best) > tieTol*float64(best) {
-					decided++
-					if float64(chosen.WallCycles) <= (1+tieTol)*float64(best) {
-						agree++
-					}
-				}
-				rep.Sweep = append(rep.Sweep, wlResult{"plan." + q.Name, s.String(), "fast",
-					hosts[alt.String()].Nanoseconds(), 1, chosen.WallCycles, chosen.Check, true, chosen.Stats})
-				if s == core.SGXDiE {
-					fmt.Printf("  %-22s %-9s pick=%-14s simKcyc=%-8d field=[%d..%d]\n",
-						q.Name, s, alt, chosen.WallCycles/1e3, best, worst)
-				}
-			}
-		}
-		note := fmt.Sprintf("planner gate: cost-based pick within %.0f%% of measured best on %d/%d decided (query,setting) blocks",
-			tieTol*100, agree, decided)
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-
-		// The EPC-axis flip: under SGX DiE at 2x and 4x oversubscription
-		// the measured field must favor the spill aggregation, and the
-		// planner must follow it there.
-		for _, name := range []string{"s03.j0.sel902.u.agg", "s09.j1.sel250.u.agg"} {
-			q, _ := plan.SuiteByName(name)
-			for _, ratio := range []int64{2, 4} {
-				measured, hosts, alt := runAll(core.SGXDiE, q, ratio)
-				chosen := measured[alt.String()]
-				best, _ := spread(measured)
-				var bestAlt plan.Alternative
-				for _, a := range q.Alternatives() {
-					if measured[a.String()].WallCycles == best {
-						bestAlt = a
-						break
-					}
-				}
-				flipNote := fmt.Sprintf("planner flip: %s at %dx EPC oversubscription pick=%s measured-best=%s", name, ratio, alt, bestAlt)
-				if bestAlt.Agg != plan.AggSpill {
-					rep.PlannerOK = false
-					flipNote += " (measured field did not cross to spill) MISS"
-				} else if alt.Agg != plan.AggSpill {
-					rep.PlannerOK = false
-					flipNote += " (pick did not follow the measured crossing) MISS"
-				} else if float64(chosen.WallCycles) > (1+tieTol)*float64(best) {
-					rep.PlannerOK = false
-					flipNote += fmt.Sprintf(" (pick measures %d, best %d) MISS", chosen.WallCycles, best)
-				}
-				rep.TargetNotes = append(rep.TargetNotes, flipNote)
-				fmt.Println("  " + flipNote)
-				rep.Sweep = append(rep.Sweep, wlResult{fmt.Sprintf("plan.%s@epc%d", q.Name, ratio), core.SGXDiE.String(), "fast",
-					hosts[alt.String()].Nanoseconds(), 1, chosen.WallCycles, chosen.Check, true, chosen.Stats})
-			}
-		}
-
-		// One chain query's chosen plan re-runs on the per-op reference
-		// path: the Project and INL nodes must be bit-identical across
-		// engine paths like every other operator.
-		q, _ := plan.SuiteByName("s19.j3.sel250.u.agg")
-		env, ds := prepEnv(core.SGXDiE, q, 0)
-		tree, alt := q.Plan(env, ds, *threads)
-		opt := plan.Options{Threads: *threads, Pred: q.Pred, Limit: q.Limit}
-		fast := plan.Execute(env, ds, opt, q.Name, tree)
-		refEnv := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: core.SGXDiE, Reference: true})
-		refDS := plan.GenSuiteDataset(refEnv, q, planDim, planFact, 4242)
-		ref := plan.Execute(refEnv, refDS, opt, q.Name, q.Tree(alt))
-		if fast.Check != ref.Check || fast.WallCycles != ref.WallCycles || fast.Stats != ref.Stats {
-			fmt.Printf("  PLANNER EQUIVALENCE FAILURE: %s fast/ref diverge (check %#x/%#x wall %d/%d)\n",
-				q.Name, fast.Check, ref.Check, fast.WallCycles, ref.WallCycles)
-			rep.Equivalent = false
-		}
-	}
-
-	// --- Serve: multi-query serving scenarios over the worker pool ---
-	// Each setting calibrates the five pipelines once (small
-	// serving-sized queries) and replays the sync x memory scenario
-	// matrix on the virtual clock. All simulated numbers are
-	// deterministic and golden-gated; under SGX DiE the run additionally
-	// recalibrates on the per-op reference path and fails on any
-	// cross-path divergence, then asserts the paper's two collapse
-	// ratios over the *simulated* throughputs.
-	rep.ServeOK = true
-	fmt.Printf("== serve (deterministic serving scenarios, %d clients / %d workers) ==\n", serveClients, serveWorkers)
-	serveDiE := map[string]*serve.Result{}
-	var dieW, dieRefW *serve.Workload
-	for _, s := range settings() {
-		w, err := serve.Calibrate(serve.CalibrateOptions{Setting: s})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if s == core.SGXDiE {
-			dieW = w
-		}
-		for _, cfg := range serveConfigs() {
-			t0 := time.Now()
-			res := simulate(w, cfg)
-			host := time.Since(t0)
-			if s == core.SGXDiE {
-				serveDiE[cfg.Name()] = res
-			}
-			rep.Serve = append(rep.Serve, res)
-			rep.Sweep = append(rep.Sweep, wlResult{cfg.Name(), s.String(), "fast", host.Nanoseconds(), 1, res.MakespanCycles, res.Check, true, w.Stats})
-			fmt.Printf("  %-18s %-11s qps=%-10.0f p50=%-9d p99=%-9d queueWait=%-11d commitWait=%d\n",
-				cfg.Name(), s, res.ThroughputQPS, res.P50, res.P99,
-				res.Breakdown.QueueWaitCycles, res.Breakdown.CommitWaitCycles)
-		}
-		if s == core.SGXDiE {
-			// Cross-path equivalence: reference-calibrated scenarios must
-			// reproduce every simulated number bit for bit (the fast-path
-			// results were just computed into serveDiE).
-			refW, err := serve.Calibrate(serve.CalibrateOptions{Setting: s, Reference: true})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			dieRefW = refW
-			if w.Stats != refW.Stats {
-				fmt.Println("  SERVE EQUIVALENCE FAILURE: calibration stats differ between engine paths")
-				rep.Equivalent = false
-			}
-			for _, cfg := range serveConfigs() {
-				fr, rr := serveDiE[cfg.Name()], simulate(refW, cfg)
-				if fr.Check != rr.Check || fr.MakespanCycles != rr.MakespanCycles || fr.Breakdown != rr.Breakdown {
-					fmt.Printf("  SERVE EQUIVALENCE FAILURE: %s differs between engine paths\n", cfg.Name())
-					rep.Equivalent = false
-				}
-			}
-		}
-	}
-	// The paper's two concurrency collapses, asserted over simulated
-	// throughput under SGX DiE (deterministic: a hard gate, guarded only
-	// by the scenario actually saturating the contended resources).
-	if serveClients >= serveCollapseClients {
-		tput := func(name string) float64 { return serveDiE[name].ThroughputQPS }
-		syncRatio := tput("serve.lockfree.pre") / tput("serve.mutex.pre")
-		edmmRatio := tput("serve.lockfree.pre") / tput("serve.lockfree.dyn")
-		note := fmt.Sprintf("serve sync collapse (lock-free/SDK-mutex qps, DiE): %.2fx (want >= %.1fx)", syncRatio, serveSyncCollapseMin)
-		if syncRatio < serveSyncCollapseMin {
-			rep.ServeOK = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-		note = fmt.Sprintf("serve EDMM collapse (pre-sized/EDMM qps, DiE): %.2fx (want >= %.1fx)", edmmRatio, serveEDMMCollapseMin)
-		if edmmRatio < serveEDMMCollapseMin {
-			rep.ServeOK = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-	} else {
-		note := fmt.Sprintf("serve collapse ratios not asserted: %d clients < %d (queue/commit lock unsaturated)", serveClients, serveCollapseClients)
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-	}
-
-	// --- Fault: fault-injected serving under SGX DiE ---
-	// Every scenario is deterministic and golden-pinned; the reference-
-	// calibrated workload must reproduce each one bit for bit, and the
-	// crash-storm pair anchors the graceful-degradation gate.
-	rep.FaultOK = true
-	fmt.Printf("== fault (fault-injected serving, SGX DiE, %d clients / %d workers) ==\n", faultClients, faultWorkers)
-	faultRes := map[string]*serve.Result{}
-	for _, sc := range faultConfigs(dieW) {
-		t0 := time.Now()
-		res := simulate(dieW, sc.cfg)
-		host := time.Since(t0)
-		faultRes[sc.name] = res
-		rep.Serve = append(rep.Serve, res)
-		rep.Sweep = append(rep.Sweep, wlResult{sc.name, core.SGXDiE.String(), "fast", host.Nanoseconds(), 1, res.MakespanCycles, res.Check, true, dieW.Stats})
-		if rr := simulate(dieRefW, sc.cfg); rr.Check != res.Check || rr.MakespanCycles != res.MakespanCycles || rr.Breakdown != res.Breakdown {
-			fmt.Printf("  FAULT EQUIVALENCE FAILURE: %s differs between engine paths\n", sc.name)
-			rep.Equivalent = false
-		}
-		fmt.Printf("  %-18s goodput=%-9.0f p99=%-11d ok=%-4d fail=%-3d timeout=%-4d retry=%-4d shed=%-4d crash=%-3d aex=%d\n",
-			sc.name, res.GoodputQPS, res.P99, res.Succeeded, res.Failed,
-			res.Breakdown.Timeouts, res.Breakdown.Retries, res.Breakdown.Shed,
-			res.Breakdown.Crashes, res.Breakdown.AEXEvents)
-	}
-	{
-		good := func(name string) float64 { return faultRes[name].GoodputQPS }
-		degr := good("fault.crash.admit") / good("fault.none.admit")
-		note := fmt.Sprintf("fault degradation (admit crash-storm/fault-free goodput, DiE): %.2fx (want >= %.2fx)", degr, faultGoodputMin)
-		if degr < faultGoodputMin {
-			rep.FaultOK = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-		blow := float64(faultRes["fault.crash.naive"].P99) / float64(faultRes["fault.none.naive"].P99)
-		note = fmt.Sprintf("fault naive p99 blowup (crash-storm/fault-free, DiE): %.1fx (want >= %.1fx)", blow, naiveP99CollapseMin)
-		if blow < naiveP99CollapseMin {
-			rep.FaultOK = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-		coll := good("fault.crash.naive") / good("fault.crash.admit")
-		note = fmt.Sprintf("fault naive goodput collapse (naive/admit under crash-storm, DiE): %.2fx (want < %.2fx)", coll, faultGoodputMin)
-		if coll >= faultGoodputMin {
-			rep.FaultOK = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-	}
-
-	// --- Scale: open-loop sharded/batched serving under SGX DiE ---
-	// A dedicated calibration (three tiny pipelines: the scan-only q1,
-	// the sort-order q4, the join-heavy q3, mixed 6/3/1) keeps the mean
-	// service time small enough that per-attempt enclave transitions
-	// dominate the unbatched shapes — the regime batching targets. The
-	// reference-calibrated workload must reproduce every scenario bit
-	// for bit, as in the serve and fault sections.
-	rep.ShardOK = true
-	fmt.Printf("== scale (open-loop sharded/batched serving, SGX DiE, %d workers) ==\n", scaleWorkers)
-	scaleRes := map[string]*serve.Result{}
-	{
-		opt := serve.CalibrateOptions{
-			Setting: core.SGXDiE, NDim: 64, NFact: 256, MaxRows: 256,
-			Pipelines: []string{query.Q1Name, query.Q4Name, query.Q3Name},
-		}
-		w, err := serve.Calibrate(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		ropt := opt
-		ropt.Reference = true
-		rw, err := serve.Calibrate(ropt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if w.Stats != rw.Stats {
-			fmt.Println("  SCALE EQUIVALENCE FAILURE: calibration stats differ between engine paths")
-			rep.Equivalent = false
-		}
-		weights := []int{6, 3, 1}
-		var wsum, wtot uint64
-		for i, c := range w.Classes {
-			wsum += uint64(weights[i]) * c.ServiceCycles
-			wtot += uint64(weights[i])
-		}
-		sbar := wsum / wtot
-		gap := scaleGapServiceMult * sbar
-		variants := []struct {
-			tag      string
-			dispatch serve.DispatchKind
-			batch    int
-		}{
-			{"global", serve.DispatchGlobal, 0},
-			{"shard", serve.DispatchSharded, 0},
-			{"shard.batch", serve.DispatchSharded, scaleBatch},
-		}
-		for _, nc := range scaleClients {
-			for _, v := range variants {
-				cfg := serve.Config{
-					Clients: nc, Workers: scaleWorkers,
-					RequestsPerClient: scaleReqsPerCli,
-					Sync:              serve.SyncLockFree, Mem: serve.MemPreSized,
-					Weights: weights, JitterPct: 10, Seed: 7,
-					Dispatch: v.dispatch, Batch: v.batch,
-					Arrival: &serve.ArrivalPlan{Kind: serve.ArrivalPoisson, MeanGapCycles: gap},
-				}
-				name := fmt.Sprintf("scale.%s.c%d", v.tag, nc)
-				t0 := time.Now()
-				res := simulate(w, cfg)
-				host := time.Since(t0)
-				scaleRes[name] = res
-				rep.Serve = append(rep.Serve, res)
-				rep.Sweep = append(rep.Sweep, wlResult{name, core.SGXDiE.String(), "fast", host.Nanoseconds(), 1, res.MakespanCycles, res.Check, true, w.Stats})
-				if rr := simulate(rw, cfg); rr.Check != res.Check || rr.MakespanCycles != res.MakespanCycles ||
-					rr.Breakdown != res.Breakdown || rr.DispatchStats != res.DispatchStats {
-					fmt.Printf("  SCALE EQUIVALENCE FAILURE: %s differs between engine paths\n", name)
-					rep.Equivalent = false
-				}
-				fmt.Printf("  %-22s qps=%-10.0f p50=%-9d p99=%-10d steals=%-6d batches=%-6d transitions=%d\n",
-					name, res.ThroughputQPS, res.P50, res.P99,
-					res.DispatchStats.Steals, res.DispatchStats.Batches, res.Breakdown.Transitions)
-			}
-		}
-		for _, nc := range scaleGateClients {
-			g := scaleRes[fmt.Sprintf("scale.global.c%d", nc)]
-			sb := scaleRes[fmt.Sprintf("scale.shard.batch.c%d", nc)]
-			ratio := sb.ThroughputQPS / g.ThroughputQPS
-			note := fmt.Sprintf("shard scaling (shard.batch/global qps, %d open-loop clients, DiE): %.2fx (want >= %.1fx)",
-				nc, ratio, scaleTputRatioMin)
-			if ratio < scaleTputRatioMin {
-				rep.ShardOK = false
-				note += " MISS"
-			}
-			rep.TargetNotes = append(rep.TargetNotes, note)
-			fmt.Println("  " + note)
-			p99r := float64(g.P99) / float64(sb.P99)
-			note = fmt.Sprintf("shard p99 bound (global/shard.batch p99, %d clients, DiE): %.2fx (want >= %.1fx)",
-				nc, p99r, scaleP99RatioMin)
-			if p99r < scaleP99RatioMin {
-				rep.ShardOK = false
-				note += " MISS"
-			}
-			rep.TargetNotes = append(rep.TargetNotes, note)
-			fmt.Println("  " + note)
-		}
-	}
-
-	// --- Speedup: fast vs per-op reference, with equivalence checks ---
-	fmt.Println("== speedup (fast vs per-op reference, SGX DiE) ==")
-	die := core.SGXDiE
-	type sp struct {
-		name string
-		prep func(ref bool) runner
-		n    int
-	}
-	sps := []sp{
-		{"seq.stream", func(ref bool) runner { return prepSeq(ref, die, seqBytes) }, reps},
-		{"scan.bv", func(ref bool) runner { return prepScan(ref, die, scanBytes, false, 1) }, reps},
-		{"scan.rowid", func(ref bool) runner { return prepScan(ref, die, scanBytes, true, 1) }, reps},
-		{"scan.gather", func(ref bool) runner { return prepGather(ref, die, scanBytes, 1, gatherIDs) }, reps},
-		{"micro.gather", func(ref bool) runner { return prepMicroGather(ref, die, gatherArr, gatherOps) }, reps},
-		{"join.RHO", func(ref bool) runner { return prepJoin(ref, die, join.NewRHO(), rhoScale, 1) }, joinReps},
-		{"join.PHT", func(ref bool) runner { return prepJoin(ref, die, join.NewPHT(), rhoScale*4, 1) }, joinReps},
-		{"join.MWAY", func(ref bool) runner { return prepJoin(ref, die, join.NewMWAY(), rhoScale*4, 1) }, joinReps},
-		{"join.CrkJoin", func(ref bool) runner { return prepJoin(ref, die, join.NewCrk(), rhoScale*4, 1) }, joinReps},
-		{query.Q1Name, func(ref bool) runner { return prepPipeline(ref, die, q1, qDim, qFact, qMaxRows, 1) }, joinReps},
-		{query.Q2Name, func(ref bool) runner { return prepPipeline(ref, die, q2, qDim, qFact, qMaxRows, 1) }, joinReps},
-		{query.Q3Name, func(ref bool) runner { return prepPipeline(ref, die, q3, qDim, q3Fact, 0, 1) }, joinReps},
-		{query.Q4Name, func(ref bool) runner { return prepPipeline(ref, die, q4, qDim, qFact, qMaxRows, 1) }, joinReps},
-		{query.Q5Name, func(ref bool) runner { return prepPipeline(ref, die, q5, qDim, q3Fact, 0, 1) }, joinReps},
-		{query.Q2SName, func(ref bool) runner { return prepPipeline(ref, die, q2s, qDim, qFact, qMaxRows, 1) }, joinReps},
-		{query.Q3SName, func(ref bool) runner { return prepPipeline(ref, die, q3s, qDim, q3Fact, 0, 1) }, joinReps},
-	}
-	for _, w := range sps {
-		rHost, rCycs, rChks, rStats := measure(w.prep(true), w.n)
-		fHost, fCycs, fChks, fStats := measure(w.prep(false), w.n)
-		eq := true
-		for k := 0; k < w.n; k++ {
-			// Repetition k sees identical simulated state in both modes,
-			// so cycles, checks and stats must match pairwise, bit for bit.
-			if rCycs[k] != fCycs[k] || rChks[k] != fChks[k] || rStats[k] != fStats[k] {
-				eq = false
-			}
-		}
-		if !eq {
-			rep.Equivalent = false
-		}
-		ratio := float64(rHost) / float64(fHost)
-		rep.Speedup = append(rep.Speedup,
-			wlResult{w.name, die.String(), "per-op", rHost.Nanoseconds(), w.n, rCycs[0], rChks[0], true, rStats[0]},
-			wlResult{w.name, die.String(), "fast", fHost.Nanoseconds(), w.n, fCycs[0], fChks[0], true, fStats[0]})
-		rep.Speedups[w.name] = ratio
-		fmt.Printf("  %-18s per-op=%-12v fast=%-12v speedup=%.2fx equivalent=%v\n",
-			w.name, rHost.Round(time.Millisecond), fHost.Round(time.Millisecond), ratio, eq)
-	}
-
-	// --- Acceptance targets (informative outside -quick) ---
-	rep.TargetsMet = true
-	check := func(name string, target float64) {
-		got := rep.Speedups[name]
-		note := fmt.Sprintf("%s: %.2fx (target >= %.1fx)", name, got, target)
-		if got < target {
-			rep.TargetsMet = false
-			note += " MISS"
-		}
-		rep.TargetNotes = append(rep.TargetNotes, note)
-		fmt.Println("  " + note)
-	}
-	fmt.Println("== targets ==")
-	if *quick {
-		fmt.Println("  (quick mode: sizes too small for representative ratios; targets not checked)")
-	} else {
-		check("seq.stream", 5.0)
-		// The reference path shares the restructured kernels (NT result
-		// stores, vectorized emission), so the rowid fast-vs-reference
-		// gap is structurally narrower than the random-access ones.
-		check("scan.rowid", 2.0)
-		check("scan.gather", 2.0)
-		check("micro.gather", 2.0)
-		if rhoScale <= rhoRatioScale {
-			check("join.RHO", 2.0)
-		} else {
-			note := fmt.Sprintf("join.RHO: ratio not asserted at scale %d (needs scale <= %d data; smaller inputs flake on fixed costs)", rhoScale, rhoRatioScale)
-			rep.TargetNotes = append(rep.TargetNotes, note)
-			fmt.Println("  " + note)
-		}
-		check("join.PHT", 2.0)
-	}
-	if !rep.Equivalent {
-		fmt.Println("  EQUIVALENCE FAILURE: fast path changed simulated results")
-	}
-
-	// --- Golden gate over the deterministic sweep entries ---
-	if *updateGolden || *checkGolden {
-		if !*quick {
-			fmt.Fprintln(os.Stderr, "bench: the golden snapshot covers -quick numbers only; add -quick")
-			os.Exit(2)
-		}
-		if *updateGolden {
-			if err := writeGolden(*goldenPath, rep, *threads); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("== golden ==\n  wrote %s\n", *goldenPath)
-		} else {
-			drift := compareGolden(*goldenPath, rep, *threads)
-			fmt.Println("== golden ==")
-			if len(drift) == 0 {
-				fmt.Printf("  %s: no drift\n", *goldenPath)
-			} else {
-				rep.GoldenOK = false
-				const maxDriftLines = 25
-				shown := drift
-				if len(shown) > maxDriftLines {
-					shown = shown[:maxDriftLines]
-				}
-				for _, d := range shown {
-					fmt.Println("  DRIFT: " + d)
-				}
-				if more := len(drift) - len(shown); more > 0 {
-					fmt.Printf("  ... and %d more drift lines (%d total)\n", more, len(drift))
-				}
-				fmt.Println("  (intentional change? refresh with: go run ./cmd/bench -quick -update-golden)")
-			}
-		}
-	}
-
-	rep.ObsOK = len(obsPctlViolations) == 0
-	if !rep.ObsOK {
-		fmt.Println("== histogram percentile violations ==")
-		for _, v := range obsPctlViolations {
-			fmt.Println("  OBS: " + v)
-		}
-	}
-
-	f, err := os.Create(*out)
+	rep, err := bench.Run(o, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+	if !rep.OK() {
 		os.Exit(1)
 	}
-	f.Close()
-	fmt.Printf("wrote %s\n", *out)
-	if !rep.Equivalent || !rep.GoldenOK || !rep.ServeOK || !rep.HashSortOK || !rep.PlannerOK || !rep.SpillOK || !rep.FaultOK || !rep.ShardOK || !rep.ObsOK {
-		os.Exit(1)
-	}
-}
-
-// goldenEntries extracts the deterministic sweep measurements.
-func goldenEntries(rep *report) []goldenEntry {
-	var es []goldenEntry
-	for _, w := range rep.Sweep {
-		if w.Det {
-			es = append(es, goldenEntry{Workload: w.Workload, Setting: w.Setting, SimCycles: w.SimCycles, Check: w.Check, Stats: w.Stats})
-		}
-	}
-	return es
-}
-
-func writeGolden(path string, rep *report, threads int) error {
-	g := goldenFile{Schema: goldenSchema, Quick: true, Threads: threads, Entries: goldenEntries(rep)}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(g)
-}
-
-// compareGolden diffs this run's deterministic sweep entries against the
-// snapshot; it returns one message per drift (empty: gate passes).
-func compareGolden(path string, rep *report, threads int) []string {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return []string{fmt.Sprintf("cannot read %s: %v (first run? create it with -update-golden)", path, err)}
-	}
-	var g goldenFile
-	if err := json.Unmarshal(raw, &g); err != nil {
-		return []string{fmt.Sprintf("cannot parse %s: %v", path, err)}
-	}
-	if g.Schema != goldenSchema {
-		return []string{fmt.Sprintf("%s has schema %q, want %q (refresh with -update-golden)", path, g.Schema, goldenSchema)}
-	}
-	if g.Threads != threads {
-		return []string{fmt.Sprintf("golden was recorded with -threads %d, this run used %d", g.Threads, threads)}
-	}
-	key := func(w, s string) string { return w + "|" + s }
-	got := map[string]goldenEntry{}
-	for _, e := range goldenEntries(rep) {
-		got[key(e.Workload, e.Setting)] = e
-	}
-	var drift []string
-	seen := map[string]bool{}
-	for _, want := range g.Entries {
-		k := key(want.Workload, want.Setting)
-		seen[k] = true
-		cur, ok := got[k]
-		if !ok {
-			drift = append(drift, fmt.Sprintf("%s/%s: in golden but missing from this run", want.Workload, want.Setting))
-			continue
-		}
-		if cur.SimCycles != want.SimCycles {
-			drift = append(drift, fmt.Sprintf("%s/%s: sim_cycles %d, golden %d", want.Workload, want.Setting, cur.SimCycles, want.SimCycles))
-		}
-		if cur.Check != want.Check {
-			drift = append(drift, fmt.Sprintf("%s/%s: check %#x, golden %#x", want.Workload, want.Setting, cur.Check, want.Check))
-		}
-		if cur.Stats != want.Stats {
-			// Name the drifted fields: "stats differ" on a 15-field struct
-			// sends the reader diffing JSON by hand; the gate should say
-			// which counter moved and by how much.
-			gv, wv := reflect.ValueOf(cur.Stats), reflect.ValueOf(want.Stats)
-			for i := 0; i < gv.NumField(); i++ {
-				if gv.Field(i).Interface() != wv.Field(i).Interface() {
-					drift = append(drift, fmt.Sprintf("%s/%s: stats.%s %v, golden %v",
-						want.Workload, want.Setting, gv.Type().Field(i).Name,
-						gv.Field(i).Interface(), wv.Field(i).Interface()))
-				}
-			}
-		}
-	}
-	for k, e := range got {
-		if !seen[k] {
-			drift = append(drift, fmt.Sprintf("%s/%s: new deterministic workload not in golden (refresh with -update-golden)", e.Workload, e.Setting))
-		}
-	}
-	sort.Strings(drift)
-	return drift
 }

@@ -20,17 +20,17 @@ import (
 	"strings"
 
 	"sgxbench/internal/agg"
+	"sgxbench/internal/bench"
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
 	"sgxbench/internal/join"
 	"sgxbench/internal/obs"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
-	"sgxbench/internal/query"
 	"sgxbench/internal/rel"
 	"sgxbench/internal/scan"
 	"sgxbench/internal/serve"
-	"sgxbench/internal/sgx"
 )
 
 var (
@@ -130,6 +130,19 @@ func parseSetting(s string) (core.Setting, bool) {
 	return 0, false
 }
 
+// exitOn reports a non-nil err and exits with code: 2 (with the usage
+// text) for a bad flag value, 1 for a run-time failure.
+func exitOn(err error, code int) {
+	if err == nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "diag: %v\n", err)
+	if code == 2 {
+		flag.Usage()
+	}
+	os.Exit(code)
+}
+
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: diag [flags]\n\nflags:\n")
@@ -138,27 +151,17 @@ func main() {
 	flag.Parse()
 
 	mode, err := pickMode(*serveMode, *faultMode, *epcMode, *queryName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 
 	setting, ok := parseSetting(*setName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "diag: unknown setting %q (want plain, plainm, doe or die)\n", *setName)
-		flag.Usage()
-		os.Exit(2)
+		exitOn(fmt.Errorf("unknown setting %q (want plain, plainm, doe or die)", *setName), 2)
 	}
 	if *scale <= 0 || *scale&(*scale-1) != 0 {
-		fmt.Fprintf(os.Stderr, "diag: -scale %d must be a positive power of two\n", *scale)
-		flag.Usage()
-		os.Exit(2)
+		exitOn(fmt.Errorf("-scale %d must be a positive power of two", *scale), 2)
 	}
 	if *threads < 1 {
-		fmt.Fprintf(os.Stderr, "diag: -threads %d must be >= 1\n", *threads)
-		flag.Usage()
-		os.Exit(2)
+		exitOn(fmt.Errorf("-threads %d must be >= 1", *threads), 2)
 	}
 
 	plat := platform.XeonGold6326().Scaled(*scale)
@@ -175,16 +178,12 @@ func main() {
 	env := core.NewEnv(core.Options{Plat: plat, Setting: setting})
 
 	if mode == modeQuery {
-		p, err := query.ByName(*queryName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-			flag.Usage()
-			os.Exit(2)
-		}
+		p, err := plan.ByName(*queryName)
+		exitOn(err, 2)
 		nDim := 1 << 13
 		nFact := rel.RowsForMB(400) / int(*scale)
-		ds := query.GenDataset(env, nDim, nFact, 1234)
-		opt := query.Options{Threads: *threads, Pred: scan.Predicate{Lo: 16, Hi: 127}}
+		ds := plan.GenDataset(env, nDim, nFact, 1234)
+		opt := plan.Options{Threads: *threads, Pred: scan.Predicate{Lo: 16, Hi: 127}}
 		var prof *obs.Profiler
 		if *profilePath != "" {
 			prof = obs.NewProfiler("run")
@@ -199,42 +198,26 @@ func main() {
 		printPhases(res.Phases)
 		if prof != nil {
 			fmt.Println("cycle-attribution profile:")
-			if err := prof.WriteTree(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-				os.Exit(1)
-			}
+			exitOn(prof.WriteTree(os.Stdout), 1)
 			f, err := os.Create(*profilePath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-				os.Exit(1)
-			}
+			exitOn(err, 1)
 			werr := prof.WriteFolded(f)
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
-			if werr != nil {
-				fmt.Fprintf(os.Stderr, "diag: %v\n", werr)
-				os.Exit(1)
-			}
+			exitOn(werr, 1)
 			fmt.Printf("wrote folded stacks to %s\n", *profilePath)
 		}
 		return
 	}
 
 	alg, err := join.ByName(*algName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	nR := rel.RowsForMB(100) / int(*scale)
 	nS := rel.RowsForMB(400) / int(*scale)
 	build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
 	res, err := alg.Run(env, build, probe, join.Options{Threads: *threads, Optimized: *optimize})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err, 1)
 	fmt.Printf("%s %s: wall=%d tput=%.1f M/s build=%d probe=%d\n",
 		alg.Name(), setting, res.WallCycles, res.Throughput(env, nR, nS)/1e6, res.BuildCycles, res.ProbeCycles)
 	printPhases(res.Phases)
@@ -279,20 +262,14 @@ func runEPC(plat *platform.Platform, setting core.Setting) {
 			g := env.NewGroup(*threads, nil)
 			build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
 			res, err := join.NewGrace().RunOn(env, g, build, probe, join.Options{Optimized: true})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-				os.Exit(1)
-			}
+			exitOn(err, 1)
 			return opResult{res.WallCycles, res.Phases, res.Stats}, g
 		}},
 		{"join.pht (naive)", wsJoin, func(env *core.Env) (opResult, *exec.Group) {
 			g := env.NewGroup(*threads, nil)
 			build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
 			res, err := join.NewPHT().RunOn(env, g, build, probe, join.Options{Optimized: true})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-				os.Exit(1)
-			}
+			exitOn(err, 1)
 			return opResult{res.WallCycles, res.Phases, res.Stats}, g
 		}},
 		{"agg.spill", wsAgg, func(env *core.Env) (opResult, *exec.Group) {
@@ -339,41 +316,22 @@ func runEPC(plat *platform.Platform, setting core.Setting) {
 // fault timeline is printed next to the breakdown, mirroring -epc.
 func runServe(plat *platform.Platform, setting core.Setting) {
 	sync, err := serve.ParseSync(*syncName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	mm, err := serve.ParseMem(*memName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	disp, err := serve.ParseDispatchKind(*dispatchName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	var arrival *serve.ArrivalPlan
 	if *arrivalName != "" {
 		kind, err := serve.ParseArrivalKind(*arrivalName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-			flag.Usage()
-			os.Exit(2)
-		}
+		exitOn(err, 2)
 		arrival = &serve.ArrivalPlan{
 			Kind: kind, MeanGapCycles: *gapCycles,
 			BurstSize: *burstSize, RampPeriodCycles: *rampCycles,
 		}
 	}
 	w, err := serve.Calibrate(serve.CalibrateOptions{Plat: plat, Setting: setting})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err, 1)
 	fmt.Printf("calibrated classes (%s, scale %d):\n", setting, *scale)
 	for _, c := range w.Classes {
 		fmt.Printf("  %-20s service=%9d cycles  workingSet=%4d pages\n", c.Name, c.ServiceCycles, c.Pages)
@@ -390,48 +348,25 @@ func runServe(plat *platform.Platform, setting core.Setting) {
 	}
 	// Calibrated mean service time: scales the fault plan and the
 	// metrics sample interval so both survive -scale changes.
-	var sum uint64
-	for _, c := range w.Classes {
-		sum += c.ServiceCycles
-	}
-	meanService := sum / uint64(len(w.Classes))
+	meanService := bench.MeanService(w)
 	if *tracePath != "" {
 		cfg.Trace = obs.NewTracer(1 << 16)
 		cfg.Metrics = obs.NewMetrics(meanService, 1<<12)
 	}
-	var plan *serve.FaultPlan
+	var faults *serve.FaultPlan
 	if *faultMode {
-		// The bench crash-storm scenario, scaled off the calibrated mean
-		// service time so the shape survives -scale changes.
-		s := meanService
-		fc := sgx.DefaultFaultCosts()
-		fc.Teardown = s / 2
-		fc.RebuildBase = 3 * s
-		plan = &serve.FaultPlan{
-			Seed:          11,
-			CrashInterval: 60 * s,
-			RebuildPages:  64,
-			StormInterval: 20 * s,
-			StormLen:      9 * s,
-			StormAEXGap:   fc.AEX / 5,
-			FailPct:       2,
-			Costs:         fc,
+		// The bench crash-storm scenario and client policy, from the
+		// builders the bench suite itself uses.
+		faults = bench.CrashStorm(meanService)
+		cfg = bench.FaultClient(cfg, meanService)
+		if arrival != nil {
+			cfg.ThinkCycles = 0 // open-loop scenarios pace themselves
 		}
-		cfg.Fault = plan
-		if arrival == nil {
-			cfg.ThinkCycles = 12 * s
-		}
-		cfg.DeadlineCycles = 7 * s
-		cfg.MaxRetries = 7
-		cfg.BackoffBase = s
-		cfg.BackoffCap = 16 * s
+		cfg.Fault = faults
 		cfg.AdmitDepth = *admit
 	}
 	res, err := w.Simulate(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err, 1)
 	// Echo the full scenario shape so any run is reproducible from the
 	// diag output alone: traffic process, dispatch topology, batching.
 	traffic := fmt.Sprintf("closed loop (think=%d)", cfg.ThinkCycles)
@@ -475,9 +410,9 @@ func runServe(plat *platform.Platform, setting core.Setting) {
 	}
 	if *faultMode {
 		fmt.Println("injected fault timeline:")
-		for _, win := range plan.StormWindows(res.MakespanCycles) {
+		for _, win := range faults.StormWindows(res.MakespanCycles) {
 			fmt.Printf("  t=%-12d aex storm until t=%d (one AEX per %d work cycles)\n",
-				win[0], win[1], plan.StormAEXGap)
+				win[0], win[1], faults.StormAEXGap)
 		}
 		for _, ev := range res.Faults {
 			fmt.Printf("  t=%-12d worker %-3d %s\n", ev.T, ev.Worker, ev.Kind)
@@ -489,18 +424,12 @@ func runServe(plat *platform.Platform, setting core.Setting) {
 	}
 	if cfg.Trace != nil {
 		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "diag: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		werr := obs.WriteTrace(f, cfg.Trace, cfg.Metrics)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "diag: %v\n", werr)
-			os.Exit(1)
-		}
+		exitOn(werr, 1)
 		st := cfg.Trace.Stats()
 		fmt.Printf("wrote trace to %s: %d spans, %d instants (%d dropped), %d metric samples every %d cycles (%d dropped)\n",
 			*tracePath, st.Spans, st.Instants, st.Dropped,

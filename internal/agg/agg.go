@@ -337,7 +337,7 @@ const fnvPrime64 = 1099511628211
 
 // Mix folds the 8 bytes of v into the FNV-1a accumulator h. Shared by
 // the aggregate checksum and the pipeline check values in
-// internal/query, so both follow one hash discipline.
+// internal/plan, so both follow one hash discipline.
 func Mix(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= (v >> (8 * i)) & 0xff

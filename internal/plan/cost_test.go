@@ -166,7 +166,7 @@ func TestChooseNeverWorseThanWorst(t *testing.T) {
 	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
 		m := ModelFor(setting, 2)
 		for _, name := range []string{"s07.j1.sel004.u.agg", "s11.j1.sel902.u.agg", "s14.j1.sel250.u.top"} {
-			q, _ := SuiteByName(name)
+			q := mustPipeline(t, name)
 			measured := map[string]uint64{}
 			var worst uint64
 			for _, alt := range q.Alternatives() {

@@ -1,4 +1,4 @@
-package query
+package plan
 
 import (
 	"testing"
@@ -15,11 +15,12 @@ import (
 func TestQ4LimitBeyondScratch(t *testing.T) {
 	const k = 4 * DefaultLimit
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds := GenDataset(env, testDim, testFact, 1234)
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
 	// ~25% of 24000 rows survive the filter: more than k, so the heap
 	// genuinely evicts at the grown capacity.
-	res := Q4FilterSortLimit(env, ds, Options{Threads: 2, Pred: testPred, Limit: k})
-	want := oracleQ4(ds, testPred, k)
+	q4 := mustPipeline(t, Q4Name)
+	res := q4.Run(env, ds, Options{Threads: 2, Pred: pipePred, Limit: k})
+	want := oracleQ4(ds, pipePred, k)
 	if len(want) != k {
 		t.Fatalf("oracle emitted %d rows, need > %d filtered rows for the test to bite", len(want), k)
 	}
@@ -35,17 +36,17 @@ func TestQ4LimitBeyondScratch(t *testing.T) {
 	// prepared environments (the grown scratch allocates at stable
 	// addresses).
 	env2 := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds2 := GenDataset(env2, testDim, testFact, 1234)
-	res2 := Q4FilterSortLimit(env2, ds2, Options{Threads: 2, Pred: testPred, Limit: k})
+	ds2 := GenDataset(env2, pipeDim, pipeFact, 1234)
+	res2 := q4.Run(env2, ds2, Options{Threads: 2, Pred: pipePred, Limit: k})
 	if res2.Check != res.Check || res2.WallCycles != res.WallCycles {
 		t.Fatalf("oversized-limit run not deterministic: check %#x/%#x wall %d/%d",
 			res.Check, res2.Check, res.WallCycles, res2.WallCycles)
 	}
 }
 
-// TestSuitePipelines covers the suite surface of the query API: the
-// planner suite is exposed as runnable pipelines and resolvable by
-// name alongside the fixed shapes.
+// TestSuitePipelines covers the suite surface of the registry: the
+// planner suite is runnable as pipelines resolvable by name alongside
+// the fixed shapes.
 func TestSuitePipelines(t *testing.T) {
 	suite := Suite()
 	if len(suite) != 20 {
@@ -56,7 +57,7 @@ func TestSuitePipelines(t *testing.T) {
 		t.Fatalf("suite query not resolvable: %v", err)
 	}
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.SGXDiE})
-	ds := GenDataset(env, testDim, testFact, 1234)
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
 	res := p.Run(env, ds, Options{Threads: 2})
 	if res.Pipeline != p.Name || res.Rows == 0 || res.Groups == 0 {
 		t.Fatalf("suite pipeline run malformed: %+v", res)

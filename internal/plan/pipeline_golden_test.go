@@ -1,4 +1,4 @@
-package query
+package plan
 
 import (
 	stdsort "sort"
@@ -13,11 +13,11 @@ import (
 )
 
 const (
-	testDim  = 512
-	testFact = 24000
+	pipeDim  = 512
+	pipeFact = 24000
 )
 
-var testPred = scan.Predicate{Lo: 32, Hi: 95} // 25% selectivity
+var pipePred = scan.Predicate{Lo: 32, Hi: 95} // 25% selectivity
 
 // pipelineThreads returns the thread count a pipeline is golden-tested
 // at: q3's shared-table PHT build is only deterministic single-threaded.
@@ -28,15 +28,25 @@ func pipelineThreads(name string) int {
 	return 2
 }
 
-func goldenRun(t *testing.T, p Pipeline, setting core.Setting, ref bool) *Result {
+// mustPipeline resolves a registry name or fails the test.
+func mustPipeline(t *testing.T, name string) Query {
+	t.Helper()
+	p, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func goldenRun(t *testing.T, p Query, setting core.Setting, ref bool) *Result {
 	t.Helper()
 	env := core.NewEnv(core.Options{
 		Plat:      platform.XeonGold6326().Scaled(256),
 		Setting:   setting,
 		Reference: ref,
 	})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred})
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
+	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: pipePred})
 }
 
 // TestGoldenPipelineEquivalence enforces the fast-path invariant on the
@@ -45,7 +55,7 @@ func goldenRun(t *testing.T, p Pipeline, setting core.Setting, ref bool) *Result
 // aggregate statistics for every shipped query shape (q1..q5).
 func TestGoldenPipelineEquivalence(t *testing.T) {
 	settings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
-	for _, p := range All() {
+	for _, p := range Fixed() {
 		for _, setting := range settings {
 			label := p.Name + "/" + setting.String()
 			ref := goldenRun(t, p, setting, true)
@@ -76,12 +86,12 @@ func TestGoldenPipelineEquivalence(t *testing.T) {
 // not the wall time — is rep-invariant; across environments, repetition
 // k is fully deterministic.
 func TestPipelineRepeatDeterminism(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range Fixed() {
 		T := pipelineThreads(p.Name)
 		prep := func() (*core.Env, *Dataset, Options) {
 			env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.SGXDiE})
-			ds := GenDataset(env, testDim, testFact, 1234)
-			return env, ds, Options{Threads: T, Pred: testPred, Scratch: NewScratch(env, ds, T, testFact)}
+			ds := GenDataset(env, pipeDim, pipeFact, 1234)
+			return env, ds, Options{Threads: T, Pred: pipePred, Scratch: NewScratch(env, ds, T, pipeFact)}
 		}
 		envA, dsA, optA := prep()
 		envB, dsB, optB := prep()
@@ -167,22 +177,22 @@ func addTo(m map[uint32]agg.GroupAgg, ds *Dataset, pred scan.Predicate, kv func(
 // pure-Go oracles computed straight from the dataset.
 func TestPipelineCorrectness(t *testing.T) {
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	for _, p := range All() {
-		res := p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred})
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
+	for _, p := range Fixed() {
+		res := p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: pipePred})
 		var want map[uint32]agg.GroupAgg
 		switch p.Name {
 		case Q1Name:
-			want = oracleQ1(ds, testPred)
+			want = oracleQ1(ds, pipePred)
 		case Q2Name, Q2SName:
-			want = oracleJoinAgg(ds, testPred, true)
+			want = oracleJoinAgg(ds, pipePred, true)
 		case Q3Name, Q5Name, Q3SName:
 			// q5 computes the same unfiltered join-aggregation as q3,
 			// through the sort-merge path instead of the hash path; q3s
 			// through the spill-partitioned pair.
-			want = oracleJoinAgg(ds, testPred, false)
+			want = oracleJoinAgg(ds, pipePred, false)
 		case Q4Name:
-			wantRows := oracleQ4(ds, testPred, DefaultLimit)
+			wantRows := oracleQ4(ds, pipePred, DefaultLimit)
 			if res.Groups != len(wantRows) || len(res.TopRows) != len(wantRows) {
 				t.Errorf("%s: emitted %d/%d rows, oracle %d", p.Name, res.Groups, len(res.TopRows), len(wantRows))
 				continue
@@ -205,12 +215,12 @@ func TestPipelineCorrectness(t *testing.T) {
 // stage cardinality without breaking the run.
 func TestMaxRowsCap(t *testing.T) {
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	res := Q1FilterAgg(env, ds, Options{Threads: 2, Pred: testPred, MaxRows: 1000})
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
+	res := mustPipeline(t, Q1Name).Run(env, ds, Options{Threads: 2, Pred: pipePred, MaxRows: 1000})
 	if res.Rows != 1000 {
 		t.Fatalf("rows=%d want 1000 (capped)", res.Rows)
 	}
-	if res.Groups < 1 || res.Groups > testDim {
+	if res.Groups < 1 || res.Groups > pipeDim {
 		t.Fatalf("groups=%d out of range", res.Groups)
 	}
 }

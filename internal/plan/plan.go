@@ -4,13 +4,13 @@
 // pre-allocated Scratch intermediates, an enclave-aware cost model
 // calibrated from the simulated engine itself, and a planner that
 // enumerates join/aggregation strategy alternatives and picks the
-// cheapest by simulated SGX cost.
+// cheapest by simulated SGX cost — end-to-end analytical queries, the
+// workload class the paper's title names but its experiments only probe
+// operator by operator.
 //
-// The node layer reproduces internal/query's hand-wired pipelines
-// operator call for operator call: the same engine phases, the same
-// profiler scopes, the same scratch buffers in the same allocation
-// order — so a plan tree's simulated cycles, checks and statistics are
-// bit-identical to the pipeline it replaces (golden-gated in CI).
+// Every query is addressed through one registry (ByName): the seven
+// fixed shapes q1..q5, q2s, q3s (Fixed), plus the 20-query planner suite
+// (Suite) whose strategies the planner picks per setting.
 //
 // A pipeline runs all of its stages on ONE exec.Group: the same
 // simulated threads execute scan, join and aggregation phases back to

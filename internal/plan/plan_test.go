@@ -72,10 +72,7 @@ func TestSuiteCorrectness(t *testing.T) {
 		"s09.j1.sel250.u.agg", "s14.j1.sel250.u.top", "s15.j1.sel500.u.ord",
 		"s16.j2.sel250.u.agg", "s19.j3.sel250.u.agg", "s20.j3.sel902.z.agg",
 	} {
-		q, ok := SuiteByName(name)
-		if !ok {
-			t.Fatalf("suite query %q missing", name)
-		}
+		q := mustPipeline(t, name)
 		env := testEnv(core.PlainCPU, false)
 		ds := GenSuiteDataset(env, q, testDim, testFact, testSeed)
 		res := q.Run(env, ds, Options{Threads: 2})
@@ -159,7 +156,7 @@ func TestTreeFastRefEquivalence(t *testing.T) {
 // across repetitions, including the lazily grown chain dimensions and
 // swap scratch.
 func TestSuiteRepeatDeterminism(t *testing.T) {
-	q, _ := SuiteByName("s18.j2.sel102.u.top")
+	q := mustPipeline(t, "s18.j2.sel102.u.top")
 	prep := func() (*core.Env, *Dataset, Options) {
 		env := testEnv(core.SGXDiE, false)
 		ds := GenSuiteDataset(env, q, testDim, testFact, testSeed)

@@ -14,11 +14,15 @@ const (
 	OrdSort = "sort" // full sort + LIMIT cutoff
 )
 
-// Query is one declarative suite query: a star/snowflake shape the
-// planner lowers to a plan tree by picking join, aggregation and order
-// strategies.
+// Query is one declarative query: a star/snowflake shape the planner
+// lowers to a plan tree by picking join, aggregation and order
+// strategies — or one of the seven fixed shapes (Fixed), whose tree is
+// hard-wired.
 type Query struct {
 	Name string
+	// fixed, when set, is the tree Run executes as is, under the caller's
+	// Options: no planning, no predicate or limit of its own.
+	fixed Node
 	// Pred is the fact filter predicate (the selectivity knob).
 	Pred scan.Predicate
 	// Dims is the join chain depth: 0 (pure aggregation) to 3.
@@ -171,11 +175,14 @@ func (q Query) Plan(env *core.Env, ds *Dataset, threads int) (Node, Alternative)
 	return q.Tree(alt), alt
 }
 
-// Run executes q end to end: ensures the snowflake chain exists, picks
-// the cheapest strategy for the environment's setting and EPC regime,
-// and executes the lowered tree. This is the suite entry point behind
-// query.Suite / serve.Calibrate / diag -query.
+// Run executes q end to end: a fixed shape runs its tree; a suite query
+// ensures the snowflake chain exists, picks the cheapest strategy for
+// the environment's setting and EPC regime, and executes the lowered
+// tree.
 func (q Query) Run(env *core.Env, ds *Dataset, opt Options) *Result {
+	if q.fixed != nil {
+		return Execute(env, ds, opt, q.Name, q.fixed)
+	}
 	if q.Dims > 1 {
 		EnsureChain(env, ds, q.Dims-1)
 	}

@@ -1,4 +1,4 @@
-package query
+package plan
 
 import (
 	"bytes"
@@ -12,15 +12,15 @@ import (
 
 // profileRun executes one pipeline with an optional profiler attached,
 // on the fast or reference engine path.
-func profileRun(t *testing.T, p Pipeline, setting core.Setting, ref bool, prof *obs.Profiler) *Result {
+func profileRun(t *testing.T, p Query, setting core.Setting, ref bool, prof *obs.Profiler) *Result {
 	t.Helper()
 	env := core.NewEnv(core.Options{
 		Plat:      platform.XeonGold6326().Scaled(256),
 		Setting:   setting,
 		Reference: ref,
 	})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred, Profiler: prof})
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
+	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: pipePred, Profiler: prof})
 }
 
 // TestProfilerZeroPerturbation is the profiling half of the
@@ -30,7 +30,7 @@ func profileRun(t *testing.T, p Pipeline, setting core.Setting, ref bool, prof *
 // both engine paths.
 func TestProfilerZeroPerturbation(t *testing.T) {
 	settings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
-	for _, p := range All() {
+	for _, p := range Fixed() {
 		for _, setting := range settings {
 			for _, ref := range []bool{false, true} {
 				label := p.Name + "/" + setting.String()

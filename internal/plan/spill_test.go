@@ -1,4 +1,4 @@
-package query
+package plan
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 
 // oversubscribedRun executes a spill pipeline under an EPC capacity
 // limit (pages; 0 = unlimited) on either engine path.
-func oversubscribedRun(t *testing.T, p Pipeline, setting core.Setting, ref bool, pages int64) *Result {
+func oversubscribedRun(t *testing.T, p Query, setting core.Setting, ref bool, pages int64) *Result {
 	t.Helper()
 	env := core.NewEnv(core.Options{
 		Plat:      platform.XeonGold6326().Scaled(256),
@@ -19,8 +19,8 @@ func oversubscribedRun(t *testing.T, p Pipeline, setting core.Setting, ref bool,
 		Reference: ref,
 		EPCPages:  pages,
 	})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred})
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
+	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: pipePred})
 }
 
 // spillPipelineEPCHalf probes the q3s working set on an unlimited
@@ -32,12 +32,12 @@ func spillPipelineEPCHalf(t *testing.T) int64 {
 		Plat:    platform.XeonGold6326().Scaled(256),
 		Setting: core.SGXDiE,
 	})
-	ds := GenDataset(env, testDim, testFact, 1234)
+	ds := GenDataset(env, pipeDim, pipeFact, 1234)
 	p, err := ByName(Q3SName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred})
+	p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: pipePred})
 	used := env.Space.Used(mem.Region{Node: env.Node, Kind: mem.EPC})
 	pages := used / 4096 / 2
 	if pages < 1 {

@@ -15,7 +15,7 @@
 // The design splits cleanly in two:
 //
 //   - Calibrate runs each query class once through the full engine
-//     (internal/query on a fresh core.Env) and records its service
+//     (internal/plan on a fresh core.Env) and records its service
 //     cycles, its per-request working set in EPC pages, and its
 //     simulated statistics. Because pipelines are bit-identical between
 //     the fast and reference engine paths, so is the calibrated
@@ -43,8 +43,8 @@ import (
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
-	"sgxbench/internal/query"
 	"sgxbench/internal/scan"
 	"sgxbench/internal/sgx"
 )
@@ -131,7 +131,7 @@ func ParseMem(s string) (MemMode, error) {
 
 // ClassCost is the calibrated cost model of one query class.
 type ClassCost struct {
-	// Name is the pipeline name (query.Q1Name, ...).
+	// Name is the pipeline name (plan.Q1Name, ...).
 	Name string `json:"name"`
 	// ServiceCycles is the pipeline's wall cycles when executed alone by
 	// one worker on a warm, pre-sized environment.
@@ -208,12 +208,12 @@ func (o *CalibrateOptions) defaults() {
 		o.MaxRows = o.NFact
 	}
 	if len(o.Pipelines) == 0 {
-		o.Pipelines = []string{query.Q1Name, query.Q2Name, query.Q3Name, query.Q4Name, query.Q5Name}
+		o.Pipelines = []string{plan.Q1Name, plan.Q2Name, plan.Q3Name, plan.Q4Name, plan.Q5Name}
 		if o.EPCRatio > 0 {
 			// The oversubscription axis is about how operators behave when
 			// the working set outgrows the enclave — include the spill
 			// shapes so the workload carries both halves of the story.
-			o.Pipelines = append(o.Pipelines, query.Q2SName, query.Q3SName)
+			o.Pipelines = append(o.Pipelines, plan.Q2SName, plan.Q3SName)
 		}
 	}
 	if o.Seed == 0 {
@@ -240,7 +240,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 	}
 	w.EPCRatio = o.EPCRatio
 	for _, name := range o.Pipelines {
-		p, err := query.ByName(name)
+		p, err := plan.ByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -253,12 +253,12 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			probe := core.NewEnv(core.Options{
 				Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
 			})
-			pds := query.GenDataset(probe, o.NDim, o.NFact, o.Seed)
-			p.Run(probe, pds, query.Options{
+			pds := plan.GenDataset(probe, o.NDim, o.NFact, o.Seed)
+			p.Run(probe, pds, plan.Options{
 				Threads: 1,
 				Pred:    scan.Predicate{Lo: 16, Hi: 127},
 				MaxRows: o.MaxRows,
-				Scratch: query.NewScratch(probe, pds, 1, o.MaxRows),
+				Scratch: plan.NewScratch(probe, pds, 1, o.MaxRows),
 			})
 			if used := probe.Space.Used(mem.Region{Node: probe.Node, Kind: mem.EPC}); used > 0 {
 				ws := (used + 4095) / 4096
@@ -272,7 +272,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
 			EPCPages: epcPages,
 		})
-		ds := query.GenDataset(env, o.NDim, o.NFact, o.Seed)
+		ds := plan.GenDataset(env, o.NDim, o.NFact, o.Seed)
 		reg := env.DataRegion()
 		// Snapshot before the scratch so the working set below counts
 		// every request-private byte exactly once — the eager scratch,
@@ -280,8 +280,8 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 		// whatever the operators allocate while running (join tables,
 		// partition buffers, ...).
 		preUsed := env.Space.Used(reg)
-		sc := query.NewScratch(env, ds, 1, o.MaxRows)
-		res := p.Run(env, ds, query.Options{
+		sc := plan.NewScratch(env, ds, 1, o.MaxRows)
+		res := p.Run(env, ds, plan.Options{
 			Threads: 1,
 			Pred:    scan.Predicate{Lo: 16, Hi: 127},
 			MaxRows: o.MaxRows,

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"sgxbench/internal/core"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
-	"sgxbench/internal/query"
 	"sgxbench/internal/serve"
 	"sgxbench/internal/sgx"
 )
@@ -222,7 +222,7 @@ func TestCalibrateEPCRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs full pipelines")
 	}
-	pipes := []string{query.Q3Name, query.Q3SName}
+	pipes := []string{plan.Q3Name, plan.Q3SName}
 	base, err := serve.Calibrate(serve.CalibrateOptions{Setting: core.SGXDiE, Pipelines: pipes})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestCalibrateSuiteClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs full pipelines")
 	}
-	pipes := []string{query.Q2Name, "s03.j0.sel902.u.agg", "s09.j1.sel250.u.agg", "s14.j1.sel250.u.top"}
+	pipes := []string{plan.Q2Name, "s03.j0.sel902.u.agg", "s09.j1.sel250.u.agg", "s14.j1.sel250.u.top"}
 	w, err := serve.Calibrate(serve.CalibrateOptions{Setting: core.SGXDiE, Pipelines: pipes})
 	if err != nil {
 		t.Fatal(err)
