@@ -38,6 +38,9 @@ type Tree struct {
 	leaves []leaf
 	levels [][]inner // levels[0] is just above the leaves
 	height int       // number of inner levels
+	// levelBase[l] is the inner-arena node index of levels[l][0]: the
+	// levels are laid out back to back, leaves-up.
+	levelBase []int
 
 	leafArena  mem.Buffer
 	innerArena mem.Buffer
@@ -103,6 +106,7 @@ func BulkLoad(space *mem.Space, name string, pairs []KV, reg mem.Region) *Tree {
 	t.height = len(t.levels)
 	nInner := 0
 	for _, lv := range t.levels {
+		t.levelBase = append(t.levelBase, nInner)
 		nInner += len(lv)
 	}
 	t.leafArena = space.Alloc(name+".leaves", int64(len(t.leaves))*nodeBytes, reg)
@@ -119,13 +123,9 @@ func (t *Tree) Height() int { return t.height }
 // Leaves returns the number of leaf nodes.
 func (t *Tree) Leaves() int { return len(t.leaves) }
 
-// nodeOff returns the arena offset of node id at inner level lv.
+// innerOff returns the arena offset of node id at inner level lv.
 func (t *Tree) innerOff(lv, id int) int64 {
-	base := 0
-	for l := 0; l < lv; l++ {
-		base += len(t.levels[l])
-	}
-	return int64(base+id) * nodeBytes
+	return int64(t.levelBase[lv]+id) * nodeBytes
 }
 
 // Lookup finds key, charging the descent to thread th. dep is the token

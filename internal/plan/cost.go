@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/mem"
@@ -25,9 +26,11 @@ import (
 // capacity, and scaled by (1 - 1/ratio) — zero when resident,
 // monotonically increasing in the oversubscription ratio.
 
-// Calibration probe sizes: small enough that a full calibration is a
-// few milliseconds of host time, large enough that fixed per-phase
-// overheads do not swamp the per-row slopes.
+// Calibration probe sizes: large enough that fixed per-phase overheads
+// do not swamp the per-row slopes. They set the planner's cold start on
+// the host: 15 resident probe pipelines per (setting, threads) model —
+// 19-24 ms for Plain CPU — plus 7 paged ones in EnsureKappa — 36-48 ms
+// for SGX DiE in all (2 threads, one host CPU; README "Query planning").
 const (
 	calDim  = 256
 	calFact = 8192
@@ -93,6 +96,10 @@ type Model struct {
 	// Calibrated lazily (EnsureKappa); zero for non-EPC settings.
 	Kappa     map[string]float64
 	kappaOnce sync.Once
+	// resHi holds, per Kappa key, the resident hi-selectivity measurement
+	// of the stage the key's paged probe re-measures: calibrate takes it
+	// anyway for the affine fits, so EnsureKappa never re-runs it.
+	resHi map[string]calPoint
 }
 
 // calPlat is the fixed calibration platform: the benchmark's scaled
@@ -113,26 +120,51 @@ func calEnv(setting core.Setting, epcPages int64) *core.Env {
 var calPredLo = scan.Predicate{Lo: 32, Hi: 95}  // 25%
 var calPredHi = scan.Predicate{Lo: 10, Hi: 240} // ~90%
 
-// calRun executes one probe query tree and returns its per-stage
-// cycles and row counts.
-func calRun(setting core.Setting, threads int, epcPages int64, q Query, alt Alternative) *Result {
+// calRuns counts the probe pipelines executed (read by the tests that
+// bound what a cold calibration may run).
+var calRuns atomic.Int64
+
+// calRun executes one probe query at calibration scale and returns its
+// per-stage cycles and row counts, plus the environment it ran in. With
+// cut set, the tree stops at the stage the probe measures (probeTree).
+func calRun(setting core.Setting, threads int, epcPages int64, q Query, alt Alternative, cut string) (*Result, *core.Env) {
+	calRuns.Add(1)
 	env := calEnv(setting, epcPages)
 	ds := GenDataset(env, calDim, calFact, 4242)
 	if q.Dims > 1 {
 		EnsureChain(env, ds, q.Dims-1)
 	}
 	opt := Options{Threads: threads, Pred: q.Pred, Limit: q.Limit}
-	return Execute(env, ds, opt, q.Name, q.Tree(alt))
+	return Execute(env, ds, opt, q.Name, probeTree(q, alt, cut)), env
 }
 
-// stageOf returns the first stage with the given name (cycles, rows).
-func stageOf(res *Result, name string) (float64, float64) {
+// probeTree is q.Tree(alt) without the nodes above the one emitting the
+// cut stage: a join probe has no GroupBy on top, the chain probe ends at
+// its first Project. That cannot move the measured stage: ctx.stage seals
+// a stage's cycles when it ends, and Execute's Scratch and calRun's chain
+// dimensions are allocated before the first stage either way
+// (TestProbeCutEqualsFullTree holds the cut trees to the full ones).
+func probeTree(q Query, alt Alternative, cut string) Node {
+	switch cut {
+	case "join":
+		return joinNode(alt.Join, scanned, 0)
+	case "project":
+		return Project{Input: joinNode(alt.Join, scanned, 0)}
+	}
+	return q.Tree(alt) // "agg", "topk", "": the measured stage is the last
+}
+
+// calPoint is one probe measurement: a stage's cycles and rows.
+type calPoint struct{ cycles, rows float64 }
+
+// stageOf returns the first stage with the given name.
+func stageOf(res *Result, name string) calPoint {
 	for _, s := range res.Stages {
 		if s.Name == name {
-			return float64(s.WallCycles), float64(s.Rows)
+			return calPoint{float64(s.WallCycles), float64(s.Rows)}
 		}
 	}
-	return 0, 0
+	return calPoint{}
 }
 
 type modelKey struct {
@@ -140,25 +172,34 @@ type modelKey struct {
 	threads int
 }
 
-var modelCache sync.Map // modelKey → *Model
+// modelEntry calibrates its model once, however many goroutines ask for
+// the key first.
+type modelEntry struct {
+	once sync.Once
+	m    *Model
+}
+
+var modelCache sync.Map // modelKey → *modelEntry
 
 // ModelFor returns the calibrated cost model for a setting at a thread
 // count, running the calibration probes on first use (cached;
-// deterministic).
+// deterministic; concurrent first callers wait for one calibration).
 func ModelFor(setting core.Setting, threads int) *Model {
 	if threads < 1 {
 		threads = 1
 	}
 	k := modelKey{setting, threads}
-	if m, ok := modelCache.Load(k); ok {
-		return m.(*Model)
+	v, ok := modelCache.Load(k)
+	if !ok {
+		v, _ = modelCache.LoadOrStore(k, &modelEntry{})
 	}
-	m := calibrate(setting, threads)
-	actual, _ := modelCache.LoadOrStore(k, m)
-	return actual.(*Model)
+	e := v.(*modelEntry)
+	e.once.Do(func() { e.m = calibrate(setting, threads) })
+	return e.m
 }
 
-// calibrate derives the per-row constants from probe plans.
+// calibrate derives the per-row constants from probe plans: 15 resident
+// pipelines, each cut at the stage it measures.
 func calibrate(setting core.Setting, threads int) *Model {
 	m := &Model{
 		Setting:   setting,
@@ -167,8 +208,17 @@ func calibrate(setting core.Setting, threads int) *Model {
 		JoinRow:   map[string]float64{},
 		Kappa:     map[string]float64{},
 		inlDepth:  math.Log2(calDim + 2),
+		resHi:     map[string]calPoint{},
 	}
 
+	// probe runs q resident at the two probe selectivities.
+	probe := func(q Query, alt Alternative, cut string) (lo, hi *Result) {
+		q.Pred = calPredLo
+		lo, _ = calRun(setting, threads, 0, q, alt, cut)
+		q.Pred = calPredHi
+		hi, _ = calRun(setting, threads, 0, q, alt, cut)
+		return lo, hi
+	}
 	// affineFit turns two (cycles, rows) probe points into non-negative
 	// (fixed, slope) coefficients.
 	affineFit := func(c1, n1, c2, n2 float64) (fixed, row float64) {
@@ -182,46 +232,37 @@ func calibrate(setting core.Setting, threads int) *Model {
 		}
 		return fixed, row
 	}
+	// finalFit fits a no-join probe's last stage against the gathered
+	// rows; it also returns that stage's hi-selectivity point.
+	finalFit := func(lo, hi *Result, stage string) (fixed, row float64, atHi calPoint) {
+		atHi = stageOf(hi, stage)
+		fixed, row = affineFit(stageOf(lo, stage).cycles, stageOf(lo, "gather").rows, atHi.cycles, stageOf(hi, "gather").rows)
+		return fixed, row, atHi
+	}
 
 	// Scan/gather slopes and the agg affine fits from the no-join
 	// aggregation shape at the two probe selectivities. The fixed agg
 	// terms matter: the spill group-by's partition setup makes the
 	// resident hash group-by cheaper at low row counts even though the
 	// spill variant's per-row slope is slightly lower.
-	base := calRun(setting, threads, 0, Query{Name: "cal.base", Pred: calPredLo}, Alternative{Agg: AggHash})
-	baseHi := calRun(setting, threads, 0, Query{Name: "cal.base", Pred: calPredHi}, Alternative{Agg: AggHash})
-	fc, _ := stageOf(base, "filter")
-	gc, gr := stageOf(base, "gather")
-	ac, _ := stageOf(base, "agg")
-	ac2, _ := stageOf(baseHi, "agg")
-	_, gr2 := stageOf(baseHi, "gather")
-	m.FilterRow = fc / calFact
-	m.GatherRow = gc / gr
-	m.AggFixed, m.AggRow = affineFit(ac, gr, ac2, gr2)
+	base, baseHi := probe(Query{Name: "cal.base"}, Alternative{Agg: AggHash}, "agg")
+	g := stageOf(base, "gather")
+	m.FilterRow = stageOf(base, "filter").cycles / calFact
+	m.GatherRow = g.cycles / g.rows
+	m.AggFixed, m.AggRow, m.resHi["agg."+AggHash] = finalFit(base, baseHi, "agg")
 
-	spill := calRun(setting, threads, 0, Query{Name: "cal.spill", Pred: calPredLo}, Alternative{Agg: AggSpill})
-	spillHi := calRun(setting, threads, 0, Query{Name: "cal.spill", Pred: calPredHi}, Alternative{Agg: AggSpill})
-	sc, _ := stageOf(spill, "agg")
-	_, sn := stageOf(spill, "gather")
-	sc2, _ := stageOf(spillHi, "agg")
-	_, sn2 := stageOf(spillHi, "gather")
-	m.SpillAggFixed, m.SpillAggRow = affineFit(sc, sn, sc2, sn2)
+	spill, spillHi := probe(Query{Name: "cal.spill"}, Alternative{Agg: AggSpill}, "agg")
+	m.SpillAggFixed, m.SpillAggRow, m.resHi["agg."+AggSpill] = finalFit(spill, spillHi, "agg")
 
-	topk := calRun(setting, threads, 0, Query{Name: "cal.topk", Pred: calPredLo, Order: true, Limit: calK}, Alternative{Ord: OrdTopK})
-	topkHi := calRun(setting, threads, 0, Query{Name: "cal.topk", Pred: calPredHi, Order: true, Limit: calK}, Alternative{Ord: OrdTopK})
-	tc, _ := stageOf(topk, "topk")
-	_, tn := stageOf(topk, "gather")
-	tc2, _ := stageOf(topkHi, "topk")
-	_, tn2 := stageOf(topkHi, "gather")
-	m.TopKFixed, m.TopKRow = affineFit(tc, tn, tc2, tn2)
+	topk, topkHi := probe(Query{Name: "cal.topk", Order: true, Limit: calK}, Alternative{Ord: OrdTopK}, "topk")
+	m.TopKFixed, m.TopKRow, _ = finalFit(topk, topkHi, "topk")
 
 	// Join slopes: the affine fit from the two probe selectivities.
 	for _, s := range []string{JoinRHO, JoinINL, JoinGrace, JoinMerge} {
-		lo := calRun(setting, threads, 0, Query{Name: "cal." + s, Pred: calPredLo, Dims: 1}, Alternative{Join: s, Agg: AggHash})
-		hi := calRun(setting, threads, 0, Query{Name: "cal." + s, Pred: calPredHi, Dims: 1}, Alternative{Join: s, Agg: AggHash})
-		c1, n1 := stageOf(lo, "join")
-		c2, n2 := stageOf(hi, "join")
-		m.JoinFixed[s], m.JoinRow[s] = affineFit(c1, n1, c2, n2)
+		lo, hi := probe(Query{Name: "cal." + s, Dims: 1}, Alternative{Join: s, Agg: AggHash}, "join")
+		p1, p2 := stageOf(lo, "join"), stageOf(hi, "join")
+		m.resHi[s] = p2
+		m.JoinFixed[s], m.JoinRow[s] = affineFit(p1.cycles, p1.rows, p2.cycles, p2.rows)
 		if s == JoinINL {
 			// INL has no timed build: its probe-phase cost goes through
 			// the origin, and fit noise in the intercept would otherwise
@@ -230,64 +271,59 @@ func calibrate(setting core.Setting, threads int) *Model {
 		}
 		if s == JoinMerge {
 			// The merge strategy's sort stages are costed separately.
-			sfc, sfn := stageOf(lo, "sort-fact")
-			m.SortUnit = sfc / (sfn * math.Log2(sfn))
-			m.MergeRow = c1 / (n1 + calDim)
+			sf := stageOf(lo, "sort-fact")
+			m.SortUnit = sf.cycles / (sf.rows * math.Log2(sf.rows))
+			m.MergeRow = p1.cycles / (p1.rows + calDim)
 			m.JoinFixed[s], m.JoinRow[s] = 0, 0
 		}
 	}
 
-	// Project slope from a 2-dim chain.
-	chain := calRun(setting, threads, 0, Query{Name: "cal.chain", Pred: calPredLo, Dims: 2}, Alternative{Join: JoinRHO, Agg: AggHash})
-	pc, pn := stageOf(chain, "project")
-	m.ProjectRow = pc / pn
+	// Project slope from a 2-dim chain, stopped at its first Project.
+	q := Query{Name: "cal.chain", Pred: calPredLo, Dims: 2}
+	chain, _ := calRun(setting, threads, 0, q, Alternative{Join: JoinRHO, Agg: AggHash}, "project")
+	pr := stageOf(chain, "project")
+	m.ProjectRow = pr.cycles / pr.rows
 
 	return m
 }
 
 // EnsureKappa calibrates the paging penalty coefficients on first use:
-// each strategy's probe re-runs under an EPC capacity of half its
-// measured resident working set (2x oversubscription), and the per-row
-// cost delta — clamped non-negative — becomes the full-miss penalty.
-// Settings whose data region is not EPC-resident page nowhere; their
-// coefficients stay zero.
+// each strategy's hi-selectivity probe runs once more under an EPC
+// capacity of half the measured resident working set (2x
+// oversubscription), and the per-row cost delta against calibrate's
+// resident measurement — clamped non-negative — becomes the full-miss
+// penalty. Settings whose data region is not EPC-resident page nowhere;
+// their coefficients stay zero.
 func (m *Model) EnsureKappa() {
 	m.kappaOnce.Do(func() {
 		if !m.Setting.DataInEPC() {
 			return
 		}
-		probe := func(q Query, alt Alternative, stage string) {
-			res0 := calRun(m.Setting, m.Threads, 0, q, alt)
-			pages := wsPages(m.Setting, m.Threads)
-			res2 := calRun(m.Setting, m.Threads, pages/2, q, alt)
-			c0, n := stageOf(res0, stage)
-			c2, _ := stageOf(res2, stage)
-			k := (c2 - c0) / n / (1 - 0.5)
+		half := wsPages(m.Setting, m.Threads) / 2
+		probe := func(q Query, alt Alternative, stage, key string) {
+			q.Pred = calPredHi
+			res2, _ := calRun(m.Setting, m.Threads, half, q, alt, stage)
+			res0 := m.resHi[key]
+			k := (stageOf(res2, stage).cycles - res0.cycles) / res0.rows / (1 - 0.5)
 			if k < 0 {
 				k = 0
-			}
-			key := alt.Join
-			if stage == "agg" {
-				key = "agg." + alt.Agg
 			}
 			m.Kappa[key] = k
 		}
 		for _, s := range []string{JoinRHO, JoinINL, JoinGrace, JoinMerge} {
-			probe(Query{Name: "cal.k." + s, Pred: calPredHi, Dims: 1}, Alternative{Join: s, Agg: AggHash}, "join")
+			probe(Query{Name: "cal.k." + s, Dims: 1}, Alternative{Join: s, Agg: AggHash}, "join", s)
 		}
-		probe(Query{Name: "cal.k.agg", Pred: calPredHi}, Alternative{Agg: AggHash}, "agg")
-		probe(Query{Name: "cal.k.spill", Pred: calPredHi}, Alternative{Agg: AggSpill}, "agg")
+		probe(Query{Name: "cal.k.agg"}, Alternative{Agg: AggHash}, "agg", "agg."+AggHash)
+		probe(Query{Name: "cal.k.spill"}, Alternative{Agg: AggSpill}, "agg", "agg."+AggSpill)
 	})
 }
 
 // wsPages measures the probe workload's resident EPC page footprint
-// (dataset + scratch + operator state) by running it once without a
-// capacity limit and reading the space's EPC usage.
+// (dataset + scratch + operator state) by running the full RHO pipeline
+// once without a capacity limit and reading the space's EPC usage.
 func wsPages(setting core.Setting, threads int) int64 {
-	env := calEnv(setting, 0)
-	ds := GenDataset(env, calDim, calFact, 4242)
-	Execute(env, ds, Options{Threads: threads, Pred: calPredHi}, "cal.ws",
-		Query{Pred: calPredHi, Dims: 1}.Tree(Alternative{Join: JoinRHO, Agg: AggHash}))
+	q := Query{Name: "cal.ws", Pred: calPredHi, Dims: 1}
+	_, env := calRun(setting, threads, 0, q, Alternative{Join: JoinRHO, Agg: AggHash}, "")
 	used := env.Space.Used(mem.Region{Node: env.Node, Kind: mem.EPC})
 	if used <= 0 {
 		used = env.Space.Used(env.DataRegion())
@@ -320,16 +356,25 @@ func (m *Model) joinCost(s string, nProbe, nDim, ratio float64) float64 {
 	default:
 		c = m.JoinFixed[s]*(nDim/calDim) + m.JoinRow[s]*nProbe
 	}
-	return c + m.Kappa[s]*nProbe*press(ratio)
+	return c + m.paging(s, nProbe, ratio)
+}
+
+// paging is the EPC pressure term of one Kappa key over n rows. κ is
+// calibrated and read only under oversubscription — the term is zero
+// otherwise — so a resident caller never touches the map that a
+// concurrent first EnsureKappa is filling.
+func (m *Model) paging(key string, n, ratio float64) float64 {
+	if ratio <= 1 {
+		return 0
+	}
+	m.EnsureKappa()
+	return m.Kappa[key] * n * press(ratio)
 }
 
 // Cost returns the modeled simulated cycles of running q with the given
 // strategy alternative over a dataset shape. Monotone non-decreasing in
 // rows, selectivity and EPC pressure.
 func (m *Model) Cost(q Query, alt Alternative, sh Shape) float64 {
-	if sh.EPCRatio > 1 {
-		m.EnsureKappa()
-	}
 	nF := float64(sh.NFact)
 	rows := q.Pred.Selectivity() * nF
 	if rows < 1 {
@@ -353,11 +398,11 @@ func (m *Model) Cost(q Query, alt Alternative, sh Shape) float64 {
 	case q.Order:
 		c += m.SortUnit * rows * math.Log2(rows+2)
 	default:
-		fx, ar, ka := m.AggFixed, m.AggRow, m.Kappa["agg."+AggHash]
+		fx, ar, key := m.AggFixed, m.AggRow, "agg."+AggHash
 		if alt.Agg == AggSpill {
-			fx, ar, ka = m.SpillAggFixed, m.SpillAggRow, m.Kappa["agg."+AggSpill]
+			fx, ar, key = m.SpillAggFixed, m.SpillAggRow, "agg."+AggSpill
 		}
-		c += fx + ar*rows + ka*rows*press(sh.EPCRatio)
+		c += fx + ar*rows + m.paging(key, rows, sh.EPCRatio)
 	}
 	return c
 }

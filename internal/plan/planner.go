@@ -93,20 +93,28 @@ func (q Query) Alternatives() []Alternative {
 	return out
 }
 
+// scanned is the prefix every planned tree starts with: the filtered
+// fact rows, materialized.
+var scanned Node = Gather{Input: Filter{Input: Scan{}}}
+
+// joinNode lowers one chain level's join under strategy s.
+func joinNode(s string, in Node, lvl int) Node {
+	switch s {
+	case JoinINL:
+		return INLJoin{Input: in, Level: lvl}
+	case JoinGrace:
+		return GraceJoin{Input: in, Level: lvl}
+	case JoinMerge:
+		return MergeJoin{Input: in}
+	}
+	return HashJoin{Input: in, Level: lvl}
+}
+
 // Tree lowers q to a plan tree under the given strategy alternative.
 func (q Query) Tree(alt Alternative) Node {
-	var root Node = Gather{Input: Filter{Input: Scan{}}}
+	root := scanned
 	for lvl := 0; lvl < q.Dims; lvl++ {
-		switch alt.Join {
-		case JoinINL:
-			root = INLJoin{Input: root, Level: lvl}
-		case JoinGrace:
-			root = GraceJoin{Input: root, Level: lvl}
-		case JoinMerge:
-			root = MergeJoin{Input: root}
-		default:
-			root = HashJoin{Input: root, Level: lvl}
-		}
+		root = joinNode(alt.Join, root, lvl)
 		if lvl < q.Dims-1 || q.Order {
 			// Re-key by the joined attribute for the next probe or the
 			// ORDER BY.
