@@ -183,13 +183,6 @@ func chunk(n, workers, id int) (int, int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // forSegments calls f for every segment sub-range covered by the global
 // row range [lo, hi) of the concatenated inputs.
 func forSegments(ins []Input, lo, hi int, f func(seg Input, sLo, sHi int)) {
@@ -240,11 +233,11 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 
 	parts := opt.Parts
 	if parts == nil {
-		parts = env.Space.AllocU64("agg.parts", maxInt(n, 1), reg)
+		parts = env.Space.AllocU64("agg.parts", max(n, 1), reg)
 	}
 	out := opt.Out
 	if out == nil {
-		out = env.Space.AllocU64("agg.out", EntryWords*maxInt(n, 1), reg)
+		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
 	hist := env.Space.AllocU32("agg.hist", T*P, reg)
 	cur := env.Space.AllocU32("agg.cur", T*P, reg)
@@ -320,13 +313,6 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	res.Check = checksum(out, res.PartStart, res.PartGroups)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FNVOffset64 is the FNV-1a 64-bit offset basis — the seed of the

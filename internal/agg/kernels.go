@@ -20,9 +20,6 @@ func digitOf(gk uint32, shift, bits uint) int {
 	return int((hashKey(gk) << shift) >> (32 - bits))
 }
 
-// partOf returns the partition of a group key.
-func partOf(gk uint32, pBits uint) int { return int(hashKey(gk) >> (32 - pBits)) }
-
 // bucketOf returns the in-partition bucket index (bBits wide) of a
 // group key, drawn from the hash bits below the partition digit.
 func bucketOf(gk uint32, pBits, bBits uint) int {

@@ -110,8 +110,8 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	}
 	stageReg := env.SpillRegion()
 	bufs := [2]*mem.U64Buf{
-		env.Space.AllocU64("agg.sp0", maxInt(n, 1), stageReg),
-		env.Space.AllocU64("agg.sp1", maxInt(n, 1), stageReg),
+		env.Space.AllocU64("agg.sp0", max(n, 1), stageReg),
+		env.Space.AllocU64("agg.sp1", max(n, 1), stageReg),
 	}
 
 	srcIns := ins
@@ -237,7 +237,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	reg := env.DataRegion()
 	out := opt.Out
 	if out == nil {
-		out = env.Space.AllocU64("agg.out", EntryWords*maxInt(n, 1), reg)
+		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
 	res := &Result{Rows: n, Out: out, PartStart: start, PartGroups: make([]int, P)}
 	maxPart := 0
@@ -287,10 +287,10 @@ func DirectRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result
 	reg := env.DataRegion()
 	out := opt.Out
 	if out == nil {
-		out = env.Space.AllocU64("agg.out", EntryWords*maxInt(n, 1), reg)
+		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
-	w := newWorker(env, maxInt(n, 1))
-	nb := nextPow2(maxInt(n, 1))
+	w := newWorker(env, max(n, 1))
+	nb := nextPow2(max(n, 1))
 	if nb < 16 {
 		nb = 16
 	}

@@ -9,23 +9,24 @@
 //
 // Two implementations of the same replacement behaviour coexist:
 //
-//   - Cache/TLB: the production representation used by the engine's
-//     batched fast path. Each set stores its ways in recency order
-//     (MRU first) as a single packed entry array, so a hit is a short
-//     scan plus a move-to-front rotation, a miss victim is always the
-//     last slot (O(1), no timestamp scan), and probe + fill merge into
-//     one pass over the set (AccessOrFill). Set counts are rounded up
-//     to a power of two so indexing is a mask, not a division.
+//   - Cache/TLB: the production representation. Each set stores its ways
+//     in recency order (MRU first) as a single packed entry array, so a
+//     hit is a short scan plus a move-to-front rotation, a miss victim is
+//     always the last slot (O(1), no timestamp scan), and probe + fill
+//     are one pass over the set: AccessOrFill and AccessOrFillStream are
+//     the packed cache's only probes. Set counts are rounded up to a
+//     power of two so indexing is a mask, not a division.
 //   - RefCache/RefTLB: the original timestamp-LRU representation with
-//     separate Access and Fill probes, kept verbatim as the reference
-//     the golden equivalence tests and cmd/bench compare against.
+//     separate Access and Fill probes, kept verbatim as the oracle. Only
+//     the engine's reference model (internal/engine/reference.go) and the
+//     differential tests construct one.
 //
 // Both implementations make identical hit/miss/eviction decisions for
 // every access sequence: move-to-front order is exactly the LRU order the
 // timestamps encode, and both prefer an invalid way over evicting (in the
 // packed layout invalid ways always form a suffix of the recency order, so
-// the last slot is invalid whenever any way is). The cache tests verify
-// this equivalence on randomized traces.
+// the last slot is invalid whenever any way is). TestCacheFusedEquivalence
+// and TestTLBImplEquivalence verify this on randomized traces.
 package cache
 
 import (
@@ -72,12 +73,11 @@ func lineShift(lineBytes int64) uint {
 // a partial shift to move to the front.
 type Cache struct {
 	mask     uint64 // sets-1 (sets is a power of two)
-	ways     int
 	stride   uint64 // words per set block in data: 16 filter words + ways
 	lineBits uint
 	setShift uint // log2(sets): line >> setShift is the tag
 	// data interleaves each set's membership filter (16 words = 128
-	// one-byte counters keyed by the low tag bits, see filtKey) with its
+	// one-byte counters keyed by the low tag bits, see filtMask) with its
 	// packed entries (circular recency order), so one probe touches one
 	// contiguous block. The filter counts how many resident ways share a
 	// key: a zero counter proves a miss without scanning the set — the
@@ -95,7 +95,6 @@ func New(g platform.CacheGeom) *Cache {
 	stride := uint64(filtWords + g.Ways)
 	return &Cache{
 		mask:     sets - 1,
-		ways:     g.Ways,
 		stride:   stride,
 		lineBits: lineShift(g.LineBytes),
 		setShift: uint(bits.Len64(sets - 1)),
@@ -110,31 +109,22 @@ func New(g platform.CacheGeom) *Cache {
 // cost; the counters are exact, so hit/miss decisions are unchanged.
 const filtWords = 16
 
-// filtMask selects the filter key from a line's tag bits.
+// filtMask selects the filter key from a line's tag bits (the line with
+// the set index shifted out): resident lines of one set always differ in
+// their tags, and a stream's recent residents have consecutive tags, so
+// keys rarely collide and most misses are proven without a scan.
 const filtMask = 8*filtWords - 1
-
-// filtKey returns (word index, bit shift) of line's filter counter within
-// set s. The key is taken from the tag bits (line with the set index
-// shifted out): resident lines of one set always differ in their tags, and
-// for streaming workloads recent residents have consecutive tags, so keys
-// rarely collide and most misses are proven without a scan.
-func (c *Cache) filtKey(s, line uint64) (uint64, uint) {
-	k := (line >> c.setShift) & filtMask
-	return s*c.stride + k>>3, uint(k&7) << 3
-}
 
 // LineOf maps an address to its line number.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineBits }
 
-// LineBytes returns the line size in bytes.
-func (c *Cache) LineBytes() int64 { return 1 << c.lineBits }
-
-// AccessOrFill merges Access and Fill into a single pass over the set: on
-// a hit the line moves to the front (and is dirtied on writes); on a miss
-// the line is inserted immediately, evicting the LRU way — the head
-// rotates back one slot onto the old LRU entry, so a miss insert is O(1)
-// and the set is never rescanned. The eviction report applies only to the
-// miss case.
+// AccessOrFill merges RefCache's Access and Fill into a single pass over
+// the set: on a hit the line moves to the front (and is dirtied on
+// writes); on a miss the line is inserted immediately, evicting the LRU
+// way — the head rotates back one slot onto the old LRU entry, so a miss
+// insert is O(1) and the set is never rescanned. The eviction report
+// applies only to the miss case: evictedOK is false when an invalid way
+// was used and nothing was evicted.
 func (c *Cache) AccessOrFill(line uint64, write bool) (hit bool, evicted uint64, evictedDirty, evictedOK bool) {
 	s := line & c.mask
 	fbase := s * c.stride
@@ -187,6 +177,11 @@ func (c *Cache) AccessOrFill(line uint64, write bool) (hit bool, evicted uint64,
 // because a streaming access is almost always a provable miss that can
 // take the O(1) insert without touching the set at all. The state
 // transition is identical to AccessOrFill — only the check order differs.
+//
+// The two bodies repeat the "proven miss" insert tail on purpose: a shared
+// helper is past the inliner's budget (cost 112 > 80), and the extra call
+// per streamed line made the repo benchmark's scan_stream host_rep_s worse
+// in 4 of 4 alternating pairs (0.374–0.381 s → 0.401–0.414 s, +7 %).
 func (c *Cache) AccessOrFillStream(line uint64, write bool) (hit bool, evicted uint64, evictedDirty, evictedOK bool) {
 	s := line & c.mask
 	fbase := s * c.stride
@@ -283,68 +278,6 @@ func (c *Cache) scanOrFill(blk []uint64, h int, line uint64, write bool) (hit bo
 	return false, evicted, evictedDirty, evictedOK
 }
 
-// scanHit scans the set s for line in recency order; on a hit the entry
-// moves to the front (dirtied on writes). Recency order is two linear
-// segments of the circular set: [h, ways) then [0, h).
-func (c *Cache) scanHit(s, line uint64, write bool) bool {
-	base := s*c.stride + filtWords
-	set := c.data[base : base+uint64(c.ways)]
-	h := int(c.head[s])
-	want := (line+1)<<1 | 1
-	for i := h; i < len(set); i++ {
-		if set[i]|1 == want {
-			e := set[i]
-			if write {
-				e |= 1
-			}
-			copy(set[h+1:i+1], set[h:i])
-			set[h] = e
-			return true
-		}
-	}
-	for i := 0; i < h; i++ {
-		if set[i]|1 == want {
-			e := set[i]
-			if write {
-				e |= 1
-			}
-			copy(set[1:i+1], set[:i])
-			set[0] = set[len(set)-1]
-			copy(set[h+1:], set[h:len(set)-1])
-			set[h] = e
-			return true
-		}
-	}
-	return false
-}
-
-// fillMiss inserts line at the front of set s (after a miss), evicting
-// the LRU way in O(1): the head rotates back one slot onto the old LRU
-// entry. fw/fs locate line's filter counter.
-func (c *Cache) fillMiss(s, line uint64, write bool, fw uint64, fs uint) (evicted uint64, evictedDirty, ok bool) {
-	base := s*c.stride + filtWords
-	set := c.data[base : base+uint64(c.ways)]
-	lru := int(c.head[s]) - 1
-	if lru < 0 {
-		lru = len(set) - 1
-	}
-	if old := set[lru]; old != 0 {
-		evicted = old>>1 - 1
-		evictedDirty = old&1 != 0
-		ok = true
-		ew, es := c.filtKey(s, evicted)
-		c.data[ew] -= 1 << es
-	}
-	e := (line + 1) << 1
-	if write {
-		e |= 1
-	}
-	set[lru] = e
-	c.head[s] = uint16(lru)
-	c.data[fw] += 1 << fs
-	return evicted, evictedDirty, ok
-}
-
 // DirtyMRU marks line dirty in place. The caller guarantees that line is
 // the MRU entry of its set — e.g. it was the thread's immediately
 // preceding access — so the update is a single word OR with no scan and
@@ -353,26 +286,6 @@ func (c *Cache) fillMiss(s, line uint64, write bool, fw uint64, fs uint) (evicte
 func (c *Cache) DirtyMRU(line uint64) {
 	s := line & c.mask
 	c.data[s*c.stride+filtWords+uint64(c.head[s])] |= 1
-}
-
-// Access probes the cache for line. On a hit it refreshes LRU state
-// (move-to-front) and, for writes, marks the line dirty.
-func (c *Cache) Access(line uint64, write bool) bool {
-	s := line & c.mask
-	fw, fs := c.filtKey(s, line)
-	if c.data[fw]>>fs&0xff == 0 {
-		return false
-	}
-	return c.scanHit(s, line, write)
-}
-
-// Fill inserts line (after a miss), evicting the LRU way of its set.
-// It reports the evicted line and whether it was dirty; ok is false when
-// an invalid way was used and nothing was evicted.
-func (c *Cache) Fill(line uint64, write bool) (evicted uint64, evictedDirty, ok bool) {
-	s := line & c.mask
-	fw, fs := c.filtKey(s, line)
-	return c.fillMiss(s, line, write, fw, fs)
 }
 
 // Reset invalidates all lines.
@@ -516,9 +429,6 @@ func NewRef(g platform.CacheGeom) *RefCache {
 
 // LineOf maps an address to its line number.
 func (c *RefCache) LineOf(addr uint64) uint64 { return addr >> c.lineBits }
-
-// LineBytes returns the line size in bytes.
-func (c *RefCache) LineBytes() int64 { return 1 << c.lineBits }
 
 // Access probes the cache for line. On a hit it refreshes LRU state and,
 // for writes, marks the line dirty.

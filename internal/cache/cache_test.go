@@ -14,55 +14,53 @@ var oneSet = platform.CacheGeom{SizeBytes: 4 * 64, Ways: 4, LineBytes: 64}
 // lines that all map to set 0 of a single-set cache are just consecutive
 // integers; for multi-set geometries use line*sets to stay in one set.
 
+// probe is one access with fill-on-miss, the operation both tests below
+// drive: the packed cache's fused AccessOrFill, and the reference cache's
+// Access followed, on a miss, by Fill.
+type probe func(line uint64, write bool) (hit bool, evicted uint64, evictedDirty, evictedOK bool)
+
+func probes(g platform.CacheGeom) map[string]probe {
+	ref := NewRef(g)
+	return map[string]probe{
+		"fast": New(g).AccessOrFill,
+		"ref": func(line uint64, write bool) (bool, uint64, bool, bool) {
+			if ref.Access(line, write) {
+				return true, 0, false, false
+			}
+			ev, dirty, ok := ref.Fill(line, write)
+			return false, ev, dirty, ok
+		},
+	}
+}
+
 // TestLRUEvictionOrder fills a set past capacity and checks that the
 // least recently used line is evicted, for both implementations.
 func TestLRUEvictionOrder(t *testing.T) {
-	type cacheIface interface {
-		Access(line uint64, write bool) bool
-		Fill(line uint64, write bool) (uint64, bool, bool)
-	}
-	for _, tc := range []struct {
-		name string
-		c    cacheIface
-	}{
-		{"fast", New(oneSet)},
-		{"ref", NewRef(oneSet)},
-	} {
-		c := tc.c
+	for name, access := range probes(oneSet) {
 		// Fill ways with lines 1..4. No evictions while invalid ways last.
 		for l := uint64(1); l <= 4; l++ {
-			if c.Access(l, false) {
-				t.Fatalf("%s: cold access to line %d hit", tc.name, l)
-			}
-			if _, _, ok := c.Fill(l, false); ok {
-				t.Fatalf("%s: filling invalid way evicted something (line %d)", tc.name, l)
+			if hit, _, _, ok := access(l, false); hit || ok {
+				t.Fatalf("%s: cold access to line %d: hit=%v evicted=%v", name, l, hit, ok)
 			}
 		}
 		// Touch line 1: it becomes MRU; LRU is now line 2.
-		if !c.Access(1, false) {
-			t.Fatalf("%s: line 1 should be resident", tc.name)
+		if hit, _, _, _ := access(1, false); !hit {
+			t.Fatalf("%s: line 1 should be resident", name)
 		}
-		// Insert line 5: must evict line 2 (true LRU).
-		if c.Access(5, false) {
-			t.Fatalf("%s: line 5 unexpectedly hit", tc.name)
-		}
-		ev, _, ok := c.Fill(5, false)
-		if !ok || ev != 2 {
-			t.Errorf("%s: expected eviction of line 2, got ok=%v line=%d", tc.name, ok, ev)
-		}
-		// Insert line 6: must evict line 3.
-		c.Access(6, false)
-		if ev, _, _ := c.Fill(6, false); ev != 3 {
-			t.Errorf("%s: expected eviction of line 3, got %d", tc.name, ev)
+		// Insert line 5: must evict line 2 (true LRU); then line 6 evicts 3.
+		for l, want := uint64(5), uint64(2); l <= 6; l, want = l+1, want+1 {
+			if hit, ev, _, ok := access(l, false); hit || !ok || ev != want {
+				t.Errorf("%s: line %d: want miss evicting line %d, got hit=%v ok=%v line=%d", name, l, want, hit, ok, ev)
+			}
 		}
 		// 1, 4, 5, 6 resident; 2, 3 gone.
 		for _, want := range []uint64{1, 4, 5, 6} {
-			if !c.Access(want, false) {
-				t.Errorf("%s: line %d should be resident", tc.name, want)
+			if hit, _, _, _ := access(want, false); !hit {
+				t.Errorf("%s: line %d should be resident", name, want)
 			}
 		}
-		if c.Access(2, false) || c.Access(3, false) {
-			t.Errorf("%s: evicted lines still resident", tc.name)
+		if hit, ev, _, _ := access(2, false); hit || ev != 1 {
+			t.Errorf("%s: line 2 should be gone and evict line 1, got hit=%v line=%d", name, hit, ev)
 		}
 	}
 }
@@ -70,36 +68,21 @@ func TestLRUEvictionOrder(t *testing.T) {
 // TestDirtyWriteback checks that dirty lines report their state when
 // evicted and clean lines do not, for both implementations.
 func TestDirtyWriteback(t *testing.T) {
-	for _, impl := range []string{"fast", "ref"} {
-		var access func(uint64, bool) bool
-		var fill func(uint64, bool) (uint64, bool, bool)
-		if impl == "fast" {
-			c := New(oneSet)
-			access, fill = c.Access, c.Fill
-		} else {
-			c := NewRef(oneSet)
-			access, fill = c.Access, c.Fill
-		}
-		fill(1, true)  // written on fill
-		fill(2, false) // clean
+	for name, access := range probes(oneSet) {
+		access(1, true)  // written on fill
+		access(2, false) // clean
 		access(3, false)
-		fill(3, false)
 		access(3, true) // dirtied by a write hit
-		fill(4, false)
-		// Evict line 1 (LRU): was written on fill -> dirty.
-		ev, dirty, ok := fill(5, false)
-		if !ok || ev != 1 || !dirty {
-			t.Errorf("%s: want dirty eviction of line 1, got line=%d dirty=%v ok=%v", impl, ev, dirty, ok)
-		}
-		// Evict line 2: never written -> clean.
-		ev, dirty, _ = fill(6, false)
-		if ev != 2 || dirty {
-			t.Errorf("%s: want clean eviction of line 2, got line=%d dirty=%v", impl, ev, dirty)
-		}
-		// Evict line 3: dirtied by the write hit.
-		ev, dirty, _ = fill(7, false)
-		if ev != 3 || !dirty {
-			t.Errorf("%s: want dirty eviction of line 3, got line=%d dirty=%v", impl, ev, dirty)
+		access(4, false)
+		for _, want := range []struct {
+			line  uint64
+			dirty bool
+		}{{1, true}, {2, false}, {3, true}} {
+			_, ev, dirty, ok := access(want.line+4, false)
+			if !ok || ev != want.line || dirty != want.dirty {
+				t.Errorf("%s: want eviction of line %d dirty=%v, got line=%d dirty=%v ok=%v",
+					name, want.line, want.dirty, ev, dirty, ok)
+			}
 		}
 	}
 }
@@ -143,59 +126,72 @@ func TestTLBSetIndexing(t *testing.T) {
 	}
 }
 
-// TestCacheImplEquivalence drives both cache implementations with an
-// identical randomized trace of mixed reads and writes over a small
-// geometry (so sets overflow constantly) and asserts that every probe
-// and every eviction decision agrees.
-func TestCacheImplEquivalence(t *testing.T) {
-	geom := platform.CacheGeom{SizeBytes: 8 * 64 * 4, Ways: 4, LineBytes: 64} // 8 sets x 4 ways
-	fast := New(geom)
-	ref := NewRef(geom)
-	r := rng.NewXorShift(7)
-	for i := 0; i < 200000; i++ {
-		line := r.Next() % 128 // 16 lines per set: constant overflow
-		write := r.Next()%4 == 0
-		fh := fast.Access(line, write)
-		rh := ref.Access(line, write)
-		if fh != rh {
-			t.Fatalf("op %d: access(%d) fast=%v ref=%v", i, line, fh, rh)
-		}
-		if !fh {
-			fe, fd, fok := fast.Fill(line, write)
-			re, rd, rok := ref.Fill(line, write)
-			if fok != rok || (fok && (fe != re || fd != rd)) {
-				t.Fatalf("op %d: fill(%d) fast=(%d,%v,%v) ref=(%d,%v,%v)", i, line, fe, fd, fok, re, rd, rok)
-			}
-		}
-	}
-}
-
-// TestCacheFusedEquivalence drives AccessOrFill against a RefCache using
-// separate Access+Fill on the same trace.
+// TestCacheFusedEquivalence is the packed-vs-RefCache differential: every
+// probe the packed cache offers — AccessOrFill, AccessOrFillStream, the
+// in-place DirtyMRU and Reset — runs against a RefCache using separate
+// Access+Fill on the same randomized trace of mixed reads and writes,
+// over two small geometries (so sets overflow constantly), and every
+// hit and every eviction decision must agree.
 func TestCacheFusedEquivalence(t *testing.T) {
-	geom := platform.CacheGeom{SizeBytes: 4 * 64 * 8, Ways: 8, LineBytes: 64} // 4 sets x 8 ways
-	fast := New(geom)
-	ref := NewRef(geom)
-	r := rng.NewXorShift(11)
-	for i := 0; i < 200000; i++ {
-		line := r.Next() % 96
-		write := r.Next()%3 == 0
-		fh, fe, fd, fok := fast.AccessOrFill(line, write)
-		rh := ref.Access(line, write)
-		if fh != rh {
-			t.Fatalf("op %d: line %d fast hit=%v ref hit=%v", i, line, fh, rh)
-		}
-		if !rh {
-			re, rd, rok := ref.Fill(line, write)
-			if fok != rok || (fok && (fe != re || fd != rd)) {
-				t.Fatalf("op %d: line %d eviction fast=(%d,%v,%v) ref=(%d,%v,%v)", i, line, fe, fd, fok, re, rd, rok)
+	for _, g := range []struct {
+		name        string
+		sets, ways  int64
+		lines, seed uint64
+	}{
+		{"8x4", 8, 4, 128, 7}, // 16 lines per set: constant overflow
+		{"4x8", 4, 8, 96, 11},
+	} {
+		geom := platform.CacheGeom{SizeBytes: g.sets * g.ways * 64, Ways: int(g.ways), LineBytes: 64}
+		fast := New(geom)
+		ref := NewRef(geom)
+		r := rng.NewXorShift(g.seed)
+		for i := 0; i < 200000; i++ {
+			// One line in four is shifted by 128 tags, so it shares its filter
+			// counter with a line that may be resident and the set scan also
+			// runs for lines that turn out to be absent.
+			line := r.Next() % g.lines
+			if r.Next()%4 == 0 {
+				line += uint64(g.sets) * (filtMask + 1)
+			}
+			if addr := line<<6 | 63; fast.LineOf(addr) != line || ref.LineOf(addr) != line {
+				t.Fatalf("%s op %d: LineOf(%#x) fast=%d ref=%d, want %d", g.name, i, addr, fast.LineOf(addr), ref.LineOf(addr), line)
+			}
+			write := r.Next()%3 == 0
+			op := r.Next() % 4096
+			if op == 0 {
+				fast.Reset()
+				ref.Reset()
+			}
+			probe := fast.AccessOrFill
+			if op&1 != 0 {
+				probe = fast.AccessOrFillStream
+			}
+			fh, fe, fd, fok := probe(line, write)
+			rh := ref.Access(line, write)
+			if fh != rh {
+				t.Fatalf("%s op %d: line %d fast hit=%v ref hit=%v", g.name, i, line, fh, rh)
+			}
+			if !rh {
+				re, rd, rok := ref.Fill(line, write)
+				if fok != rok || (fok && (fe != re || fd != rd)) {
+					t.Fatalf("%s op %d: line %d eviction fast=(%d,%v,%v) ref=(%d,%v,%v)", g.name, i, line, fe, fd, fok, re, rd, rok)
+				}
+			}
+			// The line is now its set's MRU way, which is all DirtyMRU asks
+			// for: after a read it must act as the reference's write hit (a
+			// later eviction of the line reports the dirty bit).
+			if !write && op&6 == 0 {
+				fast.DirtyMRU(line)
+				if !ref.Access(line, true) {
+					t.Fatalf("%s op %d: line %d not resident in ref after its own access", g.name, i, line)
+				}
 			}
 		}
 	}
 }
 
 // TestTLBImplEquivalence drives both TLB implementations with the same
-// randomized page trace.
+// randomized page trace, interrupted by the occasional Reset.
 func TestTLBImplEquivalence(t *testing.T) {
 	geom := platform.TLBGeom{Entries: 16, Ways: 4} // 4 sets x 4 ways
 	fast := NewTLB(geom)
@@ -203,6 +199,10 @@ func TestTLBImplEquivalence(t *testing.T) {
 	r := rng.NewXorShift(13)
 	for i := 0; i < 200000; i++ {
 		page := r.Next() % 64
+		if r.Next()%4096 == 0 {
+			fast.Reset()
+			ref.Reset()
+		}
 		fh := fast.Access(page)
 		rh := ref.Access(page)
 		if fh != rh {

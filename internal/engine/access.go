@@ -19,117 +19,11 @@ const (
 // translation can produce it (simulated addresses stay far below 2^63).
 const noPage = ^uint64(0)
 
-// Memory accesses charge (latency, llcMiss, bandwidthPaced) through
-// refAccess (per-op reference) or fastAccess (batched fast path); both
-// perform the identical simulated state transition. The latency of paced
-// accesses is a cycle-advance, not a completion latency (see Load).
-//
 // For accesses that are part of a detected sequential stream the
 // translation latency is not charged: the hardware page walker runs ahead
 // of the stream alongside the prefetcher, so scans observe pure bandwidth
 // — this is why the paper's EPCM-check overhead hurts random accesses
 // (Fig 5) but leaves linear scans at ~-3 % (Fig 13).
-
-// refAccess is the original per-op implementation: a full stream-table
-// scan, a full TLB probe and separate probe/fill cache walks for every
-// access, over the timestamp-LRU reference structures. Kept as the
-// golden-test baseline.
-func (t *Thread) refAccess(b *mem.Buffer, off int64, write bool) (lat uint64, llcMiss, paced bool) {
-	addr := b.Base + uint64(off)
-	remote := b.Reg.Node != t.Node
-	epc := b.Reg.Kind == mem.EPC
-	inStream := t.refTrainStream(addr)
-
-	// --- Translation ---
-	var tlbLat uint64
-	page := addr / uint64(t.Plat.PageBytes)
-	if !t.rdtlb.Access(page) {
-		if t.rstlb.Access(page) {
-			tlbLat += t.Plat.LatSTLB
-		} else {
-			tlbLat += t.walkPage(page, b.Reg.Node, epc, remote)
-		}
-	}
-
-	// --- Data ---
-	dl, level := t.refHier(addr, write, b.Reg.Node, epc, remote)
-	if level == levelDRAM {
-		t.st.DRAMAcc++
-		if inStream {
-			// Prefetched stream: pace at stream bandwidth instead of
-			// paying the full miss latency; translation overlaps with
-			// the stream. The reference path recomputes the pacing
-			// latency from bandwidth each time, as the model originally
-			// did; the value is bit-identical to the fast path's
-			// precomputed table.
-			bw := t.Plat.CoreStreamBW
-			if remote {
-				bw = t.Plat.RemoteStreamBW
-				if epc {
-					bw *= t.Costs.UPIStreamTaxEPC
-				}
-			} else if epc {
-				bw *= t.Plat.EPCStreamTax
-			}
-			lat = uint64(float64(t.Plat.L1D.LineBytes) / bw)
-			t.st.StreamFills++
-			return lat, true, true
-		}
-		t.st.RandomFills++
-		return tlbLat + dl, true, false
-	}
-	return tlbLat + dl, false, false
-}
-
-// refTrainStream is the per-op reference implementation of the stream
-// table: a linear scan of all slots for the page's stream (and, on a
-// miss, for a neighbouring page's stream to continue), exactly as the
-// original model scanned its fully-associative table per access. It
-// performs the identical state transition to trainStream — a page's
-// stream can only ever live in that page's index pair, so the scan finds
-// the same slot direct indexing does.
-func (t *Thread) refTrainStream(addr uint64) bool {
-	line := addr >> 6
-	page := line >> t.lpShift
-	i := page & (nStreams - 1)
-	for j := range t.streams {
-		s := &t.streams[j]
-		if s.pageKey != page+1 {
-			continue
-		}
-		t.mruWay[i] = uint8(j & 1)
-		switch line - s.lastLine {
-		case 0:
-			return s.streak >= 2
-		case 1, ^uint64(0):
-			s.streak++
-			s.lastLine = line
-			return s.streak >= 2
-		}
-		s.lastLine = line
-		s.streak = 0
-		return false
-	}
-	var streak uint64
-	for j := range t.streams {
-		s := &t.streams[j]
-		// pageKey is page+1 of the tracked page, so a slot tracking
-		// page-1 has pageKey == page; guard page != 0 so empty slots
-		// (pageKey 0) can never match.
-		if page != 0 && s.pageKey == page && line == s.lastLine+1 {
-			streak = s.streak + 1
-			break
-		}
-		if s.pageKey == page+2 && line+1 == s.lastLine {
-			streak = s.streak + 1
-			break
-		}
-	}
-	w := 1 - int(t.mruWay[i])
-	t.streams[2*i+uint64(w)] = stream{pageKey: page + 1, lastLine: line, streak: streak}
-	t.mruWay[i] = uint8(w)
-	return streak >= 2
-}
 
 // fastTranslate performs the full translation for a page that misses the
 // one-entry last-page cache, updating it. Callers pre-check
@@ -164,8 +58,8 @@ func (t *Thread) pacedAdvance(epc, remote bool) uint64 {
 
 // walkPage charges a hardware page walk (on STLB miss): the base walk
 // latency, the PTE fetches through the cache hierarchy, and — for EPC
-// pages — the EPCM security checks. Shared by both access paths; the
-// metadata fetches go through the mode-appropriate hierarchy walk. When
+// pages — the EPCM security checks. Shared by both engines; the metadata
+// fetches go through hier, which hands over on a reference thread. When
 // the walked page's 2 MiB region hits the paging-structure cache, the
 // non-leaf levels are served by the walker internally and only the leaf
 // PTE is fetched through the hierarchy.
@@ -217,52 +111,20 @@ const (
 	levelDRAM
 )
 
-// hier dispatches a hierarchy walk to the mode-appropriate implementation.
+// hier walks the cache hierarchy for one line, filling on miss, and
+// returns the latency and the level that served the access. Each level is
+// probed and, on a miss, filled in a single pass over the set, so misses
+// never rescan it. The L1 hit exit is the short common path — one probe of
+// the recency-ordered set and no further accounting. DRAM-level costs
+// include the SGX adders (dramFill).
 func (t *Thread) hier(addr uint64, write bool, homeNode int, epc, remote bool) (uint64, level) {
-	if t.ref {
+	if t.ref != nil {
 		return t.refHier(addr, write, homeNode, epc, remote)
 	}
-	return t.fastHier(addr, write, homeNode, epc, remote)
-}
-
-// refHier walks the cache hierarchy for one line, filling on miss, and
-// returns the latency and the level that served the access — the original
-// separate-probe-then-fill implementation. DRAM-level costs include SGX
-// adders (TME-MK decryption for EPC lines, UPI transfer and UCE encryption
-// for remote lines) and are accounted in the byte counters used for
-// phase-level bandwidth composition.
-func (t *Thread) refHier(addr uint64, write bool, homeNode int, epc, remote bool) (uint64, level) {
-	line := t.rl1.LineOf(addr)
-	if t.rl1.Access(line, write) {
-		t.st.L1Hits++
-		return t.Plat.LatL1, levelL1
-	}
-	if t.rl2.Access(line, write) {
-		t.rl1.Fill(line, write)
-		t.st.L2Hits++
-		return t.Plat.LatL2, levelL2
-	}
-	if t.rl3.Access(line, write) {
-		t.rl2.Fill(line, write)
-		t.rl1.Fill(line, write)
-		t.st.L3Hits++
-		return t.Plat.LatL3, levelL3
-	}
-	t.rl1.Fill(line, write)
-	t.rl2.Fill(line, write)
-	_, dirty, ok := t.rl3.Fill(line, write)
-	return t.dramFill(write, homeNode, epc, remote, ok && dirty), levelDRAM
-}
-
-// fastHier is the fused-probe implementation of the identical hierarchy
-// walk: each level is probed and, on a miss, filled in a single pass over
-// the set, so misses never rescan it. The L1 hit exit is the short common
-// path — one probe of the recency-ordered set and no further accounting.
-func (t *Thread) fastHier(addr uint64, write bool, homeNode int, epc, remote bool) (uint64, level) {
 	line := t.l1.LineOf(addr)
 	// Seed every level the probe reaches: a level that misses is filled
-	// immediately (the original path fills it later in the same access —
-	// the merged probe performs the same insertion in one pass).
+	// immediately (refHier fills it later in the same access — the merged
+	// probe performs the same insertion in one pass).
 	if hit, _, _, _ := t.l1.AccessOrFill(line, write); hit {
 		t.st.L1Hits++
 		return t.Plat.LatL1, levelL1
@@ -391,12 +253,8 @@ func (t *Thread) streamAt(page uint64) *stream {
 // ResetMemoryState clears caches, TLBs and the prefetcher table (cold
 // start). Counters and the clock are preserved.
 func (t *Thread) ResetMemoryState() {
-	if t.ref {
-		t.rl1.Reset()
-		t.rl2.Reset()
-		t.rl3.Reset()
-		t.rdtlb.Reset()
-		t.rstlb.Reset()
+	if t.ref != nil {
+		t.ref.reset()
 	} else {
 		t.l1.Reset()
 		t.l2.Reset()

@@ -50,17 +50,3 @@ func StoreLine(t *Thread, b *mem.Buffer, off int64, addrDep, dataDep Tok) Tok {
 	}
 	return t.Store(b, off, n, addrDep, dataDep)
 }
-
-// StreamZero models zeroing (or first-touch initialization of) n bytes
-// starting at off using non-temporal stores: pure bandwidth, no latency
-// chain. Used for memset-style initialization and buffer pre-touching.
-func StreamZero(t *Thread, b *mem.Buffer, off, n int64) {
-	lineBytes := t.Plat.L1D.LineBytes
-	for o := off; o < off+n; o += lineBytes {
-		sz := lineBytes
-		if o+sz > b.Size {
-			sz = b.Size - o
-		}
-		t.Store(b, o, sz, 0, 0)
-	}
-}

@@ -6,10 +6,10 @@ import "sgxbench/internal/mem"
 // accesses in one engine invocation, amortizing the host-side cost of the
 // simulation: range checking, buffer placement resolution, stream
 // training and address translation fold into per-run and per-page strides
-// instead of per-op probes. In reference mode (Config.Reference) every
-// bulk call decomposes into the equivalent sequence of per-op Load/Store
-// calls; by the engine's fast-path invariant the two produce bit-identical
-// simulated statistics and state, which the golden tests assert.
+// instead of per-op probes. On a reference thread every run API hands
+// over to its decomposition into per-op Load/Store calls (refLoadRun,
+// refStoreRun); the two produce bit-identical simulated statistics and
+// state, which the golden tests assert.
 
 // LoadRun charges n loads of elem bytes each at consecutive offsets
 // off, off+elem, ..., off+(n-1)*elem. dep is the address dependency of
@@ -20,15 +20,8 @@ func (t *Thread) LoadRun(b *mem.Buffer, off, elem int64, n int, dep Tok) Tok {
 		return dep
 	}
 	t.checkRange(b, off, elem*int64(n))
-	if t.ref {
-		// Reference decomposition: the true per-op API, one call per
-		// element, exactly as the pre-batching code issued them.
-		var done Tok
-		for i := 0; i < n; i++ {
-			done = t.Load(b, off, elem, dep)
-			off += elem
-		}
-		return done
+	if t.ref != nil {
+		return t.refLoadRun(b, off, elem, n, dep, nil)
 	}
 	return t.fastLoadRun(b, off, elem, n, dep, nil)
 }
@@ -41,11 +34,8 @@ func (t *Thread) LoadRunToks(b *mem.Buffer, off, elem int64, n int, dep Tok, tok
 		return
 	}
 	t.checkRange(b, off, elem*int64(n))
-	if t.ref {
-		for i := 0; i < n; i++ {
-			toks[i] = t.Load(b, off, elem, dep)
-			off += elem
-		}
+	if t.ref != nil {
+		t.refLoadRun(b, off, elem, n, dep, toks)
 		return
 	}
 	t.fastLoadRun(b, off, elem, n, dep, toks)
@@ -76,20 +66,15 @@ func (t *Thread) LoadLines(b *mem.Buffer, off int64, nLines int, dep Tok) Tok {
 		return dep
 	}
 	nLines = t.clampLines(b, off, nLines)
-	if t.ref {
-		var done Tok
-		for i := 0; i < nLines; i++ {
-			done = LoadLine(t, b, off, dep)
-			off += 64
-		}
-		return done
+	if t.ref != nil {
+		return t.refLoadRun(b, off, 64, nLines, dep, nil)
 	}
 	return t.fastLoadRun(b, off, 64, nLines, dep, nil)
 }
 
 // fastLoadRun is the batched fast path shared by the Load* bulk APIs: one
 // tight loop whose per-element state transitions are exactly those of
-// loadStep, with the run-invariant work hoisted — buffer placement, the
+// loadAt, with the run-invariant work hoisted — buffer placement, the
 // pacing latency, and the prefetcher stream slot, which a sequential run
 // keeps extending without re-resolving. Elements that re-touch the
 // previous element's line (sub-line strides: 8 loads of an 8-byte run
@@ -225,9 +210,8 @@ func (t *Thread) StoreLinesNT(b *mem.Buffer, off int64, nLines int, addrDep, dat
 	t.st.Stores += uint64(nLines)
 	t.st.NTStores += uint64(nLines)
 	for i := 0; i < nLines; i++ {
-		// Shared by both engine paths (this loop is the reference
-		// decomposition too), so the touch order is identical by
-		// construction.
+		// This loop is the reference decomposition too, so the touch order
+		// is identical by construction.
 		if paging {
 			t.epcTouch(addr >> t.pageShift)
 		}
@@ -239,12 +223,8 @@ func (t *Thread) StoreLinesNT(b *mem.Buffer, off int64, nLines int, addrDep, dat
 		// Translation state advances as for any store; the latency hides
 		// behind the stream (the paced-access discipline).
 		page := addr >> t.pageShift
-		if t.ref {
-			if !t.rdtlb.Access(page) {
-				if !t.rstlb.Access(page) {
-					t.walkPage(page, node, epc, remote)
-				}
-			}
+		if t.ref != nil {
+			t.refTranslateNT(page, node, epc, remote)
 		} else if page != t.lastPage {
 			if t.dtlb.MRUHit(page) {
 				t.lastPage = page
@@ -280,13 +260,8 @@ func (t *Thread) StoreRun(b *mem.Buffer, off, elem int64, n int, addrDep, dataDe
 		return dataDep
 	}
 	t.checkRange(b, off, elem*int64(n))
-	if t.ref {
-		var done Tok
-		for i := 0; i < n; i++ {
-			done = t.Store(b, off, elem, addrDep, dataDep)
-			off += elem
-		}
-		return done
+	if t.ref != nil {
+		return t.refStoreRun(b, off, elem, n, addrDep, dataDep)
 	}
 	addr := b.Base + uint64(off)
 	step := uint64(elem)
@@ -393,18 +368,17 @@ func (t *Thread) StoreRun(b *mem.Buffer, off, elem int64, n int, addrDep, dataDe
 	return fwd
 }
 
-// fastLoadOne is the per-op fast path of Load.
-func (t *Thread) fastLoadOne(b *mem.Buffer, off int64, dep Tok) Tok {
-	return t.fastLoadAt(b, b.Base+uint64(off), b.Reg.Node, b.Reg.Kind == mem.EPC, b.Reg.Node != t.Node, dep)
-}
-
-// fastLoadAt is the fused load fast path shared by Load, LoadGather,
-// LoadChain and CASLoad: the issue, gating, stream-training, translation,
+// loadAt is the single per-access load primitive under Load, CAS and every
+// gather/scatter API: the issue, gating, stream-training, translation,
 // hierarchy walk and completion accounting of one load in a single
-// function, with the identical state transition to the reference path.
-// The buffer placement (node, epc, remote) is resolved by the caller so
-// batched invocations hoist it out of their loops.
-func (t *Thread) fastLoadAt(b *mem.Buffer, addr uint64, node int, epc, remote bool, dep Tok) Tok {
+// function, with the identical state transition to refLoad, to which a
+// reference thread hands over on the first line. The caller has
+// range-checked the access and resolved the buffer placement (node, epc,
+// remote), so batched invocations hoist that out of their loops.
+func (t *Thread) loadAt(b *mem.Buffer, addr uint64, node int, epc, remote bool, dep Tok) Tok {
+	if t.ref != nil {
+		return t.refLoad(b, addr, dep)
+	}
 	if t.epcDom != nil && epc {
 		t.epcTouch(addr >> t.pageShift)
 	}
@@ -459,14 +433,13 @@ func (t *Thread) fastLoadAt(b *mem.Buffer, addr uint64, node int, epc, remote bo
 	return done
 }
 
-// fastStoreOne is the per-op fast path of Store.
-func (t *Thread) fastStoreOne(b *mem.Buffer, off int64, addrDep, dataDep Tok) Tok {
-	return t.fastStoreAt(b, b.Base+uint64(off), b.Reg.Node, b.Reg.Kind == mem.EPC, b.Reg.Node != t.Node, addrDep, dataDep)
-}
-
-// fastStoreAt is the fused store fast path shared by Store, StoreScatter,
-// RMWScatter and CASLoad, the store counterpart of fastLoadAt.
-func (t *Thread) fastStoreAt(b *mem.Buffer, addr uint64, node int, epc, remote bool, addrDep, dataDep Tok) Tok {
+// storeAt is the store counterpart of loadAt, the single per-access store
+// primitive under Store, CAS, StoreScatter, RMWScatter and CASLoad; a
+// reference thread hands over to refStore.
+func (t *Thread) storeAt(b *mem.Buffer, addr uint64, node int, epc, remote bool, addrDep, dataDep Tok) Tok {
+	if t.ref != nil {
+		return t.refStore(b, addr, addrDep, dataDep)
+	}
 	if t.epcDom != nil && epc {
 		t.epcTouch(addr >> t.pageShift)
 	}

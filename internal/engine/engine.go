@@ -25,29 +25,42 @@
 // Invariant: the engine computes time only. It never produces or alters
 // data values, so results are bit-identical across execution modes.
 //
-// # Fast path
+// # Reference seam
 //
-// Every memory operation exists in two host-side implementations that are
-// required to produce identical simulated behaviour:
+// The timing model is written down twice, and the two are required to
+// produce identical simulated behaviour:
 //
-//   - the per-op reference path (Config.Reference = true): the original
-//     implementation — one full TLB probe, stream-table scan and
-//     separate cache probe/fill walk per access, over the timestamp-LRU
-//     reference caches;
-//   - the batched fast path (default): bulk APIs — the sequential runs
-//     LoadRun, StoreRun and LoadLines, and the random-access batches
-//     LoadGather, StoreScatter, RMWScatter, LoadChain and CASLoad — plus
-//     per-op operations over packed recency-ordered caches, a one-entry
-//     last-page translation cache in front of the DTLB, a one-entry MRU
-//     line memo that charges same-line repeat accesses as pure L1 hits,
-//     a cached prefetcher stream slot, fused probe+fill set walks and
-//     precomputed stream-pacing latencies.
+//   - the production engine (every file but reference.go): per-op
+//     Load/Store/CAS and the bulk APIs — the sequential runs LoadRun,
+//     LoadRunToks, LoadLines, StoreRun and StoreLinesNT, and the
+//     random-access batches LoadGather, StoreScatter, RMWScatter,
+//     LoadChain and CASLoad — over packed recency-ordered caches with
+//     fused probe+fill set walks, a one-entry last-page translation cache
+//     in front of the DTLB, a one-entry MRU line memo that charges
+//     same-line repeat accesses as pure L1 hits, a cached prefetcher
+//     stream slot and precomputed stream-pacing latencies;
+//   - the reference engine (reference.go, Config.Reference = true): the
+//     original implementation and the executable specification — one full
+//     TLB probe, stream-table scan and separate cache probe/fill walk per
+//     access over internal/cache's timestamp-LRU reference structures,
+//     every run API decomposed into per-op Load/Store calls.
 //
-// THE FAST PATH MAY NEVER CHANGE SIMULATED STATISTICS. Both paths must
-// yield bit-identical Stats (cycles, hit counts, DRAM bytes, ...) and
-// identical downstream cache/TLB state for the same access sequence; the
-// golden equivalence tests in internal/scan and internal/join enforce
-// this, and cmd/bench measures the host wall-clock gap between the two.
+// A Thread holds the reference engine behind one pointer, Thread.ref, nil
+// in production, consulted at nine hand-over points and nowhere else:
+// loadAt and storeAt (the single per-access primitives under Load, Store,
+// CAS and all five gather/scatter APIs), hier (the page walker's metadata
+// fetches), LoadRun, LoadRunToks, LoadLines and StoreRun (the run
+// decompositions), StoreLinesNT's translation step, and ResetMemoryState.
+// No other file names a reference structure (CI greps for it), and the
+// gather/scatter APIs have no reference variant at all: each is defined
+// as its per-element loop over loadAt/storeAt on both engines.
+//
+// THE PRODUCTION ENGINE MAY NEVER CHANGE SIMULATED STATISTICS. Both
+// engines must yield bit-identical Stats (cycles, hit counts, DRAM bytes,
+// ...) and identical downstream cache/TLB state for the same access
+// sequence; this package's trace tests and the operator packages' golden
+// equivalence tests enforce this, and cmd/bench re-checks it on every run
+// while measuring the host wall-clock gap between the two.
 package engine
 
 import (
@@ -252,13 +265,14 @@ type Thread struct {
 	storeBarrier uint64 // running max of store address-known times
 	specCount    uint64
 
-	// Fast-path cache hierarchy (nil in reference mode).
+	// Cache hierarchy (nil on a reference thread, whose refModel owns the
+	// reference structures instead).
 	l1, l2, l3 *cache.Cache
 	dtlb, stlb *cache.TLB
 
-	// Reference-mode cache hierarchy (nil on the fast path).
-	rl1, rl2, rl3 *cache.RefCache
-	rdtlb, rstlb  *cache.RefTLB
+	// ref is the reference engine (reference.go): non-nil only when the
+	// thread was built with Config.Reference.
+	ref *refModel
 
 	streams [2 * nStreams]stream
 	mruWay  [nStreams]uint8
@@ -307,7 +321,6 @@ type Thread struct {
 	epcCount int
 	epcLast  uint64
 
-	ref       bool      // per-op reference mode (golden-test baseline)
 	pageShift uint      // log2(Plat.PageBytes)
 	pacedLat  [4]uint64 // precomputed stream-pacing cycle advance, idx = remote<<1|epc
 	// Hot platform latencies mirrored into the thread to avoid a pointer
@@ -332,29 +345,26 @@ type Config struct {
 	// (>= 1). Unlike L3Share it spans sockets: the EPC limit is per
 	// enclave, not per socket.
 	EPCShare int
-	// Reference selects the per-op reference implementation of the memory
-	// model: bulk APIs decompose into individual Load/Store calls and all
-	// probes use the original timestamp-LRU structures. Simulated results
-	// and statistics are identical either way (the fast path may never
-	// change simulated stats); Reference exists for the golden equivalence
-	// tests and as the cmd/bench baseline.
+	// Reference selects the reference engine (reference.go): run APIs
+	// decompose into individual Load/Store calls and all probes use the
+	// original timestamp-LRU structures. Simulated results and statistics
+	// are identical either way (the production engine may never change
+	// simulated stats); Reference exists for the golden equivalence tests
+	// and as the cmd/bench baseline.
 	Reference bool
 }
 
-// NewThread creates a thread with cold caches.
+// NewThread creates a thread with cold caches. It panics with the
+// platform's Validate error if the model cannot run on cfg.Plat.
 func NewThread(cfg Config, id int) *Thread {
 	if cfg.Plat == nil {
 		panic("engine: Config.Plat is required")
 	}
-	share := cfg.L3Share
-	if share < 1 {
-		share = 1
+	if err := cfg.Plat.Validate(); err != nil {
+		panic(err)
 	}
-	l3geom := cfg.Plat.L3
-	l3geom.SizeBytes = l3geom.SizeBytes / int64(share)
-	if l3geom.SizeBytes < int64(l3geom.Ways)*l3geom.LineBytes {
-		l3geom.SizeBytes = int64(l3geom.Ways) * l3geom.LineBytes
-	}
+	l3geom := cfg.Plat.L3 // the thread's share of the socket L3, at least one set
+	l3geom.SizeBytes = max(l3geom.SizeBytes/int64(max(cfg.L3Share, 1)), int64(l3geom.Ways)*l3geom.LineBytes)
 	t := &Thread{
 		Plat:  cfg.Plat,
 		Mode:  cfg.Mode,
@@ -363,31 +373,19 @@ func NewThread(cfg Config, id int) *Thread {
 		ID:    id,
 		mlp:   make([]uint64, cfg.Plat.MLPSlots),
 		sbuf:  make([]uint64, cfg.Plat.StoreBufSize),
-		ref:   cfg.Reference,
 	}
 	t.lastPage = noPage
 	t.mruLine = noPage
 	t.epcLast = noPage
 	if cfg.EPC != nil && cfg.EPC.TotalPages > 0 {
-		share := int64(cfg.EPCShare)
-		if share < 1 {
-			share = 1
-		}
-		budget := cfg.EPC.TotalPages / share
-		if budget < 1 {
-			budget = 1
-		}
+		budget := max(cfg.EPC.TotalPages/max(int64(cfg.EPCShare), 1), 1)
 		t.epcDom = cfg.EPC
 		t.epcRing = make([]uint64, budget)
 		t.epcRef = make([]bool, budget)
 		t.epcIdx = make(map[uint64]int, budget)
 	}
-	if t.ref {
-		t.rl1 = cache.NewRef(cfg.Plat.L1D)
-		t.rl2 = cache.NewRef(cfg.Plat.L2)
-		t.rl3 = cache.NewRef(l3geom)
-		t.rdtlb = cache.NewRefTLB(cfg.Plat.DTLB)
-		t.rstlb = cache.NewRefTLB(cfg.Plat.STLB)
+	if cfg.Reference {
+		t.ref = newRefModel(cfg.Plat, l3geom)
 	} else {
 		t.l1 = cache.New(cfg.Plat.L1D)
 		t.l2 = cache.New(cfg.Plat.L2)
@@ -408,9 +406,6 @@ func NewThread(cfg Config, id int) *Thread {
 	t.pacedLat[3] = uint64(line / (cfg.Plat.RemoteStreamBW * cfg.Costs.UPIStreamTaxEPC))
 	return t
 }
-
-// Reference reports whether the thread runs the per-op reference path.
-func (t *Thread) Reference() bool { return t.ref }
 
 // Cycle returns the thread's current cycle (issue clock; completions may
 // be outstanding — call Drain for a quiescent timestamp).
@@ -471,7 +466,7 @@ func maxTok(a, b Tok) Tok {
 
 // loadGate applies the SSB store-address barrier (mitigation on) or the
 // speculative-bypass misspeculation model (mitigation off) to a load's
-// issue token. Shared verbatim by the per-op and batched paths.
+// issue token. Shared verbatim by both engines.
 func (t *Thread) loadGate(issue Tok) Tok {
 	if t.Mode.Mitigation {
 		if bar := Tok(t.storeBarrier); bar > issue {
@@ -497,37 +492,7 @@ func (t *Thread) loadGate(issue Tok) Tok {
 // It returns the token at which the loaded value is available.
 func (t *Thread) Load(b *mem.Buffer, off, size int64, dep Tok) Tok {
 	t.checkRange(b, off, size)
-	if !t.ref {
-		return t.fastLoadOne(b, off, dep)
-	}
-	return t.loadStep(b, off, dep)
-}
-
-// loadStep is the per-op reference path of Load (the fast path dispatches
-// to fastLoadOne before reaching it).
-func (t *Thread) loadStep(b *mem.Buffer, off int64, dep Tok) Tok {
-	if t.epcDom != nil && b.Reg.Kind == mem.EPC {
-		t.epcTouch((b.Base + uint64(off)) >> t.pageShift)
-	}
-	issue := maxTok(Tok(t.issueTick()), dep)
-	issue = t.loadGate(issue)
-	t.st.Loads++
-	lat, llcMiss, paced := t.refAccess(b, off, false)
-	switch {
-	case paced:
-		// Bandwidth-paced stream: the prefetcher hides latency, the core
-		// advances at stream bandwidth.
-		t.cycle = uint64(issue) + lat
-		return Tok(t.cycle)
-	case llcMiss:
-		slot := t.minSlot()
-		start := maxTok(issue, Tok(t.mlp[slot]))
-		done := start + Tok(lat)
-		t.mlp[slot] = uint64(done)
-		return done
-	default:
-		return issue + Tok(lat)
-	}
+	return t.loadAt(b, b.Base+uint64(off), b.Reg.Node, b.Reg.Kind == mem.EPC, b.Reg.Node != t.Node, dep)
 }
 
 // Store issues a store of size bytes at b[off]. addrDep is the token of
@@ -538,49 +503,7 @@ func (t *Thread) loadStep(b *mem.Buffer, off int64, dep Tok) Tok {
 // (store-to-load forwarding).
 func (t *Thread) Store(b *mem.Buffer, off, size int64, addrDep, dataDep Tok) Tok {
 	t.checkRange(b, off, size)
-	if !t.ref {
-		return t.fastStoreOne(b, off, addrDep, dataDep)
-	}
-	return t.storeStep(b, off, addrDep, dataDep)
-}
-
-// storeStep is the per-op reference path of Store (the fast path
-// dispatches to fastStoreOne before reaching it).
-func (t *Thread) storeStep(b *mem.Buffer, off int64, addrDep, dataDep Tok) Tok {
-	if t.epcDom != nil && b.Reg.Kind == mem.EPC {
-		t.epcTouch((b.Base + uint64(off)) >> t.pageShift)
-	}
-	issue := Tok(t.issueTick())
-	addrKnown := maxTok(issue, addrDep)
-	if uint64(addrKnown) > t.storeBarrier {
-		t.storeBarrier = uint64(addrKnown)
-	}
-	t.st.Stores++
-	lat, llcMiss, paced := t.refAccess(b, off, true)
-	ready := maxTok(addrKnown, dataDep)
-	var done Tok
-	switch {
-	case paced:
-		t.cycle = uint64(issue) + lat
-		done = maxTok(ready, Tok(t.cycle))
-	case llcMiss:
-		// Write-allocate: the RFO occupies a miss slot like a load.
-		slot := t.minSlot()
-		start := maxTok(ready, Tok(t.mlp[slot]))
-		done = start + Tok(lat)
-		t.mlp[slot] = uint64(done)
-	default:
-		done = ready + Tok(lat)
-	}
-	// Store buffer occupancy: if the ring is full of incomplete stores,
-	// issue stalls until the oldest drains.
-	if t.sbuf[t.sbufPos] > t.cycle {
-		t.cycle = t.sbuf[t.sbufPos]
-	}
-	t.sbuf[t.sbufPos] = uint64(done)
-	t.sbufPos = (t.sbufPos + 1) % len(t.sbuf)
-	// Forwarding latency from the store buffer.
-	return maxTok(ready, dataDep) + 5
+	return t.storeAt(b, b.Base+uint64(off), b.Reg.Node, b.Reg.Kind == mem.EPC, b.Reg.Node != t.Node, addrDep, dataDep)
 }
 
 // casHold is the line-hold latency of an atomic read-modify-write.

@@ -125,35 +125,103 @@ func TestGatherGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestGatherMatchesPerOp checks the reference decomposition itself: a
-// LoadGather over offsets must charge exactly the same stats as the
-// equivalent per-op Load sequence (both on the reference engine), so the
-// batched APIs cannot drift from the per-op semantics they bundle.
+// TestGatherMatchesPerOp checks the one decomposition each gather/scatter
+// API has: on both engines and under every execution setting, a bulk call
+// must leave exactly the statistics and drained clock of the hand-issued
+// public Load/Store/CAS sequence its doc comment states, and return the
+// same tokens — so the batched APIs cannot drift from the per-op
+// semantics they bundle.
 func TestGatherMatchesPerOp(t *testing.T) {
-	plat := platform.XeonGold6326().Scaled(256)
-	mk := func() (*engine.Thread, mem.Buffer) {
-		sp := mem.NewSpace(plat.Sockets)
-		buf := sp.Alloc("buf", 1<<18, mem.Region{Node: 0, Kind: mem.EPC})
-		th := engine.NewThread(engine.Config{
-			Plat: plat, Mode: engine.Enclave, Costs: engine.DefaultSGXCosts(), Reference: true,
-		}, 0)
-		return th, buf
-	}
+	const n = 257
 	r := rng.NewXorShift(7)
-	offs := make([]int64, 257)
+	offs := make([]int64, n)  // random 8-byte slots
+	offs1 := make([]int64, n) // the next line (LoadChain's second hop)
+	deps := make([]engine.Tok, n)
 	for i := range offs {
-		offs[i] = int64(r.Uint64n(uint64((1<<18)/8))) * 8
+		offs[i] = int64(r.Uint64n((1<<18)/8-8)) * 8
+		offs1[i] = offs[i] + 64
+		deps[i] = engine.Tok(r.Uint64n(3) * uint64(i)) // a third are ready immediately
 	}
-	ga, bufA := mk()
-	ga.LoadGather(&bufA, 8, offs, nil, nil)
-	ga.Drain()
-	po, bufB := mk()
-	for _, off := range offs {
-		po.Load(&bufB, off, 8, 0)
-	}
-	po.Drain()
-	if ga.Stats() != po.Stats() {
-		t.Errorf("gather reference decomposition drifted from per-op loads\ngather: %+v\nper-op: %+v",
-			ga.Stats(), po.Stats())
+	plat := platform.XeonGold6326().Scaled(256)
+	type call func(th *engine.Thread, b *mem.Buffer, toks, toks2 []engine.Tok)
+	for _, api := range []struct {
+		name        string
+		bulk, perOp call
+	}{
+		{"LoadGather",
+			func(th *engine.Thread, b *mem.Buffer, toks, _ []engine.Tok) {
+				th.LoadGather(b, 8, offs, deps, toks)
+			},
+			func(th *engine.Thread, b *mem.Buffer, toks, _ []engine.Tok) {
+				for i, off := range offs {
+					toks[i] = th.Load(b, off, 8, deps[i])
+				}
+			}},
+		{"StoreScatter",
+			func(th *engine.Thread, b *mem.Buffer, _, _ []engine.Tok) {
+				th.StoreScatter(b, 8, offs, deps, nil)
+			},
+			func(th *engine.Thread, b *mem.Buffer, _, _ []engine.Tok) {
+				for i, off := range offs {
+					th.Store(b, off, 8, deps[i], 0)
+				}
+			}},
+		{"RMWScatter",
+			func(th *engine.Thread, b *mem.Buffer, toks, _ []engine.Tok) {
+				th.RMWScatter(b, 4, offs, deps, toks)
+			},
+			func(th *engine.Thread, b *mem.Buffer, toks, _ []engine.Tok) {
+				for i, off := range offs {
+					toks[i] = th.Load(b, off, 4, deps[i])
+					th.Store(b, off, 4, deps[i], engine.After(toks[i], 1))
+				}
+			}},
+		{"LoadChain",
+			func(th *engine.Thread, b *mem.Buffer, toks, _ []engine.Tok) {
+				th.LoadChain(b, 8, offs, offs1, 3, deps, toks)
+			},
+			func(th *engine.Thread, b *mem.Buffer, toks, _ []engine.Tok) {
+				for i, off := range offs {
+					tok := th.Load(b, off, 8, deps[i])
+					toks[i] = th.Load(b, offs1[i], 8, engine.After(tok, 3))
+				}
+			}},
+		{"CASLoad",
+			func(th *engine.Thread, b *mem.Buffer, toks, toks2 []engine.Tok) {
+				th.CASLoad(b, 4, offs, deps, toks, toks2)
+			},
+			func(th *engine.Thread, b *mem.Buffer, toks, toks2 []engine.Tok) {
+				for i, off := range offs {
+					toks[i] = th.CAS(b, off, deps[i])
+					toks2[i] = th.Load(b, off, 4, toks[i])
+				}
+			}},
+	} {
+		for _, s := range gatherSettings() {
+			for _, ref := range []bool{false, true} {
+				run := func(f call) (engine.Stats, uint64, [2 * n]engine.Tok) {
+					sp := mem.NewSpace(plat.Sockets)
+					buf := sp.Alloc("buf", 1<<18, mem.Region{Node: 0, Kind: s.kind})
+					th := engine.NewThread(engine.Config{
+						Plat: plat, Mode: s.mode, Costs: engine.DefaultSGXCosts(), Reference: ref,
+					}, 0)
+					var toks [2 * n]engine.Tok
+					// Warm a prefix so the call starts from non-trivial memo,
+					// TLB and store-buffer state.
+					th.StoreRun(&buf, 0, 8, 64, 0, 0)
+					f(th, &buf, toks[:n], toks[n:])
+					return th.Stats(), th.Drain(), toks
+				}
+				bs, bc, bt := run(api.bulk)
+				ps, pc, pt := run(api.perOp)
+				if bs != ps || bc != pc {
+					t.Errorf("%s %s ref=%v: bulk call drifted from its per-op sequence (drained %d vs %d)\nbulk:   %+v\nper-op: %+v",
+						api.name, s.name, ref, bc, pc, bs, ps)
+				}
+				if bt != pt {
+					t.Errorf("%s %s ref=%v: tokens differ", api.name, s.name, ref)
+				}
+			}
+		}
 	}
 }

@@ -167,10 +167,3 @@ func chunk(n, workers, id int) (int, int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -63,25 +63,6 @@ func GatherAccess(t *engine.Thread, buf mem.Buffer, ops int, write bool, seed ui
 	return t.Cycle() - start
 }
 
-// PointerChase models a dependent random-access chain (each address
-// derived from the previous load), the worst case for MLP. Used by
-// ablation benchmarks to contrast with the independent-access pattern.
-func PointerChase(t *engine.Thread, buf mem.Buffer, ops int, seed uint64) uint64 {
-	start := t.Cycle()
-	lcg := rng.NewLCG(seed)
-	slots := uint64(buf.Size / 8)
-	if slots == 0 {
-		slots = 1
-	}
-	var dep engine.Tok
-	for i := 0; i < ops; i++ {
-		off := int64(lcg.Uint64n(slots)) * 8
-		dep = t.Load(&buf, off, 8, dep)
-	}
-	t.Drain()
-	return t.Cycle() - start
-}
-
 // StreamRead reads n bytes sequentially (line-granular vector loads),
 // the access pattern of a column scan, charged through the batched bulk
 // API one 4 KiB block at a time. Returns consumed cycles.

@@ -141,28 +141,14 @@ func (p *Platform) Scaled(f int64) *Platform {
 	}
 	q := *p
 	q.Scale = p.Scale * f
-	q.L1D.SizeBytes = maxI64(p.L1D.SizeBytes/f, minI64(p.L1D.SizeBytes, 8<<10))
-	q.L2.SizeBytes = maxI64(p.L2.SizeBytes/f, 2*q.L1D.SizeBytes)
-	q.L3.SizeBytes = maxI64(p.L3.SizeBytes/f, 2*q.L2.SizeBytes)
-	q.DTLB.Entries = maxInt(p.DTLB.Entries/int(f), minInt(p.DTLB.Entries, 16))
-	q.STLB.Entries = maxInt(p.STLB.Entries/int(f), 2*q.DTLB.Entries)
-	q.DRAMPerSocket = maxI64(p.DRAMPerSocket/f, 1<<20)
-	q.EPCPerSocket = maxI64(p.EPCPerSocket/f, 1<<20)
+	q.L1D.SizeBytes = max(p.L1D.SizeBytes/f, min(p.L1D.SizeBytes, 8<<10))
+	q.L2.SizeBytes = max(p.L2.SizeBytes/f, 2*q.L1D.SizeBytes)
+	q.L3.SizeBytes = max(p.L3.SizeBytes/f, 2*q.L2.SizeBytes)
+	q.DTLB.Entries = max(p.DTLB.Entries/int(f), min(p.DTLB.Entries, 16))
+	q.STLB.Entries = max(p.STLB.Entries/int(f), 2*q.DTLB.Entries)
+	q.DRAMPerSocket = max(p.DRAMPerSocket/f, 1<<20)
+	q.EPCPerSocket = max(p.EPCPerSocket/f, 1<<20)
 	return &q
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ScaleBytes converts a full-size experiment byte count to the platform's
@@ -185,8 +171,14 @@ func (p *Platform) CyclesToSeconds(c uint64) float64 { return float64(c) / p.Fre
 // SecondsToCycles converts seconds to cycles.
 func (p *Platform) SecondsToCycles(s float64) uint64 { return uint64(s * p.FreqHz) }
 
-// Validate performs basic sanity checks and returns an error describing
-// the first violated constraint.
+// maxWays bounds the associativity of every cache and TLB level: the
+// packed models in internal/cache keep each set's MRU index in a uint16.
+const maxWays = 1<<16 - 1
+
+// Validate returns an error describing the first constraint p violates,
+// nil if the timing engine can run on p. Beyond plain sanity it rejects
+// what the engine would otherwise panic on or silently mis-simulate:
+// engine.NewThread refuses a platform that does not validate.
 func (p *Platform) Validate() error {
 	switch {
 	case p.Sockets < 1:
@@ -195,35 +187,33 @@ func (p *Platform) Validate() error {
 		return fmt.Errorf("platform: need at least one core per socket, got %d", p.CoresPerSocket)
 	case p.FreqHz <= 0:
 		return fmt.Errorf("platform: frequency must be positive, got %g", p.FreqHz)
-	case p.PageBytes <= 0 || p.PageBytes&(p.PageBytes-1) != 0:
-		return fmt.Errorf("platform: page size must be a power of two, got %d", p.PageBytes)
-	case p.L1D.LineBytes != p.L2.LineBytes || p.L2.LineBytes != p.L3.LineBytes:
-		return fmt.Errorf("platform: cache line sizes must agree")
+	case p.PageBytes < 4096 || p.PageBytes&(p.PageBytes-1) != 0:
+		// The EPC paging model and the stream prefetcher track 4 KiB pages.
+		return fmt.Errorf("platform: page size must be a power of two >= 4096, got %d", p.PageBytes)
 	case p.MLPSlots < 1:
 		return fmt.Errorf("platform: MLPSlots must be >= 1, got %d", p.MLPSlots)
-	case p.CoreStreamBW <= 0 || p.SocketDRAMBW <= 0 || p.UPIBW <= 0:
+	case p.StoreBufSize < 1:
+		return fmt.Errorf("platform: StoreBufSize must be >= 1, got %d", p.StoreBufSize)
+	case p.CoreStreamBW <= 0 || p.RemoteStreamBW <= 0 || p.SocketDRAMBW <= 0 || p.UPIBW <= 0:
 		return fmt.Errorf("platform: bandwidths must be positive")
 	case p.EPCStreamTax <= 0 || p.EPCStreamTax > 1:
 		return fmt.Errorf("platform: EPCStreamTax must be in (0,1], got %g", p.EPCStreamTax)
 	}
 	for _, g := range []CacheGeom{p.L1D, p.L2, p.L3} {
-		if g.SizeBytes < int64(g.Ways)*g.LineBytes {
+		switch {
+		case g.LineBytes != 64:
+			// The engine computes line numbers as addr >> 6.
+			return fmt.Errorf("platform: cache line size must be 64 bytes, got %d", g.LineBytes)
+		case g.Ways < 1 || g.Ways > maxWays:
+			return fmt.Errorf("platform: cache ways must be in [1,%d], got %d", maxWays, g.Ways)
+		case g.SizeBytes < int64(g.Ways)*g.LineBytes:
 			return fmt.Errorf("platform: cache smaller than one set (%d bytes, %d ways)", g.SizeBytes, g.Ways)
 		}
 	}
+	for _, g := range []TLBGeom{p.DTLB, p.STLB} {
+		if g.Ways < 1 || g.Ways > maxWays {
+			return fmt.Errorf("platform: TLB ways must be in [1,%d], got %d", maxWays, g.Ways)
+		}
+	}
 	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -341,17 +341,10 @@ func mix(h, v uint64) uint64 {
 func chunk(n, workers, id int) (int, int) {
 	per := n / workers
 	rem := n % workers
-	lo := id*per + minInt(id, rem)
+	lo := id*per + min(id, rem)
 	hi := lo + per
 	if id < rem {
 		hi++
 	}
 	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -82,15 +82,15 @@ func TopKOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n, k int, opt TopKOpti
 	reg := env.DataRegion()
 	heap := opt.Heap
 	if heap == nil || heap.Len() < T*k {
-		heap = env.Space.AllocU64("topk.heap", maxInt(T*k, 1), reg)
+		heap = env.Space.AllocU64("topk.heap", max(T*k, 1), reg)
 	}
 	tmp := opt.Tmp
 	if tmp == nil || tmp.Len() < T*k {
-		tmp = env.Space.AllocU64("topk.tmp", maxInt(T*k, 1), reg)
+		tmp = env.Space.AllocU64("topk.tmp", max(T*k, 1), reg)
 	}
 	out := opt.Out
 	if out == nil || out.Len() < k {
-		out = env.Space.AllocU64("topk.out", maxInt(k, 1), reg)
+		out = env.Space.AllocU64("topk.out", max(k, 1), reg)
 	}
 	runLen := opt.RunLen
 	if runLen <= 0 {
@@ -143,7 +143,7 @@ func TopKOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n, k int, opt TopKOpti
 			total += sz
 		}
 		ChunkSort(t, heap, tmp, 0, total, runLen)
-		kOut := minInt(k, total)
+		kOut := min(k, total)
 		tok := t.LoadRun(&heap.Buffer, 0, 8, kOut, 0)
 		copy(out.D[:kOut], heap.D[:kOut])
 		t.StoreRun(&out.Buffer, 0, 8, kOut, 0, tok)
@@ -235,11 +235,4 @@ func (h *heapRegion) replaceRoot(t *engine.Thread, v uint64, tok engine.Tok) {
 		i = c
 	}
 	h.root = h.buf.D[h.base]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
