@@ -26,6 +26,7 @@ import (
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
+	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
 )
 
@@ -94,8 +95,6 @@ type Options struct {
 	// Groups is the expected number of distinct groups, used to size the
 	// radix partitions (0: assume every row is its own group).
 	Groups int
-	// PartBits overrides the automatic partition-count choice (0 = auto).
-	PartBits int
 	// Out, when non-nil, is the pre-allocated output entry array
 	// (EntryWords per input row, worst case); Parts the pre-allocated
 	// partition intermediate (one word per row). Reused across repeated
@@ -171,18 +170,6 @@ func log2(n int) uint {
 	return uint(bits.Len(uint(n)) - 1)
 }
 
-// chunk splits n items over workers; returns [lo, hi) for worker id.
-func chunk(n, workers, id int) (int, int) {
-	per := n / workers
-	rem := n % workers
-	lo := id*per + min(id, rem)
-	hi := lo + per
-	if id < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // forSegments calls f for every segment sub-range covered by the global
 // row range [lo, hi) of the concatenated inputs.
 func forSegments(ins []Input, lo, hi int, f func(seg Input, sLo, sHi int)) {
@@ -213,21 +200,8 @@ func Run(env *core.Env, ins []Input, opt Options) *Result {
 func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	T := len(g.Threads)
 	mark := g.Mark()
-	n := 0
-	for _, in := range ins {
-		n += in.N
-	}
-	groupsHint := opt.Groups
-	if groupsHint <= 0 || groupsHint > n {
-		groupsHint = n
-	}
-	if groupsHint < 1 {
-		groupsHint = 1
-	}
-	pBits := uint(opt.PartBits)
-	if opt.PartBits <= 0 {
-		pBits = partBits(env, groupsHint)
-	}
+	n, groups := sizes(ins, opt.Groups)
+	pBits := partBits(env, groups)
 	P := 1 << pBits
 	reg := env.DataRegion()
 
@@ -241,56 +215,53 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	}
 	hist := env.Space.AllocU32("agg.hist", T*P, reg)
 	cur := env.Space.AllocU32("agg.cur", T*P, reg)
-	res := &Result{Rows: n, Out: out, PartStart: make([]int, P+1), PartGroups: make([]int, P)}
 
-	// --- Phase 1: per-thread partition histograms ---
-	g.Phase("Agg.Hist", func(t *engine.Thread, id int) {
-		lo, hi := chunk(n, T, id)
-		forSegments(ins, lo, hi, func(seg Input, sLo, sHi int) {
-			histSeg(t, seg.Tup, sLo, sHi, hist, id*P, opt.Sel, 0, pBits)
-		})
-	})
-
-	// --- Phase 2: cursor derivation + partition scatter ---
-	partCnt := make([]int, P)
-	g.Phase("Agg.Part", func(t *engine.Thread, id int) {
-		// Each thread derives its own cursor column from the shared
-		// histogram matrix: per partition, one strided gather of the T
-		// per-thread counts, then the thread's own cursor store (the
-		// cooperative prefix sum of the Kim et al. partitioning).
-		offs := make([]int64, T)
-		base := 0
-		for p := 0; p < P; p++ {
-			for tt := 0; tt < T; tt++ {
-				offs[tt] = hist.Off(tt*P + p)
-			}
-			t.LoadGather(&hist.Buffer, 4, offs, nil, nil)
-			cum := base
-			for tt := 0; tt < T; tt++ {
-				if tt == id {
-					engine.StoreU32(t, cur, id*P+p, uint32(cum), 0, 0)
-				}
-				cum += int(hist.D[tt*P+p])
-			}
-			if id == 0 {
-				res.PartStart[p] = base
-				partCnt[p] = cum - base
-			}
-			base = cum
-		}
-		lo, hi := chunk(n, T, id)
-		forSegments(ins, lo, hi, func(seg Input, sLo, sHi int) {
-			scatterSeg(t, seg.Tup, sLo, sHi, parts, cur, id*P, opt.Sel, 0, pBits)
-		})
-	})
-	res.PartStart[P] = n
+	// --- Phases 1 and 2: one cooperative radix pass ---
+	start := radixPass(g, "Agg.Hist", "Agg.Part", []int{0, n}, ins, hist, cur, parts, opt.Sel, 0, pBits)
 
 	// --- Phase 3: per-partition in-cache aggregation + emission ---
+	return aggregate(env, g, mark, n, parts, out, start, opt.Sel, pBits)
+}
+
+// sizes returns the total row count of ins and the expected group count
+// that sizes the partitions: groups clamped to [1, n], 0 meaning n.
+func sizes(ins []Input, groups int) (n, hint int) {
+	for _, in := range ins {
+		n += in.N
+	}
+	if groups <= 0 || groups > n {
+		groups = n
+	}
+	return n, max(groups, 1)
+}
+
+// radixPass runs one hash-digit pass (kernels.RadixPass) over the
+// concatenated inputs src, scattering into dst.
+func radixPass(g *exec.Group, histName, copyName string, prev []int, src []Input, hist, cur *mem.U32Buf, dst *mem.U64Buf, sel Sel, shift, bits uint) []int {
+	return kernels.RadixPass(g, histName, copyName, prev, 1<<bits, hist, cur,
+		func(t *engine.Thread, id, lo, hi, base int) {
+			forSegments(src, lo, hi, func(seg Input, sLo, sHi int) {
+				histSeg(t, seg.Tup, sLo, sHi, hist, base, sel, shift, bits)
+			})
+		},
+		func(t *engine.Thread, id, lo, hi, base int) {
+			forSegments(src, lo, hi, func(seg Input, sLo, sHi int) {
+				scatterSeg(t, seg.Tup, sLo, sHi, dst, cur, base, sel, shift, bits)
+			})
+		})
+}
+
+// aggregate is the last phase shared by RunOn and SpillRunOn: Agg.Build
+// aggregates each partition of parts (first rows in start) in cache,
+// round-robin over the threads, and emits its groups to out at the
+// partition's start slot; it then closes the stage's Result.
+func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n int, parts, out *mem.U64Buf, start []int, sel Sel, pBits uint) *Result {
+	T := len(g.Threads)
+	P := len(start) - 1
+	res := &Result{Rows: n, Out: out, PartStart: start, PartGroups: make([]int, P)}
 	maxPart := 0
-	for _, c := range partCnt {
-		if c > maxPart {
-			maxPart = c
-		}
+	for p := 0; p < P; p++ {
+		maxPart = max(maxPart, start[p+1]-start[p])
 	}
 	workers := make([]*worker, T)
 	for i := range workers {
@@ -299,9 +270,8 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	g.Phase("Agg.Build", func(t *engine.Thread, id int) {
 		w := workers[id]
 		for p := id; p < P; p += T {
-			lo := res.PartStart[p]
-			nG := w.aggregatePartition(t, parts, lo, lo+partCnt[p], opt.Sel, pBits)
-			w.emit(t, out, lo, nG)
+			nG := w.aggregatePartition(t, parts, start[p], start[p+1], sel, pBits)
+			w.emit(t, out, start[p], nG)
 			res.PartGroups[p] = nG
 		}
 	})

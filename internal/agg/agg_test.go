@@ -46,16 +46,22 @@ func TestByPayload(t *testing.T) {
 	verifyAgainstOracle(t, "bypayload", res, Reference([]Input{{Tup: tup, N: 1000}}, ByPayload))
 }
 
-// TestPartBitsOverride checks correctness across forced partition
-// counts, including a single partition and more partitions than groups.
+// TestPartBitsOverride checks correctness across the partition counts
+// the Groups hint selects (partBits): the minimum of two partitions, and
+// — with the hint at the row count — more partitions than groups.
 func TestPartBitsOverride(t *testing.T) {
+	const n = 1 << 16
 	env := testEnv()
-	tup := genTuples(env, 4096, 99, false, 9)
-	want := Reference([]Input{{Tup: tup, N: 4096}}, ByKey)
-	for _, pb := range []int{1, 4, 9} {
-		res := Run(env, []Input{{Tup: tup, N: 4096}}, Options{Threads: 3, Sel: ByKey, Groups: 99, PartBits: pb})
+	tup := genTuples(env, n, 99, false, 9)
+	ins := []Input{{Tup: tup, N: n}}
+	want := Reference(ins, ByKey)
+	for _, tc := range []struct{ groups, parts int }{{1, 2}, {99, 2}, {0, 512}, {n, 512}} {
+		res := Run(env, ins, Options{Threads: 3, Sel: ByKey, Groups: tc.groups})
+		if got := len(res.PartGroups); got != tc.parts {
+			t.Errorf("groups hint %d: %d partitions, want %d", tc.groups, got, tc.parts)
+		}
 		if res.Groups != len(want) {
-			t.Errorf("partbits=%d: groups=%d oracle=%d", pb, res.Groups, len(want))
+			t.Errorf("groups hint %d: groups=%d oracle=%d", tc.groups, res.Groups, len(want))
 		}
 		verifyAgainstOracle(t, "partbits", res, want)
 	}

@@ -425,9 +425,6 @@ func (t *Thread) Stats() Stats {
 	return s
 }
 
-// ResetStats clears counters but keeps cache/TLB contents and the clock.
-func (t *Thread) ResetStats() { t.st = Stats{} }
-
 // issueWidth is the superscalar issue width: up to four micro-ops retire
 // per cycle, so back-to-back independent memory operations cost 1/4 cycle
 // of issue bandwidth each. Dependency chains still pay full latencies via
@@ -521,9 +518,6 @@ func (t *Thread) CAS(b *mem.Buffer, off int64, dep Tok) Tok {
 	t.Store(b, off, 8, dep, done)
 	return done
 }
-
-// Fence waits for all outstanding loads and stores to complete.
-func (t *Thread) Fence() { t.Drain() }
 
 // Drain advances the clock past every outstanding miss and store, and
 // past the store-address barrier; it returns the quiesced cycle.

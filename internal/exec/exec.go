@@ -169,6 +169,20 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 	return ps
 }
 
+// Chunk splits n items over workers as evenly as possible and returns
+// worker id's half-open range [lo, hi); the first n%workers workers take
+// one item more.
+func Chunk(n, workers, id int) (lo, hi int) {
+	per := n / workers
+	rem := n % workers
+	lo = id*per + min(id, rem)
+	hi = lo + per
+	if id < rem {
+		hi++
+	}
+	return lo, hi
+}
+
 // Phases returns the recorded per-phase statistics in execution order.
 func (g *Group) Phases() []PhaseStats { return g.phases }
 

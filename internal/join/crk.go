@@ -93,9 +93,6 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 	// Total bits: partitions sized for L2, as configured by the authors.
 	b1, b2 := RadixBits(env, build.N())
 	bits := b1 + b2
-	if opt.RadixBits > 0 {
-		bits = uint(opt.RadixBits)
-	}
 	nPart := 1 << bits
 
 	// Partition boundaries per table: bounds[k] holds 2^level+1 offsets.

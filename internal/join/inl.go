@@ -50,7 +50,7 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	counts := make([]uint64, T)
 	outs := make([]*outWriter, T)
 	ps := g.Phase("Probe", func(t *engine.Thread, id int) {
-		lo, hi := chunk(probe.N(), T, id)
+		lo, hi := exec.Chunk(probe.N(), T, id)
 		var out *outWriter
 		if opt.Materialize {
 			out = newOutWriter(env, id, opt.outBuf(id))

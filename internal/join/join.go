@@ -42,13 +42,6 @@ type Options struct {
 	Materialize bool
 	// NodeOf optionally pins thread i to a socket (NUMA experiments).
 	NodeOf func(i int) int
-	// CollectTasks records per-task durations of the in-cache join phase
-	// (RHO only), enabling the Fig 11 queue-contention replay.
-	CollectTasks bool
-	// RadixBits overrides RHO's automatic radix-bit choice (0 = auto).
-	// Larger values force smaller partitions — used to create queue
-	// contention for the Fig 11 experiment.
-	RadixBits int
 	// OutBufs, when Materialize is set, provides pre-allocated per-thread
 	// output buffers (index = thread id). Materialized rows then land at
 	// deterministic simulated addresses instead of dynamically claimed
@@ -86,9 +79,6 @@ type Result struct {
 	// PHT; used for the Fig 4/6 breakdowns.
 	BuildCycles uint64
 	ProbeCycles uint64
-	// TaskCycles are per-partition join task durations when
-	// Options.CollectTasks is set.
-	TaskCycles []uint64
 	// Output holds materialized output rows per thread (when requested).
 	Output [][]uint64
 	// Stats aggregates engine counters over all phases.
@@ -154,16 +144,4 @@ func nextPow2(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// chunk splits n items over workers; returns [lo, hi) for worker id.
-func chunk(n, workers, id int) (int, int) {
-	per := n / workers
-	rem := n % workers
-	lo := id*per + min(id, rem)
-	hi := lo + per
-	if id < rem {
-		hi++
-	}
-	return lo, hi
 }

@@ -360,7 +360,7 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	}
 
 	bp := g.Phase("Build", func(t *engine.Thread, id int) {
-		lo, hi := chunk(build.N(), T, id)
+		lo, hi := exec.Chunk(build.N(), T, id)
 		if unroll == 1 {
 			for i := lo; i < hi; i++ {
 				tup, tok := engine.LoadU64(t, build.Tup, i, 0)
@@ -394,7 +394,7 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	counts := make([]uint64, T)
 	outs := make([]*outWriter, T)
 	pp := g.Phase("Probe", func(t *engine.Thread, id int) {
-		lo, hi := chunk(probe.N(), T, id)
+		lo, hi := exec.Chunk(probe.N(), T, id)
 		var out *outWriter
 		if opt.Materialize {
 			out = newOutWriter(env, id, opt.outBuf(id))

@@ -56,10 +56,8 @@ type rhoState struct {
 	h2   *mem.U32Buf // pass-2 histograms (P1 x P2)
 	cur2 *mem.U32Buf // pass-2 cursors (P1 x P2)
 
-	start1 []int // pass-1 partition start (real bookkeeping)
-	count1 []int
-	start2 []int // final partition start, indexed p1*P2+p2
-	count2 []int
+	start1 []int // pass-1 partition starts (len P1+1)
+	start2 []int // final partition starts, indexed p1*P2+p2 (len P1*P2+1)
 }
 
 func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoState {
@@ -74,9 +72,7 @@ func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoS
 		h2:     env.Space.AllocU32(in.Name+".h2", p1*p2, reg),
 		cur2:   env.Space.AllocU32(in.Name+".cur2", p1*p2, reg),
 		start1: make([]int, p1+1),
-		count1: make([]int, p1),
 		start2: make([]int, p1*p2+1),
-		count2: make([]int, p1*p2),
 	}
 }
 
@@ -93,14 +89,6 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	T := len(g.Threads)
 	mark := g.Mark()
 	b1, b2 := RadixBits(env, build.N())
-	if opt.RadixBits > 0 {
-		b := uint(opt.RadixBits)
-		b1 = (b + 1) / 2
-		b2 = b - b1
-		if b2 < 1 {
-			b2 = 1
-		}
-	}
 	p1, p2 := 1<<b1, 1<<b2
 	R := newRHOState(env, build, T, p1, p2)
 	S := newRHOState(env, probe, T, p1, p2)
@@ -145,38 +133,16 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	// --- Pass 1: histograms over both inputs ---
 	g.Phase("Hist1", func(t *engine.Thread, id int) {
 		for _, st := range []*rhoState{R, S} {
-			lo, hi := chunk(st.in.Len(), T, id)
+			lo, hi := exec.Chunk(st.in.Len(), T, id)
 			kernels.Histogram(t, st.in, lo, hi, st.h1, id*p1, histCfg(id, 0, b1))
 		}
 	})
 
-	// --- Pass 1: cursor computation + scatter ---
+	// --- Pass 1: cooperative cursors + scatter ---
 	g.Phase("Copy1", func(t *engine.Thread, id int) {
-		offs := make([]int64, T)
 		for _, st := range []*rhoState{R, S} {
-			// Each thread derives its own cursor column from the shared
-			// histogram matrix: per partition, one strided gather of the
-			// T per-thread counts, then the thread's own cursor store.
-			base := 0
-			for p := 0; p < p1; p++ {
-				for tt := 0; tt < T; tt++ {
-					offs[tt] = st.h1.Off(tt*p1 + p)
-				}
-				t.LoadGather(&st.h1.Buffer, 4, offs, nil, nil)
-				cum := base
-				for tt := 0; tt < T; tt++ {
-					if tt == id {
-						engine.StoreU32(t, st.cur1, id*p1+p, uint32(cum), 0, 0)
-					}
-					cum += int(st.h1.D[tt*p1+p])
-				}
-				if id == 0 {
-					st.start1[p] = base
-					st.count1[p] = cum - base
-				}
-				base = cum
-			}
-			lo, hi := chunk(st.in.Len(), T, id)
+			kernels.CoopCursors(t, st.h1, st.cur1, T, id, st.start1)
+			lo, hi := exec.Chunk(st.in.Len(), T, id)
 			kernels.Scatter(t, st.in, lo, hi, st.tmp, st.cur1, id*p1, scatCfg(id, 0, b1))
 		}
 	})
@@ -184,42 +150,29 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	g.Phase("Hist2", func(t *engine.Thread, id int) {
 		for _, st := range []*rhoState{R, S} {
 			for pp := id; pp < p1; pp += T {
-				lo := st.start1[pp]
-				hi := lo + st.count1[pp]
-				kernels.Histogram(t, st.tmp, lo, hi, st.h2, pp*p2, histCfg(id, b1, b2))
+				kernels.Histogram(t, st.tmp, st.start1[pp], st.start1[pp+1], st.h2, pp*p2, histCfg(id, b1, b2))
 			}
 		}
 	})
 
-	// --- Pass 2: local prefix + scatter ---
+	// --- Pass 2: local cursors + scatter ---
 	g.Phase("Copy2", func(t *engine.Thread, id int) {
 		for _, st := range []*rhoState{R, S} {
 			for pp := id; pp < p1; pp += T {
-				lo := st.start1[pp]
-				hi := lo + st.count1[pp]
-				// Local prefix sum: batched sequential read of the
-				// partition's histogram row, then the cursor writes.
-				tok := t.LoadRun(&st.h2.Buffer, st.h2.Off(pp*p2), 4, p2, 0)
-				cum := uint32(lo)
-				for j := 0; j < p2; j++ {
-					v := st.h2.D[pp*p2+j]
-					st.cur2.D[pp*p2+j] = cum
-					st.start2[pp*p2+j] = int(cum)
-					st.count2[pp*p2+j] = int(v)
-					cum += v
-				}
-				t.StoreRun(&st.cur2.Buffer, st.cur2.Off(pp*p2), 4, p2, 0, engine.After(tok, 1))
+				lo, hi := st.start1[pp], st.start1[pp+1]
+				kernels.LocalCursors(t, st.h2, st.cur2, pp*p2, lo, st.start2[pp*p2:(pp+1)*p2])
 				kernels.Scatter(t, st.tmp, lo, hi, st.out, st.cur2, pp*p2, scatCfg(id, b1, b2))
 			}
 		}
 	})
+	for _, st := range []*rhoState{R, S} {
+		st.start2[p1*p2] = st.in.Len()
+	}
 
 	// --- In-cache join per final partition ---
 	maxPart := 0
-	for _, c := range R.count2 {
-		if c > maxPart {
-			maxPart = c
-		}
+	for fp := 0; fp < p1*p2; fp++ {
+		maxPart = max(maxPart, R.start2[fp+1]-R.start2[fp])
 	}
 	scratches := make([]*scratch, T)
 	for i := range scratches {
@@ -229,10 +182,6 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	buildCy := make([]uint64, T)
 	probeCy := make([]uint64, T)
 	outs := make([]*outWriter, T)
-	var taskCy [][]uint64
-	if opt.CollectTasks {
-		taskCy = make([][]uint64, T)
-	}
 	g.Phase("Join", func(t *engine.Thread, id int) {
 		var out *outWriter
 		if opt.Materialize {
@@ -241,16 +190,11 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		}
 		var local uint64
 		for pp := id; pp < p1; pp += T {
-			taskStart := t.Cycle()
-			for j := 0; j < p2; j++ {
-				fp := pp*p2 + j
+			for fp := pp * p2; fp < (pp+1)*p2; fp++ {
 				local += joinPartition(t,
-					R.out, R.start2[fp], R.start2[fp]+R.count2[fp],
-					S.out, S.start2[fp], S.start2[fp]+S.count2[fp],
+					R.out, R.start2[fp], R.start2[fp+1],
+					S.out, S.start2[fp], S.start2[fp+1],
 					scratches[id], opt.Optimized, out, &buildCy[id], &probeCy[id])
-			}
-			if opt.CollectTasks {
-				taskCy[id] = append(taskCy[id], t.Cycle()-taskStart)
 			}
 		}
 		counts[id] = local
@@ -261,9 +205,6 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]
 		res.ProbeCycles += probeCy[id]
-		if opt.CollectTasks {
-			res.TaskCycles = append(res.TaskCycles, taskCy[id]...)
-		}
 	}
 	if opt.Materialize {
 		res.Output = make([][]uint64, T)

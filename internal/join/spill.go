@@ -80,17 +80,7 @@ func spillPassBits(env *core.Env, nBuild, threads int) []uint {
 	if total < 2 {
 		total = 2
 	}
-	const maxPass = 8
-	var passes []uint
-	for total > 0 {
-		b := total
-		if b > maxPass {
-			b = maxPass
-		}
-		passes = append(passes, b)
-		total -= b
-	}
-	return passes
+	return kernels.SplitBits(total, 8)
 }
 
 // graceState bundles the ping-pong partitioning buffers for one input.
@@ -129,24 +119,11 @@ func (gr *Grace) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*R
 }
 
 // RunOn executes the join on an existing thread group. The pass plan is
-// budget-driven (spillPassBits); Options.RadixBits, when set, overrides
-// the total bit count but keeps the budget-driven per-pass split.
+// budget-driven (spillPassBits).
 func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
 	mark := g.Mark()
 	passes := spillPassBits(env, build.N(), T)
-	if opt.RadixBits > 0 {
-		per := passes[0]
-		passes = nil
-		for total := uint(opt.RadixBits); total > 0; {
-			b := total
-			if b > per {
-				b = per
-			}
-			passes = append(passes, b)
-			total -= b
-		}
-	}
 	res := &Result{Algorithm: gr.Name()}
 
 	unroll := 1
@@ -193,14 +170,8 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 		for _, st := range []*graceState{R, S} {
 			src, dst := st.in, st.bufs[1]
 			g.Phase("Spill.Drain", func(t *engine.Thread, id int) {
-				lo, hi := chunk(src.Len(), T, id)
-				if hi <= lo {
-					return
-				}
-				tok := t.LoadRun(&src.Buffer, src.Off(lo), 8, hi-lo, 0)
-				copy(dst.D[lo:hi], src.D[lo:hi])
-				lines := int((int64(hi-lo)*8 + 63) / 64)
-				t.StoreLinesNT(&dst.Buffer, dst.Off(lo), lines, 0, tok)
+				lo, hi := exec.Chunk(src.Len(), T, id)
+				kernels.Drain(t, src, lo, hi, dst, lo)
 			})
 			st.cur = dst
 		}
@@ -208,84 +179,26 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 
 	// --- Recursive partitioning: one radix-digit window per pass ---
 	// Pass 1 is cooperative (all threads histogram and scatter slices of
-	// the whole input, Kim-style); deeper passes process the previous
-	// level's partitions round-robin, each refined by one thread.
+	// the whole input, kernels.CoopCursors); deeper passes refine the
+	// previous level's partitions round-robin, each by one thread.
 	shift := uint(0)
 	for pass, bk := range passes {
 		fan := 1 << bk
 		for _, st := range []*graceState{R, S} {
-			p := len(st.start) - 1 // current partition count
-			name := st.in.Name
-			dst := st.bufs[pass&1]
-			if pass == 0 {
-				h := env.Space.AllocU32(name+fmt.Sprintf(".h%d", pass+1), T*fan, env.SpillRegion())
-				cur := env.Space.AllocU32(name+fmt.Sprintf(".c%d", pass+1), T*fan, env.SpillRegion())
-				src := st.src()
-				g.Phase(fmt.Sprintf("Spill.Hist%d", pass+1), func(t *engine.Thread, id int) {
-					lo, hi := chunk(src.Len(), T, id)
-					kernels.Histogram(t, src, lo, hi, h, id*fan, histCfg(id, shift, bk))
-				})
-				start := make([]int, fan+1)
-				g.Phase(fmt.Sprintf("Spill.Copy%d", pass+1), func(t *engine.Thread, id int) {
-					// Cooperative prefix: per partition, one strided gather
-					// of the T per-thread counts, then the thread's own
-					// cursor store (the Kim et al. scheme RHO uses).
-					offs := make([]int64, T)
-					base := 0
-					for p2 := 0; p2 < fan; p2++ {
-						for tt := 0; tt < T; tt++ {
-							offs[tt] = h.Off(tt*fan + p2)
-						}
-						t.LoadGather(&h.Buffer, 4, offs, nil, nil)
-						cum := base
-						for tt := 0; tt < T; tt++ {
-							if tt == id {
-								engine.StoreU32(t, cur, id*fan+p2, uint32(cum), 0, 0)
-							}
-							cum += int(h.D[tt*fan+p2])
-						}
-						if id == 0 {
-							start[p2] = base
-						}
-						base = cum
-					}
-					if id == 0 {
-						start[fan] = base
-					}
-					lo, hi := chunk(src.Len(), T, id)
-					kernels.Scatter(t, src, lo, hi, dst, cur, id*fan, scatCfg(id, shift, bk))
-				})
-				st.start = start
-			} else {
-				h := env.Space.AllocU32(name+fmt.Sprintf(".h%d", pass+1), p*fan, env.SpillRegion())
-				cur := env.Space.AllocU32(name+fmt.Sprintf(".c%d", pass+1), p*fan, env.SpillRegion())
-				src := st.src()
-				prev := st.start
-				start := make([]int, p*fan+1)
-				g.Phase(fmt.Sprintf("Spill.Hist%d", pass+1), func(t *engine.Thread, id int) {
-					for pp := id; pp < p; pp += T {
-						kernels.Histogram(t, src, prev[pp], prev[pp+1], h, pp*fan, histCfg(id, shift, bk))
-					}
-				})
-				g.Phase(fmt.Sprintf("Spill.Copy%d", pass+1), func(t *engine.Thread, id int) {
-					for pp := id; pp < p; pp += T {
-						// Local prefix over the partition's histogram row:
-						// batched sequential read, then the cursor writes.
-						tok := t.LoadRun(&h.Buffer, h.Off(pp*fan), 4, fan, 0)
-						cum := uint32(prev[pp])
-						for j := 0; j < fan; j++ {
-							v := h.D[pp*fan+j]
-							cur.D[pp*fan+j] = cum
-							start[pp*fan+j] = int(cum)
-							cum += v
-						}
-						t.StoreRun(&cur.Buffer, cur.Off(pp*fan), 4, fan, 0, engine.After(tok, 1))
-						kernels.Scatter(t, src, prev[pp], prev[pp+1], dst, cur, pp*fan, scatCfg(id, shift, bk))
-					}
-				})
-				start[p*fan] = prev[p]
-				st.start = start
+			rows := T // cooperative pass: one counter row per thread
+			if pass > 0 {
+				rows = len(st.start) - 1 // refining pass: one per partition
 			}
+			h := env.Space.AllocU32(fmt.Sprintf("%s.h%d", st.in.Name, pass+1), rows*fan, env.SpillRegion())
+			cur := env.Space.AllocU32(fmt.Sprintf("%s.c%d", st.in.Name, pass+1), rows*fan, env.SpillRegion())
+			src, dst := st.src(), st.bufs[pass&1]
+			st.start = kernels.RadixPass(g, fmt.Sprintf("Spill.Hist%d", pass+1), fmt.Sprintf("Spill.Copy%d", pass+1), st.start, fan, h, cur,
+				func(t *engine.Thread, id, lo, hi, base int) {
+					kernels.Histogram(t, src, lo, hi, h, base, histCfg(id, shift, bk))
+				},
+				func(t *engine.Thread, id, lo, hi, base int) {
+					kernels.Scatter(t, src, lo, hi, dst, cur, base, scatCfg(id, shift, bk))
+				})
 			st.cur = dst
 		}
 		shift += bk

@@ -44,7 +44,7 @@ type Span struct {
 }
 
 // TraceStats counts a Tracer's traffic. The Add/Sub completeness
-// discipline mirrors serve.Breakdown: TestTraceStatsAddCoversAllFields
+// discipline mirrors engine.Stats: TestTraceStatsAddCoversAllFields
 // fails if a newly added counter is omitted.
 type TraceStats struct {
 	// Spans and Instants count recorded events by phase kind.

@@ -151,25 +151,8 @@ func (p *Platform) Scaled(f int64) *Platform {
 	return &q
 }
 
-// ScaleBytes converts a full-size experiment byte count to the platform's
-// scale (rounding up to at least one cache line).
-func (p *Platform) ScaleBytes(full int64) int64 {
-	b := full / p.Scale
-	if b < p.L1D.LineBytes {
-		b = p.L1D.LineBytes
-	}
-	return b
-}
-
-// Cores returns the total number of hardware threads (HT is disabled,
-// Table 1, so threads == cores).
-func (p *Platform) Cores() int { return p.Sockets * p.CoresPerSocket }
-
 // CyclesToSeconds converts engine cycles to wall-clock seconds.
 func (p *Platform) CyclesToSeconds(c uint64) float64 { return float64(c) / p.FreqHz }
-
-// SecondsToCycles converts seconds to cycles.
-func (p *Platform) SecondsToCycles(s float64) uint64 { return uint64(s * p.FreqHz) }
 
 // maxWays bounds the associativity of every cache and TLB level: the
 // packed models in internal/cache keep each set's MRU index in a uint16.

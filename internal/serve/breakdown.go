@@ -11,9 +11,8 @@ import (
 // is the serving-layer analogue of engine.Stats: cmd/diag -serve prints
 // it per scenario and the golden-gated check value folds every field.
 //
-// The completeness discipline mirrors engine.Stats: phase deltas are
-// taken with Sub, and TestBreakdownSubCoversAllFields fails if a newly
-// added counter is omitted from Add or Sub.
+// Every field is a uint64 counter that Fold mixes into the check value;
+// TestBreakdownFoldCoversAllFields fails if a counter falls out of it.
 type Breakdown struct {
 	// Requests is the number of completed requests.
 	Requests uint64 `json:"requests"`
@@ -63,49 +62,6 @@ type Breakdown struct {
 	// windows; AEXCycles is the wall time they cost.
 	AEXEvents uint64 `json:"aex_events"`
 	AEXCycles uint64 `json:"aex_cycles"`
-}
-
-// Add accumulates o into b, field-wise.
-func (b *Breakdown) Add(o Breakdown) {
-	b.Requests += o.Requests
-	b.Transitions += o.Transitions
-	b.TransitionCycles += o.TransitionCycles
-	b.QueueWaitCycles += o.QueueWaitCycles
-	b.LockCycles += o.LockCycles
-	b.CommitWaitCycles += o.CommitWaitCycles
-	b.CommitCycles += o.CommitCycles
-	b.PagesCommitted += o.PagesCommitted
-	b.ServiceCycles += o.ServiceCycles
-	b.Timeouts += o.Timeouts
-	b.Retries += o.Retries
-	b.Shed += o.Shed
-	b.Crashes += o.Crashes
-	b.RebuildCycles += o.RebuildCycles
-	b.AEXEvents += o.AEXEvents
-	b.AEXCycles += o.AEXCycles
-}
-
-// Sub returns the field-wise difference b - o, where o is an earlier
-// snapshot of the same accumulator. TestBreakdownSubCoversAllFields
-// fails if a newly added field is omitted here.
-func (b Breakdown) Sub(o Breakdown) Breakdown {
-	b.Requests -= o.Requests
-	b.Transitions -= o.Transitions
-	b.TransitionCycles -= o.TransitionCycles
-	b.QueueWaitCycles -= o.QueueWaitCycles
-	b.LockCycles -= o.LockCycles
-	b.CommitWaitCycles -= o.CommitWaitCycles
-	b.CommitCycles -= o.CommitCycles
-	b.PagesCommitted -= o.PagesCommitted
-	b.ServiceCycles -= o.ServiceCycles
-	b.Timeouts -= o.Timeouts
-	b.Retries -= o.Retries
-	b.Shed -= o.Shed
-	b.Crashes -= o.Crashes
-	b.RebuildCycles -= o.RebuildCycles
-	b.AEXEvents -= o.AEXEvents
-	b.AEXCycles -= o.AEXCycles
-	return b
 }
 
 // Fold mixes every Breakdown counter into h, in field order. It walks

@@ -45,9 +45,9 @@ func ParseDispatchKind(s string) (DispatchKind, error) {
 // DispatchStats counts the sharded/batched dispatch machinery's work,
 // kept separate from Breakdown so legacy scenarios' golden check values
 // stay bit-identical: the check folds these counters only for scenarios
-// that actually use the new machinery (see Config.extended). Follows the
-// Breakdown completeness discipline (Add/Sub/Fold cover every field,
-// pinned by tests).
+// that actually use the new machinery (see Config.extended). Like
+// Breakdown, every field is a uint64 counter that Fold covers (pinned by
+// TestDispatchStatsCoverAllFields).
 type DispatchStats struct {
 	// Batches counts worker enclave entries through the batched path;
 	// BatchedAttempts the attempts they carried (mean batch size =
@@ -58,23 +58,6 @@ type DispatchStats struct {
 	// attempts migrated (steal-half: ceil(victim depth / 2) each).
 	Steals         uint64 `json:"steals"`
 	StolenAttempts uint64 `json:"stolen_attempts"`
-}
-
-// Add accumulates o into d, field-wise.
-func (d *DispatchStats) Add(o DispatchStats) {
-	d.Batches += o.Batches
-	d.BatchedAttempts += o.BatchedAttempts
-	d.Steals += o.Steals
-	d.StolenAttempts += o.StolenAttempts
-}
-
-// Sub returns the field-wise difference d - o.
-func (d DispatchStats) Sub(o DispatchStats) DispatchStats {
-	d.Batches -= o.Batches
-	d.BatchedAttempts -= o.BatchedAttempts
-	d.Steals -= o.Steals
-	d.StolenAttempts -= o.StolenAttempts
-	return d
 }
 
 // Fold mixes every counter into h, in field order (reflective, so a new

@@ -187,28 +187,18 @@ func fillDispatchStats(t *testing.T, d *serve.DispatchStats, base uint64) {
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		if f.Kind() != reflect.Uint64 {
-			t.Fatalf("DispatchStats has a field of unsupported kind %v: teach fillDispatchStats (and Add/Sub) about it", f.Kind())
+			t.Fatalf("DispatchStats has a field of unsupported kind %v: teach fillDispatchStats (and Fold) about it", f.Kind())
 		}
 		f.SetUint(base * uint64(i+1))
 	}
 }
 
-// TestDispatchStatsCoverAllFields extends the Breakdown completeness
-// discipline to DispatchStats: Add/Sub round-trip and Fold sensitivity
-// over every field.
+// TestDispatchStatsCoverAllFields pins Fold's sensitivity to every
+// DispatchStats counter, as TestBreakdownFoldCoversAllFields does for
+// Breakdown.
 func TestDispatchStatsCoverAllFields(t *testing.T) {
-	var a, b, want serve.DispatchStats
+	var a serve.DispatchStats
 	fillDispatchStats(t, &a, 5)
-	fillDispatchStats(t, &b, 2)
-	fillDispatchStats(t, &want, 3)
-	if got := a.Sub(b); got != want {
-		t.Errorf("DispatchStats.Sub misses a field:\ngot:  %+v\nwant: %+v", got, want)
-	}
-	sum := a
-	sum.Add(b)
-	if got := sum.Sub(b); got != a {
-		t.Errorf("(a+b)-b != a:\ngot:  %+v\nwant: %+v", got, a)
-	}
 	h0 := a.Fold(0xcbf29ce484222325)
 	v := reflect.ValueOf(&a).Elem()
 	for i := 0; i < v.NumField(); i++ {

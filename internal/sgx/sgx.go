@@ -207,12 +207,6 @@ func NewEnclave(node int, policy AllocPolicy, costs OSCosts) *Enclave {
 	return &Enclave{Node: node, Costs: costs, policy: policy}
 }
 
-// ECall charges one enclave entry to t.
-func (e *Enclave) ECall(t *engine.Thread) { t.Work(e.Costs.Transition) }
-
-// OCall charges one enclave exit + re-entry round trip to t.
-func (e *Enclave) OCall(t *engine.Thread) { t.Work(2 * e.Costs.Transition) }
-
 // Policy returns the enclave's allocation policy.
 func (e *Enclave) Policy() AllocPolicy { return e.policy }
 

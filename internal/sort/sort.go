@@ -223,7 +223,7 @@ func RunOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n int, opt Options) *Re
 
 	// --- Phase: per-thread chunk sort ---
 	g.Phase("Sort", func(t *engine.Thread, id int) {
-		lo, hi := chunk(n, T, id)
+		lo, hi := exec.Chunk(n, T, id)
 		ChunkSort(t, in, tmp, lo, hi, runLen)
 	})
 
@@ -263,7 +263,7 @@ func mergeRange(t *engine.Thread, work, out *mem.U64Buf, n, T int, loKey, hiKey 
 	cursors := make([]cursor, T)
 	outPos := 0
 	for c := 0; c < T; c++ {
-		clo, chi := chunk(n, T, c)
+		clo, chi := exec.Chunk(n, T, c)
 		d := work.D[clo:chi]
 		a := clo + stdsort.Search(len(d), func(i int) bool { return mem.TupleKey(d[i]) >= loKey })
 		b := chi
@@ -275,7 +275,7 @@ func mergeRange(t *engine.Thread, work, out *mem.U64Buf, n, T int, loKey, hiKey 
 	}
 	// Output offset: total rows below loKey across chunks.
 	for c := 0; c < T; c++ {
-		clo, _ := chunk(n, T, c)
+		clo, _ := exec.Chunk(n, T, c)
 		outPos += cursors[c].pos - clo
 	}
 	// K-way merge. The host-side selection is a plain linear min-scan
@@ -335,16 +335,4 @@ func mix(h, v uint64) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// chunk splits n items over workers; returns [lo, hi) for worker id.
-func chunk(n, workers, id int) (int, int) {
-	per := n / workers
-	rem := n % workers
-	lo := id*per + min(id, rem)
-	hi := lo + per
-	if id < rem {
-		hi++
-	}
-	return lo, hi
 }

@@ -104,7 +104,7 @@ func TopKOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n, k int, opt TopKOpti
 		if k == 0 {
 			return
 		}
-		lo, hi := chunk(n, T, id)
+		lo, hi := exec.Chunk(n, T, id)
 		h := newHeapRegion(heap, id*k, k)
 		var toks [topkBlock]engine.Tok
 		for pos := lo; pos < hi; {
