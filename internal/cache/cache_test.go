@@ -190,6 +190,45 @@ func TestCacheFusedEquivalence(t *testing.T) {
 	}
 }
 
+// TestWidestSetOneFilterKey is the packed-vs-reference differential at
+// the widest associativity platform.Validate admits, with every line of
+// the single set on filter key 0: the key's one-byte counter climbs to
+// its maximum of 255 and must still never prove a resident line absent.
+// The trace fills the set, re-touches every way, then churns over more
+// lines than fit.
+func TestWidestSetOneFilterKey(t *testing.T) {
+	const ways = 255
+	geom := platform.CacheGeom{SizeBytes: ways * 64, Ways: ways, LineBytes: 64}
+	tgeom := platform.TLBGeom{Entries: ways, Ways: ways}
+	fast, ref := New(geom), NewRef(geom)
+	tlb, refTLB := NewTLB(tgeom), NewRefTLB(tgeom)
+	r := rng.NewXorShift(3)
+	for i := 0; i < 20000; i++ {
+		n := uint64(i % ways)
+		if i >= 2*ways {
+			n = r.Next() % (ways + 64)
+		}
+		line := n * (filtMask + 1)
+		write := r.Next()%3 == 0
+		probe := fast.AccessOrFill
+		if i&1 != 0 {
+			probe = fast.AccessOrFillStream
+		}
+		fh, fe, fd, fok := probe(line, write)
+		if rh := ref.Access(line, write); fh != rh {
+			t.Fatalf("op %d: line %d fast hit=%v ref hit=%v", i, line, fh, rh)
+		}
+		if !fh {
+			if re, rd, rok := ref.Fill(line, write); fok != rok || (fok && (fe != re || fd != rd)) {
+				t.Fatalf("op %d: line %d eviction fast=(%d,%v,%v) ref=(%d,%v,%v)", i, line, fe, fd, fok, re, rd, rok)
+			}
+		}
+		if fh, rh := tlb.Access(line), refTLB.Access(line); fh != rh {
+			t.Fatalf("op %d: TLB page %d fast hit=%v ref hit=%v", i, line, fh, rh)
+		}
+	}
+}
+
 // TestTLBImplEquivalence drives both TLB implementations with the same
 // randomized page trace, interrupted by the occasional Reset.
 func TestTLBImplEquivalence(t *testing.T) {

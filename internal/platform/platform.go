@@ -155,8 +155,10 @@ func (p *Platform) Scaled(f int64) *Platform {
 func (p *Platform) CyclesToSeconds(c uint64) float64 { return float64(c) / p.FreqHz }
 
 // maxWays bounds the associativity of every cache and TLB level: the
-// packed models in internal/cache keep each set's MRU index in a uint16.
-const maxWays = 1<<16 - 1
+// packed models in internal/cache count the resident lines of a set that
+// share a membership-filter key in one byte, and with 256 such lines the
+// counter wraps to 0 and the filter "proves" a resident line absent.
+const maxWays = 255
 
 // Validate returns an error describing the first constraint p violates,
 // nil if the timing engine can run on p. Beyond plain sanity it rejects

@@ -38,6 +38,8 @@ func TestValidate(t *testing.T) {
 		{"cache ways overflow the MRU index", func(p *Platform) { p.L3.Ways = 1 << 16 }, "cache ways"},
 		{"TLB without ways", func(p *Platform) { p.DTLB.Ways = 0 }, "TLB ways"},
 		{"TLB ways overflow the MRU index", func(p *Platform) { p.STLB.Ways = 1 << 16 }, "TLB ways"},
+		{"cache ways overflow a filter counter", func(p *Platform) { p.L2.Ways = 256 }, "cache ways"},
+		{"TLB ways overflow a filter counter", func(p *Platform) { p.DTLB.Ways = 256 }, "TLB ways"},
 	} {
 		p := XeonGold6326()
 		tc.mutate(p)
@@ -52,7 +54,7 @@ func TestValidate(t *testing.T) {
 
 // TestScaledPlatformsValidate covers every scale factor the repository
 // builds a platform with (1 to 512), and the widest associativity the
-// packed cache models can index.
+// packed cache models' one-byte filter counters can hold.
 func TestScaledPlatformsValidate(t *testing.T) {
 	for f := int64(1); f <= 512; f *= 2 {
 		if err := XeonGold6326().Scaled(f).Validate(); err != nil {
@@ -60,8 +62,8 @@ func TestScaledPlatformsValidate(t *testing.T) {
 		}
 	}
 	p := XeonGold6326()
-	p.L3.Ways, p.STLB.Ways = maxWays, maxWays
+	p.L3.Ways, p.STLB.Ways = 255, 255
 	if err := p.Validate(); err != nil {
-		t.Errorf("%d ways: %v", maxWays, err)
+		t.Errorf("255 ways: %v", err)
 	}
 }

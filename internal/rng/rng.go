@@ -7,6 +7,8 @@
 // reproducible from a single seed regardless of thread count.
 package rng
 
+import "math/bits"
+
 // LCG is the linear congruential generator used to produce random access
 // positions (Numerical Recipes constants, full 64-bit period).
 type LCG struct {
@@ -81,16 +83,9 @@ func mix(z uint64) uint64 {
 // Mix is the exported splitmix64 finalizer for deriving sub-seeds.
 func Mix(z uint64) uint64 { return mix(z) }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	return hi, lo
-}
+// mul64 returns the 128-bit product of a and b as (hi, lo): the
+// compiler intrinsic, one widening multiply on amd64 and arm64.
+func mul64(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }
 
 // Permutation fills out with a pseudo-random permutation of [0, len(out))
 // using the Fisher-Yates shuffle driven by x.

@@ -66,15 +66,14 @@ func (r *Result) Throughput(env *core.Env) float64 {
 	return env.Bandwidth(r.Bytes, r.WallCycles)
 }
 
-// GenColumn fills col with uniform random bytes (deterministic in seed).
+// GenColumn fills col with uniform random bytes (deterministic in seed):
+// each draw is stored whole, low byte first, and a short tail takes the
+// low byte of one draw per byte.
 func GenColumn(col *mem.U8Buf, seed uint64) {
 	r := rng.NewXorShift(rng.Mix(seed))
 	i := 0
 	for ; i+8 <= len(col.D); i += 8 {
-		v := r.Next()
-		for j := 0; j < 8; j++ {
-			col.D[i+j] = uint8(v >> (8 * j))
-		}
+		binary.LittleEndian.PutUint64(col.D[i:], r.Next())
 	}
 	for ; i < len(col.D); i++ {
 		col.D[i] = uint8(r.Next())

@@ -48,6 +48,13 @@ type evList struct{ head, tail int32 }
 //     set occupancy bit is the earliest slot; and any event at level
 //     l is strictly earlier than any event at level m > l. Lowest
 //     non-empty level + lowest set bit is therefore the global minimum.
+//   - When the slot a cascade clears holds a single node, that node is
+//     the global minimum (by the point above, and no other event shares
+//     its time), so it is served at once with cur set to its time. Every
+//     other pending event keeps its slot: one at the same level l sits in
+//     a later digit, one at level m > l differs from cur in digit m, and
+//     the new cur keeps the old one's digits above l, so each still first
+//     differs from cur in the digit it is filed under.
 type timerWheel struct {
 	cur  uint64 // lower bound on every pending event's time
 	n    int
@@ -142,6 +149,11 @@ func (w *timerWheel) pop() event {
 		l := w.slot[lvl][s]
 		w.slot[lvl][s] = evList{}
 		w.occ[lvl] &^= 1 << uint(s)
+		if l.head == l.tail {
+			// A lone node is the global minimum: serve it without re-filing.
+			w.cur = w.nodes[l.head].ev.t
+			return w.release(l.head)
+		}
 		shift := uint(lvl) * wheelBits
 		mask := uint64(1)<<(shift+wheelBits) - 1
 		w.cur = w.cur&^mask | uint64(s)<<shift
@@ -157,11 +169,16 @@ func (w *timerWheel) pop() event {
 	w.cur = w.cur&^wheelMask | uint64(s)
 	l := &w.slot[0][s]
 	i := l.head
-	nd := &w.nodes[i]
-	l.head = nd.next
-	if nd.next == 0 {
+	l.head = w.nodes[i].next
+	if l.head == 0 {
 		w.occ[0] &^= 1 << uint(s)
 	}
+	return w.release(i)
+}
+
+// release recycles popped node i and returns its event.
+func (w *timerWheel) release(i int32) event {
+	nd := &w.nodes[i]
 	nd.next = w.free
 	w.free = i
 	return nd.ev

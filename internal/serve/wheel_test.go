@@ -130,6 +130,57 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 	}
 }
 
+// TestWheelLonePops drives the wheel against the heap on a sparse
+// timeline: every far event sits on a 2^12-cycle grid, so most cascades
+// clear a slot holding one node and serve it without re-filing (grid
+// ties still give multi-node slots). The grid's offset varies by seed,
+// up to all-ones low digits, where cur+1 carries into the upper levels.
+// After every pop one event is pushed at the new cur, at cur+1 or far
+// ahead, so pushes land in the slot a lone pop just left and next to it
+// as well as across the upper levels.
+func TestWheelLonePops(t *testing.T) {
+	const grid = 1 << 12
+	offsets := []uint64{0, 1, 63, grid - 1}
+	for seed := uint64(1); seed <= 8; seed++ {
+		off := offsets[seed%4]
+		wh := newTimerWheel()
+		hp := &heapQueue{}
+		r := seed
+		next := func(mod uint64) uint64 {
+			r = splitmix64(r)
+			return r % mod
+		}
+		var now, seq uint64
+		push := func(tt uint64) {
+			seq++
+			e := event{t: tt, seq: seq, kind: uint8(next(6)), who: int32(seq)}
+			wh.push(e)
+			hp.push(e)
+		}
+		far := func() uint64 { return now&^(grid-1) + grid*(1+next(uint64(1)<<next(21))) + off }
+		for i := 0; i < 256; i++ {
+			push(far())
+		}
+		for i := 0; i < 20000; i++ {
+			now = popBoth(t, wh, hp, i).t
+			switch next(4) {
+			case 0:
+				push(now)
+			case 1:
+				push(now + 1)
+			default:
+				push(far())
+			}
+		}
+		for i := 0; i < 256; i++ {
+			popBoth(t, wh, hp, i)
+		}
+		if !wh.empty() || !hp.empty() {
+			t.Fatalf("seed %d: queues not drained together", seed)
+		}
+	}
+}
+
 // TestWheelLatePush: the simulator never schedules into the past, but
 // the wheel must not silently diverge from heap semantics if it ever
 // did — a late event pops first, ordered among other late events.
