@@ -65,8 +65,9 @@ func TestShapeFig3(t *testing.T) {
 		}
 	}
 	// CrkJoin slowest in-enclave; every other algorithm clearly faster
-	// (the paper reports 3x..12x; the simulator compresses the PHT/INL
-	// gap somewhat — see EXPERIMENTS.md — but the ordering must hold).
+	// (the paper's Fig 3 reports 3–12x; the simulator compresses the
+	// PHT/INL gap — README "Fig 3: the in-enclave gap to CrkJoin" — but
+	// the ordering must hold).
 	crk := get("CrkJoin")
 	for _, r := range rows {
 		if r.name == "CrkJoin" {

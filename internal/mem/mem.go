@@ -47,9 +47,6 @@ type Buffer struct {
 	Name string
 }
 
-// End returns the first address past the buffer.
-func (b *Buffer) End() uint64 { return b.Base + uint64(b.Size) }
-
 // Contains reports whether the buffer covers [off, off+n).
 func (b *Buffer) Contains(off, n int64) bool {
 	return off >= 0 && n >= 0 && off+n <= b.Size
@@ -96,7 +93,8 @@ func (s *Space) base(r Region) uint64 {
 }
 
 // Alloc reserves n bytes in region r, aligned to 4 KiB pages, and returns
-// the buffer handle. The name is used in diagnostics only.
+// the buffer handle. The name is used in diagnostics only. A panicking
+// Alloc reserves nothing: Used is unchanged after it is recovered.
 func (s *Space) Alloc(name string, n int64, r Region) Buffer {
 	if n < 0 {
 		panic(fmt.Sprintf("mem: negative allocation %d for %q", n, name))
@@ -104,25 +102,26 @@ func (s *Space) Alloc(name string, n int64, r Region) Buffer {
 	if r.Node < 0 || r.Node >= s.nodes {
 		panic(fmt.Sprintf("mem: node %d out of range for %q", r.Node, name))
 	}
+	// No region fits a window's worth, and rejecting it first keeps the
+	// page round-up below from overflowing.
+	if n >= regionWindow {
+		panic(fmt.Sprintf("mem: region %+v exhausted allocating %d bytes for %q", r, n, name))
+	}
 	const align = 4096
 	sz := (n + align - 1) &^ (align - 1)
 	if sz == 0 {
 		sz = align
 	}
 	s.mu.Lock()
-	off, ok := s.next[r]
-	if !ok {
-		off = 0
+	off := s.next[r]
+	if off+uint64(sz) >= regionWindow {
+		s.mu.Unlock()
+		panic(fmt.Sprintf("mem: region %+v exhausted allocating %d bytes for %q", r, n, name))
 	}
-	base := s.base(r) + off
 	s.next[r] = off + uint64(sz)
 	s.used[r] += sz
-	if s.next[r] >= regionWindow {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("mem: region %+v exhausted allocating %q", r, name))
-	}
 	s.mu.Unlock()
-	return Buffer{Base: base, Size: n, Reg: r, Name: name}
+	return Buffer{Base: s.base(r) + off, Size: n, Reg: r, Name: name}
 }
 
 // Used reports the bytes allocated in region r (page-rounded).

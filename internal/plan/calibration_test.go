@@ -1,85 +1,176 @@
 package plan
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"go/format"
 	"math"
+	"os"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sgxbench/internal/core"
 )
 
-// pinnedCoeffs is every calibrated coefficient of two models as
-// math.Float64bits, recorded from commit 91404f4 — before calibration
-// stopped re-running and started cutting its probes. A cheaper
-// calibration must reproduce each of them bit for bit.
-var pinnedCoeffs = map[core.Setting]map[string]uint64{
-	core.SGXDiE: {
-		"FilterRow": 0x3fe25a0000000000, "GatherRow": 0x4020a687c1754420,
-		"AggFixed": 0x40964ef6dbddbb90, "AggRow": 0x4022713c4147bdc3,
-		"SpillAggFixed": 0x40af27f731a15588, "SpillAggRow": 0x402046bc786a0e74,
-		"TopKFixed": 0x40db59a260018810, "TopKRow": 0x3ffe4629723d8c16,
-		"ProjectRow": 0x40040575c332023c, "SortUnit": 0x40022c7065c872bd,
-		"MergeRow": 0x4001947a50962239, "inlDepth": 0x402005bf942dbbc2,
-		"JoinFixed.grace": 0x40ba6075c832281c, "JoinFixed.inl": 0x0,
-		"JoinFixed.merge": 0x0, "JoinFixed.rho": 0x40bff7419140d978,
-		"JoinRow.grace": 0x401e379cd5d5fabc, "JoinRow.inl": 0x4014cdfca65bfc5d,
-		"JoinRow.merge": 0x0, "JoinRow.rho": 0x4028735757eaf11e,
-		"Kappa.agg.hash": 0x4086cd2000000000, "Kappa.agg.spill": 0x406b174000000000,
-		"Kappa.grace": 0x403141d49e99e769, "Kappa.inl": 0x4026e1e1e1e1e1e2,
-		"Kappa.merge": 0x402366c96dd52c12, "Kappa.rho": 0x4048b8a4ae1310b7,
-	},
-	core.PlainCPU: {
-		"FilterRow": 0x3fe1990000000000, "GatherRow": 0x401e3d4d0f82ea88,
-		"AggFixed": 0x40ba89cbe18fb8c8, "AggRow": 0x4010d884178bfd21,
-		"SpillAggFixed": 0x40bd78881076b0fb, "SpillAggRow": 0x400e47b182b43d12,
-		"TopKFixed": 0x40da01b83f2ca720, "TopKRow": 0x3ffe2da86ad27c57,
-		"ProjectRow": 0x4001d19704d6ed04, "SortUnit": 0x4001da1f0f72fcf5,
-		"MergeRow": 0x3fff3f79c348bfa4, "inlDepth": 0x402005bf942dbbc2,
-		"JoinFixed.grace": 0x40aab939dcae044c, "JoinFixed.inl": 0x0,
-		"JoinFixed.merge": 0x0, "JoinFixed.rho": 0x40ac3303af679da0,
-		"JoinRow.grace": 0x401a6f212aa48a69, "JoinRow.inl": 0x401487bab3170537,
-		"JoinRow.merge": 0x0, "JoinRow.rho": 0x40254eeb90645036,
-	},
-}
-
-// coeffs flattens a model's coefficients under the pinnedCoeffs names.
+// coeffs flattens a model's coefficients by field name: every float64
+// field, and every map entry as "Field.key". It walks the struct, so a
+// coefficient added to Model is pinned without touching this file.
 func coeffs(m *Model) map[string]float64 {
-	out := map[string]float64{
-		"FilterRow": m.FilterRow, "GatherRow": m.GatherRow,
-		"AggFixed": m.AggFixed, "AggRow": m.AggRow,
-		"SpillAggFixed": m.SpillAggFixed, "SpillAggRow": m.SpillAggRow,
-		"TopKFixed": m.TopKFixed, "TopKRow": m.TopKRow,
-		"ProjectRow": m.ProjectRow, "SortUnit": m.SortUnit,
-		"MergeRow": m.MergeRow, "inlDepth": m.inlDepth,
-	}
-	for name, mp := range map[string]map[string]float64{"JoinFixed.": m.JoinFixed, "JoinRow.": m.JoinRow, "Kappa.": m.Kappa} {
-		for k, v := range mp {
-			out[name+k] = v
+	out := map[string]float64{}
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			out[name] = f.Float()
+		case reflect.Map:
+			for _, k := range f.MapKeys() {
+				out[name+"."+k.String()] = f.MapIndex(k).Float()
+			}
 		}
 	}
 	return out
 }
 
-// TestCalibrationPinned: same planner, bit for bit.
-func TestCalibrationPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
+var update = flag.Bool("update", false, "rewrite model_table.go from a fresh calibration of every table key")
+
+// tableSettings and tableThreads span modelTable's keys: every setting at
+// each thread count the repository plans with — 1 for serve.Calibrate's
+// suite classes, 2 for the benchmark and this package's tests, 4 for
+// cmd/bench's default and 16 for cmd/diag's.
+var (
+	tableSettings = []struct {
+		s     core.Setting
+		ident string
+	}{{core.PlainCPU, "core.PlainCPU"}, {core.PlainCPUM, "core.PlainCPUM"}, {core.SGXDoE, "core.SGXDoE"}, {core.SGXDiE, "core.SGXDiE"}}
+	tableThreads = []int{1, 2, 4, 16}
+)
+
+// TestModelTable re-derives every modelTable entry with calibrate and
+// names each key and coefficient whose bits moved. A timing-model change
+// fails here until the table is regenerated on purpose:
+//
+//	go test ./internal/plan -run TestModelTable -update
+func TestModelTable(t *testing.T) {
+	if runtime.GOARCH != "amd64" && !*update {
 		t.Skip("bits recorded on amd64; other targets may fuse the fits' multiply-adds")
 	}
-	for setting, want := range pinnedCoeffs {
-		m := calibrate(setting, 2)
-		m.EnsureKappa()
-		got := coeffs(m)
-		if len(got) != len(want) {
-			t.Errorf("%s: %d coefficients, pinned %d", setting, len(got), len(want))
-		}
-		for name, bits := range want {
-			if g := math.Float64bits(got[name]); g != bits {
-				t.Errorf("%s %s = %#x (%v), pinned %#x (%v)", setting, name, g, got[name], bits, math.Float64frombits(bits))
+	var gen bytes.Buffer
+	gen.WriteString(`// Code generated by "go test -run TestModelTable -update"; DO NOT EDIT.
+
+package plan
+
+import (
+	"math"
+
+	"sgxbench/internal/core"
+)
+
+// modelTable is calibrate's output for every (setting, threads) key the
+// repository plans with, bit for bit: ModelFor returns these models
+// without running a probe. TestModelTable re-derives each of them.
+var modelTable = map[modelKey]*Model{
+`)
+	n := 0
+	for _, ts := range tableSettings {
+		for _, threads := range tableThreads {
+			n++
+			key := fmt.Sprintf("(%s, %d)", ts.s, threads)
+			got := calibrate(ts.s, threads)
+			writeModel(&gen, ts.ident, got)
+			if *update {
+				continue
+			}
+			tab, ok := modelTable[modelKey{ts.s, threads}]
+			if !ok {
+				t.Errorf("%s: missing from modelTable", key)
+				continue
+			}
+			if tab.Setting != ts.s || tab.Threads != threads {
+				t.Errorf("%s: modelTable entry is for (%s, %d)", key, tab.Setting, tab.Threads)
+			}
+			want, have := coeffs(tab), coeffs(got)
+			for _, name := range sortedNames(want, have) {
+				w, wok := want[name]
+				h, hok := have[name]
+				switch {
+				case !wok:
+					t.Errorf("%s %s: calibrate gives %v, modelTable has no entry", key, name, h)
+				case !hok:
+					t.Errorf("%s %s: modelTable holds %v, calibrate gives no entry", key, name, w)
+				case math.Float64bits(w) != math.Float64bits(h):
+					t.Errorf("%s %s: calibrate gives %#x (%v), modelTable holds %#x (%v)",
+						key, name, math.Float64bits(h), h, math.Float64bits(w), w)
+				}
 			}
 		}
 	}
+	gen.WriteString("}\n")
+	if *update {
+		src, err := format.Source(gen.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("model_table.go", src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(modelTable) != n {
+		t.Errorf("modelTable has %d entries, want %d", len(modelTable), n)
+	}
+	if t.Failed() {
+		t.Log("if the timing model changed on purpose: go test ./internal/plan -run TestModelTable -update")
+	}
+}
+
+// writeModel appends m as one modelTable entry: every coefficient as its
+// exact bits, map entries in key order.
+func writeModel(w *bytes.Buffer, settingIdent string, m *Model) {
+	lit := func(x float64) string { return fmt.Sprintf("math.Float64frombits(%#016x)", math.Float64bits(x)) }
+	fmt.Fprintf(w, "{%s, %d}: {\nSetting: %s,\nThreads: %d,\n", settingIdent, m.Threads, settingIdent, m.Threads)
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			fmt.Fprintf(w, "%s: %s,\n", name, lit(f.Float()))
+		case reflect.Map:
+			fmt.Fprintf(w, "%s: map[string]float64{", name)
+			keys := make([]string, 0, f.Len())
+			for _, k := range f.MapKeys() {
+				keys = append(keys, k.String())
+			}
+			sort.Strings(keys)
+			if len(keys) > 0 {
+				w.WriteString("\n")
+			}
+			for _, k := range keys {
+				fmt.Fprintf(w, "%q: %s,\n", k, lit(f.MapIndex(reflect.ValueOf(k)).Float()))
+			}
+			w.WriteString("},\n")
+		}
+	}
+	w.WriteString("},\n")
+}
+
+// sortedNames is the sorted union of two coefficient maps' names.
+func sortedNames(a, b map[string]float64) []string {
+	var names []string
+	for k := range a {
+		names = append(names, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // calProbes lists every probe kind calibration runs: the query, the
@@ -148,11 +239,11 @@ func TestCalibrationProbeRuns(t *testing.T) {
 		f()
 		return calRuns.Load() - before
 	}
-	if n := count(func() { calibrate(core.PlainCPU, 2).EnsureKappa() }); n != 15 {
+	if n := count(func() { calibrate(core.PlainCPU, 2) }); n != 15 {
 		t.Errorf("Plain CPU calibration ran %d probe pipelines, want 15", n)
 	}
-	if n := count(func() { calibrate(core.SGXDiE, 2).EnsureKappa() }); n > 22 {
-		t.Errorf("SGX DiE calibration + kappa ran %d probe pipelines, want <= 22", n)
+	if n := count(func() { calibrate(core.SGXDiE, 2) }); n != 22 {
+		t.Errorf("SGX DiE calibration ran %d probe pipelines, want 22", n)
 	}
 	if p := wsPages(core.SGXDiE, 2); p != 284 {
 		t.Errorf("wsPages(SGX DiE, 2) = %d, want 284", p)
@@ -184,27 +275,4 @@ func TestModelForCalibratesOnce(t *testing.T) {
 			t.Fatal("concurrent ModelFor calls returned different models")
 		}
 	}
-}
-
-// TestChooseConcurrentResidentAndOversubscribed: one goroutine choosing
-// a resident plan while another chooses under oversubscription on the
-// same fresh model must not race on Kappa (run under -race).
-func TestChooseConcurrentResidentAndOversubscribed(t *testing.T) {
-	m := calibrate(core.SGXDiE, 2)
-	q := Query{Pred: sel902, Dims: 1}
-	var oversubscribed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		Choose(m, q, Shape{NDim: testDim, NFact: testFact, EPCRatio: 2})
-		oversubscribed.Store(true)
-	}()
-	go func() {
-		defer wg.Done()
-		for !oversubscribed.Load() {
-			Choose(m, q, Shape{NDim: testDim, NFact: testFact})
-		}
-	}()
-	wg.Wait()
 }

@@ -27,10 +27,10 @@ import (
 // monotonically increasing in the oversubscription ratio.
 
 // Calibration probe sizes: large enough that fixed per-phase overheads
-// do not swamp the per-row slopes. They set the planner's cold start on
-// the host: 15 resident probe pipelines per (setting, threads) model —
-// 19-24 ms for Plain CPU — plus 7 paged ones in EnsureKappa — 36-48 ms
-// for SGX DiE in all (2 threads, one host CPU; README "Query planning").
+// do not swamp the per-row slopes. calibrate runs 15 resident probe
+// pipelines per (setting, threads) model, plus one footprint run and six
+// paged ones for SGX DiE; ModelFor reads the result from modelTable, so
+// only an off-table key pays for them at run time.
 const (
 	calDim  = 256
 	calFact = 8192
@@ -86,21 +86,17 @@ type Model struct {
 	// fixed·(nDim/calDim) + row·nProbe from two probe selectivities.
 	JoinFixed map[string]float64
 	JoinRow   map[string]float64
-	// inlDepth is log2(calDim+2): INL's per-probe cost scales with the
-	// B+-tree depth, so the model scales JoinRow[inl] by
-	// log2(nDim+2)/inlDepth.
-	inlDepth float64
 
 	// Kappa is the paging penalty: extra cycles per row at full miss
 	// rate, per join strategy and per "agg."-prefixed agg strategy.
-	// Calibrated lazily (EnsureKappa); zero for non-EPC settings.
-	Kappa     map[string]float64
-	kappaOnce sync.Once
-	// resHi holds, per Kappa key, the resident hi-selectivity measurement
-	// of the stage the key's paged probe re-measures: calibrate takes it
-	// anyway for the affine fits, so EnsureKappa never re-runs it.
-	resHi map[string]calPoint
+	// Calibrated with the model for DataInEPC settings; empty otherwise.
+	Kappa map[string]float64
 }
+
+// inlDepth is log2(calDim+2): INL's per-probe cost scales with the
+// B+-tree depth, so the model scales JoinRow[inl] by
+// log2(nDim+2)/inlDepth.
+var inlDepth = math.Log2(calDim + 2)
 
 // calPlat is the fixed calibration platform: the benchmark's scaled
 // paper machine, so calibrated constants are deterministic and
@@ -172,23 +168,30 @@ type modelKey struct {
 	threads int
 }
 
-// modelEntry calibrates its model once, however many goroutines ask for
-// the key first.
+// modelEntry calibrates an off-table model once, however many
+// goroutines ask for the key first.
 type modelEntry struct {
 	once sync.Once
 	m    *Model
 }
 
-var modelCache sync.Map // modelKey → *modelEntry
+var modelCache sync.Map // modelKey → *modelEntry, for keys outside modelTable
 
 // ModelFor returns the calibrated cost model for a setting at a thread
-// count, running the calibration probes on first use (cached;
-// deterministic; concurrent first callers wait for one calibration).
+// count. The keys the repository's commands use are read from
+// modelTable, calibrate's output committed bit for bit; any other key is
+// calibrated on first use and cached (deterministic; concurrent first
+// callers wait for one calibration).
+//
+//go:generate go test -run TestModelTable -update
 func ModelFor(setting core.Setting, threads int) *Model {
 	if threads < 1 {
 		threads = 1
 	}
 	k := modelKey{setting, threads}
+	if m, ok := modelTable[k]; ok {
+		return m
+	}
 	v, ok := modelCache.Load(k)
 	if !ok {
 		v, _ = modelCache.LoadOrStore(k, &modelEntry{})
@@ -199,7 +202,8 @@ func ModelFor(setting core.Setting, threads int) *Model {
 }
 
 // calibrate derives the per-row constants from probe plans: 15 resident
-// pipelines, each cut at the stage it measures.
+// pipelines, each cut at the stage it measures, then the paging
+// coefficients for a DataInEPC setting.
 func calibrate(setting core.Setting, threads int) *Model {
 	m := &Model{
 		Setting:   setting,
@@ -207,9 +211,10 @@ func calibrate(setting core.Setting, threads int) *Model {
 		JoinFixed: map[string]float64{},
 		JoinRow:   map[string]float64{},
 		Kappa:     map[string]float64{},
-		inlDepth:  math.Log2(calDim + 2),
-		resHi:     map[string]calPoint{},
 	}
+	// resHi holds, per Kappa key, the resident hi-selectivity measurement
+	// of the stage the key's paged probe re-measures.
+	resHi := map[string]calPoint{}
 
 	// probe runs q resident at the two probe selectivities.
 	probe := func(q Query, alt Alternative, cut string) (lo, hi *Result) {
@@ -249,10 +254,10 @@ func calibrate(setting core.Setting, threads int) *Model {
 	g := stageOf(base, "gather")
 	m.FilterRow = stageOf(base, "filter").cycles / calFact
 	m.GatherRow = g.cycles / g.rows
-	m.AggFixed, m.AggRow, m.resHi["agg."+AggHash] = finalFit(base, baseHi, "agg")
+	m.AggFixed, m.AggRow, resHi["agg."+AggHash] = finalFit(base, baseHi, "agg")
 
 	spill, spillHi := probe(Query{Name: "cal.spill"}, Alternative{Agg: AggSpill}, "agg")
-	m.SpillAggFixed, m.SpillAggRow, m.resHi["agg."+AggSpill] = finalFit(spill, spillHi, "agg")
+	m.SpillAggFixed, m.SpillAggRow, resHi["agg."+AggSpill] = finalFit(spill, spillHi, "agg")
 
 	topk, topkHi := probe(Query{Name: "cal.topk", Order: true, Limit: calK}, Alternative{Ord: OrdTopK}, "topk")
 	m.TopKFixed, m.TopKRow, _ = finalFit(topk, topkHi, "topk")
@@ -261,7 +266,7 @@ func calibrate(setting core.Setting, threads int) *Model {
 	for _, s := range []string{JoinRHO, JoinINL, JoinGrace, JoinMerge} {
 		lo, hi := probe(Query{Name: "cal." + s, Dims: 1}, Alternative{Join: s, Agg: AggHash}, "join")
 		p1, p2 := stageOf(lo, "join"), stageOf(hi, "join")
-		m.resHi[s] = p2
+		resHi[s] = p2
 		m.JoinFixed[s], m.JoinRow[s] = affineFit(p1.cycles, p1.rows, p2.cycles, p2.rows)
 		if s == JoinINL {
 			// INL has no timed build: its probe-phase cost goes through
@@ -284,39 +289,36 @@ func calibrate(setting core.Setting, threads int) *Model {
 	pr := stageOf(chain, "project")
 	m.ProjectRow = pr.cycles / pr.rows
 
+	if !setting.DataInEPC() {
+		return m
+	}
+	// κ: each strategy's hi-selectivity probe runs once more under an EPC
+	// capacity of half the measured resident working set (2x
+	// oversubscription), and the per-row cost delta against the resident
+	// measurement in resHi — clamped non-negative — becomes the full-miss
+	// penalty.
+	half := wsPages(setting, threads) / 2
+	paged := func(q Query, alt Alternative, stage, key string) {
+		q.Pred = calPredHi
+		res2, _ := calRun(setting, threads, half, q, alt, stage)
+		res0 := resHi[key]
+		k := (stageOf(res2, stage).cycles - res0.cycles) / res0.rows / (1 - 0.5)
+		if k < 0 {
+			k = 0
+		}
+		m.Kappa[key] = k
+	}
+	for _, s := range []string{JoinRHO, JoinINL, JoinGrace, JoinMerge} {
+		paged(Query{Name: "cal.k." + s, Dims: 1}, Alternative{Join: s, Agg: AggHash}, "join", s)
+	}
+	paged(Query{Name: "cal.k.agg"}, Alternative{Agg: AggHash}, "agg", "agg."+AggHash)
+	paged(Query{Name: "cal.k.spill"}, Alternative{Agg: AggSpill}, "agg", "agg."+AggSpill)
 	return m
 }
 
-// EnsureKappa calibrates the paging penalty coefficients on first use:
-// each strategy's hi-selectivity probe runs once more under an EPC
-// capacity of half the measured resident working set (2x
-// oversubscription), and the per-row cost delta against calibrate's
-// resident measurement — clamped non-negative — becomes the full-miss
-// penalty. Settings whose data region is not EPC-resident page nowhere;
-// their coefficients stay zero.
-func (m *Model) EnsureKappa() {
-	m.kappaOnce.Do(func() {
-		if !m.Setting.DataInEPC() {
-			return
-		}
-		half := wsPages(m.Setting, m.Threads) / 2
-		probe := func(q Query, alt Alternative, stage, key string) {
-			q.Pred = calPredHi
-			res2, _ := calRun(m.Setting, m.Threads, half, q, alt, stage)
-			res0 := m.resHi[key]
-			k := (stageOf(res2, stage).cycles - res0.cycles) / res0.rows / (1 - 0.5)
-			if k < 0 {
-				k = 0
-			}
-			m.Kappa[key] = k
-		}
-		for _, s := range []string{JoinRHO, JoinINL, JoinGrace, JoinMerge} {
-			probe(Query{Name: "cal.k." + s, Dims: 1}, Alternative{Join: s, Agg: AggHash}, "join", s)
-		}
-		probe(Query{Name: "cal.k.agg"}, Alternative{Agg: AggHash}, "agg", "agg."+AggHash)
-		probe(Query{Name: "cal.k.spill"}, Alternative{Agg: AggSpill}, "agg", "agg."+AggSpill)
-	})
-}
+// EnsureKappa does nothing: calibrate computes κ with the rest of the
+// model. It is kept for callers written when κ was calibrated lazily.
+func (m *Model) EnsureKappa() {}
 
 // wsPages measures the probe workload's resident EPC page footprint
 // (dataset + scratch + operator state) by running the full RHO pipeline
@@ -352,22 +354,19 @@ func (m *Model) joinCost(s string, nProbe, nDim, ratio float64) float64 {
 		// INL's index build is untimed (pre-provisioned), so its fixed
 		// term is generic probe setup, not dim-dependent; the per-probe
 		// slope scales with the B+-tree depth.
-		c = m.JoinFixed[s] + m.JoinRow[s]*nProbe*math.Log2(nDim+2)/m.inlDepth
+		c = m.JoinFixed[s] + m.JoinRow[s]*nProbe*math.Log2(nDim+2)/inlDepth
 	default:
 		c = m.JoinFixed[s]*(nDim/calDim) + m.JoinRow[s]*nProbe
 	}
 	return c + m.paging(s, nProbe, ratio)
 }
 
-// paging is the EPC pressure term of one Kappa key over n rows. κ is
-// calibrated and read only under oversubscription — the term is zero
-// otherwise — so a resident caller never touches the map that a
-// concurrent first EnsureKappa is filling.
+// paging is the EPC pressure term of one Kappa key over n rows: zero
+// when resident.
 func (m *Model) paging(key string, n, ratio float64) float64 {
 	if ratio <= 1 {
 		return 0
 	}
-	m.EnsureKappa()
 	return m.Kappa[key] * n * press(ratio)
 }
 

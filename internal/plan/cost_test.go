@@ -30,16 +30,15 @@ func planAlts() []struct {
 }
 
 // TestCostMonotonicRows: modeled cost must be non-decreasing in the
-// fact row count for every strategy, under plain and enclave models.
+// fact row count for every strategy, under every table model.
 func TestCostMonotonicRows(t *testing.T) {
-	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-		m := ModelFor(setting, 2)
+	for k, m := range modelTable {
 		for _, c := range planAlts() {
 			prev := 0.0
 			for nf := 1 << 8; nf <= 1<<20; nf <<= 1 {
 				got := m.Cost(c.q, c.alt, Shape{NDim: testDim, NFact: nf})
 				if got < prev {
-					t.Errorf("%s/%s: cost(%d)=%.0f < cost(%d/2)=%.0f", setting, c.alt, nf, got, nf, prev)
+					t.Errorf("%s/%d/%s: cost(%d)=%.0f < cost(%d/2)=%.0f", k.setting, k.threads, c.alt, nf, got, nf, prev)
 				}
 				prev = got
 			}
@@ -51,8 +50,7 @@ func TestCostMonotonicRows(t *testing.T) {
 // the filter selectivity at a fixed shape.
 func TestCostMonotonicSelectivity(t *testing.T) {
 	preds := []scan.Predicate{sel004, sel102, sel250, sel500, sel902}
-	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-		m := ModelFor(setting, 2)
+	for k, m := range modelTable {
 		for _, c := range planAlts() {
 			prev := 0.0
 			for _, p := range preds {
@@ -60,7 +58,7 @@ func TestCostMonotonicSelectivity(t *testing.T) {
 				q.Pred = p
 				got := m.Cost(q, c.alt, Shape{NDim: testDim, NFact: testFact})
 				if got < prev {
-					t.Errorf("%s/%s: cost(sel=%.3f)=%.0f decreased", setting, c.alt, p.Selectivity(), got)
+					t.Errorf("%s/%d/%s: cost(sel=%.3f)=%.0f decreased", k.setting, k.threads, c.alt, p.Selectivity(), got)
 				}
 				prev = got
 			}
@@ -70,22 +68,26 @@ func TestCostMonotonicSelectivity(t *testing.T) {
 
 // TestCostMonotonicPressure: modeled cost must be non-decreasing in the
 // EPC oversubscription ratio (the calibrated kappa term scaled by the
-// paging pressure factor).
+// paging pressure factor), under every table model that pages.
 func TestCostMonotonicPressure(t *testing.T) {
-	m := ModelFor(core.SGXDiE, 2)
-	for _, c := range planAlts() {
-		prev := 0.0
-		for _, ratio := range []float64{0, 1, 1.5, 2, 3, 4, 8} {
-			got := m.Cost(c.q, c.alt, Shape{NDim: testDim, NFact: testFact, EPCRatio: ratio})
-			if got < prev {
-				t.Errorf("%s: cost(ratio=%.1f)=%.0f < cost(prev)=%.0f", c.alt, ratio, got, prev)
-			}
-			prev = got
+	for k, m := range modelTable {
+		if !k.setting.DataInEPC() {
+			continue
 		}
-	}
-	for _, k := range m.Kappa {
-		if k < 0 {
-			t.Errorf("negative kappa coefficient: %+v", m.Kappa)
+		for _, c := range planAlts() {
+			prev := 0.0
+			for _, ratio := range []float64{0, 1, 1.5, 2, 3, 4, 8} {
+				got := m.Cost(c.q, c.alt, Shape{NDim: testDim, NFact: testFact, EPCRatio: ratio})
+				if got < prev {
+					t.Errorf("%s/%d/%s: cost(ratio=%.1f)=%.0f < cost(prev)=%.0f", k.setting, k.threads, c.alt, ratio, got, prev)
+				}
+				prev = got
+			}
+		}
+		for _, kappa := range m.Kappa {
+			if kappa < 0 {
+				t.Errorf("%s/%d: negative kappa coefficient: %+v", k.setting, k.threads, m.Kappa)
+			}
 		}
 	}
 }
@@ -193,32 +195,6 @@ func TestChooseNeverWorseThanWorst(t *testing.T) {
 					t.Errorf("%s/%s: chosen %s is the worst alternative (%d, best %d)", setting, name, alt, got, best)
 				}
 			}
-		}
-	}
-}
-
-// TestModelCalibrationDeterminism: two independent calibrations of the
-// same setting must produce identical constants (the probes run on the
-// deterministic simulator), so cached and fresh models agree.
-func TestModelCalibrationDeterminism(t *testing.T) {
-	a, b := calibrate(core.SGXDiE, 2), calibrate(core.SGXDiE, 2)
-	if a.FilterRow != b.FilterRow || a.GatherRow != b.GatherRow ||
-		a.AggFixed != b.AggFixed || a.AggRow != b.AggRow ||
-		a.SpillAggFixed != b.SpillAggFixed || a.SpillAggRow != b.SpillAggRow ||
-		a.TopKRow != b.TopKRow || a.ProjectRow != b.ProjectRow ||
-		a.SortUnit != b.SortUnit || a.MergeRow != b.MergeRow {
-		t.Fatalf("calibration not deterministic:\na=%+v\nb=%+v", a, b)
-	}
-	for s, v := range a.JoinRow {
-		if b.JoinRow[s] != v || b.JoinFixed[s] != a.JoinFixed[s] {
-			t.Fatalf("join fit for %s not deterministic", s)
-		}
-	}
-	a.EnsureKappa()
-	b.EnsureKappa()
-	for s, v := range a.Kappa {
-		if b.Kappa[s] != v {
-			t.Fatalf("kappa for %s not deterministic: %v vs %v", s, v, b.Kappa[s])
 		}
 	}
 }
