@@ -36,6 +36,69 @@ func coeffs(m *Model) map[string]float64 {
 	return out
 }
 
+// pinnedCoeffs is every calibrated coefficient of two models as
+// math.Float64bits, recorded from commit 91404f4 — before calibration
+// stopped re-running and started cutting its probes. A cheaper
+// calibration, and the committed table, must reproduce each of them bit
+// for bit.
+var pinnedCoeffs = map[core.Setting]map[string]uint64{
+	core.SGXDiE: {
+		"FilterRow": 0x3fe25a0000000000, "GatherRow": 0x4020a687c1754420,
+		"AggFixed": 0x40964ef6dbddbb90, "AggRow": 0x4022713c4147bdc3,
+		"SpillAggFixed": 0x40af27f731a15588, "SpillAggRow": 0x402046bc786a0e74,
+		"TopKFixed": 0x40db59a260018810, "TopKRow": 0x3ffe4629723d8c16,
+		"ProjectRow": 0x40040575c332023c, "SortUnit": 0x40022c7065c872bd,
+		"MergeRow": 0x4001947a50962239, "inlDepth": 0x402005bf942dbbc2,
+		"JoinFixed.grace": 0x40ba6075c832281c, "JoinFixed.inl": 0x0,
+		"JoinFixed.merge": 0x0, "JoinFixed.rho": 0x40bff7419140d978,
+		"JoinRow.grace": 0x401e379cd5d5fabc, "JoinRow.inl": 0x4014cdfca65bfc5d,
+		"JoinRow.merge": 0x0, "JoinRow.rho": 0x4028735757eaf11e,
+		"Kappa.agg.hash": 0x4086cd2000000000, "Kappa.agg.spill": 0x406b174000000000,
+		"Kappa.grace": 0x403141d49e99e769, "Kappa.inl": 0x4026e1e1e1e1e1e2,
+		"Kappa.merge": 0x402366c96dd52c12, "Kappa.rho": 0x4048b8a4ae1310b7,
+	},
+	core.PlainCPU: {
+		"FilterRow": 0x3fe1990000000000, "GatherRow": 0x401e3d4d0f82ea88,
+		"AggFixed": 0x40ba89cbe18fb8c8, "AggRow": 0x4010d884178bfd21,
+		"SpillAggFixed": 0x40bd78881076b0fb, "SpillAggRow": 0x400e47b182b43d12,
+		"TopKFixed": 0x40da01b83f2ca720, "TopKRow": 0x3ffe2da86ad27c57,
+		"ProjectRow": 0x4001d19704d6ed04, "SortUnit": 0x4001da1f0f72fcf5,
+		"MergeRow": 0x3fff3f79c348bfa4, "inlDepth": 0x402005bf942dbbc2,
+		"JoinFixed.grace": 0x40aab939dcae044c, "JoinFixed.inl": 0x0,
+		"JoinFixed.merge": 0x0, "JoinFixed.rho": 0x40ac3303af679da0,
+		"JoinRow.grace": 0x401a6f212aa48a69, "JoinRow.inl": 0x401487bab3170537,
+		"JoinRow.merge": 0x0, "JoinRow.rho": 0x40254eeb90645036,
+	},
+}
+
+// TestCalibrationPinned: same planner, bit for bit — both a fresh
+// calibration and the committed modelTable entry of each pinned setting
+// at 2 threads. inlDepth is a package constant now; it is pinned with
+// the coefficients it scales.
+func TestCalibrationPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bits recorded on amd64; other targets may fuse the fits' multiply-adds")
+	}
+	for setting, want := range pinnedCoeffs {
+		for src, m := range map[string]*Model{"calibrate": calibrate(setting, 2), "modelTable": modelTable[modelKey{setting, 2}]} {
+			if m == nil {
+				t.Errorf("%s %s: no model", setting, src)
+				continue
+			}
+			got := coeffs(m)
+			got["inlDepth"] = inlDepth
+			if len(got) != len(want) {
+				t.Errorf("%s %s: %d coefficients, pinned %d", setting, src, len(got), len(want))
+			}
+			for name, bits := range want {
+				if g := math.Float64bits(got[name]); g != bits {
+					t.Errorf("%s %s %s = %#x (%v), pinned %#x (%v)", setting, src, name, g, got[name], bits, math.Float64frombits(bits))
+				}
+			}
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite model_table.go from a fresh calibration of every table key")
 
 // tableSettings and tableThreads span modelTable's keys: every setting at

@@ -198,3 +198,18 @@ func TestChooseNeverWorseThanWorst(t *testing.T) {
 		}
 	}
 }
+
+// TestModelCalibrationDeterminism: two independent calibrations of the
+// same setting must produce identical constants (the probes run on the
+// deterministic simulator), so table, cached and fresh models agree.
+func TestModelCalibrationDeterminism(t *testing.T) {
+	a, b := coeffs(calibrate(core.SGXDiE, 2)), coeffs(calibrate(core.SGXDiE, 2))
+	if len(a) != len(b) {
+		t.Fatalf("calibration not deterministic: %d vs %d coefficients", len(a), len(b))
+	}
+	for name, v := range a {
+		if w, ok := b[name]; !ok || w != v {
+			t.Errorf("%s not deterministic: %v vs %v", name, v, w)
+		}
+	}
+}
