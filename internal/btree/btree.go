@@ -22,25 +22,22 @@ const (
 	nodeBytes = 256
 )
 
-type leaf struct {
-	keys []uint32
-	vals []uint32
-}
-
-type inner struct {
-	keys     []uint32 // separator keys, len = len(children)-1
-	children []int32  // child node ids (level below)
+// level is one inner level of the tree. Its node j has children
+// j*innerCap … j*innerCap+innerCap-1 of the level below (or of the
+// leaves); firsts holds every such child's first key, so node j's
+// separators are firsts[j*innerCap+1 : j*innerCap+innerCap].
+type level struct {
+	firsts []uint32
+	base   int // inner-arena node index of this level's node 0
 }
 
 // Tree is a bulk-loaded B+-tree mapping uint32 keys to uint32 values.
-// Duplicate keys are supported (stored adjacently).
+// Duplicate keys are supported (stored adjacently). The pairs live in
+// one sorted keys/vals pair of slices: leaf i is keys[i*leafCap : …].
 type Tree struct {
-	leaves []leaf
-	levels [][]inner // levels[0] is just above the leaves
-	height int       // number of inner levels
-	// levelBase[l] is the inner-arena node index of levels[l][0]: the
-	// levels are laid out back to back, leaves-up.
-	levelBase []int
+	keys, vals []uint32
+	nLeaves    int
+	levels     []level // levels[0] is just above the leaves
 
 	leafArena  mem.Buffer
 	innerArena mem.Buffer
@@ -53,142 +50,101 @@ type KV struct {
 }
 
 // BulkLoad builds a tree from pairs (sorted in place by key) with node
-// storage accounted in region reg.
+// storage accounted in region reg. An empty tree has one empty leaf.
 func BulkLoad(space *mem.Space, name string, pairs []KV, reg mem.Region) *Tree {
+	// Not a stable sort: the order sort.Slice leaves equal keys in decides
+	// which values LookupAll returns first, and TestLookupAllPinned pins it.
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].K < pairs[j].K })
-	t := &Tree{}
-	// Leaves.
-	for lo := 0; lo < len(pairs); lo += leafCap {
-		hi := lo + leafCap
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		lf := leaf{keys: make([]uint32, 0, hi-lo), vals: make([]uint32, 0, hi-lo)}
-		for _, p := range pairs[lo:hi] {
-			lf.keys = append(lf.keys, p.K)
-			lf.vals = append(lf.vals, p.V)
-		}
-		t.leaves = append(t.leaves, lf)
+	t := &Tree{
+		keys:    make([]uint32, len(pairs)),
+		vals:    make([]uint32, len(pairs)),
+		nLeaves: max(1, (len(pairs)+leafCap-1)/leafCap),
 	}
-	if len(t.leaves) == 0 {
-		t.leaves = append(t.leaves, leaf{})
+	for i, p := range pairs {
+		t.keys[i], t.vals[i] = p.K, p.V
 	}
-	// Inner levels: each groups innerCap children.
-	childKeys := make([]uint32, len(t.leaves))
-	for i, lf := range t.leaves {
-		if len(lf.keys) > 0 {
-			childKeys[i] = lf.keys[0]
-		}
-	}
-	nChildren := len(t.leaves)
-	for nChildren > 1 {
-		var level []inner
-		var nextKeys []uint32
-		for lo := 0; lo < nChildren; lo += innerCap {
-			hi := lo + innerCap
-			if hi > nChildren {
-				hi = nChildren
-			}
-			in := inner{}
-			for c := lo; c < hi; c++ {
-				in.children = append(in.children, int32(c))
-				if c > lo {
-					in.keys = append(in.keys, childKeys[c])
-				}
-			}
-			level = append(level, in)
-			nextKeys = append(nextKeys, childKeys[lo])
-		}
-		t.levels = append(t.levels, level)
-		childKeys = nextKeys
-		nChildren = len(level)
-	}
-	t.height = len(t.levels)
+	// Child c of inner level l roots the subtree that starts at leaf
+	// c*innerCap^l, so its first key is keys[c*stride] with stride =
+	// leafCap*innerCap^l.
 	nInner := 0
-	for _, lv := range t.levels {
-		t.levelBase = append(t.levelBase, nInner)
-		nInner += len(lv)
+	stride := leafCap
+	for n := t.nLeaves; n > 1; n = (n + innerCap - 1) / innerCap {
+		lv := level{firsts: make([]uint32, n), base: nInner}
+		for c := range lv.firsts {
+			lv.firsts[c] = t.keys[c*stride]
+		}
+		t.levels = append(t.levels, lv)
+		nInner += (n + innerCap - 1) / innerCap
+		stride *= innerCap
 	}
-	t.leafArena = space.Alloc(name+".leaves", int64(len(t.leaves))*nodeBytes, reg)
-	if nInner == 0 {
-		nInner = 1
-	}
-	t.innerArena = space.Alloc(name+".inner", int64(nInner)*nodeBytes, reg)
+	t.leafArena = space.Alloc(name+".leaves", int64(t.nLeaves)*nodeBytes, reg)
+	t.innerArena = space.Alloc(name+".inner", int64(max(1, nInner))*nodeBytes, reg)
 	return t
 }
 
 // Height returns the number of inner levels above the leaves.
-func (t *Tree) Height() int { return t.height }
+func (t *Tree) Height() int { return len(t.levels) }
 
 // Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int { return len(t.leaves) }
+func (t *Tree) Leaves() int { return t.nLeaves }
 
-// innerOff returns the arena offset of node id at inner level lv.
-func (t *Tree) innerOff(lv, id int) int64 {
-	return int64(t.levelBase[lv]+id) * nodeBytes
+// lowerBound returns the index of the first key in s that is >= key, or
+// len(s): sort.Search without the closure, over one node's ≤ 32 keys.
+func lowerBound(s []uint32, key uint32) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-// Lookup finds key, charging the descent to thread th. dep is the token
-// the key became available at. It returns the value, whether the key was
-// found, and the token of the matching leaf entry.
-func (t *Tree) Lookup(th *engine.Thread, key uint32, dep engine.Tok) (uint32, bool, engine.Tok) {
-	child := 0
-	tok := dep
-	// Descend inner levels from the root (top of t.levels) to the leaves.
-	for lv := t.height - 1; lv >= 0; lv-- {
-		n := &t.levels[lv][child]
-		// Two dependent line loads per node: header/keys, then children.
-		tok = th.Load(&t.innerArena, t.innerOff(lv, child), 64, tok)
-		tok = th.Load(&t.innerArena, t.innerOff(lv, child)+128, 64, engine.After(tok, 1))
-		th.Work(3) // binary search over <=31 keys
-		idx := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-		child = int(n.children[idx])
-	}
-	lf := &t.leaves[child]
-	tok = th.Load(&t.leafArena, int64(child)*nodeBytes, 64, tok)
-	tok = th.Load(&t.leafArena, int64(child)*nodeBytes+128, 64, engine.After(tok, 1))
+// visit charges one node access at byte offset off of arena a: two
+// dependent line loads (header/keys, then children or values) and 3 work
+// cycles for the binary search over its ≤ 32 keys.
+func visit(th *engine.Thread, a *mem.Buffer, off int64, tok engine.Tok) engine.Tok {
+	tok = th.Load(a, off, 64, tok)
+	tok = th.Load(a, off+128, 64, engine.After(tok, 1))
 	th.Work(3)
-	idx := sort.Search(len(lf.keys), func(i int) bool { return lf.keys[i] >= key })
-	if idx < len(lf.keys) && lf.keys[idx] == key {
-		return lf.vals[idx], true, engine.After(tok, 1)
-	}
-	return 0, false, engine.After(tok, 1)
+	return tok
 }
 
-// LookupAll appends all values stored under key to out (duplicates are
-// adjacent, possibly spanning several leaves).
+// LookupAll appends all values stored under key to out, charging the
+// descent to thread th. dep is the token the key became available at;
+// the returned token is when the last value is.
 //
-// Unlike Lookup — which may land on any leaf holding the key — the
-// descent here takes the leftmost viable child (lower-bound on the
-// separators: a separator equal to key means the run can begin in the
-// child left of it), then walks right across leaves until the run ends.
+// Duplicates are adjacent and may span several leaves, so the descent
+// takes the leftmost viable child (lower-bound on the separators: a
+// separator equal to key means the run can begin in the child left of
+// it), then walks right across leaves until the run ends.
 func (t *Tree) LookupAll(th *engine.Thread, key uint32, dep engine.Tok, out []uint32) ([]uint32, engine.Tok) {
-	child := 0
+	node := 0
 	tok := dep
-	for lv := t.height - 1; lv >= 0; lv-- {
-		n := &t.levels[lv][child]
-		tok = th.Load(&t.innerArena, t.innerOff(lv, child), 64, tok)
-		tok = th.Load(&t.innerArena, t.innerOff(lv, child)+128, 64, engine.After(tok, 1))
-		th.Work(3)
-		idx := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-		child = int(n.children[idx])
+	for lv := len(t.levels) - 1; lv >= 0; lv-- {
+		l := &t.levels[lv]
+		tok = visit(th, &t.innerArena, int64(l.base+node)*nodeBytes, tok)
+		lo := node * innerCap
+		seps := l.firsts[lo+1 : min(lo+innerCap, len(l.firsts))]
+		node = lo + lowerBound(seps, key)
 	}
 	// The leftmost descent can land one leaf early when key equals a
 	// separator; the walk crosses leaf boundaries while the run may
 	// still continue (idx ran off the leaf's end).
-	for child < len(t.leaves) {
-		lf := &t.leaves[child]
-		tok = th.Load(&t.leafArena, int64(child)*nodeBytes, 64, tok)
-		tok = th.Load(&t.leafArena, int64(child)*nodeBytes+128, 64, engine.After(tok, 1))
-		th.Work(3)
-		idx := sort.Search(len(lf.keys), func(i int) bool { return lf.keys[i] >= key })
-		for ; idx < len(lf.keys) && lf.keys[idx] == key; idx++ {
-			out = append(out, lf.vals[idx])
+	for ; node < t.nLeaves; node++ {
+		tok = visit(th, &t.leafArena, int64(node)*nodeBytes, tok)
+		lo := node * leafCap
+		keys := t.keys[lo:min(lo+leafCap, len(t.keys))]
+		idx := lowerBound(keys, key)
+		for ; idx < len(keys) && keys[idx] == key; idx++ {
+			out = append(out, t.vals[lo+idx])
 		}
-		if idx < len(lf.keys) {
+		if idx < len(keys) {
 			break // ran past key: the run (if any) ended in this leaf
 		}
-		child++ // key may continue (or begin) in the next leaf
 	}
 	return out, engine.After(tok, 1)
 }

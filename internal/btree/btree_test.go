@@ -28,7 +28,7 @@ func buildTree(env *core.Env, n int) *btree.Tree {
 	return btree.BulkLoad(env.Space, "idx", pairs, env.DataRegion())
 }
 
-// TestLookupCorrectness: every loaded key resolves to its value; keys
+// TestLookupCorrectness: every loaded key resolves to its one value; keys
 // outside the loaded range miss.
 func TestLookupCorrectness(t *testing.T) {
 	env := testEnv(false)
@@ -36,13 +36,12 @@ func TestLookupCorrectness(t *testing.T) {
 	tr := buildTree(env, n)
 	th := env.NewThread()
 	for _, k := range []uint32{0, 1, 31, 32, 33, 1023, 1024, 4999, n - 1} {
-		v, ok, _ := tr.Lookup(th, k, 0)
-		if !ok || v != 3*k {
-			t.Errorf("Lookup(%d) = %d, %v; want %d, true", k, v, ok, 3*k)
+		if out, _ := tr.LookupAll(th, k, 0, nil); len(out) != 1 || out[0] != 3*k {
+			t.Errorf("LookupAll(%d) = %v; want [%d]", k, out, 3*k)
 		}
 	}
-	if _, ok, _ := tr.Lookup(th, n, 0); ok {
-		t.Errorf("Lookup(%d) found a key past the loaded range", n)
+	if out, _ := tr.LookupAll(th, n, 0, nil); len(out) != 0 {
+		t.Errorf("LookupAll(%d) = %v for a key past the loaded range", n, out)
 	}
 	// A multi-level tree: 10k keys / 32 per leaf = 313 leaves -> 2 inner
 	// levels of fan-out 32.
@@ -98,10 +97,10 @@ func TestLookupCostDecomposition(t *testing.T) {
 	tr := buildTree(env, 10_000)
 	th := env.NewThread()
 	before := th.Stats()
-	_, ok, _ := tr.Lookup(th, 4999, 0)
+	out, _ := tr.LookupAll(th, 4999, 0, nil)
 	th.Drain()
-	if !ok {
-		t.Fatal("lookup missed")
+	if len(out) != 1 {
+		t.Fatalf("LookupAll(4999) returned %d values, want 1", len(out))
 	}
 	d := th.Stats().Sub(before)
 	levels := uint64(tr.Height() + 1)
@@ -134,7 +133,6 @@ func TestGoldenLookupEquivalence(t *testing.T) {
 		var out []uint32
 		for i := 0; i < 512; i++ {
 			k := uint32((i * 2654435761) % 10_000)
-			_, _, tok = tr.Lookup(th, k, tok)
 			out, tok = tr.LookupAll(th, k, tok, out[:0])
 			if len(out) != 1 {
 				t.Fatalf("LookupAll(%d) = %d values, want 1", k, len(out))

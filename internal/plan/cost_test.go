@@ -138,10 +138,10 @@ func TestHashSpillCrossoverPinned(t *testing.T) {
 	if m.Cost(q, spill, above) >= m.Cost(q, hash, above) {
 		t.Errorf("above crossover (%d rows): spill not cheaper", int(xRows*1.1))
 	}
-	if alt, _ := Choose(m, q, below); alt.Agg != AggHash {
+	if alt := Choose(m, q, below); alt.Agg != AggHash {
 		t.Errorf("below crossover: planner picked %s", alt)
 	}
-	if alt, _ := Choose(m, q, above); alt.Agg != AggSpill {
+	if alt := Choose(m, q, above); alt.Agg != AggSpill {
 		t.Errorf("above crossover: planner picked %s", alt)
 	}
 }
@@ -153,8 +153,12 @@ func TestPressurePicksSpill(t *testing.T) {
 	m := ModelFor(core.SGXDiE, 2)
 	q := Query{Pred: sel902, Dims: 1}
 	for _, ratio := range []float64{2, 3, 4} {
-		alt, costs := Choose(m, q, Shape{NDim: testDim, NFact: testFact, EPCRatio: ratio})
-		if alt.Agg != AggSpill {
+		sh := Shape{NDim: testDim, NFact: testFact, EPCRatio: ratio}
+		if alt := Choose(m, q, sh); alt.Agg != AggSpill {
+			costs := map[string]float64{}
+			for _, a := range q.Alternatives() {
+				costs[a.String()] = m.Cost(q, a, sh)
+			}
 			t.Errorf("ratio %.0f: picked %s, want a spill aggregation (costs %v)", ratio, alt, costs)
 		}
 	}
@@ -180,7 +184,7 @@ func TestChooseNeverWorseThanWorst(t *testing.T) {
 					worst = res.WallCycles
 				}
 			}
-			alt, _ := Choose(m, q, Shape{NDim: testDim, NFact: testFact})
+			alt := Choose(m, q, Shape{NDim: testDim, NFact: testFact})
 			if got := measured[alt.String()]; got > worst {
 				t.Errorf("%s/%s: chosen %s measured %d > worst %d", setting, name, alt, got, worst)
 			} else if got == worst && len(measured) > 1 {

@@ -143,20 +143,16 @@ func (q Query) Tree(alt Alternative) Node {
 }
 
 // Choose costs every alternative of q under the model and returns the
-// cheapest (ties break to enumeration order) plus the full cost map
-// keyed by Alternative.String().
-func Choose(m *Model, q Query, sh Shape) (Alternative, map[string]float64) {
+// cheapest (ties break to enumeration order).
+func Choose(m *Model, q Query, sh Shape) Alternative {
 	alts := q.Alternatives()
-	costs := make(map[string]float64, len(alts))
 	best, bestC := alts[0], math.Inf(1)
 	for _, a := range alts {
-		c := m.Cost(q, a, sh)
-		costs[a.String()] = c
-		if c < bestC {
+		if c := m.Cost(q, a, sh); c < bestC {
 			best, bestC = a, c
 		}
 	}
-	return best, costs
+	return best
 }
 
 // shapeOf estimates the planner Shape for an environment: the dataset
@@ -179,7 +175,7 @@ func shapeOf(env *core.Env, ds *Dataset) Shape {
 // returns the lowered tree alongside the choice.
 func (q Query) Plan(env *core.Env, ds *Dataset, threads int) (Node, Alternative) {
 	m := ModelFor(env.Setting, threads)
-	alt, _ := Choose(m, q, shapeOf(env, ds))
+	alt := Choose(m, q, shapeOf(env, ds))
 	return q.Tree(alt), alt
 }
 

@@ -123,7 +123,6 @@ type Allocator struct {
 	Policy AllocPolicy
 	Costs  OSCosts
 
-	pages  atomic.Int64 // pages committed under DynamicOS/EnclaveEDMM
 	serial atomic.Int64 // accumulated serialized cycles (EDMM)
 }
 
@@ -146,12 +145,10 @@ func (a *Allocator) charge(t *engine.Thread, n int64) {
 		// EADD-ed at build time.
 	case DynamicOS:
 		t.Work(uint64(pages) * a.Costs.MinorFault)
-		a.pages.Add(pages)
 	case EnclaveEDMM:
 		// The faulting thread runs the AEX/EACCEPT protocol for its own
 		// pages and the kernel serializes commits across threads.
 		t.Work(uint64(pages) * a.Costs.EDMMPage)
-		a.pages.Add(pages)
 		a.serial.Add(pages * int64(a.Costs.EDMMPage))
 	}
 }
@@ -163,29 +160,12 @@ func (a *Allocator) AllocU64(t *engine.Thread, name string, n int) *mem.U64Buf {
 	return b
 }
 
-// AllocU32 provisions an n-word buffer, charging t per policy.
-func (a *Allocator) AllocU32(t *engine.Thread, name string, n int) *mem.U32Buf {
-	b := a.Space.AllocU32(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// AllocU8 provisions an n-byte buffer, charging t per policy.
-func (a *Allocator) AllocU8(t *engine.Thread, name string, n int) *mem.U8Buf {
-	b := a.Space.AllocU8(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
 // Raw provisions an untyped buffer, charging t per policy.
 func (a *Allocator) Raw(t *engine.Thread, name string, n int64) mem.Buffer {
 	b := a.Space.Raw(name, n, a.Reg)
 	a.charge(t, b.Size)
 	return b
 }
-
-// PagesCommitted returns the number of pages committed at run time.
-func (a *Allocator) PagesCommitted() int64 { return a.pages.Load() }
 
 // SerialCycles returns the serialized page-commit cycles accumulated so
 // far and resets the counter. The phase runner folds this into wall time.
