@@ -214,16 +214,10 @@ func wheelTestWorkload(setting core.Setting) *Workload {
 	}
 }
 
-// TestSimulatePinnedReplays replays a scenario matrix spanning every
-// simulator feature — legacy global closed loop, faults with
-// deadlines/retries/admission, sharded stealing, batching, and
-// open-loop arrivals of every kind — and requires the values the
-// container/heap event loop produced for them (captured on the last
-// commit that could still replay on the heap, where heap and wheel
-// agreed on every one). Together with the golden gate (whose snapshots
-// predate the wheel) this pins that no event-loop change since moved
-// anything observable.
-func TestSimulatePinnedReplays(t *testing.T) {
+// pinnedConfigs is the scenario matrix TestSimulatePinnedReplays and
+// TestTracePinned replay: a base closed loop and the named variations
+// of it.
+func pinnedConfigs() (Config, map[string]func(Config) Config) {
 	base := Config{Clients: 48, Workers: 8, RequestsPerClient: 6, Sync: SyncLockFree, JitterPct: 10, Seed: 7}
 	fault := &FaultPlan{Seed: 11, CrashInterval: 4_000_000, StormInterval: 2_000_000,
 		StormLen: 900_000, StormAEXGap: 2_000, FailPct: 3}
@@ -267,6 +261,20 @@ func TestSimulatePinnedReplays(t *testing.T) {
 			return c
 		},
 	}
+	return base, cfgs
+}
+
+// TestSimulatePinnedReplays replays a scenario matrix spanning every
+// simulator feature — legacy global closed loop, faults with
+// deadlines/retries/admission, sharded stealing, batching, and
+// open-loop arrivals of every kind — and requires the values the
+// container/heap event loop produced for them (captured on the last
+// commit that could still replay on the heap, where heap and wheel
+// agreed on every one). Together with the golden gate (whose snapshots
+// predate the wheel) this pins that no event-loop change since moved
+// anything observable.
+func TestSimulatePinnedReplays(t *testing.T) {
+	base, cfgs := pinnedConfigs()
 	pins := []struct {
 		setting  core.Setting
 		name     string
