@@ -42,12 +42,11 @@ func ParseDispatchKind(s string) (DispatchKind, error) {
 	return 0, fmt.Errorf("unknown dispatch kind %q", s)
 }
 
-// DispatchStats counts the sharded/batched dispatch machinery's work,
-// kept separate from Breakdown so legacy scenarios' golden check values
-// stay bit-identical: the check folds these counters only for scenarios
-// that actually use the new machinery (see Config.extended). Like
-// Breakdown, every field is a uint64 counter that Fold covers (pinned by
-// TestDispatchStatsCoverAllFields).
+// DispatchStats counts the work of batched and sharded dispatch. The
+// check value folds it after Breakdown, which is why it is a record of
+// its own: moving its counters into Breakdown would reorder the fold and
+// move every check value. Like Breakdown, every field is a uint64
+// counter that Fold covers (pinned by TestDispatchStatsCoverAllFields).
 type DispatchStats struct {
 	// Batches counts worker enclave entries through the batched path;
 	// BatchedAttempts the attempts they carried (mean batch size =

@@ -172,14 +172,11 @@ func (c Config) Validate(nClasses int) error {
 	if c.Batch < 0 {
 		return fmt.Errorf("serve: negative Batch %d", c.Batch)
 	}
-	if c.ThinkHeavyTail && c.ThinkCycles == 0 {
-		return fmt.Errorf("serve: ThinkHeavyTail needs ThinkCycles > 0 (there is no tail on a zero pause)")
-	}
 	if c.Arrival != nil {
 		if err := c.Arrival.validate(); err != nil {
 			return err
 		}
-		if c.ThinkCycles > 0 || c.ThinkHeavyTail {
+		if c.ThinkCycles > 0 {
 			return fmt.Errorf("serve: think time is a closed-loop knob; an open-loop scenario (Arrival set) paces itself")
 		}
 	}

@@ -87,7 +87,6 @@ func TestConfigValidate(t *testing.T) {
 		}, "RebuildPages"},
 		{"unknown dispatch kind", func(c *serve.Config) { c.Dispatch = serve.DispatchKind(9) }, "DispatchKind"},
 		{"negative batch", func(c *serve.Config) { c.Batch = -4 }, "Batch"},
-		{"think tail without think", func(c *serve.Config) { c.ThinkHeavyTail = true }, "ThinkHeavyTail"},
 		{"arrival without gap", func(c *serve.Config) {
 			c.Arrival = &serve.ArrivalPlan{Kind: serve.ArrivalPoisson}
 		}, "MeanGapCycles"},

@@ -140,28 +140,6 @@ func TestOpenLoopOverloadQueues(t *testing.T) {
 	}
 }
 
-// TestThinkHeavyTailPreservesMean: the heavy-tail think option keeps the
-// closed loop deterministic and changes the timeline without changing
-// the request count.
-func TestThinkHeavyTailPreservesMean(t *testing.T) {
-	w := synthetic(core.SGXDiE, 10_000, 0)
-	c := cfg(serve.SyncLockFree, serve.MemPreSized)
-	c.ThinkCycles = 500_000
-	plain := mustSim(t, w, c)
-	c.ThinkHeavyTail = true
-	tail := mustSim(t, w, c)
-	if tail.Requests != plain.Requests {
-		t.Fatalf("heavy-tail think changed the request count: %d vs %d", tail.Requests, plain.Requests)
-	}
-	if tail.Check == plain.Check {
-		t.Errorf("heavy-tail think produced an identical timeline")
-	}
-	again := mustSim(t, w, c)
-	if tail.Check != again.Check {
-		t.Errorf("heavy-tail think replay diverged")
-	}
-}
-
 // TestShardedAdmissionPerShard: admission control still sheds under
 // sharded dispatch (the limit applies per shard queue).
 func TestShardedAdmissionPerShard(t *testing.T) {

@@ -33,10 +33,6 @@ type Config struct {
 	// request; zero keeps every client saturating the pool. Ignored in
 	// open loop (Arrival non-nil).
 	ThinkCycles uint64
-	// ThinkHeavyTail spreads the closed-loop think time with the
-	// deterministic Pareto-like tail (mean stays ThinkCycles, a seeded
-	// minority of pauses stretch to ~10x). Requires ThinkCycles > 0.
-	ThinkHeavyTail bool
 	// JitterPct varies each request's service time deterministically by
 	// up to ±JitterPct percent (seeded; zero disables).
 	JitterPct int
@@ -44,8 +40,8 @@ type Config struct {
 	// and steal victim order.
 	Seed uint64
 
-	// --- Production-scale dispatch knobs (all zero: the original
-	// single global queue with per-attempt enclave entries) ---
+	// --- Dispatch shape (all zero: one global queue, one attempt per
+	// enclave entry, closed loop) ---
 
 	// Dispatch selects the queue topology: one global queue, or one
 	// queue per worker with deterministic work stealing.
@@ -55,14 +51,15 @@ type Config struct {
 	// entry, amortizing the two worker transitions (and any AEX-storm
 	// exposure) across the batch. Results are handed back as each
 	// attempt finishes (exit-less async completion); the worker's EEXIT
-	// happens once, after the batch. 0 or 1: the original
-	// one-attempt-per-entry path.
+	// happens once, after the batch. 0 or 1: one attempt per entry,
+	// whose response leaves with the EEXIT.
 	Batch int
 	// Arrival switches the scenario to open-loop traffic (see
 	// ArrivalPlan). Nil keeps the closed loop.
 	Arrival *ArrivalPlan
 
-	// --- Resilience knobs (all zero: the clean pre-fault behaviour) ---
+	// --- Resilience (all zero: no faults, deadlines, retries or
+	// admission limit) ---
 
 	// Fault injects a deterministic failure schedule (nil: fault-free).
 	Fault *FaultPlan
@@ -121,13 +118,6 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// extended reports whether the scenario uses the production-scale
-// machinery added after the original golden snapshots. The check value
-// folds DispatchStats only then, so legacy scenarios stay bit-identical.
-func (c Config) extended() bool {
-	return c.Dispatch != DispatchGlobal || c.Batch > 1 || c.Arrival != nil || c.ThinkHeavyTail
-}
-
 // Name returns the scenario's bench workload identifier.
 func (c Config) Name() string {
 	return fmt.Sprintf("serve.%s.%s", c.Sync, c.Mem)
@@ -175,8 +165,8 @@ type Result struct {
 	Max uint64 `json:"max_cycles"`
 
 	Breakdown Breakdown `json:"breakdown"`
-	// DispatchStats counts the sharded/batched dispatch machinery's
-	// work; all-zero for legacy global unbatched scenarios.
+	// DispatchStats counts batches and steals; all zero for a global
+	// unbatched scenario.
 	DispatchStats DispatchStats   `json:"dispatch_stats"`
 	PerClient     []ClientSummary `json:"per_client"`
 	PerClass      []ClassSummary  `json:"per_class"`
@@ -268,7 +258,7 @@ type request struct {
 const (
 	attAbandoned = 1 << iota // client gave up (deadline passed)
 	attDone                  // server finished it (or it was lost to a crash)
-	attAborted               // batched path: transient abort planned at dispatch
+	attAborted               // transient abort planned at dispatch
 )
 
 // attempt is one issued try of a logical request.
@@ -278,7 +268,7 @@ type attempt struct {
 	req     int32
 	class   int32
 	shard   int32 // queue it was pushed to
-	worker  int32 // worker executing it (batched path)
+	worker  int32 // worker executing it
 	flags   uint8
 }
 
@@ -288,13 +278,11 @@ type clientState struct {
 }
 
 type worker struct {
-	att       int32
 	busy      bool
 	down      bool // enclave torn down, rebuild pending
 	inIdle    bool
 	gen       uint64
-	abort     bool    // planned transient abort of the running attempt (unbatched)
-	batch     []int32 // attempts of the running batched entry
+	batch     []int32 // attempts of the running enclave entry
 	steals    uint64
 	nextCrash uint64
 	crashes   uint64 // per-worker crash count, salts the next schedule draw
@@ -424,9 +412,6 @@ func (s *sim) sharded() bool { return len(s.shards) > 1 }
 // pickShard spreads submissions round-robin over the shards — the
 // deterministic stand-in for a client-side shard choice.
 func (s *sim) pickShard() int32 {
-	if !s.sharded() {
-		return 0
-	}
 	si := int32(s.rr % uint64(len(s.shards)))
 	s.rr++
 	return si
@@ -572,18 +557,6 @@ func (s *sim) failAttempt(idx int32, t uint64) {
 	s.finishRequest(idx, t, false)
 }
 
-// think returns the closed-loop pause before client c's n-th logical
-// request: ThinkCycles, optionally stretched by the deterministic
-// heavy-tail table (mean preserved).
-func (s *sim) think(c int32, n int) uint64 {
-	tc := s.cfg.ThinkCycles
-	if !s.cfg.ThinkHeavyTail || tc == 0 {
-		return tc
-	}
-	r := splitmix64(s.cfg.Seed ^ 0x7417c0de ^ uint64(c)<<32 ^ uint64(n))
-	return tc * paretoGapQ16[r%64] >> 16
-}
-
 // finishRequest records the terminal state of request idx at time t;
 // in the closed loop it also closes the client loop (think, then the
 // next logical request).
@@ -623,7 +596,7 @@ func (s *sim) finishRequest(idx int32, t uint64, success bool) {
 		cs := &s.clients[r.client]
 		if cs.issued < s.cfg.RequestsPerClient {
 			cs.issued++
-			s.schedule(t+s.think(r.client, cs.issued), evIssue, r.client)
+			s.schedule(t+s.cfg.ThinkCycles, evIssue, r.client)
 		}
 	}
 }
@@ -678,8 +651,8 @@ func (s *sim) advanceWork(t, work uint64) (uint64, uint64) {
 	return t, events
 }
 
-// crash kills worker w's enclave at time t: the in-flight attempt (or
-// whole in-flight batch) is lost, and the worker leaves the pool for
+// crash kills worker w's enclave at time t: its in-flight attempts are
+// lost, and the worker leaves the pool for
 // teardown plus a rebuild serialized on the kernel's
 // enclave-management lock.
 func (s *sim) crash(w int32, t uint64) {
@@ -690,12 +663,8 @@ func (s *sim) crash(w int32, t uint64) {
 	if wk.busy {
 		wk.gen++ // pending evDone/evItemDone events are now stale
 		wk.busy = false
-		if s.cfg.Batch > 1 {
-			for _, ai := range wk.batch {
-				s.loseAttempt(ai, t)
-			}
-		} else {
-			s.loseAttempt(wk.att, t)
+		for _, ai := range wk.batch {
+			s.loseAttempt(ai, t)
 		}
 	}
 	wk.down = true
@@ -853,68 +822,6 @@ func (s *sim) trySteal(w int32, t uint64) bool {
 	return false
 }
 
-// dispatch has worker w pop shard si at time t. Batch > 1 takes the
-// batched path; otherwise the original one-attempt-per-entry timeline:
-// pop through the dispatch lock, worker ECALL, page commits, service
-// stretched by any AEX storm windows, a possible transient abort,
-// worker EEXIT.
-func (s *sim) dispatch(w, si int32, t uint64) {
-	if s.cfg.Batch > 1 {
-		s.dispatchBatch(w, si, t)
-		return
-	}
-	sh := &s.shards[si]
-	popDone := s.lockPass(sh, t)
-	idx := sh.queue.pop()
-	att := &s.atts[idx]
-	att.worker = w
-	s.bd.QueueWaitCycles += popDone - att.enq
-
-	start := popDone + s.trans // worker ECALL
-	if s.trans > 0 {
-		s.bd.Transitions += 2 // worker ECALL now, EEXIT at completion
-		s.bd.TransitionCycles += 2 * s.trans
-	}
-	start = s.commitPages(att.class, start)
-	wk := &s.workers[w]
-	wk.gen++
-	wk.busy = true
-	wk.att = idx
-	wk.abort = false
-	work := att.service
-	if p := s.cfg.Fault; p != nil && p.FailPct > 0 {
-		fr := splitmix64(p.Seed ^ 0xfa17 ^ uint64(idx)<<16)
-		if int(fr%100) < p.FailPct {
-			// Transient enclave-thread abort after a deterministic
-			// fraction of the service: the partial work is wasted.
-			wk.abort = true
-			work = att.service * (1 + (fr>>8)%98) / 100
-		}
-	}
-	end, aexN := s.advanceWork(start, work)
-	s.bd.AEXEvents += aexN
-	s.bd.AEXCycles += aexN * s.fc.AEX
-	s.bd.ServiceCycles += work
-	if wk.abort {
-		end += s.fc.AbortDetect
-	}
-	done := end + s.trans // worker EEXIT
-	if tr := s.cfg.Trace; tr != nil {
-		tr.Record(obs.Span{Name: "queue", Cat: "serve", Ph: obs.PhComplete, T: att.enq, Dur: popDone - att.enq,
-			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
-				{Key: "req", Val: uint64(att.req)}, {Key: "shard", Val: uint64(si)}}})
-		var abort uint64
-		if wk.abort {
-			abort = 1
-		}
-		tr.Record(obs.Span{Name: s.w.Classes[att.class].Name, Cat: "service", Ph: obs.PhComplete,
-			T: popDone, Dur: done - popDone, PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
-				{Key: "req", Val: uint64(att.req)}, {Key: "gen", Val: wk.gen},
-				{Key: "aex", Val: aexN}, {Key: "abort", Val: abort}}})
-	}
-	s.scheduleGen(done, evDone, w, wk.gen)
-}
-
 // commitPages charges the dynamic-memory page commits for one attempt
 // of the given class starting at start, returning when execution can
 // begin. MemPreSized is free.
@@ -944,24 +851,31 @@ func (s *sim) commitPages(class int32, start uint64) uint64 {
 	return start + cost
 }
 
-// dispatchBatch has worker w claim up to Batch queued attempts from
-// shard si in ONE dispatch-lock critical section and serve them in ONE
-// enclave entry: a single worker ECALL/EEXIT pair brackets the whole
-// run, so the two transitions amortize across the batch. Each attempt's
-// result is handed back the moment it finishes (evItemDone — exit-less
-// async completion); the final evDone only frees the worker.
-func (s *sim) dispatchBatch(w, si int32, t uint64) {
+// dispatch has worker w claim attempts from shard si at time t in one
+// dispatch-lock critical section and serve them in one enclave entry:
+// one attempt unbatched, up to Batch batched. A single worker
+// ECALL/EEXIT pair brackets the entry, so batching amortizes the two
+// transitions. Each attempt commits its pages, runs its service
+// stretched by any AEX storm windows and may abort transiently.
+// Batched, each result leaves the moment its attempt finishes
+// (evItemDone — exit-less async completion) and evDone only frees the
+// worker; unbatched, the response leaves with the EEXIT at evDone.
+func (s *sim) dispatch(w, si int32, t uint64) {
 	sh := &s.shards[si]
 	popDone := s.lockPass(sh, t)
-	n := min(sh.queue.n, s.cfg.Batch)
+	batched := s.cfg.Batch > 1
+	n := 1
+	if batched {
+		n = min(sh.queue.n, s.cfg.Batch)
+		s.ds.Batches++
+		s.ds.BatchedAttempts += uint64(n)
+	}
 	wk := &s.workers[w]
 	wk.gen++
 	wk.busy = true
 	wk.batch = wk.batch[:0]
-	s.ds.Batches++
-	s.ds.BatchedAttempts += uint64(n)
 	if s.trans > 0 {
-		s.bd.Transitions += 2 // one worker ECALL + EEXIT for the whole batch
+		s.bd.Transitions += 2 // one worker ECALL + EEXIT per entry
 		s.bd.TransitionCycles += 2 * s.trans
 	}
 	start := popDone + s.trans // worker ECALL
@@ -978,6 +892,8 @@ func (s *sim) dispatchBatch(w, si int32, t uint64) {
 		if p := s.cfg.Fault; p != nil && p.FailPct > 0 {
 			fr := splitmix64(p.Seed ^ 0xfa17 ^ uint64(idx)<<16)
 			if int(fr%100) < p.FailPct {
+				// Transient enclave-thread abort after a deterministic
+				// fraction of the service: the partial work is wasted.
 				att.flags |= attAborted
 				abort = 1
 				work = att.service * (1 + (fr>>8)%98) / 100
@@ -990,6 +906,14 @@ func (s *sim) dispatchBatch(w, si int32, t uint64) {
 		if abort != 0 {
 			end += s.fc.AbortDetect
 		}
+		start = end
+		if batched {
+			s.scheduleGen(end, evItemDone, idx, wk.gen)
+		} else {
+			// The lone attempt's service span covers the whole entry,
+			// ECALL through EEXIT.
+			itemStart, end = popDone, end+s.trans
+		}
 		if tr := s.cfg.Trace; tr != nil {
 			tr.Record(obs.Span{Name: "queue", Cat: "serve", Ph: obs.PhComplete, T: att.enq, Dur: popDone - att.enq,
 				PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
@@ -999,11 +923,9 @@ func (s *sim) dispatchBatch(w, si int32, t uint64) {
 					{Key: "req", Val: uint64(att.req)}, {Key: "gen", Val: wk.gen},
 					{Key: "aex", Val: aexN}, {Key: "abort", Val: abort}}})
 		}
-		s.scheduleGen(end, evItemDone, idx, wk.gen)
-		start = end
 	}
-	done := start + s.trans // worker EEXIT after the batch
-	if tr := s.cfg.Trace; tr != nil {
+	done := start + s.trans // worker EEXIT
+	if tr := s.cfg.Trace; tr != nil && batched {
 		tr.Record(obs.Span{Name: "batch", Cat: "serve", Ph: obs.PhComplete, T: popDone, Dur: done - popDone,
 			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
 				{Key: "n", Val: uint64(n)}, {Key: "gen", Val: wk.gen}, {Key: "shard", Val: uint64(si)}}})
@@ -1011,9 +933,10 @@ func (s *sim) dispatchBatch(w, si int32, t uint64) {
 	s.scheduleGen(done, evDone, w, wk.gen)
 }
 
-// itemDone completes one attempt of a batched entry at time t: the
-// response leaves through the exit-less completion queue while the
-// worker keeps running the rest of the batch.
+// itemDone completes attempt ai at time t: a successful, un-abandoned
+// attempt answers its client, an aborted one triggers the retry path,
+// an abandoned one was wasted work. Batched, it runs at the attempt's
+// own evItemDone while the worker keeps running the rest of the batch.
 func (s *sim) itemDone(ai int32, t uint64, gen uint64) {
 	att := &s.atts[ai]
 	wk := &s.workers[att.worker]
@@ -1034,25 +957,15 @@ func (s *sim) itemDone(ai int32, t uint64, gen uint64) {
 	}
 }
 
-// complete finishes worker w's enclave entry at time t. Unbatched: a
-// successful, un-abandoned attempt answers its client, an aborted one
-// triggers the retry path, an abandoned one was wasted work. Batched:
-// the per-attempt outcomes already happened at their evItemDone times
-// and this is just the EEXIT. Either way the freed worker hunts for the
-// next work.
+// complete finishes worker w's enclave entry at time t. Unbatched, the
+// lone attempt's outcome leaves with the EEXIT; batched, the outcomes
+// already happened at their evItemDone times. Either way the freed
+// worker hunts for the next work.
 func (s *sim) complete(w int32, t uint64) {
 	wk := &s.workers[w]
 	wk.busy = false
 	if s.cfg.Batch <= 1 {
-		att := &s.atts[wk.att]
-		att.flags |= attDone
-		if att.flags&attAbandoned == 0 {
-			if wk.abort {
-				s.failAttempt(att.req, t)
-			} else {
-				s.finishRequest(att.req, t, true)
-			}
-		}
+		s.itemDone(wk.batch[0], t, wk.gen)
 	}
 	if t > s.makespan {
 		s.makespan = t
@@ -1116,7 +1029,14 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	if cfg.Fault != nil {
 		s.fc = cfg.Fault.costs()
 	}
+	// Every worker's in-flight list is cut from one slab. A list holds
+	// at most a Batch, and the lists' room together stays within the
+	// request count; a deeper batch grows its own list.
+	room := min(max(cfg.Batch, 1), nReq/cfg.Workers+1)
+	slab := make([]int32, cfg.Workers*room)
 	for wi := int32(0); wi < int32(cfg.Workers); wi++ {
+		lo := int(wi) * room
+		s.workers[wi].batch = slab[lo : lo : lo+room]
 		s.pushIdle(wi)
 		if cfg.Fault != nil && cfg.Fault.CrashInterval > 0 {
 			s.workers[wi].nextCrash = s.crashDelay(wi, 0)
@@ -1305,9 +1225,7 @@ func (s *sim) result() *Result {
 
 // check folds the scenario's observable behaviour into one FNV-1a value:
 // every latency in completion order, the outcome split, the breakdown,
-// the makespan and the class mix — plus the dispatch counters for
-// scenarios using the production-scale machinery (legacy scenarios keep
-// their original fold so old golden snapshots never drift). Shares the
+// the makespan, the class mix and the dispatch counters. Shares the
 // hash discipline of the pipeline check values.
 func (s *sim) check(res *Result) uint64 {
 	h := agg.FNVOffset64
@@ -1322,8 +1240,5 @@ func (s *sim) check(res *Result) uint64 {
 	for i := range s.classReq {
 		h = agg.Mix(h, uint64(s.classReq[i]))
 	}
-	if s.cfg.extended() {
-		h = res.DispatchStats.Fold(h)
-	}
-	return h
+	return res.DispatchStats.Fold(h)
 }
