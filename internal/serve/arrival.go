@@ -124,6 +124,22 @@ func (p *ArrivalPlan) gap(seed uint64, c, n int, now uint64) uint64 {
 	return g // ArrivalUniform
 }
 
+// arrive starts open-loop client c's next logical request at time t and
+// schedules the following arrival — independent of any response, which
+// is what makes the load open-loop.
+func (s *sim) arrive(c int32, t uint64) {
+	cs := &s.clients[c]
+	rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(cs.issued))
+	idx := int32(len(s.reqs))
+	class := s.pickClass(rnd)
+	s.reqs = append(s.reqs, request{client: c, class: class, service: s.drawService(class, rnd), active: true, firstIssue: t})
+	s.submit(idx, t)
+	if cs.issued < s.cfg.RequestsPerClient {
+		cs.issued++
+		s.schedule(t+s.cfg.Arrival.gap(s.cfg.Seed, int(c), cs.issued, t), evArrive, c)
+	}
+}
+
 // Inverse-CDF tables in Q16 fixed point, evaluated at the 64 midpoints
 // (k+0.5)/64 and integer-adjusted so each table's mean is exactly 2^16
 // — a draw therefore scales MeanGapCycles by an exactly-mean-1 factor.

@@ -446,22 +446,6 @@ func (s *sim) issueReq(idx int32, t uint64) {
 	s.submit(idx, t)
 }
 
-// arrive starts open-loop client c's next logical request at time t and
-// schedules the following arrival — independent of any response, which
-// is what makes the load open-loop.
-func (s *sim) arrive(c int32, t uint64) {
-	cs := &s.clients[c]
-	rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(cs.issued))
-	idx := int32(len(s.reqs))
-	class := s.pickClass(rnd)
-	s.reqs = append(s.reqs, request{client: c, class: class, service: s.drawService(class, rnd), active: true, firstIssue: t})
-	s.submit(idx, t)
-	if cs.issued < s.cfg.RequestsPerClient {
-		cs.issued++
-		s.schedule(t+s.cfg.Arrival.gap(s.cfg.Seed, int(c), cs.issued, t), evArrive, c)
-	}
-}
-
 // submit pushes request idx's next attempt: the client's ECALL, the
 // push through the target shard's dispatch lock — where admission
 // control may shed it — and the EEXIT.
@@ -598,129 +582,6 @@ func (s *sim) finishRequest(idx int32, t uint64, success bool) {
 			cs.issued++
 			s.schedule(t+s.cfg.ThinkCycles, evIssue, r.client)
 		}
-	}
-}
-
-// advanceWork executes work cycles of enclave execution starting at
-// wall time t under the fault plan's AEX storm windows: inside a
-// window, every StormAEXGap cycles of execution absorb one AEX of
-// FaultCosts.AEX wall cycles that advances no work. Returns the
-// completion time and the AEX count. Pure integer arithmetic — the
-// deterministic heart of the storm model.
-func (s *sim) advanceWork(t, work uint64) (uint64, uint64) {
-	p := s.cfg.Fault
-	if p == nil || p.StormInterval == 0 || work == 0 {
-		return t + work, 0
-	}
-	gap, aex := p.StormAEXGap, s.fc.AEX
-	var events uint64
-	for work > 0 {
-		k := t / p.StormInterval
-		ws := k * p.StormInterval
-		we := ws + p.StormLen
-		if k >= 1 && t < we {
-			// Inside a storm window: blocks of gap work cost gap+aex
-			// wall; the window end is a hard wall bound.
-			avail := we - t
-			blk := gap + aex
-			nb := avail / blk
-			rem := avail % blk
-			maxWork := nb*gap + min(rem, gap)
-			if work <= maxWork {
-				nFull := work / gap
-				events += nFull
-				return t + work + nFull*aex, events
-			}
-			work -= maxWork
-			events += nb
-			if rem >= gap {
-				events++ // the partial block's AEX straddles the window end
-			}
-			t = we
-		} else {
-			// Outside any window: run plainly until the next one opens.
-			nw := (k + 1) * p.StormInterval
-			span := nw - t
-			if work <= span {
-				return t + work, events
-			}
-			work -= span
-			t = nw
-		}
-	}
-	return t, events
-}
-
-// crash kills worker w's enclave at time t: its in-flight attempts are
-// lost, and the worker leaves the pool for
-// teardown plus a rebuild serialized on the kernel's
-// enclave-management lock.
-func (s *sim) crash(w int32, t uint64) {
-	wk := &s.workers[w]
-	wk.crashes++
-	s.bd.Crashes++
-	s.recordFault(FaultEvent{T: t, Kind: "crash", Worker: int(w)})
-	if wk.busy {
-		wk.gen++ // pending evDone/evItemDone events are now stale
-		wk.busy = false
-		for _, ai := range wk.batch {
-			s.loseAttempt(ai, t)
-		}
-	}
-	wk.down = true
-	pages := s.cfg.Fault.RebuildPages
-	if pages == 0 {
-		for _, cc := range s.w.Classes {
-			pages += cc.Pages
-		}
-	}
-	start := t + s.fc.Teardown
-	if s.rebuildFree > start {
-		start = s.rebuildFree
-	}
-	done := start + s.fc.RebuildBase + uint64(pages)*s.fc.RebuildPage
-	s.rebuildFree = done
-	s.bd.RebuildCycles += done - t
-	if tr := s.cfg.Trace; tr != nil {
-		tr.Record(obs.Span{Name: "crash", Cat: "fault", Ph: obs.PhInstant, T: t,
-			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
-				{Key: "gen", Val: wk.gen}, {Key: "crashes", Val: wk.crashes}}})
-		tr.Record(obs.Span{Name: "rebuild", Cat: "fault", Ph: obs.PhComplete, T: t, Dur: done - t,
-			PID: tracePIDServe, TID: int(w)})
-	}
-	s.schedule(done, evRebuilt, w)
-	// The replacement enclave's own crash clock starts after the
-	// rebuild completes.
-	wk.nextCrash = done + s.crashDelay(w, wk.crashes)
-	s.schedule(wk.nextCrash, evCrash, w)
-}
-
-// loseAttempt fails attempt ai, in flight on an enclave that crashed at
-// time t, unless it already finished or its client gave up.
-func (s *sim) loseAttempt(ai int32, t uint64) {
-	att := &s.atts[ai]
-	if att.flags&attDone == 0 {
-		att.flags |= attDone
-		if att.flags&attAbandoned == 0 {
-			s.failAttempt(att.req, t)
-		}
-	}
-}
-
-// crashDelay draws worker w's deterministic time-to-next-crash: spread
-// over [interval/2, 3*interval/2) so the pool's enclaves neither die in
-// lockstep nor settle into one stable phase.
-func (s *sim) crashDelay(w int32, nth uint64) uint64 {
-	p := s.cfg.Fault
-	r := splitmix64(p.Seed ^ 0xc4a54ed ^ uint64(w)<<32 ^ nth)
-	return p.CrashInterval/2 + r%p.CrashInterval
-}
-
-func (s *sim) recordFault(e FaultEvent) {
-	if len(s.faults) < maxFaultEvents {
-		s.faults = append(s.faults, e)
-	} else {
-		s.faultsDropped++
 	}
 }
 
