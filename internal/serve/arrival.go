@@ -1,6 +1,9 @@
 package serve
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ArrivalKind selects the open-loop inter-arrival process.
 type ArrivalKind int
@@ -70,11 +73,21 @@ func (p *ArrivalPlan) validate() error {
 	if p.MeanGapCycles == 0 {
 		return fmt.Errorf("serve: ArrivalPlan.MeanGapCycles must be positive")
 	}
+	// gap scales the mean (a bursty burst's whole span) by a Q16 factor
+	// of at most maxGapQ16; the product must fit in 64 bits.
+	const maxMean = math.MaxUint64 / maxGapQ16
+	if p.MeanGapCycles > maxMean {
+		return fmt.Errorf("serve: ArrivalPlan.MeanGapCycles %d above %d", p.MeanGapCycles, uint64(maxMean))
+	}
 	switch p.Kind {
 	case ArrivalUniform, ArrivalPoisson, ArrivalHeavyTail:
 	case ArrivalBursty:
 		if p.BurstSize < 1 {
 			return fmt.Errorf("serve: ArrivalBursty needs BurstSize >= 1, got %d", p.BurstSize)
+		}
+		if p.MeanGapCycles > maxMean/uint64(p.BurstSize) {
+			return fmt.Errorf("serve: ArrivalBursty MeanGapCycles %d x BurstSize %d above %d",
+				p.MeanGapCycles, p.BurstSize, uint64(maxMean))
 		}
 	case ArrivalDiurnal:
 		if p.RampPeriodCycles < 16 {
@@ -157,6 +170,9 @@ var expGapQ16 = [64]uint64{
 	92933, 97304, 101987, 107030, 112495, 118457, 125016, 132305,
 	140508, 149886, 160834, 173985, 190455, 212507, 245984, 340653,
 }
+
+// maxGapQ16 is the largest factor either table scales a mean by.
+const maxGapQ16 = 630358
 
 // paretoGapQ16[k] = Pareto(alpha=1.5) inverse CDF, renormalized to mean
 // 1: a deterministic heavy tail reaching ~9.6x the mean.

@@ -384,6 +384,12 @@ func (s *sim) scheduleGen(t uint64, kind uint8, who int32, gen uint64) {
 		s.err = fmt.Errorf("serve: more than %d pending events", maxIndex)
 		return
 	}
+	if t < s.events.cur {
+		// Every delay is added to the current time, so only a sum past
+		// 2^64 cycles lands before the event being handled.
+		s.err = fmt.Errorf("serve: virtual clock wrapped: an event at cycle %d handled at cycle %d", t, s.events.cur)
+		return
+	}
 	s.seq++
 	s.events.push(event{t: t, seq: s.seq, kind: kind, who: who, gen: gen})
 }
@@ -508,13 +514,14 @@ func (s *sim) pickClass(r uint64) int32 {
 
 // backoff returns attempt n's retry delay: capped exponential growth
 // from BackoffBase, with deterministic jitter spreading concurrent
-// retries over the top quarter of the interval.
+// retries over the top quarter of the interval. Without a cap the
+// growth saturates at 2^62 cycles instead of wrapping.
 func (s *sim) backoff(c, n int32) uint64 {
 	b := s.cfg.BackoffBase
 	if b == 0 {
 		return 0
 	}
-	for i := int32(1); i < n && i < 63; i++ {
+	for i := int32(1); i < n && b < 1<<62; i++ {
 		b <<= 1
 		if bc := s.cfg.BackoffCap; bc > 0 && b >= bc {
 			b = bc
