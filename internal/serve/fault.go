@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"sgxbench/internal/obs"
 	"sgxbench/internal/sgx"
@@ -70,6 +71,9 @@ func (p *FaultPlan) validate() error {
 		if p.StormAEXGap == 0 {
 			return fmt.Errorf("serve: storms enabled with zero StormAEXGap")
 		}
+		if p.StormAEXGap > math.MaxUint64-p.costs().AEX {
+			return fmt.Errorf("serve: StormAEXGap %d plus the AEX cost overflows uint64", p.StormAEXGap)
+		}
 	}
 	if p.FailPct < 0 || p.FailPct > 100 {
 		return fmt.Errorf("serve: FailPct %d outside [0, 100]", p.FailPct)
@@ -114,6 +118,12 @@ type FaultEvent struct {
 // scenario cannot bloat the report; the Breakdown counters stay exact.
 const maxFaultEvents = 512
 
+// maxCrashes bounds a replay's enclave crashes. Every other event is tied
+// to an attempt, but a crash chain runs on the virtual clock: enclaves
+// that crash faster than any attempt can finish, while clients back off
+// for a long time, would spin the event loop without end.
+const maxCrashes = 1 << 20
+
 // Validate reports the first structural problem with the scenario
 // configuration against a workload of nClasses query classes. Simulate
 // calls it and returns its error instead of mis-running: a malformed
@@ -152,6 +162,9 @@ func (c Config) Validate(nClasses int) error {
 			if wt < 0 {
 				return fmt.Errorf("serve: negative weight %d for class %d", wt, i)
 			}
+			if wt > math.MaxInt-total {
+				return fmt.Errorf("serve: class weights overflow int at class %d", i)
+			}
 			total += wt
 		}
 		if total == 0 {
@@ -166,6 +179,12 @@ func (c Config) Validate(nClasses int) error {
 	}
 	if c.BackoffCap > 0 && c.BackoffBase > c.BackoffCap {
 		return fmt.Errorf("serve: BackoffBase %d above BackoffCap %d", c.BackoffBase, c.BackoffCap)
+	}
+	if c.Sync != SyncMutex && c.Sync != SyncSpin && c.Sync != SyncLockFree {
+		return fmt.Errorf("serve: unknown SyncKind %d", int(c.Sync))
+	}
+	if c.Mem != MemPreSized && c.Mem != MemDynamic {
+		return fmt.Errorf("serve: unknown MemMode %d", int(c.Mem))
 	}
 	if c.Dispatch != DispatchGlobal && c.Dispatch != DispatchSharded {
 		return fmt.Errorf("serve: unknown DispatchKind %d", int(c.Dispatch))
@@ -247,6 +266,10 @@ func (s *sim) crash(w int32, t uint64) {
 	wk := &s.workers[w]
 	wk.crashes++
 	s.bd.Crashes++
+	if s.bd.Crashes > maxCrashes {
+		s.err = fmt.Errorf("serve: more than %d enclave crashes: the crash schedule outpaces the requests", maxCrashes)
+		return
+	}
 	s.recordFault(FaultEvent{T: t, Kind: "crash", Worker: int(w)})
 	if wk.busy {
 		wk.gen++ // pending evDone/evItemDone events are now stale

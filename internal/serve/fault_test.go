@@ -57,6 +57,9 @@ func TestConfigValidate(t *testing.T) {
 		{"weights length", func(c *serve.Config) { c.Weights = []int{1} }, "weights"},
 		{"negative weight", func(c *serve.Config) { c.Weights = []int{1, -1} }, "negative weight"},
 		{"zero-sum weights", func(c *serve.Config) { c.Weights = []int{0, 0} }, "sum to zero"},
+		{"weight sum overflows", func(c *serve.Config) { c.Weights = []int{math.MaxInt, math.MaxInt} }, "overflow"},
+		{"unknown sync kind", func(c *serve.Config) { c.Sync = serve.SyncKind(9) }, "SyncKind"},
+		{"unknown mem mode", func(c *serve.Config) { c.Mem = serve.MemMode(-1) }, "MemMode"},
 		{"negative clients", func(c *serve.Config) { c.Clients = -1 }, "negative counts"},
 		{"negative workers", func(c *serve.Config) { c.Workers = -2 }, "negative counts"},
 		{"negative requests", func(c *serve.Config) { c.RequestsPerClient = -3 }, "negative counts"},
@@ -81,6 +84,9 @@ func TestConfigValidate(t *testing.T) {
 		{"storm without gap", func(c *serve.Config) {
 			c.Fault = &serve.FaultPlan{StormInterval: 100, StormLen: 50}
 		}, "StormAEXGap"},
+		{"storm gap plus AEX overflows", func(c *serve.Config) {
+			c.Fault = &serve.FaultPlan{StormInterval: 100, StormLen: 50, StormAEXGap: math.MaxUint64}
+		}, "overflows"},
 		{"fail pct above 100", func(c *serve.Config) { c.Fault = &serve.FaultPlan{FailPct: 101} }, "FailPct"},
 		{"negative rebuild pages", func(c *serve.Config) {
 			c.Fault = &serve.FaultPlan{CrashInterval: 100, RebuildPages: -1}
