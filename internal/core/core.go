@@ -106,7 +106,6 @@ type Env struct {
 	Node      int
 	Reference bool // per-op reference engine path (see Options.Reference)
 	Alloc     *sgx.Allocator
-	Enclave   *sgx.Enclave // nil outside enclaves
 	// EPC is the enclave's finite EPC capacity model (nil: unlimited).
 	EPC *engine.EPCDomain
 	// EPCPages echoes Options.EPCPages (0: unlimited), for diagnostics.
@@ -147,14 +146,16 @@ func NewEnv(o Options) *Env {
 		EPCPages:  o.EPCPages,
 	}
 	e.Alloc = sgx.NewAllocator(o.Space, e.DataRegion(), policy, o.OS)
-	if o.Setting.InEnclave() {
-		e.Enclave = sgx.NewEnclave(o.Node, policy, o.OS)
-	}
 	return e
 }
 
 // DataRegion returns where operator data is placed under this setting.
-func (e *Env) DataRegion() mem.Region { return e.RegionOn(e.Node) }
+func (e *Env) DataRegion() mem.Region {
+	if e.Setting.DataInEPC() {
+		return mem.Region{Node: e.Node, Kind: mem.EPC}
+	}
+	return mem.Region{Node: e.Node, Kind: mem.Untrusted}
+}
 
 // SpillRegion returns where spill-partitioned operators stage their
 // partition runs. When the EPC is capacity-limited the runs are staged in
@@ -166,15 +167,6 @@ func (e *Env) SpillRegion() mem.Region {
 		return mem.Region{Node: e.Node, Kind: mem.Untrusted}
 	}
 	return e.DataRegion()
-}
-
-// RegionOn returns the data region pinned to a specific node.
-func (e *Env) RegionOn(node int) mem.Region {
-	k := mem.Untrusted
-	if e.Setting.DataInEPC() {
-		k = mem.EPC
-	}
-	return mem.Region{Node: node, Kind: k}
 }
 
 // EngineConfig returns the thread construction config for this Env.

@@ -173,23 +173,6 @@ func (a *Allocator) SerialCycles() uint64 {
 	return uint64(a.serial.Swap(0))
 }
 
-// Enclave bundles an enclave's identity and cost model. It exists mostly
-// for documentation value in the public API: experiments construct one to
-// express "this work runs inside an enclave on socket N".
-type Enclave struct {
-	Node   int
-	Costs  OSCosts
-	policy AllocPolicy
-}
-
-// NewEnclave creates an enclave on the given NUMA node.
-func NewEnclave(node int, policy AllocPolicy, costs OSCosts) *Enclave {
-	return &Enclave{Node: node, Costs: costs, policy: policy}
-}
-
-// Policy returns the enclave's allocation policy.
-func (e *Enclave) Policy() AllocPolicy { return e.policy }
-
 // QueueModel describes the timing behaviour of a shared task queue's
 // synchronization, used by the deterministic contention replay (Fig 11).
 type QueueModel struct {
