@@ -141,15 +141,14 @@ func (p *ArrivalPlan) gap(seed uint64, c, n int, now uint64) uint64 {
 // schedules the following arrival — independent of any response, which
 // is what makes the load open-loop.
 func (s *sim) arrive(c int32, t uint64) {
-	cs := &s.clients[c]
-	rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(cs.issued))
+	rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.issued[c]))
 	idx := int32(len(s.reqs))
 	class := s.pickClass(rnd)
 	s.reqs = append(s.reqs, request{client: c, class: class, service: s.drawService(class, rnd), active: true, firstIssue: t})
 	s.submit(idx, t)
-	if cs.issued < s.cfg.RequestsPerClient {
-		cs.issued++
-		s.schedule(t+s.cfg.Arrival.gap(s.cfg.Seed, int(c), cs.issued, t), evArrive, c)
+	if s.issued[c] < s.cfg.RequestsPerClient {
+		s.issued[c]++
+		s.schedule(t+s.cfg.Arrival.gap(s.cfg.Seed, int(c), s.issued[c], t), evArrive, c)
 	}
 }
 

@@ -285,10 +285,7 @@ func (s *sim) crash(w int32, t uint64) {
 			pages += cc.Pages
 		}
 	}
-	start := t + s.fc.Teardown
-	if s.rebuildFree > start {
-		start = s.rebuildFree
-	}
+	start := max(t+s.fc.Teardown, s.rebuildFree)
 	done := start + s.fc.RebuildBase + uint64(pages)*s.fc.RebuildPage
 	s.rebuildFree = done
 	s.bd.RebuildCycles += done - t

@@ -272,11 +272,6 @@ type attempt struct {
 	flags   uint8
 }
 
-// clientState tracks one client's issue progress.
-type clientState struct {
-	issued int // logical requests issued so far
-}
-
 type worker struct {
 	busy      bool
 	down      bool // enclave torn down, rebuild pending
@@ -332,7 +327,7 @@ type sim struct {
 	events *timerWheel
 	seq    uint64
 	cumW   []int // running sums of cfg.Weights (nil: uniform mix)
-	err    error // set when a count outgrows the packed index width
+	err    error // set when a count outgrows the packed index width, the clock wraps or crashes loop
 
 	shards      []shard
 	rr          uint64 // round-robin submission spread over shards
@@ -340,7 +335,7 @@ type sim struct {
 	workers     []worker
 	atts        []attempt
 	reqs        []request
-	clients     []clientState
+	issued      []int  // logical requests each client has issued so far
 	edmmFree    uint64 // enclave-global page-commit serialization
 	rebuildFree uint64 // kernel enclave-management lock (crash rebuilds)
 
@@ -442,7 +437,7 @@ func (s *sim) issueReq(idx int32, t uint64) {
 	r := &s.reqs[idx]
 	if !r.active {
 		c := r.client
-		rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.clients[c].issued))
+		rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.issued[c]))
 		r.class = s.pickClass(rnd)
 		r.service = s.drawService(r.class, rnd)
 		r.active = true
@@ -561,15 +556,11 @@ func (s *sim) finishRequest(idx int32, t uint64, success bool) {
 	} else {
 		s.failed++
 	}
-	if t > s.makespan {
-		s.makespan = t
-	}
+	s.makespan = max(s.makespan, t)
 	pc := &s.perClient[r.client]
 	pc.Requests++
 	pc.MeanCycles += lat // sum here; divided at the end
-	if lat > pc.MaxCycles {
-		pc.MaxCycles = lat
-	}
+	pc.MaxCycles = max(pc.MaxCycles, lat)
 	s.classReq[r.class]++
 	s.classLat[r.class] += lat
 	if tr := s.cfg.Trace; tr != nil {
@@ -584,9 +575,8 @@ func (s *sim) finishRequest(idx int32, t uint64, success bool) {
 	}
 	r.active = false
 	if s.cfg.Arrival == nil {
-		cs := &s.clients[r.client]
-		if cs.issued < s.cfg.RequestsPerClient {
-			cs.issued++
+		if s.issued[r.client] < s.cfg.RequestsPerClient {
+			s.issued[r.client]++
 			s.schedule(t+s.cfg.ThinkCycles, evIssue, r.client)
 		}
 	}
@@ -661,9 +651,6 @@ func (s *sim) findWork(w int32, t uint64) {
 // empty queue is free (an uncontended emptiness check).
 func (s *sim) trySteal(w int32, t uint64) bool {
 	ns := int32(len(s.shards))
-	if ns < 2 {
-		return false
-	}
 	wk := &s.workers[w]
 	r := splitmix64(s.cfg.Seed ^ 0x57ea1c0de ^ uint64(w)<<32 ^ wk.steals)
 	start := int32(r % uint64(ns-1))
@@ -702,10 +689,7 @@ func (s *sim) commitPages(class int32, start uint64) uint64 {
 	if s.w.InEnclave {
 		// EDMM: the worker runs the AEX/EACCEPT protocol for its own
 		// pages, and the kernel serializes commits enclave-wide.
-		commitStart := start
-		if s.edmmFree > commitStart {
-			commitStart = s.edmmFree
-		}
+		commitStart := max(start, s.edmmFree)
 		s.bd.CommitWaitCycles += commitStart - start
 		cost := pages * s.w.OS.EDMMPage
 		s.bd.CommitCycles += cost
@@ -812,9 +796,7 @@ func (s *sim) itemDone(ai int32, t uint64, gen uint64) {
 		return // the enclave crashed mid-batch; the attempt was re-routed
 	}
 	att.flags |= attDone
-	if t > s.makespan {
-		s.makespan = t
-	}
+	s.makespan = max(s.makespan, t)
 	if att.flags&attAbandoned != 0 {
 		return // wasted work: the client's deadline already passed
 	}
@@ -835,9 +817,7 @@ func (s *sim) complete(w int32, t uint64) {
 	if s.cfg.Batch <= 1 {
 		s.itemDone(wk.batch[0], t, wk.gen)
 	}
-	if t > s.makespan {
-		s.makespan = t
-	}
+	s.makespan = max(s.makespan, t)
 	s.findWork(w, t)
 }
 
@@ -877,7 +857,7 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 		shards:    make([]shard, nShards),
 		workers:   make([]worker, cfg.Workers),
 		atts:      make([]attempt, 0, nReq),
-		clients:   make([]clientState, cfg.Clients),
+		issued:    make([]int, cfg.Clients),
 		lats:      make([]uint64, 0, nReq),
 		perClient: make([]ClientSummary, cfg.Clients),
 		classReq:  make([]int, len(w.Classes)),
@@ -916,7 +896,7 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 		// arrival clocks fire; the first arrival is one drawn gap in.
 		s.reqs = make([]request, 0, nReq)
 		for c := 0; c < cfg.Clients; c++ {
-			s.clients[c].issued = 1
+			s.issued[c] = 1
 			s.schedule(cfg.Arrival.gap(cfg.Seed, c, 0, 0), evArrive, int32(c))
 		}
 	} else {
@@ -924,7 +904,7 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 		s.reqs = make([]request, cfg.Clients)
 		for c := range s.reqs {
 			s.reqs[c].client = int32(c)
-			s.clients[c].issued = 1
+			s.issued[c] = 1
 			s.schedule(0, evIssue, int32(c))
 		}
 	}
@@ -1004,9 +984,7 @@ func (s *sim) gauges() (obs.Gauges, []uint64) {
 	for i := range s.shards {
 		d := uint64(s.shards[i].queue.n)
 		g.QueueDepth += d
-		if d > g.MaxShardDepth {
-			g.MaxShardDepth = d
-		}
+		g.MaxShardDepth = max(g.MaxShardDepth, d)
 		if shards != nil {
 			shards[i] = d
 		}
@@ -1032,11 +1010,7 @@ func pctl(sorted []uint64, p int) uint64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := (len(sorted)*p + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	return sorted[idx-1]
+	return sorted[max((len(sorted)*p+99)/100, 1)-1]
 }
 
 func (s *sim) result() *Result {
