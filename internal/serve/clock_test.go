@@ -59,14 +59,13 @@ func TestClockNeverWraps(t *testing.T) {
 		}
 	}
 
-	// Uncapped backoff never shrinks as attempts grow.
+	// Uncapped backoff grows to its saturation point instead of
+	// wrapping: no draw falls below 3/4 of the doubled base.
 	s := &sim{cfg: Config{BackoffBase: 1000, Seed: 7}}
-	prev := uint64(0)
 	for n := int32(1); n < 200; n++ {
-		b := s.backoff(0, n)
-		if lo := prev - prev/4; b < lo {
-			t.Fatalf("backoff(%d) = %d after %d: the doubling wrapped", n, b, prev)
+		floor := uint64(1000) << min(n-1, 52) / 4 * 3
+		if b := s.backoff(0, n); b < floor {
+			t.Fatalf("backoff(%d) = %d, below %d: the doubling wrapped", n, b, floor)
 		}
-		prev = max(prev, b)
 	}
 }

@@ -877,9 +877,10 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	if cfg.Fault != nil {
 		s.fc = cfg.Fault.costs()
 	}
-	// Every worker's in-flight list is cut from one slab. A list holds
-	// at most a Batch, and the lists' room together stays within the
-	// request count; a deeper batch grows its own list.
+	// Every worker's in-flight list is cut from one slab. A list has
+	// room for one Batch, but all lists together for no more than the
+	// request count plus one per worker; a deeper batch grows its own
+	// list.
 	room := min(max(cfg.Batch, 1), nReq/cfg.Workers+1)
 	slab := make([]int32, cfg.Workers*room)
 	for wi := int32(0); wi < int32(cfg.Workers); wi++ {
