@@ -1,7 +1,9 @@
-// Command bench runs the simulator's performance and fidelity suite
-// (internal/bench) and writes its BENCH_engine.json trajectory file:
-// minutes at full scale, seconds with -quick, which is also the scale the
-// golden snapshot (-check-golden / -update-golden) pins.
+// Command bench runs the simulator's fidelity suite (internal/bench) and
+// writes its BENCH_engine.json report: minutes at full scale, seconds
+// with -quick, which is also the scale the golden snapshot
+// (-check-golden / -update-golden) pins. It checks simulated numbers
+// against the golden file, the nine gates and the reference engine, and
+// times nothing; host cost is measured by go run ./benchmark.
 package main
 
 import (
@@ -46,7 +48,7 @@ func writableDir(flagName, path string) error {
 func main() {
 	var o bench.Options
 	flag.BoolVar(&o.Quick, "quick", false, "small sizes and single repetitions (CI smoke run)")
-	flag.StringVar(&o.Out, "out", "BENCH_engine.json", "output JSON trajectory file")
+	flag.StringVar(&o.Out, "out", "BENCH_engine.json", "output JSON report file")
 	flag.IntVar(&o.Threads, "threads", 4, "worker threads for the sweep workloads")
 	flag.StringVar(&o.Golden, "golden", "BENCH_GOLDEN.json", "golden snapshot of deterministic -quick simulated numbers")
 	flag.BoolVar(&o.CheckGolden, "check-golden", false, "fail on any drift of deterministic simulated numbers vs the golden snapshot (-quick only)")

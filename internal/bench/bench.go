@@ -1,21 +1,22 @@
-// Package bench is the simulator's performance and fidelity harness,
-// driven by cmd/bench: it runs a fixed scan + join + query-pipeline
-// suite across the paper's four execution settings on the batched fast
-// path (the "sweep"), then compares the fast path against the per-op
-// reference engine on the same workloads (the "speedup" section),
-// asserting that both produce identical simulated results. The report is
-// the BENCH_engine.json trajectory file performance PRs are compared by.
+// Package bench is the simulator's fidelity harness, driven by
+// cmd/bench: it runs a fixed scan + join + query-pipeline suite across
+// the paper's four execution settings on the batched fast path (the
+// "sweep"), then re-runs every workload on the per-op reference engine
+// (the "equivalence" section), asserting that both produce identical
+// simulated results. It checks simulated numbers only — against the
+// golden file, the nine gates and the reference engine — and times
+// nothing: host cost is measured by the repository benchmark
+// (go run ./benchmark). The report is the BENCH_engine.json run artefact.
 //
 // The suite is two tables and one evaluator: workloads names every
 // workload and how to prepare it, gates() states every ratio-vs-limit
 // claim, and bencher.eval alone turns a row into its note and flag.
 //
-// Methodology: every workload is prepared once (environment, input data,
+// Every workload is prepared once (environment, input data,
 // pre-allocated result buffers — the paper pre-allocates result memory)
-// and then run N times; the reported host_ns is the median repetition,
-// the right estimator on a noisy single-CPU container. Simulated caches
-// start cold on every repetition (each run builds fresh threads), so the
-// simulated results of a repetition are independent of the others.
+// and then run N times. Simulated caches start cold on every repetition
+// (each run builds fresh threads), so the simulated results of a
+// repetition are independent of the others.
 package bench
 
 import (
@@ -25,8 +26,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"runtime/debug"
-	"sort"
 	"time"
 
 	"sgxbench/internal/core"
@@ -37,51 +36,45 @@ import (
 // Options carries cmd/bench's six flags, validated by its validateFlags.
 type Options struct {
 	Quick        bool   // small sizes and single repetitions (CI smoke run)
-	Out          string // output JSON trajectory file
+	Out          string // output JSON report file
 	Threads      int    // worker threads for the sweep workloads
 	Golden       string // golden snapshot path
 	CheckGolden  bool   // fail on drift vs the snapshot (Quick only)
 	UpdateGolden bool   // rewrite the snapshot from this run (Quick only)
 }
 
-// Result is one (workload, setting, engine-mode) measurement.
+// Result is one sweep entry: the simulated outcome of a (workload,
+// setting) run on the fast path. The golden file holds these verbatim.
 type Result struct {
 	Workload  string       `json:"workload"`
 	Setting   string       `json:"setting"`
-	Mode      string       `json:"mode"`    // "fast" or "per-op"
-	HostNS    int64        `json:"host_ns"` // median over repetitions
-	Reps      int          `json:"reps"`
 	SimCycles uint64       `json:"sim_cycles"`
 	Check     uint64       `json:"check"` // matches / cycle checksum for equivalence
-	Det       bool         `json:"deterministic"`
 	Stats     engine.Stats `json:"stats"`
 }
 
 // Report is the BENCH_engine.json document.
 type Report struct {
-	Schema      string             `json:"schema"`
-	Timestamp   string             `json:"timestamp"`
-	GoVersion   string             `json:"go_version"`
-	NumCPU      int                `json:"num_cpu"`
-	Quick       bool               `json:"quick"`
-	Sweep       []Result           `json:"sweep"`
-	Serve       []*serve.Result    `json:"serve"`
-	Speedup     []Result           `json:"speedup"`
-	Speedups    map[string]float64 `json:"speedups"`
-	Equivalent  bool               `json:"equivalence_ok"`
-	GoldenOK    bool               `json:"golden_ok"`
-	ServeOK     bool               `json:"serve_collapse_ok"`
-	HashSortOK  bool               `json:"hash_vs_sort_ok"`
-	PlannerOK   bool               `json:"planner_ok"`
-	SpillOK     bool               `json:"spill_degradation_ok"`
-	FaultOK     bool               `json:"fault_degradation_ok"`
-	ShardOK     bool               `json:"shard_scaling_ok"`
-	ObsOK       bool               `json:"obs_percentiles_ok"`
-	TargetsMet  bool               `json:"targets_met"`
-	TargetNotes []string           `json:"target_notes"`
+	Schema      string          `json:"schema"`
+	Timestamp   string          `json:"timestamp"`
+	GoVersion   string          `json:"go_version"`
+	NumCPU      int             `json:"num_cpu"`
+	Quick       bool            `json:"quick"`
+	Sweep       []Result        `json:"sweep"`
+	Serve       []*serve.Result `json:"serve"`
+	Equivalent  bool            `json:"equivalence_ok"`
+	GoldenOK    bool            `json:"golden_ok"`
+	ServeOK     bool            `json:"serve_collapse_ok"`
+	HashSortOK  bool            `json:"hash_vs_sort_ok"`
+	PlannerOK   bool            `json:"planner_ok"`
+	SpillOK     bool            `json:"spill_degradation_ok"`
+	FaultOK     bool            `json:"fault_degradation_ok"`
+	ShardOK     bool            `json:"shard_scaling_ok"`
+	ObsOK       bool            `json:"obs_percentiles_ok"`
+	TargetNotes []string        `json:"target_notes"`
 }
 
-// OK reports whether all nine hard gates hold; targets_met is informative.
+// OK reports whether all nine gates hold.
 func (r *Report) OK() bool {
 	return r.Equivalent && r.GoldenOK && r.ServeOK && r.HashSortOK && r.PlannerOK &&
 		r.SpillOK && r.FaultOK && r.ShardOK && r.ObsOK
@@ -109,26 +102,17 @@ type sample struct {
 	dispatch      serve.DispatchStats // serving scenarios only
 }
 
-// runner executes one timed repetition of a prepared workload.
-type runner func() (time.Duration, sample)
+// runner executes one repetition of a prepared workload.
+type runner func() sample
 
-func median(ds []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
-// measure runs r reps times and returns the median host time plus the
-// per-repetition samples (index 0 is what the sweep reports and the
-// golden gate compares). The preceding workload's buffers (hundreds of
-// MB) are collected first so no GC cycle lands inside a timed region.
-func measure(r runner, reps int) (time.Duration, []sample) {
-	runtime.GC()
-	hosts, samples := make([]time.Duration, reps), make([]sample, reps)
+// repeat runs r reps times and returns the per-repetition samples
+// (index 0 is what the sweep reports and the golden gate compares).
+func repeat(r runner, reps int) []sample {
+	samples := make([]sample, reps)
 	for k := range samples {
-		hosts[k], samples[k] = r()
+		samples[k] = r()
 	}
-	return median(hosts), samples
+	return samples
 }
 
 // bencher is one suite run in progress.
@@ -153,15 +137,11 @@ func key(entry string, s core.Setting, metric string) string {
 	return entry + "/" + s.String() + ":" + metric
 }
 
-func newResult(name string, s core.Setting, mode string, host time.Duration, reps int, v sample) Result {
-	return Result{name, s.String(), mode, host.Nanoseconds(), reps, v.cycles, v.check, true, v.stats}
-}
-
-// record adds a fast-path measurement to the sweep and the golden gate:
-// every entry is deterministic (the PHT shared-table build preclaims its
+// record adds a fast-path run to the sweep and the golden gate: every
+// entry is deterministic (the PHT shared-table build preclaims its
 // insert slots in input order, so even multi-threaded builds repeat).
-func (b *bencher) record(name string, s core.Setting, host time.Duration, reps int, v sample) {
-	b.rep.Sweep = append(b.rep.Sweep, newResult(name, s, "fast", host, reps, v))
+func (b *bencher) record(name string, s core.Setting, v sample) {
+	b.rep.Sweep = append(b.rep.Sweep, Result{name, s.String(), v.cycles, v.check, v.stats})
 	b.vals[key(name, s, simCycles)] = float64(v.cycles)
 }
 
@@ -187,23 +167,17 @@ func Run(o Options, out io.Writer) (*Report, error) {
 }
 
 func run(o Options, z sizes, out io.Writer) (*Report, error) {
-	// The suite holds a few large long-lived buffers and produces modest
-	// per-repetition garbage; a higher GC target keeps collector cycles
-	// out of the timed regions (benchmark hygiene, not a result lever —
-	// both engine modes run under the same setting).
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, rep: &Report{
-		Schema:     "sgxbench/bench_engine/v3",
+		Schema:     "sgxbench/bench_engine/v4",
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      o.Quick,
-		Speedups:   map[string]float64{},
 		Equivalent: true, GoldenOK: true, ServeOK: true, HashSortOK: true, PlannerOK: true,
-		SpillOK: true, FaultOK: true, ShardOK: true, TargetsMet: true,
+		SpillOK: true, FaultOK: true, ShardOK: true,
 	}}
 	for _, section := range []func() error{
-		b.sweep, b.spill, b.planner, b.serve, b.fault, b.scale, b.speedup, b.golden,
+		b.sweep, b.spill, b.planner, b.serve, b.fault, b.scale, b.equivalence, b.golden,
 	} {
 		if err := section(); err != nil {
 			return nil, err

@@ -15,7 +15,7 @@ import (
 	"sgxbench/internal/serve"
 )
 
-// okFlags are the nine hard gates of the v3 report.
+// okFlags are the nine gates of the v4 report.
 var okFlags = []string{
 	"equivalence_ok", "golden_ok", "serve_collapse_ok", "hash_vs_sort_ok", "planner_ok",
 	"spill_degradation_ok", "fault_degradation_ok", "shard_scaling_ok", "obs_percentiles_ok",
@@ -25,7 +25,7 @@ var okFlags = []string{
 // raised, as run() starts one.
 func testBencher(vals map[string]float64) *bencher {
 	rep := &Report{}
-	for _, k := range append([]string{"targets_met"}, okFlags...) {
+	for _, k := range okFlags {
 		*rep.flag(k) = true
 	}
 	return &bencher{out: io.Discard, rep: rep, vals: vals}
@@ -48,7 +48,7 @@ func TestGateEval(t *testing.T) {
 		{name: "gt at threshold misses", g: row(">", 3), note: "r 3.00x (want 3.0x) MISS"},
 		{name: "lt at threshold misses", g: row("<", 3), note: "r 3.00x (want 3.0x) MISS"},
 		{name: "lt below passes", g: row("<", 3.5), note: "r 3.00x (want 3.5x)"},
-		{name: "num alone", g: gate{flag: "targets_met", note: "%.1f/%.1f", num: "a", cmp: ">=", want: 6}, note: "6.0/6.0"},
+		{name: "num alone", g: gate{flag: "serve_collapse_ok", note: "%.1f/%.1f", num: "a", cmp: ">=", want: 6}, note: "6.0/6.0"},
 		{name: "measured limit", g: gate{flag: "hash_vs_sort_ok", note: "%.0f<%.0f", num: "b", cmp: "<", wantNum: "c", wantDen: "d"}, note: "2<3"},
 		{name: "missing numerator", g: gate{flag: "serve_collapse_ok", note: "n", num: "renamed", den: "b", cmp: "<"}, wantErr: `"renamed"`},
 		{name: "missing denominator", g: gate{flag: "serve_collapse_ok", note: "n", num: "a", den: "gone", cmp: "<"}, wantErr: `"gone"`},
@@ -86,7 +86,6 @@ func TestGateEval(t *testing.T) {
 func producibleKeys() map[string]bool {
 	keys := map[string]bool{}
 	for _, w := range workloads {
-		keys[die(w.name, speedup)] = true
 		for _, s := range settings {
 			keys[key(w.name, s, simCycles)] = !w.twinOnly
 		}
@@ -130,7 +129,7 @@ func TestTableInvariants(t *testing.T) {
 		}
 		names[w.name] = true
 	}
-	flags := map[string]bool{"targets_met": true}
+	flags := map[string]bool{}
 	for _, k := range okFlags {
 		flags[k] = true
 	}
@@ -141,7 +140,7 @@ func TestTableInvariants(t *testing.T) {
 		}
 		notes[g.note] = true
 		if !flags[g.flag] || (&Report{}).flag(g.flag) == nil {
-			t.Errorf("gate %q: flag %q is not one of the nine *_ok report fields (or targets_met)", g.note, g.flag)
+			t.Errorf("gate %q: flag %q is not one of the nine *_ok report fields", g.note, g.flag)
 		}
 		if g.cmp != "<" && g.cmp != ">" && g.cmp != ">=" {
 			t.Errorf("gate %q: comparison %q", g.note, g.cmp)
@@ -158,8 +157,8 @@ func TestTableInvariants(t *testing.T) {
 			t.Errorf("gate %q: missing numerator", g.note)
 		}
 	}
-	if len(gates) != 24 {
-		t.Errorf("gate table has %d rows, want 24 (1 hash-vs-sort, 8 spill, 2 serve, 3 fault, 4 shard, 6 targets)", len(gates))
+	if len(gates) != 18 {
+		t.Errorf("gate table has %d rows, want 18 (1 hash-vs-sort, 8 spill, 2 serve, 3 fault, 4 shard)", len(gates))
 	}
 }
 
@@ -185,7 +184,7 @@ func TestReadmeListsGateFlags(t *testing.T) {
 
 func TestCompareGolden(t *testing.T) {
 	entry := func(name string, cycles uint64) Result {
-		return newResult(name, core.SGXDiE, "fast", 0, 1, sample{cycles: cycles, check: 7, stats: engine.Stats{Loads: 10, Stores: 4}})
+		return Result{name, core.SGXDiE.String(), cycles, 7, engine.Stats{Loads: 10, Stores: 4}}
 	}
 	rep := &Report{Sweep: []Result{entry("a", 100), entry("b", 200)}}
 	dir := t.TempDir()
@@ -247,7 +246,7 @@ func TestCompareGolden(t *testing.T) {
 // TestGoldenSection drives the -check-golden path of the golden section:
 // a drifted run clears golden_ok and names the drift, a clean one says so.
 func TestGoldenSection(t *testing.T) {
-	rep := &Report{GoldenOK: true, Sweep: []Result{newResult("a", core.SGXDiE, "fast", 0, 1, sample{cycles: 100})}}
+	rep := &Report{GoldenOK: true, Sweep: []Result{{Workload: "a", Setting: core.SGXDiE.String(), SimCycles: 100}}}
 	path := filepath.Join(t.TempDir(), "golden.json")
 	if err := writeGolden(path, rep, 4); err != nil {
 		t.Fatal(err)
@@ -258,7 +257,7 @@ func TestGoldenSection(t *testing.T) {
 		t.Fatalf("clean check: err=%v golden_ok=%v log=%q", err, rep.GoldenOK, log.String())
 	}
 	for i := 0; i < 30; i++ { // more drift lines than the section prints
-		rep.Sweep = append(rep.Sweep, newResult(strings.Repeat("n", i+1), core.SGXDiE, "fast", 0, 1, sample{}))
+		rep.Sweep = append(rep.Sweep, Result{Workload: strings.Repeat("n", i+1), Setting: core.SGXDiE.String()})
 	}
 	log.Reset()
 	if err := b.golden(); err != nil || rep.GoldenOK {
@@ -280,7 +279,7 @@ var tinySizes = func() sizes {
 }()
 
 // TestRunTiny drives the whole suite in-process: all nine gates hold,
-// the report has the v3 schema's key set, and the golden snapshot the
+// the report has the v4 schema's key set, and the golden snapshot the
 // run wrote matches the run.
 func TestRunTiny(t *testing.T) {
 	dir := t.TempDir()
@@ -296,8 +295,8 @@ func TestRunTiny(t *testing.T) {
 			t.Errorf("%s is false\n%s", k, log.String())
 		}
 	}
-	if !rep.OK() || !rep.TargetsMet {
-		t.Errorf("OK() = %v, targets_met = %v", rep.OK(), rep.TargetsMet)
+	if !rep.OK() {
+		t.Errorf("OK() = false")
 	}
 	if drift := compareGolden(o.Golden, rep, o.Threads); len(drift) != 0 {
 		t.Errorf("the snapshot this run wrote drifts from it: %q", drift)
@@ -305,9 +304,8 @@ func TestRunTiny(t *testing.T) {
 	if n := len(rep.TargetNotes); n != 23 {
 		t.Errorf("%d target notes, want 23: %q", n, rep.TargetNotes)
 	}
-	if len(rep.Sweep) != 195 || len(rep.Speedup) != 2*len(workloads) || len(rep.Serve) != 39 {
-		t.Errorf("report has %d sweep / %d speedup / %d serve entries, want 195 / %d / 39",
-			len(rep.Sweep), len(rep.Speedup), len(rep.Serve), 2*len(workloads))
+	if len(rep.Sweep) != 195 || len(rep.Serve) != 39 {
+		t.Errorf("report has %d sweep / %d serve entries, want 195 / 39", len(rep.Sweep), len(rep.Serve))
 	}
 
 	raw, err := os.ReadFile(o.Out)
@@ -323,10 +321,46 @@ func TestRunTiny(t *testing.T) {
 		got = append(got, k)
 	}
 	want := append([]string{"schema", "timestamp", "go_version", "num_cpu", "quick", "sweep", "serve",
-		"speedup", "speedups", "targets_met", "target_notes"}, okFlags...)
+		"target_notes"}, okFlags...)
 	sort.Strings(got)
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("report keys = %v, want the v3 schema %v", got, want)
+		t.Errorf("report keys = %v, want the v4 schema %v", got, want)
+	}
+}
+
+// TestEquivalenceFires: a workload whose reference-path run disagrees
+// with its fast-path run clears equivalence_ok and is named in an
+// EQUIVALENCE FAILURE line; an agreeing workload is not.
+func TestEquivalenceFires(t *testing.T) {
+	row := func(name string, refCheck uint64) workload {
+		return workload{name: name, prep: func(c prepCtx) runner {
+			return func() sample {
+				if c.ref {
+					return sample{cycles: 10, check: refCheck}
+				}
+				return sample{cycles: 10, check: 1}
+			}
+		}}
+	}
+	saved := workloads
+	defer func() { workloads = saved }()
+	workloads = []workload{row("fake.agree", 1), row("fake.diverge", 2)}
+	var log strings.Builder
+	b := testBencher(nil)
+	b.out, b.z = &log, sizes{reps: 2}
+	if err := b.equivalence(); err != nil {
+		t.Fatal(err)
+	}
+	if b.rep.Equivalent {
+		t.Errorf("equivalence_ok still true after a diverging row:\n%s", log.String())
+	}
+	for _, want := range []string{"EQUIVALENCE FAILURE: fake.diverge rep 0 ", "EQUIVALENCE FAILURE: fake.diverge rep 1 "} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("log does not contain %q:\n%s", want, log.String())
+		}
+	}
+	if strings.Contains(log.String(), "FAILURE: fake.agree") {
+		t.Errorf("the agreeing row was reported:\n%s", log.String())
 	}
 }

@@ -6,24 +6,13 @@ import (
 	"os"
 	"reflect"
 	"sort"
-
-	"sgxbench/internal/engine"
 )
 
-// goldenEntry is one deterministic sweep measurement in the snapshot.
-type goldenEntry struct {
-	Workload  string       `json:"workload"`
-	Setting   string       `json:"setting"`
-	SimCycles uint64       `json:"sim_cycles"`
-	Check     uint64       `json:"check"`
-	Stats     engine.Stats `json:"stats"`
-}
-
 type goldenFile struct {
-	Schema  string        `json:"schema"`
-	Quick   bool          `json:"quick"`
-	Threads int           `json:"threads"`
-	Entries []goldenEntry `json:"entries"`
+	Schema  string   `json:"schema"`
+	Quick   bool     `json:"quick"`
+	Threads int      `json:"threads"`
+	Entries []Result `json:"entries"`
 }
 
 const goldenSchema = "sgxbench/bench_golden/v1"
@@ -61,17 +50,8 @@ func (b *bencher) golden() error {
 	return nil
 }
 
-// goldenEntries extracts the sweep measurements (all deterministic).
-func goldenEntries(rep *Report) []goldenEntry {
-	var es []goldenEntry
-	for _, w := range rep.Sweep {
-		es = append(es, goldenEntry{Workload: w.Workload, Setting: w.Setting, SimCycles: w.SimCycles, Check: w.Check, Stats: w.Stats})
-	}
-	return es
-}
-
 func writeGolden(path string, rep *Report, threads int) error {
-	return writeJSON(path, goldenFile{Schema: goldenSchema, Quick: true, Threads: threads, Entries: goldenEntries(rep)})
+	return writeJSON(path, goldenFile{Schema: goldenSchema, Quick: true, Threads: threads, Entries: rep.Sweep})
 }
 
 // compareGolden diffs this run's sweep entries against the snapshot; it
@@ -92,8 +72,8 @@ func compareGolden(path string, rep *Report, threads int) []string {
 		return []string{fmt.Sprintf("golden was recorded with -threads %d, this run used %d", g.Threads, threads)}
 	}
 	key := func(w, s string) string { return w + "|" + s }
-	got := map[string]goldenEntry{}
-	for _, e := range goldenEntries(rep) {
+	got := map[string]Result{}
+	for _, e := range rep.Sweep {
 		got[key(e.Workload, e.Setting)] = e
 	}
 	var drift []string

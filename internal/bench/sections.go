@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
@@ -13,13 +12,13 @@ import (
 // sweep runs the workload table across all four settings on the fast
 // path, then asserts the hash-vs-sort contrast over its numbers.
 func (b *bencher) sweep() error {
-	b.printf("== sweep (batched fast path, median of %d) ==\n", b.z.reps)
+	b.printf("== sweep (batched fast path, %d reps) ==\n", b.z.reps)
 	for _, s := range settings {
 		for _, w := range workloads {
 			if w.twinOnly {
 				continue
 			}
-			host, samples := measure(w.prep(prepCtx{false, s, b.o.Threads, b.z}), b.z.reps)
+			samples := repeat(w.prep(prepCtx{false, s, b.o.Threads, b.z}), b.z.reps)
 			// Check values (matches / checksums) must be deterministic
 			// across repetitions; sim_cycles of workloads that allocate
 			// fresh simulated state per repetition are not and are
@@ -30,8 +29,8 @@ func (b *bencher) sweep() error {
 					b.rep.Equivalent = false
 				}
 			}
-			b.record(w.name, s, host, len(samples), samples[0])
-			b.printf("  %-18s %-11s host=%-12v simMcyc=%d\n", w.name, s, host.Round(time.Millisecond), samples[0].cycles/1e6)
+			b.record(w.name, s, samples[0])
+			b.printf("  %-18s %-11s simMcyc=%d\n", w.name, s, samples[0].cycles/1e6)
 		}
 	}
 	b.printf("== hash vs sort ==\n")
@@ -72,17 +71,16 @@ func (b *bencher) spill() error {
 	for _, w := range spillWorkloads {
 		for _, ratio := range spillRatios {
 			name := spillName(w.name, ratio)
-			_, ref := measure(w.prep(prepCtx{true, core.SGXDiE, b.o.Threads, b.z}, ratio), 1)
-			host, fast := measure(w.prep(prepCtx{false, core.SGXDiE, b.o.Threads, b.z}, ratio), 1)
-			b.equivalent(name, fast[0], ref[0])
-			st := fast[0].stats
+			ref := w.prep(prepCtx{true, core.SGXDiE, b.o.Threads, b.z}, ratio)()
+			fast := w.prep(prepCtx{false, core.SGXDiE, b.o.Threads, b.z}, ratio)()
+			b.equivalent(name, fast, ref)
+			st := fast.stats
 			if (ratio > 0) != (st.EPCFaults > 0) {
 				b.printf("  SPILL GATE FAILURE: %s faulted %d times (resident points must not page, oversubscribed ones must)\n", name, st.EPCFaults)
 				b.rep.SpillOK = false
 			}
-			b.record(name, core.SGXDiE, host, 1, fast[0])
-			b.printf("  %-24s host=%-12v simMcyc=%-8d faults=%d evictions=%d\n",
-				name, host.Round(time.Millisecond), fast[0].cycles/1e6, st.EPCFaults, st.EPCEvictions)
+			b.record(name, core.SGXDiE, fast)
+			b.printf("  %-24s simMcyc=%-8d faults=%d evictions=%d\n", name, fast.cycles/1e6, st.EPCFaults, st.EPCEvictions)
 		}
 	}
 	return b.gate("spill_degradation_ok")
@@ -109,9 +107,8 @@ func (b *bencher) planEnv(s core.Setting, q plan.Query, epcRatio int64, ref bool
 type planField struct {
 	pick, bestAlt plan.Alternative // the planner's choice; the first measured-cheapest alternative
 	chosen        sample           // the pick's measured run
-	host          time.Duration
-	best, worst   uint64 // measured cycles spread over the field
-	n             int    // alternatives in the field
+	best, worst   uint64           // measured cycles spread over the field
+	n             int              // alternatives in the field
 }
 
 // planField measures q's field and records the pick's run as name.
@@ -122,10 +119,9 @@ func (b *bencher) planField(name string, s core.Setting, q plan.Query, epcRatio 
 	f := planField{pick: pick, n: len(alts)}
 	for _, alt := range alts {
 		env, ds := b.planEnv(s, q, epcRatio, false)
-		start := time.Now()
 		r := plan.Execute(env, ds, plan.Options{Threads: b.o.Threads, Pred: q.Pred, Limit: q.Limit}, q.Name, q.Tree(alt))
 		if alt == pick {
-			f.host, f.chosen = time.Since(start), planSample(r)
+			f.chosen = planSample(r)
 		}
 		if f.best == 0 || r.WallCycles < f.best {
 			f.best, f.bestAlt = r.WallCycles, alt
@@ -134,7 +130,7 @@ func (b *bencher) planField(name string, s core.Setting, q plan.Query, epcRatio 
 			f.worst = r.WallCycles
 		}
 	}
-	b.record(name, s, f.host, 1, f.chosen)
+	b.record(name, s, f.chosen)
 	return f
 }
 
@@ -217,35 +213,24 @@ func (b *bencher) planner() error {
 	return nil
 }
 
-// speedup compares the fast path against the per-op reference engine on
-// every workload, single-threaded under SGX DiE: repetition k sees
-// identical simulated state in both modes, so the samples must match
-// pairwise. The host-time ratios feed the acceptance targets.
-func (b *bencher) speedup() error {
-	b.printf("== speedup (fast vs per-op reference, SGX DiE) ==\n")
+// equivalence compares the fast path against the per-op reference
+// engine on every workload, single-threaded under SGX DiE: repetition k
+// sees identical simulated state on both paths, so the samples must
+// match pairwise.
+func (b *bencher) equivalence() error {
+	b.printf("== equivalence (fast vs per-op reference, SGX DiE, %d reps) ==\n", b.z.reps)
 	for _, w := range workloads {
-		prep, n := w.prep, b.z.reps
+		prep := w.prep
 		if w.twinPrep != nil {
 			prep = w.twinPrep
 		}
-		rHost, ref := measure(prep(prepCtx{true, core.SGXDiE, 1, b.z}), n)
-		fHost, fast := measure(prep(prepCtx{false, core.SGXDiE, 1, b.z}), n)
+		ref := repeat(prep(prepCtx{true, core.SGXDiE, 1, b.z}), b.z.reps)
+		fast := repeat(prep(prepCtx{false, core.SGXDiE, 1, b.z}), b.z.reps)
 		eq := true
 		for k := range fast {
 			eq = b.equivalent(fmt.Sprintf("%s rep %d", w.name, k), fast[k], ref[k]) && eq
 		}
-		ratio := float64(rHost) / float64(fHost)
-		b.rep.Speedup = append(b.rep.Speedup,
-			newResult(w.name, core.SGXDiE, "per-op", rHost, n, ref[0]),
-			newResult(w.name, core.SGXDiE, "fast", fHost, n, fast[0]))
-		b.rep.Speedups[w.name], b.vals[die(w.name, speedup)] = ratio, ratio
-		b.printf("  %-18s per-op=%-12v fast=%-12v speedup=%.2fx equivalent=%v\n",
-			w.name, rHost.Round(time.Millisecond), fHost.Round(time.Millisecond), ratio, eq)
+		b.printf("  %-18s simMcyc=%-8d equivalent=%v\n", w.name, fast[0].cycles/1e6, eq)
 	}
-	b.printf("== targets ==\n")
-	if b.o.Quick {
-		b.printf("  (quick mode: sizes too small for representative ratios; targets not checked)\n")
-		return nil
-	}
-	return b.gate("targets_met")
+	return nil
 }

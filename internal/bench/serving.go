@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/obs"
@@ -219,16 +218,15 @@ func (b *bencher) simulate(w *serve.Workload, sc scenario) (*serve.Result, sampl
 	return res, sample{res.MakespanCycles, res.Check, w.Stats, res.Breakdown, res.DispatchStats}, nil
 }
 
-// served times one scenario on the fast-calibrated workload, records it
+// served replays one scenario on the fast-calibrated workload, records it
 // (serve list, sweep entry, gate measurements) and demands that a
 // reference-calibrated twin, when given, reproduce it bit for bit.
 func (b *bencher) served(sc scenario, w, refW *serve.Workload) (*serve.Result, error) {
-	t0 := time.Now()
 	res, fast, err := b.simulate(w, sc)
 	if err != nil {
 		return nil, err
 	}
-	b.record(sc.name, w.Setting, time.Since(t0), 1, fast)
+	b.record(sc.name, w.Setting, fast)
 	b.rep.Serve = append(b.rep.Serve, res)
 	b.vals[key(sc.name, w.Setting, throughput)] = res.ThroughputQPS
 	b.vals[key(sc.name, w.Setting, goodput)] = res.GoodputQPS

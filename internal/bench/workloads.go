@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
@@ -16,19 +14,11 @@ import (
 	"sgxbench/internal/scan"
 )
 
-// rhoRatioScale is the largest platform scale-down factor at which the
-// RHO fast-vs-reference ratio target is meaningful: the scale-4 inputs
-// (25 MB join 100 MB) keep the partition passes long enough that per-run
-// fixed costs (cold simulated caches, state setup) do not dominate the
-// ratio. At smaller data the ratio flakes, which is why the targets are
-// only evaluated at full scale.
-const rhoRatioScale = 4
-
 // sizes is every workload dimension of one suite scale.
 type sizes struct {
 	seqBytes, gatherArr             int64
 	scanBytes, gatherIDs, gatherOps int   // gatherIDs caps the scan.gather volume
-	rhoScale                        int64 // platform scale-down of the ratio-bearing RHO twin
+	rhoScale                        int64 // platform scale-down of the join.RHO equivalence twin
 	qDim, qFact, qMaxRows           int
 	q3Fact                          int // unfiltered join-agg: keep the probe side bounded
 	spillJoinScale                  int // shrinks the 100 MB join 400 MB inputs against a scaled-down EPC
@@ -42,7 +32,7 @@ type sizes struct {
 var (
 	fullSizes = sizes{
 		seqBytes: 256 << 20, gatherArr: 256 << 20, scanBytes: 64 << 20, gatherIDs: 4 << 20, gatherOps: 1 << 21,
-		rhoScale: rhoRatioScale, qDim: 1 << 16, qFact: 2 << 20, qMaxRows: 1 << 20, q3Fact: 1 << 20,
+		rhoScale: 4, qDim: 1 << 16, qFact: 2 << 20, qMaxRows: 1 << 20, q3Fact: 1 << 20,
 		spillJoinScale: 128, spillAggN: 1 << 19, spillAggGroups: 1 << 16,
 		planDim: 1 << 12, planFact: 1 << 17, reps: 5,
 	}
@@ -70,17 +60,17 @@ func (c prepCtx) env(scale, epcPages int64) *core.Env {
 }
 
 // workload is one row of the suite: prep builds environment, inputs and
-// pre-allocated buffers once, the returned runner is one timed repetition.
+// pre-allocated buffers once, the returned runner is one repetition.
 // The sweep runs every row (except twinOnly ones) under all four settings
-// at -threads on the fast path; the speedup section runs every row
+// at -threads on the fast path; the equivalence section runs every row
 // single-threaded under SGX DiE on both engine paths.
 type workload struct {
 	name string
 	prep func(c prepCtx) runner
-	// twinPrep, when set, replaces prep in the speedup section: the
+	// twinPrep, when set, replaces prep in the equivalence section: the
 	// joins' fast-vs-reference twins run larger inputs than the sweep.
 	twinPrep func(c prepCtx) runner
-	twinOnly bool // speedup section only
+	twinOnly bool // equivalence section only
 }
 
 // workloads is the suite table in report order. The sweep joins run at
@@ -118,15 +108,14 @@ func pipelineWorkloads() []workload {
 	return wls
 }
 
-// kernelRunner times one single-thread kernel on a fresh (cold) thread.
+// kernelRunner runs one single-thread kernel on a fresh (cold) thread.
 func kernelRunner(env *core.Env, kernel func(t *engine.Thread) uint64) runner {
-	return func() (time.Duration, sample) {
+	return func() sample {
 		t := engine.NewThread(env.EngineConfig(), 0)
-		start := time.Now()
 		cyc := kernel(t)
 		st := t.Stats()
 		st.Cycles = cyc
-		return time.Since(start), sample{cycles: cyc, check: cyc, stats: st}
+		return sample{cycles: cyc, check: cyc, stats: st}
 	}
 }
 
@@ -162,15 +151,14 @@ func prepScan(c prepCtx, rowIDs bool) runner {
 	} else {
 		opt.Bits = env.Space.AllocU64("scan.bits", col.Len()/64+2, env.DataRegion())
 	}
-	return func() (time.Duration, sample) {
-		start := time.Now()
+	return func() sample {
 		res := scan.Run(env, col, opt)
-		return time.Since(start), sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
+		return sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
 	}
 }
 
 // prepGather prepares the filter→gather plan: the row-id scan runs once
-// (untimed), its ids are shuffled into an unclustered list, and each
+// (in prep), its ids are shuffled into an unclustered list, and each
 // repetition re-gathers the payload column at those ids. gatherIDs caps
 // the gather volume so the suite stays within minutes (random accesses
 // are the most expensive pattern to simulate).
@@ -183,10 +171,9 @@ func prepGather(c prepCtx) runner {
 		n = c.z.gatherIDs
 	}
 	gopt := scan.GatherOptions{Threads: c.threads, Out: env.Space.AllocU8("scan.gathered", n, env.DataRegion())}
-	return func() (time.Duration, sample) {
-		start := time.Now()
+	return func() sample {
 		res := scan.Gather(env, col, sc.IDs, n, gopt)
-		return time.Since(start), sample{cycles: res.WallCycles, check: res.Sum, stats: res.Stats}
+		return sample{cycles: res.WallCycles, check: res.Sum, stats: res.Stats}
 	}
 }
 
@@ -196,13 +183,12 @@ func prepGather(c prepCtx) runner {
 // engine modes). The options are fixed: an error is a bug in the suite.
 func joinRunner(env *core.Env, alg join.Algorithm, nR, nS int, seed uint64, thr int) runner {
 	build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), seed)
-	return func() (time.Duration, sample) {
-		start := time.Now()
+	return func() sample {
 		res, err := alg.Run(env, build, probe, join.Options{Threads: thr, Optimized: true})
 		if err != nil {
 			panic(err)
 		}
-		return time.Since(start), sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
+		return sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
 	}
 }
 
@@ -234,10 +220,9 @@ func prepSpillAgg(c prepCtx, run func(*core.Env, []agg.Input, agg.Options) *agg.
 	_, fact := rel.GenFKPair(env.Space, groups, n, env.DataRegion(), 99)
 	ins := []agg.Input{{Tup: fact.Tup, N: n}}
 	opt := agg.Options{Threads: c.threads, Sel: agg.ByKey, Groups: groups}
-	return func() (time.Duration, sample) {
-		start := time.Now()
+	return func() sample {
 		res := run(env, ins, opt)
-		return time.Since(start), sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
+		return sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
 	}
 }
 
@@ -260,9 +245,8 @@ func prepPipeline(c prepCtx, p plan.Query, nDim, nFact, maxRows int) runner {
 		Threads: c.threads, Pred: scanPred, MaxRows: maxRows,
 		Scratch: plan.NewScratch(env, ds, c.threads, capRows), Profiler: obs.NewProfiler("run"),
 	}
-	return func() (time.Duration, sample) {
-		start := time.Now()
+	return func() sample {
 		res := p.Run(env, ds, opt)
-		return time.Since(start), sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
+		return sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
 	}
 }

@@ -288,16 +288,6 @@ func (c *Cache) DirtyMRU(line uint64) {
 	c.data[s*c.stride+filtWords+uint64(c.head[s])] |= 1
 }
 
-// Reset invalidates all lines.
-func (c *Cache) Reset() {
-	for i := range c.data {
-		c.data[i] = 0
-	}
-	for i := range c.head {
-		c.head[i] = 0
-	}
-}
-
 // TLB is a set-associative translation lookaside buffer over 4 KiB pages
 // (fast representation: circular recency order and a counting membership
 // filter, exactly like Cache).
@@ -387,19 +377,6 @@ func (t *TLB) scanHit(set []uint64, h int, tag uint64) bool {
 	return false
 }
 
-// Reset invalidates all entries.
-func (t *TLB) Reset() {
-	for i := range t.ents {
-		t.ents[i] = 0
-	}
-	for i := range t.head {
-		t.head[i] = 0
-	}
-	for i := range t.filt {
-		t.filt[i] = 0
-	}
-}
-
 // RefCache is the original timestamp-LRU cache level, kept as the
 // reference implementation for the engine's per-op path (golden tests and
 // cmd/bench baselines). Its replacement decisions are identical to Cache.
@@ -479,16 +456,6 @@ func (c *RefCache) Fill(line uint64, write bool) (evicted uint64, evictedDirty, 
 	return evicted, evictedDirty, ok
 }
 
-// Reset invalidates all lines.
-func (c *RefCache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamp[i] = 0
-		c.dirty[i] = false
-	}
-	c.tick = 0
-}
-
 // RefTLB is the original timestamp-LRU TLB, the reference counterpart of
 // TLB.
 type RefTLB struct {
@@ -535,13 +502,4 @@ func (t *RefTLB) Access(page uint64) bool {
 	t.tags[victim] = tag
 	t.stamp[victim] = t.tick
 	return false
-}
-
-// Reset invalidates all entries.
-func (t *RefTLB) Reset() {
-	for i := range t.tags {
-		t.tags[i] = 0
-		t.stamp[i] = 0
-	}
-	t.tick = 0
 }

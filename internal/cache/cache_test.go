@@ -128,7 +128,7 @@ func TestTLBSetIndexing(t *testing.T) {
 
 // TestCacheFusedEquivalence is the packed-vs-RefCache differential: every
 // probe the packed cache offers — AccessOrFill, AccessOrFillStream, the
-// in-place DirtyMRU and Reset — runs against a RefCache using separate
+// in-place DirtyMRU — runs against a RefCache using separate
 // Access+Fill on the same randomized trace of mixed reads and writes,
 // over two small geometries (so sets overflow constantly), and every
 // hit and every eviction decision must agree.
@@ -158,9 +158,8 @@ func TestCacheFusedEquivalence(t *testing.T) {
 			}
 			write := r.Next()%3 == 0
 			op := r.Next() % 4096
-			if op == 0 {
-				fast.Reset()
-				ref.Reset()
+			if op == 0 { // a cold restart: both sides start over empty
+				fast, ref = New(geom), NewRef(geom)
 			}
 			probe := fast.AccessOrFill
 			if op&1 != 0 {
@@ -230,7 +229,7 @@ func TestWidestSetOneFilterKey(t *testing.T) {
 }
 
 // TestTLBImplEquivalence drives both TLB implementations with the same
-// randomized page trace, interrupted by the occasional Reset.
+// randomized page trace, interrupted by the occasional cold restart.
 func TestTLBImplEquivalence(t *testing.T) {
 	geom := platform.TLBGeom{Entries: 16, Ways: 4} // 4 sets x 4 ways
 	fast := NewTLB(geom)
@@ -239,8 +238,7 @@ func TestTLBImplEquivalence(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		page := r.Next() % 64
 		if r.Next()%4096 == 0 {
-			fast.Reset()
-			ref.Reset()
+			fast, ref = NewTLB(geom), NewRefTLB(geom)
 		}
 		fh := fast.Access(page)
 		rh := ref.Access(page)

@@ -46,11 +46,11 @@
 //     every run API decomposed into per-op Load/Store calls.
 //
 // A Thread holds the reference engine behind one pointer, Thread.ref, nil
-// in production, consulted at nine hand-over points and nowhere else:
+// in production, consulted at eight hand-over points and nowhere else:
 // loadAt and storeAt (the single per-access primitives under Load, Store,
 // CAS and all five gather/scatter APIs), hier (the page walker's metadata
 // fetches), LoadRun, LoadRunToks, LoadLines and StoreRun (the run
-// decompositions), StoreLinesNT's translation step, and ResetMemoryState.
+// decompositions), and StoreLinesNT's translation step.
 // No other file names a reference structure (CI greps for it), and the
 // gather/scatter APIs have no reference variant at all: each is defined
 // as its per-element loop over loadAt/storeAt on both engines.

@@ -122,20 +122,3 @@ func (t *Thread) EPCResident() int { return t.epcCount }
 // EPCBudgetPages returns the thread's private resident-set budget in
 // pages (diagnostics; 0 when paging is disabled).
 func (t *Thread) EPCBudgetPages() int { return len(t.epcRing) }
-
-// resetEPCState drops all residency (cold start), part of
-// ResetMemoryState.
-func (t *Thread) resetEPCState() {
-	if t.epcDom == nil {
-		return
-	}
-	for i := range t.epcRing {
-		t.epcRing[i] = 0
-		t.epcRef[i] = false
-	}
-	for p := range t.epcIdx {
-		delete(t.epcIdx, p)
-	}
-	t.epcHand, t.epcCount = 0, 0
-	t.epcLast = noPage
-}

@@ -128,25 +128,3 @@ func TestEPCSequentialAmortizes(t *testing.T) {
 		t.Fatalf("evictions = %d, want 12 (16 pages through a 4-page budget)", s.EPCEvictions)
 	}
 }
-
-// TestEPCResetMemoryState checks that a cold start drops residency: every
-// page refaults after the reset.
-func TestEPCResetMemoryState(t *testing.T) {
-	th, buf, _ := epcThread(8, 4)
-	for p := 0; p < 4; p++ {
-		touchPage(th, &buf, p)
-	}
-	if s := th.Stats(); s.EPCFaults != 4 || th.EPCResident() != 4 {
-		t.Fatalf("warmup: faults=%d resident=%d", s.EPCFaults, th.EPCResident())
-	}
-	th.ResetMemoryState()
-	if th.EPCResident() != 0 {
-		t.Fatalf("resident after reset = %d, want 0", th.EPCResident())
-	}
-	for p := 0; p < 4; p++ {
-		touchPage(th, &buf, p)
-	}
-	if s := th.Stats(); s.EPCFaults != 8 {
-		t.Fatalf("faults after reset = %d, want 8", s.EPCFaults)
-	}
-}

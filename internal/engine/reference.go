@@ -9,7 +9,7 @@ import (
 // The reference engine: the original per-op implementation of the memory
 // model, kept whole in this file as the executable specification the
 // production engine is tested against. The rest of the package hands over
-// to the ref* methods below at the nine points named under "# Reference
+// to the ref* methods below at the eight points named under "# Reference
 // seam" in the package comment; a production Thread (t.ref == nil) never
 // reaches this file.
 
@@ -28,14 +28,6 @@ func newRefModel(p *platform.Platform, l3 platform.CacheGeom) *refModel {
 		dtlb: cache.NewRefTLB(p.DTLB),
 		stlb: cache.NewRefTLB(p.STLB),
 	}
-}
-
-func (r *refModel) reset() {
-	r.l1.Reset()
-	r.l2.Reset()
-	r.l3.Reset()
-	r.dtlb.Reset()
-	r.stlb.Reset()
 }
 
 // refLoad is the per-op reference implementation of loadAt.

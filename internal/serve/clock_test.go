@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sgxbench/internal/core"
+	"sgxbench/internal/sgx"
 )
 
 // TestClockNeverWraps: a delay that would carry the virtual clock past
@@ -26,6 +27,16 @@ func TestClockNeverWraps(t *testing.T) {
 		{"bursty burst span product", func(c *Config) {
 			c.Arrival = &ArrivalPlan{Kind: ArrivalBursty, MeanGapCycles: 1 << 40, BurstSize: 1 << 10}
 		}, "BurstSize"},
+		{"rebuild cost product", func(c *Config) {
+			fc := sgx.DefaultFaultCosts()
+			fc.RebuildPage = 1 << 62
+			c.Fault = &FaultPlan{Seed: 11, CrashInterval: 100_000, RebuildPages: 4, Costs: fc}
+		}, "clock wrapped"},
+		{"crash teardown past the end of the clock", func(c *Config) {
+			fc := sgx.DefaultFaultCosts()
+			fc.Teardown = math.MaxUint64
+			c.Fault = &FaultPlan{Seed: 11, CrashInterval: 100_000, RebuildPages: 4, Costs: fc}
+		}, "clock wrapped"},
 	}
 	for _, tc := range cases {
 		c := base

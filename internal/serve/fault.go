@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"sgxbench/internal/obs"
 	"sgxbench/internal/sgx"
@@ -285,8 +286,14 @@ func (s *sim) crash(w int32, t uint64) {
 			pages += cc.Pages
 		}
 	}
-	start := max(t+s.fc.Teardown, s.rebuildFree)
-	done := start + s.fc.RebuildBase + uint64(pages)*s.fc.RebuildPage
+	torn, c1 := bits.Add64(t, s.fc.Teardown, 0)
+	hi, perPage := bits.Mul64(uint64(pages), s.fc.RebuildPage)
+	done, c2 := bits.Add64(max(torn, s.rebuildFree), s.fc.RebuildBase, 0)
+	done, c3 := bits.Add64(done, perPage, 0)
+	if c1|hi|c2|c3 != 0 {
+		s.err = fmt.Errorf("serve: virtual clock wrapped: the enclave rebuild after a crash at cycle %d ends past 2^64 cycles", t)
+		return
+	}
 	s.rebuildFree = done
 	s.bd.RebuildCycles += done - t
 	if tr := s.cfg.Trace; tr != nil {

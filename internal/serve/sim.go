@@ -390,22 +390,11 @@ func (s *sim) scheduleGen(t uint64, kind uint8, who int32, gen uint64) {
 }
 
 // lockPass runs one critical section of a shard's dispatch lock
-// starting at t and returns its completion time. The contention
-// semantics mirror exec.ReplayQueue: a thread that finds the lock taken
-// waits out the current hold plus the model's sleep latency, and a
-// contended handover extends the hold by the model's extension (the SGX
-// SDK mutex keeps the mutex locked across the owner's wake-up
-// transitions).
+// starting at t and returns its completion time.
 func (s *sim) lockPass(sh *shard, t uint64) uint64 {
-	acquire := t
-	hold := s.q.PopCycles
-	if t < sh.lockFree {
-		acquire = sh.lockFree + s.q.SleepLatency
-		hold += s.q.HoldExtension
-	}
-	sh.lockFree = acquire + hold
-	s.bd.LockCycles += acquire + hold - t
-	return acquire + hold
+	sh.lockFree = s.q.Pass(t, sh.lockFree)
+	s.bd.LockCycles += sh.lockFree - t
+	return sh.lockFree
 }
 
 func (s *sim) sharded() bool { return len(s.shards) > 1 }

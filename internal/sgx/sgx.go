@@ -174,7 +174,7 @@ func (a *Allocator) SerialCycles() uint64 {
 }
 
 // QueueModel describes the timing behaviour of a shared task queue's
-// synchronization, used by the deterministic contention replay (Fig 11).
+// synchronization (Fig 11); Pass is its one contention rule.
 type QueueModel struct {
 	Name string
 	// PopCycles is the uncontended critical-section length of one pop.
@@ -187,6 +187,21 @@ type QueueModel struct {
 	// SleepLatency is the additional delay a thread that found the lock
 	// taken observes before it can run in the critical section.
 	SleepLatency uint64
+}
+
+// Pass runs one critical section for a thread arriving at cycle arrive
+// on a lock that is next free at lockFree, and returns the cycle the
+// section ends, which is also when the lock is free again. Uncontended,
+// the pass costs PopCycles. A thread that finds the lock taken waits
+// out the current hold plus SleepLatency (futex wake or enclave
+// re-entry), and the contended handover extends the hold by
+// HoldExtension (the SGX SDK mutex keeps the mutex locked across the
+// owner's wake-up transitions, Section 4.4).
+func (q QueueModel) Pass(arrive, lockFree uint64) uint64 {
+	if arrive < lockFree {
+		return lockFree + q.SleepLatency + q.PopCycles + q.HoldExtension
+	}
+	return arrive + q.PopCycles
 }
 
 // LockFreeQueue models a CAS-based queue pop.

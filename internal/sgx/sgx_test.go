@@ -142,6 +142,33 @@ func TestQueueModelOrdering(t *testing.T) {
 	}
 }
 
+// TestQueueModelPass pins the one contention rule at the default costs:
+// a pass on a free lock (including one freed exactly at arrival) costs
+// the critical section; a pass on a held lock starts after the hold plus
+// the sleep latency and holds for the section plus the extension.
+func TestQueueModelPass(t *testing.T) {
+	c := sgx.DefaultOSCosts()
+	for _, tc := range []struct {
+		q                    sgx.QueueModel
+		uncontended, contend uint64 // Pass(1000, 500) and Pass(1000, 1200)
+	}{
+		{sgx.LockFreeQueue(c), 1030, 1200 + 30},
+		{sgx.SpinlockQueue(c), 1100, 1200 + 100},
+		{sgx.PlainMutexQueue(c), 1100, 1200 + 1500 + 100},
+		{sgx.SGXMutexQueue(c), 1100, 1200 + 16000 + 100 + 16000},
+	} {
+		if got := tc.q.Pass(1000, 500); got != tc.uncontended {
+			t.Errorf("%s: uncontended pass ends at %d, want %d", tc.q.Name, got, tc.uncontended)
+		}
+		if got := tc.q.Pass(1000, 1000); got != tc.uncontended {
+			t.Errorf("%s: pass on a lock freed at arrival ends at %d, want %d", tc.q.Name, got, tc.uncontended)
+		}
+		if got := tc.q.Pass(1000, 1200); got != tc.contend {
+			t.Errorf("%s: contended pass ends at %d, want %d", tc.q.Name, got, tc.contend)
+		}
+	}
+}
+
 // TestNewEPCDomain: a non-positive capacity disables paging; a positive
 // one carries the OS page-in and page-out costs.
 func TestNewEPCDomain(t *testing.T) {
