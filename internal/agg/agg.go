@@ -129,17 +129,6 @@ type Result struct {
 	PartGroups []int
 }
 
-// ForEach calls f for every emitted group in partition order.
-func (r *Result) ForEach(f func(key uint32, count, sum uint64, min, max uint32)) {
-	for p, n := range r.PartGroups {
-		for g := 0; g < n; g++ {
-			e := (r.PartStart[p] + g) * EntryWords
-			w0, w3 := r.Out.D[e], r.Out.D[e+3]
-			f(uint32(w0), r.Out.D[e+1], r.Out.D[e+2], uint32(w3), uint32(w3>>32))
-		}
-	}
-}
-
 // partBits picks the partition count so that the expected per-partition
 // group table fits comfortably in L2, mirroring RHO's RadixBits policy.
 func partBits(env *core.Env, groups int) uint {
@@ -220,7 +209,7 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	start := radixPass(g, "Agg.Hist", "Agg.Part", []int{0, n}, ins, hist, cur, parts, opt.Sel, 0, pBits)
 
 	// --- Phase 3: per-partition in-cache aggregation + emission ---
-	return aggregate(env, g, mark, n, parts, out, start, opt.Sel, pBits)
+	return aggregate(env, g, mark, n, groups, parts, out, start, opt.Sel, pBits)
 }
 
 // sizes returns the total row count of ins and the expected group count
@@ -254,8 +243,9 @@ func radixPass(g *exec.Group, histName, copyName string, prev []int, src []Input
 // aggregate is the last phase shared by RunOn and SpillRunOn: Agg.Build
 // aggregates each partition of parts (first rows in start) in cache,
 // round-robin over the threads, and emits its groups to out at the
-// partition's start slot; it then closes the stage's Result.
-func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n int, parts, out *mem.U64Buf, start []int, sel Sel, pBits uint) *Result {
+// partition's start slot; it then closes the stage's Result. groups is
+// the expected group count that sizes the workers' host arenas.
+func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, parts, out *mem.U64Buf, start []int, sel Sel, pBits uint) *Result {
 	T := len(g.Threads)
 	P := len(start) - 1
 	res := &Result{Rows: n, Out: out, PartStart: start, PartGroups: make([]int, P)}
@@ -265,7 +255,7 @@ func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n int, parts, out *
 	}
 	workers := make([]*worker, T)
 	for i := range workers {
-		workers[i] = newWorker(env, maxPart)
+		workers[i] = newWorker(env, maxPart, groups)
 	}
 	g.Phase("Agg.Build", func(t *engine.Thread, id int) {
 		w := workers[id]

@@ -103,6 +103,18 @@ func TestGoldenDistributions(t *testing.T) {
 	}
 }
 
+// ForEach calls f for every emitted group in partition order (a test
+// helper: the operators' callers read Result.Check and Out directly).
+func (r *Result) ForEach(f func(key uint32, count, sum uint64, min, max uint32)) {
+	for p, n := range r.PartGroups {
+		for g := 0; g < n; g++ {
+			e := (r.PartStart[p] + g) * EntryWords
+			w0, w3 := r.Out.D[e], r.Out.D[e+3]
+			f(uint32(w0), r.Out.D[e+1], r.Out.D[e+2], uint32(w3), uint32(w3>>32))
+		}
+	}
+}
+
 func verifyAgainstOracle(t *testing.T, label string, res *Result, want map[uint32]GroupAgg) {
 	t.Helper()
 	seen := 0

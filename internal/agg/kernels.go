@@ -105,7 +105,9 @@ func scatterSeg(t *engine.Thread, in *mem.U64Buf, lo, hi int, parts *mem.U64Buf,
 // sum, min|max — so an aggregate update is one load + one store of the
 // same half-line (the read-modify-write idiom the engine batches). An
 // epoch counter makes per-partition clearing free, as in the joins'
-// in-cache scratch.
+// in-cache scratch. The arena's simulated range covers every row a
+// partition can hold; its host words start at the expected group count
+// and grow when a partition holds more.
 type worker struct {
 	buckets *mem.U32Buf
 	ents    *mem.U64Buf
@@ -113,15 +115,18 @@ type worker struct {
 	gen     uint32
 }
 
-func newWorker(env *core.Env, maxPartRows int) *worker {
+func newWorker(env *core.Env, maxPartRows, groups int) *worker {
 	nb := nextPow2(maxPartRows)
 	if nb < 16 {
 		nb = 16
 	}
 	return &worker{
 		buckets: env.Space.AllocU32("agg.buckets", nb, env.DataRegion()),
-		ents:    env.Space.AllocU64("agg.ents", EntryWords*(maxPartRows+2), env.DataRegion()),
-		epoch:   make([]uint32, nb),
+		ents: &mem.U64Buf{
+			Buffer: env.Space.Alloc("agg.ents", int64(EntryWords*(maxPartRows+2))*8, env.DataRegion()),
+			D:      make([]uint64, EntryWords*(min(maxPartRows, groups)+2)),
+		},
+		epoch: make([]uint32, nb),
 	}
 }
 
@@ -158,9 +163,13 @@ func (w *worker) update(row uint32, v uint32) {
 }
 
 // insert initializes entry row for group gk with first value v and
-// chain link to the previous bucket head.
+// chain link to the previous bucket head, growing the arena's host
+// words when row is past them.
 func (w *worker) insert(row uint32, gk, v, link uint32) {
 	e := int(row) * EntryWords
+	if e+EntryWords > len(w.ents.D) {
+		w.ents.D = append(w.ents.D, make([]uint64, len(w.ents.D))...)
+	}
 	w.ents.D[e] = uint64(gk) | uint64(link)<<32
 	w.ents.D[e+1] = 1
 	w.ents.D[e+2] = uint64(v)

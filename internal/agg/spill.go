@@ -77,9 +77,14 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	n, groups := sizes(ins, opt.Groups)
 	passes := spillAggPassBits(env, n, groups, T)
 	stageReg := env.SpillRegion()
+	drain := env.EPCPages > 0 && env.DataRegion().Kind == mem.EPC
 	bufs := [2]*mem.U64Buf{
 		env.Space.AllocU64("agg.sp0", max(n, 1), stageReg),
-		env.Space.AllocU64("agg.sp1", max(n, 1), stageReg),
+		{Buffer: env.Space.Alloc("agg.sp1", int64(max(n, 1))*8, stageReg)},
+	}
+	// sp1 gets host words only when the drain or a second pass writes it.
+	if drain || len(passes) > 1 {
+		bufs[1].D = make([]uint64, max(n, 1))
 	}
 
 	src := ins
@@ -87,7 +92,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	// untrusted staging buffer through sequential streaming (non-temporal)
 	// writes: every partitioning pass then reads untrusted memory, so each
 	// input page faults exactly once, independent of the pass count.
-	if env.EPCPages > 0 && env.DataRegion().Kind == mem.EPC {
+	if drain {
 		stage := bufs[1]
 		g.Phase("Agg.Drain", func(t *engine.Thread, id int) {
 			lo, hi := exec.Chunk(n, T, id)
@@ -125,7 +130,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	if out == nil {
 		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), env.DataRegion())
 	}
-	return aggregate(env, g, mark, n, parts, out, start, opt.Sel, shift)
+	return aggregate(env, g, mark, n, groups, parts, out, start, opt.Sel, shift)
 }
 
 // DirectRun executes the naive single-table group-by under env.
@@ -140,16 +145,13 @@ func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
 // baseline is deliberately single-threaded.
 func DirectRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	mark := g.Mark()
-	n := 0
-	for _, in := range ins {
-		n += in.N
-	}
+	n, groups := sizes(ins, opt.Groups)
 	reg := env.DataRegion()
 	out := opt.Out
 	if out == nil {
 		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
-	w := newWorker(env, max(n, 1))
+	w := newWorker(env, max(n, 1), groups)
 	nb := nextPow2(max(n, 1))
 	if nb < 16 {
 		nb = 16

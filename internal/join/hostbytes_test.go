@@ -1,0 +1,98 @@
+package join
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"sgxbench/internal/agg"
+	"sgxbench/internal/core"
+	"sgxbench/internal/mem"
+	"sgxbench/internal/platform"
+	"sgxbench/internal/rel"
+)
+
+// hostBytes runs prep and then measured three times and returns the
+// fewest bytes one measured call allocated on the host (the call is
+// deterministic; anything above the minimum came from the runtime or
+// the test binary). prep's own allocations are not counted.
+func hostBytes(prep func() func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		measured := prep()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		measured()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestJoinHostBytes is the host-memory budget of the joins the
+// repository benchmark runs, at its join_probe sizes (100 MB x 400 MB
+// scaled down 128x, two threads, optimized kernels): the host slices
+// behind the simulated buffers follow what an operator holds, not what
+// it reserves. RHO may allocate 1.3x its input bytes per Run (one
+// partitioned copy of each input plus scratch), PHT 2.5x its build bytes
+// (the counting-sorted table plus its claims). A group-by whose Groups
+// hint is far below its largest partition keeps its entry arena at the
+// hint, so it allocates little beyond its bucket tables.
+func TestJoinHostBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const scale = 128
+	nR, nS := rel.RowsForMB(100)/scale, rel.RowsForMB(400)/scale
+	newEnv := func() *core.Env {
+		return core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(scale), Setting: core.SGXDiE})
+	}
+	for _, tc := range []struct {
+		alg    Algorithm
+		budget float64 // bytes per Run, in input bytes (RHO) or build bytes (PHT)
+	}{{NewRHO(), 1.3}, {NewPHT(), 2.5}} {
+		basis := int64(nR+nS) * rel.TupleBytes
+		if tc.alg.Name() == "PHT" {
+			basis = int64(nR) * rel.TupleBytes
+		}
+		got := hostBytes(func() func() {
+			env := newEnv()
+			build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1)
+			return func() {
+				if _, err := tc.alg.Run(env, build, probe, Options{Threads: 2, Optimized: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		ratio := float64(got) / float64(basis)
+		t.Logf("%s: %d B per Run, %.2fx (budget %.1fx)", tc.alg.Name(), got, ratio, tc.budget)
+		if ratio > tc.budget {
+			t.Errorf("%s: %d B per Run is %.2fx, budget %.1fx", tc.alg.Name(), got, ratio, tc.budget)
+		}
+	}
+
+	// Group-by: 2^17 rows over 64 groups land in two partitions. Each
+	// worker's bucket table and epoch array (4 B each per bucket) are
+	// sized by its largest partition, at most 2^17 buckets; the entry
+	// arena, whose simulated range reserves 32 B per row, by the hint.
+	const rows, groups = 1 << 17, 64
+	got := hostBytes(func() func() {
+		env := newEnv()
+		in := env.Space.AllocU64("in", rows, env.DataRegion())
+		for i := range in.D {
+			in.D[i] = mem.MakeTuple(uint32(i%groups+1), uint32(i))
+		}
+		g := env.NewGroup(2, nil)
+		opt := agg.Options{
+			Groups: groups,
+			Out:    env.Space.AllocU64("agg.out", agg.EntryWords*rows, env.DataRegion()),
+			Parts:  env.Space.AllocU64("agg.parts", rows, env.DataRegion()),
+		}
+		return func() { agg.RunOn(env, g, []agg.Input{{Tup: in, N: rows}}, opt) }
+	})
+	const aggBudget = 2 * 8 * rows * 5 / 4 // two workers' bucket tables + 25%
+	t.Logf("group-by: %d B per Run (budget %d)", got, aggBudget)
+	if got > aggBudget {
+		t.Errorf("group-by: %d B per Run, budget %d: the entry arena is not bounded by the Groups hint", got, aggBudget)
+	}
+}

@@ -117,28 +117,32 @@ func TestJoinDeterminism(t *testing.T) {
 	}
 }
 
-// TestPHTMultiThreadDeterminism: the shared-table build preclaims its
-// slot indices in input order, so multi-threaded PHT runs must repeat
-// bit-identically — wall cycles AND full stats — in both the plain and
-// the optimized kernels. This is what admits q3 (and join.PHT) into the
-// multi-threaded golden gate.
-func TestPHTMultiThreadDeterminism(t *testing.T) {
-	for _, optimized := range []bool{false, true} {
-		run := func() (uint64, uint64, engine.Stats) {
-			env := testEnv(core.SGXDiE)
-			build, probe := rel.GenFKPair(env.Space, 2000, 8000, env.DataRegion(), 99)
-			res, err := NewPHT().Run(env, build, probe, Options{Threads: 4, Optimized: optimized})
-			if err != nil {
-				t.Fatal(err)
+// TestJoinMultiThreadDeterminism: PHT's shared-table build preclaims its
+// slot indices in input order, and RHO's pass-2 threads refine disjoint
+// pass-1 partitions of one shared host array, so multi-threaded runs of
+// both must repeat bit-identically — wall cycles AND full stats — in
+// both the plain and the optimized kernels. This is what admits q3 (and
+// join.PHT) into the multi-threaded golden gate; under -race it also
+// checks that RHO's threads never touch the same host words.
+func TestJoinMultiThreadDeterminism(t *testing.T) {
+	for _, alg := range []Algorithm{NewPHT(), NewRHO()} {
+		for _, optimized := range []bool{false, true} {
+			run := func() (uint64, uint64, engine.Stats) {
+				env := testEnv(core.SGXDiE)
+				build, probe := rel.GenFKPair(env.Space, 2000, 8000, env.DataRegion(), 99)
+				res, err := alg.Run(env, build, probe, Options{Threads: 4, Optimized: optimized})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.WallCycles, res.Matches, res.Stats
 			}
-			return res.WallCycles, res.Matches, res.Stats
-		}
-		aw, am, as := run()
-		for rep := 0; rep < 3; rep++ {
-			bw, bm, bs := run()
-			if aw != bw || am != bm || as != bs {
-				t.Errorf("optimized=%v rep %d: diverged: wall %d vs %d, matches %d vs %d\nstats a: %+v\nstats b: %+v",
-					optimized, rep, aw, bw, am, bm, as, bs)
+			aw, am, as := run()
+			for rep := 0; rep < 3; rep++ {
+				bw, bm, bs := run()
+				if aw != bw || am != bm || as != bs {
+					t.Errorf("%s optimized=%v rep %d: diverged: wall %d vs %d, matches %d vs %d\nstats a: %+v\nstats b: %+v",
+						alg.Name(), optimized, rep, aw, bw, am, bm, as, bs)
+				}
 			}
 		}
 	}

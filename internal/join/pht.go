@@ -44,73 +44,77 @@ const inlineSlots = 8
 // second line.
 const hdrSlots = 6
 
-// bucketStride is the per-bucket word count of the flat backing array:
-// the count word followed by the inline slots, mirroring the simulated
-// bucket layout so one probe touches one host cache region instead of
-// chasing per-bucket slice headers.
-const bucketStride = inlineSlots + 1
-
-// phtTable is the shared hash table. Real values live in the flat
-// per-bucket array; timing flows through the line-sized bucket buffer
-// and the overflow arena.
+// phtTable is the shared hash table. Timing flows through the
+// line-sized bucket buffer and the overflow arena, which hold no host
+// words; the real contents live in a counting-sorted host array sized by
+// the build side, not by the buckets the simulated table reserves:
+// tups holds the build tuples bucket by bucket, bucket b's tuples are
+// tups[start[b]:start[b+1]] in input order, and claim[i] is build tuple
+// i's charged position — its inline slot when below inlineSlots, else
+// inlineSlots plus its global overflow ordinal in input order.
 //
-// The table's contents and every insert's slot index are precomputed in
-// input order by preclaim (a partitioned claim pass on the host), so
-// the timed build phase only issues simulated accesses — worker threads
-// never race on shared host state and the simulated numbers are
-// bit-identical at every thread count, which is what lets q3 run
-// multi-threaded under the golden gate.
+// The table's contents and every insert's claim are precomputed in
+// input order by preclaim (a counting sort on the host), so the timed
+// build phase only issues simulated accesses — worker threads never race
+// on shared host state and the simulated numbers are bit-identical at
+// every thread count, which is what lets q3 run multi-threaded under the
+// golden gate.
 type phtTable struct {
 	bits     uint
-	buckets  mem.Buffer       // nBuckets x bucketBytes (counts + inline slots)
-	overflow mem.Buffer       // overflow entry arena (timing only)
-	flat     []uint64         // bucketStride words per bucket: count, slots
-	over     map[int][]uint64 // tuples beyond inlineSlots, per bucket
-	slots    []int32          // per build-tuple inline slot index (input-order claim)
-	ovOrd    []int32          // per build-tuple overflow ordinal; -1 if inline
+	buckets  mem.Buffer // nBuckets x bucketBytes (counts + inline slots)
+	overflow mem.Buffer // overflow entry arena (timing only)
+	start    []int32    // nBuckets+1 bucket starts into tups
+	tups     []uint64   // build tuples, bucket by bucket
+	claim    []int32    // per build tuple: inline slot, or inlineSlots + overflow ordinal
 }
 
 func newPHTTable(env *core.Env, nBuild int) *phtTable {
 	nBuckets := nextPow2((nBuild + 1) / 2)
-	ht := &phtTable{
+	return &phtTable{
 		bits:     log2(nBuckets),
 		buckets:  env.Alloc.Raw(nil, "pht.buckets", int64(nBuckets)*bucketBytes),
 		overflow: env.Alloc.Raw(nil, "pht.overflow", int64(nBuild+1)*16),
-		flat:     make([]uint64, nBuckets*bucketStride),
-		over:     make(map[int][]uint64),
+		start:    make([]int32, nBuckets+1),
 	}
-	return ht
 }
 
 func (h *phtTable) bucketOf(key uint32) int { return int(hashIdx(key, h.bits)) }
 
-// preclaim walks the build input in input order and claims each tuple's
-// slot: the bucket fill cursor gives the inline slot index, spills past
-// inlineSlots get a global overflow ordinal, and the real contents are
-// written here, once, on the host. With the claim order fixed by input
-// order instead of goroutine arrival, the simulated store addresses of
-// the build phase are identical whether one thread or many execute it —
-// and single-threaded they match the pre-claim-era numbers exactly.
+// preclaim counting-sorts the build input into tups and fixes each
+// tuple's claim in input order: the bucket fill count gives the inline
+// slot, spills past inlineSlots get a global overflow ordinal. With the
+// claim order fixed by input order instead of goroutine arrival, the
+// simulated store addresses of the build phase are identical whether one
+// thread or many execute it — and single-threaded they match the
+// pre-claim-era numbers exactly.
 func (h *phtTable) preclaim(build *rel.Relation) {
 	n := build.N()
-	h.slots = make([]int32, n)
-	h.ovOrd = make([]int32, n)
-	ov := 0
-	for i := 0; i < n; i++ {
-		tup := build.Tup.D[i]
+	h.tups = make([]uint64, n)
+	h.claim = make([]int32, n)
+	// start[b] counts bucket b's tuples, then becomes its end.
+	ov := int32(0)
+	for i, tup := range build.Tup.D {
 		b := h.bucketOf(mem.TupleKey(tup))
-		fb := b * bucketStride
-		cnt := int(h.flat[fb])
-		h.slots[i] = int32(cnt)
-		if cnt < inlineSlots {
-			h.flat[fb+1+cnt] = tup
-			h.ovOrd[i] = -1
-		} else {
-			h.over[b] = append(h.over[b], tup)
-			h.ovOrd[i] = int32(ov)
+		h.claim[i] = h.start[b]
+		if h.start[b] >= inlineSlots {
+			h.claim[i] = inlineSlots + ov
 			ov++
 		}
-		h.flat[fb] = uint64(cnt + 1)
+		h.start[b]++
+	}
+	sum := int32(0)
+	for b := range h.start[:len(h.start)-1] {
+		sum += h.start[b]
+		h.start[b] = sum
+	}
+	h.start[len(h.start)-1] = sum
+	// Filling backwards from each end keeps input order inside a bucket
+	// and leaves start[b] at the bucket's first tuple.
+	for i := n - 1; i >= 0; i-- {
+		tup := build.Tup.D[i]
+		b := h.bucketOf(mem.TupleKey(tup))
+		h.start[b]--
+		h.tups[h.start[b]] = tup
 	}
 }
 
@@ -147,7 +151,7 @@ func (h *phtTable) insert(t *engine.Thread, i int, tup uint64, keyTok engine.Tok
 	latchTok := t.CAS(&h.buckets, base, hTok)
 	// Count load: random access, address derived from the key's hash.
 	cntTok := t.Load(&h.buckets, base, 4, latchTok)
-	cnt := int(h.slots[i])
+	cnt := int(h.claim[i])
 	slotTok := engine.After(cntTok, 1)
 	if cnt < inlineSlots {
 		// Tuple store at bucket[count]: store address depends on the
@@ -156,7 +160,7 @@ func (h *phtTable) insert(t *engine.Thread, i int, tup uint64, keyTok engine.Tok
 		t.Store(&h.buckets, slotOff(base, cnt), 8, slotTok, keyTok)
 	} else {
 		// Overflow entry: append to the arena and link it.
-		h.overflowStores(t, int(h.ovOrd[i]), slotTok, keyTok)
+		h.overflowStores(t, cnt-inlineSlots, slotTok, keyTok)
 		t.Store(&h.buckets, base+8+int64(inlineSlots)*8, 8, slotTok, 0) // chain pointer
 	}
 	// Count update + latch release share the bucket line.
@@ -227,7 +231,7 @@ func (h *phtTable) insertBatch(t *engine.Thread, i0 int, tups []uint64, keyToks 
 	t.CASLoad(&h.buckets, 4, sc.baseOffs[:u], sc.hToks[:u], sc.latchToks[:u], sc.cntToks[:u])
 	nS := 0
 	for j := 0; j < u; j++ {
-		cnt := int(h.slots[i0+j])
+		cnt := int(h.claim[i0+j])
 		sc.slotToks[j] = engine.After(sc.cntToks[j], 1)
 		if cnt < inlineSlots {
 			sc.sOffs[nS] = slotOff(sc.baseOffs[j], cnt)
@@ -235,7 +239,7 @@ func (h *phtTable) insertBatch(t *engine.Thread, i0 int, tups []uint64, keyToks 
 			sc.sDDeps[nS] = keyToks[j]
 			nS++
 		} else {
-			h.overflowStores(t, int(h.ovOrd[i0+j]), sc.slotToks[j], keyToks[j])
+			h.overflowStores(t, cnt-inlineSlots, sc.slotToks[j], keyToks[j])
 			sc.sOffs[nS] = sc.baseOffs[j] + 8 + int64(inlineSlots)*8 // chain pointer
 			sc.sADeps[nS] = sc.slotToks[j]
 			sc.sDDeps[nS] = 0
@@ -252,22 +256,12 @@ func (h *phtTable) insertBatch(t *engine.Thread, i0 int, tups []uint64, keyToks 
 // loads were already charged and produced scanTok).
 func (h *phtTable) scanBucket(t *engine.Thread, b int, tup uint64, scanTok engine.Tok, out *outWriter) (uint64, engine.Tok) {
 	key := mem.TupleKey(tup)
-	fb := b * bucketStride
-	n := int(h.flat[fb])
-	var ov []uint64
-	if n > inlineSlots {
-		ov = h.over[b]
-	}
 	var matches uint64
-	for i := 0; i < n; i++ {
-		var r uint64
-		if i < inlineSlots {
-			r = h.flat[fb+1+i]
-		} else {
-			r = ov[i-inlineSlots]
-		}
+	for i, r := range h.tups[h.start[b]:h.start[b+1]] {
 		if i > 0 && i%inlineSlots == 0 {
 			// Overflow chain: dependent load per spilled entry group.
+			// Known model defect: i%32 names one of four fixed arena
+			// lines whatever the bucket, so chains hit hot lines.
 			scanTok = t.Load(&h.overflow, int64(i%32)*16, 8, scanTok)
 		}
 		t.Work(1) // key compare
@@ -308,7 +302,7 @@ func (h *phtTable) probeBatch(t *engine.Thread, tups []uint64, keyToks []engine.
 		sc.bkts[j] = int32(b)
 		base := int64(b) * bucketBytes
 		hTok := engine.After(keyToks[j], hashCost)
-		if int(h.flat[b*bucketStride]) > hdrSlots {
+		if h.start[b+1]-h.start[b] > hdrSlots {
 			sc.off0[nLong] = base
 			sc.off1[nLong] = base + 64
 			sc.longDeps[nLong] = hTok

@@ -46,10 +46,15 @@ func RadixBits(env *core.Env, nBuild int) (b1, b2 uint) {
 	return b1, b2
 }
 
-// rhoState bundles the partitioning buffers for one input table.
+// rhoState bundles the partitioning buffers for one input table. The
+// pass-1 output tmp keeps its own simulated range but shares its host
+// words with the pass-2 output out: pass 1 writes that one array in
+// pass-1 order, and pass 2 refines each pass-1 partition in place from a
+// per-thread staging copy of it, so the host holds one partitioned copy
+// of the input instead of two.
 type rhoState struct {
 	in   *mem.U64Buf // input tuples
-	tmp  *mem.U64Buf // pass-1 output
+	tmp  *mem.U64Buf // pass-1 output (host words: out.D)
 	out  *mem.U64Buf // pass-2 output
 	h1   *mem.U32Buf // per-thread pass-1 histograms (T x P1)
 	cur1 *mem.U32Buf // per-thread pass-1 cursors (T x P1)
@@ -63,10 +68,12 @@ type rhoState struct {
 func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoState {
 	n := in.N()
 	reg := env.DataRegion()
+	tmp := env.Space.Alloc(in.Name+".tmp", int64(n)*8, reg)
+	out := env.Space.AllocU64(in.Name+".out", n, reg)
 	return &rhoState{
 		in:     in.Tup,
-		tmp:    env.Space.AllocU64(in.Name+".tmp", n, reg),
-		out:    env.Space.AllocU64(in.Name+".out", n, reg),
+		tmp:    &mem.U64Buf{Buffer: tmp, D: out.D},
+		out:    out,
 		h1:     env.Space.AllocU32(in.Name+".h1", threads*p1, reg),
 		cur1:   env.Space.AllocU32(in.Name+".cur1", threads*p1, reg),
 		h2:     env.Space.AllocU32(in.Name+".h2", p1*p2, reg),
@@ -156,12 +163,23 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	})
 
 	// --- Pass 2: local cursors + scatter ---
+	// Each pass-1 partition is refined in place: staged out of the shared
+	// host array, then scattered back from the same simulated addresses.
+	maxP1 := 0
+	for _, st := range []*rhoState{R, S} {
+		for pp := 0; pp < p1; pp++ {
+			maxP1 = max(maxP1, st.start1[pp+1]-st.start1[pp])
+		}
+	}
 	g.Phase("Copy2", func(t *engine.Thread, id int) {
+		stage := make([]uint64, maxP1)
 		for _, st := range []*rhoState{R, S} {
 			for pp := id; pp < p1; pp += T {
 				lo, hi := st.start1[pp], st.start1[pp+1]
 				kernels.LocalCursors(t, st.h2, st.cur2, pp*p2, lo, st.start2[pp*p2:(pp+1)*p2])
-				kernels.Scatter(t, st.tmp, lo, hi, st.out, st.cur2, pp*p2, scatCfg(id, b1, b2))
+				part := &mem.U64Buf{Buffer: st.tmp.Slice(int64(lo)*8, int64(hi-lo)*8), D: stage[:hi-lo]}
+				copy(part.D, st.tmp.D[lo:hi])
+				kernels.Scatter(t, part, 0, hi-lo, st.out, st.cur2, pp*p2, scatCfg(id, b1, b2))
 			}
 		}
 	})
