@@ -180,7 +180,9 @@ func forSegments(ins []Input, lo, hi int, f func(seg Input, sLo, sHi int)) {
 
 // Run executes the group-by over the concatenated inputs under env.
 func Run(env *core.Env, ins []Input, opt Options) *Result {
-	return RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), ins, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return RunOn(env, g, ins, opt)
 }
 
 // RunOn executes the group-by on an existing thread group (pipeline

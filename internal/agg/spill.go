@@ -66,7 +66,9 @@ func spillAggPassBits(env *core.Env, n, groups, threads int) []uint {
 // SpillRun executes the spill-partitioned group-by over the concatenated
 // inputs under env.
 func SpillRun(env *core.Env, ins []Input, opt Options) *Result {
-	return SpillRunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), ins, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return SpillRunOn(env, g, ins, opt)
 }
 
 // SpillRunOn executes the spill-partitioned group-by on an existing
@@ -135,7 +137,9 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 
 // DirectRun executes the naive single-table group-by under env.
 func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
-	return DirectRunOn(env, env.NewGroup(1, opt.NodeOf), ins, opt)
+	g := env.NewGroup(1, opt.NodeOf)
+	defer g.Release()
+	return DirectRunOn(env, g, ins, opt)
 }
 
 // DirectRunOn executes the naive group-by on the group's first thread:

@@ -82,12 +82,6 @@ func BulkLoad(space *mem.Space, name string, pairs []KV, reg mem.Region) *Tree {
 	return t
 }
 
-// Height returns the number of inner levels above the leaves.
-func (t *Tree) Height() int { return len(t.levels) }
-
-// Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int { return t.nLeaves }
-
 // lowerBound returns the index of the first key in s that is >= key, or
 // len(s): sort.Search without the closure, over one node's ≤ 32 keys.
 func lowerBound(s []uint32, key uint32) int {

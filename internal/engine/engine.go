@@ -266,7 +266,7 @@ type Thread struct {
 	specCount    uint64
 
 	// Cache hierarchy (nil on a reference thread, whose refModel owns the
-	// reference structures instead).
+	// reference structures instead, and after Release).
 	l1, l2, l3 *cache.Cache
 	dtlb, stlb *cache.TLB
 
@@ -354,8 +354,9 @@ type Config struct {
 	Reference bool
 }
 
-// NewThread creates a thread with cold caches. It panics with the
-// platform's Validate error if the model cannot run on cfg.Plat.
+// NewThread creates a thread with cold caches (possibly models a released
+// thread handed back, reset by cache.Get). It panics with the platform's
+// Validate error if the model cannot run on cfg.Plat.
 func NewThread(cfg Config, id int) *Thread {
 	if cfg.Plat == nil {
 		panic("engine: Config.Plat is required")
@@ -387,11 +388,11 @@ func NewThread(cfg Config, id int) *Thread {
 	if cfg.Reference {
 		t.ref = newRefModel(cfg.Plat, l3geom)
 	} else {
-		t.l1 = cache.New(cfg.Plat.L1D)
-		t.l2 = cache.New(cfg.Plat.L2)
-		t.l3 = cache.New(l3geom)
-		t.dtlb = cache.NewTLB(cfg.Plat.DTLB)
-		t.stlb = cache.NewTLB(cfg.Plat.STLB)
+		t.l1 = cache.Get(cfg.Plat.L1D)
+		t.l2 = cache.Get(cfg.Plat.L2)
+		t.l3 = cache.Get(l3geom)
+		t.dtlb = cache.GetTLB(cfg.Plat.DTLB)
+		t.stlb = cache.GetTLB(cfg.Plat.STLB)
 	}
 	t.pageShift = uint(bits.TrailingZeros64(uint64(cfg.Plat.PageBytes)))
 	t.lpShift = t.pageShift - 6
@@ -405,6 +406,23 @@ func NewThread(cfg Config, id int) *Thread {
 	t.pacedLat[2] = uint64(line / cfg.Plat.RemoteStreamBW)
 	t.pacedLat[3] = uint64(line / (cfg.Plat.RemoteStreamBW * cfg.Costs.UPIStreamTaxEPC))
 	return t
+}
+
+// Release hands the thread's cache and TLB models back for a later
+// NewThread. Their pointers become nil and the memos empty, so a later
+// access panics instead of probing another thread's cache. Releasing
+// twice, or a reference thread (never pooled), does nothing.
+func (t *Thread) Release() {
+	if t.l1 == nil {
+		return
+	}
+	cache.Put(t.l1)
+	cache.Put(t.l2)
+	cache.Put(t.l3)
+	cache.PutTLB(t.dtlb)
+	cache.PutTLB(t.stlb)
+	t.l1, t.l2, t.l3, t.dtlb, t.stlb = nil, nil, nil, nil, nil
+	t.lastPage, t.mruLine = noPage, noPage
 }
 
 // Cycle returns the thread's current cycle (issue clock; completions may

@@ -65,6 +65,16 @@ func NewGroup(cfg engine.Config, n int, nodeOf func(i int) int) *Group {
 	return g
 }
 
+// Release hands every thread's cache and TLB models back for later
+// groups. Only the code that created g calls it, when it returns; a
+// released group has no threads, and Phase on it panics.
+func (g *Group) Release() {
+	for _, t := range g.Threads {
+		t.Release()
+	}
+	g.Threads = nil
+}
+
 // Clock returns the group-aligned simulated time.
 func (g *Group) Clock() uint64 { return g.clock }
 
@@ -107,6 +117,9 @@ func (g *Group) AdvanceClock(cycles uint64) {
 // advances the group clock with bandwidth composition. It returns the
 // phase statistics.
 func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseStats {
+	if g.Threads == nil {
+		panic("exec: Phase " + name + " on a released group")
+	}
 	start := g.clock
 	before := make([]engine.Stats, len(g.Threads))
 	for i, t := range g.Threads {

@@ -83,6 +83,7 @@ func crackBit(t *engine.Thread, tup *mem.U64Buf, lo, hi int, bit uint) int {
 func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := opt.threads()
 	g := env.NewGroup(T, opt.NodeOf)
+	defer g.Release()
 	res := &Result{Algorithm: c.Name()}
 
 	// CrkJoin cracks in place: work on clones so callers keep their

@@ -28,7 +28,9 @@ func (*INL) Name() string { return "INL" }
 
 // Run executes the join.
 func (n *INL) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return n.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return n.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage

@@ -6,6 +6,7 @@ import (
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
+	"sgxbench/internal/mem"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/rel"
 )
@@ -15,6 +16,40 @@ func testEnv(s core.Setting) *core.Env {
 		Plat:    platform.XeonGold6326().Scaled(256),
 		Setting: s,
 	})
+}
+
+// referenceJoinPairs materializes the joined (probePayload, buildPayload)
+// pairs with a hash map: the oracle of the materializing joins.
+func referenceJoinPairs(build, probe *rel.Relation) []uint64 {
+	m := make(map[uint32][]uint32, build.N())
+	for i := 0; i < build.N(); i++ {
+		k := build.Key(i)
+		m[k] = append(m[k], build.Payload(i))
+	}
+	var out []uint64
+	for i := 0; i < probe.N(); i++ {
+		for _, bp := range m[probe.Key(i)] {
+			out = append(out, mem.MakeTuple(probe.Payload(i), bp))
+		}
+	}
+	return out
+}
+
+// TestReferenceJoinPairs checks the oracle itself: over a foreign-key
+// pair every probe row joins exactly one build row with its key.
+func TestReferenceJoinPairs(t *testing.T) {
+	const nBuild, nProbe = 1000, 5000
+	build, probe := rel.GenFKPair(mem.NewSpace(1), nBuild, nProbe, mem.Region{Kind: mem.EPC}, 3)
+	pairs := referenceJoinPairs(build, probe)
+	if len(pairs) != nProbe {
+		t.Fatalf("referenceJoinPairs: %d pairs, want %d", len(pairs), nProbe)
+	}
+	for _, p := range pairs {
+		pr, br := mem.TupleKey(p), mem.TuplePayload(p)
+		if probe.Key(int(pr)) != build.Key(int(br)) {
+			t.Fatalf("pair (probe %d, build %d) joins keys %d and %d", pr, br, probe.Key(int(pr)), build.Key(int(br)))
+		}
+	}
 }
 
 // TestJoinCorrectness checks every algorithm against the reference count
@@ -73,7 +108,7 @@ func TestJoinMaterialization(t *testing.T) {
 	for _, alg := range All() {
 		env := testEnv(core.PlainCPU)
 		build, probe := rel.GenFKPair(env.Space, 500, 2000, env.DataRegion(), 13)
-		want := rel.ReferenceJoinPairs(build, probe)
+		want := referenceJoinPairs(build, probe)
 		res, err := alg.Run(env, build, probe, Options{Threads: 4, Materialize: true})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)

@@ -31,7 +31,9 @@ func (*MWAY) Name() string { return "MWAY" }
 
 // Run executes the join.
 func (m *MWAY) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return m.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return m.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage

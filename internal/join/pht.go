@@ -333,7 +333,9 @@ func (h *phtTable) probeBatch(t *engine.Thread, tups []uint64, keyToks []engine.
 
 // Run executes the join.
 func (p *PHT) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return p.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return p.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage

@@ -85,7 +85,9 @@ func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoS
 
 // Run executes the join.
 func (r *RHO) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return r.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return r.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage

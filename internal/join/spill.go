@@ -115,7 +115,9 @@ func (st *graceState) src() *mem.U64Buf {
 
 // Run executes the join.
 func (gr *Grace) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return gr.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return gr.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group. The pass plan is

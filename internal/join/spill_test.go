@@ -80,7 +80,7 @@ func TestGraceMaterialization(t *testing.T) {
 	for _, pages := range []int64{0, epcHalf(500, 2000)} {
 		env := spillEnv(core.SGXDiE, false, pages)
 		build, probe := rel.GenFKPair(env.Space, 500, 2000, env.DataRegion(), 13)
-		want := rel.ReferenceJoinPairs(build, probe)
+		want := referenceJoinPairs(build, probe)
 		res, err := NewGrace().Run(env, build, probe, Options{Threads: 4, Materialize: true})
 		if err != nil {
 			t.Fatalf("GRACE: %v", err)

@@ -85,14 +85,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 // Sum returns the sum of recorded values.
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// Mean returns the exact mean of recorded values (0 when empty).
-func (h *Histogram) Mean() uint64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / h.n
-}
-
 // Max returns the exact maximum recorded value (0 when empty).
 func (h *Histogram) Max() uint64 { return h.max }
 

@@ -40,9 +40,6 @@ func NewProfiler(root string) *Profiler {
 // Root returns the profile tree.
 func (p *Profiler) Root() *Node { return p.root }
 
-// Depth returns the number of open scopes.
-func (p *Profiler) Depth() int { return len(p.stack) }
-
 // current is the innermost open scope (the root when none is open).
 func (p *Profiler) current() *Node {
 	if n := len(p.stack); n > 0 {

@@ -69,6 +69,7 @@ type Node interface {
 // replaces.
 func Execute(env *core.Env, ds *Dataset, opt Options, name string, root Node) *Result {
 	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
 	sc := opt.scratch(env, ds)
 	defer profiled(g, opt, name)()
 	res := &Result{Pipeline: name, Check: agg.FNVOffset64}

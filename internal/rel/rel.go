@@ -130,20 +130,3 @@ func ReferenceJoinCount(build, probe *Relation) uint64 {
 	}
 	return total
 }
-
-// ReferenceJoinPairs materializes the joined (probePayload, buildPayload)
-// pairs with a hash map; used to validate materializing joins.
-func ReferenceJoinPairs(build, probe *Relation) []uint64 {
-	m := make(map[uint32][]uint32, build.N())
-	for i := 0; i < build.N(); i++ {
-		k := build.Key(i)
-		m[k] = append(m[k], build.Payload(i))
-	}
-	var out []uint64
-	for i := 0; i < probe.N(); i++ {
-		for _, bp := range m[probe.Key(i)] {
-			out = append(out, mem.MakeTuple(probe.Payload(i), bp))
-		}
-	}
-	return out
-}

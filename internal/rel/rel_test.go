@@ -42,16 +42,6 @@ func TestGenFK(t *testing.T) {
 	if got := ReferenceJoinCount(build, probe); got != nProbe {
 		t.Fatalf("ReferenceJoinCount = %d, want %d (every probe key matches once)", got, nProbe)
 	}
-	pairs := ReferenceJoinPairs(build, probe)
-	if len(pairs) != nProbe {
-		t.Fatalf("ReferenceJoinPairs: %d pairs, want %d", len(pairs), nProbe)
-	}
-	for _, p := range pairs {
-		pr, br := mem.TupleKey(p), mem.TuplePayload(p)
-		if probe.Key(int(pr)) != build.Key(int(br)) {
-			t.Fatalf("pair (probe %d, build %d) joins keys %d and %d", pr, br, probe.Key(int(pr)), build.Key(int(br)))
-		}
-	}
 }
 
 func TestGenDim(t *testing.T) {

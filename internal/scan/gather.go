@@ -50,7 +50,9 @@ func Gather(env *core.Env, col *mem.U8Buf, ids *mem.U64Buf, n int, opt GatherOpt
 	if T < 1 {
 		T = 1
 	}
-	return GatherOn(env, env.NewGroup(T, opt.NodeOf), col, ids, n, opt)
+	g := env.NewGroup(T, opt.NodeOf)
+	defer g.Release()
+	return GatherOn(env, g, col, ids, n, opt)
 }
 
 // GatherOn executes the gather on an existing thread group (pipeline
@@ -192,13 +194,4 @@ func ShuffleIDs(ids *mem.U64Buf, n int, seed uint64) {
 		j := int(r.Uint64n(uint64(i + 1)))
 		ids.D[i], ids.D[j] = ids.D[j], ids.D[i]
 	}
-}
-
-// ReferenceGatherSum is the oracle: the checksum of col at ids[:n].
-func ReferenceGatherSum(col *mem.U8Buf, ids *mem.U64Buf, n int) uint64 {
-	var sum uint64
-	for i := 0; i < n; i++ {
-		sum += uint64(col.D[ids.D[i]])
-	}
-	return sum
 }

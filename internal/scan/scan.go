@@ -236,7 +236,9 @@ func (o Options) passes() int {
 
 // Run executes a multi-threaded scan of col under env.
 func Run(env *core.Env, col *mem.U8Buf, opt Options) *Result {
-	return RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), col, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return RunOn(env, g, col, opt)
 }
 
 // RunOn executes the scan on an existing thread group — the pipeline

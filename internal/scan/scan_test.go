@@ -6,6 +6,7 @@ import (
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
+	"sgxbench/internal/mem"
 	"sgxbench/internal/platform"
 )
 
@@ -68,7 +69,7 @@ func TestGatherCorrectness(t *testing.T) {
 			if shuffle {
 				ShuffleIDs(sc.IDs, n, 3)
 			}
-			want := ReferenceGatherSum(col, sc.IDs, n)
+			want := referenceGatherSum(col, sc.IDs, n)
 			res := Gather(env, col, sc.IDs, n, GatherOptions{Threads: 4})
 			if res.Sum != want {
 				t.Errorf("%s shuffle=%v: sum=%d want %d", setting, shuffle, res.Sum, want)
@@ -228,4 +229,13 @@ func TestScanShapeFig15(t *testing.T) {
 			t.Errorf("write rate %.2f: enclave overhead too high (%.3f)", (float64(sel)+1)/256, ratio)
 		}
 	}
+}
+
+// referenceGatherSum is the gather oracle: the checksum of col at ids[:n].
+func referenceGatherSum(col *mem.U8Buf, ids *mem.U64Buf, n int) uint64 {
+	var sum uint64
+	for i := 0; i < n; i++ {
+		sum += uint64(col.D[ids.D[i]])
+	}
+	return sum
 }

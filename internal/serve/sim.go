@@ -185,7 +185,8 @@ type Result struct {
 	// deterministic number golden gates compare.
 	Check uint64 `json:"check"`
 
-	// lats and hist back ExactPercentiles and LatencyHistogram.
+	// lats backs ExactPercentiles; hist is the distribution the reported
+	// percentiles were read from, kept for the tests.
 	lats []uint64
 	hist *obs.Histogram
 }
@@ -203,10 +204,6 @@ func (r *Result) ExactPercentiles() (p50, p95, p99, max uint64) {
 	}
 	return pctl(sorted, 50), pctl(sorted, 95), pctl(sorted, 99), max
 }
-
-// LatencyHistogram returns the run's log-bucketed latency distribution
-// (one Record per terminal request, in completion order).
-func (r *Result) LatencyHistogram() *obs.Histogram { return r.hist }
 
 // Event kinds. Issue submits a request's next attempt (ECALL + queue
 // push or shed), enqueue makes a pushed attempt poppable, done

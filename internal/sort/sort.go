@@ -174,7 +174,9 @@ type Result struct {
 
 // Run sorts in[:n] under env on a fresh thread group.
 func Run(env *core.Env, in *mem.U64Buf, n int, opt Options) *Result {
-	return RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), in, n, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return RunOn(env, g, in, n, opt)
 }
 
 // RunOn sorts in[:n] on an existing thread group (pipeline stage

@@ -57,7 +57,9 @@ type TopKResult struct {
 
 // TopK selects the k smallest rows of in[:n] under env on a fresh group.
 func TopK(env *core.Env, in *mem.U64Buf, n, k int, opt TopKOptions) *TopKResult {
-	return TopKOn(env, env.NewGroup(opt.threads(), opt.NodeOf), in, n, k, opt)
+	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	defer g.Release()
+	return TopKOn(env, g, in, n, k, opt)
 }
 
 // topkBlock is the number of rows loaded per bulk engine call in the
