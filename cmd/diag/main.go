@@ -130,6 +130,19 @@ func parseSetting(s string) (core.Setting, bool) {
 	return 0, false
 }
 
+// checkScale rejects a -scale that is not a positive power of two and,
+// in the modes that size relations as RowsForMB(100) and RowsForMB(400)
+// divided by the scale, one that leaves a relation without rows.
+func checkScale(m runMode, scale int64) error {
+	if scale <= 0 || scale&(scale-1) != 0 {
+		return fmt.Errorf("-scale %d must be a positive power of two", scale)
+	}
+	if m != modeServe && m != modeFault && int64(rel.RowsForMB(100))/scale == 0 {
+		return fmt.Errorf("-scale %d exceeds the %d rows of the 100 MiB relation", scale, rel.RowsForMB(100))
+	}
+	return nil
+}
+
 // exitOn reports a non-nil err and exits with code: 2 (with the usage
 // text) for a bad flag value, 1 for a run-time failure.
 func exitOn(err error, code int) {
@@ -157,9 +170,7 @@ func main() {
 	if !ok {
 		exitOn(fmt.Errorf("unknown setting %q (want plain, plainm, doe or die)", *setName), 2)
 	}
-	if *scale <= 0 || *scale&(*scale-1) != 0 {
-		exitOn(fmt.Errorf("-scale %d must be a positive power of two", *scale), 2)
-	}
+	exitOn(checkScale(mode, *scale), 2)
 	if *threads < 1 {
 		exitOn(fmt.Errorf("-threads %d must be >= 1", *threads), 2)
 	}

@@ -67,3 +67,34 @@ func TestParseSetting(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckScale: -scale must be a positive power of two, and in the
+// modes that derive relation sizes from it (join, -epc, -query) it may
+// not leave the RowsForMB(100)/scale relation empty; the serving modes
+// size nothing by it.
+func TestCheckScale(t *testing.T) {
+	for _, c := range []struct {
+		m     runMode
+		scale int64
+		ok    bool
+	}{
+		{modeJoin, 1, true},
+		{modeJoin, 128, true},
+		{modeJoin, 1 << 23, true},
+		{modeJoin, 1 << 24, false},
+		{modeEPC, 1 << 23, true},
+		{modeEPC, 1 << 24, false},
+		{modeQuery, 1 << 24, false},
+		{modeQuery, 1 << 26, false},
+		{modeServe, 1 << 24, true},
+		{modeFault, 1 << 24, true},
+		{modeJoin, 0, false},
+		{modeJoin, -4, false},
+		{modeJoin, 3, false},
+		{modeServe, 96, false},
+	} {
+		if err := checkScale(c.m, c.scale); (err == nil) != c.ok {
+			t.Errorf("checkScale(mode %d, %d) = %v, want ok=%v", c.m, c.scale, err, c.ok)
+		}
+	}
+}

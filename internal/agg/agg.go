@@ -88,8 +88,6 @@ type Options struct {
 	// Threads is the number of worker threads (Run only; RunOn uses the
 	// group's).
 	Threads int
-	// NodeOf pins thread i to a socket (Run only).
-	NodeOf func(i int) int
 	// Sel picks the group-key half of the tuple (default ByKey).
 	Sel Sel
 	// Groups is the expected number of distinct groups, used to size the
@@ -180,14 +178,14 @@ func forSegments(ins []Input, lo, hi int, f func(seg Input, sLo, sHi int)) {
 
 // Run executes the group-by over the concatenated inputs under env.
 func Run(env *core.Env, ins []Input, opt Options) *Result {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return RunOn(env, g, ins, opt)
 }
 
 // RunOn executes the group-by on an existing thread group (pipeline
 // stage composition: simulated cache/TLB state carries over from the
-// upstream operator). Options.Threads and NodeOf are ignored.
+// upstream operator). Options.Threads is ignored.
 func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	T := len(g.Threads)
 	mark := g.Mark()
@@ -268,7 +266,6 @@ func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, part
 		}
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for _, gp := range res.PartGroups {
 		res.Groups += gp
 	}

@@ -66,7 +66,7 @@ func spillAggPassBits(env *core.Env, n, groups, threads int) []uint {
 // SpillRun executes the spill-partitioned group-by over the concatenated
 // inputs under env.
 func SpillRun(env *core.Env, ins []Input, opt Options) *Result {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return SpillRunOn(env, g, ins, opt)
 }
@@ -137,7 +137,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 
 // DirectRun executes the naive single-table group-by under env.
 func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
-	g := env.NewGroup(1, opt.NodeOf)
+	g := env.NewGroup(1, nil)
 	defer g.Release()
 	return DirectRunOn(env, g, ins, opt)
 }
@@ -174,7 +174,6 @@ func DirectRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result
 		w.emit(t, out, 0, int(nG))
 		res.Groups = int(nG)
 	})
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	res.PartStart = []int{0, res.Groups}
 	res.PartGroups = []int{res.Groups}
 	res.Check = checksum(out, res.PartStart, res.PartGroups)

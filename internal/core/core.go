@@ -80,7 +80,6 @@ type Options struct {
 	Plat    *platform.Platform // default: XeonGold6326
 	Setting Setting
 	Node    int             // home NUMA node for data and threads
-	Policy  sgx.AllocPolicy // default: PreAllocated / EnclaveStatic
 	OS      sgx.OSCosts     // default: sgx.DefaultOSCosts
 	SGX     engine.SGXCosts // default: engine.DefaultSGXCosts
 	Space   *mem.Space      // default: fresh space per Env
@@ -105,7 +104,6 @@ type Env struct {
 	SGX       engine.SGXCosts
 	Node      int
 	Reference bool // per-op reference engine path (see Options.Reference)
-	Alloc     *sgx.Allocator
 	// EPC is the enclave's finite EPC capacity model (nil: unlimited).
 	EPC *engine.EPCDomain
 	// EPCPages echoes Options.EPCPages (0: unlimited), for diagnostics.
@@ -129,11 +127,7 @@ func NewEnv(o Options) *Env {
 	if o.Space == nil {
 		o.Space = mem.NewSpace(o.Plat.Sockets)
 	}
-	policy := o.Policy
-	if policy == sgx.PreAllocated && o.Setting.InEnclave() {
-		policy = sgx.EnclaveStatic
-	}
-	e := &Env{
+	return &Env{
 		Plat:      o.Plat,
 		Space:     o.Space,
 		Setting:   o.Setting,
@@ -145,8 +139,6 @@ func NewEnv(o Options) *Env {
 		EPC:       sgx.NewEPCDomain(o.EPCPages, o.OS),
 		EPCPages:  o.EPCPages,
 	}
-	e.Alloc = sgx.NewAllocator(o.Space, e.DataRegion(), policy, o.OS)
-	return e
 }
 
 // DataRegion returns where operator data is placed under this setting.

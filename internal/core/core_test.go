@@ -42,28 +42,17 @@ func TestSettings(t *testing.T) {
 }
 
 func TestNewEnvDefaults(t *testing.T) {
-	for _, c := range []struct {
-		s      Setting
-		policy sgx.AllocPolicy
-		want   sgx.AllocPolicy
-	}{
-		{PlainCPU, sgx.PreAllocated, sgx.PreAllocated},
-		{PlainCPUM, sgx.DynamicOS, sgx.DynamicOS},
-		// Pre-allocated memory inside an enclave is a statically sized one.
-		{SGXDoE, sgx.PreAllocated, sgx.EnclaveStatic},
-		{SGXDiE, sgx.PreAllocated, sgx.EnclaveStatic},
-		{SGXDiE, sgx.EnclaveEDMM, sgx.EnclaveEDMM},
-	} {
-		e := NewEnv(Options{Setting: c.s, Policy: c.policy, Node: 1})
-		if e.Alloc.Policy != c.want {
-			t.Errorf("%s with %s: allocator policy %s, want %s", c.s, c.policy, e.Alloc.Policy, c.want)
-		}
+	for _, s := range []Setting{PlainCPU, PlainCPUM, SGXDoE, SGXDiE} {
+		e := NewEnv(Options{Setting: s, Node: 1})
 		if e.Plat == nil || e.Space == nil || e.OS != sgx.DefaultOSCosts() || e.SGX != engine.DefaultSGXCosts() {
-			t.Errorf("%s: defaults not filled: %+v", c.s, e)
+			t.Errorf("%s: defaults not filled: %+v", s, e)
 		}
-		if e.Mode != c.s.Mode() || e.Node != 1 || e.Alloc.Reg != e.DataRegion() {
-			t.Errorf("%s: mode %v, node %d, allocator region %+v", c.s, e.Mode, e.Node, e.Alloc.Reg)
+		if e.Mode != s.Mode() || e.Node != 1 {
+			t.Errorf("%s: mode %v, node %d", s, e.Mode, e.Node)
 		}
+	}
+	if sp := mem.NewSpace(2); NewEnv(Options{Space: sp}).Space != sp {
+		t.Error("NewEnv ignored Options.Space")
 	}
 
 	bad := platform.XeonGold6326()

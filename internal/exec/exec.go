@@ -78,8 +78,7 @@ func (g *Group) Release() {
 // Clock returns the group-aligned simulated time.
 func (g *Group) Clock() uint64 { return g.clock }
 
-// AttachProfiler routes completed phases and clock advances into p as
-// leaf records. The profiler only observes values the group computes
+// AttachProfiler routes completed phases into p as leaf records. The profiler only observes values the group computes
 // anyway — attaching one changes no clock, stat or phase outcome.
 func (g *Group) AttachProfiler(p *obs.Profiler) { g.prof = p }
 
@@ -99,18 +98,6 @@ func (g *Group) Scope(name string) func() {
 	g.prof.Push(name)
 	start := g.clock
 	return func() { g.prof.Pop(g.clock - start) }
-}
-
-// AdvanceClock adds serialized cycles (e.g. EDMM page commits) to the
-// group clock between phases.
-func (g *Group) AdvanceClock(cycles uint64) {
-	g.clock += cycles
-	for _, t := range g.Threads {
-		t.SetCycle(g.clock)
-	}
-	if g.prof != nil && cycles > 0 {
-		g.prof.Leaf("edmm.commit", cycles, nil)
-	}
 }
 
 // Phase runs body on every thread concurrently, waits for all, and
@@ -165,7 +152,7 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 		ps.BWBound = true
 	}
 	// Demand paging serializes across the enclave on the page-table lock,
-	// exactly like EDMM commits: the phase cannot finish before the kernel
+	// as EDMM commits do: the phase cannot finish before the kernel
 	// has worked through every fault it raised. The sum of per-fault costs
 	// is interleaving-independent, so this stays bit-reproducible.
 	wall += g.epc.SerialCycles()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"sgxbench/internal/cache"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/obs"
 	"sgxbench/internal/platform"
 )
 
@@ -115,5 +117,137 @@ func TestChunk(t *testing.T) {
 				t.Errorf("Chunk(%d, %d, %d) = [%d, %d), want [%d, %d)", tc.n, tc.workers, id, lo, hi, w[0], w[1])
 			}
 		}
+	}
+}
+
+// lineLoads returns a phase body in which thread id loads lines cache
+// lines of its own slice of buf, so that phases of different lengths
+// differ in cycles and counters.
+func lineLoads(buf *mem.Buffer, lines int) func(*engine.Thread, int) {
+	return func(th *engine.Thread, id int) {
+		for j := range lines {
+			th.Load(buf, int64(id*lines+j)*64, 8, 0)
+		}
+	}
+}
+
+// stageGroup returns a 2-thread group and a buffer for lineLoads.
+func stageGroup() (*Group, *mem.Buffer) {
+	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU}
+	buf := mem.NewSpace(1).Alloc("b", 1<<16, mem.Region{})
+	return NewGroup(cfg, 2, nil), &buf
+}
+
+// TestSince runs before phases, takes a Mark, runs after more, and
+// checks stage extraction: Since returns exactly the phases after the
+// mark, their summed stats with Cycles set to the clock advance, and
+// that advance; TotalStats sums every phase up to Clock; ResetPhases
+// empties the log and rebases the clock.
+func TestSince(t *testing.T) {
+	for _, tc := range []struct{ before, after int }{
+		{0, 0}, {0, 2}, {2, 0}, {1, 3}, {3, 1},
+	} {
+		name := fmt.Sprintf("before=%d,after=%d", tc.before, tc.after)
+		g, buf := stageGroup()
+		for i := range tc.before {
+			g.Phase(fmt.Sprintf("b%d", i), lineLoads(buf, i+1))
+		}
+		start := g.Clock()
+		m := g.Mark()
+		for i := range tc.after {
+			g.Phase(fmt.Sprintf("a%d", i), lineLoads(buf, 2*i+1))
+		}
+		ps, st, d := g.Since(m)
+
+		if len(ps) != tc.after {
+			t.Fatalf("%s: Since returned %d phases, want %d", name, len(ps), tc.after)
+		}
+		var want engine.Stats
+		var wall uint64
+		for i, p := range ps {
+			if p.Name != fmt.Sprintf("a%d", i) || p != g.Phases()[tc.before+i] {
+				t.Errorf("%s: phase %d is %q, want a%d from the log", name, i, p.Name, i)
+			}
+			want.Add(p.Agg)
+			wall += p.WallCycles
+		}
+		want.Cycles = wall
+		if d != g.Clock()-start || d != wall {
+			t.Errorf("%s: advance %d, clock moved %d, phases' wall %d", name, d, g.Clock()-start, wall)
+		}
+		if st != want {
+			t.Errorf("%s: Since stats\n got %+v\nwant %+v", name, st, want)
+		}
+		if tc.after > 0 && st.Loads == 0 {
+			t.Errorf("%s: stage stats count no loads", name)
+		}
+
+		var total engine.Stats
+		for _, p := range g.Phases() {
+			total.Add(p.Agg)
+		}
+		total.Cycles = g.Clock()
+		if got := g.TotalStats(); got != total {
+			t.Errorf("%s: TotalStats\n got %+v\nwant %+v", name, got, total)
+		}
+
+		g.ResetPhases()
+		if len(g.Phases()) != 0 || g.Clock() != 0 {
+			t.Errorf("%s: after ResetPhases %d phases, clock %d", name, len(g.Phases()), g.Clock())
+		}
+		if ps, st, d := g.Since(g.Mark()); len(ps) != 0 || st != (engine.Stats{}) || d != 0 {
+			t.Errorf("%s: empty stage after reset: %d phases, stats %+v, advance %d", name, len(ps), st, d)
+		}
+		g.Release()
+	}
+}
+
+// TestScope checks that a scope attributes its stage's clock advance to
+// the attached profiler, with the stage's phases as leaves under it, and
+// that without a profiler it is a no-op. Either way the group's clock
+// and phases are the same: the profiler only observes.
+func TestScope(t *testing.T) {
+	clocks := map[bool]uint64{}
+	for _, profiled := range []bool{false, true} {
+		g, buf := stageGroup()
+		g.Phase("setup", lineLoads(buf, 2))
+		var prof *obs.Profiler
+		if profiled {
+			prof = obs.NewProfiler("run")
+			g.AttachProfiler(prof)
+		}
+		if g.Profiler() != prof {
+			t.Errorf("profiled=%v: Profiler() = %p, want %p", profiled, g.Profiler(), prof)
+		}
+		start := g.Clock()
+		closeStage := g.Scope("stage")
+		p1 := g.Phase("p1", lineLoads(buf, 3))
+		p2 := g.Phase("p2", lineLoads(buf, 1))
+		closeStage()
+		advance := g.Clock() - start
+		clocks[profiled] = g.Clock()
+		if advance != p1.WallCycles+p2.WallCycles || advance == 0 {
+			t.Errorf("profiled=%v: stage advanced %d, phases' wall %d", profiled, advance, p1.WallCycles+p2.WallCycles)
+		}
+		g.Release()
+		if !profiled {
+			continue
+		}
+		root := prof.Root()
+		if len(root.Children) != 1 || root.Cycles != advance {
+			t.Fatalf("profile root %+v, want one scope of %d cycles", root, advance)
+		}
+		stage := root.Children[0]
+		if stage.Name != "stage" || stage.Cycles != advance || stage.Count != 1 || len(stage.Children) != 2 {
+			t.Fatalf("scope %+v, want stage with %d cycles and two leaves", stage, advance)
+		}
+		for i, p := range []PhaseStats{p1, p2} {
+			if leaf := stage.Children[i]; leaf.Name != p.Name || leaf.Cycles != p.WallCycles {
+				t.Errorf("leaf %d = %s/%d, want %s/%d", i, leaf.Name, leaf.Cycles, p.Name, p.WallCycles)
+			}
+		}
+	}
+	if clocks[false] != clocks[true] {
+		t.Errorf("clock with a profiler %d, without %d", clocks[true], clocks[false])
 	}
 }

@@ -82,7 +82,7 @@ func crackBit(t *engine.Thread, tup *mem.U64Buf, lo, hi int, bit uint) int {
 // Run executes the join.
 func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := opt.threads()
-	g := env.NewGroup(T, opt.NodeOf)
+	g := env.NewGroup(T, nil)
 	defer g.Release()
 	res := &Result{Algorithm: c.Name()}
 
@@ -163,7 +163,6 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for id := 0; id < T; id++ {
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]

@@ -28,14 +28,14 @@ func (*INL) Name() string { return "INL" }
 
 // Run executes the join.
 func (n *INL) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return n.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage
 // composition: simulated cache/TLB state carries over from the previous
-// stage). Options.Threads and NodeOf are ignored; the group decides both.
+// stage). Options.Threads is ignored; the group decides it.
 // Result timing and stats cover only this stage's phases.
 func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
@@ -77,7 +77,6 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	})
 	res.ProbeCycles = ps.WallCycles
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for _, c := range counts {
 		res.Matches += c
 	}

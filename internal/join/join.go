@@ -40,8 +40,6 @@ type Options struct {
 	// Materialize writes output tuples (probe payload, build payload)
 	// instead of only counting matches (Section 4.4, Fig 12).
 	Materialize bool
-	// NodeOf optionally pins thread i to a socket (NUMA experiments).
-	NodeOf func(i int) int
 	// OutBufs, when Materialize is set, provides pre-allocated per-thread
 	// output buffers (index = thread id). Materialized rows then land at
 	// deterministic simulated addresses instead of dynamically claimed

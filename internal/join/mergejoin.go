@@ -109,7 +109,6 @@ func MergeJoinSorted(env *core.Env, g *exec.Group, R *mem.U64Buf, nR int, S *mem
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for _, c := range counts {
 		res.Matches += c
 	}

@@ -31,13 +31,13 @@ func (*MWAY) Name() string { return "MWAY" }
 
 // Run executes the join.
 func (m *MWAY) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return m.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage
-// composition; see RHO.RunOn). Options.Threads and NodeOf are ignored;
+// composition; see RHO.RunOn). Options.Threads is ignored;
 // Result timing and stats cover only this join's phases.
 func (m *MWAY) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	mark := g.Mark()

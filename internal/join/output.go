@@ -6,23 +6,22 @@ import (
 	"sgxbench/internal/mem"
 )
 
-// outChunkRows is the number of rows per materialization chunk. Output
-// memory is claimed chunk-wise during the join, which is exactly the
-// allocation pattern whose cost Fig 12 studies: with a pre-allocated /
-// statically sized enclave the claims are free, with dynamic allocation
-// each chunk faults its pages in, and with EDMM each page commit runs the
-// expensive enclave resize protocol.
+// outChunkRows is the number of rows per materialization chunk: output
+// memory without a pre-allocated buffer is claimed from the Env's space
+// one chunk at a time during the join. A claim costs no simulated cycles;
+// the paper's Fig 12 cost of growing an enclave is charged by the serving
+// model (serve.MemDynamic), not by operators.
 const outChunkRows = 1 << 16
 
 // outWriter materializes join output tuples for one worker thread.
 //
-// Two backing modes: by default output memory is claimed chunk-wise from
-// the shared allocator during the join (the Fig 12 allocation-cost
-// pattern); with a pre-allocated fixed buffer (Options.OutBufs) every
-// store lands at a deterministic simulated address, which is what makes
-// multi-threaded materializing pipelines reproducible enough for exact
-// golden-stats gating. A fixed buffer that fills up falls back to chunk
-// claims (correct, but no longer address-deterministic).
+// Two backing modes: by default output chunks are claimed as the join
+// runs, so their simulated addresses depend on the order in which the
+// workers claim them; with a pre-allocated fixed buffer (Options.OutBufs)
+// every store lands at a deterministic simulated address, which is what
+// makes multi-threaded materializing pipelines reproducible enough for
+// exact golden-stats gating. A fixed buffer that fills up falls back to
+// chunk claims (correct, but no longer address-deterministic).
 type outWriter struct {
 	env    *core.Env
 	id     int
@@ -50,7 +49,7 @@ func (w *outWriter) append(t *engine.Thread, row uint64, dep engine.Tok) {
 		return
 	}
 	if w.cur == nil || w.pos == w.cur.Len() {
-		w.cur = w.env.Alloc.AllocU64(t, "out", outChunkRows)
+		w.cur = w.env.Space.AllocU64("out", outChunkRows, w.env.DataRegion())
 		w.chunks = append(w.chunks, w.cur)
 		w.pos = 0
 	}

@@ -72,8 +72,8 @@ func newPHTTable(env *core.Env, nBuild int) *phtTable {
 	nBuckets := nextPow2((nBuild + 1) / 2)
 	return &phtTable{
 		bits:     log2(nBuckets),
-		buckets:  env.Alloc.Raw(nil, "pht.buckets", int64(nBuckets)*bucketBytes),
-		overflow: env.Alloc.Raw(nil, "pht.overflow", int64(nBuild+1)*16),
+		buckets:  env.Space.Raw("pht.buckets", int64(nBuckets)*bucketBytes, env.DataRegion()),
+		overflow: env.Space.Raw("pht.overflow", int64(nBuild+1)*16, env.DataRegion()),
 		start:    make([]int32, nBuckets+1),
 	}
 }
@@ -333,7 +333,7 @@ func (h *phtTable) probeBatch(t *engine.Thread, tups []uint64, keyToks []engine.
 
 // Run executes the join.
 func (p *PHT) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return p.RunOn(env, g, build, probe, opt)
 }
@@ -426,7 +426,6 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	})
 	res.ProbeCycles = pp.WallCycles
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for _, c := range counts {
 		res.Matches += c
 	}

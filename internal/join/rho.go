@@ -85,14 +85,14 @@ func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoS
 
 // Run executes the join.
 func (r *RHO) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return r.RunOn(env, g, build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage
 // composition: simulated cache/TLB state carries over from the previous
-// stage). Options.Threads and NodeOf are ignored; the group decides both.
+// stage). Options.Threads is ignored; the group decides it.
 // Result timing and stats cover only this stage's phases.
 func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
@@ -220,7 +220,6 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for id := 0; id < T; id++ {
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]

@@ -115,7 +115,7 @@ func (st *graceState) src() *mem.U64Buf {
 
 // Run executes the join.
 func (gr *Grace) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	return gr.RunOn(env, g, build, probe, opt)
 }
@@ -239,7 +239,6 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for id := 0; id < T; id++ {
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]

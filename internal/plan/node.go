@@ -68,7 +68,7 @@ type Node interface {
 // result — the same prologue/epilogue as the hand-wired pipelines it
 // replaces.
 func Execute(env *core.Env, ds *Dataset, opt Options, name string, root Node) *Result {
-	g := env.NewGroup(opt.threads(), opt.NodeOf)
+	g := env.NewGroup(opt.threads(), nil)
 	defer g.Release()
 	sc := opt.scratch(env, ds)
 	defer profiled(g, opt, name)()
@@ -309,7 +309,6 @@ func (p Project) Exec(ctx *Context) Stream {
 		}
 	})
 	closeProj()
-	ctx.G.AdvanceClock(ctx.Env.Alloc.SerialCycles())
 	ctx.stage("project", ps.WallCycles, uint64(total), uint64(total))
 	return Stream{Tup: out, N: total}
 }

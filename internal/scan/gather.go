@@ -24,8 +24,6 @@ const gatherBlock = 64
 // GatherOptions configures a gather run.
 type GatherOptions struct {
 	Threads int
-	// NodeOf pins thread i to a socket (nil: the env's node).
-	NodeOf func(i int) int
 	// Out, when non-nil, is the pre-allocated result buffer (n bytes).
 	Out *mem.U8Buf
 }
@@ -50,13 +48,13 @@ func Gather(env *core.Env, col *mem.U8Buf, ids *mem.U64Buf, n int, opt GatherOpt
 	if T < 1 {
 		T = 1
 	}
-	g := env.NewGroup(T, opt.NodeOf)
+	g := env.NewGroup(T, nil)
 	defer g.Release()
 	return GatherOn(env, g, col, ids, n, opt)
 }
 
 // GatherOn executes the gather on an existing thread group (pipeline
-// stage composition; see RunOn). Options.Threads and NodeOf are ignored.
+// stage composition; see RunOn). Options.Threads is ignored.
 func GatherOn(env *core.Env, g *exec.Group, col *mem.U8Buf, ids *mem.U64Buf, n int, opt GatherOptions) *GatherResult {
 	T := len(g.Threads)
 	mark := g.Mark()

@@ -239,3 +239,51 @@ func referenceGatherSum(col *mem.U8Buf, ids *mem.U64Buf, n int) uint64 {
 	}
 	return sum
 }
+
+// TestRemoteScan scans a node-0 column from threads on node 1 (the
+// cross-NUMA setup of Fig 16): only a remote run moves bytes over UPI, a
+// single remote thread is slower than a local one in and out of the
+// enclave, the enclave keeps about 77 % of the plain remote throughput,
+// 16 remote threads hit the UPI bandwidth roof, and the fast and
+// reference engine paths agree on every remote statistic.
+func TestRemoteScan(t *testing.T) {
+	run := func(setting core.Setting, node, threads int, ref bool) *Result {
+		env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
+		col := env.Space.AllocU8("col", 16<<20, env.DataRegion())
+		GenColumn(col, 13)
+		g := env.NewGroup(threads, func(int) int { return node })
+		defer g.Release()
+		return RunOn(env, g, col, Options{Pred: Predicate{Lo: 0, Hi: 127}})
+	}
+	tput := map[core.Setting][2]float64{}
+	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
+		env := scanEnv(setting, 32)
+		var tp [2]float64
+		for node := range tp {
+			res := run(setting, node, 1, false)
+			if remote := res.Stats.UPIBytes > 0; remote != (node == 1) {
+				t.Errorf("%s node %d: UPIBytes = %d", setting, node, res.Stats.UPIBytes)
+			}
+			tp[node] = res.Throughput(env)
+		}
+		t.Logf("%s: local %.0f B/s, remote %.0f B/s", setting, tp[0], tp[1])
+		if tp[1] >= tp[0] {
+			t.Errorf("%s: remote scan (%.0f B/s) not slower than local (%.0f B/s)", setting, tp[1], tp[0])
+		}
+		tput[setting] = tp
+
+		res := run(setting, 1, 16, false)
+		ps := res.Phases[0]
+		if roof := uint64(float64(res.Stats.UPIBytes) / env.Plat.UPIBW); !ps.BWBound || ps.WallCycles != roof {
+			t.Errorf("%s 16 remote threads: wall %d (bandwidth-bound %v), want the UPI roof %d", setting, ps.WallCycles, ps.BWBound, roof)
+		}
+	}
+	if r := tput[core.SGXDiE][1] / tput[core.PlainCPU][1]; r < 0.74 || r > 0.80 {
+		t.Errorf("remote DiE/plain throughput = %.3f, want 0.74-0.80 (Fig 16: 77 %%)", r)
+	}
+	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
+		if fast, ref := run(setting, 1, 1, false), run(setting, 1, 1, true); fast.Stats != ref.Stats {
+			t.Errorf("%s remote: stats differ\nref:  %+v\nfast: %+v", setting, ref.Stats, fast.Stats)
+		}
+	}
+}

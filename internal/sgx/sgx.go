@@ -8,13 +8,7 @@
 // in the engine; this package covers the OS/SDK interaction layer.
 package sgx
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"sgxbench/internal/engine"
-	"sgxbench/internal/mem"
-)
+import "sgxbench/internal/engine"
 
 // OSCosts parameterizes OS- and SDK-level costs (cycles).
 type OSCosts struct {
@@ -77,100 +71,6 @@ func NewEPCDomain(capPages int64, c OSCosts) *engine.EPCDomain {
 		PageInCycles:  c.EPCPageIn,
 		PageOutCycles: c.EPCPageOut,
 	}
-}
-
-// AllocPolicy selects how operator working memory is provisioned, the
-// axis of Fig 12.
-type AllocPolicy int
-
-const (
-	// PreAllocated: memory was allocated and touched before measurement
-	// (the paper's default benchmark setting).
-	PreAllocated AllocPolicy = iota
-	// DynamicOS: plain CPU dynamic allocation; pages fault in on first
-	// touch.
-	DynamicOS
-	// EnclaveStatic: a statically sized enclave with all EPC pages
-	// committed at enclave build time.
-	EnclaveStatic
-	// EnclaveEDMM: a dynamically sized enclave; pages beyond the
-	// pre-committed minimum are added via EDMM on demand.
-	EnclaveEDMM
-)
-
-func (p AllocPolicy) String() string {
-	switch p {
-	case PreAllocated:
-		return "pre-allocated"
-	case DynamicOS:
-		return "dynamic (OS)"
-	case EnclaveStatic:
-		return "static enclave size"
-	case EnclaveEDMM:
-		return "dynamic enclave size (EDMM)"
-	default:
-		return fmt.Sprintf("AllocPolicy(%d)", int(p))
-	}
-}
-
-// Allocator provisions simulated memory under a policy and charges the
-// per-page costs to the allocating thread. EDMM page commits additionally
-// serialize globally; SerialCycles exposes the accumulated serial cost so
-// the phase runner can raise the wall clock accordingly.
-type Allocator struct {
-	Space  *mem.Space
-	Reg    mem.Region
-	Policy AllocPolicy
-	Costs  OSCosts
-
-	serial atomic.Int64 // accumulated serialized cycles (EDMM)
-}
-
-// NewAllocator returns an allocator for region reg under the policy.
-func NewAllocator(space *mem.Space, reg mem.Region, policy AllocPolicy, costs OSCosts) *Allocator {
-	return &Allocator{Space: space, Reg: reg, Policy: policy, Costs: costs}
-}
-
-// charge applies the policy cost for n fresh bytes to thread t (t may be
-// nil for setup-time allocations, which are free in every policy, mirroring
-// the paper's "measurements start after data is allocated and initialized").
-func (a *Allocator) charge(t *engine.Thread, n int64) {
-	if t == nil {
-		return
-	}
-	pages := (n + 4095) / 4096
-	switch a.Policy {
-	case PreAllocated, EnclaveStatic:
-		// No run-time cost: pages are resident and, for enclaves,
-		// EADD-ed at build time.
-	case DynamicOS:
-		t.Work(uint64(pages) * a.Costs.MinorFault)
-	case EnclaveEDMM:
-		// The faulting thread runs the AEX/EACCEPT protocol for its own
-		// pages and the kernel serializes commits across threads.
-		t.Work(uint64(pages) * a.Costs.EDMMPage)
-		a.serial.Add(pages * int64(a.Costs.EDMMPage))
-	}
-}
-
-// AllocU64 provisions an n-word tuple buffer, charging t per policy.
-func (a *Allocator) AllocU64(t *engine.Thread, name string, n int) *mem.U64Buf {
-	b := a.Space.AllocU64(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// Raw provisions an untyped buffer, charging t per policy.
-func (a *Allocator) Raw(t *engine.Thread, name string, n int64) mem.Buffer {
-	b := a.Space.Raw(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// SerialCycles returns the serialized page-commit cycles accumulated so
-// far and resets the counter. The phase runner folds this into wall time.
-func (a *Allocator) SerialCycles() uint64 {
-	return uint64(a.serial.Swap(0))
 }
 
 // QueueModel describes the timing behaviour of a shared task queue's
