@@ -11,12 +11,16 @@
 //	go run ./cmd/diag -serve -setting die -dispatch shard -batch 16 -arrival poisson -gap 100000
 //	go run ./cmd/diag -epc -setting die [-ratio 2] [-scale 512] [-threads 4]
 //	go run ./cmd/diag -fault -setting die [-admit 12] [-clients 64] [-workers 8]
+//
+// Each mode reads only its own flags (flagModes); a flag the selected
+// mode would ignore exits 2 with the usage text.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"sgxbench/internal/agg"
@@ -48,16 +52,14 @@ var (
 	requests  = flag.Int("requests", 8, "serve: requests per client")
 	syncName  = flag.String("sync", "mutex", "serve: dispatch queue sync model: mutex, spin or lockfree")
 	memName   = flag.String("mem", "pre", "serve: memory mode: pre (pre-sized) or dyn (EDMM / minor faults)")
-	think     = flag.Uint64("think", 0, "serve: client think time between requests (cycles)")
+	think     = flag.Uint64("think", 0, "serve: client think time between requests (cycles; closed loop only)")
 
 	// Production-scale serving knobs (-serve / -fault): dispatch shape,
 	// enclave-entry batching and open-loop traffic.
 	dispatchName = flag.String("dispatch", "global", "serve: dispatch shape: global (one lock-free/mutex queue) or shard (per-worker queues with work stealing)")
 	batch        = flag.Int("batch", 0, "serve: max queued requests coalesced per enclave entry (0 or 1: unbatched)")
-	arrivalName  = flag.String("arrival", "", "serve: open-loop arrival process: uniform, poisson, bursty, diurnal or heavytail (empty: closed loop)")
-	gapCycles    = flag.Uint64("gap", 300_000, "serve: open-loop mean inter-arrival gap per client (cycles)")
-	burstSize    = flag.Int("burst", 8, "serve: burst length for -arrival bursty")
-	rampCycles   = flag.Uint64("ramp", 8_000_000, "serve: full diurnal period for -arrival diurnal (cycles)")
+	arrivalName  = flag.String("arrival", "", "serve: open-loop arrival process: poisson (empty: closed loop)")
+	gapCycles    = flag.Uint64("gap", 300_000, "serve: open-loop mean inter-arrival gap per client (cycles; needs -arrival)")
 
 	// EPC oversubscription mode (-epc): the demand-paging diagnostics.
 	epcMode  = flag.Bool("epc", false, "run the spill/naive operator pairs under a capacity-limited enclave and print the paging breakdown")
@@ -116,6 +118,50 @@ func pickMode(serveM, faultM, epcM bool, queryName string) (runMode, error) {
 	return m, nil
 }
 
+// modeNames names each mode by the flag that selects it.
+var modeNames = [...]string{modeJoin: "join", modeQuery: "-query", modeServe: "-serve", modeEPC: "-epc", modeFault: "-fault"}
+
+// serving lists the two serving modes, which read the same scenario flags.
+var serving = []runMode{modeServe, modeFault}
+
+// flagModes maps each mode-specific flag to the modes that read it.
+var flagModes = map[string][]runMode{
+	"alg": {modeJoin}, "opt": {modeJoin},
+	"threads": {modeJoin, modeQuery, modeEPC},
+	"profile": {modeQuery},
+	"ratio":   {modeEPC},
+	"admit":   {modeFault},
+	"clients": serving, "workers": serving, "requests": serving, "sync": serving, "mem": serving,
+	"think": serving, "dispatch": serving, "batch": serving, "arrival": serving, "gap": serving,
+	"trace": serving,
+}
+
+// checkFlags rejects a command line that would silently mis-run: a flag
+// (given lists the flags set on it) that mode m does not read, -think
+// with -arrival (open-loop clients do not think), -gap without
+// -arrival, and a negative -ratio, -admit or -batch.
+func checkFlags(m runMode, given []string) error {
+	for _, name := range given {
+		if modes, ok := flagModes[name]; ok && !slices.Contains(modes, m) {
+			return fmt.Errorf("-%s has no effect in %s mode", name, modeNames[m])
+		}
+	}
+	open := *arrivalName != ""
+	switch {
+	case open && slices.Contains(given, "think"):
+		return fmt.Errorf("-think is a closed-loop knob; -arrival clients do not think")
+	case !open && slices.Contains(given, "gap"):
+		return fmt.Errorf("-gap needs -arrival")
+	case *epcRatio < 0:
+		return fmt.Errorf("-ratio %d must be >= 0", *epcRatio)
+	case *admit < 0:
+		return fmt.Errorf("-admit %d must be >= 0", *admit)
+	case *batch < 0:
+		return fmt.Errorf("-batch %d must be >= 0", *batch)
+	}
+	return nil
+}
+
 func parseSetting(s string) (core.Setting, bool) {
 	switch s {
 	case "plain":
@@ -165,6 +211,9 @@ func main() {
 
 	mode, err := pickMode(*serveMode, *faultMode, *epcMode, *queryName)
 	exitOn(err, 2)
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	exitOn(checkFlags(mode, given), 2)
 
 	setting, ok := parseSetting(*setName)
 	if !ok {
@@ -179,7 +228,7 @@ func main() {
 
 	switch mode {
 	case modeServe, modeFault:
-		runServe(plat, setting)
+		runServe(plat, setting, slices.Contains(given, "think"))
 		return
 	case modeEPC:
 		runEPC(plat, setting)
@@ -325,7 +374,9 @@ func runEPC(plat *platform.Platform, setting core.Setting) {
 // crash-storm fault plan plus deadlines, capped-backoff retries and
 // (unless -admit 0) queue-depth admission control, and the injected
 // fault timeline is printed next to the breakdown, mirroring -epc.
-func runServe(plat *platform.Platform, setting core.Setting) {
+// thinkSet says -think was given; it then overrides the fault client's
+// think time.
+func runServe(plat *platform.Platform, setting core.Setting, thinkSet bool) {
 	sync, err := serve.ParseSync(*syncName)
 	exitOn(err, 2)
 	mm, err := serve.ParseMem(*memName)
@@ -336,10 +387,7 @@ func runServe(plat *platform.Platform, setting core.Setting) {
 	if *arrivalName != "" {
 		kind, err := serve.ParseArrivalKind(*arrivalName)
 		exitOn(err, 2)
-		arrival = &serve.ArrivalPlan{
-			Kind: kind, MeanGapCycles: *gapCycles,
-			BurstSize: *burstSize, RampPeriodCycles: *rampCycles,
-		}
+		arrival = &serve.ArrivalPlan{Kind: kind, MeanGapCycles: *gapCycles}
 	}
 	w, err := serve.Calibrate(serve.CalibrateOptions{Plat: plat, Setting: setting})
 	exitOn(err, 1)
@@ -351,11 +399,6 @@ func runServe(plat *platform.Platform, setting core.Setting) {
 		Clients: *clients, Workers: *workers, RequestsPerClient: *requests,
 		Sync: sync, Mem: mm, ThinkCycles: *think, JitterPct: 10, Seed: 7,
 		Dispatch: disp, Batch: *batch, Arrival: arrival,
-	}
-	if arrival != nil {
-		// Open-loop scenarios pace themselves; think time is a
-		// closed-loop knob and Validate rejects the combination.
-		cfg.ThinkCycles = 0
 	}
 	// Calibrated mean service time: scales the fault plan and the
 	// metrics sample interval so both survive -scale changes.
@@ -370,8 +413,11 @@ func runServe(plat *platform.Platform, setting core.Setting) {
 		// builders the bench suite itself uses.
 		faults = bench.CrashStorm(meanService)
 		cfg = bench.FaultClient(cfg, meanService)
-		if arrival != nil {
+		switch {
+		case arrival != nil:
 			cfg.ThinkCycles = 0 // open-loop scenarios pace themselves
+		case thinkSet:
+			cfg.ThinkCycles = *think
 		}
 		cfg.Fault = faults
 		cfg.AdmitDepth = *admit

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 )
@@ -51,6 +53,75 @@ func TestPickMode(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", c.label, err)
 		} else if got != c.want {
 			t.Errorf("%s: mode %d, want %d", c.label, got, c.want)
+		}
+	}
+}
+
+// TestCheckFlags pins the flag/mode table: each command line below
+// either runs, or exits 2 before running (a flag parse error, a mode
+// conflict or checkFlags), instead of running with a flag silently
+// ignored, dropped or misread.
+func TestCheckFlags(t *testing.T) {
+	// diagFlags visits diag's own flags, not the test binary's.
+	diagFlags := func(fn func(f *flag.Flag)) {
+		flag.VisitAll(func(f *flag.Flag) {
+			if !strings.HasPrefix(f.Name, "test.") {
+				fn(f)
+			}
+		})
+	}
+	reset := func() {
+		diagFlags(func(f *flag.Flag) {
+			if err := f.Value.Set(f.DefValue); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Cleanup(reset)
+	for _, c := range []struct {
+		args string
+		want string // a substring of the error; empty: the line runs
+	}{
+		{"", ""},
+		{"-alg PHT -opt -threads 4 -scale 256", ""},
+		{"-query q2.filter-join-agg -threads 4 -profile p.folded", ""},
+		{"-epc -ratio 0 -threads 4", ""},
+		{"-serve -clients 8 -workers 4 -think 500 -trace t.json", ""},
+		{"-serve -dispatch shard -batch 16 -arrival poisson -gap 100000", ""},
+		{"-fault -admit 0 -think 500", ""},
+		{"-fault -arrival poisson", ""},
+		{"-epc -ratio -3", "-ratio -3 must be >= 0"},
+		{"-serve -admit -5", "-admit has no effect in -serve mode"},
+		{"-fault -admit -5", "-admit -5 must be >= 0"},
+		{"-serve -batch -1", "-batch -1 must be >= 0"},
+		{"-serve -think -5", "invalid value"},
+		{"-serve -think 500 -arrival poisson", "-think is a closed-loop knob"},
+		{"-fault -think 500 -arrival poisson", "-think is a closed-loop knob"},
+		{"-serve -gap 1000", "-gap needs -arrival"},
+		{"-trace x.json", "-trace has no effect in join mode"},
+		{"-serve -profile y.folded", "-profile has no effect in -serve mode"},
+		{"-ratio 4", "-ratio has no effect in join mode"},
+		{"-serve -threads 4", "-threads has no effect in -serve mode"},
+		{"-query q1.filter-agg -opt", "-opt has no effect in -query mode"},
+		{"-epc -alg PHT", "-alg has no effect in -epc mode"},
+		{"-fault -burst 8", "not defined: -burst"},
+		{"-serve -ramp 8000000", "not defined: -ramp"},
+	} {
+		reset()
+		fs := flag.NewFlagSet("diag", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		diagFlags(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+		err := fs.Parse(strings.Fields(c.args))
+		if err == nil {
+			var m runMode
+			if m, err = pickMode(*serveMode, *faultMode, *epcMode, *queryName); err == nil {
+				var given []string
+				fs.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+				err = checkFlags(m, given)
+			}
+		}
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("diag %s: error %v, want %q", c.args, err, c.want)
 		}
 	}
 }

@@ -129,14 +129,11 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id]}
 	}
 	scatCfg := func(id int, shift, bits uint) kernels.ScatterConfig {
-		u := 1
-		if opt.Optimized {
-			// The write-combining copy keeps no per-tuple cursor in
-			// registers, so it can afford the same unroll depth as the
-			// histogram (Fig 8's budget).
-			u = 8
-		}
-		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: u, WC: wcs[id]}
+		// wcs[id] is set only when optimized, and selects the
+		// write-combining copy. That copy keeps no per-tuple cursor in
+		// registers, so it can afford a deep unroll; the naive scalar
+		// copy ignores Unroll.
+		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id]}
 	}
 
 	// --- Pass 1: histograms over both inputs ---

@@ -152,11 +152,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id]}
 	}
 	scatCfg := func(id int, shift, bits uint) kernels.ScatterConfig {
-		u := 1
-		if opt.Optimized {
-			u = 8
-		}
-		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: u, WC: wcs[id]}
+		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id]}
 	}
 
 	R := newGraceState(env, build)

@@ -8,18 +8,20 @@ import (
 // ScatterConfig configures a radix partition copy (the paper's "Copy"
 // phases in Fig 6).
 type ScatterConfig struct {
-	Shift  uint
-	Bits   uint
-	Unroll int // 1 = scalar
-	// WC, when non-nil, enables software write-combining for the
-	// unrolled variant: tuples stage into a per-partition cache-line
-	// buffer (one line per partition inside this arena) and reach the
-	// partition as full 64-byte stores, with the partition cursor
-	// maintained at flush granularity. This is the classic radix-copy
-	// optimization of the Kim/Balkesen lineage that TEEBench's RHO uses:
-	// the scattered stream becomes line-granular, and the cursor
-	// read-modify-write leaves the per-tuple path. The arena needs
-	// 8 words (one line) per partition.
+	Shift uint
+	Bits  uint
+	// Unroll is the write-combining copy's load group: tuples loaded per
+	// batch (values below 1 mean 1). The scalar copy ignores it.
+	Unroll int
+	// WC, when non-nil, selects software write-combining: tuples stage
+	// into a per-partition cache-line buffer (one line per partition
+	// inside this arena) and reach the partition as full 64-byte stores,
+	// with the partition cursor maintained at flush granularity. This is
+	// the classic radix-copy optimization of the Kim/Balkesen lineage
+	// that TEEBench's RHO uses: the scattered stream becomes
+	// line-granular, and the cursor read-modify-write leaves the
+	// per-tuple path. The arena needs 8 words (one line) per partition.
+	// Nil selects the scalar copy.
 	WC *mem.U64Buf
 }
 
@@ -30,15 +32,11 @@ type ScatterConfig struct {
 // key via the cursor — a dependent load/store pattern the paper shows can
 // be improved but not fully cured by unrolling (Section 4.2, Fig 6).
 func Scatter(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, cur *mem.U32Buf, curBase int, cfg ScatterConfig) {
-	if cfg.Unroll <= 1 {
-		scatterScalar(t, data, lo, hi, out, cur, curBase, cfg)
-		return
-	}
 	if cfg.WC != nil {
 		scatterWC(t, data, lo, hi, out, cur, curBase, cfg)
 		return
 	}
-	scatterUnrolled(t, data, lo, hi, out, cur, curBase, cfg)
+	scatterScalar(t, data, lo, hi, out, cur, curBase, cfg)
 }
 
 func scatterScalar(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, cur *mem.U32Buf, curBase int, cfg ScatterConfig) {
@@ -54,46 +52,6 @@ func scatterScalar(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64B
 	}
 }
 
-// scatterUnrolled groups the key loads and cursor reads of a batch before
-// dispatching the tuple stores, shortening (but, unlike the histogram,
-// not eliminating) the store→load dependences: the cursor increments are
-// themselves loads of to-be-stored positions. The unrolled form bumps
-// each cursor right after reading it (one read-modify-write scatter, so
-// the cursor line is probed once), then dispatches the tuple stores to
-// the just-loaded positions as one scatter group.
-func scatterUnrolled(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, cur *mem.U32Buf, curBase int, cfg ScatterConfig) {
-	u := cfg.Unroll
-	mask := uint32(1)<<cfg.Bits - 1
-	curOffs := make([]int64, u)
-	outOffs := make([]int64, u)
-	pToks := make([]engine.Tok, u)
-	tToks := make([]engine.Tok, u)
-	posToks := make([]engine.Tok, u)
-
-	i := lo
-	for ; i+u <= hi; i += u {
-		// Load group: one batched run of u consecutive tuple loads.
-		t.LoadRunToks(&data.Buffer, data.Off(i), 8, u, 0, tToks)
-		for j := 0; j < u; j++ {
-			tup := data.D[i+j]
-			p := int((mem.TupleKey(tup) >> cfg.Shift) & mask)
-			pToks[j] = engine.After(tToks[j], keyCompute)
-			curOffs[j] = cur.Off(curBase + p)
-			pos := cur.D[curBase+p]
-			cur.D[curBase+p] = pos + 1
-			outOffs[j] = out.Off(int(pos))
-			out.D[pos] = tup
-		}
-		// Cursor read + bump pairs, then the tuple stores whose addresses
-		// came from the cursor loads and whose data are the loaded keys.
-		t.RMWScatter(&cur.Buffer, 4, curOffs, pToks, posToks)
-		t.StoreScatter(&out.Buffer, 8, outOffs, posToks, tToks)
-	}
-	tail := cfg
-	tail.Unroll = 1
-	scatterScalar(t, data, i, hi, out, cur, curBase, tail)
-}
-
 // wcLine is the tuple capacity of one write-combining buffer line.
 const wcLine = 8
 
@@ -107,7 +65,7 @@ const wcLine = 8
 // movement is unchanged — values go directly to out — only the charged
 // access pattern differs.
 func scatterWC(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, cur *mem.U32Buf, curBase int, cfg ScatterConfig) {
-	u := cfg.Unroll
+	u := max(cfg.Unroll, 1)
 	mask := uint32(1)<<cfg.Bits - 1
 	nPart := 1 << cfg.Bits
 	wcOffs := make([]int64, u)

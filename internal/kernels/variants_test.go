@@ -63,10 +63,13 @@ func TestHistogramVariants(t *testing.T) {
 // TestScatterVariants checks every Scatter variant against a plain-Go
 // stable counting sort: each tuple lands at its partition cursor plus its
 // rank within the partition, and every cursor ends at its partition's
-// end. Both engine paths must charge identical stats.
+// end. Both engine paths must charge identical stats. WC, not Unroll,
+// selects the copy: "unrolled" (Unroll 8 without WC) must charge exactly
+// the scalar copy's stats on both paths.
 func TestScatterVariants(t *testing.T) {
 	const shift, bits, base, outBase = 2, 5, 8, 100
 	const fan = 1 << bits
+	charged := map[string][2]engine.Stats{}
 	for _, tc := range []struct {
 		name   string
 		unroll int
@@ -126,7 +129,12 @@ func TestScatterVariants(t *testing.T) {
 			if stats[0] != stats[1] {
 				t.Errorf("fast and reference engines diverge:\nfast: %+v\nref:  %+v", stats[0], stats[1])
 			}
+			charged[tc.name] = stats
 		})
+	}
+	if charged["unrolled"] != charged["scalar"] {
+		t.Errorf("Unroll without WC changed the charged stats:\nunrolled: %+v\nscalar:   %+v",
+			charged["unrolled"], charged["scalar"])
 	}
 }
 

@@ -79,17 +79,8 @@ func (h *Histogram) Record(v uint64) {
 	}
 }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns the sum of recorded values.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // Max returns the exact maximum recorded value (0 when empty).
 func (h *Histogram) Max() uint64 { return h.max }
-
-// Min returns the exact minimum recorded value (0 when empty).
-func (h *Histogram) Min() uint64 { return h.min }
 
 // Percentile returns the nearest-rank p-th percentile (p in [0, 100]),
 // quantized to the upper edge of the rank's bucket and clamped to the
@@ -119,19 +110,4 @@ func (h *Histogram) Percentile(p int) uint64 {
 		}
 	}
 	return h.max
-}
-
-// Merge accumulates o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if o.n > 0 && (h.n == 0 || o.min < h.min) {
-		h.min = o.min
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
 }

@@ -114,32 +114,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeMatchesCombined: merging two histograms equals
-// recording both value streams into one.
-func TestHistogramMergeMatchesCombined(t *testing.T) {
-	a, b, both := obs.NewHistogram(), obs.NewHistogram(), obs.NewHistogram()
-	r := uint64(11)
-	for i := 0; i < 4000; i++ {
-		r = splitmix64(r)
-		v := r >> (20 + r%30)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-		both.Record(v)
-	}
-	a.Merge(b)
-	if a.Count() != both.Count() || a.Sum() != both.Sum() || a.Max() != both.Max() || a.Mean() != both.Mean() {
-		t.Fatal("merged summary differs from combined recording")
-	}
-	for p := 0; p <= 100; p += 5 {
-		if a.Percentile(p) != both.Percentile(p) {
-			t.Fatalf("merged p%d = %d, combined %d", p, a.Percentile(p), both.Percentile(p))
-		}
-	}
-}
-
 // TestHistogramPercentileZeroReturnsMin pins the p<=0 edge case: the
 // 0th percentile is the exact smallest recorded value, not the upper
 // edge of its bucket (which for a wide bucket can overshoot the
@@ -159,8 +133,8 @@ func TestHistogramPercentileZeroReturnsMin(t *testing.T) {
 	}
 }
 
-// TestHistogramMinTracking: Min is exact under Record and Merge, zero
-// when empty, and merging an empty histogram leaves it untouched.
+// TestHistogramMinTracking: Min is exact under Record and zero when
+// empty.
 func TestHistogramMinTracking(t *testing.T) {
 	h := obs.NewHistogram()
 	if h.Min() != 0 || h.Percentile(0) != 0 {
@@ -176,18 +150,8 @@ func TestHistogramMinTracking(t *testing.T) {
 			want = v
 		}
 	}
-	if h.Min() != want {
-		t.Fatalf("Min = %d, want exact %d", h.Min(), want)
-	}
-	h.Merge(obs.NewHistogram()) // empty merge must not clobber min
-	if h.Min() != want {
-		t.Fatalf("Min after empty merge = %d, want %d", h.Min(), want)
-	}
-	lo := obs.NewHistogram()
-	lo.Record(7)
-	h.Merge(lo)
-	if h.Min() != 7 || h.Percentile(0) != 7 {
-		t.Fatalf("Min after merge = %d (p0 %d), want 7", h.Min(), h.Percentile(0))
+	if h.Min() != want || h.Percentile(0) != want {
+		t.Fatalf("Min = %d (p0 %d), want exact %d", h.Min(), h.Percentile(0), want)
 	}
 }
 

@@ -1,10 +1,7 @@
 package obs
 
 // Gauges is one deterministic snapshot of the serving simulator's
-// instantaneous state, sampled on virtual-clock boundaries. The Add/Sub
-// completeness discipline mirrors serve.Breakdown so timelines can be
-// aggregated across runs; TestGaugesAddCoversAllFields fails if a newly
-// added gauge is omitted.
+// instantaneous state, sampled on virtual-clock boundaries.
 type Gauges struct {
 	// QueueDepth is the total number of queued attempts over all
 	// dispatch shards; MaxShardDepth the deepest single shard.
@@ -19,28 +16,6 @@ type Gauges struct {
 	// PagesCommitted is the cumulative count of EPC pages committed at
 	// run time (EDMM / minor faults) up to the sample boundary.
 	PagesCommitted uint64 `json:"pages_committed"`
-}
-
-// Add accumulates o into g, field-wise.
-func (g *Gauges) Add(o Gauges) {
-	g.QueueDepth += o.QueueDepth
-	g.MaxShardDepth += o.MaxShardDepth
-	g.BusyWorkers += o.BusyWorkers
-	g.DownWorkers += o.DownWorkers
-	g.InFlightBatches += o.InFlightBatches
-	g.PagesCommitted += o.PagesCommitted
-}
-
-// Sub returns the field-wise difference g - o, where o is an earlier
-// snapshot of the same accumulator.
-func (g Gauges) Sub(o Gauges) Gauges {
-	g.QueueDepth -= o.QueueDepth
-	g.MaxShardDepth -= o.MaxShardDepth
-	g.BusyWorkers -= o.BusyWorkers
-	g.DownWorkers -= o.DownWorkers
-	g.InFlightBatches -= o.InFlightBatches
-	g.PagesCommitted -= o.PagesCommitted
-	return g
 }
 
 // Sample is one point of the metrics timeline.

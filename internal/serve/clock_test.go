@@ -24,9 +24,6 @@ func TestClockNeverWraps(t *testing.T) {
 		{"poisson gap product", func(c *Config) {
 			c.Arrival = &ArrivalPlan{Kind: ArrivalPoisson, MeanGapCycles: 1 << 50}
 		}, "MeanGapCycles"},
-		{"bursty burst span product", func(c *Config) {
-			c.Arrival = &ArrivalPlan{Kind: ArrivalBursty, MeanGapCycles: 1 << 40, BurstSize: 1 << 10}
-		}, "BurstSize"},
 		{"rebuild cost product", func(c *Config) {
 			fc := sgx.DefaultFaultCosts()
 			fc.RebuildPage = 1 << 62
@@ -49,22 +46,17 @@ func TestClockNeverWraps(t *testing.T) {
 		}
 	}
 
-	// The largest accepted gaps still draw without overflow.
-	for _, p := range []*ArrivalPlan{
-		{Kind: ArrivalPoisson, MeanGapCycles: math.MaxUint64 / maxGapQ16},
-		{Kind: ArrivalHeavyTail, MeanGapCycles: math.MaxUint64 / maxGapQ16},
-		{Kind: ArrivalBursty, MeanGapCycles: math.MaxUint64 / maxGapQ16 / 8, BurstSize: 8},
-	} {
-		if err := p.validate(); err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		for n := 0; n < 64; n++ {
-			if g := p.gap(7, 0, n*8, 0); g > math.MaxUint64/2 {
-				t.Errorf("%s: draw %d is %d, more than the largest table factor allows", p, n, g)
-			}
+	// The largest accepted gap still draws without overflow.
+	p := &ArrivalPlan{Kind: ArrivalPoisson, MeanGapCycles: math.MaxUint64 / maxGapQ16}
+	if err := p.validate(); err != nil {
+		t.Fatalf("%s: %v", p, err)
+	}
+	for n := 0; n < 64; n++ {
+		if g := p.gap(7, 0, n*8); g > math.MaxUint64/2 {
+			t.Errorf("%s: draw %d is %d, more than the largest table factor allows", p, n, g)
 		}
 	}
-	for _, f := range append(expGapQ16[:], paretoGapQ16[:]...) {
+	for _, f := range expGapQ16 {
 		if f > maxGapQ16 {
 			t.Fatalf("table factor %d above maxGapQ16 %d", f, maxGapQ16)
 		}

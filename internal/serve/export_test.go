@@ -1,7 +1,5 @@
 package serve
 
-import "sgxbench/internal/obs"
-
-// LatencyHistogram returns the run's log-bucketed latency distribution
-// (one Record per terminal request, in completion order).
-func (r *Result) LatencyHistogram() *obs.Histogram { return r.hist }
+// LatencyCount returns how many latencies the run recorded, the values
+// its percentile histogram was built from.
+func (r *Result) LatencyCount() int { return len(r.lats) }

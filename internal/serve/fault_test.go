@@ -96,12 +96,6 @@ func TestConfigValidate(t *testing.T) {
 		{"arrival without gap", func(c *serve.Config) {
 			c.Arrival = &serve.ArrivalPlan{Kind: serve.ArrivalPoisson}
 		}, "MeanGapCycles"},
-		{"bursty without burst size", func(c *serve.Config) {
-			c.Arrival = &serve.ArrivalPlan{Kind: serve.ArrivalBursty, MeanGapCycles: 1000}
-		}, "BurstSize"},
-		{"diurnal ramp too short", func(c *serve.Config) {
-			c.Arrival = &serve.ArrivalPlan{Kind: serve.ArrivalDiurnal, MeanGapCycles: 1000, RampPeriodCycles: 15}
-		}, "RampPeriodCycles"},
 		{"unknown arrival kind", func(c *serve.Config) {
 			c.Arrival = &serve.ArrivalPlan{Kind: serve.ArrivalKind(7), MeanGapCycles: 1000}
 		}, "ArrivalKind"},

@@ -22,7 +22,7 @@ func FuzzSimulate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, setting int,
 		clients, workers, rpc, sync, mem, nWeights, w0, w1 int,
 		think uint64, jitter int, seed uint64, dispatch, batch int,
-		open bool, kind int, meanGap uint64, burst int, ramp uint64,
+		open bool, kind int, meanGap uint64,
 		faulty bool, fseed, crash uint64, rebuildPages int64, storm, stormLen, aexGap uint64, failPct int,
 		aex, abortDetect, teardown, rebuildBase, rebuildPage uint64,
 		deadline uint64, retries int, backoffBase, backoffCap uint64, admit int) {
@@ -43,7 +43,7 @@ func FuzzSimulate(f *testing.F) {
 			}
 		}
 		if open {
-			c.Arrival = &ArrivalPlan{Kind: ArrivalKind(kind), MeanGapCycles: meanGap, BurstSize: burst, RampPeriodCycles: ramp}
+			c.Arrival = &ArrivalPlan{Kind: ArrivalKind(kind), MeanGapCycles: meanGap}
 		}
 		if faulty {
 			c.Fault = &FaultPlan{Seed: fseed, CrashInterval: crash, RebuildPages: rebuildPages,

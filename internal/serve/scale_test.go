@@ -88,34 +88,18 @@ func TestShardBatchBeatsGlobalAtScale(t *testing.T) {
 	}
 }
 
-// TestOpenLoopArrivals: every arrival process completes the request
-// budget deterministically, and distinct processes produce distinct
-// deterministic timelines (different checks) at the same mean rate.
+// TestOpenLoopArrivals: Poisson arrivals complete the request budget
+// deterministically.
 func TestOpenLoopArrivals(t *testing.T) {
 	w := synthetic(core.SGXDiE, 10_000, 0)
-	plans := []*serve.ArrivalPlan{
-		{Kind: serve.ArrivalUniform, MeanGapCycles: 300_000},
-		{Kind: serve.ArrivalPoisson, MeanGapCycles: 300_000},
-		{Kind: serve.ArrivalBursty, MeanGapCycles: 300_000, BurstSize: 8},
-		{Kind: serve.ArrivalDiurnal, MeanGapCycles: 300_000, RampPeriodCycles: 10_000_000},
-		{Kind: serve.ArrivalHeavyTail, MeanGapCycles: 300_000},
+	c := openCfg(64)
+	c.Arrival.MeanGapCycles = 300_000
+	a := mustSim(t, w, c)
+	if want := c.Clients * c.RequestsPerClient; a.Requests != want {
+		t.Fatalf("finished %d requests, want %d", a.Requests, want)
 	}
-	checks := map[uint64]string{}
-	for _, p := range plans {
-		c := openCfg(64)
-		c.Arrival = p
-		a := mustSim(t, w, c)
-		if want := c.Clients * c.RequestsPerClient; a.Requests != want {
-			t.Fatalf("%s: finished %d requests, want %d", p.Kind, a.Requests, want)
-		}
-		b := mustSim(t, w, c)
-		if a.Check != b.Check {
-			t.Errorf("%s: open-loop replay diverged", p.Kind)
-		}
-		if prev, dup := checks[a.Check]; dup {
-			t.Errorf("%s and %s produced identical timelines (check %#x)", p.Kind, prev, a.Check)
-		}
-		checks[a.Check] = p.Kind.String()
+	if b := mustSim(t, w, c); a.Check != b.Check {
+		t.Errorf("open-loop replay diverged")
 	}
 }
 
@@ -197,12 +181,8 @@ func TestScaleParseRoundTrip(t *testing.T) {
 			t.Errorf("ParseDispatchKind(%q) = %v, %v", d.String(), got, err)
 		}
 	}
-	for _, k := range []serve.ArrivalKind{serve.ArrivalUniform, serve.ArrivalPoisson,
-		serve.ArrivalBursty, serve.ArrivalDiurnal, serve.ArrivalHeavyTail} {
-		got, err := serve.ParseArrivalKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseArrivalKind(%q) = %v, %v", k.String(), got, err)
-		}
+	if got, err := serve.ParseArrivalKind(serve.ArrivalPoisson.String()); err != nil || got != serve.ArrivalPoisson {
+		t.Errorf("ParseArrivalKind(%q) = %v, %v", serve.ArrivalPoisson.String(), got, err)
 	}
 	if _, err := serve.ParseDispatchKind("bogus"); err == nil {
 		t.Error("ParseDispatchKind accepted bogus")

@@ -185,10 +185,9 @@ type Result struct {
 	// deterministic number golden gates compare.
 	Check uint64 `json:"check"`
 
-	// lats backs ExactPercentiles; hist is the distribution the reported
-	// percentiles were read from, kept for the tests.
+	// lats backs ExactPercentiles: one latency per terminal request, in
+	// completion order.
 	lats []uint64
-	hist *obs.Histogram
 }
 
 // ExactPercentiles recomputes the latency summary from the raw
@@ -884,7 +883,7 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 		s.reqs = make([]request, 0, nReq)
 		for c := 0; c < cfg.Clients; c++ {
 			s.issued[c] = 1
-			s.schedule(cfg.Arrival.gap(cfg.Seed, c, 0, 0), evArrive, int32(c))
+			s.schedule(cfg.Arrival.gap(cfg.Seed, c, 0), evArrive, int32(c))
 		}
 	} else {
 		// Closed loop: request slot c is client c's live logical request.
@@ -1035,7 +1034,6 @@ func (s *sim) result() *Result {
 	res.P95 = h.Percentile(95)
 	res.P99 = h.Percentile(99)
 	res.Max = h.Max()
-	res.hist = h
 	for i := range res.PerClient {
 		if r := res.PerClient[i].Requests; r > 0 {
 			res.PerClient[i].MeanCycles /= uint64(r)

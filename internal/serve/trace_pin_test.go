@@ -73,7 +73,7 @@ func TestTracePinned(t *testing.T) {
 		if d := c.Trace.Dropped(); d != 0 {
 			t.Fatalf("%v/%s: tracer dropped %d spans", p.setting, p.name, d)
 		}
-		if n, d := c.Trace.Len(), traceDigest(c.Trace); n != p.spans || d != p.digest {
+		if n, d := len(c.Trace.Spans()), traceDigest(c.Trace); n != p.spans || d != p.digest {
 			t.Errorf("%v/%s: trace moved: %d spans, digest %#x; want %d, %#x",
 				p.setting, p.name, n, d, p.spans, p.digest)
 		}

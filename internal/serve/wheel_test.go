@@ -243,19 +243,6 @@ func pinnedConfigs() (Config, map[string]func(Config) Config) {
 			c.Arrival = &ArrivalPlan{Kind: ArrivalPoisson, MeanGapCycles: 400_000}
 			return c
 		},
-		"open.bursty.shard.batch": func(c Config) Config {
-			c.Dispatch, c.Batch = DispatchSharded, 16
-			c.Arrival = &ArrivalPlan{Kind: ArrivalBursty, MeanGapCycles: 300_000, BurstSize: 8}
-			return c
-		},
-		"open.diurnal": func(c Config) Config {
-			c.Arrival = &ArrivalPlan{Kind: ArrivalDiurnal, MeanGapCycles: 300_000, RampPeriodCycles: 8_000_000}
-			return c
-		},
-		"open.heavytail": func(c Config) Config {
-			c.Arrival = &ArrivalPlan{Kind: ArrivalHeavyTail, MeanGapCycles: 300_000}
-			return c
-		},
 	}
 	return base, cfgs
 }
@@ -263,7 +250,7 @@ func pinnedConfigs() (Config, map[string]func(Config) Config) {
 // TestSimulatePinnedReplays replays a scenario matrix spanning every
 // simulator feature — legacy global closed loop, faults with
 // deadlines/retries/admission, sharded stealing, batching, and
-// open-loop arrivals of every kind — and requires the values the
+// open-loop Poisson arrivals — and requires the values the
 // container/heap event loop produced for them (captured on the last
 // commit that could still replay on the heap, where heap and wheel
 // agreed on every one). The four legacy check values were regenerated
@@ -284,12 +271,6 @@ func TestSimulatePinnedReplays(t *testing.T) {
 			Breakdown{Requests: 288, QueueWaitCycles: 33371359, LockCycles: 74419, ServiceCycles: 18929792, Retries: 175, Shed: 167, Crashes: 3, RebuildCycles: 7130504, AEXEvents: 789, AEXCycles: 5523000}},
 		{core.PlainCPU, "legacy.mutex.dyn", 0xa3e7d3521298d290, 3_510_100,
 			Breakdown{Requests: 288, QueueWaitCycles: 79300200, LockCycles: 2477600, CommitCycles: 8604000, PagesCommitted: 5736, ServiceCycles: 18576700}},
-		{core.PlainCPU, "open.bursty.shard.batch", 0x4b00361b2f149b0e, 12_569_645,
-			Breakdown{Requests: 288, QueueWaitCycles: 5226607, LockCycles: 21870, ServiceCycles: 18576700}},
-		{core.PlainCPU, "open.diurnal", 0x3ea787a149e1620c, 2_683_078,
-			Breakdown{Requests: 288, QueueWaitCycles: 89182306, LockCycles: 17888, ServiceCycles: 18576700}},
-		{core.PlainCPU, "open.heavytail", 0xd52404f67d892755, 5_125_887,
-			Breakdown{Requests: 288, QueueWaitCycles: 72867127, LockCycles: 17886, ServiceCycles: 18576700}},
 		{core.PlainCPU, "open.poisson", 0x9b38a5b8dce1b34f, 4_693_752,
 			Breakdown{Requests: 288, QueueWaitCycles: 22926904, LockCycles: 18055, ServiceCycles: 18576700}},
 		{core.PlainCPU, "shard.batch.fault", 0x85c1a4e67083e133, 3_220_630,
@@ -300,12 +281,6 @@ func TestSimulatePinnedReplays(t *testing.T) {
 			Breakdown{Requests: 288, Transitions: 1724, TransitionCycles: 13792000, QueueWaitCycles: 46228907, LockCycles: 917900, ServiceCycles: 18095832, Retries: 288, Shed: 290, Crashes: 3, RebuildCycles: 7130504, AEXEvents: 712, AEXCycles: 4984000}},
 		{core.SGXDiE, "legacy.mutex.dyn", 0x2d78eb4d5b3e9718, 231_041_300,
 			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 8339051800, LockCycles: 48592000, CommitWaitCycles: 1562386300, CommitCycles: 229440000, PagesCommitted: 5736, ServiceCycles: 18576700}},
-		{core.SGXDiE, "open.bursty.shard.batch", 0x1a391a36b4a12cf8, 12_585_645,
-			Breakdown{Requests: 288, Transitions: 1086, TransitionCycles: 8688000, QueueWaitCycles: 7422646, LockCycles: 26531, ServiceCycles: 18576700}},
-		{core.SGXDiE, "open.diurnal", 0xc5e015a3fc44f278, 3_033_784,
-			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 185700531, LockCycles: 653486, ServiceCycles: 18576700}},
-		{core.SGXDiE, "open.heavytail", 0x18780cc6e260f178, 5_149_887,
-			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 158703867, LockCycles: 616939, ServiceCycles: 18576700}},
 		{core.SGXDiE, "open.poisson", 0x463291de8ac7b44c, 4_717_752,
 			Breakdown{Requests: 288, Transitions: 1152, TransitionCycles: 9216000, QueueWaitCycles: 86792689, LockCycles: 699994, ServiceCycles: 18576700}},
 		{core.SGXDiE, "shard.batch.fault", 0x85542bd94198b840, 3_316_640,
