@@ -136,10 +136,11 @@ var flagModes = map[string][]runMode{
 	"trace": serving,
 }
 
-// checkFlags rejects a command line that would silently mis-run: a flag
-// (given lists the flags set on it) that mode m does not read, -think
-// with -arrival (open-loop clients do not think), -gap without
-// -arrival, and a negative -ratio, -admit or -batch.
+// checkFlags rejects a command line that would silently mis-run, or fail
+// only after calibrating every pipeline: a flag (given lists the flags
+// set on it) that mode m does not read, -think with -arrival (open-loop
+// clients do not think), -gap without -arrival, a zero -gap, a negative
+// -ratio, -admit or -batch, and -clients, -workers or -requests below 1.
 func checkFlags(m runMode, given []string) error {
 	for _, name := range given {
 		if modes, ok := flagModes[name]; ok && !slices.Contains(modes, m) {
@@ -158,6 +159,14 @@ func checkFlags(m runMode, given []string) error {
 		return fmt.Errorf("-admit %d must be >= 0", *admit)
 	case *batch < 0:
 		return fmt.Errorf("-batch %d must be >= 0", *batch)
+	case *clients < 1:
+		return fmt.Errorf("-clients %d must be >= 1", *clients)
+	case *workers < 1:
+		return fmt.Errorf("-workers %d must be >= 1", *workers)
+	case *requests < 1:
+		return fmt.Errorf("-requests %d must be >= 1", *requests)
+	case open && *gapCycles == 0:
+		return fmt.Errorf("-gap 0 must be >= 1")
 	}
 	return nil
 }

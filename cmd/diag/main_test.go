@@ -94,6 +94,10 @@ func TestCheckFlags(t *testing.T) {
 		{"-serve -admit -5", "-admit has no effect in -serve mode"},
 		{"-fault -admit -5", "-admit -5 must be >= 0"},
 		{"-serve -batch -1", "-batch -1 must be >= 0"},
+		{"-serve -clients -5", "-clients -5 must be >= 1"},
+		{"-fault -workers 0", "-workers 0 must be >= 1"},
+		{"-serve -requests -1", "-requests -1 must be >= 1"},
+		{"-serve -arrival poisson -gap 0", "-gap 0 must be >= 1"},
 		{"-serve -think -5", "invalid value"},
 		{"-serve -think 500 -arrival poisson", "-think is a closed-loop knob"},
 		{"-fault -think 500 -arrival poisson", "-think is a closed-loop knob"},

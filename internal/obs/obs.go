@@ -28,20 +28,29 @@ const (
 	PhInstant  = 'i' // a point event
 )
 
+// MaxAttrs is the most attributes one span carries.
+const MaxAttrs = 4
+
 // Span is one trace record on the virtual clock: a complete interval
 // (PhComplete) or an instant (PhInstant). PID/TID select the Perfetto
 // track: the serving simulator uses pid 0 / tid worker for server-side
-// spans and pid 1 / tid client for client-side ones.
+// spans and pid 1 / tid client for client-side ones. Its attributes are
+// held inline — the first NArgs entries of Args — so recording a span
+// allocates nothing beyond the tracer's ring.
 type Span struct {
-	Name string
-	Cat  string
-	Ph   byte
-	T    uint64 // start (or instant time) in virtual cycles
-	Dur  uint64 // PhComplete only
-	PID  int
-	TID  int
-	Args []Attr
+	Name  string
+	Cat   string
+	Ph    byte
+	T     uint64 // start (or instant time) in virtual cycles
+	Dur   uint64 // PhComplete only
+	PID   int
+	TID   int
+	Args  [MaxAttrs]Attr
+	NArgs int
 }
+
+// Attrs returns the span's attributes in recording order.
+func (s *Span) Attrs() []Attr { return s.Args[:s.NArgs] }
 
 // TraceStats counts a Tracer's traffic.
 type TraceStats struct {

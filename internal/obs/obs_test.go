@@ -137,7 +137,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	tr := obs.NewTracer(8)
 	tr.Record(obs.Span{
 		Name: "service", Cat: "serve", Ph: obs.PhComplete, T: 100, Dur: 50,
-		PID: 0, TID: 3, Args: []obs.Attr{{Key: "req", Val: 7}, {Key: "worker", Val: 3}},
+		PID: 0, TID: 3, NArgs: 2, Args: [obs.MaxAttrs]obs.Attr{{Key: "req", Val: 7}, {Key: "worker", Val: 3}},
 	})
 	tr.Record(obs.Span{Name: "shed", Cat: "client", Ph: obs.PhInstant, T: 160, PID: 1, TID: 9})
 	m := obs.NewMetrics(64, 8)
@@ -233,7 +233,7 @@ func TestWriteTraceDeterministic(t *testing.T) {
 	build := func() ([]byte, error) {
 		tr := obs.NewTracer(4)
 		tr.Record(obs.Span{Name: "a", Ph: obs.PhComplete, T: 1, Dur: 2,
-			Args: []obs.Attr{{Key: "z", Val: 1}, {Key: "a", Val: 2}, {Key: "m", Val: 3}}})
+			NArgs: 3, Args: [obs.MaxAttrs]obs.Attr{{Key: "z", Val: 1}, {Key: "a", Val: 2}, {Key: "m", Val: 3}}})
 		m := obs.NewMetrics(5, 4)
 		m.Record(obs.Gauges{QueueDepth: 1}, []uint64{9, 8, 7})
 		var buf bytes.Buffer

@@ -56,9 +56,9 @@ func WriteTrace(w io.Writer, tr *Tracer, m *Metrics) error {
 				dur := s.Dur
 				ev.Dur = &dur
 			}
-			if len(s.Args) > 0 {
+			if s.NArgs > 0 {
 				ev.Args = map[string]any{}
-				for _, a := range s.Args {
+				for _, a := range s.Attrs() {
 					ev.Args[a.Key] = a.Val
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sgxbench/internal/core"
+	"sgxbench/internal/obs"
 	"sgxbench/internal/serve"
 	"sgxbench/internal/sgx"
 )
@@ -23,10 +24,12 @@ type allocScenario struct {
 	rpc  int // requests per client the budget is stated at
 	// budget is the committed ceiling on bytes allocated per logical
 	// request. The floor is what Simulate must keep per request: an
-	// 8-byte latency and a 40-byte attempt record, plus a 32-byte
-	// request slot in the open loop; the rest is retried attempts, queue
-	// rings and per-run state. The slice-growth event loop before the
-	// pre-sized one measured 723, 772, 348 and 949 B on these four.
+	// 8-byte latency, plus a 32-byte request slot in the open loop; then
+	// 40 B per attempt alive at the peak, in whole slab chunks, and
+	// per-run state. The slice-growth event loop before the pre-sized
+	// one measured 723, 772, 348 and 949 B on these four; the pre-sized
+	// one, which kept every attempt and a ring per queue, 102, 102, 50
+	// and 350 B.
 	budget float64
 }
 
@@ -49,15 +52,15 @@ func allocScenarios() []allocScenario {
 	fc := sgx.DefaultFaultCosts()
 	fc.Teardown, fc.RebuildBase = s/2, 3*s
 	return []allocScenario{
-		{"OpenGlobal", synthetic(core.SGXDiE, service, 0), open(serve.DispatchGlobal, 0), 16, 110},
-		{"OpenShardBatch", synthetic(core.SGXDiE, service, 0), open(serve.DispatchSharded, 16), 16, 110},
+		{"OpenGlobal", synthetic(core.SGXDiE, service, 0), open(serve.DispatchGlobal, 0), 16, 103},
+		{"OpenShardBatch", synthetic(core.SGXDiE, service, 0), open(serve.DispatchSharded, 16), 16, 92},
 		{"ClosedMutex", synthetic(core.SGXDiE, service, 16), func(rpc int) serve.Config {
 			return serve.Config{
 				Clients: 32, Workers: 16, RequestsPerClient: rpc,
 				Sync: serve.SyncMutex, Mem: serve.MemDynamic,
 				Weights: weights, JitterPct: 10, Seed: 7,
 			}
-		}, 512, 54},
+		}, 512, 32},
 		{"CrashStorm", synthetic(core.SGXDiE, service, 0), func(rpc int) serve.Config {
 			return serve.Config{
 				Clients: 64, Workers: 8, RequestsPerClient: rpc,
@@ -70,7 +73,7 @@ func allocScenarios() []allocScenario {
 					CrashInterval: 60 * s, FailPct: 2, RebuildPages: 64, Costs: fc,
 				},
 			}
-		}, 256, 380},
+		}, 256, 36},
 	}
 }
 
@@ -96,8 +99,8 @@ func simAllocs(t *testing.T, w *serve.Workload, c serve.Config) (mallocs, bytes 
 
 // TestSimulateAllocBudget is the host-independent gate on the event
 // loop's allocation behaviour: bytes per request stay under a committed
-// budget, and the number of allocations does not depend on how many
-// requests a client issues.
+// budget, and the number of allocations follows how many requests a
+// client issues only through whole attempt slab chunks.
 func TestSimulateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -110,13 +113,46 @@ func TestSimulateAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.1f B/request, budget %.0f", sc.name, perReq, sc.budget)
 		}
 		// The only allocations that may follow the request count are
-		// capacity doublings: two per queue ring when the peak depth
-		// quadruples, and the retry tail of the attempt slice.
+		// attempt slab chunks: at most one per AttemptChunk requests
+		// when the overloaded open loops keep every request in flight,
+		// and two for anything else that grows.
 		big := sc.cfg(4 * sc.rpc)
-		slack := uint64(2*big.Workers + 8)
+		slack := uint64(big.Clients*big.RequestsPerClient/serve.AttemptChunk + 2)
 		if mallocs4, _, _ := simAllocs(t, sc.w, big); mallocs4 > mallocs+slack {
 			t.Errorf("%s: %d allocations at %d requests/client but %d at %d: the count follows the request count",
 				sc.name, mallocs, sc.rpc, mallocs4, 4*sc.rpc)
+		}
+	}
+}
+
+// TestTracedReplayAllocs: spans hold their attributes inline, so an
+// attached tracer costs its ring and a constant, not allocations per
+// recorded span.
+func TestTracedReplayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, sc := range allocScenarios() {
+		if sc.name != "OpenShardBatch" {
+			continue
+		}
+		c := sc.cfg(sc.rpc)
+		bare, bareBytes, requests := simAllocs(t, sc.w, c)
+		// Each traced replay gets a fresh tracer, so its ring's growth
+		// is counted too.
+		traced, tracedBytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			c.Trace = obs.NewTracer(1 << 12)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			mustSim(t, sc.w, c)
+			runtime.ReadMemStats(&after)
+			traced = min(traced, after.Mallocs-before.Mallocs)
+			tracedBytes = min(tracedBytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d requests, %d allocations (%d B) bare, %d (%d B) traced", sc.name, requests, bare, bareBytes, traced, tracedBytes)
+		if traced > bare+32 {
+			t.Errorf("%s: a tracer adds %d allocations to a %d-request replay", sc.name, traced-bare, requests)
 		}
 	}
 }

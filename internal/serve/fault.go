@@ -278,6 +278,7 @@ func (s *sim) crash(w int32, t uint64) {
 		for _, ai := range wk.batch {
 			s.loseAttempt(ai, t)
 		}
+		s.endEntry(wk)
 	}
 	wk.down = true
 	pages := s.cfg.Fault.RebuildPages
@@ -298,7 +299,7 @@ func (s *sim) crash(w int32, t uint64) {
 	s.bd.RebuildCycles += done - t
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Record(obs.Span{Name: "crash", Cat: "fault", Ph: obs.PhInstant, T: t,
-			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
+			PID: tracePIDServe, TID: int(w), NArgs: 2, Args: [obs.MaxAttrs]obs.Attr{
 				{Key: "gen", Val: wk.gen}, {Key: "crashes", Val: wk.crashes}}})
 		tr.Record(obs.Span{Name: "rebuild", Cat: "fault", Ph: obs.PhComplete, T: t, Dur: done - t,
 			PID: tracePIDServe, TID: int(w)})
@@ -313,7 +314,7 @@ func (s *sim) crash(w int32, t uint64) {
 // loseAttempt fails attempt ai, in flight on an enclave that crashed at
 // time t, unless it already finished or its client gave up.
 func (s *sim) loseAttempt(ai int32, t uint64) {
-	att := &s.atts[ai]
+	att := s.atts.at(ai)
 	if att.flags&attDone == 0 {
 		att.flags |= attDone
 		if att.flags&attAbandoned == 0 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"sgxbench/internal/agg"
@@ -221,19 +222,20 @@ const (
 	evItemDone
 )
 
-// maxIndex is the largest request, attempt, worker or pending-event
-// count a replay can hold. The event loop's records are packed — 32-bit
-// indices, shard, worker and class, flags in one byte — to 32 B (event),
-// 32 B (request) and 40 B (attempt); TestRecordSizes pins the sizes.
-// Config.Validate bounds the configured counts, submit and scheduleGen
-// the totals only the replay knows.
+// maxIndex is the largest request, attempt serial, worker or
+// pending-event count a replay can hold. The event loop's records are
+// packed — 32-bit indices, serial, class and links, one field for the
+// queue an attempt waits in and then the worker running it, flags in one
+// byte — to 32 B (event), 32 B (request) and 40 B (attempt);
+// TestRecordSizes pins the sizes. Config.Validate bounds the configured
+// counts, submit and scheduleGen the totals only the replay knows.
 const maxIndex = math.MaxInt32
 
 type event struct {
 	t    uint64
 	seq  uint64 // schedule order: deterministic tie-break at equal times
 	gen  uint64 // worker generation (evDone/evItemDone): stale completions are ignored
-	who  int32  // request (evIssue), attempt (evEnqueue/evTimeout/evItemDone), worker (evDone/evCrash/evRebuilt), client (evArrive)
+	who  int32  // request (evIssue), attempt slot (evEnqueue/evTimeout/evItemDone), worker (evDone/evCrash/evRebuilt), client (evArrive)
 	kind uint8
 }
 
@@ -250,37 +252,19 @@ type request struct {
 	active     bool
 }
 
-// attempt flags.
-const (
-	attAbandoned = 1 << iota // client gave up (deadline passed)
-	attDone                  // server finished it (or it was lost to a crash)
-	attAborted               // transient abort planned at dispatch
-)
-
-// attempt is one issued try of a logical request.
-type attempt struct {
-	service uint64
-	enq     uint64 // time it became poppable
-	req     int32
-	class   int32
-	shard   int32 // queue it was pushed to
-	worker  int32 // worker executing it
-	flags   uint8
-}
-
 type worker struct {
 	busy      bool
 	down      bool // enclave torn down, rebuild pending
 	inIdle    bool
 	gen       uint64
-	batch     []int32 // attempts of the running enclave entry
+	batch     []int32 // attempt slots of the running enclave entry
 	steals    uint64
 	nextCrash uint64
 	crashes   uint64 // per-worker crash count, salts the next schedule draw
 }
 
-// fifo is a growable ring of indices: capacity tracks the peak depth,
-// not the number of indices ever pushed.
+// fifo is a growable ring of worker ids: capacity tracks the peak
+// depth, not the number of ids ever pushed.
 type fifo struct {
 	buf  []int32 // length zero or a power of two
 	head int
@@ -308,7 +292,7 @@ func (f *fifo) pop() int32 {
 // shard is one dispatch queue with its own lock state. DispatchGlobal
 // uses a single shard; DispatchSharded one per worker.
 type shard struct {
-	queue    fifo   // attempt indices
+	queue    queue  // waiting attempts, oldest first
 	lockFree uint64 // this queue's dispatch-lock state
 }
 
@@ -329,7 +313,8 @@ type sim struct {
 	rr          uint64 // round-robin submission spread over shards
 	idle        fifo   // idle worker ids
 	workers     []worker
-	atts        []attempt
+	atts        slab
+	serials     int32 // attempts created so far
 	reqs        []request
 	issued      []int  // logical requests each client has issued so far
 	edmmFree    uint64 // enclave-global page-commit serialization
@@ -454,22 +439,27 @@ func (s *sim) submit(idx int32, t uint64) {
 		s.bd.Shed++
 		if tr := s.cfg.Trace; tr != nil {
 			tr.Record(obs.Span{Name: "shed", Cat: "client", Ph: obs.PhInstant, T: pushDone,
-				PID: tracePIDClient, TID: int(r.client), Args: []obs.Attr{
+				PID: tracePIDClient, TID: int(r.client), NArgs: 3, Args: [obs.MaxAttrs]obs.Attr{
 					{Key: "req", Val: uint64(idx)}, {Key: "attempt", Val: uint64(r.attempt)},
 					{Key: "shard", Val: uint64(si)}}})
 		}
 		s.failAttempt(idx, pushDone)
 		return
 	}
-	if len(s.atts) == maxIndex {
+	if s.serials == maxIndex {
 		s.err = fmt.Errorf("serve: more than %d attempts", maxIndex)
 		return
 	}
-	ai := int32(len(s.atts))
-	s.atts = append(s.atts, attempt{req: idx, class: r.class, service: r.service, shard: si, worker: -1})
+	var held uint8
+	if s.cfg.DeadlineCycles > 0 {
+		held = attTimer
+	}
+	ai := s.atts.alloc()
+	*s.atts.at(ai) = attempt{service: r.service, serial: s.serials, req: idx, class: r.class, at: si, flags: held}
+	s.serials++
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Record(obs.Span{Name: "submit", Cat: "client", Ph: obs.PhComplete, T: t, Dur: pushDone - t,
-			PID: tracePIDClient, TID: int(r.client), Args: []obs.Attr{
+			PID: tracePIDClient, TID: int(r.client), NArgs: 3, Args: [obs.MaxAttrs]obs.Attr{
 				{Key: "req", Val: uint64(idx)}, {Key: "attempt", Val: uint64(r.attempt)},
 				{Key: "shard", Val: uint64(si)}}})
 	}
@@ -554,7 +544,7 @@ func (s *sim) finishRequest(idx int32, t uint64, success bool) {
 			ok = 1
 		}
 		tr.Record(obs.Span{Name: "request", Cat: "client", Ph: obs.PhComplete, T: r.firstIssue, Dur: lat,
-			PID: tracePIDClient, TID: int(r.client), Args: []obs.Attr{
+			PID: tracePIDClient, TID: int(r.client), NArgs: 3, Args: [obs.MaxAttrs]obs.Attr{
 				{Key: "class", Val: uint64(r.class)}, {Key: "attempts", Val: uint64(r.attempt)},
 				{Key: "ok", Val: ok}}})
 	}
@@ -652,9 +642,7 @@ func (s *sim) trySteal(w int32, t uint64) bool {
 		tv := s.lockPass(vic, t)
 		home := &s.shards[w]
 		th := s.lockPass(home, tv)
-		for j := 0; j < k; j++ {
-			home.queue.push(vic.queue.pop())
-		}
+		vic.queue.moveOldest(&s.atts, k, &home.queue)
 		s.ds.StolenAttempts += uint64(k)
 		s.dispatch(w, w, th)
 		return true
@@ -717,9 +705,10 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 	}
 	start := popDone + s.trans // worker ECALL
 	for i := 0; i < n; i++ {
-		idx := sh.queue.pop()
-		att := &s.atts[idx]
-		att.worker = w
+		idx := sh.queue.pop(&s.atts)
+		att := s.atts.at(idx)
+		att.at = w
+		att.flags |= attBatch
 		wk.batch = append(wk.batch, idx)
 		s.bd.QueueWaitCycles += popDone - att.enq
 		itemStart := start
@@ -727,7 +716,7 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 		work := att.service
 		var abort uint64
 		if p := s.cfg.Fault; p != nil && p.FailPct > 0 {
-			fr := splitmix64(p.Seed ^ 0xfa17 ^ uint64(idx)<<16)
+			fr := splitmix64(p.Seed ^ 0xfa17 ^ uint64(att.serial)<<16)
 			if int(fr%100) < p.FailPct {
 				// Transient enclave-thread abort after a deterministic
 				// fraction of the service: the partial work is wasted.
@@ -745,6 +734,7 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 		}
 		start = end
 		if batched {
+			att.flags |= attItem
 			s.scheduleGen(end, evItemDone, idx, wk.gen)
 		} else {
 			// The lone attempt's service span covers the whole entry,
@@ -753,10 +743,10 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 		}
 		if tr := s.cfg.Trace; tr != nil {
 			tr.Record(obs.Span{Name: "queue", Cat: "serve", Ph: obs.PhComplete, T: att.enq, Dur: popDone - att.enq,
-				PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
+				PID: tracePIDServe, TID: int(w), NArgs: 2, Args: [obs.MaxAttrs]obs.Attr{
 					{Key: "req", Val: uint64(att.req)}, {Key: "shard", Val: uint64(si)}}})
 			tr.Record(obs.Span{Name: s.w.Classes[att.class].Name, Cat: "service", Ph: obs.PhComplete,
-				T: itemStart, Dur: end - itemStart, PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
+				T: itemStart, Dur: end - itemStart, PID: tracePIDServe, TID: int(w), NArgs: 4, Args: [obs.MaxAttrs]obs.Attr{
 					{Key: "req", Val: uint64(att.req)}, {Key: "gen", Val: wk.gen},
 					{Key: "aex", Val: aexN}, {Key: "abort", Val: abort}}})
 		}
@@ -764,7 +754,7 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 	done := start + s.trans // worker EEXIT
 	if tr := s.cfg.Trace; tr != nil && batched {
 		tr.Record(obs.Span{Name: "batch", Cat: "serve", Ph: obs.PhComplete, T: popDone, Dur: done - popDone,
-			PID: tracePIDServe, TID: int(w), Args: []obs.Attr{
+			PID: tracePIDServe, TID: int(w), NArgs: 3, Args: [obs.MaxAttrs]obs.Attr{
 				{Key: "n", Val: uint64(n)}, {Key: "gen", Val: wk.gen}, {Key: "shard", Val: uint64(si)}}})
 	}
 	s.scheduleGen(done, evDone, w, wk.gen)
@@ -775,9 +765,8 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 // an abandoned one was wasted work. Batched, it runs at the attempt's
 // own evItemDone while the worker keeps running the rest of the batch.
 func (s *sim) itemDone(ai int32, t uint64, gen uint64) {
-	att := &s.atts[ai]
-	wk := &s.workers[att.worker]
-	if wk.gen != gen {
+	att := s.atts.at(ai)
+	if s.workers[att.at].gen != gen {
 		return // the enclave crashed mid-batch; the attempt was re-routed
 	}
 	att.flags |= attDone
@@ -802,8 +791,18 @@ func (s *sim) complete(w int32, t uint64) {
 	if s.cfg.Batch <= 1 {
 		s.itemDone(wk.batch[0], t, wk.gen)
 	}
+	s.endEntry(wk)
 	s.makespan = max(s.makespan, t)
 	s.findWork(w, t)
+}
+
+// endEntry drops a finished or crashed enclave entry's hold on its
+// attempts, freeing the slots nothing else holds.
+func (s *sim) endEntry(wk *worker) {
+	for _, ai := range wk.batch {
+		s.atts.release(ai, attBatch)
+	}
+	wk.batch = wk.batch[:0]
 }
 
 // Simulate replays one serving scenario over the calibrated workload.
@@ -830,9 +829,10 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	if cfg.Dispatch == DispatchSharded {
 		nShards = cfg.Workers
 	}
-	// Every logical request leaves one latency and takes at least one
-	// attempt, so those slices are made once at their known size (atts
-	// still grows past it for retries).
+	// Every logical request leaves one latency, so that slice is made
+	// once at its known size. Attempt slots are recycled, so the slab
+	// grows chunk by chunk with the peak number of live attempts; its
+	// chunk list is sized for one attempt per request.
 	nReq := cfg.Clients * cfg.RequestsPerClient
 	s := &sim{
 		w:         w,
@@ -841,7 +841,7 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 		events:    newTimerWheel(),
 		shards:    make([]shard, nShards),
 		workers:   make([]worker, cfg.Workers),
-		atts:      make([]attempt, 0, nReq),
+		atts:      slab{chunks: make([]*[1 << slabShift]attempt, 0, nReq>>slabShift+1), free: -1},
 		issued:    make([]int, cfg.Clients),
 		lats:      make([]uint64, 0, nReq),
 		perClient: make([]ClientSummary, cfg.Clients),
@@ -867,10 +867,13 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	// request count plus one per worker; a deeper batch grows its own
 	// list.
 	room := min(max(cfg.Batch, 1), nReq/cfg.Workers+1)
-	slab := make([]int32, cfg.Workers*room)
+	lists := make([]int32, cfg.Workers*room)
+	// The idle ring starts with room for every worker; only stale
+	// tombstones can grow it past that.
+	s.idle.buf = make([]int32, max(8, 1<<bits.Len(uint(cfg.Workers-1))))
 	for wi := int32(0); wi < int32(cfg.Workers); wi++ {
 		lo := int(wi) * room
-		s.workers[wi].batch = slab[lo : lo : lo+room]
+		s.workers[wi].batch = lists[lo : lo : lo+room]
 		s.pushIdle(wi)
 		if cfg.Fault != nil && cfg.Fault.CrashInterval > 0 {
 			s.workers[wi].nextCrash = s.crashDelay(wi, 0)
@@ -916,17 +919,19 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 		case evArrive:
 			s.arrive(ev.who, ev.t)
 		case evEnqueue:
-			att := &s.atts[ev.who]
+			att := s.atts.at(ev.who)
 			if att.flags&attAbandoned != 0 {
 				// The deadline expired before the push even landed; the
 				// client is already retrying.
 				att.flags |= attDone
+				s.atts.release(ev.who, 0)
 				break
 			}
 			att.enq = ev.t
-			s.shards[att.shard].queue.push(ev.who)
-			if wi := s.claimWorker(att.shard); wi >= 0 {
-				s.dispatch(wi, att.shard, ev.t)
+			si := att.at
+			s.shards[si].queue.push(&s.atts, ev.who)
+			if wi := s.claimWorker(si); wi >= 0 {
+				s.dispatch(wi, si, ev.t)
 			}
 		case evDone:
 			if wk := &s.workers[ev.who]; wk.busy && wk.gen == ev.gen {
@@ -934,18 +939,20 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 			}
 		case evItemDone:
 			s.itemDone(ev.who, ev.t, ev.gen)
+			s.atts.release(ev.who, attItem)
 		case evTimeout:
-			att := &s.atts[ev.who]
+			att := s.atts.at(ev.who)
 			if att.flags&(attDone|attAbandoned) == 0 {
 				att.flags |= attAbandoned
 				s.bd.Timeouts++
 				if tr := s.cfg.Trace; tr != nil {
 					tr.Record(obs.Span{Name: "timeout", Cat: "client", Ph: obs.PhInstant, T: ev.t,
-						PID: tracePIDClient, TID: int(s.reqs[att.req].client), Args: []obs.Attr{
-							{Key: "req", Val: uint64(att.req)}, {Key: "attempt", Val: uint64(ev.who)}}})
+						PID: tracePIDClient, TID: int(s.reqs[att.req].client), NArgs: 2, Args: [obs.MaxAttrs]obs.Attr{
+							{Key: "req", Val: uint64(att.req)}, {Key: "attempt", Val: uint64(att.serial)}}})
 				}
 				s.failAttempt(att.req, ev.t)
 			}
+			s.atts.release(ev.who, attTimer)
 		case evCrash:
 			s.crash(ev.who, ev.t)
 		case evRebuilt:
@@ -1014,6 +1021,7 @@ func (s *sim) result() *Result {
 		Faults:         s.faults,
 		FaultsDropped:  s.faultsDropped,
 		lats:           s.lats,
+		PerClass:       make([]ClassSummary, 0, len(s.w.Classes)),
 	}
 	if s.makespan > 0 {
 		secs := s.w.Plat.CyclesToSeconds(s.makespan)

@@ -31,8 +31,8 @@ func traceDigest(tr *obs.Tracer) uint64 {
 		word(sp.Dur)
 		word(uint64(sp.PID))
 		word(uint64(sp.TID))
-		word(uint64(len(sp.Args)))
-		for _, a := range sp.Args {
+		word(uint64(len(sp.Attrs())))
+		for _, a := range sp.Attrs() {
 			str(a.Key)
 			word(a.Val)
 		}
