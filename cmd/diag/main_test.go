@@ -5,62 +5,53 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"sgxbench/internal/core"
 )
 
-// TestPickMode pins the mode dispatch: each mode flag alone selects its
-// mode, no flags select the join mode, and every conflicting
-// combination is an error naming the clashing flags — the regression
-// test for the silent precedence order that used to run -serve and
-// drop -epc when both were given.
+// TestPickMode pins the mode dispatch: no -replay selects the join mode,
+// a golden entry the replay mode of its kind, and a name the golden file
+// does not pin under the setting is an error naming the entry families.
 func TestPickMode(t *testing.T) {
-	cases := []struct {
-		label    string
-		serve    bool
-		fault    bool
-		epc      bool
-		query    string
-		want     runMode
-		errFlags []string
+	for _, c := range []struct {
+		replay string
+		s      core.Setting
+		want   runMode
+		errs   []string // substrings of the expected error
 	}{
-		{label: "default-join", want: modeJoin},
-		{label: "serve", serve: true, want: modeServe},
-		{label: "fault", fault: true, want: modeFault},
-		{label: "epc", epc: true, want: modeEPC},
-		{label: "query", query: "q1.filter-agg", want: modeQuery},
-		{label: "suite-query", query: "s09.j1.sel250.u.agg", want: modeQuery},
-		{label: "serve+fault", serve: true, fault: true, errFlags: []string{"-serve", "-fault"}},
-		{label: "serve+epc", serve: true, epc: true, errFlags: []string{"-serve", "-epc"}},
-		{label: "fault+query", fault: true, query: "q1.filter-agg", errFlags: []string{"-fault", "-query"}},
-		{label: "epc+query", epc: true, query: "q1.filter-agg", errFlags: []string{"-epc", "-query"}},
-		{label: "all-four", serve: true, fault: true, epc: true, query: "x",
-			errFlags: []string{"-serve", "-fault", "-epc", "-query"}},
-	}
-	for _, c := range cases {
-		got, err := pickMode(c.serve, c.fault, c.epc, c.query)
-		if len(c.errFlags) > 0 {
-			if err == nil {
-				t.Errorf("%s: no error, got mode %d", c.label, got)
-				continue
-			}
-			for _, f := range c.errFlags {
-				if !strings.Contains(err.Error(), f) {
-					t.Errorf("%s: error %q does not name %s", c.label, err, f)
+		{"", core.PlainCPU, modeJoin, nil},
+		{"join.PHT", core.PlainCPU, modeReplay, nil},
+		{"micro.gather", core.SGXDoE, modeReplay, nil},
+		{"spill.join.grace@2x", core.SGXDiE, modeReplay, nil},
+		{"plan.s09.j1.sel250.u.agg@epc2", core.SGXDiE, modeReplay, nil},
+		{"q2.filter-join-agg", core.SGXDiE, modePipeline, nil},
+		{"q3s.join-agg-spill", core.PlainCPUM, modePipeline, nil},
+		{"serve.mutex.dyn", core.PlainCPU, modeServing, nil},
+		{"fault.crash.admit", core.SGXDiE, modeServing, nil},
+		{"scale.shard.batch.c256", core.SGXDiE, modeServing, nil},
+		{"spill.agg@2x", core.PlainCPU, 0, []string{`no entry "spill.agg@2x" under Plain CPU`}},
+		{"fault.crash.admit", core.SGXDoE, 0, []string{`no entry "fault.crash.admit" under SGX DoE`}},
+		{"join.INL", core.SGXDiE, 0, []string{`no entry "join.INL"`, "join.*", "plan.*", "serve.*", "fault.*", "scale.*"}},
+	} {
+		got, e, err := pickMode(c.replay, c.s)
+		if len(c.errs) > 0 {
+			for _, w := range c.errs {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Errorf("pickMode(%q, %s) = %v, want an error containing %q", c.replay, c.s, err, w)
 				}
 			}
 			continue
 		}
-		if err != nil {
-			t.Errorf("%s: unexpected error %v", c.label, err)
-		} else if got != c.want {
-			t.Errorf("%s: mode %d, want %d", c.label, got, c.want)
+		if err != nil || got != c.want || (e == nil) != (c.replay == "") {
+			t.Errorf("pickMode(%q, %s) = %d, %v, %v; want mode %d", c.replay, c.s, got, e, err, c.want)
 		}
 	}
 }
 
 // TestCheckFlags pins the flag/mode table: each command line below
-// either runs, or exits 2 before running (a flag parse error, a mode
-// conflict or checkFlags), instead of running with a flag silently
-// ignored, dropped or misread.
+// either runs, or exits 2 before running (a flag parse error, an
+// unpinned -replay name or checkFlags), instead of running with a flag
+// silently ignored.
 func TestCheckFlags(t *testing.T) {
 	// diagFlags visits diag's own flags, not the test binary's.
 	diagFlags := func(fn func(f *flag.Flag)) {
@@ -78,38 +69,37 @@ func TestCheckFlags(t *testing.T) {
 		})
 	}
 	t.Cleanup(reset)
+	n := 0
+	diagFlags(func(*flag.Flag) { n++ })
+	if n != 8 {
+		t.Errorf("diag defines %d flags, want 8", n)
+	}
 	for _, c := range []struct {
 		args string
 		want string // a substring of the error; empty: the line runs
 	}{
 		{"", ""},
-		{"-alg PHT -opt -threads 4 -scale 256", ""},
-		{"-query q2.filter-join-agg -threads 4 -profile p.folded", ""},
-		{"-epc -ratio 0 -threads 4", ""},
-		{"-serve -clients 8 -workers 4 -think 500 -trace t.json", ""},
-		{"-serve -dispatch shard -batch 16 -arrival poisson -gap 100000", ""},
-		{"-fault -admit 0 -think 500", ""},
-		{"-fault -arrival poisson", ""},
-		{"-epc -ratio -3", "-ratio -3 must be >= 0"},
-		{"-serve -admit -5", "-admit has no effect in -serve mode"},
-		{"-fault -admit -5", "-admit -5 must be >= 0"},
-		{"-serve -batch -1", "-batch -1 must be >= 0"},
-		{"-serve -clients -5", "-clients -5 must be >= 1"},
-		{"-fault -workers 0", "-workers 0 must be >= 1"},
-		{"-serve -requests -1", "-requests -1 must be >= 1"},
-		{"-serve -arrival poisson -gap 0", "-gap 0 must be >= 1"},
-		{"-serve -think -5", "invalid value"},
-		{"-serve -think 500 -arrival poisson", "-think is a closed-loop knob"},
-		{"-fault -think 500 -arrival poisson", "-think is a closed-loop knob"},
-		{"-serve -gap 1000", "-gap needs -arrival"},
+		{"-alg PHT -opt -threads 4 -scale 256 -setting die", ""},
+		{"-replay q2.filter-join-agg -setting die -profile p.folded", ""},
+		{"-replay fault.crash.admit -setting die -trace t.json", ""},
+		{"-replay serve.mutex.dyn -setting plain", ""},
+		{"-replay spill.join.grace@2x -setting die", ""},
+		{"-replay join.PHT -alg PHT", "-alg has no effect in a -replay of an operator entry"},
+		{"-replay q2.filter-join-agg -opt", "-opt has no effect in a -replay of a pipeline entry"},
+		{"-replay fault.crash.admit -setting die -scale 512", "-scale has no effect in a -replay of a serving entry"},
+		{"-replay plan.s01.j0.sel004.u.agg -threads 4", "-threads has no effect in a -replay of an operator entry"},
+		{"-replay serve.lockfree.pre -setting die -profile p.folded", "-profile has no effect in a -replay of a serving entry"},
+		{"-replay join.RHO -profile p.folded", "-profile has no effect in a -replay of an operator entry"},
+		{"-replay q1.filter-agg -trace t.json", "-trace has no effect in a -replay of a pipeline entry"},
+		{"-replay spill.agg@4x -setting die -trace t.json", "-trace has no effect in a -replay of an operator entry"},
 		{"-trace x.json", "-trace has no effect in join mode"},
-		{"-serve -profile y.folded", "-profile has no effect in -serve mode"},
-		{"-ratio 4", "-ratio has no effect in join mode"},
-		{"-serve -threads 4", "-threads has no effect in -serve mode"},
-		{"-query q1.filter-agg -opt", "-opt has no effect in -query mode"},
-		{"-epc -alg PHT", "-alg has no effect in -epc mode"},
-		{"-fault -burst 8", "not defined: -burst"},
-		{"-serve -ramp 8000000", "not defined: -ramp"},
+		{"-profile y.folded", "-profile has no effect in join mode"},
+		{"-replay nonsense", `no entry "nonsense"`},
+		{"-replay spill.agg@2x", `no entry "spill.agg@2x" under Plain CPU`},
+		{"-query q1.filter-agg", "not defined: -query"},
+		{"-fault -admit 0", "not defined: -fault"},
+		{"-epc -ratio 2", "not defined: -epc"},
+		{"-serve -clients 8", "not defined: -serve"},
 	} {
 		reset()
 		fs := flag.NewFlagSet("diag", flag.ContinueOnError)
@@ -117,8 +107,9 @@ func TestCheckFlags(t *testing.T) {
 		diagFlags(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
 		err := fs.Parse(strings.Fields(c.args))
 		if err == nil {
+			s, _ := parseSetting(*setName)
 			var m runMode
-			if m, err = pickMode(*serveMode, *faultMode, *epcMode, *queryName); err == nil {
+			if m, _, err = pickMode(*replayName, s); err == nil {
 				var given []string
 				fs.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
 				err = checkFlags(m, given)
@@ -143,33 +134,25 @@ func TestParseSetting(t *testing.T) {
 	}
 }
 
-// TestCheckScale: -scale must be a positive power of two, and in the
-// modes that derive relation sizes from it (join, -epc, -query) it may
-// not leave the RowsForMB(100)/scale relation empty; the serving modes
-// size nothing by it.
+// TestCheckScale: the join's -scale must be a positive power of two that
+// leaves the RowsForMB(100)/scale build relation some rows.
 func TestCheckScale(t *testing.T) {
 	for _, c := range []struct {
-		m     runMode
 		scale int64
 		ok    bool
 	}{
-		{modeJoin, 1, true},
-		{modeJoin, 128, true},
-		{modeJoin, 1 << 23, true},
-		{modeJoin, 1 << 24, false},
-		{modeEPC, 1 << 23, true},
-		{modeEPC, 1 << 24, false},
-		{modeQuery, 1 << 24, false},
-		{modeQuery, 1 << 26, false},
-		{modeServe, 1 << 24, true},
-		{modeFault, 1 << 24, true},
-		{modeJoin, 0, false},
-		{modeJoin, -4, false},
-		{modeJoin, 3, false},
-		{modeServe, 96, false},
+		{1, true},
+		{128, true},
+		{1 << 23, true},
+		{1 << 24, false},
+		{1 << 26, false},
+		{0, false},
+		{-4, false},
+		{3, false},
+		{96, false},
 	} {
-		if err := checkScale(c.m, c.scale); (err == nil) != c.ok {
-			t.Errorf("checkScale(mode %d, %d) = %v, want ok=%v", c.m, c.scale, err, c.ok)
+		if err := checkScale(c.scale); (err == nil) != c.ok {
+			t.Errorf("checkScale(%d) = %v, want ok=%v", c.scale, err, c.ok)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 //     so only the inputs' single drain pass and the budget-sized worker
 //     tables touch EPC pages.
 //
-//   - DirectRunOn: the naive baseline. One thread, one full-domain hash
+//   - DirectRun: the naive baseline. One thread, one full-domain hash
 //     table, no partitioning — the textbook group-by whose hash-derived
 //     random accesses demand-page catastrophically once the table
 //     outgrows the EPC. It exists to demonstrate the collapse the spill
@@ -135,19 +135,14 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	return aggregate(env, g, mark, n, groups, parts, out, start, opt.Sel, shift)
 }
 
-// DirectRun executes the naive single-table group-by under env.
+// DirectRun executes the naive single-table group-by under env on one
+// thread: every segment streams through one full-domain hash table sized
+// at the input row count, exactly the operator shape whose random
+// accesses collapse under EPC oversubscription. Options.Threads is
+// ignored — the baseline is deliberately single-threaded.
 func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
 	g := env.NewGroup(1, nil)
 	defer g.Release()
-	return DirectRunOn(env, g, ins, opt)
-}
-
-// DirectRunOn executes the naive group-by on the group's first thread:
-// every segment streams through one full-domain hash table sized at the
-// input row count, exactly the operator shape whose random accesses
-// collapse under EPC oversubscription. Options.Threads is ignored — the
-// baseline is deliberately single-threaded.
-func DirectRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
 	reg := env.DataRegion()

@@ -102,6 +102,11 @@ type sample struct {
 	dispatch      serve.DispatchStats // serving scenarios only
 }
 
+// result is v as the golden entry (name, s).
+func (v sample) result(name string, s core.Setting) Result {
+	return Result{name, s.String(), v.cycles, v.check, v.stats}
+}
+
 // runner executes one repetition of a prepared workload.
 type runner func() sample
 
@@ -141,7 +146,7 @@ func key(entry string, s core.Setting, metric string) string {
 // entry is deterministic (the PHT shared-table build preclaims its
 // insert slots in input order, so even multi-threaded builds repeat).
 func (b *bencher) record(name string, s core.Setting, v sample) {
-	b.rep.Sweep = append(b.rep.Sweep, Result{name, s.String(), v.cycles, v.check, v.stats})
+	b.rep.Sweep = append(b.rep.Sweep, v.result(name, s))
 	b.vals[key(name, s, simCycles)] = float64(v.cycles)
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
-	"sgxbench/internal/serve"
 )
 
 // okFlags are the nine gates of the v4 report.
@@ -81,36 +80,16 @@ func TestGateEval(t *testing.T) {
 	}
 }
 
-// producibleKeys is every measurement key the workload and scenario
-// tables produce in a run — without running anything.
+// producibleKeys is every measurement key a run produces — without
+// running anything: sim_cycles for every golden entry, and the serving
+// metrics for every serving one.
 func producibleKeys() map[string]bool {
 	keys := map[string]bool{}
-	for _, w := range workloads {
-		for _, s := range settings {
-			keys[key(w.name, s, simCycles)] = !w.twinOnly
+	for _, e := range entries() {
+		keys[key(e.Workload, e.Setting, simCycles)] = true
+		for _, m := range []string{throughput, goodput, p99} {
+			keys[key(e.Workload, e.Setting, m)] = e.Traced
 		}
-	}
-	for _, w := range spillWorkloads {
-		for _, r := range spillRatios {
-			keys[die(spillName(w.name, r), simCycles)] = true
-		}
-	}
-	served := func(sc scenario, s core.Setting) {
-		for _, m := range []string{simCycles, throughput, goodput, p99} {
-			keys[key(sc.name, s, m)] = true
-		}
-	}
-	for _, s := range settings {
-		for _, sc := range serveScenarios() {
-			served(sc, s)
-		}
-	}
-	fake := &serve.Workload{Classes: make([]serve.ClassCost, len(scaleWeights))}
-	for i := range fake.Classes {
-		fake.Classes[i].ServiceCycles = 1000
-	}
-	for _, sc := range append(faultScenarios(fake), scaleScenarios(fake)...) {
-		served(sc, core.SGXDiE)
 	}
 	return keys
 }

@@ -18,7 +18,7 @@ func (b *bencher) sweep() error {
 			if w.twinOnly {
 				continue
 			}
-			samples := repeat(w.prep(prepCtx{false, s, b.o.Threads, b.z}), b.z.reps)
+			samples := repeat(w.prep(prepCtx{setting: s, threads: b.o.Threads, z: b.z}), b.z.reps)
 			// Check values (matches / checksums) must be deterministic
 			// across repetitions; sim_cycles of workloads that allocate
 			// fresh simulated state per repetition are not and are
@@ -71,8 +71,8 @@ func (b *bencher) spill() error {
 	for _, w := range spillWorkloads {
 		for _, ratio := range spillRatios {
 			name := spillName(w.name, ratio)
-			ref := w.prep(prepCtx{true, core.SGXDiE, b.o.Threads, b.z}, ratio)()
-			fast := w.prep(prepCtx{false, core.SGXDiE, b.o.Threads, b.z}, ratio)()
+			ref := w.prep(prepCtx{ref: true, setting: core.SGXDiE, threads: b.o.Threads, z: b.z}, ratio)()
+			fast := w.prep(prepCtx{setting: core.SGXDiE, threads: b.o.Threads, z: b.z}, ratio)()
 			b.equivalent(name, fast, ref)
 			st := fast.stats
 			if (ratio > 0) != (st.EPCFaults > 0) {
@@ -90,6 +90,13 @@ func (b *bencher) spill() error {
 // signal.
 const tieTol = 0.05
 
+// flipQueries are the planner's EPC axis: two suite queries whose
+// measured field crosses to the spill aggregation at flipRatios.
+var (
+	flipQueries = []string{"s03.j0.sel902.u.agg", "s09.j1.sel250.u.agg"}
+	flipRatios  = []int64{2, 4}
+)
+
 // planEnv builds a fresh suite environment for q; epcRatio > 0 caps the
 // EPC at the query's approximate working set divided by it.
 func (b *bencher) planEnv(s core.Setting, q plan.Query, epcRatio int64, ref bool) (*core.Env, *plan.Dataset) {
@@ -106,13 +113,21 @@ func (b *bencher) planEnv(s core.Setting, q plan.Query, epcRatio int64, ref bool
 // identically-prepared environment, against the planner's pick.
 type planField struct {
 	pick, bestAlt plan.Alternative // the planner's choice; the first measured-cheapest alternative
-	chosen        sample           // the pick's measured run
+	chosen        *plan.Result     // the pick's measured run
 	best, worst   uint64           // measured cycles spread over the field
 	n             int              // alternatives in the field
 }
 
-// planField measures q's field and records the pick's run as name.
-func (b *bencher) planField(name string, s core.Setting, q plan.Query, epcRatio int64) planField {
+// planName names a planner entry; epcRatio > 0 marks a point of the EPC axis.
+func planName(q string, epcRatio int64) string {
+	if epcRatio == 0 {
+		return "plan." + q
+	}
+	return fmt.Sprintf("plan.%s@epc%d", q, epcRatio)
+}
+
+// planField measures q's field and records the pick's run.
+func (b *bencher) planField(s core.Setting, q plan.Query, epcRatio int64) planField {
 	env, ds := b.planEnv(s, q, epcRatio, false)
 	_, pick := q.Plan(env, ds, b.o.Threads)
 	alts := q.Alternatives()
@@ -121,7 +136,7 @@ func (b *bencher) planField(name string, s core.Setting, q plan.Query, epcRatio 
 		env, ds := b.planEnv(s, q, epcRatio, false)
 		r := plan.Execute(env, ds, plan.Options{Threads: b.o.Threads, Pred: q.Pred, Limit: q.Limit}, q.Name, q.Tree(alt))
 		if alt == pick {
-			f.chosen = planSample(r)
+			f.chosen = r
 		}
 		if f.best == 0 || r.WallCycles < f.best {
 			f.best, f.bestAlt = r.WallCycles, alt
@@ -130,7 +145,7 @@ func (b *bencher) planField(name string, s core.Setting, q plan.Query, epcRatio 
 			f.worst = r.WallCycles
 		}
 	}
-	b.record(name, s, f.chosen)
+	b.record(planName(q.Name, epcRatio), s, planSample(f.chosen))
 	return f
 }
 
@@ -153,8 +168,8 @@ func (b *bencher) planner() error {
 	agree, decided := 0, 0
 	for _, s := range settings {
 		for _, q := range suite {
-			f := b.planField("plan."+q.Name, s, q, 0)
-			got, spread := f.chosen.cycles, float64(f.worst-f.best) > tieTol*float64(f.best)
+			f := b.planField(s, q, 0)
+			got, spread := f.chosen.WallCycles, float64(f.worst-f.best) > tieTol*float64(f.best)
 			if got > f.worst || (f.n > 1 && got == f.worst && spread) {
 				b.rep.PlannerOK = false
 				b.printf("  PLANNER GATE FAILURE: %s/%s chose %s (%d cycles; field best %d worst %d)\n",
@@ -176,21 +191,21 @@ func (b *bencher) planner() error {
 	// The EPC-axis flip: under SGX DiE at 2x and 4x oversubscription the
 	// measured field of these two queries must favor the spill
 	// aggregation, and the planner must follow it there.
-	for _, name := range []string{"s03.j0.sel902.u.agg", "s09.j1.sel250.u.agg"} {
+	for _, name := range flipQueries {
 		q, err := plan.ByName(name)
 		if err != nil {
 			return err
 		}
-		for _, ratio := range []int64{2, 4} {
-			f := b.planField(fmt.Sprintf("plan.%s@epc%d", q.Name, ratio), core.SGXDiE, q, ratio)
+		for _, ratio := range flipRatios {
+			f := b.planField(core.SGXDiE, q, ratio)
 			text, pass := fmt.Sprintf("planner flip: %s at %dx EPC oversubscription pick=%s measured-best=%s", name, ratio, f.pick, f.bestAlt), false
 			switch {
 			case f.bestAlt.Agg != plan.AggSpill:
 				text += " (measured field did not cross to spill)"
 			case f.pick.Agg != plan.AggSpill:
 				text += " (pick did not follow the measured crossing)"
-			case float64(f.chosen.cycles) > (1+tieTol)*float64(f.best):
-				text += fmt.Sprintf(" (pick measures %d, best %d)", f.chosen.cycles, f.best)
+			case float64(f.chosen.WallCycles) > (1+tieTol)*float64(f.best):
+				text += fmt.Sprintf(" (pick measures %d, best %d)", f.chosen.WallCycles, f.best)
 			default:
 				pass = true
 			}
@@ -224,8 +239,8 @@ func (b *bencher) equivalence() error {
 		if w.twinPrep != nil {
 			prep = w.twinPrep
 		}
-		ref := repeat(prep(prepCtx{true, core.SGXDiE, 1, b.z}), b.z.reps)
-		fast := repeat(prep(prepCtx{false, core.SGXDiE, 1, b.z}), b.z.reps)
+		ref := repeat(prep(prepCtx{ref: true, setting: core.SGXDiE, threads: 1, z: b.z}), b.z.reps)
+		fast := repeat(prep(prepCtx{setting: core.SGXDiE, threads: 1, z: b.z}), b.z.reps)
 		eq := true
 		for k := range fast {
 			eq = b.equivalent(fmt.Sprintf("%s rep %d", w.name, k), fast[k], ref[k]) && eq

@@ -58,8 +58,8 @@ const (
 	faultAdmitDepth = 12
 )
 
-// MeanService is the mean calibrated service time over w's classes.
-func MeanService(w *serve.Workload) uint64 {
+// meanService is the mean calibrated service time over w's classes.
+func meanService(w *serve.Workload) uint64 {
 	var sum uint64
 	for _, c := range w.Classes {
 		sum += c.ServiceCycles
@@ -67,12 +67,12 @@ func MeanService(w *serve.Workload) uint64 {
 	return sum / uint64(len(w.Classes))
 }
 
-// CrashStorm returns the crash-storm fault plan for a mean service time
+// crashStorm returns the crash-storm fault plan for a mean service time
 // s. Every interval is a multiple of s, so the scenario shape — storm
 // windows that stretch service past the deadline, rebuild outages
 // spanning several deadlines — is invariant under calibration sizes and
-// platform scales (cmd/diag -fault replays the same plan).
-func CrashStorm(s uint64) *serve.FaultPlan {
+// platform scales.
+func crashStorm(s uint64) *serve.FaultPlan {
 	fc := sgx.DefaultFaultCosts()
 	// Enclave rebuild outages scale with the calibrated service time:
 	// ~3.5s of serialized rebuild per crash against a 60s per-worker
@@ -90,29 +90,23 @@ func CrashStorm(s uint64) *serve.FaultPlan {
 	}
 }
 
-// FaultClient gives cfg the fault scenarios' client-side policy for a
-// mean service time s. Think time keeps the pool healthy (offered load
-// ~60% of capacity) though heavily oversubscribed in clients, so that
-// once service times stretch the naive unbounded queue can amplify to
-// several times the worker count. The deadline sits between the
-// fault-free p99 and a storm-stretched service time: fault-free runs
-// keep a small timeout tail while storm windows push whole queue
-// generations past it; the backoff cap lets shed clients ride out an
-// outage.
-func FaultClient(cfg serve.Config, s uint64) serve.Config {
-	cfg.ThinkCycles, cfg.DeadlineCycles = 12*s, 7*s
-	cfg.MaxRetries, cfg.BackoffBase, cfg.BackoffCap = 7, s, 16*s
-	return cfg
-}
-
-// faultScenarios is the (fault plan x admission) sweep for w.
+// faultScenarios is the (fault plan x admission) sweep for w. The
+// client-side policy scales with the mean service time s. Think time
+// keeps the pool healthy (offered load ~60% of capacity) though heavily
+// oversubscribed in clients, so that once service times stretch the
+// naive unbounded queue can amplify to several times the worker count.
+// The deadline sits between the fault-free p99 and a storm-stretched
+// service time: fault-free runs keep a small timeout tail while storm
+// windows push whole queue generations past it; the backoff cap lets
+// shed clients ride out an outage.
 func faultScenarios(w *serve.Workload) []scenario {
-	s := MeanService(w)
-	base := FaultClient(serve.Config{
+	s := meanService(w)
+	base := serve.Config{
 		Clients: faultClients, Workers: faultWorkers, RequestsPerClient: faultReqsPerCli,
 		Sync: serve.SyncLockFree, Mem: serve.MemPreSized, JitterPct: 10, Seed: 7,
-	}, s)
-	crash := CrashStorm(s)
+		ThinkCycles: 12 * s, DeadlineCycles: 7 * s, MaxRetries: 7, BackoffBase: s, BackoffCap: 16 * s,
+	}
+	crash := crashStorm(s)
 	storm := *crash
 	storm.CrashInterval, storm.FailPct, storm.RebuildPages = 0, 0, 0
 	var out []scenario
@@ -162,6 +156,11 @@ var (
 
 func scaleName(variant string, clients int) string {
 	return fmt.Sprintf("scale.%s.c%d", variant, clients)
+}
+
+// scaleCalibration is the scale section's calibration.
+var scaleCalibration = serve.CalibrateOptions{
+	Setting: core.SGXDiE, NDim: 64, NFact: 256, MaxRows: 256, Pipelines: scalePipelines,
 }
 
 // scaleScenarios is the (clients x dispatch shape) sweep for w.
@@ -298,9 +297,7 @@ func (b *bencher) fault() error {
 // on their dedicated calibration.
 func (b *bencher) scale() error {
 	b.printf("== scale (open-loop sharded/batched serving, SGX DiE, %d workers) ==\n", scaleWorkers)
-	w, refW, err := calibrated(serve.CalibrateOptions{
-		Setting: core.SGXDiE, NDim: 64, NFact: 256, MaxRows: 256, Pipelines: scalePipelines,
-	}, true)
+	w, refW, err := calibrated(scaleCalibration, true)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
+	"sgxbench/internal/exec"
 	"sgxbench/internal/join"
 	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
@@ -50,6 +51,14 @@ type prepCtx struct {
 	setting core.Setting
 	threads int
 	z       sizes
+	out     *Replayed // a replay's detail, filled by the runner (nil in suite runs)
+}
+
+// keep hands a run's phases to a replay.
+func (c prepCtx) keep(phases []exec.PhaseStats) {
+	if c.out != nil {
+		c.out.Phases = phases
+	}
 }
 
 // env is a fresh environment at 1/scale size, EPC capped at epcPages (0: no cap).
@@ -71,6 +80,7 @@ type workload struct {
 	// joins' fast-vs-reference twins run larger inputs than the sweep.
 	twinPrep func(c prepCtx) runner
 	twinOnly bool // equivalence section only
+	profiled bool // a query pipeline: its runs carry a cycle-attribution profiler
 }
 
 // workloads is the suite table in report order. The sweep joins run at
@@ -98,7 +108,7 @@ func pipelineWorkloads() []workload {
 	unfiltered := map[string]bool{plan.Q3Name: true, plan.Q5Name: true, plan.Q3SName: true}
 	var wls []workload
 	for _, p := range plan.Fixed() {
-		wls = append(wls, workload{name: p.Name, prep: func(c prepCtx) runner {
+		wls = append(wls, workload{name: p.Name, profiled: true, prep: func(c prepCtx) runner {
 			if unfiltered[p.Name] {
 				return prepPipeline(c, p, c.z.qDim, c.z.q3Fact, 0)
 			}
@@ -153,6 +163,7 @@ func prepScan(c prepCtx, rowIDs bool) runner {
 	}
 	return func() sample {
 		res := scan.Run(env, col, opt)
+		c.keep(res.Phases)
 		return sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
 	}
 }
@@ -173,6 +184,7 @@ func prepGather(c prepCtx) runner {
 	gopt := scan.GatherOptions{Threads: c.threads, Out: env.Space.AllocU8("scan.gathered", n, env.DataRegion())}
 	return func() sample {
 		res := scan.Gather(env, col, sc.IDs, n, gopt)
+		c.keep(res.Phases)
 		return sample{cycles: res.WallCycles, check: res.Sum, stats: res.Stats}
 	}
 }
@@ -181,20 +193,21 @@ func prepGather(c prepCtx) runner {
 // repetition re-runs alg (fresh per-run state is allocated from the same
 // simulated space, so repetition k sees the same addresses in both
 // engine modes). The options are fixed: an error is a bug in the suite.
-func joinRunner(env *core.Env, alg join.Algorithm, nR, nS int, seed uint64, thr int) runner {
+func joinRunner(c prepCtx, env *core.Env, alg join.Algorithm, nR, nS int, seed uint64) runner {
 	build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), seed)
 	return func() sample {
-		res, err := alg.Run(env, build, probe, join.Options{Threads: thr, Optimized: true})
+		res, err := alg.Run(env, build, probe, join.Options{Threads: c.threads, Optimized: true})
 		if err != nil {
 			panic(err)
 		}
+		c.keep(res.Phases)
 		return sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
 	}
 }
 
 // prepJoin is the paper's 100 MB join 400 MB, scaled with the platform.
 func prepJoin(c prepCtx, alg join.Algorithm, scale int64) runner {
-	return joinRunner(c.env(scale, 0), alg, rel.RowsForMB(100)/int(scale), rel.RowsForMB(400)/int(scale), 1234, c.threads)
+	return joinRunner(c, c.env(scale, 0), alg, rel.RowsForMB(100)/int(scale), rel.RowsForMB(400)/int(scale), 1234)
 }
 
 // epcPagesFor caps the EPC at wsBytes / ratio (0: unlimited, resident).
@@ -209,7 +222,7 @@ func epcPagesFor(wsBytes, ratio int64) int64 {
 // working set divided by ratio.
 func prepSpillJoin(c prepCtx, alg join.Algorithm, ratio int64) runner {
 	nR, nS := rel.RowsForMB(100)/c.z.spillJoinScale, rel.RowsForMB(400)/c.z.spillJoinScale
-	return joinRunner(c.env(256, epcPagesFor(int64(nR+nS)*rel.TupleBytes, ratio)), alg, nR, nS, 99, c.threads)
+	return joinRunner(c, c.env(256, epcPagesFor(int64(nR+nS)*rel.TupleBytes, ratio)), alg, nR, nS, 99)
 }
 
 // prepSpillAgg prepares the spill-partitioned or naive direct group-by
@@ -222,6 +235,7 @@ func prepSpillAgg(c prepCtx, run func(*core.Env, []agg.Input, agg.Options) *agg.
 	opt := agg.Options{Threads: c.threads, Sel: agg.ByKey, Groups: groups}
 	return func() sample {
 		res := run(env, ins, opt)
+		c.keep(res.Phases)
 		return sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
 	}
 }
@@ -247,6 +261,9 @@ func prepPipeline(c prepCtx, p plan.Query, nDim, nFact, maxRows int) runner {
 	}
 	return func() sample {
 		res := p.Run(env, ds, opt)
+		if c.out != nil {
+			c.out.Phases, c.out.Stages, c.out.Profiler = res.Phases, res.Stages, opt.Profiler
+		}
 		return sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
 	}
 }

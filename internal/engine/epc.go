@@ -114,11 +114,3 @@ func (t *Thread) epcTouch(page uint64) {
 	t.cycle += cost
 	d.serial.Add(cost)
 }
-
-// EPCResident returns the number of EPC pages currently resident for this
-// thread (diagnostics; 0 when paging is disabled).
-func (t *Thread) EPCResident() int { return t.epcCount }
-
-// EPCBudgetPages returns the thread's private resident-set budget in
-// pages (diagnostics; 0 when paging is disabled).
-func (t *Thread) EPCBudgetPages() int { return len(t.epcRing) }

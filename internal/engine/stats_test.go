@@ -50,7 +50,7 @@ func TestStatsSubCoversAllFields(t *testing.T) {
 
 // TestStatsPagingCounters pins the demand-paging counters by name: the
 // oversubscription layers (exec wall accounting, the spill operators'
-// golden gates, cmd/diag -epc) all read these fields directly, so a
+// golden gates, cmd/diag -replay) all read these fields directly, so a
 // rename or removal must be a deliberate cross-layer change.
 func TestStatsPagingCounters(t *testing.T) {
 	v := reflect.ValueOf(engine.Stats{})

@@ -104,7 +104,8 @@ var update = flag.Bool("update", false, "rewrite model_table.go from a fresh cal
 // tableSettings and tableThreads span modelTable's keys: every setting at
 // each thread count the repository plans with — 1 for serve.Calibrate's
 // suite classes, 2 for the benchmark and this package's tests, 4 for
-// cmd/bench's default and 16 for cmd/diag's.
+// cmd/bench's default (which cmd/diag -replay reuses); 16 has had no
+// caller since cmd/diag lost its query mode.
 var (
 	tableSettings = []struct {
 		s     core.Setting

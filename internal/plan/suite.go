@@ -60,8 +60,8 @@ func Fixed() []Query {
 	}
 }
 
-// ByName is the one query registry (bench workloads, serve classes,
-// diag -query): the fixed shape or suite query with the given name.
+// ByName is the one query registry (bench workloads, serve classes):
+// the fixed shape or suite query with the given name.
 func ByName(name string) (Query, error) {
 	for _, q := range append(Fixed(), Suite()...) {
 		if q.Name == name {

@@ -19,14 +19,6 @@ func (k ArrivalKind) String() string {
 	return fmt.Sprintf("arrival(%d)", int(k))
 }
 
-// ParseArrivalKind parses the String form (diag flags).
-func ParseArrivalKind(s string) (ArrivalKind, error) {
-	if s == ArrivalPoisson.String() {
-		return ArrivalPoisson, nil
-	}
-	return 0, fmt.Errorf("unknown arrival kind %q (want poisson)", s)
-}
-
 // ArrivalPlan makes a scenario open-loop: each client issues new logical
 // requests on its own arrival clock, independent of responses — so
 // overload piles up queueing instead of throttling the offered load,

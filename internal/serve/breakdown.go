@@ -8,8 +8,8 @@ import (
 
 // Breakdown accounts where the served requests' cycles went, summed over
 // all requests of a scenario. Together with the latency percentiles it
-// is the serving-layer analogue of engine.Stats: cmd/diag -serve prints
-// it per scenario and the golden-gated check value folds every field.
+// is the serving-layer analogue of engine.Stats: cmd/diag -replay prints
+// it per serving entry and the golden-gated check value folds every field.
 //
 // Every field is a uint64 counter that Fold mixes into the check value;
 // TestBreakdownFoldCoversAllFields fails if a counter falls out of it.

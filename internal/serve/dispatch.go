@@ -32,16 +32,6 @@ func (d DispatchKind) String() string {
 	return fmt.Sprintf("dispatch(%d)", int(d))
 }
 
-// ParseDispatchKind parses the String form (diag flags).
-func ParseDispatchKind(s string) (DispatchKind, error) {
-	for _, d := range []DispatchKind{DispatchGlobal, DispatchSharded} {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown dispatch kind %q", s)
-}
-
 // DispatchStats counts the work of batched and sharded dispatch. The
 // check value folds it after Breakdown, which is why it is a record of
 // its own: moving its counters into Breakdown would reorder the fold and

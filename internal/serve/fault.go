@@ -95,7 +95,7 @@ func (p *FaultPlan) costs() sgx.FaultCosts {
 
 // StormWindows enumerates the plan's AEX storm windows that open before
 // horizon, as [start, end) pairs on the virtual clock. Used by
-// cmd/diag -fault to print the injected timeline.
+// cmd/diag -replay to print a fault.* entry's injected timeline.
 func (p *FaultPlan) StormWindows(horizon uint64) [][2]uint64 {
 	var ws [][2]uint64
 	if p == nil || p.StormInterval == 0 {

@@ -172,22 +172,3 @@ func TestDispatchStatsCoverAllFields(t *testing.T) {
 		}
 	}
 }
-
-// TestScaleParseRoundTrip covers the new flag-facing parsers.
-func TestScaleParseRoundTrip(t *testing.T) {
-	for _, d := range []serve.DispatchKind{serve.DispatchGlobal, serve.DispatchSharded} {
-		got, err := serve.ParseDispatchKind(d.String())
-		if err != nil || got != d {
-			t.Errorf("ParseDispatchKind(%q) = %v, %v", d.String(), got, err)
-		}
-	}
-	if got, err := serve.ParseArrivalKind(serve.ArrivalPoisson.String()); err != nil || got != serve.ArrivalPoisson {
-		t.Errorf("ParseArrivalKind(%q) = %v, %v", serve.ArrivalPoisson.String(), got, err)
-	}
-	if _, err := serve.ParseDispatchKind("bogus"); err == nil {
-		t.Error("ParseDispatchKind accepted bogus")
-	}
-	if _, err := serve.ParseArrivalKind("bogus"); err == nil {
-		t.Error("ParseArrivalKind accepted bogus")
-	}
-}

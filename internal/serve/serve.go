@@ -38,11 +38,9 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
-	"sgxbench/internal/mem"
 	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/scan"
@@ -78,19 +76,6 @@ func (k SyncKind) String() string {
 	}
 }
 
-// ParseSync parses a SyncKind name as printed by String.
-func ParseSync(s string) (SyncKind, error) {
-	switch strings.ToLower(s) {
-	case "mutex":
-		return SyncMutex, nil
-	case "spin", "spinlock":
-		return SyncSpin, nil
-	case "lockfree", "lock-free", "cas":
-		return SyncLockFree, nil
-	}
-	return 0, fmt.Errorf("serve: unknown sync kind %q (want mutex, spin or lockfree)", s)
-}
-
 // MemMode selects how each request's working memory is provisioned —
 // the enclave-sizing axis of Fig 12.
 type MemMode int
@@ -118,17 +103,6 @@ func (m MemMode) String() string {
 	}
 }
 
-// ParseMem parses a MemMode name as printed by String.
-func ParseMem(s string) (MemMode, error) {
-	switch strings.ToLower(s) {
-	case "pre", "presized", "pre-sized", "static":
-		return MemPreSized, nil
-	case "dyn", "dynamic", "edmm":
-		return MemDynamic, nil
-	}
-	return 0, fmt.Errorf("serve: unknown memory mode %q (want pre or dyn)", s)
-}
-
 // ClassCost is the calibrated cost model of one query class.
 type ClassCost struct {
 	// Name is the pipeline name (plan.Q1Name, ...).
@@ -141,13 +115,6 @@ type ClassCost struct {
 	// allocate during one run. Under MemDynamic every request commits
 	// this many pages.
 	Pages int64 `json:"pages"`
-	// EPCPages is the EPC capacity the class was calibrated under
-	// (0: unlimited). Set when CalibrateOptions.EPCRatio oversubscribes
-	// the enclave relative to the class's probed working set.
-	EPCPages int64 `json:"epc_pages,omitempty"`
-	// Faults is the demand-paging fault count of the calibration run
-	// (non-zero only under an EPC capacity limit with data in EPC).
-	Faults uint64 `json:"faults,omitempty"`
 	// Check is the pipeline's deterministic check value (equivalence).
 	Check uint64 `json:"check"`
 }
@@ -159,10 +126,7 @@ type Workload struct {
 	Plat      *platform.Platform
 	OS        sgx.OSCosts
 	InEnclave bool
-	// EPCRatio is the working-set / EPC-capacity oversubscription the
-	// classes were calibrated under (0: unlimited enclave).
-	EPCRatio float64
-	Classes  []ClassCost
+	Classes   []ClassCost
 	// Stats aggregates the calibration runs' engine statistics; bench
 	// golden gates pin it alongside the simulated scenario numbers.
 	Stats engine.Stats
@@ -178,17 +142,8 @@ type CalibrateOptions struct {
 	// Dataset shape. Serving workloads are many small queries, so the
 	// defaults are deliberately tiny: NDim 256, NFact 4096.
 	NDim, NFact, MaxRows int
-	Pipelines            []string // default: q1..q5 (+ q2s/q3s when EPCRatio > 0)
+	Pipelines            []string // default: q1..q5
 	Seed                 uint64   // dataset seed (default 4242)
-	// EPCRatio oversubscribes the enclave: each class's working set is
-	// probed on an unlimited environment, then the class is calibrated
-	// with an EPC capacity of workingSet/EPCRatio pages, so service
-	// cycles include the demand-paging cost of running at that ratio.
-	// Zero (or any setting that keeps data out of EPC) calibrates on an
-	// unlimited enclave. This is the working-set/EPC-ratio scenario axis:
-	// calibrate the same mix at ratios 1, 2, 4 and the spill pipelines
-	// degrade gracefully while the naive shapes collapse.
-	EPCRatio float64
 }
 
 func (o *CalibrateOptions) defaults() {
@@ -209,12 +164,6 @@ func (o *CalibrateOptions) defaults() {
 	}
 	if len(o.Pipelines) == 0 {
 		o.Pipelines = []string{plan.Q1Name, plan.Q2Name, plan.Q3Name, plan.Q4Name, plan.Q5Name}
-		if o.EPCRatio > 0 {
-			// The oversubscription axis is about how operators behave when
-			// the working set outgrows the enclave — include the spill
-			// shapes so the workload carries both halves of the story.
-			o.Pipelines = append(o.Pipelines, plan.Q2SName, plan.Q3SName)
-		}
 	}
 	if o.Seed == 0 {
 		o.Seed = 4242
@@ -238,40 +187,12 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 		OS:        o.OS,
 		InEnclave: o.Setting.InEnclave(),
 	}
-	w.EPCRatio = o.EPCRatio
 	for _, name := range o.Pipelines {
 		p, err := plan.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		var epcPages int64
-		if o.EPCRatio > 0 {
-			// Probe the class's EPC working set on an unlimited enclave,
-			// then size the capacity limit to oversubscribe it by the
-			// requested ratio. Settings that keep data out of EPC probe
-			// zero and stay unlimited.
-			probe := core.NewEnv(core.Options{
-				Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
-			})
-			pds := plan.GenDataset(probe, o.NDim, o.NFact, o.Seed)
-			p.Run(probe, pds, plan.Options{
-				Threads: 1,
-				Pred:    scan.Predicate{Lo: 16, Hi: 127},
-				MaxRows: o.MaxRows,
-				Scratch: plan.NewScratch(probe, pds, 1, o.MaxRows),
-			})
-			if used := probe.Space.Used(mem.Region{Node: probe.Node, Kind: mem.EPC}); used > 0 {
-				ws := (used + 4095) / 4096
-				epcPages = int64(float64(ws) / o.EPCRatio)
-				if epcPages < 1 {
-					epcPages = 1
-				}
-			}
-		}
-		env := core.NewEnv(core.Options{
-			Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
-			EPCPages: epcPages,
-		})
+		env := core.NewEnv(core.Options{Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference})
 		ds := plan.GenDataset(env, o.NDim, o.NFact, o.Seed)
 		reg := env.DataRegion()
 		// Snapshot before the scratch so the working set below counts
@@ -292,8 +213,6 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			Name:          name,
 			ServiceCycles: res.WallCycles,
 			Pages:         (wsBytes + 4095) / 4096,
-			EPCPages:      epcPages,
-			Faults:        res.Stats.EPCFaults,
 			Check:         res.Check,
 		})
 		w.Stats.Add(res.Stats)

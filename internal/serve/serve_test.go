@@ -212,85 +212,6 @@ func TestCalibrateEquivalence(t *testing.T) {
 	}
 }
 
-// TestCalibrateEPCRatio covers the working-set/EPC-ratio axis: under
-// SGX DiE at 2x oversubscription every class must be calibrated against
-// a positive EPC capacity below its probed working set, fault during
-// calibration, and cost more service cycles than on an unlimited
-// enclave — while the calibration stays bit-identical across engine
-// paths. Outside the enclave the ratio is inert (nothing lives in EPC).
-func TestCalibrateEPCRatio(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration runs full pipelines")
-	}
-	pipes := []string{plan.Q3Name, plan.Q3SName}
-	base, err := serve.Calibrate(serve.CalibrateOptions{Setting: core.SGXDiE, Pipelines: pipes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := serve.CalibrateOptions{Setting: core.SGXDiE, Pipelines: pipes, EPCRatio: 2}
-	over, err := serve.Calibrate(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.EPCRatio != 2 {
-		t.Fatalf("workload EPCRatio = %v, want 2", over.EPCRatio)
-	}
-	for i, cc := range over.Classes {
-		if cc.EPCPages <= 0 {
-			t.Errorf("%s: EPCPages = %d, want > 0", cc.Name, cc.EPCPages)
-		}
-		if cc.Faults == 0 {
-			t.Errorf("%s: oversubscribed calibration did not fault", cc.Name)
-		}
-		if cc.ServiceCycles <= base.Classes[i].ServiceCycles {
-			t.Errorf("%s: oversubscribed service %d not above unlimited %d",
-				cc.Name, cc.ServiceCycles, base.Classes[i].ServiceCycles)
-		}
-	}
-	opt.Reference = true
-	ref, err := serve.Calibrate(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range over.Classes {
-		if over.Classes[i] != ref.Classes[i] {
-			t.Errorf("class %d differs across engine paths:\nfast: %+v\nref:  %+v",
-				i, over.Classes[i], ref.Classes[i])
-		}
-	}
-	plain, err := serve.Calibrate(serve.CalibrateOptions{Setting: core.PlainCPU, Pipelines: pipes, EPCRatio: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cc := range plain.Classes {
-		if cc.EPCPages != 0 || cc.Faults != 0 {
-			t.Errorf("%s: plain CPU calibrated with EPC limit %d / faults %d", cc.Name, cc.EPCPages, cc.Faults)
-		}
-	}
-}
-
-// TestParseRoundTrip covers the flag-facing parsers.
-func TestParseRoundTrip(t *testing.T) {
-	for _, k := range []serve.SyncKind{serve.SyncMutex, serve.SyncSpin, serve.SyncLockFree} {
-		got, err := serve.ParseSync(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseSync(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	for _, m := range []serve.MemMode{serve.MemPreSized, serve.MemDynamic} {
-		got, err := serve.ParseMem(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMem(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := serve.ParseSync("bogus"); err == nil {
-		t.Error("ParseSync accepted bogus")
-	}
-	if _, err := serve.ParseMem("bogus"); err == nil {
-		t.Error("ParseMem accepted bogus")
-	}
-}
-
 // TestCalibrateSuiteClasses covers the planner-suite side of the query
 // registry: serving classes named after suite queries must calibrate
 // (the planner picks each class's strategies for the calibration

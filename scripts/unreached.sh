@@ -3,9 +3,9 @@
 #
 # It builds cmd/bench, cmd/diag and the repository benchmark with
 # statement coverage over every sgxbench package, runs `cmd/bench -quick`,
-# `benchmark -smoke` and the cmd/diag modes listed below, and prints each
-# function the runs left at 0 % as "file:line function". Tests do not
-# count: a function only a test calls is listed.
+# `benchmark -smoke` and the cmd/diag command lines listed below, and
+# prints each function the runs left at 0 % as "file:line function".
+# Tests do not count: a function only a test calls is listed.
 #
 # Usage (from anywhere inside the repository):
 #
@@ -41,7 +41,8 @@ export GOCOVERDIR="$tmp/cov"
 if [ "$run_benchmark" = 1 ]; then
 	"$tmp/benchmark" -smoke -seconds 1 -outdir "$tmp/out" >/dev/null
 fi
-# One cmd/diag run per mode and per join algorithm, naive and optimized.
+# One cmd/diag run per join algorithm, naive and optimized, and one
+# golden-entry replay per entry family.
 while read -r args; do
 	# shellcheck disable=SC2086 # each line is a list of arguments
 	"$tmp/diag" $args >/dev/null
@@ -53,12 +54,12 @@ done <<EOF
 -alg MWAY -setting die -scale 512 -opt
 -alg INL -setting die -scale 512 -opt
 -alg CrkJoin -setting die -scale 512 -opt
--query q2.filter-join-agg -setting die -scale 512 -profile $tmp/profile.folded
--query s09.j1.sel250.u.agg -setting die -scale 512
--serve -setting die -scale 512 -sync mutex -mem dyn
--serve -setting die -scale 512 -dispatch shard -batch 16 -arrival poisson -gap 100000
--epc -setting die -scale 512 -threads 4
--fault -setting die -scale 512 -trace $tmp/trace.json
+-replay q2.filter-join-agg -setting die -profile $tmp/profile.folded
+-replay plan.s09.j1.sel250.u.agg@epc2 -setting die
+-replay serve.mutex.dyn -setting die
+-replay scale.shard.batch.c256 -setting die
+-replay spill.join.grace@2x -setting die
+-replay fault.crash.admit -setting die -trace $tmp/trace.json
 EOF
 
 go tool covdata textfmt -i="$tmp/cov" -o "$tmp/cov.txt"
