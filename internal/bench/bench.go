@@ -1,16 +1,20 @@
 // Package bench is the simulator's fidelity harness, driven by
-// cmd/bench: it runs a fixed scan + join + query-pipeline suite across
-// the paper's four execution settings on the batched fast path (the
-// "sweep"), then re-runs every workload on the per-op reference engine
-// (the "equivalence" section), asserting that both produce identical
-// simulated results. It checks simulated numbers only — against the
-// golden file, the nine gates and the reference engine — and times
-// nothing: host cost is measured by the repository benchmark
-// (go run ./benchmark). The report is the BENCH_engine.json run artefact.
+// cmd/bench: it runs every golden entry — a fixed scan + join +
+// query-pipeline suite across the paper's four execution settings on the
+// batched fast path (the "sweep"), EPC oversubscription, the planner's
+// picks and the serving scenarios — then re-runs every workload on the
+// per-op reference engine (the "equivalence" section), asserting that
+// both produce identical simulated results. It checks simulated numbers
+// only — against the golden file, the nine gates and the reference
+// engine — and times nothing: host cost is measured by the repository
+// benchmark (go run ./benchmark). The report is the BENCH_engine.json
+// run artefact.
 //
-// The suite is two tables and one evaluator: workloads names every
-// workload and how to prepare it, gates() states every ratio-vs-limit
-// claim, and bencher.eval alone turns a row into its note and flag.
+// The suite is a registry, a gate table and one evaluator: entries()
+// lists every golden entry in golden order with how to run and check
+// it, Run walks it through bencher.entry (which Entry.Replay shares),
+// gates states every ratio-vs-limit claim, and bencher.eval alone turns
+// a row into its note and flag.
 //
 // Every workload is prepared once (environment, input data,
 // pre-allocated result buffers — the paper pre-allocates result memory)
@@ -102,11 +106,6 @@ type sample struct {
 	dispatch      serve.DispatchStats // serving scenarios only
 }
 
-// result is v as the golden entry (name, s).
-func (v sample) result(name string, s core.Setting) Result {
-	return Result{name, s.String(), v.cycles, v.check, v.stats}
-}
-
 // runner executes one repetition of a prepared workload.
 type runner func() sample
 
@@ -132,7 +131,9 @@ type bencher struct {
 	// strayed from the exact sorted-slice oracle by more than one bucket
 	// width (or whose Max stopped being exact): obs_percentiles_ok.
 	pctlViolations []string
-	dieW, dieRefW  *serve.Workload // the serve section's DiE calibrations, reused by fault
+	cals           map[string]*serve.Workload // serve.Calibrate results, keyed by their options
+	agree, decided int                        // planner entries whose pick is near-best / whose field is spread out
+	spans, samples int                        // serving runs' trace and metrics ring capacities (they perturb no simulated value)
 }
 
 func (b *bencher) printf(format string, a ...any) { fmt.Fprintf(b.out, format, a...) }
@@ -140,14 +141,6 @@ func (b *bencher) printf(format string, a ...any) { fmt.Fprintf(b.out, format, a
 // key names one gate-readable number: a metric of a (workload, setting).
 func key(entry string, s core.Setting, metric string) string {
 	return entry + "/" + s.String() + ":" + metric
-}
-
-// record adds a fast-path run to the sweep and the golden gate: every
-// entry is deterministic (the PHT shared-table build preclaims its
-// insert slots in input order, so even multi-threaded builds repeat).
-func (b *bencher) record(name string, s core.Setting, v sample) {
-	b.rep.Sweep = append(b.rep.Sweep, v.result(name, s))
-	b.vals[key(name, s, simCycles)] = float64(v.cycles)
 }
 
 // equivalent is the runtime check of the fast-path invariant: the
@@ -171,22 +164,38 @@ func Run(o Options, out io.Writer) (*Report, error) {
 	return run(o, fullSizes, out)
 }
 
+// run walks the registry in order — each family's header before its
+// first entry, its gate rows after its last — then runs the equivalence
+// and golden sections.
 func run(o Options, z sizes, out io.Writer) (*Report, error) {
-	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, rep: &Report{
-		Schema:     "sgxbench/bench_engine/v4",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		Quick:      o.Quick,
-		Equivalent: true, GoldenOK: true, ServeOK: true, HashSortOK: true, PlannerOK: true,
-		SpillOK: true, FaultOK: true, ShardOK: true,
-	}}
-	for _, section := range []func() error{
-		b.sweep, b.spill, b.planner, b.serve, b.fault, b.scale, b.equivalence, b.golden,
-	} {
-		if err := section(); err != nil {
+	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, cals: map[string]*serve.Workload{},
+		spans: 1 << 12, samples: 1 << 10, rep: &Report{
+			Schema:     "sgxbench/bench_engine/v4",
+			Timestamp:  time.Now().UTC().Format(time.RFC3339),
+			GoVersion:  runtime.Version(),
+			NumCPU:     runtime.NumCPU(),
+			Quick:      o.Quick,
+			Equivalent: true, GoldenOK: true, ServeOK: true, HashSortOK: true, PlannerOK: true,
+			SpillOK: true, FaultOK: true, ShardOK: true,
+		}}
+	es := entries()
+	for i := range es {
+		f := es[i].fam
+		if f.head != nil && (i == 0 || f != es[i-1].fam) {
+			f.head(b)
+		}
+		if _, err := b.entry(&es[i]); err != nil {
 			return nil, err
 		}
+		if f.gate != nil && (i+1 == len(es) || f != es[i+1].fam) {
+			if err := f.gate(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	b.equivalence()
+	if err := b.golden(); err != nil {
+		return nil, err
 	}
 	b.rep.ObsOK = len(b.pctlViolations) == 0
 	for _, v := range b.pctlViolations {

@@ -286,6 +286,15 @@ func TestRunTiny(t *testing.T) {
 	if len(rep.Sweep) != 195 || len(rep.Serve) != 39 {
 		t.Errorf("report has %d sweep / %d serve entries, want 195 / 39", len(rep.Sweep), len(rep.Serve))
 	}
+	var g goldenFile
+	if raw, err := os.ReadFile(o.Golden); err != nil || json.Unmarshal(raw, &g) != nil {
+		t.Fatalf("cannot read back %s: %v", o.Golden, err)
+	}
+	for i, e := range entries() {
+		if i >= len(g.Entries) || g.Entries[i].Workload != e.Workload || g.Entries[i].Setting != e.Setting.String() {
+			t.Fatalf("snapshot entry %d is not the registry's %s/%s", i, e.Workload, e.Setting)
+		}
+	}
 
 	raw, err := os.ReadFile(o.Out)
 	if err != nil {
@@ -328,9 +337,7 @@ func TestEquivalenceFires(t *testing.T) {
 	var log strings.Builder
 	b := testBencher(nil)
 	b.out, b.z = &log, sizes{reps: 2}
-	if err := b.equivalence(); err != nil {
-		t.Fatal(err)
-	}
+	b.equivalence()
 	if b.rep.Equivalent {
 		t.Errorf("equivalence_ok still true after a diverging row:\n%s", log.String())
 	}
@@ -341,5 +348,45 @@ func TestEquivalenceFires(t *testing.T) {
 	}
 	if strings.Contains(log.String(), "FAILURE: fake.agree") {
 		t.Errorf("the agreeing row was reported:\n%s", log.String())
+	}
+}
+
+// TestEntryChecksFire: bencher.entry runs a twin entry's reference path
+// under SGX DiE only and clears equivalence_ok when it disagrees, and
+// flags repetitions whose check values diverge.
+func TestEntryChecksFire(t *testing.T) {
+	fam := &family{}
+	twin := func(s core.Setting) Entry {
+		return Entry{Workload: "fake.twin", Setting: s, fam: fam, twin: true, check: func(*bencher, *Replayed) {},
+			run: func(_ *bencher, c prepCtx) ([]sample, error) {
+				if c.ref {
+					return []sample{{cycles: 10, check: 2}}, nil
+				}
+				return []sample{{cycles: 10, check: 1}}, nil
+			}}
+	}
+	reps := Entry{Workload: "fake.reps", Setting: core.PlainCPU, fam: fam, check: func(*bencher, *Replayed) {},
+		run: func(*bencher, prepCtx) ([]sample, error) { return []sample{{check: 1}, {check: 1}, {check: 3}}, nil }}
+	for _, tc := range []struct {
+		e    Entry
+		want string // "" : every check holds
+	}{
+		{twin(core.PlainCPU), ""},
+		{twin(core.SGXDiE), "EQUIVALENCE FAILURE: fake.twin "},
+		{reps, "CHECK DIVERGENCE: fake.reps/Plain CPU rep 2 check=3 vs 1"},
+	} {
+		var log strings.Builder
+		b := testBencher(map[string]float64{})
+		b.out = &log
+		r, err := b.entry(&tc.e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.rep.Equivalent != (tc.want == "") || !strings.Contains(log.String(), tc.want) {
+			t.Errorf("%s/%s: equivalence_ok=%v, log %q, want %q", tc.e.Workload, tc.e.Setting, b.rep.Equivalent, log.String(), tc.want)
+		}
+		if r.Check != 1 || len(b.rep.Sweep) != 1 {
+			t.Errorf("%s/%s: recorded %+v (%d sweep entries), want the first fast-path repetition", tc.e.Workload, tc.e.Setting, r.Result, len(b.rep.Sweep))
+		}
 	}
 }

@@ -59,7 +59,7 @@ func shardGate(clients int, metric string) gate {
 	return dieGate("shard_scaling_ok", note, num, den, metric, ">=", 2)
 }
 
-// gates is the gate table, in note order; a section evaluates the rows
+// gates is the gate table, in note order; a family evaluates the rows
 // of its flag when it finishes (bencher.gate).
 var gates = []gate{
 	// The Fig 3 hash-vs-sort contrast as a hard gate: the sort-merge query

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
@@ -16,20 +17,29 @@ import (
 // goldenThreads is the -threads the golden snapshot is recorded at.
 const goldenThreads = 4
 
-// Entry is one golden entry resolved to the constructor its cmd/bench
-// section records it from: the workload and scenario tables, the
-// planner suite's pick, and the serving scenario builders on their
-// calibrations. Lookup resolves one without running anything.
+// Entry is one golden entry: its name and setting, how the suite runs
+// it and what it checks. entries() lists every one; Lookup resolves one
+// without running anything.
 type Entry struct {
 	Workload string
 	Setting  core.Setting
 	Profiled bool // a query pipeline: Replay returns its cycle-attribution profiler
 	Traced   bool // a serving scenario: Replay returns a traced serve.Result
-	run      func(b *bencher, s core.Setting, out *Replayed) (sample, error)
+	fam      *family
+	run      func(b *bencher, c prepCtx) ([]sample, error) // on c.ref's engine path: a sample per repetition, detail in c.out
+	twin     bool                                          // under SGX DiE, a reference-path run must reproduce the fast one
+	check    func(b *bencher, r *Replayed)                 // the entry's own checks and progress line
 }
 
-// Replayed is one replayed golden entry: the entry as the golden file
-// holds it, and the detail cmd/diag prints next to it.
+// family is one section of the suite: consecutive entries sharing a
+// progress header (before the first) and gate rows (after the last).
+type family struct {
+	head func(b *bencher)       // nil: none
+	gate func(b *bencher) error // nil: none
+}
+
+// Replayed is one golden entry's run: the entry as the golden file holds
+// it, and the detail cmd/diag prints next to it.
 type Replayed struct {
 	Result
 	Phases   []exec.PhaseStats // every entry that runs operators (not micro.gather, not serving)
@@ -37,81 +47,100 @@ type Replayed struct {
 	Profiler *obs.Profiler     // pipelines
 	Serve    *serve.Result     // serving entries; its Config holds the fault plan, tracer and metrics
 	Classes  []serve.ClassCost // serving entries: the calibration replayed
+	field    planField         // planner entries: the measured field the planner_ok gate reads
 }
 
-// entries lists every golden entry, one per (workload, setting).
+// entries lists every golden entry, once per (workload, setting), in
+// BENCH_GOLDEN.json order: the sweep (settings outer), spill, the
+// planner suite (settings outer) and its EPC flips, then serve
+// (settings outer), fault and scale.
 func entries() []Entry {
 	var es []Entry
-	add := func(name string, ss []core.Setting, e Entry) {
-		for _, s := range ss {
-			e.Workload, e.Setting = name, s
-			es = append(es, e)
-		}
+	add := func(name string, s core.Setting, e Entry) {
+		e.Workload, e.Setting = name, s
+		es = append(es, e)
 	}
-	die := []core.Setting{core.SGXDiE}
-	for _, w := range workloads {
-		if !w.twinOnly {
-			add(w.name, settings, Entry{Profiled: w.profiled, run: func(b *bencher, s core.Setting, out *Replayed) (sample, error) {
-				return w.prep(prepCtx{setting: s, threads: b.o.Threads, z: b.z, out: out})(), nil
-			}})
+	for _, s := range settings {
+		for _, w := range workloads {
+			if !w.twinOnly {
+				add(w.name, s, Entry{fam: sweepFamily, Profiled: w.profiled, check: sweepLine,
+					run: func(b *bencher, c prepCtx) ([]sample, error) { return repeat(w.prep(c), b.z.reps), nil }})
+			}
 		}
 	}
 	for _, w := range spillWorkloads {
 		for _, r := range spillRatios {
-			add(spillName(w.name, r), die, Entry{run: func(b *bencher, s core.Setting, out *Replayed) (sample, error) {
-				return w.prep(prepCtx{setting: s, threads: b.o.Threads, z: b.z, out: out}, r)(), nil
-			}})
+			add(spillName(w.name, r), core.SGXDiE, Entry{fam: spillFamily, twin: true,
+				run:   func(_ *bencher, c prepCtx) ([]sample, error) { return []sample{w.prep(c, r)()}, nil },
+				check: func(b *bencher, out *Replayed) { b.spillCheck(out, r) }})
+		}
+	}
+	for _, s := range settings {
+		for _, q := range plan.Suite() {
+			add(planName(q.Name, 0), s, plannerEntry(q, 0, planFamily, (*bencher).planCheck))
 		}
 	}
 	for _, q := range plan.Suite() {
-		add(planName(q.Name, 0), settings, Entry{run: planEntry(q, 0)})
-		for _, r := range flipRatios {
-			if slices.Contains(flipQueries, q.Name) {
-				add(planName(q.Name, r), die, Entry{run: planEntry(q, r)})
+		if slices.Contains(flipQueries, q.Name) {
+			for _, r := range flipRatios {
+				add(planName(q.Name, r), core.SGXDiE, plannerEntry(q, r, flipFamily, (*bencher).flipCheck))
 			}
 		}
 	}
-	for _, sc := range serveScenarios() {
-		add(sc.name, settings, Entry{Traced: true, run: servedEntry(serve.CalibrateOptions{},
-			func(*serve.Workload) scenario { return sc })})
+	for _, s := range settings {
+		for _, sc := range serveScenarios() {
+			add(sc.name, s, servingEntry(sc, serveFamily, serveLine))
+		}
 	}
-	// Scenario names do not depend on the calibration: list them on a
-	// stand-in whose classes all take zero cycles.
-	zero := &serve.Workload{Classes: make([]serve.ClassCost, len(scaleWeights))}
-	for i, sc := range faultScenarios(zero) {
-		add(sc.name, die, Entry{Traced: true, run: servedEntry(serve.CalibrateOptions{},
-			func(w *serve.Workload) scenario { return faultScenarios(w)[i] })})
+	for _, sc := range faultScenarios() {
+		add(sc.name, core.SGXDiE, servingEntry(sc, faultFamily, faultLine))
 	}
-	for i, sc := range scaleScenarios(zero) {
-		add(sc.name, die, Entry{Traced: true, run: servedEntry(scaleCalibration,
-			func(w *serve.Workload) scenario { return scaleScenarios(w)[i] })})
+	for _, sc := range scaleScenarios() {
+		add(sc.name, core.SGXDiE, servingEntry(sc, scaleFamily, scaleLine))
 	}
 	return es
 }
 
-// planEntry measures q's field, which records the planner's pick.
-func planEntry(q plan.Query, epcRatio int64) func(*bencher, core.Setting, *Replayed) (sample, error) {
-	return func(b *bencher, s core.Setting, out *Replayed) (sample, error) {
-		f := b.planField(s, q, epcRatio)
-		out.Phases, out.Stages = f.chosen.Phases, f.chosen.Stages
-		return planSample(f.chosen), nil
-	}
-}
-
-// servedEntry calibrates o under the entry's setting and replays the
-// scenario pick chooses on that calibration, as bencher.served does.
-func servedEntry(o serve.CalibrateOptions, pick func(*serve.Workload) scenario) func(*bencher, core.Setting, *Replayed) (sample, error) {
-	return func(b *bencher, s core.Setting, out *Replayed) (sample, error) {
-		o := o
-		o.Setting = s
-		w, err := serve.Calibrate(o)
-		if err != nil {
-			return sample{}, err
+// entry runs e as the suite records it — its repetitions must agree on
+// check, its reference twin must reproduce it — then records it and
+// runs its checks. Run and Replay both run entries through it.
+func (b *bencher) entry(e *Entry) (*Replayed, error) {
+	out := &Replayed{}
+	c := prepCtx{setting: e.Setting, threads: b.o.Threads, z: b.z, out: out}
+	vs, err := e.run(b, c)
+	if err == nil && e.twin && e.Setting == core.SGXDiE {
+		var ref []sample
+		c.ref, c.out = true, &Replayed{}
+		if ref, err = e.run(b, c); err == nil {
+			b.equivalent(e.Workload, vs[0], ref[0])
 		}
-		res, v, err := b.simulate(w, pick(w))
-		out.Serve, out.Classes = res, w.Classes
-		return v, err
 	}
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", e.Workload, e.Setting, err)
+	}
+	// Check values (matches / checksums) must be deterministic across
+	// repetitions; sim_cycles of workloads that allocate fresh simulated
+	// state per repetition are not and are reported from the first one.
+	v := vs[0]
+	for k, r := range vs {
+		if r.check != v.check {
+			b.printf("  CHECK DIVERGENCE: %s/%s rep %d check=%d vs %d\n", e.Workload, e.Setting, k, r.check, v.check)
+			b.rep.Equivalent = false
+		}
+	}
+	// Every entry is deterministic (the PHT shared-table build preclaims
+	// its insert slots in input order, so even multi-threaded builds repeat).
+	out.Result = Result{e.Workload, e.Setting.String(), v.cycles, v.check, v.stats}
+	b.rep.Sweep = append(b.rep.Sweep, out.Result)
+	b.vals[key(e.Workload, e.Setting, simCycles)] = float64(v.cycles)
+	if res := out.Serve; res != nil {
+		b.rep.Serve = append(b.rep.Serve, res)
+		b.vals[key(e.Workload, e.Setting, throughput)] = res.ThroughputQPS
+		b.vals[key(e.Workload, e.Setting, goodput)] = res.GoodputQPS
+		b.vals[key(e.Workload, e.Setting, p99)] = float64(res.P99)
+	}
+	e.check(b, out)
+	return out, nil
 }
 
 // Lookup resolves the golden entry (workload, s); one the golden file
@@ -129,18 +158,12 @@ func Lookup(workload string, s core.Setting) (*Entry, error) {
 	return nil, fmt.Errorf("golden pins no entry %q under %s; its entry families are %s", workload, s, strings.Join(families, " "))
 }
 
-// Replay runs the entry exactly as its cmd/bench section records it: at
-// the golden file's -quick sizes, seeds and scales, goldenThreads
-// threads, on the fast engine path, with the profiler or tracer the
-// suite attaches. Its Result equals the entry's golden line.
+// Replay runs the entry as cmd/bench -quick does (goldenThreads
+// threads, reference twin, profiler or tracer attached), except that a
+// serving entry's trace and metrics keep the whole run. Its Result
+// equals the entry's golden line.
 func (e *Entry) Replay() (*Replayed, error) {
-	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: io.Discard,
-		vals: map[string]float64{}, rep: &Report{}}
-	out := &Replayed{}
-	v, err := e.run(b, e.Setting, out)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", e.Workload, e.Setting, err)
-	}
-	out.Result = v.result(e.Workload, e.Setting)
-	return out, nil
+	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: io.Discard, rep: &Report{},
+		vals: map[string]float64{}, cals: map[string]*serve.Workload{}, spans: math.MaxInt, samples: math.MaxInt}
+	return b.entry(e)
 }

@@ -10,11 +10,9 @@ import (
 	"sgxbench/internal/core"
 )
 
-// TestReplayMatchesGolden replays every entry of BENCH_GOLDEN.json
-// through Lookup and Replay: each must reproduce its golden sim_cycles,
-// check and stats exactly, and the registry must pin no entry the
-// golden file lacks.
-func TestReplayMatchesGolden(t *testing.T) {
+// readGolden reads the committed BENCH_GOLDEN.json.
+func readGolden(t *testing.T) goldenFile {
+	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_GOLDEN.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -23,11 +21,33 @@ func TestReplayMatchesGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &g); err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// TestRegistryOrder: entries() lists the golden entries in the golden
+// file's order, so a suite run walking it writes the snapshot unchanged.
+// It runs nothing.
+func TestRegistryOrder(t *testing.T) {
+	g, es := readGolden(t), entries()
+	if len(es) != len(g.Entries) {
+		t.Fatalf("registry lists %d entries, golden %d", len(es), len(g.Entries))
+	}
+	for i, e := range es {
+		if w := g.Entries[i]; e.Workload != w.Workload || e.Setting.String() != w.Setting {
+			t.Fatalf("entry %d is %s/%s, golden has %s/%s", i, e.Workload, e.Setting, w.Workload, w.Setting)
+		}
+	}
+}
+
+// TestReplayMatchesGolden replays every entry of BENCH_GOLDEN.json
+// through Lookup and Replay: each must reproduce its golden sim_cycles,
+// check and stats exactly, the registry must pin no entry the golden
+// file lacks, and a serving replay's trace and metrics must keep the
+// whole run.
+func TestReplayMatchesGolden(t *testing.T) {
+	g := readGolden(t)
 	if g.Threads != goldenThreads || len(g.Entries) != 195 {
 		t.Fatalf("golden has %d entries at -threads %d, want 195 at %d", len(g.Entries), g.Threads, goldenThreads)
-	}
-	if n := len(entries()); n != len(g.Entries) {
-		t.Errorf("registry lists %d entries, golden %d", n, len(g.Entries))
 	}
 	byName := map[string]core.Setting{}
 	for _, s := range settings {
@@ -50,6 +70,10 @@ func TestReplayMatchesGolden(t *testing.T) {
 		if e.Profiled != (got.Profiler != nil) || e.Traced != (got.Serve != nil && got.Serve.Config.Trace != nil) {
 			t.Errorf("%s/%s: Profiled=%v Traced=%v, but the replay returned profiler %v, serve result %v",
 				want.Workload, want.Setting, e.Profiled, e.Traced, got.Profiler != nil, got.Serve != nil)
+		}
+		if cfg := got.Serve; e.Traced && cfg != nil && (cfg.Config.Trace.Dropped() != 0 || cfg.Config.Metrics.Dropped() != 0) {
+			t.Errorf("%s/%s: replay dropped %d spans and %d metric samples", want.Workload, want.Setting,
+				cfg.Config.Trace.Dropped(), cfg.Config.Metrics.Dropped())
 		}
 	}
 }

@@ -10,10 +10,12 @@ import (
 	"sgxbench/internal/sgx"
 )
 
-// scenario is one named serving configuration.
+// scenario is one named serving configuration, built on the
+// calibration it runs on.
 type scenario struct {
 	name string
-	cfg  serve.Config
+	cal  serve.CalibrateOptions // the entry fills in Setting and Reference
+	cfg  func(w *serve.Workload) serve.Config
 }
 
 // Serving scenario shape: a pool saturated by many closed-loop clients
@@ -37,7 +39,7 @@ func serveScenarios() []scenario {
 				Clients: serveClients, Workers: serveWorkers, RequestsPerClient: serveReqsPerCli,
 				Sync: sync, Mem: mem, JitterPct: 10, Seed: 7,
 			}
-			out = append(out, scenario{cfg.Name(), cfg})
+			out = append(out, scenario{name: cfg.Name(), cfg: func(*serve.Workload) serve.Config { return cfg }})
 		}
 	}
 	return out
@@ -57,15 +59,6 @@ const (
 	faultReqsPerCli = 4
 	faultAdmitDepth = 12
 )
-
-// meanService is the mean calibrated service time over w's classes.
-func meanService(w *serve.Workload) uint64 {
-	var sum uint64
-	for _, c := range w.Classes {
-		sum += c.ServiceCycles
-	}
-	return sum / uint64(len(w.Classes))
-}
 
 // crashStorm returns the crash-storm fault plan for a mean service time
 // s. Every interval is a multiple of s, so the scenario shape — storm
@@ -90,33 +83,43 @@ func crashStorm(s uint64) *serve.FaultPlan {
 	}
 }
 
-// faultScenarios is the (fault plan x admission) sweep for w. The
-// client-side policy scales with the mean service time s. Think time
-// keeps the pool healthy (offered load ~60% of capacity) though heavily
-// oversubscribed in clients, so that once service times stretch the
-// naive unbounded queue can amplify to several times the worker count.
-// The deadline sits between the fault-free p99 and a storm-stretched
-// service time: fault-free runs keep a small timeout tail while storm
-// windows push whole queue generations past it; the backoff cap lets
-// shed clients ride out an outage.
-func faultScenarios(w *serve.Workload) []scenario {
-	s := meanService(w)
-	base := serve.Config{
-		Clients: faultClients, Workers: faultWorkers, RequestsPerClient: faultReqsPerCli,
-		Sync: serve.SyncLockFree, Mem: serve.MemPreSized, JitterPct: 10, Seed: 7,
-		ThinkCycles: 12 * s, DeadlineCycles: 7 * s, MaxRetries: 7, BackoffBase: s, BackoffCap: 16 * s,
-	}
-	crash := crashStorm(s)
-	storm := *crash
-	storm.CrashInterval, storm.FailPct, storm.RebuildPages = 0, 0, 0
+// faultScenarios is the (fault plan x admission) sweep. The client-side
+// policy scales with the mean service time s. Think time keeps the pool
+// healthy (offered load ~60% of capacity) though heavily oversubscribed
+// in clients, so that once service times stretch the naive unbounded
+// queue can amplify to several times the worker count. The deadline
+// sits between the fault-free p99 and a storm-stretched service time:
+// fault-free runs keep a small timeout tail while storm windows push
+// whole queue generations past it; the backoff cap lets shed clients
+// ride out an outage. The storm plan is the crash-storm's AEX storms
+// alone.
+func faultScenarios() []scenario {
 	var out []scenario
-	for _, p := range []struct {
-		tag  string
-		plan *serve.FaultPlan
-	}{{"none", nil}, {"storm", &storm}, {"crash", crash}} {
-		admit, naive := base, base
-		admit.Fault, naive.Fault, admit.AdmitDepth = p.plan, p.plan, faultAdmitDepth
-		out = append(out, scenario{"fault." + p.tag + ".admit", admit}, scenario{"fault." + p.tag + ".naive", naive})
+	for _, tag := range []string{"none", "storm", "crash"} {
+		for _, admit := range []string{"admit", "naive"} {
+			out = append(out, scenario{name: "fault." + tag + "." + admit, cfg: func(w *serve.Workload) serve.Config {
+				var s uint64
+				for _, c := range w.Classes {
+					s += c.ServiceCycles
+				}
+				s /= uint64(len(w.Classes)) // the mean calibrated service time
+				cfg := serve.Config{
+					Clients: faultClients, Workers: faultWorkers, RequestsPerClient: faultReqsPerCli,
+					Sync: serve.SyncLockFree, Mem: serve.MemPreSized, JitterPct: 10, Seed: 7,
+					ThinkCycles: 12 * s, DeadlineCycles: 7 * s, MaxRetries: 7, BackoffBase: s, BackoffCap: 16 * s,
+				}
+				if admit == "admit" {
+					cfg.AdmitDepth = faultAdmitDepth
+				}
+				if tag != "none" {
+					cfg.Fault = crashStorm(s)
+				}
+				if tag == "storm" {
+					cfg.Fault.CrashInterval, cfg.Fault.FailPct, cfg.Fault.RebuildPages = 0, 0, 0
+				}
+				return cfg
+			}})
+		}
 	}
 	return out
 }
@@ -144,7 +147,7 @@ const (
 // saturation edge of the global queue.
 var scaleClients = []int{256, 1024, 2048}
 
-// The scale section's dedicated calibration: three tiny pipelines (the
+// The scale entries' dedicated calibration: three tiny pipelines (the
 // scan-only q1, the sort-order q4, the join-heavy q3, mixed 6/3/1) keep
 // the mean service time small enough that per-attempt enclave
 // transitions dominate the unbatched shapes — the regime batching
@@ -158,19 +161,14 @@ func scaleName(variant string, clients int) string {
 	return fmt.Sprintf("scale.%s.c%d", variant, clients)
 }
 
-// scaleCalibration is the scale section's calibration.
+// scaleCalibration is the scale entries' calibration.
 var scaleCalibration = serve.CalibrateOptions{
 	Setting: core.SGXDiE, NDim: 64, NFact: 256, MaxRows: 256, Pipelines: scalePipelines,
 }
 
-// scaleScenarios is the (clients x dispatch shape) sweep for w.
-func scaleScenarios(w *serve.Workload) []scenario {
-	var wsum, wtot uint64
-	for i, c := range w.Classes {
-		wsum += uint64(scaleWeights[i]) * c.ServiceCycles
-		wtot += uint64(scaleWeights[i])
-	}
-	arrival := &serve.ArrivalPlan{Kind: serve.ArrivalPoisson, MeanGapCycles: scaleGapServiceMult * (wsum / wtot)}
+// scaleScenarios is the (clients x dispatch shape) sweep on
+// scaleCalibration.
+func scaleScenarios() []scenario {
 	var out []scenario
 	for _, nc := range scaleClients {
 		for _, v := range []struct {
@@ -178,14 +176,53 @@ func scaleScenarios(w *serve.Workload) []scenario {
 			dispatch serve.DispatchKind
 			batch    int
 		}{{"global", serve.DispatchGlobal, 0}, {"shard", serve.DispatchSharded, 0}, {"shard.batch", serve.DispatchSharded, scaleBatch}} {
-			out = append(out, scenario{scaleName(v.tag, nc), serve.Config{
-				Clients: nc, Workers: scaleWorkers, RequestsPerClient: scaleReqsPerCli,
-				Sync: serve.SyncLockFree, Mem: serve.MemPreSized, Weights: scaleWeights, JitterPct: 10, Seed: 7,
-				Dispatch: v.dispatch, Batch: v.batch, Arrival: arrival,
+			out = append(out, scenario{name: scaleName(v.tag, nc), cal: scaleCalibration, cfg: func(w *serve.Workload) serve.Config {
+				var wsum, wtot uint64
+				for i, c := range w.Classes {
+					wsum += uint64(scaleWeights[i]) * c.ServiceCycles
+					wtot += uint64(scaleWeights[i])
+				}
+				return serve.Config{
+					Clients: nc, Workers: scaleWorkers, RequestsPerClient: scaleReqsPerCli,
+					Sync: serve.SyncLockFree, Mem: serve.MemPreSized, Weights: scaleWeights, JitterPct: 10, Seed: 7,
+					Dispatch: v.dispatch, Batch: v.batch,
+					Arrival: &serve.ArrivalPlan{Kind: serve.ArrivalPoisson, MeanGapCycles: scaleGapServiceMult * (wsum / wtot)},
+				}
 			}})
 		}
 	}
 	return out
+}
+
+// calibrate returns o's calibration, calibrating it on first use: each
+// setting's serve entries calibrate once per engine path, the fault
+// entries reuse the SGX DiE pair, the scale entries have their own.
+func (b *bencher) calibrate(o serve.CalibrateOptions) (w *serve.Workload, err error) {
+	k := fmt.Sprintf("%+v", o)
+	if w = b.cals[k]; w == nil {
+		w, err = serve.Calibrate(o)
+		b.cals[k] = w
+	}
+	return w, err
+}
+
+// servingEntry is sc's traced entry: its run replays sc on the
+// calibration for the entry's setting and engine path.
+func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entry {
+	return Entry{fam: fam, Traced: true, twin: true, check: line, run: func(b *bencher, c prepCtx) ([]sample, error) {
+		o := sc.cal
+		o.Setting, o.Reference = c.setting, c.ref
+		w, err := b.calibrate(o)
+		if err != nil {
+			return nil, err
+		}
+		res, err := b.simulate(w, sc.cfg(w))
+		if err != nil {
+			return nil, err
+		}
+		c.out.Serve, c.out.Classes = res, w.Classes
+		return []sample{{res.MakespanCycles, res.Check, w.Stats, res.Breakdown, res.DispatchStats}}, nil
+	}}
 }
 
 // simulate replays one scenario with a tracer and metrics timeline
@@ -193,12 +230,12 @@ func scaleScenarios(w *serve.Workload) []scenario {
 // zero-perturbation proof for the observability layer, and each run's
 // histogram percentiles are checked against the exact sorted-slice
 // oracle (>= the exact value, within one bucket width; Max exact).
-func (b *bencher) simulate(w *serve.Workload, sc scenario) (*serve.Result, sample, error) {
-	sc.cfg.Trace = obs.NewTracer(1 << 12)
-	sc.cfg.Metrics = obs.NewMetrics(1<<16, 1<<10)
-	res, err := w.Simulate(sc.cfg)
+func (b *bencher) simulate(w *serve.Workload, cfg serve.Config) (*serve.Result, error) {
+	cfg.Trace = obs.NewTracer(b.spans)
+	cfg.Metrics = obs.NewMetrics(1<<16, b.samples)
+	res, err := w.Simulate(cfg)
 	if err != nil {
-		return nil, sample{}, fmt.Errorf("%s: %w", sc.name, err)
+		return nil, err
 	}
 	e50, e95, e99, emax := res.ExactPercentiles()
 	label := res.Config.Name() + "/" + res.Setting
@@ -214,100 +251,52 @@ func (b *bencher) simulate(w *serve.Workload, sc scenario) (*serve.Result, sampl
 	if res.Max != emax {
 		b.pctlViolations = append(b.pctlViolations, fmt.Sprintf("%s: max = %d, exact %d", label, res.Max, emax))
 	}
-	return res, sample{res.MakespanCycles, res.Check, w.Stats, res.Breakdown, res.DispatchStats}, nil
-}
-
-// served replays one scenario on the fast-calibrated workload, records it
-// (serve list, sweep entry, gate measurements) and demands that a
-// reference-calibrated twin, when given, reproduce it bit for bit.
-func (b *bencher) served(sc scenario, w, refW *serve.Workload) (*serve.Result, error) {
-	res, fast, err := b.simulate(w, sc)
-	if err != nil {
-		return nil, err
-	}
-	b.record(sc.name, w.Setting, fast)
-	b.rep.Serve = append(b.rep.Serve, res)
-	b.vals[key(sc.name, w.Setting, throughput)] = res.ThroughputQPS
-	b.vals[key(sc.name, w.Setting, goodput)] = res.GoodputQPS
-	b.vals[key(sc.name, w.Setting, p99)] = float64(res.P99)
-	if refW != nil {
-		_, ref, err := b.simulate(refW, sc)
-		if err != nil {
-			return nil, err
-		}
-		b.equivalent(sc.name, fast, ref)
-	}
 	return res, nil
 }
 
-// calibrated calibrates o on the fast path and, for a twin, the per-op
-// reference path too.
-func calibrated(o serve.CalibrateOptions, twin bool) (w, refW *serve.Workload, err error) {
-	if w, err = serve.Calibrate(o); err != nil || !twin {
-		return w, nil, err
-	}
-	o.Reference = true
-	refW, err = serve.Calibrate(o)
-	return w, refW, err
-}
-
-// serve calibrates the five pipelines once per setting (small
+// serveFamily calibrates the five pipelines once per setting (small
 // serving-sized queries) and replays the sync x memory matrix on the
 // virtual clock; under SGX DiE with a reference twin, whose calibration
-// the fault section reuses.
-func (b *bencher) serve() error {
-	b.printf("== serve (deterministic serving scenarios, %d clients / %d workers) ==\n", serveClients, serveWorkers)
-	for _, s := range settings {
-		w, refW, err := calibrated(serve.CalibrateOptions{Setting: s}, s == core.SGXDiE)
-		if err != nil {
-			return err
-		}
-		if s == core.SGXDiE {
-			b.dieW, b.dieRefW = w, refW
-		}
-		for _, sc := range serveScenarios() {
-			res, err := b.served(sc, w, refW)
-			if err != nil {
-				return err
-			}
-			b.printf("  %-18s %-11s qps=%-10.0f p50=%-9d p99=%-9d queueWait=%-11d commitWait=%d\n", sc.name, s,
-				res.ThroughputQPS, res.P50, res.P99, res.Breakdown.QueueWaitCycles, res.Breakdown.CommitWaitCycles)
-		}
-	}
-	return b.gate("serve_collapse_ok")
+// the fault entries reuse.
+var serveFamily = &family{
+	head: func(b *bencher) {
+		b.printf("== serve (deterministic serving scenarios, %d clients / %d workers) ==\n", serveClients, serveWorkers)
+	},
+	gate: func(b *bencher) error { return b.gate("serve_collapse_ok") },
 }
 
-// fault replays the fault-injected scenarios under SGX DiE; the
+func serveLine(b *bencher, r *Replayed) {
+	res := r.Serve
+	b.printf("  %-18s %-11s qps=%-10.0f p50=%-9d p99=%-9d queueWait=%-11d commitWait=%d\n", r.Workload, r.Setting,
+		res.ThroughputQPS, res.P50, res.P99, res.Breakdown.QueueWaitCycles, res.Breakdown.CommitWaitCycles)
+}
+
+// faultFamily replays the fault-injected scenarios under SGX DiE; the
 // crash-storm pair anchors the graceful-degradation gate.
-func (b *bencher) fault() error {
-	b.printf("== fault (fault-injected serving, SGX DiE, %d clients / %d workers) ==\n", faultClients, faultWorkers)
-	for _, sc := range faultScenarios(b.dieW) {
-		res, err := b.served(sc, b.dieW, b.dieRefW)
-		if err != nil {
-			return err
-		}
-		k := res.Breakdown
-		b.printf("  %-18s goodput=%-9.0f p99=%-11d ok=%-4d fail=%-3d timeout=%-4d retry=%-4d shed=%-4d crash=%-3d aex=%d\n", sc.name,
-			res.GoodputQPS, res.P99, res.Succeeded, res.Failed, k.Timeouts, k.Retries, k.Shed, k.Crashes, k.AEXEvents)
-	}
-	return b.gate("fault_degradation_ok")
+var faultFamily = &family{
+	head: func(b *bencher) {
+		b.printf("== fault (fault-injected serving, SGX DiE, %d clients / %d workers) ==\n", faultClients, faultWorkers)
+	},
+	gate: func(b *bencher) error { return b.gate("fault_degradation_ok") },
 }
 
-// scale replays the open-loop sharded/batched scenarios under SGX DiE
-// on their dedicated calibration.
-func (b *bencher) scale() error {
-	b.printf("== scale (open-loop sharded/batched serving, SGX DiE, %d workers) ==\n", scaleWorkers)
-	w, refW, err := calibrated(scaleCalibration, true)
-	if err != nil {
-		return err
-	}
-	for _, sc := range scaleScenarios(w) {
-		res, err := b.served(sc, w, refW)
-		if err != nil {
-			return err
-		}
-		b.printf("  %-22s qps=%-10.0f p50=%-9d p99=%-10d steals=%-6d batches=%-6d transitions=%d\n", sc.name,
-			res.ThroughputQPS, res.P50, res.P99, res.DispatchStats.Steals, res.DispatchStats.Batches, res.Breakdown.Transitions)
-	}
-	return b.gate("shard_scaling_ok")
+func faultLine(b *bencher, r *Replayed) {
+	res, k := r.Serve, r.Serve.Breakdown
+	b.printf("  %-18s goodput=%-9.0f p99=%-11d ok=%-4d fail=%-3d timeout=%-4d retry=%-4d shed=%-4d crash=%-3d aex=%d\n", r.Workload,
+		res.GoodputQPS, res.P99, res.Succeeded, res.Failed, k.Timeouts, k.Retries, k.Shed, k.Crashes, k.AEXEvents)
+}
+
+// scaleFamily replays the open-loop sharded/batched scenarios under SGX
+// DiE on their dedicated calibration.
+var scaleFamily = &family{
+	head: func(b *bencher) {
+		b.printf("== scale (open-loop sharded/batched serving, SGX DiE, %d workers) ==\n", scaleWorkers)
+	},
+	gate: func(b *bencher) error { return b.gate("shard_scaling_ok") },
+}
+
+func scaleLine(b *bencher, r *Replayed) {
+	res := r.Serve
+	b.printf("  %-22s qps=%-10.0f p50=%-9d p99=%-10d steals=%-6d batches=%-6d transitions=%d\n", r.Workload,
+		res.ThroughputQPS, res.P50, res.P99, res.DispatchStats.Steals, res.DispatchStats.Batches, res.Breakdown.Transitions)
 }

@@ -4,7 +4,6 @@ import (
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
-	"sgxbench/internal/exec"
 	"sgxbench/internal/join"
 	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
@@ -51,14 +50,7 @@ type prepCtx struct {
 	setting core.Setting
 	threads int
 	z       sizes
-	out     *Replayed // a replay's detail, filled by the runner (nil in suite runs)
-}
-
-// keep hands a run's phases to a replay.
-func (c prepCtx) keep(phases []exec.PhaseStats) {
-	if c.out != nil {
-		c.out.Phases = phases
-	}
+	out     *Replayed // the run's detail, filled by the runner
 }
 
 // env is a fresh environment at 1/scale size, EPC capped at epcPages (0: no cap).
@@ -163,7 +155,7 @@ func prepScan(c prepCtx, rowIDs bool) runner {
 	}
 	return func() sample {
 		res := scan.Run(env, col, opt)
-		c.keep(res.Phases)
+		c.out.Phases = res.Phases
 		return sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
 	}
 }
@@ -184,7 +176,7 @@ func prepGather(c prepCtx) runner {
 	gopt := scan.GatherOptions{Threads: c.threads, Out: env.Space.AllocU8("scan.gathered", n, env.DataRegion())}
 	return func() sample {
 		res := scan.Gather(env, col, sc.IDs, n, gopt)
-		c.keep(res.Phases)
+		c.out.Phases = res.Phases
 		return sample{cycles: res.WallCycles, check: res.Sum, stats: res.Stats}
 	}
 }
@@ -200,7 +192,7 @@ func joinRunner(c prepCtx, env *core.Env, alg join.Algorithm, nR, nS int, seed u
 		if err != nil {
 			panic(err)
 		}
-		c.keep(res.Phases)
+		c.out.Phases = res.Phases
 		return sample{cycles: res.WallCycles, check: res.Matches, stats: res.Stats}
 	}
 }
@@ -235,7 +227,7 @@ func prepSpillAgg(c prepCtx, run func(*core.Env, []agg.Input, agg.Options) *agg.
 	opt := agg.Options{Threads: c.threads, Sel: agg.ByKey, Groups: groups}
 	return func() sample {
 		res := run(env, ins, opt)
-		c.keep(res.Phases)
+		c.out.Phases = res.Phases
 		return sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
 	}
 }
@@ -261,9 +253,7 @@ func prepPipeline(c prepCtx, p plan.Query, nDim, nFact, maxRows int) runner {
 	}
 	return func() sample {
 		res := p.Run(env, ds, opt)
-		if c.out != nil {
-			c.out.Phases, c.out.Stages, c.out.Profiler = res.Phases, res.Stages, opt.Profiler
-		}
+		c.out.Phases, c.out.Stages, c.out.Profiler = res.Phases, res.Stages, opt.Profiler
 		return sample{cycles: res.WallCycles, check: res.Check, stats: res.Stats}
 	}
 }

@@ -104,14 +104,14 @@ var update = flag.Bool("update", false, "rewrite model_table.go from a fresh cal
 // tableSettings and tableThreads span modelTable's keys: every setting at
 // each thread count the repository plans with — 1 for serve.Calibrate's
 // suite classes, 2 for the benchmark and this package's tests, 4 for
-// cmd/bench's default (which cmd/diag -replay reuses); 16 has had no
-// caller since cmd/diag lost its query mode.
+// cmd/bench's default (which cmd/diag -replay reuses). Any other count
+// is calibrated on first use.
 var (
 	tableSettings = []struct {
 		s     core.Setting
 		ident string
 	}{{core.PlainCPU, "core.PlainCPU"}, {core.PlainCPUM, "core.PlainCPUM"}, {core.SGXDoE, "core.SGXDoE"}, {core.SGXDiE, "core.SGXDiE"}}
-	tableThreads = []int{1, 2, 4, 16}
+	tableThreads = []int{1, 2, 4}
 )
 
 // TestModelTable re-derives every modelTable entry with calibrate and
