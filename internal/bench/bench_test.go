@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -353,7 +354,8 @@ func TestEquivalenceFires(t *testing.T) {
 
 // TestEntryChecksFire: bencher.entry runs a twin entry's reference path
 // under SGX DiE only and clears equivalence_ok when it disagrees, and
-// flags repetitions whose check values diverge.
+// flags repetitions whose check values diverge; Replay turns either
+// failure into an error that names the flag and carries the log line.
 func TestEntryChecksFire(t *testing.T) {
 	fam := &family{}
 	twin := func(s core.Setting) Entry {
@@ -387,6 +389,11 @@ func TestEntryChecksFire(t *testing.T) {
 		}
 		if r.Check != 1 || len(b.rep.Sweep) != 1 {
 			t.Errorf("%s/%s: recorded %+v (%d sweep entries), want the first fast-path repetition", tc.e.Workload, tc.e.Setting, r.Result, len(b.rep.Sweep))
+		}
+		_, err = tc.e.Replay()
+		msg := fmt.Sprint(err)
+		if (err == nil) != (tc.want == "") || err != nil && !(strings.Contains(msg, "equivalence_ok") && strings.Contains(msg, tc.want)) {
+			t.Errorf("%s/%s: Replay error %v, want one naming equivalence_ok and %q", tc.e.Workload, tc.e.Setting, err, tc.want)
 		}
 	}
 }

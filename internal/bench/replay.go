@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"strings"
@@ -160,10 +159,29 @@ func Lookup(workload string, s core.Setting) (*Entry, error) {
 
 // Replay runs the entry as cmd/bench -quick does (goldenThreads
 // threads, reference twin, profiler or tracer attached), except that a
-// serving entry's trace and metrics keep the whole run. Its Result
-// equals the entry's golden line.
+// serving entry's fast run keeps its whole trace and metrics; its twin
+// gets the suite's rings. Its Result equals the entry's golden line. A
+// check the entry runs that fails — a disagreeing twin, diverging
+// repetitions, the entry's own rule, a histogram percentile off the
+// exact one — is an error naming the cleared gate flags, with the log
+// the suite would have printed.
 func (e *Entry) Replay() (*Replayed, error) {
-	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: io.Discard, rep: &Report{},
+	var log strings.Builder
+	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: &log, rep: raised(&Report{}),
 		vals: map[string]float64{}, cals: map[string]*serve.Workload{}, spans: math.MaxInt, samples: math.MaxInt}
-	return b.entry(e)
+	out, err := b.entry(e)
+	if err != nil {
+		return nil, err
+	}
+	b.obsCheck()
+	var failed []string
+	for _, k := range gateFlags() {
+		if !*b.rep.flag(k) {
+			failed = append(failed, k)
+		}
+	}
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("%s/%s: checks failed (%s):\n%s", e.Workload, e.Setting, strings.Join(failed, ", "), strings.TrimRight(log.String(), "\n"))
+	}
+	return out, nil
 }

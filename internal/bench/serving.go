@@ -216,7 +216,7 @@ func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entr
 		if err != nil {
 			return nil, err
 		}
-		res, err := b.simulate(w, sc.cfg(w))
+		res, err := b.simulate(w, sc.cfg(w), c.ref)
 		if err != nil {
 			return nil, err
 		}
@@ -229,10 +229,16 @@ func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entr
 // attached: the golden gate downstream then doubles as the
 // zero-perturbation proof for the observability layer, and each run's
 // histogram percentiles are checked against the exact sorted-slice
-// oracle (>= the exact value, within one bucket width; Max exact).
-func (b *bencher) simulate(w *serve.Workload, cfg serve.Config) (*serve.Result, error) {
-	cfg.Trace = obs.NewTracer(b.spans)
-	cfg.Metrics = obs.NewMetrics(1<<16, b.samples)
+// oracle (>= the exact value, within one bucket width; Max exact). A
+// reference twin is compared on its sample alone, so its rings stay
+// suite-sized whatever b keeps.
+func (b *bencher) simulate(w *serve.Workload, cfg serve.Config, ref bool) (*serve.Result, error) {
+	spans, samples := b.spans, b.samples
+	if ref {
+		spans, samples = suiteSpans, suiteSamples
+	}
+	cfg.Trace = obs.NewTracer(spans)
+	cfg.Metrics = obs.NewMetrics(1<<16, samples)
 	res, err := w.Simulate(cfg)
 	if err != nil {
 		return nil, err

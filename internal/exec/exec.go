@@ -29,6 +29,11 @@ type Group struct {
 	clock   uint64
 	phases  []PhaseStats
 	prof    *obs.Profiler // optional cycle-attribution sink; nil: off
+
+	// Phase's per-call state, kept across phases: each thread's stats at
+	// the phase start, and the barrier.
+	before []engine.Stats
+	wg     sync.WaitGroup
 }
 
 // PhaseStats describes one completed phase.
@@ -82,9 +87,6 @@ func (g *Group) Clock() uint64 { return g.clock }
 // anyway — attaching one changes no clock, stat or phase outcome.
 func (g *Group) AttachProfiler(p *obs.Profiler) { g.prof = p }
 
-// Profiler returns the attached profiler (nil when none).
-func (g *Group) Profiler() *obs.Profiler { return g.prof }
-
 // Scope opens a named profile scope around a pipeline stage and returns
 // the closer that attributes the stage's clock advance to it. With no
 // profiler attached both halves are no-ops, so operators can scope
@@ -108,13 +110,15 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 		panic("exec: Phase " + name + " on a released group")
 	}
 	start := g.clock
-	before := make([]engine.Stats, len(g.Threads))
+	if len(g.before) != len(g.Threads) {
+		g.before = make([]engine.Stats, len(g.Threads))
+	}
 	for i, t := range g.Threads {
 		t.SetCycle(start)
-		before[i] = t.Stats()
+		g.before[i] = t.Stats()
 	}
 	hostStart := time.Now()
-	var wg sync.WaitGroup
+	wg := &g.wg
 	for i, t := range g.Threads {
 		wg.Add(1)
 		go func(t *engine.Thread, id int) {
@@ -134,7 +138,7 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 		if cyc > ps.Busiest {
 			ps.Busiest = cyc
 		}
-		d := s.Sub(before[i])
+		d := s.Sub(g.before[i])
 		ps.Agg.Add(d)
 		dram[0] += d.DRAMBytes[0]
 		dram[1] += d.DRAMBytes[1]

@@ -216,9 +216,6 @@ func TestScope(t *testing.T) {
 			prof = obs.NewProfiler("run")
 			g.AttachProfiler(prof)
 		}
-		if g.Profiler() != prof {
-			t.Errorf("profiled=%v: Profiler() = %p, want %p", profiled, g.Profiler(), prof)
-		}
 		start := g.Clock()
 		closeStage := g.Scope("stage")
 		p1 := g.Phase("p1", lineLoads(buf, 3))

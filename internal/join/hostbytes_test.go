@@ -1,8 +1,10 @@
 package join
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sgxbench/internal/agg"
@@ -94,5 +96,67 @@ func TestJoinHostBytes(t *testing.T) {
 	t.Logf("group-by: %d B per Run (budget %d)", got, aggBudget)
 	if got > aggBudget {
 		t.Errorf("group-by: %d B per Run, budget %d: the entry arena is not bounded by the Groups hint", got, aggBudget)
+	}
+}
+
+// TestJoinAllocsFlat: the radix kernels and PHT's batches keep their
+// working memory per thread and run, not per kernel call, so a join's
+// host allocation count per Run does not follow its partition count.
+// Each join runs at two build sizes 4x apart, whose RadixBits differ by
+// two (and whose GRACE plans keep one pass), and must allocate the same
+// number of objects at both, within an absolute budget per Run: the
+// count measured when the test was written, plus 10%.
+func TestJoinAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const scale = 128
+	newEnv := func() *core.Env {
+		return core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(scale), Setting: core.SGXDiE})
+	}
+	sizes := []int{rel.RowsForMB(100) / scale / 4, rel.RowsForMB(100) / scale}
+	for _, tc := range []struct {
+		alg       Algorithm
+		optimized bool
+		budget    uint64 // allocations per Run
+	}{
+		{NewRHO(), true, 142},
+		{NewRHO(), false, 120},
+		{NewGrace(), true, 145},
+		{NewPHT(), true, 43},
+	} {
+		var counts []uint64
+		var bits []uint
+		for _, nR := range sizes {
+			env := newEnv()
+			build, probe := rel.GenFKPair(env.Space, nR, 4*nR, env.DataRegion(), 1)
+			// One host thread and no collection: a collection empties
+			// the cache models' pools, so their refill would follow how
+			// many collections the Run's bytes trigger.
+			gc := debug.SetGCPercent(-1)
+			allocs := uint64(testing.AllocsPerRun(3, func() {
+				if _, err := tc.alg.Run(env, build, probe, Options{Threads: 2, Optimized: tc.optimized}); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			debug.SetGCPercent(gc)
+			b1, b2 := RadixBits(env, nR)
+			counts, bits = append(counts, allocs), append(bits, b1+b2)
+			if passes := spillPassBits(env, nR, 2); len(passes) != 1 {
+				t.Fatalf("GRACE plans passes %v at %d build rows, want one", passes, nR)
+			}
+		}
+		name := fmt.Sprintf("%s optimized=%v", tc.alg.Name(), tc.optimized)
+		t.Logf("%s: %v allocations per Run at %v builds (%v radix bits; budget %d)", name, counts, sizes, bits, tc.budget)
+		if bits[1] != bits[0]+2 {
+			t.Fatalf("%s: radix bits %v at builds %v, want two apart", name, bits, sizes)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%s: %d allocations per Run at %d build rows, %d at %d: the count follows the partition count",
+				name, counts[0], sizes[0], counts[1], sizes[1])
+		}
+		if counts[1] > tc.budget {
+			t.Errorf("%s: %d allocations per Run, budget %d", name, counts[1], tc.budget)
+		}
 	}
 }

@@ -167,9 +167,13 @@ func (h *phtTable) insert(t *engine.Thread, i int, tup uint64, keyTok engine.Tok
 	t.Store(&h.buckets, base, 4, hTok, slotTok)
 }
 
-// phtBatch holds the reusable scratch vectors of the batched build and
-// probe loops (one per worker thread).
+// phtBatch holds the scratch vectors of the batched build and probe
+// loops. A run makes one per worker thread, and the thread's Build and
+// Probe phases share it. keyToks and lineToks carry a batch's vector key
+// loads; the rest are the bucket-operation batches.
 type phtBatch struct {
+	keyToks   []engine.Tok
+	lineToks  []engine.Tok
 	baseOffs  []int64
 	hToks     []engine.Tok
 	latchToks []engine.Tok
@@ -191,27 +195,19 @@ type phtBatch struct {
 	bkts      []int32
 }
 
+// newPHTBatch returns the vectors for batches of u tuples (u a multiple
+// of 8, one vector key load per 8 lanes), carved out of one backing
+// array per element type.
 func newPHTBatch(u int) *phtBatch {
+	toks, offs, idx := make([]engine.Tok, 12*u+u/8), make([]int64, 5*u), make([]int, 2*u)
+	tok := func() []engine.Tok { s := toks[:u:u]; toks = toks[u:]; return s }
+	off := func() []int64 { s := offs[:u:u]; offs = offs[u:]; return s }
 	return &phtBatch{
-		baseOffs:  make([]int64, u),
-		hToks:     make([]engine.Tok, u),
-		latchToks: make([]engine.Tok, u),
-		cntToks:   make([]engine.Tok, u),
-		slotToks:  make([]engine.Tok, u),
-		sOffs:     make([]int64, u),
-		sADeps:    make([]engine.Tok, u),
-		sDDeps:    make([]engine.Tok, u),
-		off0:      make([]int64, u),
-		off1:      make([]int64, u),
-		longDeps:  make([]engine.Tok, u),
-		longToks:  make([]engine.Tok, u),
-		longIdx:   make([]int, u),
-		shortOffs: make([]int64, u),
-		shortDeps: make([]engine.Tok, u),
-		shortToks: make([]engine.Tok, u),
-		shortIdx:  make([]int, u),
-		scanToks:  make([]engine.Tok, u),
-		bkts:      make([]int32, u),
+		keyToks: tok(), baseOffs: off(), hToks: tok(), latchToks: tok(), cntToks: tok(), slotToks: tok(),
+		sOffs: off(), sADeps: tok(), sDDeps: tok(), off0: off(), off1: off(),
+		longDeps: tok(), longToks: tok(), longIdx: idx[:u:u],
+		shortOffs: off(), shortDeps: tok(), shortToks: tok(), shortIdx: idx[u:],
+		scanToks: tok(), lineToks: toks, bkts: make([]int32, u),
 	}
 }
 
@@ -351,8 +347,12 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	res := &Result{Algorithm: p.Name()}
 
 	unroll := 1
+	batches := make([]*phtBatch, T) // per thread, shared by Build and Probe
 	if opt.Optimized {
 		unroll = 8 // one vector key load per batch
+		for id := range batches {
+			batches[id] = newPHTBatch(unroll)
+		}
 	}
 
 	bp := g.Phase("Build", func(t *engine.Thread, id int) {
@@ -368,17 +368,15 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		// batch ahead of the count-dependent stores (Section 4.2 applied
 		// to PHT, Fig 9 "PHT O"). The load group is one batched run; the
 		// bucket operations go through the CASLoad/StoreScatter batch.
-		sc := newPHTBatch(unroll)
-		toks := make([]engine.Tok, unroll)
-		lineToks := make([]engine.Tok, unroll/8)
+		sc := batches[id]
 		i := lo
 		for ; i+unroll <= hi; i += unroll {
 			// Vector loads cover the batch's keys 8 lanes at a time.
-			t.LoadRunToks(&build.Tup.Buffer, build.Tup.Off(i), 64, unroll/8, 0, lineToks)
-			for j := range toks {
-				toks[j] = engine.After(lineToks[j/8], 1) // lane extract
+			t.LoadRunToks(&build.Tup.Buffer, build.Tup.Off(i), 64, unroll/8, 0, sc.lineToks)
+			for j := range sc.keyToks {
+				sc.keyToks[j] = engine.After(sc.lineToks[j/8], 1) // lane extract
 			}
-			ht.insertBatch(t, i, build.Tup.D[i:i+unroll], toks, sc)
+			ht.insertBatch(t, i, build.Tup.D[i:i+unroll], sc.keyToks, sc)
 		}
 		for ; i < hi; i++ {
 			tup, tok := engine.LoadU64(t, build.Tup, i, 0)
@@ -404,17 +402,15 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 				local += m
 			}
 		} else {
-			sc := newPHTBatch(unroll)
-			toks := make([]engine.Tok, unroll)
-			lineToks := make([]engine.Tok, unroll/8)
+			sc := batches[id]
 			i := lo
 			for ; i+unroll <= hi; i += unroll {
 				// Vector loads cover the batch's keys 8 lanes at a time.
-				t.LoadRunToks(&probe.Tup.Buffer, probe.Tup.Off(i), 64, unroll/8, 0, lineToks)
-				for j := range toks {
-					toks[j] = engine.After(lineToks[j/8], 1) // lane extract
+				t.LoadRunToks(&probe.Tup.Buffer, probe.Tup.Off(i), 64, unroll/8, 0, sc.lineToks)
+				for j := range sc.keyToks {
+					sc.keyToks[j] = engine.After(sc.lineToks[j/8], 1) // lane extract
 				}
-				local += ht.probeBatch(t, probe.Tup.D[i:i+unroll], toks, sc, out)
+				local += ht.probeBatch(t, probe.Tup.D[i:i+unroll], sc.keyToks, sc, out)
 			}
 			for ; i < hi; i++ {
 				tup, tok := engine.LoadU64(t, probe.Tup, i, 0)

@@ -114,6 +114,7 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	}
 	spills := make([]*mem.U32Buf, T)
 	wcs := make([]*mem.U64Buf, T)
+	work := make([]kernels.Scratch, T) // each thread's kernel scratch, shared by all its kernel calls
 	maxP := p1
 	if p2 > maxP {
 		maxP = p2
@@ -126,14 +127,14 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		}
 	}
 	histCfg := func(id int, shift, bits uint) kernels.HistConfig {
-		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id]}
+		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id], Scratch: &work[id]}
 	}
 	scatCfg := func(id int, shift, bits uint) kernels.ScatterConfig {
 		// wcs[id] is set only when optimized, and selects the
 		// write-combining copy. That copy keeps no per-tuple cursor in
 		// registers, so it can afford a deep unroll; the naive scalar
 		// copy ignores Unroll.
-		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id]}
+		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id], Scratch: &work[id]}
 	}
 
 	// --- Pass 1: histograms over both inputs ---

@@ -136,6 +136,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 	}
 	spills := make([]*mem.U32Buf, T)
 	wcs := make([]*mem.U64Buf, T)
+	work := make([]kernels.Scratch, T) // each thread's kernel scratch, shared by all its kernel calls
 	maxFan := 1
 	for _, b := range passes {
 		if f := 1 << b; f > maxFan {
@@ -149,10 +150,10 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 		}
 	}
 	histCfg := func(id int, shift, bits uint) kernels.HistConfig {
-		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id]}
+		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id], Scratch: &work[id]}
 	}
 	scatCfg := func(id int, shift, bits uint) kernels.ScatterConfig {
-		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id]}
+		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id], Scratch: &work[id]}
 	}
 
 	R := newGraceState(env, build)

@@ -44,6 +44,9 @@ type HistConfig struct {
 	// Spill, when non-nil, is the per-thread stack area used when Unroll
 	// exceeds the register budget. Required for over-unrolled configs.
 	Spill *mem.U32Buf
+	// Scratch is the calling thread's host working memory (nil: one is
+	// allocated for the call).
+	Scratch *Scratch
 }
 
 func (c HistConfig) mask() uint32 { return uint32(1)<<c.Bits - 1 }
@@ -103,14 +106,11 @@ func histUnrolled(t *engine.Thread, data *mem.U64Buf, lo, hi int, hist *mem.U32B
 		panic("kernels: over-unrolled histogram requires a spill buffer")
 	}
 	mask := cfg.mask()
-	idxs := make([]int, u)
-	toks := make([]engine.Tok, u)
-	offs := make([]int64, u)
-	var lineToks []engine.Tok
-	if cfg.AVX {
-		lineToks = make([]engine.Tok, u/AVXLanes)
-	}
-	spilled := make([]engine.Tok, u) // forwarding tokens of spilled indexes
+	sc := cfg.Scratch.orNew()
+	sc.idx, sc.tok, sc.off, sc.dep = fit(sc.idx, u), fit(sc.tok, u), fit(sc.off, u), fit(sc.dep, u)
+	sc.line = fit(sc.line, u/AVXLanes)
+	idxs, toks, offs, lineToks := sc.idx, sc.tok, sc.off, sc.line
+	spilled := sc.dep // forwarding tokens of spilled indexes
 
 	i := lo
 	for ; i+u <= hi; i += u {

@@ -23,6 +23,9 @@ type ScatterConfig struct {
 	// per-tuple path. The arena needs 8 words (one line) per partition.
 	// Nil selects the scalar copy.
 	WC *mem.U64Buf
+	// Scratch is the calling thread's host working memory for the
+	// write-combining copy (nil: one is allocated for the call).
+	Scratch *Scratch
 }
 
 // Scatter copies tuples data[lo:hi] to their partitions in out, advancing
@@ -68,14 +71,16 @@ func scatterWC(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, 
 	u := max(cfg.Unroll, 1)
 	mask := uint32(1)<<cfg.Bits - 1
 	nPart := 1 << cfg.Bits
-	wcOffs := make([]int64, u)
-	pToks := make([]engine.Tok, u)
-	tToks := make([]engine.Tok, u)
+	sc := cfg.Scratch.orNew()
+	sc.off, sc.dep, sc.tok = fit(sc.off, u), fit(sc.dep, u), fit(sc.tok, u)
+	sc.line = fit(sc.line, (u+AVXLanes-1)/AVXLanes)
+	wcOffs, pToks, tToks, lineToks := sc.off, sc.dep, sc.tok, sc.line
 	// staged[p] counts tuples in p's WC line; flushAt[p] is the fill
-	// level that completes the current (possibly shortened) line.
-	staged := make([]int, nPart)
-	flushAt := make([]int, nPart)
-	wcTok := make([]engine.Tok, nPart) // last staging store of p's line
+	// level that completes the current (possibly shortened) line;
+	// wcTok[p] is written before any flush of p reads it.
+	sc.staged, sc.flushAt, sc.wcTok = fit(sc.staged, nPart), fit(sc.flushAt, nPart), fit(sc.wcTok, nPart)
+	staged, flushAt, wcTok := sc.staged, sc.flushAt, sc.wcTok
+	clear(staged)
 	for p := 0; p < nPart; p++ {
 		flushAt[p] = -1 // computed on first touch from the cursor phase
 	}
@@ -96,7 +101,6 @@ func scatterWC(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, 
 		flushAt[p] = wcLine
 	}
 
-	lineToks := make([]engine.Tok, (u+AVXLanes-1)/AVXLanes)
 	i := lo
 	for ; i < hi; i += u {
 		n := hi - i

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/obs"
@@ -127,7 +128,8 @@ func TestSimulateAllocBudget(t *testing.T) {
 
 // TestTracedReplayAllocs: spans hold their attributes inline, so an
 // attached tracer costs its ring and a constant, not allocations per
-// recorded span.
+// recorded span; and the ring grows by doubling, so filling it
+// allocates at most twice its bytes.
 func TestTracedReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -141,8 +143,9 @@ func TestTracedReplayAllocs(t *testing.T) {
 		// Each traced replay gets a fresh tracer, so its ring's growth
 		// is counted too.
 		traced, tracedBytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		const ring = 1 << 12
 		for i := 0; i < 3; i++ {
-			c.Trace = obs.NewTracer(1 << 12)
+			c.Trace = obs.NewTracer(ring)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			mustSim(t, sc.w, c)
@@ -153,6 +156,11 @@ func TestTracedReplayAllocs(t *testing.T) {
 		t.Logf("%s: %d requests, %d allocations (%d B) bare, %d (%d B) traced", sc.name, requests, bare, bareBytes, traced, tracedBytes)
 		if traced > bare+32 {
 			t.Errorf("%s: a tracer adds %d allocations to a %d-request replay", sc.name, traced-bare, requests)
+		}
+		ringBytes := uint64(ring * unsafe.Sizeof(obs.Span{}))
+		if limit := bareBytes + 2*ringBytes + 64<<10; tracedBytes > limit {
+			t.Errorf("%s: a traced replay allocates %d B, limit %d (bare %d B + twice the %d B ring + 64 KiB)",
+				sc.name, tracedBytes, limit, bareBytes, ringBytes)
 		}
 	}
 }

@@ -832,13 +832,19 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	// Every logical request leaves one latency, so that slice is made
 	// once at its known size. Attempt slots are recycled, so the slab
 	// grows chunk by chunk with the peak number of live attempts; its
-	// chunk list is sized for one attempt per request.
+	// chunk list is sized for one attempt per request. A worker's batch
+	// has room for one Batch, but all batches together for no more than
+	// the request count plus one per worker. The wheel's slab starts at
+	// about the events a run keeps pending — one per client, and per
+	// worker a batch's completions plus two — and grows past it only for
+	// enqueues in flight and deadline timers.
 	nReq := cfg.Clients * cfg.RequestsPerClient
+	room := min(max(cfg.Batch, 1), nReq/cfg.Workers+1)
 	s := &sim{
 		w:         w,
 		cfg:       cfg,
 		q:         w.queueModel(cfg.Sync),
-		events:    newTimerWheel(),
+		events:    newTimerWheel(cfg.Clients + cfg.Workers*(room+2)),
 		shards:    make([]shard, nShards),
 		workers:   make([]worker, cfg.Workers),
 		atts:      slab{chunks: make([]*[1 << slabShift]attempt, 0, nReq>>slabShift+1), free: -1},
@@ -862,11 +868,8 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	if cfg.Fault != nil {
 		s.fc = cfg.Fault.costs()
 	}
-	// Every worker's in-flight list is cut from one slab. A list has
-	// room for one Batch, but all lists together for no more than the
-	// request count plus one per worker; a deeper batch grows its own
-	// list.
-	room := min(max(cfg.Batch, 1), nReq/cfg.Workers+1)
+	// Every worker's in-flight list is cut from one slab, room entries
+	// each; a deeper batch grows its own list.
 	lists := make([]int32, cfg.Workers*room)
 	// The idle ring starts with room for every worker; only stale
 	// tombstones can grow it past that.

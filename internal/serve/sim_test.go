@@ -73,7 +73,7 @@ func TestAttemptSlotsTrackLiveAttempts(t *testing.T) {
 func TestStealMovesOldestHalfInOrder(t *testing.T) {
 	w := wheelTestWorkload(core.PlainCPU)
 	cfg := Config{Workers: 2, Dispatch: DispatchSharded, Batch: 2, Sync: SyncLockFree}.normalized()
-	s := &sim{w: w, cfg: cfg, q: w.queueModel(cfg.Sync), events: newTimerWheel(),
+	s := &sim{w: w, cfg: cfg, q: w.queueModel(cfg.Sync), events: newTimerWheel(0),
 		shards: make([]shard, 2), workers: make([]worker, 2), atts: slab{free: -1}}
 	for serial := int32(0); serial < 7; serial++ {
 		ai := s.atts.alloc()

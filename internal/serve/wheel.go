@@ -71,7 +71,9 @@ type timerWheel struct {
 	late []event
 }
 
-func newTimerWheel() *timerWheel { return &timerWheel{nodes: make([]wheelNode, 1, 64)} }
+// newTimerWheel returns an empty wheel whose node slab has room for n
+// pending events before it grows.
+func newTimerWheel(n int) *timerWheel { return &timerWheel{nodes: make([]wheelNode, 1, n+1)} }
 
 func (w *timerWheel) empty() bool { return w.n == 0 }
 

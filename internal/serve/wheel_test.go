@@ -57,7 +57,7 @@ func popBoth(t *testing.T, wh *timerWheel, hp *heapQueue, step int) event {
 // fill, drain and cascade.
 func TestWheelDifferentialRandom(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		wh := newTimerWheel()
+		wh := newTimerWheel(0)
 		hp := &heapQueue{}
 		r := seed
 		next := func(mod uint64) uint64 {
@@ -116,7 +116,7 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 		b := uint64(1) << (6 * lvl)
 		times = append(times, b-1, b, b+1, b, 2*b-1, 2*b, 3*b+63)
 	}
-	wh := newTimerWheel()
+	wh := newTimerWheel(0)
 	hp := &heapQueue{}
 	r := uint64(99)
 	for seq := uint64(1); seq <= 4096; seq++ {
@@ -143,7 +143,7 @@ func TestWheelLonePops(t *testing.T) {
 	offsets := []uint64{0, 1, 63, grid - 1}
 	for seed := uint64(1); seed <= 8; seed++ {
 		off := offsets[seed%4]
-		wh := newTimerWheel()
+		wh := newTimerWheel(0)
 		hp := &heapQueue{}
 		r := seed
 		next := func(mod uint64) uint64 {
@@ -185,7 +185,7 @@ func TestWheelLonePops(t *testing.T) {
 // the wheel must not silently diverge from heap semantics if it ever
 // did — a late event pops first, ordered among other late events.
 func TestWheelLatePush(t *testing.T) {
-	wh := newTimerWheel()
+	wh := newTimerWheel(0)
 	hp := &heapQueue{}
 	both := func(e event) { wh.push(e); hp.push(e) }
 	both(event{t: 1000, seq: 1})
