@@ -141,9 +141,13 @@ func raised(r *Report) *Report {
 	return r
 }
 
-// suiteSpans and suiteSamples are the trace and metrics ring capacities
-// of a suite run's serving entries.
-const suiteSpans, suiteSamples = 1 << 12, 1 << 10
+// rings are a serving run's trace and metrics ring capacities; they
+// perturb no simulated value.
+type rings struct{ spans, samples int }
+
+// suiteRings are the rings of a suite run's serving entries and of
+// every reference twin, which is compared on its sample alone.
+var suiteRings = rings{1 << 12, 1 << 10}
 
 // bencher is one suite run in progress.
 type bencher struct {
@@ -159,7 +163,7 @@ type bencher struct {
 	pctlViolations []string
 	cals           map[string]*serve.Workload // serve.Calibrate results, keyed by their options
 	agree, decided int                        // planner entries whose pick is near-best / whose field is spread out
-	spans, samples int                        // serving runs' trace and metrics ring capacities (they perturb no simulated value)
+	rings          rings                      // the fast serving runs' rings; twins keep suiteRings
 }
 
 func (b *bencher) printf(format string, a ...any) { fmt.Fprintf(b.out, format, a...) }
@@ -195,7 +199,7 @@ func Run(o Options, out io.Writer) (*Report, error) {
 // and golden sections.
 func run(o Options, z sizes, out io.Writer) (*Report, error) {
 	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, cals: map[string]*serve.Workload{},
-		spans: suiteSpans, samples: suiteSamples, rep: raised(&Report{
+		rings: suiteRings, rep: raised(&Report{
 			Schema:    "sgxbench/bench_engine/v4",
 			Timestamp: time.Now().UTC().Format(time.RFC3339),
 			GoVersion: runtime.Version(),

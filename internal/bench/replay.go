@@ -105,11 +105,11 @@ func entries() []Entry {
 // runs its checks. Run and Replay both run entries through it.
 func (b *bencher) entry(e *Entry) (*Replayed, error) {
 	out := &Replayed{}
-	c := prepCtx{setting: e.Setting, threads: b.o.Threads, z: b.z, out: out}
+	c := prepCtx{setting: e.Setting, threads: b.o.Threads, z: b.z, rings: b.rings, out: out}
 	vs, err := e.run(b, c)
 	if err == nil && e.twin && e.Setting == core.SGXDiE {
 		var ref []sample
-		c.ref, c.out = true, &Replayed{}
+		c.ref, c.rings, c.out = true, suiteRings, &Replayed{}
 		if ref, err = e.run(b, c); err == nil {
 			b.equivalent(e.Workload, vs[0], ref[0])
 		}
@@ -168,7 +168,7 @@ func Lookup(workload string, s core.Setting) (*Entry, error) {
 func (e *Entry) Replay() (*Replayed, error) {
 	var log strings.Builder
 	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: &log, rep: raised(&Report{}),
-		vals: map[string]float64{}, cals: map[string]*serve.Workload{}, spans: math.MaxInt, samples: math.MaxInt}
+		vals: map[string]float64{}, cals: map[string]*serve.Workload{}, rings: rings{math.MaxInt, math.MaxInt}}
 	out, err := b.entry(e)
 	if err != nil {
 		return nil, err

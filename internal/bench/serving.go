@@ -216,7 +216,7 @@ func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entr
 		if err != nil {
 			return nil, err
 		}
-		res, err := b.simulate(w, sc.cfg(w), c.ref)
+		res, err := b.simulate(w, sc.cfg(w), c.rings)
 		if err != nil {
 			return nil, err
 		}
@@ -229,16 +229,11 @@ func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entr
 // attached: the golden gate downstream then doubles as the
 // zero-perturbation proof for the observability layer, and each run's
 // histogram percentiles are checked against the exact sorted-slice
-// oracle (>= the exact value, within one bucket width; Max exact). A
-// reference twin is compared on its sample alone, so its rings stay
-// suite-sized whatever b keeps.
-func (b *bencher) simulate(w *serve.Workload, cfg serve.Config, ref bool) (*serve.Result, error) {
-	spans, samples := b.spans, b.samples
-	if ref {
-		spans, samples = suiteSpans, suiteSamples
-	}
-	cfg.Trace = obs.NewTracer(spans)
-	cfg.Metrics = obs.NewMetrics(1<<16, samples)
+// oracle (>= the exact value, within one bucket width; Max exact). The
+// tracer and timeline keep r's ring capacities.
+func (b *bencher) simulate(w *serve.Workload, cfg serve.Config, r rings) (*serve.Result, error) {
+	cfg.Trace = obs.NewTracer(r.spans)
+	cfg.Metrics = obs.NewMetrics(1<<16, r.samples)
 	res, err := w.Simulate(cfg)
 	if err != nil {
 		return nil, err

@@ -50,6 +50,7 @@ type prepCtx struct {
 	setting core.Setting
 	threads int
 	z       sizes
+	rings   rings     // a serving run's trace and metrics ring capacities
 	out     *Replayed // the run's detail, filled by the runner
 }
 

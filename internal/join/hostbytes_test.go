@@ -132,14 +132,16 @@ func TestJoinAllocsFlat(t *testing.T) {
 			build, probe := rel.GenFKPair(env.Space, nR, 4*nR, env.DataRegion(), 1)
 			// One host thread and no collection: a collection empties
 			// the cache models' pools, so their refill would follow how
-			// many collections the Run's bytes trigger.
-			gc := debug.SetGCPercent(-1)
-			allocs := uint64(testing.AllocsPerRun(3, func() {
-				if _, err := tc.alg.Run(env, build, probe, Options{Threads: 2, Optimized: tc.optimized}); err != nil {
-					t.Fatal(err)
-				}
-			}))
-			debug.SetGCPercent(gc)
+			// many collections the Run's bytes trigger. The deferred
+			// restore also runs when a failing Run stops the test.
+			allocs := func() uint64 {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				return uint64(testing.AllocsPerRun(3, func() {
+					if _, err := tc.alg.Run(env, build, probe, Options{Threads: 2, Optimized: tc.optimized}); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}()
 			b1, b2 := RadixBits(env, nR)
 			counts, bits = append(counts, allocs), append(bits, b1+b2)
 			if passes := spillPassBits(env, nR, 2); len(passes) != 1 {

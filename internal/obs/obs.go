@@ -13,8 +13,6 @@
 // engine, exec and serve layers can all attach to it without cycles.
 package obs
 
-import "math"
-
 // Attr is one named uint64 attribute attached to a span or a profile
 // node (worker/shard/generation ids on spans, cycle attributions on
 // profile phases). A slice of Attrs keeps attribute order deterministic
@@ -95,10 +93,10 @@ func (t *Tracer) Record(s Span) {
 		t.stats.Spans++
 	}
 	if len(t.buf) < t.cap {
-		if n := len(t.buf); n == cap(t.buf) && t.cap < math.MaxInt {
-			// A bounded ring grows by doubling up to its capacity, so
-			// filling it allocates about twice the ring in all; append's
-			// ~1.25x steps for large slices allocate about four times it.
+		if n := len(t.buf); n == cap(t.buf) {
+			// The ring grows by doubling up to its capacity, so filling
+			// it allocates about twice what it keeps; append's ~1.25x
+			// steps for large slices allocate about four times it.
 			grown := make([]Span, n, min(max(2*n, 16), t.cap))
 			copy(grown, t.buf)
 			t.buf = grown

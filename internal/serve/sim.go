@@ -836,15 +836,21 @@ func (w *Workload) replay(cfg Config) (*sim, error) {
 	// has room for one Batch, but all batches together for no more than
 	// the request count plus one per worker. The wheel's slab starts at
 	// about the events a run keeps pending — one per client, and per
-	// worker a batch's completions plus two — and grows past it only for
-	// enqueues in flight and deadline timers.
+	// worker a batch's completions plus two. An open loop's arrivals do
+	// not wait for their pushes to land, so its enqueues in flight add
+	// up to one per eight clients at saturation, sized at one per four.
+	// Only deadline timers grow the slab past that.
 	nReq := cfg.Clients * cfg.RequestsPerClient
 	room := min(max(cfg.Batch, 1), nReq/cfg.Workers+1)
+	pending := cfg.Clients + cfg.Workers*(room+2)
+	if cfg.Arrival != nil {
+		pending += cfg.Clients / 4
+	}
 	s := &sim{
 		w:         w,
 		cfg:       cfg,
 		q:         w.queueModel(cfg.Sync),
-		events:    newTimerWheel(cfg.Clients + cfg.Workers*(room+2)),
+		events:    newTimerWheel(pending),
 		shards:    make([]shard, nShards),
 		workers:   make([]worker, cfg.Workers),
 		atts:      slab{chunks: make([]*[1 << slabShift]attempt, 0, nReq>>slabShift+1), free: -1},
