@@ -21,13 +21,12 @@
 package agg
 
 import (
-	"math/bits"
-
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
 	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/rng"
 )
 
 // Sel selects which 32-bit half of a tuple is the group key; the other
@@ -72,9 +71,6 @@ const EntryWords = 4
 
 // EntryBytes is the byte size of one group entry (half a cache line).
 const EntryBytes = EntryWords * 8
-
-// hashKey is the group-key hash (the multiplicative hash the joins use).
-func hashKey(k uint32) uint32 { return k * 2654435761 }
 
 // hashCost is the dataflow latency from key to hash/bucket index.
 const hashCost = 2
@@ -127,36 +123,6 @@ type Result struct {
 	PartGroups []int
 }
 
-// partBits picks the partition count so that the expected per-partition
-// group table fits comfortably in L2, mirroring RHO's RadixBits policy.
-func partBits(env *core.Env, groups int) uint {
-	target := env.Plat.L2.SizeBytes / 4
-	if target < 1024 {
-		target = 1024
-	}
-	var b uint = 1
-	for int64(groups)*EntryBytes>>b > target && b < 12 {
-		b++
-	}
-	return b
-}
-
-// nextPow2 returns the next power of two >= n (minimum 1).
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-// log2 returns floor(log2(n)) for a power-of-two n.
-func log2(n int) uint {
-	if n <= 1 {
-		return 0
-	}
-	return uint(bits.Len(uint(n)) - 1)
-}
-
 // forSegments calls f for every segment sub-range covered by the global
 // row range [lo, hi) of the concatenated inputs.
 func forSegments(ins []Input, lo, hi int, f func(seg Input, sLo, sHi int)) {
@@ -190,7 +156,9 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	T := len(g.Threads)
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
-	pBits := partBits(env, groups)
+	// Cache-sized partitions: the expected per-partition group table
+	// meets the L2 target, as RHO's partitions do.
+	pBits := kernels.PartitionBits(int64(groups)*EntryBytes, env.L2Target(), 1, 12)
 	P := 1 << pBits
 	reg := env.DataRegion()
 
@@ -274,33 +242,16 @@ func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, part
 	return res
 }
 
-// FNVOffset64 is the FNV-1a 64-bit offset basis — the seed of the
-// deterministic check values the benchmarks and golden gates compare.
-const FNVOffset64 uint64 = 14695981039346656037
-
-const fnvPrime64 = 1099511628211
-
-// Mix folds the 8 bytes of v into the FNV-1a accumulator h. Shared by
-// the aggregate checksum and the pipeline check values in
-// internal/plan, so both follow one hash discipline.
-func Mix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // checksum is FNV-1a over the emitted entries in partition order.
 func checksum(out *mem.U64Buf, start, groups []int) uint64 {
-	h := FNVOffset64
+	h := rng.FNVOffset64
 	for p, nG := range groups {
 		for g := 0; g < nG; g++ {
 			e := (start[p] + g) * EntryWords
-			h = Mix(h, out.D[e])
-			h = Mix(h, out.D[e+1])
-			h = Mix(h, out.D[e+2])
-			h = Mix(h, out.D[e+3])
+			h = rng.FNVMix(h, out.D[e])
+			h = rng.FNVMix(h, out.D[e+1])
+			h = rng.FNVMix(h, out.D[e+2])
+			h = rng.FNVMix(h, out.D[e+3])
 		}
 	}
 	return h

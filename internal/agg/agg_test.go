@@ -47,8 +47,9 @@ func TestByPayload(t *testing.T) {
 }
 
 // TestPartBitsOverride checks correctness across the partition counts
-// the Groups hint selects (partBits): the minimum of two partitions, and
-// — with the hint at the row count — more partitions than groups.
+// the Groups hint selects (RunOn's partition bits): the minimum of two
+// partitions, and — with the hint at the row count — more partitions
+// than groups.
 func TestPartBitsOverride(t *testing.T) {
 	const n = 1 << 16
 	env := testEnv()

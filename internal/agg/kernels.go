@@ -4,6 +4,7 @@ import (
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/rng"
 )
 
 // The group-by kernels. Partitioning bins on the *high* bits of the
@@ -17,7 +18,7 @@ import (
 // the spill variant refine partitions recursively, one consecutive
 // window per pass.
 func digitOf(gk uint32, shift, bits uint) int {
-	return int((hashKey(gk) << shift) >> (32 - bits))
+	return int((rng.HashKey(gk) << shift) >> (32 - bits))
 }
 
 // bucketOf returns the in-partition bucket index (bBits wide) of a
@@ -116,7 +117,7 @@ type worker struct {
 }
 
 func newWorker(env *core.Env, maxPartRows, groups int) *worker {
-	nb := nextPow2(maxPartRows)
+	nb := rng.NextPow2(maxPartRows)
 	if nb < 16 {
 		nb = 16
 	}
@@ -248,7 +249,7 @@ func (w *worker) aggregatePartition(t *engine.Thread, parts *mem.U64Buf, lo, hi 
 	if rows <= 0 {
 		return 0
 	}
-	nb := nextPow2(rows)
+	nb := rng.NextPow2(rows)
 	if nb < 16 {
 		nb = 16
 	}
@@ -256,7 +257,7 @@ func (w *worker) aggregatePartition(t *engine.Thread, parts *mem.U64Buf, lo, hi 
 		nb = w.buckets.Len()
 	}
 	w.gen++
-	return int(w.aggregateRun(t, parts, lo, hi, sel, pBits, log2(nb), 0))
+	return int(w.aggregateRun(t, parts, lo, hi, sel, pBits, rng.Log2(nb), 0))
 }
 
 // aggregateRun is aggregatePartition's inner loop without the table

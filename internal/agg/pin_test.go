@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sgxbench/internal/core"
+	"sgxbench/internal/kernels"
 )
 
 // aggDigest is FNV-1a over everything a group-by run reports that the
@@ -73,7 +74,8 @@ func TestAggDigestsPinned(t *testing.T) {
 
 	const bigN, bigGroups, pages = 40000, 8000, 4
 	env := spillTestEnv(core.SGXDiE, false, pages)
-	if p := spillAggPassBits(env, bigN, bigGroups, 2); len(p) < 2 {
+	load := int64(bigGroups)*EntryBytes + int64(bigN)*4
+	if p := kernels.SplitBits(kernels.PartitionBits(load, env.SpillTarget(2), 1, 16), 8); len(p) < 2 {
 		t.Fatalf("EPC-limited case plans %d pass(es), want 2", len(p))
 	}
 	ins := []Input{{Tup: genTuples(env, bigN, bigGroups, true, 21), N: bigN}}

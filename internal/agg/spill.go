@@ -8,6 +8,7 @@ import (
 	"sgxbench/internal/exec"
 	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/rng"
 )
 
 // This file holds the EPC-oversubscription pair of group-by operators:
@@ -28,41 +29,6 @@ import (
 //     outgrows the EPC. It exists to demonstrate the collapse the spill
 //     operator avoids (the degradation gate's second half).
 
-// spillAggTarget returns the per-partition working-set target in bytes:
-// the L2 target when the EPC is unlimited, else an eighth of the
-// thread's EPC share (the worker keeps buckets and touched entries
-// resident while the partition streams through).
-func spillAggTarget(env *core.Env, threads int) int64 {
-	target := env.Plat.L2.SizeBytes / 4
-	if target < 1024 {
-		target = 1024
-	}
-	if env.EPCPages > 0 {
-		per := env.EPCPages * 4096 / int64(threads)
-		if b := per / 8; b < target {
-			target = b
-		}
-		if target < 1024 {
-			target = 1024
-		}
-	}
-	return target
-}
-
-// spillAggPassBits plans the recursive partitioning: total hash bits so
-// that a partition's aggregation working set — EntryBytes per expected
-// group plus the bucket table's word per row — fits the target, split
-// into TLB-friendly passes of at most 8 bits.
-func spillAggPassBits(env *core.Env, n, groups, threads int) []uint {
-	target := spillAggTarget(env, threads)
-	load := int64(groups)*EntryBytes + int64(n)*4
-	var total uint = 1
-	for load>>total > target && total < 16 {
-		total++
-	}
-	return kernels.SplitBits(total, 8)
-}
-
 // SpillRun executes the spill-partitioned group-by over the concatenated
 // inputs under env.
 func SpillRun(env *core.Env, ins []Input, opt Options) *Result {
@@ -77,9 +43,13 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	T := len(g.Threads)
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
-	passes := spillAggPassBits(env, n, groups, T)
+	// Enough hash bits that a partition's aggregation working set —
+	// EntryBytes per expected group plus the bucket table's word per row —
+	// meets the spill target, in TLB-friendly passes of at most 8 bits.
+	load := int64(groups)*EntryBytes + int64(n)*4
+	passes := kernels.SplitBits(kernels.PartitionBits(load, env.SpillTarget(T), 1, 16), 8)
 	stageReg := env.SpillRegion()
-	drain := env.EPCPages > 0 && env.DataRegion().Kind == mem.EPC
+	drain := stageReg != env.DataRegion()
 	bufs := [2]*mem.U64Buf{
 		env.Space.AllocU64("agg.sp0", max(n, 1), stageReg),
 		{Buffer: env.Space.Alloc("agg.sp1", int64(max(n, 1))*8, stageReg)},
@@ -151,11 +121,11 @@ func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
 		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
 	w := newWorker(env, max(n, 1), groups)
-	nb := nextPow2(max(n, 1))
+	nb := rng.NextPow2(max(n, 1))
 	if nb < 16 {
 		nb = 16
 	}
-	bBits := log2(nb)
+	bBits := rng.Log2(nb)
 	res := &Result{Rows: n, Out: out}
 	g.Phase("Agg.Direct", func(t *engine.Thread, id int) {
 		if id != 0 {

@@ -82,12 +82,12 @@ var (
 const twinQuery = "s19.j3.sel250.u.agg"
 
 // planEnv builds a fresh suite environment for q; epcRatio > 0 caps the
-// EPC at the query's approximate working set divided by it.
+// EPC at the query's working-set estimate (plan.WorkingSetPages) divided
+// by it.
 func planEnv(c prepCtx, q plan.Query, epcRatio int64) (*core.Env, *plan.Dataset) {
 	var pages int64
 	if epcRatio > 0 {
-		wsBytes := int64(c.z.planFact)*(9+7*8) + int64(c.z.planDim)*8
-		pages = (wsBytes/4096 + 1) / epcRatio
+		pages = plan.WorkingSetPages(c.z.planFact, c.z.planDim) / epcRatio
 	}
 	env := c.env(32, pages)
 	return env, plan.GenSuiteDataset(env, q, c.z.planDim, c.z.planFact, 4242)

@@ -161,6 +161,28 @@ func (e *Env) SpillRegion() mem.Region {
 	return e.DataRegion()
 }
 
+// The partition-size policy of every partitioning operator. Cache-sized
+// partitions (RHO, CrkJoin, the group-by, the sort's runs) target a
+// quarter of L2; spill partitions (GRACE, the spill group-by) target the
+// same, capped under an EPC limit by an eighth of one thread's EPC share,
+// which leaves CLOCK room to keep a partition's working set resident
+// against the streams around it. kernels.PartitionBits turns a target
+// into radix bits.
+
+// L2Target returns the cache-sized partition target in bytes: a quarter
+// of L2 (at least 1 KiB).
+func (e *Env) L2Target() int64 { return max(e.Plat.L2.SizeBytes/4, 1024) }
+
+// SpillTarget returns the spill partition target in bytes for threads
+// workers: L2Target, capped when the EPC is limited at an eighth of one
+// thread's share of it (at least 1 KiB).
+func (e *Env) SpillTarget(threads int) int64 {
+	if e.EPCPages <= 0 {
+		return e.L2Target()
+	}
+	return max(min(e.L2Target(), e.EPCPages*4096/int64(threads)/8), 1024)
+}
+
 // EngineConfig returns the thread construction config for this Env.
 func (e *Env) EngineConfig() engine.Config {
 	return engine.Config{Plat: e.Plat, Mode: e.Mode, Costs: e.SGX, Node: e.Node, Reference: e.Reference, EPC: e.EPC}

@@ -90,8 +90,6 @@ type Mode struct {
 	InEnclave bool
 }
 
-func (m Mode) String() string { return m.Name }
-
 // The four execution settings used throughout the paper's evaluation.
 var (
 	// PlainCPU is native execution without SGX (baseline).

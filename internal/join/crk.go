@@ -5,6 +5,7 @@ import (
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
+	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/rel"
 )
@@ -91,9 +92,9 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 	R := rel.Clone(env.Space, build, "R.crk", env.DataRegion())
 	S := rel.Clone(env.Space, probe, "S.crk", env.DataRegion())
 
-	// Total bits: partitions sized for L2, as configured by the authors.
-	b1, b2 := RadixBits(env, build.N())
-	bits := b1 + b2
+	// Total bits: RHO's, partitions sized for L2, as configured by the
+	// authors.
+	bits := kernels.PartitionBits(int64(build.N())*rel.TupleBytes, env.L2Target(), 2, 18)
 	nPart := 1 << bits
 
 	// Partition boundaries per table: bounds[k] holds 2^level+1 offsets.

@@ -9,6 +9,7 @@ import (
 
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
+	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/rel"
@@ -102,10 +103,10 @@ func TestJoinHostBytes(t *testing.T) {
 // TestJoinAllocsFlat: the radix kernels and PHT's batches keep their
 // working memory per thread and run, not per kernel call, so a join's
 // host allocation count per Run does not follow its partition count.
-// Each join runs at two build sizes 4x apart, whose RadixBits differ by
-// two (and whose GRACE plans keep one pass), and must allocate the same
-// number of objects at both, within an absolute budget per Run: the
-// count measured when the test was written, plus 10%.
+// Each join runs at two build sizes 4x apart, whose RHO radix bits
+// differ by two (and whose GRACE plans keep one pass), and must allocate
+// the same number of objects at both, within an absolute budget per Run:
+// the count measured when the test was written, plus 10%.
 func TestJoinAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -142,9 +143,9 @@ func TestJoinAllocsFlat(t *testing.T) {
 					}
 				}))
 			}()
-			b1, b2 := RadixBits(env, nR)
-			counts, bits = append(counts, allocs), append(bits, b1+b2)
-			if passes := spillPassBits(env, nR, 2); len(passes) != 1 {
+			load := int64(nR) * rel.TupleBytes
+			counts, bits = append(counts, allocs), append(bits, kernels.PartitionBits(load, env.L2Target(), 2, 18))
+			if passes := kernels.SplitBits(kernels.PartitionBits(load, env.SpillTarget(2), 2, 20), 8); len(passes) != 1 {
 				t.Fatalf("GRACE plans passes %v at %d build rows, want one", passes, nR)
 			}
 		}

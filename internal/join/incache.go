@@ -4,6 +4,7 @@ import (
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/rng"
 )
 
 // scratch is a per-thread reusable hash area for in-cache partition joins
@@ -24,7 +25,7 @@ type scratch struct {
 const entStride = 16
 
 func newScratch(env *core.Env, maxPartRows int) *scratch {
-	nb := nextPow2(maxPartRows)
+	nb := rng.NextPow2(maxPartRows)
 	if nb < 16 {
 		nb = 16
 	}
@@ -53,14 +54,14 @@ func joinPartition(t *engine.Thread, R *mem.U64Buf, rLo, rHi int, S *mem.U64Buf,
 		}
 		return 0
 	}
-	nb := nextPow2(rLen)
+	nb := rng.NextPow2(rLen)
 	if nb < 16 {
 		nb = 16
 	}
 	if nb > sc.buckets.Len() {
 		nb = sc.buckets.Len()
 	}
-	bits := log2(nb)
+	bits := rng.Log2(nb)
 	sc.gen++
 
 	// --- Build ---

@@ -21,13 +21,13 @@ package join
 
 import (
 	"fmt"
-	"math/bits"
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/rel"
+	"sgxbench/internal/rng"
 )
 
 // Options configures a join run.
@@ -114,32 +114,12 @@ func All() []Algorithm {
 	return []Algorithm{NewPHT(), NewRHO(), NewMWAY(), NewINL(), NewCrk()}
 }
 
-// hashKey is the join-key hash used by the hash-based algorithms:
-// a multiplicative (Fibonacci) hash, cheap and well-distributed.
-func hashKey(k uint32) uint32 { return k * 2654435761 }
-
 // hashIdx maps a key to a table of 2^bits buckets using the *high* bits
 // of the multiplicative hash. Using high bits is essential inside radix
 // partitions: the low key bits are constant within a partition (they are
 // the radix digits), so low-bit indexing would collapse every partition
 // into a couple of buckets.
-func hashIdx(k uint32, bits uint) uint32 { return hashKey(k) >> (32 - bits) }
-
-// log2 returns floor(log2(n)) for a power-of-two n.
-func log2(n int) uint {
-	if n <= 1 {
-		return 0
-	}
-	return uint(bits.Len(uint(n)) - 1)
-}
+func hashIdx(k uint32, bits uint) uint32 { return rng.HashKey(k) >> (32 - bits) }
 
 // hashCost is the dataflow latency from key to hash/bucket index.
 const hashCost = 2
-
-// nextPow2 returns the next power of two >= n (minimum 1).
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}

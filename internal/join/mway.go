@@ -43,7 +43,6 @@ func (m *MWAY) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, o
 	mark := g.Mark()
 	res := &Result{Algorithm: m.Name()}
 	reg := env.DataRegion()
-	runLen := sortop.RunLen(env)
 	// Key space is [1, nBuild+1) (unique build keys), so arithmetic
 	// splitters keep the merge and join ranges balanced; correctness
 	// holds for any distribution.
@@ -70,7 +69,7 @@ func (m *MWAY) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, o
 	// --- Sort both tables (chunk sort + multi-way merge each) ---
 	for _, tb := range []*table{R, S} {
 		sortop.RunOn(env, g, tb.work, tb.n, sortop.Options{
-			MaxKey: maxKey, RunLen: runLen, Tmp: tb.tmp, Out: tb.out,
+			MaxKey: maxKey, Tmp: tb.tmp, Out: tb.out,
 			SkipCheck: true, // the join result carries its own checks
 		})
 	}

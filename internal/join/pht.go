@@ -6,6 +6,7 @@ import (
 	"sgxbench/internal/exec"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/rel"
+	"sgxbench/internal/rng"
 )
 
 // PHT is the Parallel Hash Table join (Blanas et al. [5]): all threads
@@ -69,9 +70,9 @@ type phtTable struct {
 }
 
 func newPHTTable(env *core.Env, nBuild int) *phtTable {
-	nBuckets := nextPow2((nBuild + 1) / 2)
+	nBuckets := rng.NextPow2((nBuild + 1) / 2)
 	return &phtTable{
-		bits:     log2(nBuckets),
+		bits:     rng.Log2(nBuckets),
 		buckets:  env.Space.Raw("pht.buckets", int64(nBuckets)*bucketBytes, env.DataRegion()),
 		overflow: env.Space.Raw("pht.overflow", int64(nBuild+1)*16, env.DataRegion()),
 		start:    make([]int32, nBuckets+1),

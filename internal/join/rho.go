@@ -24,28 +24,6 @@ func NewRHO() *RHO { return &RHO{} }
 // Name returns the paper's name for the algorithm.
 func (*RHO) Name() string { return "RHO" }
 
-// RadixBits picks the total number of radix bits so that the average
-// final R partition fits comfortably in L2 (cache-sized partitions).
-func RadixBits(env *core.Env, nBuild int) (b1, b2 uint) {
-	target := env.Plat.L2.SizeBytes / 4
-	if target < 512 {
-		target = 512
-	}
-	var b uint
-	for int64(nBuild)*rel.TupleBytes>>b > target && b < 18 {
-		b++
-	}
-	if b < 2 {
-		b = 2
-	}
-	b1 = (b + 1) / 2
-	b2 = b - b1
-	if b2 < 1 {
-		b2 = 1
-	}
-	return b1, b2
-}
-
 // rhoState bundles the partitioning buffers for one input table. The
 // pass-1 output tmp keeps its own simulated range but shares its host
 // words with the pass-2 output out: pass 1 writes that one array in
@@ -63,6 +41,50 @@ type rhoState struct {
 
 	start1 []int // pass-1 partition starts (len P1+1)
 	start2 []int // final partition starts, indexed p1*P2+p2 (len P1*P2+1)
+}
+
+// radixKernels is one RunOn's per-thread radix-kernel state, shared by
+// RHO and GRACE: the unroll and vector width Options.Optimized selects,
+// and each thread's histogram spill slots, write-combining arena
+// (optimized only) and kernel scratch, which all its kernel calls share.
+type radixKernels struct {
+	unroll int
+	avx    bool
+	spills []*mem.U32Buf
+	wcs    []*mem.U64Buf
+	work   []kernels.Scratch
+}
+
+// newRadixKernels allocates the state of T threads; each arena holds one
+// line per partition of a fan-way pass, in region wcReg.
+func newRadixKernels(env *core.Env, T int, optimized bool, fan int, wcReg mem.Region) radixKernels {
+	k := radixKernels{unroll: 1, spills: make([]*mem.U32Buf, T), wcs: make([]*mem.U64Buf, T), work: make([]kernels.Scratch, T)}
+	if optimized {
+		// The optimized variant uses the AVX-512 histogram: 8-wide
+		// vectorized index computation at the vector register budget of
+		// Fig 8, with line-granular key loads and no spills.
+		k.unroll, k.avx = kernels.AVXRegBudget, true
+	}
+	for i := range k.spills {
+		k.spills[i] = env.Space.AllocU32("spill", 64, env.DataRegion())
+		if optimized {
+			k.wcs[i] = env.Space.AllocU64("wc", fan*8, wcReg)
+		}
+	}
+	return k
+}
+
+// hist returns thread id's histogram configuration for one digit window.
+func (k radixKernels) hist(id int, shift, bits uint) kernels.HistConfig {
+	return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: k.unroll, AVX: k.avx, Spill: k.spills[id], Scratch: &k.work[id]}
+}
+
+// scatter returns thread id's scatter configuration for one digit window.
+// The arena, set only when optimized, selects the write-combining copy.
+// That copy keeps no per-tuple cursor in registers, so it can afford a
+// deep unroll; the naive scalar copy ignores Unroll.
+func (k radixKernels) scatter(id int, shift, bits uint) kernels.ScatterConfig {
+	return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: k.wcs[id], Scratch: &k.work[id]}
 }
 
 func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoState {
@@ -97,51 +119,21 @@ func (r *RHO) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
 	mark := g.Mark()
-	b1, b2 := RadixBits(env, build.N())
+	// Cache-sized partitions: the build side's radix bits, split over
+	// the two passes.
+	b := kernels.PartitionBits(int64(build.N())*rel.TupleBytes, env.L2Target(), 2, 18)
+	b1, b2 := (b+1)/2, b/2
 	p1, p2 := 1<<b1, 1<<b2
 	R := newRHOState(env, build, T, p1, p2)
 	S := newRHOState(env, probe, T, p1, p2)
 	res := &Result{Algorithm: r.Name()}
-
-	unroll := 1
-	avx := false
-	if opt.Optimized {
-		// The optimized variant uses the AVX-512 histogram: 8-wide
-		// vectorized index computation at the vector register budget of
-		// Fig 8, with line-granular key loads and no spills.
-		unroll = kernels.AVXRegBudget
-		avx = true
-	}
-	spills := make([]*mem.U32Buf, T)
-	wcs := make([]*mem.U64Buf, T)
-	work := make([]kernels.Scratch, T) // each thread's kernel scratch, shared by all its kernel calls
-	maxP := p1
-	if p2 > maxP {
-		maxP = p2
-	}
-	for i := range spills {
-		spills[i] = env.Space.AllocU32("spill", 64, env.DataRegion())
-		if opt.Optimized {
-			// Per-thread write-combining arena: one line per partition.
-			wcs[i] = env.Space.AllocU64("wc", maxP*8, env.DataRegion())
-		}
-	}
-	histCfg := func(id int, shift, bits uint) kernels.HistConfig {
-		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id], Scratch: &work[id]}
-	}
-	scatCfg := func(id int, shift, bits uint) kernels.ScatterConfig {
-		// wcs[id] is set only when optimized, and selects the
-		// write-combining copy. That copy keeps no per-tuple cursor in
-		// registers, so it can afford a deep unroll; the naive scalar
-		// copy ignores Unroll.
-		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id], Scratch: &work[id]}
-	}
+	kern := newRadixKernels(env, T, opt.Optimized, max(p1, p2), env.DataRegion())
 
 	// --- Pass 1: histograms over both inputs ---
 	g.Phase("Hist1", func(t *engine.Thread, id int) {
 		for _, st := range []*rhoState{R, S} {
 			lo, hi := exec.Chunk(st.in.Len(), T, id)
-			kernels.Histogram(t, st.in, lo, hi, st.h1, id*p1, histCfg(id, 0, b1))
+			kernels.Histogram(t, st.in, lo, hi, st.h1, id*p1, kern.hist(id, 0, b1))
 		}
 	})
 
@@ -150,14 +142,14 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		for _, st := range []*rhoState{R, S} {
 			kernels.CoopCursors(t, st.h1, st.cur1, T, id, st.start1)
 			lo, hi := exec.Chunk(st.in.Len(), T, id)
-			kernels.Scatter(t, st.in, lo, hi, st.tmp, st.cur1, id*p1, scatCfg(id, 0, b1))
+			kernels.Scatter(t, st.in, lo, hi, st.tmp, st.cur1, id*p1, kern.scatter(id, 0, b1))
 		}
 	})
 	// --- Pass 2: per-partition histograms ---
 	g.Phase("Hist2", func(t *engine.Thread, id int) {
 		for _, st := range []*rhoState{R, S} {
 			for pp := id; pp < p1; pp += T {
-				kernels.Histogram(t, st.tmp, st.start1[pp], st.start1[pp+1], st.h2, pp*p2, histCfg(id, b1, b2))
+				kernels.Histogram(t, st.tmp, st.start1[pp], st.start1[pp+1], st.h2, pp*p2, kern.hist(id, b1, b2))
 			}
 		}
 	})
@@ -179,7 +171,7 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 				kernels.LocalCursors(t, st.h2, st.cur2, pp*p2, lo, st.start2[pp*p2:(pp+1)*p2])
 				part := &mem.U64Buf{Buffer: st.tmp.Slice(int64(lo)*8, int64(hi-lo)*8), D: stage[:hi-lo]}
 				copy(part.D, st.tmp.D[lo:hi])
-				kernels.Scatter(t, part, 0, hi-lo, st.out, st.cur2, pp*p2, scatCfg(id, b1, b2))
+				kernels.Scatter(t, part, 0, hi-lo, st.out, st.cur2, pp*p2, kern.scatter(id, b1, b2))
 			}
 		}
 	})

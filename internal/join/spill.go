@@ -36,8 +36,9 @@ import (
 // The chunk sizing is budget-driven: enough radix bits that the average
 // build chunk's hash-table working set (tuples, chained entries, bucket
 // heads — about 4 bytes of table state per build byte) stays well under
-// the thread's EPC share, leaving CLOCK enough slack to protect the
-// chunk against the streaming probe traffic.
+// the thread's EPC share (core.Env.SpillTarget takes an eighth of it),
+// leaving CLOCK enough slack to protect the chunk against the streaming
+// probe traffic.
 type Grace struct{}
 
 // NewGrace returns the spill-partitioned join.
@@ -45,43 +46,6 @@ func NewGrace() *Grace { return &Grace{} }
 
 // Name returns the algorithm name.
 func (*Grace) Name() string { return "GRACE" }
-
-// spillChunkTarget returns the target build-chunk size in bytes: the L2
-// target when the EPC is unlimited, else an eighth of the thread's EPC
-// share — the chunk join keeps roughly 4 bytes of table state per build
-// byte resident plus the probe stream's window, so an eighth leaves a
-// comfortable margin for CLOCK to protect the chunk against the stream.
-func spillChunkTarget(env *core.Env, threads int) int64 {
-	target := env.Plat.L2.SizeBytes / 4
-	if target < 512 {
-		target = 512
-	}
-	if env.EPCPages > 0 {
-		per := env.EPCPages * 4096 / int64(threads)
-		if b := per / 8; b < target {
-			target = b
-		}
-		if target < 1024 {
-			target = 1024
-		}
-	}
-	return target
-}
-
-// spillPassBits plans the radix passes: total bits to reach the chunk
-// target, split into TLB-friendly passes of at most 8 bits (the staging
-// buffers live outside the paged EPC, so fanout is not budget-capped).
-func spillPassBits(env *core.Env, nBuild, threads int) []uint {
-	target := spillChunkTarget(env, threads)
-	var total uint
-	for int64(nBuild)*rel.TupleBytes>>total > target && total < 20 {
-		total++
-	}
-	if total < 2 {
-		total = 2
-	}
-	return kernels.SplitBits(total, 8)
-}
 
 // graceState bundles the ping-pong partitioning buffers for one input.
 type graceState struct {
@@ -121,40 +85,16 @@ func (gr *Grace) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*R
 }
 
 // RunOn executes the join on an existing thread group. The pass plan is
-// budget-driven (spillPassBits).
+// budget-driven (core.Env.SpillTarget).
 func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
 	mark := g.Mark()
-	passes := spillPassBits(env, build.N(), T)
+	// Enough radix bits that the average build chunk meets the spill
+	// target, in TLB-friendly passes of at most 8 bits (the staging
+	// buffers live outside the paged EPC, so fanout is not budget-capped).
+	passes := kernels.SplitBits(kernels.PartitionBits(int64(build.N())*rel.TupleBytes, env.SpillTarget(T), 2, 20), 8)
 	res := &Result{Algorithm: gr.Name()}
-
-	unroll := 1
-	avx := false
-	if opt.Optimized {
-		unroll = kernels.AVXRegBudget
-		avx = true
-	}
-	spills := make([]*mem.U32Buf, T)
-	wcs := make([]*mem.U64Buf, T)
-	work := make([]kernels.Scratch, T) // each thread's kernel scratch, shared by all its kernel calls
-	maxFan := 1
-	for _, b := range passes {
-		if f := 1 << b; f > maxFan {
-			maxFan = f
-		}
-	}
-	for i := range spills {
-		spills[i] = env.Space.AllocU32("spill", 64, env.DataRegion())
-		if opt.Optimized {
-			wcs[i] = env.Space.AllocU64("wc", maxFan*8, env.SpillRegion())
-		}
-	}
-	histCfg := func(id int, shift, bits uint) kernels.HistConfig {
-		return kernels.HistConfig{Shift: shift, Bits: bits, Unroll: unroll, AVX: avx, Spill: spills[id], Scratch: &work[id]}
-	}
-	scatCfg := func(id int, shift, bits uint) kernels.ScatterConfig {
-		return kernels.ScatterConfig{Shift: shift, Bits: bits, Unroll: 8, WC: wcs[id], Scratch: &work[id]}
-	}
+	kern := newRadixKernels(env, T, opt.Optimized, 1<<passes[0], env.SpillRegion())
 
 	R := newGraceState(env, build)
 	S := newGraceState(env, probe)
@@ -165,7 +105,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 	// memory, so each input page faults exactly once, independent of the
 	// pass count. Without the drain, the histogram and scatter phases
 	// would each re-fault the whole input per pass.
-	if env.EPCPages > 0 && env.DataRegion().Kind == mem.EPC {
+	if env.SpillRegion() != env.DataRegion() {
 		for _, st := range []*graceState{R, S} {
 			src, dst := st.in, st.bufs[1]
 			g.Phase("Spill.Drain", func(t *engine.Thread, id int) {
@@ -193,10 +133,10 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 			src, dst := st.src(), st.bufs[pass&1]
 			st.start = kernels.RadixPass(g, fmt.Sprintf("Spill.Hist%d", pass+1), fmt.Sprintf("Spill.Copy%d", pass+1), st.start, fan, h, cur,
 				func(t *engine.Thread, id, lo, hi, base int) {
-					kernels.Histogram(t, src, lo, hi, h, base, histCfg(id, shift, bk))
+					kernels.Histogram(t, src, lo, hi, h, base, kern.hist(id, shift, bk))
 				},
 				func(t *engine.Thread, id, lo, hi, base int) {
-					kernels.Scatter(t, src, lo, hi, dst, cur, base, scatCfg(id, shift, bk))
+					kernels.Scatter(t, src, lo, hi, dst, cur, base, kern.scatter(id, shift, bk))
 				})
 			st.cur = dst
 		}

@@ -9,9 +9,9 @@ import (
 // This file holds the half of radix partitioning that is not a per-tuple
 // loop, shared by every partitioning operator (RHO, GRACE and both
 // group-bys): the cursor derivation of each pass kind, the pass-bit
-// split, the drain of EPC-resident inputs into untrusted staging, and the
-// two-phase pass that runs them. Histogram and Scatter — or an
-// operator's own loops of the same shape — are the per-tuple half.
+// search and split, the drain of EPC-resident inputs into untrusted
+// staging, and the two-phase pass that runs them. Histogram and Scatter —
+// or an operator's own loops of the same shape — are the per-tuple half.
 
 // CoopCursors is the cooperative prefix sum of Kim et al.'s parallel
 // radix partitioning, run by thread id of threads. hist holds one
@@ -82,6 +82,18 @@ func SplitBits(total, per uint) []uint {
 		total -= b
 	}
 	return passes
+}
+
+// PartitionBits returns the fewest radix bits b in [lo, hi] that cut load
+// bytes into partitions of at most target bytes on average (load>>b <=
+// target), or hi when none does. Targets come from core.Env.L2Target and
+// SpillTarget.
+func PartitionBits(load, target int64, lo, hi uint) uint {
+	b := lo
+	for load>>b > target && b < hi {
+		b++
+	}
+	return b
 }
 
 // Drain copies src[lo:hi] to dst[at:at+hi-lo] the way inputs leave the

@@ -8,6 +8,7 @@ import (
 	"sgxbench/internal/join"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/rel"
+	"sgxbench/internal/rng"
 	"sgxbench/internal/scan"
 	sortop "sgxbench/internal/sort"
 )
@@ -72,7 +73,7 @@ func Execute(env *core.Env, ds *Dataset, opt Options, name string, root Node) *R
 	defer g.Release()
 	sc := opt.scratch(env, ds)
 	defer profiled(g, opt, name)()
-	res := &Result{Pipeline: name, Check: agg.FNVOffset64}
+	res := &Result{Pipeline: name, Check: rng.FNVOffset64}
 	ctx := &Context{Env: env, G: g, DS: ds, SC: sc, Opt: opt, Res: res}
 	root.Exec(ctx)
 	return finish(g, res)
@@ -81,7 +82,7 @@ func Execute(env *core.Env, ds *Dataset, opt Options, name string, root Node) *R
 // stage folds one completed stage into the result.
 func (ctx *Context) stage(name string, wall uint64, rows uint64, check uint64) {
 	ctx.Res.Stages = append(ctx.Res.Stages, StageStats{Name: name, WallCycles: wall, Rows: rows})
-	ctx.Res.Check = agg.Mix(ctx.Res.Check, check)
+	ctx.Res.Check = rng.FNVMix(ctx.Res.Check, check)
 }
 
 // Scan streams a base relation (the fact table). Untimed leaf: the
@@ -207,7 +208,7 @@ func (gj GraceJoin) Exec(ctx *Context) Stream {
 // The fallback fires when the provided triple is nil or undersized (a
 // MaxRows-capped scratch reused across shapes); its buffer names keep
 // the q5 prefix the convention was established under.
-func sortTuples(ctx *Context, label string, tup *mem.U64Buf, n int, work, tmp, out *mem.U64Buf, maxKey uint32, runLen int) *mem.U64Buf {
+func sortTuples(ctx *Context, label string, tup *mem.U64Buf, n int, work, tmp, out *mem.U64Buf, maxKey uint32) *mem.U64Buf {
 	if work == nil || tmp == nil || out == nil || work.Len() < n || tmp.Len() < n || out.Len() < n {
 		reg := ctx.Env.DataRegion()
 		work = ctx.Env.Space.AllocU64("q5."+label+".work", n, reg)
@@ -217,7 +218,7 @@ func sortTuples(ctx *Context, label string, tup *mem.U64Buf, n int, work, tmp, o
 	copy(work.D[:n], tup.D) // untimed setup copy; timed passes stream it
 	closeSort := ctx.G.Scope("sort-" + label)
 	sr := sortop.RunOn(ctx.Env, ctx.G, work, n, sortop.Options{
-		MaxKey: maxKey, RunLen: runLen, Tmp: tmp, Out: out,
+		MaxKey: maxKey, Tmp: tmp, Out: out,
 	})
 	closeSort()
 	ctx.stage("sort-"+label, sr.WallCycles, uint64(n), sr.Check)
@@ -237,9 +238,8 @@ func (m MergeJoin) Exec(ctx *Context) Stream {
 	ds, sc := ctx.DS, ctx.SC
 	sc.ensureSort(ctx.Env, ds)
 	maxKey := uint32(ds.Dim.N() + 1)
-	runLen := sortop.RunLen(ctx.Env)
-	factSorted := sortTuples(ctx, "fact", in.Tup, in.N, sc.FactSort, sc.FactTmp, sc.FactSorted, maxKey, runLen)
-	dimSorted := sortTuples(ctx, "dim", ds.Dim.Tup, ds.Dim.N(), sc.DimSort, sc.DimTmp, sc.DimSorted, maxKey, runLen)
+	factSorted := sortTuples(ctx, "fact", in.Tup, in.N, sc.FactSort, sc.FactTmp, sc.FactSorted, maxKey)
+	dimSorted := sortTuples(ctx, "dim", ds.Dim.Tup, ds.Dim.N(), sc.DimSort, sc.DimTmp, sc.DimSorted, maxKey)
 	closeJoin := ctx.G.Scope("join")
 	jr := join.MergeJoinSorted(ctx.Env, ctx.G, dimSorted, ds.Dim.N(), factSorted, in.N, maxKey, join.Options{
 		Materialize: true, OutBufs: sc.JoinOut,
@@ -324,8 +324,7 @@ func (s Sort) Exec(ctx *Context) Stream {
 	ds, sc := ctx.DS, ctx.SC
 	sc.ensureSort(ctx.Env, ds)
 	maxKey := uint32(ds.Dim.N() + 1)
-	runLen := sortop.RunLen(ctx.Env)
-	out := sortTuples(ctx, "fact", in.Tup, in.N, sc.FactSort, sc.FactTmp, sc.FactSorted, maxKey, runLen)
+	out := sortTuples(ctx, "fact", in.Tup, in.N, sc.FactSort, sc.FactTmp, sc.FactSorted, maxKey)
 	ctx.Res.Rows = uint64(in.N)
 	ctx.Res.Groups = in.N
 	return Stream{Tup: out, N: in.N}
@@ -371,7 +370,7 @@ func (l Limit) Exec(ctx *Context) Stream {
 	if k > in.N {
 		k = in.N
 	}
-	ctx.Res.Check = agg.Mix(ctx.Res.Check, uint64(k))
+	ctx.Res.Check = rng.FNVMix(ctx.Res.Check, uint64(k))
 	ctx.Res.Groups = k
 	ctx.Res.TopRows = append([]uint64(nil), in.Tup.D[:k]...)
 	return Stream{Tup: in.Tup, N: k}

@@ -157,18 +157,22 @@ func Choose(m *Model, q Query, sh Shape) Alternative {
 
 // shapeOf estimates the planner Shape for an environment: the dataset
 // sizes, and — under an EPC capacity limit — the ratio of the query's
-// approximate working set (fact column + filter + scratch-sized
-// intermediates) to that capacity.
+// working-set estimate to that capacity.
 func shapeOf(env *core.Env, ds *Dataset) Shape {
 	sh := Shape{NDim: ds.Dim.N(), NFact: ds.Fact.N()}
 	if env.EPCPages > 0 {
-		// fact tuples + filter bytes + id list + filtered tuples +
-		// join outputs + agg entries: ~9 bytes of table plus ~7 words of
-		// intermediates per fact row.
-		wsBytes := int64(ds.Fact.N())*(9+7*8) + int64(ds.Dim.N())*8
-		sh.EPCRatio = float64(wsBytes/4096+1) / float64(env.EPCPages)
+		sh.EPCRatio = float64(WorkingSetPages(ds.Fact.N(), ds.Dim.N())) / float64(env.EPCPages)
 	}
 	return sh
+}
+
+// WorkingSetPages estimates a suite query's working set in 4 KiB pages
+// over nFact fact and nDim dimension rows: fact tuples + filter bytes +
+// id list + filtered tuples + join outputs + agg entries, ~9 bytes of
+// table plus ~7 words of intermediates per fact row, and the dimension's
+// tuples.
+func WorkingSetPages(nFact, nDim int) int64 {
+	return (int64(nFact)*(9+7*8)+int64(nDim)*8)/4096 + 1
 }
 
 // Plan picks the cost-based strategy for q in env at a thread count and

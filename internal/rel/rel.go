@@ -27,9 +27,6 @@ type Relation struct {
 // N returns the row count.
 func (r *Relation) N() int { return r.Tup.Len() }
 
-// Bytes returns the table size in bytes.
-func (r *Relation) Bytes() int64 { return int64(r.N()) * TupleBytes }
-
 // Key returns the join key of row i.
 func (r *Relation) Key(i int) uint32 { return mem.TupleKey(r.Tup.D[i]) }
 

@@ -30,8 +30,8 @@ func checkDim(t *testing.T, r *Relation) {
 func TestGenFK(t *testing.T) {
 	const nBuild, nProbe = 1000, 5000
 	build, probe := GenFKPair(mem.NewSpace(1), nBuild, nProbe, reg, 3)
-	if build.N() != nBuild || probe.N() != nProbe || build.Bytes() != nBuild*TupleBytes {
-		t.Fatalf("sizes: build %d (%d B), probe %d", build.N(), build.Bytes(), probe.N())
+	if build.N() != nBuild || probe.N() != nProbe || int64(build.N())*TupleBytes != nBuild*TupleBytes {
+		t.Fatalf("sizes: build %d (%d B), probe %d", build.N(), int64(build.N())*TupleBytes, probe.N())
 	}
 	checkDim(t, build)
 	for i := 0; i < nProbe; i++ {

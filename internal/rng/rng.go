@@ -1,5 +1,6 @@
 // Package rng provides the deterministic pseudo-random generators used by
-// workload generation and the random-access micro-benchmarks.
+// workload generation and the random-access micro-benchmarks, and the
+// hashes shared across the simulator (hash.go).
 //
 // The paper's random-access micro-benchmark derives positions from a linear
 // congruential generator (Section 4.1); LCG reproduces that. Splittable
@@ -69,19 +70,19 @@ func (x *XorShift) Uint64n(n uint64) uint64 {
 // practical purposes; used to give each worker a private stream derived
 // from one experiment seed.
 func (x *XorShift) Split(i uint64) *XorShift {
-	return NewXorShift(mix(x.state ^ (i+1)*0xbf58476d1ce4e5b9))
+	return NewXorShift(Mix(x.state ^ (i+1)*0xbf58476d1ce4e5b9))
 }
 
-// Mix hashes a seed into a well-distributed state (splitmix64 finalizer).
-func mix(z uint64) uint64 {
+// Mix hashes a seed into a well-distributed state (the splitmix64
+// finalizer): sub-seeds here and in the workloads, and the serving
+// simulator's class picks, jitter, fault draws, arrival gaps, steal order
+// and backoff spread.
+func Mix(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// Mix is the exported splitmix64 finalizer for deriving sub-seeds.
-func Mix(z uint64) uint64 { return mix(z) }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo): the
 // compiler intrinsic, one widening multiply on amd64 and arm64.

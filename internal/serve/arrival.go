@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math"
+
+	"sgxbench/internal/rng"
 )
 
 // ArrivalKind selects the open-loop inter-arrival process. Poisson is
@@ -57,7 +59,7 @@ func (p *ArrivalPlan) String() string {
 // over a Q16 lookup table — no floating point on any simulated path, so
 // results are bit-identical across platforms.
 func (p *ArrivalPlan) gap(seed uint64, c, n int) uint64 {
-	r := splitmix64(seed ^ 0xa331c0de ^ uint64(c)<<32 ^ uint64(n))
+	r := rng.Mix(seed ^ 0xa331c0de ^ uint64(c)<<32 ^ uint64(n))
 	return p.MeanGapCycles * expGapQ16[r%64] >> 16
 }
 
@@ -65,7 +67,7 @@ func (p *ArrivalPlan) gap(seed uint64, c, n int) uint64 {
 // schedules the following arrival — independent of any response, which
 // is what makes the load open-loop.
 func (s *sim) arrive(c int32, t uint64) {
-	rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.issued[c]))
+	rnd := rng.Mix(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.issued[c]))
 	idx := int32(len(s.reqs))
 	class := s.pickClass(rnd)
 	s.reqs = append(s.reqs, request{client: c, class: class, service: s.drawService(class, rnd), active: true, firstIssue: t})

@@ -3,7 +3,7 @@ package serve
 import (
 	"reflect"
 
-	"sgxbench/internal/agg"
+	"sgxbench/internal/rng"
 )
 
 // Breakdown accounts where the served requests' cycles went, summed over
@@ -72,7 +72,7 @@ type Breakdown struct {
 func (b Breakdown) Fold(h uint64) uint64 {
 	v := reflect.ValueOf(b)
 	for i := 0; i < v.NumField(); i++ {
-		h = agg.Mix(h, v.Field(i).Uint())
+		h = rng.FNVMix(h, v.Field(i).Uint())
 	}
 	return h
 }

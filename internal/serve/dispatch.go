@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
-	"sgxbench/internal/agg"
+	"sgxbench/internal/rng"
 )
 
 // DispatchKind selects how submitted attempts reach workers.
@@ -54,7 +54,7 @@ type DispatchStats struct {
 func (d DispatchStats) Fold(h uint64) uint64 {
 	v := reflect.ValueOf(d)
 	for i := 0; i < v.NumField(); i++ {
-		h = agg.Mix(h, v.Field(i).Uint())
+		h = rng.FNVMix(h, v.Field(i).Uint())
 	}
 	return h
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"sgxbench/internal/obs"
+	"sgxbench/internal/rng"
 	"sgxbench/internal/sgx"
 )
 
@@ -328,7 +329,7 @@ func (s *sim) loseAttempt(ai int32, t uint64) {
 // lockstep nor settle into one stable phase.
 func (s *sim) crashDelay(w int32, nth uint64) uint64 {
 	p := s.cfg.Fault
-	r := splitmix64(p.Seed ^ 0xc4a54ed ^ uint64(w)<<32 ^ nth)
+	r := rng.Mix(p.Seed ^ 0xc4a54ed ^ uint64(w)<<32 ^ nth)
 	return p.CrashInterval/2 + r%p.CrashInterval
 }
 

@@ -6,8 +6,8 @@ import (
 	"math/bits"
 	"sort"
 
-	"sgxbench/internal/agg"
 	"sgxbench/internal/obs"
+	"sgxbench/internal/rng"
 	"sgxbench/internal/sgx"
 )
 
@@ -333,16 +333,6 @@ type sim struct {
 	faultsDropped uint64
 }
 
-// splitmix64 is the standard SplitMix64 mixer — the deterministic,
-// dependency-free randomness source for class picks, jitter, fault
-// draws, arrival gaps, steal victim order and backoff spread.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Trace track convention: server-side spans (queue waits, enclave
 // entries, faults) land on pid 0 with the worker id as tid; client-side
 // spans (submissions, whole-request lifetimes, sheds, timeouts) on
@@ -394,7 +384,7 @@ func (s *sim) drawService(class int32, r uint64) uint64 {
 	base := s.w.Classes[class].ServiceCycles
 	if j := s.cfg.JitterPct; j > 0 {
 		// base scaled into [100-j, 100+j] percent, deterministically.
-		base = base * (100 - uint64(j) + splitmix64(r)%uint64(2*j+1)) / 100
+		base = base * (100 - uint64(j) + rng.Mix(r)%uint64(2*j+1)) / 100
 	}
 	return base
 }
@@ -407,7 +397,7 @@ func (s *sim) issueReq(idx int32, t uint64) {
 	r := &s.reqs[idx]
 	if !r.active {
 		c := r.client
-		rnd := splitmix64(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.issued[c]))
+		rnd := rng.Mix(s.cfg.Seed ^ uint64(c)<<32 ^ uint64(s.issued[c]))
 		r.class = s.pickClass(rnd)
 		r.service = s.drawService(r.class, rnd)
 		r.active = true
@@ -499,7 +489,7 @@ func (s *sim) backoff(c, n int32) uint64 {
 		}
 	}
 	if j := b / 4; j > 0 {
-		r := splitmix64(s.cfg.Seed ^ 0x5bf03635c0ffee ^ uint64(c)<<24 ^ s.bd.Retries)
+		r := rng.Mix(s.cfg.Seed ^ 0x5bf03635c0ffee ^ uint64(c)<<24 ^ s.bd.Retries)
 		b = b - j + r%(2*j+1)
 	}
 	return b
@@ -627,7 +617,7 @@ func (s *sim) findWork(w int32, t uint64) {
 func (s *sim) trySteal(w int32, t uint64) bool {
 	ns := int32(len(s.shards))
 	wk := &s.workers[w]
-	r := splitmix64(s.cfg.Seed ^ 0x57ea1c0de ^ uint64(w)<<32 ^ wk.steals)
+	r := rng.Mix(s.cfg.Seed ^ 0x57ea1c0de ^ uint64(w)<<32 ^ wk.steals)
 	start := int32(r % uint64(ns-1))
 	for i := int32(0); i < ns-1; i++ {
 		v := (w + 1 + (start+i)%(ns-1)) % ns
@@ -716,7 +706,7 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 		work := att.service
 		var abort uint64
 		if p := s.cfg.Fault; p != nil && p.FailPct > 0 {
-			fr := splitmix64(p.Seed ^ 0xfa17 ^ uint64(att.serial)<<16)
+			fr := rng.Mix(p.Seed ^ 0xfa17 ^ uint64(att.serial)<<16)
 			if int(fr%100) < p.FailPct {
 				// Transient enclave-thread abort after a deterministic
 				// fraction of the service: the partial work is wasted.
@@ -1072,17 +1062,17 @@ func (s *sim) result() *Result {
 // the makespan, the class mix and the dispatch counters. Shares the
 // hash discipline of the pipeline check values.
 func (s *sim) check(res *Result) uint64 {
-	h := agg.FNVOffset64
-	h = agg.Mix(h, uint64(res.Requests))
-	h = agg.Mix(h, uint64(res.Succeeded))
-	h = agg.Mix(h, uint64(res.Failed))
-	h = agg.Mix(h, res.MakespanCycles)
+	h := rng.FNVOffset64
+	h = rng.FNVMix(h, uint64(res.Requests))
+	h = rng.FNVMix(h, uint64(res.Succeeded))
+	h = rng.FNVMix(h, uint64(res.Failed))
+	h = rng.FNVMix(h, res.MakespanCycles)
 	for _, l := range s.lats {
-		h = agg.Mix(h, l)
+		h = rng.FNVMix(h, l)
 	}
 	h = res.Breakdown.Fold(h)
 	for i := range s.classReq {
-		h = agg.Mix(h, uint64(s.classReq[i]))
+		h = rng.FNVMix(h, uint64(s.classReq[i]))
 	}
 	return res.DispatchStats.Fold(h)
 }

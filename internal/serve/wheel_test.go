@@ -6,6 +6,7 @@ import (
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/platform"
+	"sgxbench/internal/rng"
 	"sgxbench/internal/sgx"
 )
 
@@ -61,7 +62,7 @@ func TestWheelDifferentialRandom(t *testing.T) {
 		hp := &heapQueue{}
 		r := seed
 		next := func(mod uint64) uint64 {
-			r = splitmix64(r)
+			r = rng.Mix(r)
 			return r % mod
 		}
 		var now, lastPush, seq uint64
@@ -120,7 +121,7 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 	hp := &heapQueue{}
 	r := uint64(99)
 	for seq := uint64(1); seq <= 4096; seq++ {
-		r = splitmix64(r)
+		r = rng.Mix(r)
 		e := event{t: times[r%uint64(len(times))], seq: seq, who: int32(seq)}
 		wh.push(e)
 		hp.push(e)
@@ -147,7 +148,7 @@ func TestWheelLonePops(t *testing.T) {
 		hp := &heapQueue{}
 		r := seed
 		next := func(mod uint64) uint64 {
-			r = splitmix64(r)
+			r = rng.Mix(r)
 			return r % mod
 		}
 		var now, seq uint64

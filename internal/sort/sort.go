@@ -30,6 +30,7 @@ import (
 	"sgxbench/internal/exec"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/rel"
+	"sgxbench/internal/rng"
 )
 
 // mergeWork is the charged compute per tuple per merge level (vectorized
@@ -44,17 +45,6 @@ func TupLess(a, b uint64) bool {
 		return ka < kb
 	}
 	return a < b
-}
-
-// RunLen returns the in-cache run length for env: runs are sized so that
-// a run and its ping-pong buffer together occupy half of L2 and stay
-// resident across the in-run sort passes.
-func RunLen(env *core.Env) int {
-	runLen := int(env.Plat.L2.SizeBytes / 4 / rel.TupleBytes)
-	if runLen < 64 {
-		runLen = 64
-	}
-	return runLen
 }
 
 // ChunkSort really sorts buf[lo:hi] (by key, then tuple, via TupLess)
@@ -135,8 +125,6 @@ type Options struct {
 	// uniform keys (correctness holds for any distribution). Zero derives
 	// the bound from the data in an untimed setup pass.
 	MaxKey uint32
-	// RunLen overrides the in-cache run length (0: RunLen(env)).
-	RunLen int
 	// Tmp / Out, when non-nil, are the pre-allocated ping-pong and output
 	// buffers (n words each); reused across repeated runs so re-runs see
 	// identical simulated addresses (benchmark repetitions, golden gates).
@@ -195,10 +183,6 @@ func RunOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n int, opt Options) *Re
 	if out == nil || out.Len() < n {
 		out = env.Space.AllocU64("sort.out", n, reg)
 	}
-	runLen := opt.RunLen
-	if runLen <= 0 {
-		runLen = RunLen(env)
-	}
 	maxKey := opt.MaxKey
 	if maxKey == 0 {
 		// Untimed setup pass (the caller knows the domain in every
@@ -220,6 +204,9 @@ func RunOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n int, opt Options) *Re
 		}
 	}
 	res := &Result{Rows: n, Out: out}
+	// Runs of the L2 target: a run and its ping-pong buffer together
+	// occupy half of L2 and stay resident across the in-run sort passes.
+	runLen := int(env.L2Target() / rel.TupleBytes)
 
 	// --- Phase: per-thread chunk sort ---
 	g.Phase("Sort", func(t *engine.Thread, id int) {
@@ -311,28 +298,12 @@ func mergeRange(t *engine.Thread, work, out *mem.U64Buf, n, T int, loKey, hiKey 
 	}
 }
 
-// Checksum folds buf[:n] into one FNV-1a value (the hash discipline of
-// the pipeline check values in internal/agg).
+// Checksum folds buf[:n] into one FNV-1a value (rng.FNVMix, the hash of
+// every pipeline check value).
 func Checksum(buf *mem.U64Buf, n int) uint64 {
-	h := fnvOffset64
-	h = mix(h, uint64(n))
+	h := rng.FNVMix(rng.FNVOffset64, uint64(n))
 	for i := 0; i < n; i++ {
-		h = mix(h, buf.D[i])
-	}
-	return h
-}
-
-// FNV-1a, shared discipline with internal/agg (not imported to keep the
-// operator layer dependency-light).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64         = 1099511628211
-)
-
-func mix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime64
+		h = rng.FNVMix(h, buf.D[i])
 	}
 	return h
 }

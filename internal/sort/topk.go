@@ -5,6 +5,7 @@ import (
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/rel"
 )
 
 // Heap-based top-k: ORDER BY key LIMIT k without sorting the input.
@@ -21,9 +22,6 @@ type TopKOptions struct {
 	// Threads is the number of worker threads (TopK only; TopKOn uses the
 	// group's).
 	Threads int
-	// RunLen overrides the in-cache run length of the final candidate
-	// sort (0: RunLen(env)).
-	RunLen int
 	// Heap / Tmp (T*k words each) and Out (k words), when non-nil, are
 	// the pre-allocated per-thread heap area, final-sort ping-pong and
 	// result buffers; reused across repeated runs so re-runs see
@@ -92,10 +90,6 @@ func TopKOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n, k int, opt TopKOpti
 	if out == nil || out.Len() < k {
 		out = env.Space.AllocU64("topk.out", max(k, 1), reg)
 	}
-	runLen := opt.RunLen
-	if runLen <= 0 {
-		runLen = RunLen(env)
-	}
 	res := &TopKResult{Out: out}
 
 	// --- Phase: streaming heap scan, one heap region per thread ---
@@ -142,7 +136,7 @@ func TopKOn(env *core.Env, g *exec.Group, in *mem.U64Buf, n, k int, opt TopKOpti
 			t.StoreRun(&heap.Buffer, heap.Off(total), 8, sz, 0, tok)
 			total += sz
 		}
-		ChunkSort(t, heap, tmp, 0, total, runLen)
+		ChunkSort(t, heap, tmp, 0, total, int(env.L2Target()/rel.TupleBytes))
 		kOut := min(k, total)
 		tok := t.LoadRun(&heap.Buffer, 0, 8, kOut, 0)
 		copy(out.D[:kOut], heap.D[:kOut])
