@@ -73,9 +73,12 @@ func TestGoldenEquivalence(t *testing.T) {
 		for _, sel := range []Sel{ByKey, ByPayload} {
 			for _, threads := range []int{1, 3} {
 				label := fmt.Sprintf("%s/sel=%d/threads=%d", setting, sel, threads)
-				ref := goldenRun(t, setting, true, threads, sel, 20000, 700, false)
-				fast := goldenRun(t, setting, false, threads, sel, 20000, 700, false)
-				compareGolden(t, label, ref, fast)
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					ref := goldenRun(t, setting, true, threads, sel, 20000, 700, false)
+					fast := goldenRun(t, setting, false, threads, sel, 20000, 700, false)
+					compareGolden(t, label, ref, fast)
+				})
 			}
 		}
 	}

@@ -107,16 +107,18 @@ func TestGoldenSpillEquivalence(t *testing.T) {
 		for _, pages := range []int64{0, aggEPCHalf(20000)} {
 			for _, threads := range []int{1, 3} {
 				label := fmt.Sprintf("%s/spill/threads=%d/epc=%d", setting, threads, pages)
-				ref := goldenSpillRun(t, setting, true, pages, threads, ByKey)
-				fast := goldenSpillRun(t, setting, false, pages, threads, ByKey)
-				compareGolden(t, label, ref, fast)
-				wantFaults := pages > 0 && setting == core.SGXDiE
-				if wantFaults && ref.Stats.EPCFaults == 0 {
-					t.Errorf("%s: oversubscribed spill group-by did not fault", label)
-				}
-				if !wantFaults && ref.Stats.EPCFaults != 0 {
-					t.Errorf("%s: unexpected faults %d", label, ref.Stats.EPCFaults)
-				}
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					ref := goldenSpillRun(t, setting, true, pages, threads, ByKey)
+					compareGolden(t, label, ref, goldenSpillRun(t, setting, false, pages, threads, ByKey))
+					wantFaults := pages > 0 && setting == core.SGXDiE
+					if wantFaults && ref.Stats.EPCFaults == 0 {
+						t.Errorf("%s: oversubscribed spill group-by did not fault", label)
+					}
+					if !wantFaults && ref.Stats.EPCFaults != 0 {
+						t.Errorf("%s: unexpected faults %d", label, ref.Stats.EPCFaults)
+					}
+				})
 			}
 		}
 	}

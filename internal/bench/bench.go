@@ -30,7 +30,10 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sgxbench/internal/core"
@@ -122,6 +125,63 @@ type sample struct {
 // runner executes one repetition of a prepared workload.
 type runner func() sample
 
+// inOrder calls do(i) for every i in [0, n) on at most workers
+// goroutines, and done(i) on the calling goroutine in index order, each
+// once do(i) and every earlier done have returned. After done fails no
+// further do starts; inOrder waits for the running ones and returns the
+// error. A panic in do(i) is raised again on the calling goroutine when
+// done(i) is due. With one worker everything runs on the caller.
+func inOrder(n, workers int, do func(i int), done func(i int) error) error {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			do(i)
+			if err := done(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ready := make([]chan any, n) // do(i)'s panic, or nil once it returned
+	for i := range ready {
+		ready[i] = make(chan any, 1)
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer stop.Store(true)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n && !stop.Load(); i = int(next.Add(1) - 1) {
+				ready[i] <- caught(do, i)
+			}
+		}()
+	}
+	for i := range n {
+		if p := <-ready[i]; p != nil {
+			panic(p)
+		}
+		if err := done(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// caught runs do(i) and returns what it panicked with, with the stack it
+// panicked on; nil when it returned.
+func caught(do func(i int), i int) (p any) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
+		}
+	}()
+	do(i)
+	return nil
+}
+
 // repeat runs r reps times and returns the per-repetition samples
 // (index 0 is what the sweep reports and the golden gate compares).
 func repeat(r runner, reps int) []sample {
@@ -149,7 +209,10 @@ type rings struct{ spans, samples int }
 // every reference twin, which is compared on its sample alone.
 var suiteRings = rings{1 << 12, 1 << 10}
 
-// bencher is one suite run in progress.
+// bencher is one suite run in progress. Entries run concurrently
+// (bencher.exec) and read only o, z, rings and the calibrations cals,
+// which are all set before the walk; everything else is written on the
+// walk's own goroutine, in registry order (bencher.record).
 type bencher struct {
 	o   Options
 	z   sizes
@@ -161,9 +224,9 @@ type bencher struct {
 	// strayed from the exact sorted-slice oracle by more than one bucket
 	// width (or whose Max stopped being exact): obs_percentiles_ok.
 	pctlViolations []string
-	cals           map[string]*serve.Workload // serve.Calibrate results, keyed by their options
-	agree, decided int                        // planner entries whose pick is near-best / whose field is spread out
-	rings          rings                      // the fast serving runs' rings; twins keep suiteRings
+	cals           map[string]calibration // serve.Calibrate results, keyed by calKey
+	agree, decided int                    // planner entries whose pick is near-best / whose field is spread out
+	rings          rings                  // the fast serving runs' rings; twins keep suiteRings
 }
 
 func (b *bencher) printf(format string, a ...any) { fmt.Fprintf(b.out, format, a...) }
@@ -187,18 +250,23 @@ func (b *bencher) equivalent(name string, fast, ref sample) bool {
 
 // Run executes the suite at the scale o selects, printing progress to out
 // and writing the report to o.Out; gate misses are in Report.OK, not err.
+// Entries run on GOMAXPROCS workers; the log and the report are those of
+// a serial walk.
 func Run(o Options, out io.Writer) (*Report, error) {
+	z := fullSizes
 	if o.Quick {
-		return run(o, quickSizes, out)
+		z = quickSizes
 	}
-	return run(o, fullSizes, out)
+	return run(o, z, runtime.GOMAXPROCS(0), out)
 }
 
-// run walks the registry in order — each family's header before its
-// first entry, its gate rows after its last — then runs the equivalence
-// and golden sections.
-func run(o Options, z sizes, out io.Writer) (*Report, error) {
-	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, cals: map[string]*serve.Workload{},
+// run calibrates every serving entry's workloads, then walks the
+// registry: entries run on at most workers goroutines, and each is
+// recorded in registry order — its family's header before its first
+// entry, the family's gate rows after its last. Then come the
+// equivalence and golden sections.
+func run(o Options, z sizes, workers int, out io.Writer) (*Report, error) {
+	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, cals: map[string]calibration{},
 		rings: suiteRings, rep: raised(&Report{
 			Schema:    "sgxbench/bench_engine/v4",
 			Timestamp: time.Now().UTC().Format(time.RFC3339),
@@ -207,21 +275,27 @@ func run(o Options, z sizes, out io.Writer) (*Report, error) {
 			Quick:     o.Quick,
 		})}
 	es := entries()
-	for i := range es {
+	b.calibrate(es, workers)
+	slots := make([]*slot, len(es))
+	err := inOrder(len(es), workers, func(i int) { slots[i] = b.exec(&es[i]) }, func(i int) error {
 		f := es[i].fam
 		if f.head != nil && (i == 0 || f != es[i-1].fam) {
 			f.head(b)
 		}
-		if _, err := b.entry(&es[i]); err != nil {
-			return nil, err
+		s := slots[i]
+		slots[i] = nil // the report keeps what it needs; drop the rest
+		if _, err := b.record(&es[i], s); err != nil {
+			return err
 		}
 		if f.gate != nil && (i+1 == len(es) || f != es[i+1].fam) {
-			if err := f.gate(b); err != nil {
-				return nil, err
-			}
+			return f.gate(b)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	b.equivalence()
+	b.equivalence(workers)
 	if err := b.golden(); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -258,28 +259,19 @@ var tinySizes = func() sizes {
 	return z
 }()
 
-// TestRunTiny drives the whole suite in-process: all nine gates hold,
-// the report has the v4 schema's key set, and the golden snapshot the
-// run wrote matches the run.
+// TestRunTiny drives the whole suite in-process on two workers: all
+// nine gates hold, the report has the v4 schema's key set, and the
+// golden snapshot the run wrote matches the run.
 func TestRunTiny(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{Quick: true, Out: filepath.Join(dir, "bench.json"), Threads: 4,
-		Golden: filepath.Join(dir, "golden.json"), UpdateGolden: true}
-	var log strings.Builder
-	rep, err := run(o, tinySizes, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rep, w := walk(t, tinySizes, 2)
 	for _, k := range okFlags {
 		if !*rep.flag(k) {
-			t.Errorf("%s is false\n%s", k, log.String())
+			t.Errorf("%s is false\n%s", k, w.log)
 		}
 	}
 	if !rep.OK() {
 		t.Errorf("OK() = false")
-	}
-	if drift := compareGolden(o.Golden, rep, o.Threads); len(drift) != 0 {
-		t.Errorf("the snapshot this run wrote drifts from it: %q", drift)
 	}
 	if n := len(rep.TargetNotes); n != 23 {
 		t.Errorf("%d target notes, want 23: %q", n, rep.TargetNotes)
@@ -287,22 +279,8 @@ func TestRunTiny(t *testing.T) {
 	if len(rep.Sweep) != 195 || len(rep.Serve) != 39 {
 		t.Errorf("report has %d sweep / %d serve entries, want 195 / 39", len(rep.Sweep), len(rep.Serve))
 	}
-	var g goldenFile
-	if raw, err := os.ReadFile(o.Golden); err != nil || json.Unmarshal(raw, &g) != nil {
-		t.Fatalf("cannot read back %s: %v", o.Golden, err)
-	}
-	for i, e := range entries() {
-		if i >= len(g.Entries) || g.Entries[i].Workload != e.Workload || g.Entries[i].Setting != e.Setting.String() {
-			t.Fatalf("snapshot entry %d is not the registry's %s/%s", i, e.Workload, e.Setting)
-		}
-	}
-
-	raw, err := os.ReadFile(o.Out)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal([]byte(w.report), &doc); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -315,6 +293,102 @@ func TestRunTiny(t *testing.T) {
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("report keys = %v, want the v4 schema %v", got, want)
+	}
+}
+
+// microSizes shrinks every input of tinySizes further. The gates are
+// not claims about this regime; TestWalkWorkersAgree reads only the
+// log, the report and the snapshot.
+var microSizes = func() sizes {
+	z := tinySizes
+	z.seqBytes, z.gatherArr, z.scanBytes, z.gatherIDs, z.gatherOps = 1<<18, 1<<18, 1<<16, 1<<11, 1<<10
+	z.rhoScale = 2048
+	z.qDim, z.qFact, z.qMaxRows, z.q3Fact = 1<<8, 1<<11, 1<<10, 1<<10
+	z.spillJoinScale, z.spillAggN, z.spillAggGroups = 4096, 1<<12, 1<<9
+	z.planDim, z.planFact = 64, 1<<10
+	return z
+}()
+
+// TestWalkWorkersAgree walks the suite serially and on two workers, as
+// parallel subtests, and compares the two runs' logs, reports and
+// snapshots byte for byte, apart from the report's timestamp and the
+// temporary paths: entries are recorded in registry order whatever the
+// pool runs first.
+func TestWalkWorkersAgree(t *testing.T) {
+	var walks [3]tinyWalk // by worker count
+	t.Run("walks", func(t *testing.T) {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				t.Parallel()
+				_, walks[workers] = walk(t, microSizes, workers)
+			})
+		}
+	})
+	serial, pooled := walks[1], walks[2]
+	if t.Failed() || serial.log == "" || pooled.log == "" {
+		return // a walk failed, or -run selected one
+	}
+	for _, c := range []struct{ what, a, b string }{
+		{"log", serial.log, pooled.log}, {"report", serial.report, pooled.report}, {"snapshot", serial.golden, pooled.golden},
+	} {
+		if c.a != c.b {
+			t.Errorf("the 2-worker %s differs from the serial one at %s", c.what, firstDiff(c.a, c.b))
+		}
+	}
+}
+
+// tinyWalk is one suite run's output: its log with the run's directory
+// replaced by DIR, its report with the timestamp blanked, and the golden
+// snapshot it wrote.
+type tinyWalk struct{ log, report, golden string }
+
+var timestampLine = regexp.MustCompile(`"timestamp": "[^"]*"`)
+
+// firstDiff returns the first line where a and b differ, from each.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  %s\n  %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("the end: %d lines against %d", len(al), len(bl))
+}
+
+// walk runs the suite at z on the given number of workers, writing the
+// report and a fresh golden snapshot, which must match the run and list
+// the registry's entries in order.
+func walk(t *testing.T, z sizes, workers int) (*Report, tinyWalk) {
+	t.Helper()
+	dir := t.TempDir()
+	o := Options{Quick: true, Out: filepath.Join(dir, "bench.json"), Threads: 4,
+		Golden: filepath.Join(dir, "golden.json"), UpdateGolden: true}
+	var log strings.Builder
+	rep, err := run(o, z, workers, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drift := compareGolden(o.Golden, rep, o.Threads); len(drift) != 0 {
+		t.Errorf("the snapshot this run wrote drifts from it: %q", drift)
+	}
+	golden, err := os.ReadFile(o.Golden)
+	var g goldenFile
+	if err != nil || json.Unmarshal(golden, &g) != nil {
+		t.Fatalf("cannot read back %s: %v", o.Golden, err)
+	}
+	for i, e := range entries() {
+		if i >= len(g.Entries) || g.Entries[i].Workload != e.Workload || g.Entries[i].Setting != e.Setting.String() {
+			t.Fatalf("snapshot entry %d is not the registry's %s/%s", i, e.Workload, e.Setting)
+		}
+	}
+	report, err := os.ReadFile(o.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, tinyWalk{
+		log:    strings.ReplaceAll(log.String(), dir, "DIR"),
+		report: timestampLine.ReplaceAllString(string(report), `"timestamp": ""`),
+		golden: string(golden),
 	}
 }
 
@@ -338,7 +412,7 @@ func TestEquivalenceFires(t *testing.T) {
 	var log strings.Builder
 	b := testBencher(nil)
 	b.out, b.z = &log, sizes{reps: 2}
-	b.equivalence()
+	b.equivalence(1)
 	if b.rep.Equivalent {
 		t.Errorf("equivalence_ok still true after a diverging row:\n%s", log.String())
 	}

@@ -28,7 +28,11 @@ type Entry struct {
 	run      func(b *bencher, c prepCtx) ([]sample, error) // on c.ref's engine path: a sample per repetition, detail in c.out
 	twin     bool                                          // under SGX DiE, a reference-path run must reproduce the fast one
 	check    func(b *bencher, r *Replayed)                 // the entry's own checks and progress line
+	cal      *serve.CalibrateOptions                       // serving entries: the calibration run reads, Setting and Reference unset
 }
+
+// twinned reports whether e runs a reference twin.
+func (e *Entry) twinned() bool { return e.twin && e.Setting == core.SGXDiE }
 
 // family is one section of the suite: consecutive entries sharing a
 // progress header (before the first) and gate rows (after the last).
@@ -102,26 +106,50 @@ func entries() []Entry {
 
 // entry runs e as the suite records it — its repetitions must agree on
 // check, its reference twin must reproduce it — then records it and
-// runs its checks. Run and Replay both run entries through it.
+// runs its checks. Replay and the tests run single entries through it;
+// run splits it into exec and record.
 func (b *bencher) entry(e *Entry) (*Replayed, error) {
-	out := &Replayed{}
-	c := prepCtx{setting: e.Setting, threads: b.o.Threads, z: b.z, rings: b.rings, out: out}
-	vs, err := e.run(b, c)
-	if err == nil && e.twin && e.Setting == core.SGXDiE {
-		var ref []sample
+	b.calibrate([]Entry{*e}, 1)
+	return b.record(e, b.exec(e))
+}
+
+// slot is one entry's run: exec fills it on any goroutine, record reads
+// it on the walk's.
+type slot struct {
+	out       *Replayed
+	fast, ref []sample // ref: the reference twin's samples, nil without one
+	pctl      []string // percentile violations, the fast run's first
+	err       error
+}
+
+// exec runs e on both engine paths its twin asks for. It writes nothing
+// but the slot it returns, so entries can run concurrently.
+func (b *bencher) exec(e *Entry) *slot {
+	s := &slot{out: &Replayed{}}
+	c := prepCtx{setting: e.Setting, threads: b.o.Threads, z: b.z, rings: b.rings, out: s.out, pctl: &s.pctl}
+	s.fast, s.err = e.run(b, c)
+	if s.err == nil && e.twinned() {
 		c.ref, c.rings, c.out = true, suiteRings, &Replayed{}
-		if ref, err = e.run(b, c); err == nil {
-			b.equivalent(e.Workload, vs[0], ref[0])
-		}
+		s.ref, s.err = e.run(b, c)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", e.Workload, e.Setting, err)
+	return s
+}
+
+// record checks e's run in s — the twin must reproduce it, its
+// repetitions must agree on check — then records it and runs e's checks.
+func (b *bencher) record(e *Entry, s *slot) (*Replayed, error) {
+	if s.err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", e.Workload, e.Setting, s.err)
 	}
+	if s.ref != nil {
+		b.equivalent(e.Workload, s.fast[0], s.ref[0])
+	}
+	b.pctlViolations = append(b.pctlViolations, s.pctl...)
 	// Check values (matches / checksums) must be deterministic across
 	// repetitions; sim_cycles of workloads that allocate fresh simulated
 	// state per repetition are not and are reported from the first one.
-	v := vs[0]
-	for k, r := range vs {
+	v, out := s.fast[0], s.out
+	for k, r := range s.fast {
 		if r.check != v.check {
 			b.printf("  CHECK DIVERGENCE: %s/%s rep %d check=%d vs %d\n", e.Workload, e.Setting, k, r.check, v.check)
 			b.rep.Equivalent = false
@@ -168,7 +196,7 @@ func Lookup(workload string, s core.Setting) (*Entry, error) {
 func (e *Entry) Replay() (*Replayed, error) {
 	var log strings.Builder
 	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: &log, rep: raised(&Report{}),
-		vals: map[string]float64{}, cals: map[string]*serve.Workload{}, rings: rings{math.MaxInt, math.MaxInt}}
+		vals: map[string]float64{}, cals: map[string]calibration{}, rings: rings{math.MaxInt, math.MaxInt}}
 	out, err := b.entry(e)
 	if err != nil {
 		return nil, err

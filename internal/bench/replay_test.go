@@ -40,10 +40,10 @@ func TestRegistryOrder(t *testing.T) {
 }
 
 // TestReplayMatchesGolden replays every entry of BENCH_GOLDEN.json
-// through Lookup and Replay: each must reproduce its golden sim_cycles,
-// check and stats exactly, the registry must pin no entry the golden
-// file lacks, and a serving replay's trace and metrics must keep the
-// whole run.
+// through Lookup and Replay, one parallel subtest per entry: each must
+// reproduce its golden sim_cycles, check and stats exactly, the registry
+// must pin no entry the golden file lacks, and a serving replay's trace
+// and metrics must keep the whole run.
 func TestReplayMatchesGolden(t *testing.T) {
 	g := readGolden(t)
 	if g.Threads != goldenThreads || len(g.Entries) != 195 {
@@ -54,27 +54,27 @@ func TestReplayMatchesGolden(t *testing.T) {
 		byName[s.String()] = s
 	}
 	for _, want := range g.Entries {
-		e, err := Lookup(want.Workload, byName[want.Setting])
-		if err != nil {
-			t.Errorf("%s/%s: %v", want.Workload, want.Setting, err)
-			continue
-		}
-		got, err := e.Replay()
-		if err != nil {
-			t.Errorf("%s/%s: %v", want.Workload, want.Setting, err)
-			continue
-		}
-		if got.Result != want {
-			t.Errorf("%s/%s: replay %+v, golden %+v", want.Workload, want.Setting, got.Result, want)
-		}
-		if e.Profiled != (got.Profiler != nil) || e.Traced != (got.Serve != nil && got.Serve.Config.Trace != nil) {
-			t.Errorf("%s/%s: Profiled=%v Traced=%v, but the replay returned profiler %v, serve result %v",
-				want.Workload, want.Setting, e.Profiled, e.Traced, got.Profiler != nil, got.Serve != nil)
-		}
-		if cfg := got.Serve; e.Traced && cfg != nil && (cfg.Config.Trace.Dropped() != 0 || cfg.Config.Metrics.Dropped() != 0) {
-			t.Errorf("%s/%s: replay dropped %d spans and %d metric samples", want.Workload, want.Setting,
-				cfg.Config.Trace.Dropped(), cfg.Config.Metrics.Dropped())
-		}
+		t.Run(want.Workload+"/"+want.Setting, func(t *testing.T) {
+			t.Parallel()
+			e, err := Lookup(want.Workload, byName[want.Setting])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Result != want {
+				t.Errorf("replay %+v, golden %+v", got.Result, want)
+			}
+			if e.Profiled != (got.Profiler != nil) || e.Traced != (got.Serve != nil && got.Serve.Config.Trace != nil) {
+				t.Errorf("Profiled=%v Traced=%v, but the replay returned profiler %v, serve result %v",
+					e.Profiled, e.Traced, got.Profiler != nil, got.Serve != nil)
+			}
+			if cfg := got.Serve; e.Traced && cfg != nil && (cfg.Config.Trace.Dropped() != 0 || cfg.Config.Metrics.Dropped() != 0) {
+				t.Errorf("replay dropped %d spans and %d metric samples", cfg.Config.Trace.Dropped(), cfg.Config.Metrics.Dropped())
+			}
+		})
 	}
 }
 

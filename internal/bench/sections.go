@@ -214,22 +214,26 @@ func (b *bencher) flipCheck(r *Replayed) {
 // equivalence compares the fast path against the per-op reference
 // engine on every workload, single-threaded under SGX DiE: repetition k
 // sees identical simulated state on both paths, so the samples must
-// match pairwise.
-func (b *bencher) equivalence() {
+// match pairwise. Workloads run on at most workers goroutines and are
+// compared in table order.
+func (b *bencher) equivalence(workers int) {
 	b.printf("== equivalence (fast vs per-op reference, SGX DiE, %d reps) ==\n", b.z.reps)
-	for _, w := range workloads {
-		prep := w.prep
-		if w.twinPrep != nil {
-			prep = w.twinPrep
+	fast, ref := make([][]sample, len(workloads)), make([][]sample, len(workloads))
+	inOrder(len(workloads), workers, func(i int) {
+		prep := workloads[i].prep
+		if workloads[i].twinPrep != nil {
+			prep = workloads[i].twinPrep
 		}
 		c := prepCtx{ref: true, setting: core.SGXDiE, threads: 1, z: b.z, out: &Replayed{}}
-		ref := repeat(prep(c), b.z.reps)
+		ref[i] = repeat(prep(c), b.z.reps)
 		c.ref = false
-		fast := repeat(prep(c), b.z.reps)
-		eq := true
-		for k := range fast {
-			eq = b.equivalent(fmt.Sprintf("%s rep %d", w.name, k), fast[k], ref[k]) && eq
+		fast[i] = repeat(prep(c), b.z.reps)
+	}, func(i int) error {
+		name, eq := workloads[i].name, true
+		for k := range fast[i] {
+			eq = b.equivalent(fmt.Sprintf("%s rep %d", name, k), fast[i][k], ref[i][k]) && eq
 		}
-		b.printf("  %-18s simMcyc=%-8d equivalent=%v\n", w.name, fast[0].cycles/1e6, eq)
-	}
+		b.printf("  %-18s simMcyc=%-8d equivalent=%v\n", name, fast[i][0].cycles/1e6, eq)
+		return nil
+	})
 }

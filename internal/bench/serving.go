@@ -194,29 +194,60 @@ func scaleScenarios() []scenario {
 	return out
 }
 
-// calibrate returns o's calibration, calibrating it on first use: each
-// setting's serve entries calibrate once per engine path, the fault
-// entries reuse the SGX DiE pair, the scale entries have their own.
-func (b *bencher) calibrate(o serve.CalibrateOptions) (w *serve.Workload, err error) {
-	k := fmt.Sprintf("%+v", o)
-	if w = b.cals[k]; w == nil {
-		w, err = serve.Calibrate(o)
-		b.cals[k] = w
+// calibration is one serve.Calibrate result.
+type calibration struct {
+	w   *serve.Workload
+	err error
+}
+
+// calKey names a calibration in bencher.cals.
+func calKey(o serve.CalibrateOptions) string { return fmt.Sprintf("%+v", o) }
+
+// calibrate runs every calibration the entries read and b.cals lacks, on
+// at most workers goroutines: each setting's serve entries calibrate
+// once per engine path, the fault entries reuse the SGX DiE pair, the
+// scale entries have their own. Entries then only read b.cals.
+func (b *bencher) calibrate(es []Entry, workers int) {
+	var todo []serve.CalibrateOptions
+	for i := range es {
+		e := &es[i]
+		if e.cal == nil {
+			continue
+		}
+		o := *e.cal
+		o.Setting = e.Setting
+		paths := []bool{false}
+		if e.twinned() {
+			paths = append(paths, true)
+		}
+		for _, ref := range paths {
+			o.Reference = ref
+			k := calKey(o)
+			if _, ok := b.cals[k]; !ok {
+				b.cals[k] = calibration{}
+				todo = append(todo, o)
+			}
+		}
 	}
-	return w, err
+	done := make([]calibration, len(todo))
+	inOrder(len(todo), workers, func(i int) {
+		w, err := serve.Calibrate(todo[i])
+		done[i] = calibration{w, err}
+	}, func(i int) error { b.cals[calKey(todo[i])] = done[i]; return nil })
 }
 
 // servingEntry is sc's traced entry: its run replays sc on the
 // calibration for the entry's setting and engine path.
 func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entry {
-	return Entry{fam: fam, Traced: true, twin: true, check: line, run: func(b *bencher, c prepCtx) ([]sample, error) {
+	return Entry{fam: fam, Traced: true, twin: true, check: line, cal: &sc.cal, run: func(b *bencher, c prepCtx) ([]sample, error) {
 		o := sc.cal
 		o.Setting, o.Reference = c.setting, c.ref
-		w, err := b.calibrate(o)
-		if err != nil {
-			return nil, err
+		cal := b.cals[calKey(o)]
+		if cal.err != nil {
+			return nil, cal.err
 		}
-		res, err := b.simulate(w, sc.cfg(w), c.rings)
+		w := cal.w
+		res, err := simulate(w, sc.cfg(w), c.rings, c.pctl)
 		if err != nil {
 			return nil, err
 		}
@@ -229,9 +260,10 @@ func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entr
 // attached: the golden gate downstream then doubles as the
 // zero-perturbation proof for the observability layer, and each run's
 // histogram percentiles are checked against the exact sorted-slice
-// oracle (>= the exact value, within one bucket width; Max exact). The
-// tracer and timeline keep r's ring capacities.
-func (b *bencher) simulate(w *serve.Workload, cfg serve.Config, r rings) (*serve.Result, error) {
+// oracle (>= the exact value, within one bucket width; Max exact), each
+// violation appended to pctl. The tracer and timeline keep r's ring
+// capacities.
+func simulate(w *serve.Workload, cfg serve.Config, r rings, pctl *[]string) (*serve.Result, error) {
 	cfg.Trace = obs.NewTracer(r.spans)
 	cfg.Metrics = obs.NewMetrics(1<<16, r.samples)
 	res, err := w.Simulate(cfg)
@@ -245,12 +277,12 @@ func (b *bencher) simulate(w *serve.Workload, cfg serve.Config, r rings) (*serve
 		got, exact uint64
 	}{{"p50", res.P50, e50}, {"p95", res.P95, e95}, {"p99", res.P99, e99}} {
 		if pc.got < pc.exact || pc.got-pc.exact > obs.BucketWidth(pc.exact) {
-			b.pctlViolations = append(b.pctlViolations, fmt.Sprintf("%s: %s = %d, exact %d (bucket width %d)",
+			*pctl = append(*pctl, fmt.Sprintf("%s: %s = %d, exact %d (bucket width %d)",
 				label, pc.name, pc.got, pc.exact, obs.BucketWidth(pc.exact)))
 		}
 	}
 	if res.Max != emax {
-		b.pctlViolations = append(b.pctlViolations, fmt.Sprintf("%s: max = %d, exact %d", label, res.Max, emax))
+		*pctl = append(*pctl, fmt.Sprintf("%s: max = %d, exact %d", label, res.Max, emax))
 	}
 	return res, nil
 }

@@ -52,6 +52,7 @@ type prepCtx struct {
 	z       sizes
 	rings   rings     // a serving run's trace and metrics ring capacities
 	out     *Replayed // the run's detail, filled by the runner
+	pctl    *[]string // a serving run's histogram percentile violations
 }
 
 // env is a fresh environment at 1/scale size, EPC capped at epcPages (0: no cap).

@@ -305,8 +305,8 @@ type Thread struct {
 	// EPC demand-paging state (nil/empty when no EPCDomain is configured).
 	// Residency is tracked per thread over the thread's private budget
 	// (TotalPages / EPCShare): each thread faults its own working set in,
-	// which keeps the model race-free and bit-reproducible under any
-	// goroutine schedule. epcRing/epcRef form the CLOCK (second-chance)
+	// so its faults do not depend on the order in which a phase runs its
+	// threads (see epc.go). epcRing/epcRef form the CLOCK (second-chance)
 	// ring, epcIdx maps a resident page to its ring slot, and epcLast is a
 	// one-entry memo mirroring mruLine: a re-touch of the most recent page
 	// is a guaranteed no-op, which is what lets the fast path's same-line

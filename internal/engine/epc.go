@@ -1,7 +1,5 @@
 package engine
 
-import "sync/atomic"
-
 // EPC oversubscription model. Real SGXv2 machines cap the Enclave Page
 // Cache at a fraction of DRAM; when an enclave's working set exceeds it,
 // the kernel demand-pages EPC pages to untrusted memory — an encrypted
@@ -22,10 +20,12 @@ import "sync/atomic"
 //
 // Residency is tracked per thread over TotalPages/EPCShare: each thread
 // demand-pages its own partition of the EPC independently. This is a
-// determinism-motivated simplification — a shared resident set would make
-// fault counts depend on the goroutine interleaving — and matches how the
-// operators use the budget: spill-partitioned operators size their chunks
-// against the per-thread share.
+// modelling simplification — a shared resident set would make a thread's
+// faults depend on how the other threads' accesses interleave with its
+// own in simulated time, which the phase runner does not model (it runs
+// the threads one after another) — and matches how the operators use the
+// budget: spill-partitioned operators size their chunks against the
+// per-thread share.
 
 // EPCDomain is the shared EPC capacity of one enclave. Construct one with
 // sgx.NewEPCDomain and pass it to every thread of the enclave via
@@ -40,7 +40,7 @@ type EPCDomain struct {
 	// EWB encrypted write-back of the victim plus its TLB shootdown.
 	PageOutCycles uint64
 
-	serial atomic.Uint64 // kernel-serialized paging cycles
+	serial uint64 // kernel-serialized paging cycles
 }
 
 // SerialCycles returns the serialized paging cycles accumulated since the
@@ -50,7 +50,9 @@ func (d *EPCDomain) SerialCycles() uint64 {
 	if d == nil {
 		return 0
 	}
-	return d.serial.Swap(0)
+	s := d.serial
+	d.serial = 0
+	return s
 }
 
 // epcTouch records an access to an EPC data page, faulting it in (and
@@ -112,5 +114,5 @@ func (t *Thread) epcTouch(page uint64) {
 	t.st.EPCFaults++
 	t.st.EPCPagingCycles += cost
 	t.cycle += cost
-	d.serial.Add(cost)
+	d.serial += cost
 }

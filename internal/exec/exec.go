@@ -2,18 +2,21 @@
 //
 // Operators are structured as barrier-separated phases (exactly how the
 // paper's join implementations work: histogram, partition, build, probe).
-// Within a phase each simulated thread runs independently — real Go
-// goroutines advancing private cycle clocks — and at the barrier the
-// group clock advances to the slowest thread, then is raised further if
-// the phase's aggregate DRAM or UPI traffic exceeds what the socket
-// bandwidth allows in that time (roofline composition). This reproduces
-// both compute/latency-bound behaviour (joins) and bandwidth-bound
-// behaviour (multi-threaded scans, Fig 14; UPI-bound cross-NUMA scans,
-// Fig 16).
+// Within a phase each simulated thread advances its own private cycle
+// clock; the host runs the threads' bodies one after another, in thread
+// id order, on the calling goroutine. At the barrier the group clock
+// advances to the slowest thread, then is raised further if the phase's
+// aggregate DRAM or UPI traffic exceeds what the socket bandwidth allows
+// in that time (roofline composition). This reproduces both
+// compute/latency-bound behaviour (joins) and bandwidth-bound behaviour
+// (multi-threaded scans, Fig 14; UPI-bound cross-NUMA scans, Fig 16).
+//
+// Simulated concurrency is in the clocks, not in the host: a phase's
+// outcome follows from its inputs alone, whatever the host schedules, and
+// a panicking body unwinds through Phase to its caller.
 package exec
 
 import (
-	"sync"
 	"time"
 
 	"sgxbench/internal/engine"
@@ -31,9 +34,8 @@ type Group struct {
 	prof    *obs.Profiler // optional cycle-attribution sink; nil: off
 
 	// Phase's per-call state, kept across phases: each thread's stats at
-	// the phase start, and the barrier.
+	// the phase start.
 	before []engine.Stats
-	wg     sync.WaitGroup
 }
 
 // PhaseStats describes one completed phase.
@@ -102,9 +104,9 @@ func (g *Group) Scope(name string) func() {
 	return func() { g.prof.Pop(g.clock - start) }
 }
 
-// Phase runs body on every thread concurrently, waits for all, and
-// advances the group clock with bandwidth composition. It returns the
-// phase statistics.
+// Phase runs body on every thread, one thread after another in id
+// order, and advances the group clock with bandwidth composition. It
+// returns the phase statistics.
 func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseStats {
 	if g.Threads == nil {
 		panic("exec: Phase " + name + " on a released group")
@@ -118,16 +120,10 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 		g.before[i] = t.Stats()
 	}
 	hostStart := time.Now()
-	wg := &g.wg
 	for i, t := range g.Threads {
-		wg.Add(1)
-		go func(t *engine.Thread, id int) {
-			defer wg.Done()
-			body(t, id)
-			t.Drain()
-		}(t, i)
+		body(t, i)
+		t.Drain()
 	}
-	wg.Wait()
 
 	ps := PhaseStats{Name: name, HostNanos: time.Since(hostStart).Nanoseconds()}
 	var dram [2]uint64
@@ -157,8 +153,7 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 	}
 	// Demand paging serializes across the enclave on the page-table lock,
 	// as EDMM commits do: the phase cannot finish before the kernel
-	// has worked through every fault it raised. The sum of per-fault costs
-	// is interleaving-independent, so this stays bit-reproducible.
+	// has worked through every fault it raised.
 	wall += g.epc.SerialCycles()
 	ps.WallCycles = wall
 	ps.Agg.Cycles = wall

@@ -248,3 +248,31 @@ func TestScope(t *testing.T) {
 		t.Errorf("clock with a profiler %d, without %d", clocks[true], clocks[false])
 	}
 }
+
+// TestPhaseRunsInOrderOnCaller checks that a phase runs its threads'
+// bodies one at a time in id order on the calling goroutine: each body
+// sees the previous one finished, and a body's panic reaches Phase's
+// caller, where it can be recovered, without running later threads.
+func TestPhaseRunsInOrderOnCaller(t *testing.T) {
+	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU}
+	g := NewGroup(cfg, 4, nil)
+	defer g.Release()
+	var order []int
+	g.Phase("order", func(_ *engine.Thread, id int) { order = append(order, id) })
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Errorf("bodies ran in order %v, want [0 1 2 3]", order)
+	}
+
+	order = nil
+	mustPanic(t, "Phase with a panicking body", "thread 2 failed", func() {
+		g.Phase("boom", func(_ *engine.Thread, id int) {
+			order = append(order, id)
+			if id == 2 {
+				panic(fmt.Sprintf("thread %d failed", id))
+			}
+		})
+	})
+	if fmt.Sprint(order) != "[0 1 2]" {
+		t.Errorf("around the panic, bodies ran in order %v, want [0 1 2]", order)
+	}
+}

@@ -55,64 +55,81 @@ func compareGolden(t *testing.T, label string, ref, fast *Result) {
 	}
 }
 
+// allSettings is every execution setting, the matrices' outer axis.
+var allSettings = []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
+
+// equivalenceMatrix runs alg at 4 threads under every setting, scalar and
+// optimized, on both engine paths, one parallel subtest per cell.
+func equivalenceMatrix(t *testing.T, alg func() Algorithm) {
+	for _, setting := range allSettings {
+		for _, optimized := range []bool{false, true} {
+			label := setting.String() + "/" + alg().Name() + "/opt=" + boolStr(optimized)
+			t.Run(label, func(t *testing.T) {
+				t.Parallel()
+				opt := Options{Threads: 4, Optimized: optimized}
+				compareGolden(t, label, goldenRun(t, alg(), setting, true, opt), goldenRun(t, alg(), setting, false, opt))
+			})
+		}
+	}
+}
+
 // TestGoldenRHOEquivalence enforces the fast-path invariant on RHO under
 // every setting, in both the scalar and the unroll+reorder (optimized)
 // variants.
 func TestGoldenRHOEquivalence(t *testing.T) {
-	allSettings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
-	for _, setting := range allSettings {
-		for _, optimized := range []bool{false, true} {
-			opt := Options{Threads: 4, Optimized: optimized}
-			ref := goldenRun(t, NewRHO(), setting, true, opt)
-			fast := goldenRun(t, NewRHO(), setting, false, opt)
-			compareGolden(t, setting.String()+"/RHO/opt="+boolStr(optimized), ref, fast)
-		}
-	}
+	equivalenceMatrix(t, func() Algorithm { return NewRHO() })
 }
 
-// TestGoldenRHOMaterialized compares materialized output single-threaded:
-// with multiple threads the output chunks are claimed from the shared
-// allocator in goroutine-scheduling order, so the simulated addresses (and
-// with them single stats) are not run-to-run deterministic in either
-// engine mode.
-func TestGoldenRHOMaterialized(t *testing.T) {
+// materializedRepeats runs alg at 4 threads with materialized output in
+// chunk mode (no OutBufs), under the plain and the enclave setting: the
+// reference path must reproduce the fast one, and a second fast run the
+// first. A phase runs its threads in id order, so the threads claim
+// their output chunks from the shared space in the same order on every
+// run and on both engine paths.
+func materializedRepeats(t *testing.T, alg func() Algorithm) {
 	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-		opt := Options{Threads: 1, Optimized: true, Materialize: true}
-		ref := goldenRun(t, NewRHO(), setting, true, opt)
-		fast := goldenRun(t, NewRHO(), setting, false, opt)
-		compareGolden(t, setting.String()+"/RHO/materialized", ref, fast)
+		label := setting.String() + "/" + alg().Name() + "/materialized"
+		t.Run(label, func(t *testing.T) {
+			t.Parallel()
+			opt := Options{Threads: 4, Optimized: true, Materialize: true}
+			fast := goldenRun(t, alg(), setting, false, opt)
+			compareGolden(t, label, goldenRun(t, alg(), setting, true, opt), fast)
+			compareGolden(t, label+"/repeat", fast, goldenRun(t, alg(), setting, false, opt))
+		})
 	}
 }
 
-// TestGoldenPHTEquivalence enforces the fast-path invariant on PHT. PHT
-// is run single-threaded: its shared-bucket build interleaves real
-// goroutine execution, so multi-threaded timing is not run-to-run
-// deterministic (in either engine mode) and cannot be compared exactly.
+// TestGoldenRHOMaterialized compares RHO's multi-threaded materialized
+// output across engine paths and repeats.
+func TestGoldenRHOMaterialized(t *testing.T) {
+	materializedRepeats(t, func() Algorithm { return NewRHO() })
+}
+
+// TestGoldenPHTMaterialized compares PHT's multi-threaded materialized
+// output across engine paths and repeats.
+func TestGoldenPHTMaterialized(t *testing.T) {
+	materializedRepeats(t, func() Algorithm { return NewPHT() })
+}
+
+// TestGoldenPHTEquivalence enforces the fast-path invariant on PHT. Its
+// shared-table build preclaims every insert slot in input order, so
+// multi-threaded runs compare exactly.
 func TestGoldenPHTEquivalence(t *testing.T) {
-	allSettings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
-	for _, setting := range allSettings {
-		for _, optimized := range []bool{false, true} {
-			opt := Options{Threads: 1, Optimized: optimized}
-			ref := goldenRun(t, NewPHT(), setting, true, opt)
-			fast := goldenRun(t, NewPHT(), setting, false, opt)
-			compareGolden(t, setting.String()+"/PHT/opt="+boolStr(optimized), ref, fast)
-		}
-	}
+	equivalenceMatrix(t, func() Algorithm { return NewPHT() })
 }
 
 // TestGoldenMWAYEquivalence enforces the fast-path invariant on the
-// sort-merge join. Unlike PHT's shared-table build, every MWAY phase
-// (chunk sort, multi-way merge, merge join) issues accesses only through
-// the owning thread over pre-partitioned ranges, so the join is
-// run-to-run deterministic at any thread count and both the
-// multi-threaded and the materialized variants can be compared exactly.
+// sort-merge join. Every MWAY phase (chunk sort, multi-way merge, merge
+// join) issues accesses only through the owning thread over
+// pre-partitioned ranges, so the join compares exactly at any thread
+// count, materialized too.
 func TestGoldenMWAYEquivalence(t *testing.T) {
-	allSettings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
 	for _, setting := range allSettings {
-		opt := Options{Threads: 4}
-		ref := goldenRun(t, NewMWAY(), setting, true, opt)
-		fast := goldenRun(t, NewMWAY(), setting, false, opt)
-		compareGolden(t, setting.String()+"/MWAY", ref, fast)
+		t.Run(setting.String(), func(t *testing.T) {
+			t.Parallel()
+			opt := Options{Threads: 4}
+			compareGolden(t, setting.String()+"/MWAY", goldenRun(t, NewMWAY(), setting, true, opt), goldenRun(t, NewMWAY(), setting, false, opt))
+		})
 	}
 }
 
@@ -149,15 +166,7 @@ func TestGoldenMWAYMaterialized(t *testing.T) {
 // segments and joins partitions round-robin, so it too is deterministic
 // at any thread count.
 func TestGoldenCrkEquivalence(t *testing.T) {
-	allSettings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
-	for _, setting := range allSettings {
-		for _, optimized := range []bool{false, true} {
-			opt := Options{Threads: 4, Optimized: optimized}
-			ref := goldenRun(t, NewCrk(), setting, true, opt)
-			fast := goldenRun(t, NewCrk(), setting, false, opt)
-			compareGolden(t, setting.String()+"/CrkJoin/opt="+boolStr(optimized), ref, fast)
-		}
-	}
+	equivalenceMatrix(t, func() Algorithm { return NewCrk() })
 }
 
 func boolStr(b bool) string {

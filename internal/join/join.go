@@ -41,11 +41,12 @@ type Options struct {
 	// instead of only counting matches (Section 4.4, Fig 12).
 	Materialize bool
 	// OutBufs, when Materialize is set, provides pre-allocated per-thread
-	// output buffers (index = thread id). Materialized rows then land at
-	// deterministic simulated addresses instead of dynamically claimed
-	// chunks, making multi-threaded materializing runs reproducible for
-	// exact stats comparison (pipelines, golden gates). A buffer that
-	// fills up falls back to chunk claims for the excess rows.
+	// output buffers (index = thread id), as the pipelines pre-allocate
+	// their intermediates. Materialized rows then land in them instead of
+	// chunks claimed while the join runs. A buffer that fills up falls
+	// back to chunk claims for the excess rows. Either way the run is
+	// deterministic: a phase runs its threads in id order, so they claim
+	// chunks in the same order every time.
 	OutBufs []*mem.U64Buf
 }
 

@@ -15,13 +15,11 @@ const outChunkRows = 1 << 16
 
 // outWriter materializes join output tuples for one worker thread.
 //
-// Two backing modes: by default output chunks are claimed as the join
-// runs, so their simulated addresses depend on the order in which the
-// workers claim them; with a pre-allocated fixed buffer (Options.OutBufs)
-// every store lands at a deterministic simulated address, which is what
-// makes multi-threaded materializing pipelines reproducible enough for
-// exact golden-stats gating. A fixed buffer that fills up falls back to
-// chunk claims (correct, but no longer address-deterministic).
+// Two backing modes: by default output chunks are claimed from the
+// Env's space as the join runs, in the order the phase runs its threads
+// (id order), so their simulated addresses repeat from run to run; with
+// a pre-allocated fixed buffer (Options.OutBufs) every store lands in
+// that buffer. A fixed buffer that fills up falls back to chunk claims.
 type outWriter struct {
 	env    *core.Env
 	id     int

@@ -56,10 +56,8 @@ const hdrSlots = 6
 //
 // The table's contents and every insert's claim are precomputed in
 // input order by preclaim (a counting sort on the host), so the timed
-// build phase only issues simulated accesses — worker threads never race
-// on shared host state and the simulated numbers are bit-identical at
-// every thread count, which is what lets q3 run multi-threaded under the
-// golden gate.
+// build phase only issues simulated accesses, and the simulated store
+// addresses are the same at every thread count.
 type phtTable struct {
 	bits     uint
 	buckets  mem.Buffer // nBuckets x bucketBytes (counts + inline slots)
@@ -84,10 +82,10 @@ func (h *phtTable) bucketOf(key uint32) int { return int(hashIdx(key, h.bits)) }
 // preclaim counting-sorts the build input into tups and fixes each
 // tuple's claim in input order: the bucket fill count gives the inline
 // slot, spills past inlineSlots get a global overflow ordinal. With the
-// claim order fixed by input order instead of goroutine arrival, the
-// simulated store addresses of the build phase are identical whether one
-// thread or many execute it — and single-threaded they match the
-// pre-claim-era numbers exactly.
+// claim order fixed by input order instead of the order in which the
+// threads reach a bucket, the simulated store addresses of the build
+// phase are identical whether one thread or many execute it — and
+// single-threaded they match the pre-claim-era numbers exactly.
 func (h *phtTable) preclaim(build *rel.Relation) {
 	n := build.N()
 	h.tups = make([]uint64, n)

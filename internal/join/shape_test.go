@@ -34,6 +34,7 @@ func TestShapeFig3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test is slow")
 	}
+	t.Parallel()
 	const scale = 128
 	const threads = 16
 	type row struct {
@@ -111,6 +112,7 @@ func TestShapeFig1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test is slow")
 	}
+	t.Parallel()
 	const scale = 128
 	const threads = 16
 	crkDie := runThroughput(t, NewCrk(), core.SGXDiE, threads, false, scale)

@@ -126,27 +126,28 @@ func goldenGraceRun(t *testing.T, setting core.Setting, ref bool, epcPages int64
 // and the batched fast engine. Only the DiE setting places data in the
 // EPC, so only it may fault under the capacity limit.
 func TestGoldenGraceEquivalence(t *testing.T) {
-	allSettings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
 	nR := rel.RowsForMB(100) / 256
 	nS := rel.RowsForMB(400) / 256
 	for _, setting := range allSettings {
 		for _, pages := range []int64{0, epcHalf(nR, nS)} {
 			for _, optimized := range []bool{false, true} {
-				opt := Options{Threads: 4, Optimized: optimized}
-				ref := goldenGraceRun(t, setting, true, pages, opt)
-				fast := goldenGraceRun(t, setting, false, pages, opt)
 				label := setting.String() + "/GRACE/opt=" + boolStr(optimized)
 				if pages > 0 {
 					label += "/epc"
 				}
-				compareGolden(t, label, ref, fast)
-				wantFaults := pages > 0 && setting == core.SGXDiE
-				if wantFaults && ref.Stats.EPCFaults == 0 {
-					t.Errorf("%s: oversubscribed spill join did not fault", label)
-				}
-				if !wantFaults && ref.Stats.EPCFaults != 0 {
-					t.Errorf("%s: unexpected faults %d", label, ref.Stats.EPCFaults)
-				}
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					opt := Options{Threads: 4, Optimized: optimized}
+					ref := goldenGraceRun(t, setting, true, pages, opt)
+					compareGolden(t, label, ref, goldenGraceRun(t, setting, false, pages, opt))
+					wantFaults := pages > 0 && setting == core.SGXDiE
+					if wantFaults && ref.Stats.EPCFaults == 0 {
+						t.Errorf("%s: oversubscribed spill join did not fault", label)
+					}
+					if !wantFaults && ref.Stats.EPCFaults != 0 {
+						t.Errorf("%s: unexpected faults %d", label, ref.Stats.EPCFaults)
+					}
+				})
 			}
 		}
 	}

@@ -127,7 +127,8 @@ func TestRadixPass(t *testing.T) {
 }
 
 // TestRadixPassMultiThreadDeterminism runs the same four-thread passes
-// twice: concurrent phases must not change a tuple, a start or a stat.
+// twice: the threads of a phase must not change a tuple, a start or a
+// stat between runs.
 func TestRadixPassMultiThreadDeterminism(t *testing.T) {
 	a, b := runPasses(false, 4, 16, 20000), runPasses(false, 4, 16, 20000)
 	if !reflect.DeepEqual(a, b) {

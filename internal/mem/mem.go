@@ -11,7 +11,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
 )
 
 // Kind distinguishes protected (EPC) from untrusted memory.
@@ -65,8 +64,9 @@ func (b *Buffer) Slice(off, n int64) Buffer {
 // Space is a simulated physical address space with a bump allocator per
 // (node, kind) region. Each region occupies a disjoint 2^44-byte address
 // window so that placement can be recovered from an address if needed.
+// A Space belongs to one goroutine: the phases that allocate from it run
+// their threads in order on their caller's.
 type Space struct {
-	mu    sync.Mutex
 	next  map[Region]uint64
 	used  map[Region]int64
 	nodes int
@@ -112,22 +112,17 @@ func (s *Space) Alloc(name string, n int64, r Region) Buffer {
 	if sz == 0 {
 		sz = align
 	}
-	s.mu.Lock()
 	off := s.next[r]
 	if off+uint64(sz) >= regionWindow {
-		s.mu.Unlock()
 		panic(fmt.Sprintf("mem: region %+v exhausted allocating %d bytes for %q", r, n, name))
 	}
 	s.next[r] = off + uint64(sz)
 	s.used[r] += sz
-	s.mu.Unlock()
 	return Buffer{Base: s.base(r) + off, Size: n, Reg: r, Name: name}
 }
 
 // Used reports the bytes allocated in region r (page-rounded).
 func (s *Space) Used(r Region) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.used[r]
 }
 
