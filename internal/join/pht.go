@@ -52,7 +52,9 @@ const hdrSlots = 6
 // tups holds the build tuples bucket by bucket, bucket b's tuples are
 // tups[start[b]:start[b+1]] in input order, and claim[i] is build tuple
 // i's charged position — its inline slot when below inlineSlots, else
-// inlineSlots plus its global overflow ordinal in input order.
+// inlineSlots plus its global overflow ordinal in input order. ovOrd[p]
+// is the overflow ordinal of the tuple at tups[p], for the positions
+// past a bucket's inline slots; it is nil when no bucket overflows.
 //
 // The table's contents and every insert's claim are precomputed in
 // input order by preclaim (a counting sort on the host), so the timed
@@ -65,6 +67,7 @@ type phtTable struct {
 	start    []int32    // nBuckets+1 bucket starts into tups
 	tups     []uint64   // build tuples, bucket by bucket
 	claim    []int32    // per build tuple: inline slot, or inlineSlots + overflow ordinal
+	ovOrd    []int32    // per tups position past its bucket's inline slots: the overflow ordinal
 }
 
 func newPHTTable(env *core.Env, nBuild int) *phtTable {
@@ -107,6 +110,9 @@ func (h *phtTable) preclaim(build *rel.Relation) {
 		h.start[b] = sum
 	}
 	h.start[len(h.start)-1] = sum
+	if ov > 0 {
+		h.ovOrd = make([]int32, n)
+	}
 	// Filling backwards from each end keeps input order inside a bucket
 	// and leaves start[b] at the bucket's first tuple.
 	for i := n - 1; i >= 0; i-- {
@@ -114,6 +120,9 @@ func (h *phtTable) preclaim(build *rel.Relation) {
 		b := h.bucketOf(mem.TupleKey(tup))
 		h.start[b]--
 		h.tups[h.start[b]] = tup
+		if c := h.claim[i]; c >= inlineSlots {
+			h.ovOrd[h.start[b]] = c - inlineSlots
+		}
 	}
 }
 
@@ -252,12 +261,13 @@ func (h *phtTable) insertBatch(t *engine.Thread, i0 int, tups []uint64, keyToks 
 func (h *phtTable) scanBucket(t *engine.Thread, b int, tup uint64, scanTok engine.Tok, out *outWriter) (uint64, engine.Tok) {
 	key := mem.TupleKey(tup)
 	var matches uint64
-	for i, r := range h.tups[h.start[b]:h.start[b+1]] {
+	first := int(h.start[b])
+	for i, r := range h.tups[first:h.start[b+1]] {
 		if i > 0 && i%inlineSlots == 0 {
-			// Overflow chain: dependent load per spilled entry group.
-			// Known model defect: i%32 names one of four fixed arena
-			// lines whatever the bucket, so chains hit hot lines.
-			scanTok = t.Load(&h.overflow, int64(i%32)*16, 8, scanTok)
+			// Overflow chain: one dependent load per spilled entry
+			// group, of the arena entry overflowStores wrote for the
+			// group's first tuple.
+			scanTok = t.Load(&h.overflow, int64(h.ovOrd[first+i])*16, 8, scanTok)
 		}
 		t.Work(1) // key compare
 		if mem.TupleKey(r) == key {

@@ -13,9 +13,8 @@ import (
 
 // dupRepeats is the copy count per build key of the duplicate-heavy
 // build, cycled over the keys: it fills PHT buckets past the header
-// line (6 slots), past the inline slots (8) and past 32 entries, where
-// the overflow-chain charge wraps around. One extra key repeats
-// dupHotRepeats times.
+// line (6 slots), past the inline slots (8) and into overflow chains of
+// several hops. One extra key repeats dupHotRepeats times.
 var dupRepeats = []int{1, 3, 7, 9, 33, 40}
 
 const (
@@ -81,14 +80,14 @@ var pinnedJoinDigests = map[string]uint64{
 	"PHT/fk/SGX DiE/opt=false/T=2":    0x8987b389941cfa3c,
 	"PHT/fk/SGX DiE/opt=true/T=1":     0xfe414299bb117d6b,
 	"PHT/fk/SGX DiE/opt=true/T=2":     0xa59047ba52e9b5c9,
-	"PHT/dup/Plain CPU/opt=false/T=1": 0x44a1478866e6dc75,
-	"PHT/dup/Plain CPU/opt=false/T=2": 0xe0a5b97ab0ccee20,
-	"PHT/dup/Plain CPU/opt=true/T=1":  0xbee7a3ce41be6d3e,
-	"PHT/dup/Plain CPU/opt=true/T=2":  0x29924d4077247463,
-	"PHT/dup/SGX DiE/opt=false/T=1":   0x2f58f51daa4e2487,
-	"PHT/dup/SGX DiE/opt=false/T=2":   0x165bf04472e85146,
-	"PHT/dup/SGX DiE/opt=true/T=1":    0x311a02b5a90d87e5,
-	"PHT/dup/SGX DiE/opt=true/T=2":    0x9a16a7adb15b28e2,
+	"PHT/dup/Plain CPU/opt=false/T=1": 0x38c16499dc87403b,
+	"PHT/dup/Plain CPU/opt=false/T=2": 0x64c53f7547654317,
+	"PHT/dup/Plain CPU/opt=true/T=1":  0x8243a3528ea17bd0,
+	"PHT/dup/Plain CPU/opt=true/T=2":  0x6cbe879ab95040e7,
+	"PHT/dup/SGX DiE/opt=false/T=1":   0xa4169b93c92e3cd1,
+	"PHT/dup/SGX DiE/opt=false/T=2":   0xeee02776421e0756,
+	"PHT/dup/SGX DiE/opt=true/T=1":    0xe48afe5d4df6357c,
+	"PHT/dup/SGX DiE/opt=true/T=2":    0xdff7709f8a76cf6b,
 	"RHO/fk/Plain CPU/opt=false/T=1":  0x916feb27375d077c,
 	"RHO/fk/Plain CPU/opt=false/T=2":  0xc209001ec1c57a6f,
 	"RHO/fk/Plain CPU/opt=true/T=1":   0x6d3805d5857d77c9,
@@ -110,8 +109,8 @@ var pinnedJoinDigests = map[string]uint64{
 // TestJoinDigestsPinned pins PHT and RHO, scalar and optimized, under
 // the plain and the enclave setting, over a foreign-key build and a
 // duplicate-heavy one, single-threaded with materialized output and
-// two-threaded counting only (chunk-mode output above one thread is
-// address-nondeterministic by design; see outWriter).
+// two-threaded counting only (TestGoldenRHOMaterialized and
+// TestGoldenPHTMaterialized cover multi-threaded materialization).
 func TestJoinDigestsPinned(t *testing.T) {
 	for _, alg := range []Algorithm{NewPHT(), NewRHO()} {
 		for _, build := range []string{"fk", "dup"} {
