@@ -138,26 +138,29 @@ func TestGoldenMWAYEquivalence(t *testing.T) {
 // configuration, output rows land at deterministic addresses).
 func TestGoldenMWAYMaterialized(t *testing.T) {
 	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-		run := func(ref bool) *Result {
-			env := core.NewEnv(core.Options{
-				Plat:      platform.XeonGold6326().Scaled(256),
-				Setting:   setting,
-				Reference: ref,
-			})
-			nR := rel.RowsForMB(100) / 256
-			nS := rel.RowsForMB(400) / 256
-			build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 99)
-			outs := make([]*mem.U64Buf, 2)
-			for i := range outs {
-				outs[i] = env.Space.AllocU64("mway.out", nS, env.DataRegion())
+		t.Run(setting.String(), func(t *testing.T) {
+			t.Parallel()
+			run := func(ref bool) *Result {
+				env := core.NewEnv(core.Options{
+					Plat:      platform.XeonGold6326().Scaled(256),
+					Setting:   setting,
+					Reference: ref,
+				})
+				nR := rel.RowsForMB(100) / 256
+				nS := rel.RowsForMB(400) / 256
+				build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 99)
+				outs := make([]*mem.U64Buf, 2)
+				for i := range outs {
+					outs[i] = env.Space.AllocU64("mway.out", nS, env.DataRegion())
+				}
+				res, err := NewMWAY().Run(env, build, probe, Options{Threads: 2, Materialize: true, OutBufs: outs})
+				if err != nil {
+					t.Fatalf("MWAY: %v", err)
+				}
+				return res
 			}
-			res, err := NewMWAY().Run(env, build, probe, Options{Threads: 2, Materialize: true, OutBufs: outs})
-			if err != nil {
-				t.Fatalf("MWAY: %v", err)
-			}
-			return res
-		}
-		compareGolden(t, setting.String()+"/MWAY/materialized", run(true), run(false))
+			compareGolden(t, setting.String()+"/MWAY/materialized", run(true), run(false))
+		})
 	}
 }
 

@@ -42,13 +42,22 @@ func TestShapeFig3(t *testing.T) {
 		plain, die  float64
 		dieOverhead float64
 	}
-	var rows []row
-	for _, alg := range All() {
-		plain := runThroughput(t, alg, core.PlainCPU, threads, false, scale)
-		die := runThroughput(t, alg, core.SGXDiE, threads, false, scale)
-		rows = append(rows, row{alg.Name(), plain, die, plain / die})
-		t.Logf("%-8s plain=%8.1f M rows/s  DiE=%8.1f M rows/s  slowdown=%.2fx",
-			alg.Name(), plain/1e6, die/1e6, plain/die)
+	algs := All()
+	rows := make([]row, len(algs))
+	t.Run("runs", func(t *testing.T) {
+		for i, alg := range algs {
+			t.Run(alg.Name(), func(t *testing.T) {
+				t.Parallel()
+				plain := runThroughput(t, alg, core.PlainCPU, threads, false, scale)
+				die := runThroughput(t, alg, core.SGXDiE, threads, false, scale)
+				rows[i] = row{alg.Name(), plain, die, plain / die}
+				t.Logf("%-8s plain=%8.1f M rows/s  DiE=%8.1f M rows/s  slowdown=%.2fx",
+					alg.Name(), plain/1e6, die/1e6, plain/die)
+			})
+		}
+	})
+	if t.Failed() {
+		return
 	}
 	get := func(name string) row {
 		for _, r := range rows {

@@ -266,6 +266,7 @@ func calProbes() []struct {
 // Query.Tree runs, resident and (where the setting pages) under the
 // halved EPC the kappa probes use.
 func TestProbeCutEqualsFullTree(t *testing.T) {
+	t.Parallel()
 	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE, core.SGXDoE, core.PlainCPUM} {
 		for _, threads := range []int{1, 2} {
 			limits := []int64{0}

@@ -169,6 +169,7 @@ func TestPressurePicksSpill(t *testing.T) {
 // static alternative's, for representative suite shapes under plain and
 // enclave settings.
 func TestChooseNeverWorseThanWorst(t *testing.T) {
+	t.Parallel()
 	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
 		m := ModelFor(setting, 2)
 		for _, name := range []string{"s07.j1.sel004.u.agg", "s11.j1.sel902.u.agg", "s14.j1.sel250.u.top"} {

@@ -54,26 +54,30 @@ func goldenRun(t *testing.T, p Query, setting core.Setting, ref bool) *Result {
 // engine paths must produce bit-identical check values, wall cycles and
 // aggregate statistics for every shipped query shape (q1..q5).
 func TestGoldenPipelineEquivalence(t *testing.T) {
+	t.Parallel()
 	settings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
 	for _, p := range Fixed() {
-		for _, setting := range settings {
-			label := p.Name + "/" + setting.String()
-			ref := goldenRun(t, p, setting, true)
-			fast := goldenRun(t, p, setting, false)
-			if ref.Check != fast.Check {
-				t.Errorf("%s: check ref=%#x fast=%#x", label, ref.Check, fast.Check)
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, setting := range settings {
+				label := p.Name + "/" + setting.String()
+				ref := goldenRun(t, p, setting, true)
+				fast := goldenRun(t, p, setting, false)
+				if ref.Check != fast.Check {
+					t.Errorf("%s: check ref=%#x fast=%#x", label, ref.Check, fast.Check)
+				}
+				if ref.WallCycles != fast.WallCycles {
+					t.Errorf("%s: wall cycles ref=%d fast=%d", label, ref.WallCycles, fast.WallCycles)
+				}
+				if ref.Stats != fast.Stats {
+					t.Errorf("%s: stats differ\nref:  %+v\nfast: %+v", label, ref.Stats, fast.Stats)
+				}
+				if ref.Groups != fast.Groups || ref.Rows != fast.Rows {
+					t.Errorf("%s: shape ref=(%d rows, %d groups) fast=(%d rows, %d groups)",
+						label, ref.Rows, ref.Groups, fast.Rows, fast.Groups)
+				}
 			}
-			if ref.WallCycles != fast.WallCycles {
-				t.Errorf("%s: wall cycles ref=%d fast=%d", label, ref.WallCycles, fast.WallCycles)
-			}
-			if ref.Stats != fast.Stats {
-				t.Errorf("%s: stats differ\nref:  %+v\nfast: %+v", label, ref.Stats, fast.Stats)
-			}
-			if ref.Groups != fast.Groups || ref.Rows != fast.Rows {
-				t.Errorf("%s: shape ref=(%d rows, %d groups) fast=(%d rows, %d groups)",
-					label, ref.Rows, ref.Groups, fast.Rows, fast.Groups)
-			}
-		}
+		})
 	}
 }
 
@@ -86,6 +90,7 @@ func TestGoldenPipelineEquivalence(t *testing.T) {
 // not the wall time — is rep-invariant; across environments, repetition
 // k is fully deterministic.
 func TestPipelineRepeatDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, p := range Fixed() {
 		T := pipelineThreads(p.Name)
 		prep := func() (*core.Env, *Dataset, Options) {

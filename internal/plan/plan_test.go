@@ -114,6 +114,7 @@ func TestSuiteCorrectness(t *testing.T) {
 // reference engine paths must be bit-identical in check, wall cycles
 // and aggregate statistics.
 func TestTreeFastRefEquivalence(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		label string
 		q     Query

@@ -29,31 +29,35 @@ func profileRun(t *testing.T, p Query, setting core.Setting, ref bool, prof *obs
 // bit-identical for every pipeline under every execution setting, on
 // both engine paths.
 func TestProfilerZeroPerturbation(t *testing.T) {
+	t.Parallel()
 	settings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
 	for _, p := range Fixed() {
-		for _, setting := range settings {
-			for _, ref := range []bool{false, true} {
-				label := p.Name + "/" + setting.String()
-				if ref {
-					label += "/ref"
-				}
-				bare := profileRun(t, p, setting, ref, nil)
-				prof := obs.NewProfiler("run")
-				traced := profileRun(t, p, setting, ref, prof)
-				if bare.Check != traced.Check {
-					t.Errorf("%s: check off=%#x on=%#x", label, bare.Check, traced.Check)
-				}
-				if bare.WallCycles != traced.WallCycles {
-					t.Errorf("%s: wall cycles off=%d on=%d", label, bare.WallCycles, traced.WallCycles)
-				}
-				if bare.Stats != traced.Stats {
-					t.Errorf("%s: stats differ with profiler attached", label)
-				}
-				if prof.Root().Cycles != traced.WallCycles {
-					t.Errorf("%s: profile root %d cycles, run wall %d", label, prof.Root().Cycles, traced.WallCycles)
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, setting := range settings {
+				for _, ref := range []bool{false, true} {
+					label := p.Name + "/" + setting.String()
+					if ref {
+						label += "/ref"
+					}
+					bare := profileRun(t, p, setting, ref, nil)
+					prof := obs.NewProfiler("run")
+					traced := profileRun(t, p, setting, ref, prof)
+					if bare.Check != traced.Check {
+						t.Errorf("%s: check off=%#x on=%#x", label, bare.Check, traced.Check)
+					}
+					if bare.WallCycles != traced.WallCycles {
+						t.Errorf("%s: wall cycles off=%d on=%d", label, bare.WallCycles, traced.WallCycles)
+					}
+					if bare.Stats != traced.Stats {
+						t.Errorf("%s: stats differ with profiler attached", label)
+					}
+					if prof.Root().Cycles != traced.WallCycles {
+						t.Errorf("%s: profile root %d cycles, run wall %d", label, prof.Root().Cycles, traced.WallCycles)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

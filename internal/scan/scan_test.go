@@ -88,42 +88,46 @@ func TestGatherCorrectness(t *testing.T) {
 // path must produce bit-identical output and simulated statistics to the
 // per-op reference path.
 func TestGoldenGatherEquivalence(t *testing.T) {
+	t.Parallel()
 	allSettings := []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, core.SGXDiE}
 	for _, setting := range allSettings {
-		run := func(ref bool) (*GatherResult, engine.Stats) {
-			env := core.NewEnv(core.Options{
-				Plat:      platform.XeonGold6326().Scaled(256),
-				Setting:   setting,
-				Reference: ref,
-			})
-			col := env.Space.AllocU8("col", 1<<20+777, env.DataRegion())
-			GenColumn(col, 42)
-			sc := Run(env, col, Options{Threads: 2, Pred: Predicate{Lo: 20, Hi: 200}, RowIDs: true})
-			n := int(sc.Matches)
-			ShuffleIDs(sc.IDs, n, 7)
-			res := Gather(env, col, sc.IDs, n, GatherOptions{Threads: 2})
-			var agg engine.Stats
-			for _, p := range res.Phases {
-				agg.Add(p.Agg)
+		t.Run(setting.String(), func(t *testing.T) {
+			t.Parallel()
+			run := func(ref bool) (*GatherResult, engine.Stats) {
+				env := core.NewEnv(core.Options{
+					Plat:      platform.XeonGold6326().Scaled(256),
+					Setting:   setting,
+					Reference: ref,
+				})
+				col := env.Space.AllocU8("col", 1<<20+777, env.DataRegion())
+				GenColumn(col, 42)
+				sc := Run(env, col, Options{Threads: 2, Pred: Predicate{Lo: 20, Hi: 200}, RowIDs: true})
+				n := int(sc.Matches)
+				ShuffleIDs(sc.IDs, n, 7)
+				res := Gather(env, col, sc.IDs, n, GatherOptions{Threads: 2})
+				var agg engine.Stats
+				for _, p := range res.Phases {
+					agg.Add(p.Agg)
+				}
+				return res, agg
 			}
-			return res, agg
-		}
-		refRes, refAgg := run(true)
-		fastRes, fastAgg := run(false)
-		if refRes.Sum != fastRes.Sum {
-			t.Errorf("%s: sum ref=%d fast=%d", setting, refRes.Sum, fastRes.Sum)
-		}
-		if refRes.WallCycles != fastRes.WallCycles {
-			t.Errorf("%s: wall cycles ref=%d fast=%d", setting, refRes.WallCycles, fastRes.WallCycles)
-		}
-		if refAgg != fastAgg {
-			t.Errorf("%s: stats differ\nref:  %+v\nfast: %+v", setting, refAgg, fastAgg)
-		}
-		for i := range refRes.Out.D {
-			if refRes.Out.D[i] != fastRes.Out.D[i] {
-				t.Fatalf("%s: gathered byte %d differs", setting, i)
+			refRes, refAgg := run(true)
+			fastRes, fastAgg := run(false)
+			if refRes.Sum != fastRes.Sum {
+				t.Errorf("%s: sum ref=%d fast=%d", setting, refRes.Sum, fastRes.Sum)
 			}
-		}
+			if refRes.WallCycles != fastRes.WallCycles {
+				t.Errorf("%s: wall cycles ref=%d fast=%d", setting, refRes.WallCycles, fastRes.WallCycles)
+			}
+			if refAgg != fastAgg {
+				t.Errorf("%s: stats differ\nref:  %+v\nfast: %+v", setting, refAgg, fastAgg)
+			}
+			for i := range refRes.Out.D {
+				if refRes.Out.D[i] != fastRes.Out.D[i] {
+					t.Fatalf("%s: gathered byte %d differs", setting, i)
+				}
+			}
+		})
 	}
 }
 
@@ -153,6 +157,7 @@ func TestScanResultReuse(t *testing.T) {
 // TestScanShapeFig13 checks the single-threaded size sweep: inside the
 // cache DiE == plain; outside, the enclave costs only a few percent.
 func TestScanShapeFig13(t *testing.T) {
+	t.Parallel()
 	run := func(setting core.Setting, bytes int) float64 {
 		env := scanEnv(setting, 32)
 		col := env.Space.AllocU8("col", bytes, env.DataRegion())
@@ -184,6 +189,7 @@ func TestScanShapeFig13(t *testing.T) {
 // TestScanShapeFig14 checks thread scaling: throughput grows with
 // threads and hits the same bandwidth roof in and out of the enclave.
 func TestScanShapeFig14(t *testing.T) {
+	t.Parallel()
 	run := func(setting core.Setting, threads int) float64 {
 		env := scanEnv(setting, 32)
 		col := env.Space.AllocU8("col", 64<<20, env.DataRegion())
@@ -215,6 +221,7 @@ func TestScanShapeFig14(t *testing.T) {
 // TestScanShapeFig15 checks that increasing the write rate (selectivity
 // of the row-id scan) does not penalize the enclave more than native.
 func TestScanShapeFig15(t *testing.T) {
+	t.Parallel()
 	run := func(setting core.Setting, sel uint8) float64 {
 		env := scanEnv(setting, 32)
 		col := env.Space.AllocU8("col", 32<<20, env.DataRegion())
@@ -247,6 +254,7 @@ func referenceGatherSum(col *mem.U8Buf, ids *mem.U64Buf, n int) uint64 {
 // 16 remote threads hit the UPI bandwidth roof, and the fast and
 // reference engine paths agree on every remote statistic.
 func TestRemoteScan(t *testing.T) {
+	t.Parallel()
 	run := func(setting core.Setting, node, threads int, ref bool) *Result {
 		env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(32), Setting: setting, Reference: ref})
 		col := env.Space.AllocU8("col", 16<<20, env.DataRegion())
