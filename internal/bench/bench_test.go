@@ -315,7 +315,7 @@ var microSizes = func() sizes {
 // temporary paths: entries are recorded in registry order whatever the
 // pool runs first.
 func TestWalkWorkersAgree(t *testing.T) {
-	var walks [3]tinyWalk // by worker count
+	var walks [3]walkOutput // by worker count
 	t.Run("walks", func(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -337,10 +337,10 @@ func TestWalkWorkersAgree(t *testing.T) {
 	}
 }
 
-// tinyWalk is one suite run's output: its log with the run's directory
+// walkOutput is one suite run's output: its log with the run's directory
 // replaced by DIR, its report with the timestamp blanked, and the golden
 // snapshot it wrote.
-type tinyWalk struct{ log, report, golden string }
+type walkOutput struct{ log, report, golden string }
 
 var timestampLine = regexp.MustCompile(`"timestamp": "[^"]*"`)
 
@@ -358,7 +358,7 @@ func firstDiff(a, b string) string {
 // walk runs the suite at z on the given number of workers, writing the
 // report and a fresh golden snapshot, which must match the run and list
 // the registry's entries in order.
-func walk(t *testing.T, z sizes, workers int) (*Report, tinyWalk) {
+func walk(t *testing.T, z sizes, workers int) (*Report, walkOutput) {
 	t.Helper()
 	dir := t.TempDir()
 	o := Options{Quick: true, Out: filepath.Join(dir, "bench.json"), Threads: 4,
@@ -385,7 +385,7 @@ func walk(t *testing.T, z sizes, workers int) (*Report, tinyWalk) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, tinyWalk{
+	return rep, walkOutput{
 		log:    strings.ReplaceAll(log.String(), dir, "DIR"),
 		report: timestampLine.ReplaceAllString(string(report), `"timestamp": ""`),
 		golden: string(golden),

@@ -60,14 +60,14 @@ var allSettings = []core.Setting{core.PlainCPU, core.PlainCPUM, core.SGXDoE, cor
 
 // equivalenceMatrix runs alg at 4 threads under every setting, scalar and
 // optimized, on both engine paths, one parallel subtest per cell.
-func equivalenceMatrix(t *testing.T, alg func() Algorithm) {
+func equivalenceMatrix(t *testing.T, alg Algorithm) {
 	for _, setting := range allSettings {
 		for _, optimized := range []bool{false, true} {
-			label := setting.String() + "/" + alg().Name() + "/opt=" + boolStr(optimized)
+			label := setting.String() + "/" + alg.Name() + "/opt=" + boolStr(optimized)
 			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				opt := Options{Threads: 4, Optimized: optimized}
-				compareGolden(t, label, goldenRun(t, alg(), setting, true, opt), goldenRun(t, alg(), setting, false, opt))
+				compareGolden(t, label, goldenRun(t, alg, setting, true, opt), goldenRun(t, alg, setting, false, opt))
 			})
 		}
 	}
@@ -77,7 +77,7 @@ func equivalenceMatrix(t *testing.T, alg func() Algorithm) {
 // every setting, in both the scalar and the unroll+reorder (optimized)
 // variants.
 func TestGoldenRHOEquivalence(t *testing.T) {
-	equivalenceMatrix(t, func() Algorithm { return NewRHO() })
+	equivalenceMatrix(t, NewRHO())
 }
 
 // materializedRepeats runs alg at 4 threads with materialized output in
@@ -86,15 +86,15 @@ func TestGoldenRHOEquivalence(t *testing.T) {
 // first. A phase runs its threads in id order, so the threads claim
 // their output chunks from the shared space in the same order on every
 // run and on both engine paths.
-func materializedRepeats(t *testing.T, alg func() Algorithm) {
+func materializedRepeats(t *testing.T, alg Algorithm) {
 	for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-		label := setting.String() + "/" + alg().Name() + "/materialized"
+		label := setting.String() + "/" + alg.Name() + "/materialized"
 		t.Run(label, func(t *testing.T) {
 			t.Parallel()
 			opt := Options{Threads: 4, Optimized: true, Materialize: true}
-			fast := goldenRun(t, alg(), setting, false, opt)
-			compareGolden(t, label, goldenRun(t, alg(), setting, true, opt), fast)
-			compareGolden(t, label+"/repeat", fast, goldenRun(t, alg(), setting, false, opt))
+			fast := goldenRun(t, alg, setting, false, opt)
+			compareGolden(t, label, goldenRun(t, alg, setting, true, opt), fast)
+			compareGolden(t, label+"/repeat", fast, goldenRun(t, alg, setting, false, opt))
 		})
 	}
 }
@@ -102,20 +102,20 @@ func materializedRepeats(t *testing.T, alg func() Algorithm) {
 // TestGoldenRHOMaterialized compares RHO's multi-threaded materialized
 // output across engine paths and repeats.
 func TestGoldenRHOMaterialized(t *testing.T) {
-	materializedRepeats(t, func() Algorithm { return NewRHO() })
+	materializedRepeats(t, NewRHO())
 }
 
 // TestGoldenPHTMaterialized compares PHT's multi-threaded materialized
 // output across engine paths and repeats.
 func TestGoldenPHTMaterialized(t *testing.T) {
-	materializedRepeats(t, func() Algorithm { return NewPHT() })
+	materializedRepeats(t, NewPHT())
 }
 
 // TestGoldenPHTEquivalence enforces the fast-path invariant on PHT. Its
 // shared-table build preclaims every insert slot in input order, so
 // multi-threaded runs compare exactly.
 func TestGoldenPHTEquivalence(t *testing.T) {
-	equivalenceMatrix(t, func() Algorithm { return NewPHT() })
+	equivalenceMatrix(t, NewPHT())
 }
 
 // TestGoldenMWAYEquivalence enforces the fast-path invariant on the
@@ -169,7 +169,7 @@ func TestGoldenMWAYMaterialized(t *testing.T) {
 // segments and joins partitions round-robin, so it too is deterministic
 // at any thread count.
 func TestGoldenCrkEquivalence(t *testing.T) {
-	equivalenceMatrix(t, func() Algorithm { return NewCrk() })
+	equivalenceMatrix(t, NewCrk())
 }
 
 func boolStr(b bool) string {

@@ -121,10 +121,10 @@ func TestJoinAllocsFlat(t *testing.T) {
 		optimized bool
 		budget    uint64 // allocations per Run
 	}{
-		{NewRHO(), true, 142},
-		{NewRHO(), false, 120},
-		{NewGrace(), true, 145},
-		{NewPHT(), true, 43},
+		{NewRHO(), true, 112},
+		{NewRHO(), false, 90},
+		{NewGrace(), true, 105},
+		{NewPHT(), true, 32},
 	} {
 		var counts []uint64
 		var bits []uint
