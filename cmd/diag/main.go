@@ -9,10 +9,12 @@
 //	go run ./cmd/diag [-alg RHO] [-setting plain|plainm|doe|die] [-scale 128] [-threads 16] [-opt]
 //	go run ./cmd/diag -replay q2.filter-join-agg -setting die [-profile q2.folded]
 //	go run ./cmd/diag -replay fault.crash.admit -setting die [-trace trace.json]
+//	go run ./cmd/diag -replay plan.s03.j0.sel902.u.agg -setting die [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -replay takes any workload name of BENCH_GOLDEN.json (join.PHT,
 // spill.join.grace@2x, plan.s09.j1.sel250.u.agg@epc2, serve.mutex.dyn,
 // scale.shard.batch.c256, …) under a setting the file pins it for.
+// -cpuprofile and -memprofile write host pprof profiles of any replay.
 // Each mode reads only its own flags (flagModes); a flag the selected
 // mode would ignore exits 2 with the usage text.
 package main
@@ -22,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 
 	"sgxbench/internal/bench"
@@ -44,6 +48,8 @@ var (
 	replayName  = flag.String("replay", "", "replay the golden entry with this workload name (sizes, seeds, scale and 4 threads as BENCH_GOLDEN.json pins them) instead of a join")
 	tracePath   = flag.String("trace", "", "replay of a serving entry (serve.*, fault.*, scale.*): write its span trace + metrics timeline as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	profilePath = flag.String("profile", "", "replay of a pipeline entry (q1…q5, q2s, q3s): print the per-operator x per-phase cycle tree and write folded stacks (flamegraph.pl compatible) to this file")
+	cpuProfile  = flag.String("cpuprofile", "", "replay: write a host CPU profile of the replay to this file (go tool pprof)")
+	memProfile  = flag.String("memprofile", "", "replay: sample every host allocation of the replay and write the allocs profile to this file (go tool pprof -top)")
 )
 
 // runMode identifies which of diag's run modes a flag combination
@@ -86,8 +92,10 @@ var modeNames = [...]string{
 // golden entry fixes its own sizes, scale and threads.
 var flagModes = map[string][]runMode{
 	"alg": {modeJoin}, "opt": {modeJoin}, "scale": {modeJoin}, "threads": {modeJoin},
-	"profile": {modePipeline},
-	"trace":   {modeServing},
+	"profile":    {modePipeline},
+	"trace":      {modeServing},
+	"cpuprofile": {modeReplay, modePipeline, modeServing},
+	"memprofile": {modeReplay, modePipeline, modeServing},
 }
 
 // checkFlags rejects a flag (given lists the flags set on the command
@@ -174,8 +182,15 @@ func main() {
 // (the EPC paging ones included), stages and phases, or its serving
 // breakdown, then writes the requested profile or trace.
 func runReplay(e *bench.Entry) {
-	r, err := e.Replay()
+	var r *bench.Replayed
+	var err error
+	exitOn(hostProfiled(*cpuProfile, *memProfile, func() { r, err = e.Replay() }), 1)
 	exitOn(err, 1)
+	for _, p := range []struct{ kind, path string }{{"CPU", *cpuProfile}, {"allocs", *memProfile}} {
+		if p.path != "" {
+			fmt.Printf("wrote host %s profile to %s\n", p.kind, p.path)
+		}
+	}
 	st := r.Stats
 	fmt.Printf("%s %s: sim_cycles=%d check=%#x\n", r.Workload, r.Setting, r.SimCycles, r.Check)
 	fmt.Printf("stats: loads=%d stores=%d l1=%d l2=%d l3=%d dram=%d walks=%d ssb=%d epcFaults=%d evictions=%d pagingCycles=%d\n",
@@ -203,15 +218,55 @@ func runReplay(e *bench.Entry) {
 	}
 }
 
-// writeFile creates path and writes it with write.
-func writeFile(path string, write func(io.Writer) error) {
+// hostProfiled runs run under the requested host profiles ("" skips
+// one): a CPU profile written to cpu, and an allocs profile written to
+// mem, for which every allocation run makes is sampled.
+func hostProfiled(cpu, mem string, run func()) error {
+	var cpuFile *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		cpuFile = f
+	}
+	rate := runtime.MemProfileRate
+	if mem != "" {
+		runtime.MemProfileRate = 1
+	}
+	run()
+	runtime.MemProfileRate = rate
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			return err
+		}
+	}
+	if mem == "" {
+		return nil
+	}
+	runtime.GC() // the profile reports allocations up to the last collection
+	return create(mem, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+}
+
+// writeFile creates path and writes it with write, exiting on an error.
+func writeFile(path string, write func(io.Writer) error) { exitOn(create(path, write), 1) }
+
+// create creates path and writes it with write.
+func create(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
-	exitOn(err, 1)
+	if err != nil {
+		return err
+	}
 	werr := write(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
-	exitOn(werr, 1)
+	return werr
 }
 
 // printServe prints a serving replay: its calibration, the scenario

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -71,8 +75,8 @@ func TestCheckFlags(t *testing.T) {
 	t.Cleanup(reset)
 	n := 0
 	diagFlags(func(*flag.Flag) { n++ })
-	if n != 8 {
-		t.Errorf("diag defines %d flags, want 8", n)
+	if n != 10 {
+		t.Errorf("diag defines %d flags, want 10", n)
 	}
 	for _, c := range []struct {
 		args string
@@ -84,6 +88,11 @@ func TestCheckFlags(t *testing.T) {
 		{"-replay fault.crash.admit -setting die -trace t.json", ""},
 		{"-replay serve.mutex.dyn -setting plain", ""},
 		{"-replay spill.join.grace@2x -setting die", ""},
+		{"-replay plan.s03.j0.sel902.u.agg -setting die -memprofile m.prof -cpuprofile c.prof", ""},
+		{"-replay q2.filter-join-agg -setting die -profile p.folded -cpuprofile c.prof", ""},
+		{"-replay fault.crash.admit -setting die -memprofile m.prof", ""},
+		{"-cpuprofile c.prof", "-cpuprofile has no effect in join mode"},
+		{"-alg PHT -memprofile m.prof", "-memprofile has no effect in join mode"},
 		{"-replay join.PHT -alg PHT", "-alg has no effect in a -replay of an operator entry"},
 		{"-replay q2.filter-join-agg -opt", "-opt has no effect in a -replay of a pipeline entry"},
 		{"-replay fault.crash.admit -setting die -scale 512", "-scale has no effect in a -replay of a serving entry"},
@@ -154,5 +163,46 @@ func TestCheckScale(t *testing.T) {
 		if err := checkScale(c.scale); (err == nil) != c.ok {
 			t.Errorf("checkScale(%d) = %v, want ok=%v", c.scale, err, c.ok)
 		}
+	}
+}
+
+// profiledAlloc allocates n fresh bytes; TestHostProfiled looks for its
+// name in the allocs profile.
+//
+//go:noinline
+func profiledAlloc(n int) []byte { return make([]byte, n) }
+
+var profiledSink [][]byte
+
+// TestHostProfiled: -cpuprofile and -memprofile write gzipped pprof
+// files, and the allocs profile samples every allocation of the run, a
+// single small one included.
+func TestHostProfiled(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := hostProfiled(cpu, mem, func() { profiledSink = append(profiledSink, profiledAlloc(24)) }); err != nil {
+		t.Fatal(err)
+	}
+	profiledSink = nil
+	for path, want := range map[string]string{cpu: "", mem: "diag.profiledAlloc"} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		raw, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil || len(raw) == 0 {
+			t.Fatalf("%s: %d bytes, %v", filepath.Base(path), len(raw), err)
+		}
+		if !bytes.Contains(raw, []byte(want)) {
+			t.Errorf("%s does not name %s", filepath.Base(path), want)
+		}
+	}
+	if err := hostProfiled(filepath.Join(dir, "missing", "cpu.prof"), "", func() {}); err == nil {
+		t.Error("an uncreatable -cpuprofile path returned no error")
 	}
 }

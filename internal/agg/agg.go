@@ -21,6 +21,8 @@
 package agg
 
 import (
+	"fmt"
+
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
@@ -91,8 +93,11 @@ type Options struct {
 	Groups int
 	// Out, when non-nil, is the pre-allocated output entry array
 	// (EntryWords per input row, worst case); Parts the pre-allocated
-	// partition intermediate (one word per row). Reused across repeated
-	// benchmark runs so re-runs see identical simulated addresses.
+	// partition intermediate (one word per row), which must not alias an
+	// input. Reused across repeated benchmark runs so re-runs see
+	// identical simulated addresses. A supplied buffer shorter than the
+	// input needs panics before the first phase; SpillRunOn instead
+	// ignores a short Parts (it lends only host words there).
 	Out   *mem.U64Buf
 	Parts *mem.U64Buf
 }
@@ -156,6 +161,8 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	T := len(g.Threads)
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
+	mustHold("RunOn", "Parts", opt.Parts, n, n)
+	mustHold("RunOn", "Out", opt.Out, EntryWords*n, n)
 	// Cache-sized partitions: the expected per-partition group table
 	// meets the L2 target, as RHO's partitions do.
 	pBits := kernels.PartitionBits(int64(groups)*EntryBytes, env.L2Target(), 1, 12)
@@ -178,6 +185,16 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 
 	// --- Phase 3: per-partition in-cache aggregation + emission ---
 	return aggregate(env, g, mark, n, groups, parts, out, start, opt.Sel, pBits)
+}
+
+// mustHold panics, before any phase runs, when the caller-supplied
+// buffer b (nil: the operator allocates its own) is shorter than the
+// words the input's rows need, in host words or in simulated bytes.
+func mustHold(op, field string, b *mem.U64Buf, words, rows int) {
+	if b != nil && (b.Len() < words || b.Size < int64(words)*8) {
+		panic(fmt.Sprintf("agg: %s Options.%s %q holds %d words (%d bytes), %d input rows need %d",
+			op, field, b.Name, b.Len(), b.Size, rows, words))
+	}
 }
 
 // sizes returns the total row count of ins and the expected group count
@@ -212,7 +229,8 @@ func radixPass(g *exec.Group, histName, copyName string, prev []int, src []Input
 // aggregates each partition of parts (first rows in start) in cache,
 // round-robin over the threads, and emits its groups to out at the
 // partition's start slot; it then closes the stage's Result. groups is
-// the expected group count that sizes the workers' host arenas.
+// the expected group count: a worker's host arena starts at twice a
+// partition's share of it (at least 16 entries) and grows on demand.
 func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, parts, out *mem.U64Buf, start []int, sel Sel, pBits uint) *Result {
 	T := len(g.Threads)
 	P := len(start) - 1
@@ -221,9 +239,10 @@ func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, part
 	for p := 0; p < P; p++ {
 		maxPart = max(maxPart, start[p+1]-start[p])
 	}
+	perPart := max(2*((groups+P-1)/P), 16)
 	workers := make([]*worker, T)
 	for i := range workers {
-		workers[i] = newWorker(env, maxPart, groups)
+		workers[i] = newWorker(env, maxPart, perPart)
 	}
 	g.Phase("Agg.Build", func(t *engine.Thread, id int) {
 		w := workers[id]

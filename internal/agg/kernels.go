@@ -104,19 +104,18 @@ func scatterSeg(t *engine.Thread, in *mem.U64Buf, lo, hi int, parts *mem.U64Buf,
 // table of 1-based entry indexes and an entry arena. Entries are
 // EntryBytes wide — key and chain link packed in word 0, then count,
 // sum, min|max — so an aggregate update is one load + one store of the
-// same half-line (the read-modify-write idiom the engine batches). An
-// epoch counter makes per-partition clearing free, as in the joins'
-// in-cache scratch. The arena's simulated range covers every row a
-// partition can hold; its host words start at the expected group count
-// and grow when a partition holds more.
+// same half-line (the read-modify-write idiom the engine batches). Each
+// partition clears the bucket heads it uses on the host only, so the
+// reset costs no simulated access. The arena's simulated range covers
+// every row a partition can hold; its host words start at entries (the
+// groups a partition is expected to hold) and double when a partition
+// holds more.
 type worker struct {
 	buckets *mem.U32Buf
 	ents    *mem.U64Buf
-	epoch   []uint32
-	gen     uint32
 }
 
-func newWorker(env *core.Env, maxPartRows, groups int) *worker {
+func newWorker(env *core.Env, maxPartRows, entries int) *worker {
 	nb := rng.NextPow2(maxPartRows)
 	if nb < 16 {
 		nb = 16
@@ -125,24 +124,9 @@ func newWorker(env *core.Env, maxPartRows, groups int) *worker {
 		buckets: env.Space.AllocU32("agg.buckets", nb, env.DataRegion()),
 		ents: &mem.U64Buf{
 			Buffer: env.Space.Alloc("agg.ents", int64(EntryWords*(maxPartRows+2))*8, env.DataRegion()),
-			D:      make([]uint64, EntryWords*(min(maxPartRows, groups)+2)),
+			D:      make([]uint64, EntryWords*(min(maxPartRows, entries)+2)),
 		},
-		epoch: make([]uint32, nb),
 	}
-}
-
-// head returns the real chain head of bucket h (0 if stale).
-func (w *worker) head(h int) uint32 {
-	if w.epoch[h] == w.gen {
-		return w.buckets.D[h]
-	}
-	return 0
-}
-
-// setHead updates the real chain head of bucket h.
-func (w *worker) setHead(h int, row uint32) {
-	w.buckets.D[h] = row
-	w.epoch[h] = w.gen
 }
 
 // entOff returns the simulated byte offset of 1-based entry row.
@@ -213,7 +197,7 @@ func (w *worker) aggregateOne(t *engine.Thread, tup uint64, tok engine.Tok, sel 
 	gk, v := sel.Group(tup), sel.Value(tup)
 	hTok := engine.After(tok, hashCost)
 	headTok := t.Load(&w.buckets.Buffer, w.buckets.Off(h), 4, hTok)
-	head := w.head(h)
+	head := w.buckets.D[h]
 	if head != 0 {
 		row, loadTok, aDep := w.chase(t, head, gk, engine.After(headTok, 1))
 		if row != 0 {
@@ -226,7 +210,7 @@ func (w *worker) aggregateOne(t *engine.Thread, tup uint64, tok engine.Tok, sel 
 	}
 	nG++
 	w.insert(nG, gk, v, head)
-	w.setHead(h, nG)
+	w.buckets.D[h] = nG
 	// Entry store at the sequential group cursor (statically known
 	// address; the data includes the just-loaded head as chain link),
 	// then the bucket-head update at the hash-derived address.
@@ -256,7 +240,7 @@ func (w *worker) aggregatePartition(t *engine.Thread, parts *mem.U64Buf, lo, hi 
 	if nb > w.buckets.Len() {
 		nb = w.buckets.Len()
 	}
-	w.gen++
+	clear(w.buckets.D[:nb])
 	return int(w.aggregateRun(t, parts, lo, hi, sel, pBits, rng.Log2(nb), 0))
 }
 
@@ -287,7 +271,7 @@ func (w *worker) aggregateRun(t *engine.Thread, parts *mem.U64Buf, lo, hi int, s
 		for j := 0; j < aggUnroll; j++ {
 			tup := parts.D[i+j]
 			gk, v := sel.Group(tup), sel.Value(tup)
-			head := w.head(hs[j])
+			head := w.buckets.D[hs[j]]
 			dep := engine.After(headToks[j], 1)
 			if head != 0 && w.matchAtHead(head, gk) {
 				// Existing group at the chain head: one entry RMW,
@@ -312,7 +296,7 @@ func (w *worker) aggregateRun(t *engine.Thread, parts *mem.U64Buf, lo, hi int, s
 			// New group: entry store at the group cursor, head update.
 			nG++
 			w.insert(nG, gk, v, head)
-			w.setHead(hs[j], nG)
+			w.buckets.D[hs[j]] = nG
 			insOffs[nIns] = w.entOff(nG)
 			insDeps[nIns] = dep
 			nIns++

@@ -38,11 +38,14 @@ func SpillRun(env *core.Env, ins []Input, opt Options) *Result {
 }
 
 // SpillRunOn executes the spill-partitioned group-by on an existing
-// thread group.
+// thread group. Options.Parts, when it holds a word per input row, lends
+// its host words to the first staging buffer, which keeps its own
+// simulated range in the spill region; a shorter Parts is not used.
 func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	T := len(g.Threads)
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
+	mustHold("SpillRunOn", "Out", opt.Out, EntryWords*n, n)
 	// Enough hash bits that a partition's aggregation working set —
 	// EntryBytes per expected group plus the bucket table's word per row —
 	// meets the spill target, in TLB-friendly passes of at most 8 bits.
@@ -51,8 +54,13 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	stageReg := env.SpillRegion()
 	drain := stageReg != env.DataRegion()
 	bufs := [2]*mem.U64Buf{
-		env.Space.AllocU64("agg.sp0", max(n, 1), stageReg),
+		{Buffer: env.Space.Alloc("agg.sp0", int64(max(n, 1))*8, stageReg)},
 		{Buffer: env.Space.Alloc("agg.sp1", int64(max(n, 1))*8, stageReg)},
+	}
+	if opt.Parts != nil && opt.Parts.Len() >= max(n, 1) {
+		bufs[0].D = opt.Parts.D[:max(n, 1)]
+	} else {
+		bufs[0].D = make([]uint64, max(n, 1))
 	}
 	// sp1 gets host words only when the drain or a second pass writes it.
 	if drain || len(passes) > 1 {
@@ -115,6 +123,7 @@ func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
 	defer g.Release()
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
+	mustHold("DirectRun", "Out", opt.Out, EntryWords*n, n)
 	reg := env.DataRegion()
 	out := opt.Out
 	if out == nil {
@@ -131,7 +140,6 @@ func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
 		if id != 0 {
 			return
 		}
-		w.gen++
 		var nG uint32
 		for _, in := range ins {
 			nG = w.aggregateRun(t, in.Tup, 0, in.N, opt.Sel, 0, bBits, nG)

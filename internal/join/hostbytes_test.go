@@ -9,6 +9,7 @@ import (
 
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
+	"sgxbench/internal/exec"
 	"sgxbench/internal/kernels"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/platform"
@@ -40,7 +41,8 @@ func hostBytes(prep func() func()) uint64 {
 // partitioned copy of each input plus scratch), PHT 2.5x its build bytes
 // (the counting-sorted table plus its claims). A group-by whose Groups
 // hint is far below its largest partition keeps its entry arena at the
-// hint, so it allocates little beyond its bucket tables.
+// hint, so it allocates little beyond its bucket tables; a spill
+// group-by given Parts stages its first pass in Parts' words.
 func TestJoinHostBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -74,29 +76,39 @@ func TestJoinHostBytes(t *testing.T) {
 		}
 	}
 
-	// Group-by: 2^17 rows over 64 groups land in two partitions. Each
-	// worker's bucket table and epoch array (4 B each per bucket) are
-	// sized by its largest partition, at most 2^17 buckets; the entry
-	// arena, whose simulated range reserves 32 B per row, by the hint.
+	// Group-by: 2^17 rows over 64 groups. RunOn's two partitions size
+	// each worker's bucket table (4 B per bucket, at most 2^17 buckets);
+	// the entry arena, whose simulated range reserves 32 B per row,
+	// follows the hint. SpillRunOn's many small partitions keep its
+	// bucket tables small, and its staging copy (8 B per row) borrows
+	// Parts' words, so it stays under a quarter of that copy.
 	const rows, groups = 1 << 17, 64
-	got := hostBytes(func() func() {
-		env := newEnv()
-		in := env.Space.AllocU64("in", rows, env.DataRegion())
-		for i := range in.D {
-			in.D[i] = mem.MakeTuple(uint32(i%groups+1), uint32(i))
+	for _, op := range []struct {
+		name   string
+		run    func(*core.Env, *exec.Group, []agg.Input, agg.Options) *agg.Result
+		budget uint64 // bytes per Run
+	}{
+		{"RunOn", agg.RunOn, 2 * 4 * rows * 5 / 4}, // two workers' bucket tables + 25%
+		{"SpillRunOn", agg.SpillRunOn, 8 * rows / 4},
+	} {
+		got := hostBytes(func() func() {
+			env := newEnv()
+			in := env.Space.AllocU64("in", rows, env.DataRegion())
+			for i := range in.D {
+				in.D[i] = mem.MakeTuple(uint32(i%groups+1), uint32(i))
+			}
+			g := env.NewGroup(2, nil)
+			opt := agg.Options{
+				Groups: groups,
+				Out:    env.Space.AllocU64("agg.out", agg.EntryWords*rows, env.DataRegion()),
+				Parts:  env.Space.AllocU64("agg.parts", rows, env.DataRegion()),
+			}
+			return func() { op.run(env, g, []agg.Input{{Tup: in, N: rows}}, opt) }
+		})
+		t.Logf("group-by %s: %d B per Run (budget %d)", op.name, got, op.budget)
+		if got > op.budget {
+			t.Errorf("group-by %s: %d B per Run, budget %d: host words follow neither the Groups hint nor the partitions", op.name, got, op.budget)
 		}
-		g := env.NewGroup(2, nil)
-		opt := agg.Options{
-			Groups: groups,
-			Out:    env.Space.AllocU64("agg.out", agg.EntryWords*rows, env.DataRegion()),
-			Parts:  env.Space.AllocU64("agg.parts", rows, env.DataRegion()),
-		}
-		return func() { agg.RunOn(env, g, []agg.Input{{Tup: in, N: rows}}, opt) }
-	})
-	const aggBudget = 2 * 8 * rows * 5 / 4 // two workers' bucket tables + 25%
-	t.Logf("group-by: %d B per Run (budget %d)", got, aggBudget)
-	if got > aggBudget {
-		t.Errorf("group-by: %d B per Run, budget %d: the entry arena is not bounded by the Groups hint", got, aggBudget)
 	}
 }
 

@@ -403,9 +403,11 @@ func (gb GroupBy) Exec(ctx *Context) Stream {
 }
 
 // SpillGroupBy is GroupBy on the spill-partitioned aggregation, which
-// stages partition runs in untrusted memory under an EPC capacity limit
-// (the staging buffers are operator-internal; only the output entry
-// array comes from the Scratch).
+// stages partition runs in untrusted memory under an EPC capacity limit.
+// The staging buffers' simulated ranges are operator-internal; the first
+// one borrows the host words of the Scratch's partition intermediate,
+// which no other node of a spill query touches, and the output entry
+// array is the Scratch's.
 type SpillGroupBy struct {
 	Input Node
 	Sel   agg.Sel
@@ -421,7 +423,7 @@ func (gb SpillGroupBy) Exec(ctx *Context) Stream {
 	}
 	closeAgg := ctx.G.Scope("agg")
 	ar := agg.SpillRunOn(ctx.Env, ctx.G, ins, agg.Options{
-		Sel: gb.Sel, Groups: ctx.DS.Dim.N(), Out: ctx.SC.AggOut,
+		Sel: gb.Sel, Groups: ctx.DS.Dim.N(), Out: ctx.SC.AggOut, Parts: ctx.SC.AggPart,
 	})
 	closeAgg()
 	ctx.stage("agg", ar.WallCycles, uint64(ar.Groups), ar.Check)
