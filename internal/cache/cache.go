@@ -1,5 +1,7 @@
-// Package cache implements the set-associative cache and TLB models used
-// by the timing engine.
+// Package cache implements the set-associative models used by the timing
+// engine: the data cache levels and the TLBs. A TLB is a cache whose lines
+// are page numbers (platform.TLBGeom.Cache gives its geometry), so one
+// model serves both.
 //
 // Caches are simulated at cache-line granularity with true LRU replacement
 // inside each set. The model is deliberately structural (tags, sets, ways)
@@ -7,21 +9,23 @@
 // axis of analysis — fall out of the geometry: a 1 MB hash table hits in
 // L2, a 100 MB one misses to DRAM, exactly as in Figures 4, 5 and 13.
 //
-// Two implementations of the same replacement behaviour coexist:
+// Two representations of the same replacement behaviour coexist, each
+// serving caches and TLBs alike:
 //
-//   - Cache/TLB: the production representation. Each set stores its ways
-//     in recency order (MRU first) as a single packed entry array, so a
-//     hit is a short scan plus a move-to-front rotation, a miss victim is
+//   - Cache: the production representation. Each set stores its ways in
+//     recency order (MRU first) as a single packed entry array, so a hit
+//     is a short scan plus a move-to-front rotation, a miss victim is
 //     always the last slot (O(1), no timestamp scan), and probe + fill
-//     are one pass over the set: AccessOrFill and AccessOrFillStream are
-//     the packed cache's only probes. Set counts are rounded up to a
-//     power of two so indexing is a mask, not a division.
-//   - RefCache/RefTLB: the original timestamp-LRU representation with
-//     separate Access and Fill probes, kept verbatim as the oracle. Only
-//     the engine's reference model (internal/engine/reference.go) and the
+//     are one pass over the set: AccessOrFill, AccessOrFillStream and
+//     the TLB's read probe Access are the packed cache's only probes. Set
+//     counts are rounded up to a power of two so indexing is a mask, not
+//     a division.
+//   - RefCache: the original timestamp-LRU representation with separate
+//     Access and Fill probes, kept verbatim as the oracle. Only the
+//     engine's reference model (internal/engine/reference.go) and the
 //     differential tests construct one.
 //
-// Both implementations make identical hit/miss/eviction decisions for
+// Both representations make identical hit/miss/eviction decisions for
 // every access sequence: move-to-front order is exactly the LRU order the
 // timestamps encode, and both prefer an invalid way over evicting (in the
 // packed layout invalid ways always form a suffix of the recency order, so
@@ -29,10 +33,9 @@
 // and TestTLBImplEquivalence verify this on randomized traces.
 //
 // Production models are recycled through a sync.Pool per geometry: Put
-// and PutTLB take a finished thread's models back, and Get and GetTLB
-// hand them out again after Reset has restored exactly the state
-// New/NewTLB returns (TestResetIsNew), so recycling moves host memory
-// only.
+// takes a finished thread's caches and TLBs back, and Get hands them out
+// again after Reset has restored exactly the state New returns
+// (TestResetIsNew), so recycling moves host memory only.
 package cache
 
 import (
@@ -43,8 +46,9 @@ import (
 )
 
 // pow2Sets rounds a set count up to the next power of two (minimum 1) so
-// that set indexing is a mask. Both implementations use the rounded count
-// so they stay behaviourally identical to each other.
+// that set indexing is a mask. Both representations use the rounded count,
+// for caches and TLBs alike, so they stay behaviourally identical to each
+// other.
 //
 // Note the modeling consequence: a level whose set count is not a power
 // of two simulates more capacity than its geometry states. The full-size
@@ -57,9 +61,9 @@ import (
 //	64        8 → 12 KiB    exact          32 → 24 entries
 //	128–512   8 → 12 KiB    16 → 20 KiB    32 → 24 entries
 //
-// (the STLB shrinks because Entries/Ways floors first). Making the scaled
-// geometries exact is an open ROADMAP item; until then this rounding is
-// part of what the golden file pins.
+// (the STLB shrinks because its geometry's set count, Entries/Ways,
+// floors first). Making the scaled geometries exact is an open ROADMAP
+// item; until then this rounding is part of what the golden file pins.
 func pow2Sets(n int64) uint64 {
 	if n < 1 {
 		return 1
@@ -76,8 +80,8 @@ func lineShift(lineBytes int64) uint {
 	return l
 }
 
-// Cache is one set-associative level (fast representation). The zero value
-// is not usable; use New.
+// Cache is one set-associative level, a data cache or a TLB (fast
+// representation). The zero value is not usable; use New.
 //
 // Entry encoding: 0 means invalid; otherwise (line+1)<<1 | dirtyBit.
 // Within a set, entries form a circular recency list: head[s] is the
@@ -120,6 +124,10 @@ func New(g platform.CacheGeom) *Cache {
 	}
 }
 
+// NewTLB builds a TLB: a cache of g.Cache()'s geometry whose lines are
+// page numbers, probed with Access.
+func NewTLB(g platform.TLBGeom) *Cache { return New(g.Cache()) }
+
 // Reset empties the cache, restoring exactly the state New returns.
 func (c *Cache) Reset() {
 	clear(c.data)
@@ -140,6 +148,13 @@ const filtMask = 8*filtWords - 1
 
 // LineOf maps an address to its line number.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineBits }
+
+// Access is the read probe with fill that a TLB needs: it reports whether
+// line was resident and leaves it the MRU way of its set either way.
+func (c *Cache) Access(line uint64) bool {
+	hit, _, _, _ := c.AccessOrFill(line, false)
+	return hit
+}
 
 // AccessOrFill merges RefCache's Access and Fill into a single pass over
 // the set: on a hit the line moves to the front (and is dirtied on
@@ -311,149 +326,41 @@ func (c *Cache) DirtyMRU(line uint64) {
 	c.data[s*c.stride+filtWords+uint64(c.head[s])] |= 1
 }
 
-// TLB is a set-associative translation lookaside buffer over 4 KiB pages
-// (fast representation: circular recency order and a counting membership
-// filter, exactly like Cache).
-type TLB struct {
-	mask     uint64
-	ways     int
-	setShift uint
-	ents     []uint64         // 0 invalid, otherwise page+1; circular per set
-	head     []uint16         // per-set physical index of the MRU way
-	filt     []uint64         // 128 one-byte counters per set, keyed by tag bits
-	geom     platform.TLBGeom // the pool PutTLB returns the TLB to
-}
-
-// NewTLB builds a TLB with the given geometry.
-func NewTLB(g platform.TLBGeom) *TLB {
-	sets := pow2Sets(int64(g.Entries / g.Ways))
-	return &TLB{
-		mask:     sets - 1,
-		ways:     g.Ways,
-		setShift: uint(bits.Len64(sets - 1)),
-		ents:     make([]uint64, sets*uint64(g.Ways)),
-		head:     make([]uint16, sets),
-		filt:     make([]uint64, sets*filtWords),
-		geom:     g,
-	}
-}
-
-// Reset empties the TLB, restoring exactly the state NewTLB returns.
-func (t *TLB) Reset() {
-	clear(t.ents)
-	clear(t.head)
-	clear(t.filt)
-}
-
-// MRUHit reports whether page is the most recently used entry of its
-// set. A true result means Access(page) would hit without any state
-// change, so callers may skip the probe entirely.
-func (t *TLB) MRUHit(page uint64) bool {
-	s := page & t.mask
-	return t.ents[s*uint64(t.ways)+uint64(t.head[s])] == page+1
-}
-
-// Access probes for page; on a miss the page is installed (evicting LRU).
-// It returns whether the probe hit. The MRU way is checked first (a
-// repeat translation of the most recent page in a set needs no reorder),
-// and the counting filter proves most misses without scanning the set.
-func (t *TLB) Access(page uint64) bool {
-	s := page & t.mask
-	base := s * uint64(t.ways)
-	set := t.ents[base : base+uint64(t.ways)]
-	h := int(t.head[s])
-	tag := page + 1
-	if set[h] == tag {
-		return true
-	}
-	k := (page >> t.setShift) & filtMask
-	fw, fs := s*filtWords+k>>3, uint(k&7)<<3
-	if t.filt[fw]>>fs&0xff != 0 {
-		if t.scanHit(set, h, tag) {
-			return true
-		}
-	}
-	lru := h - 1
-	if lru < 0 {
-		lru = len(set) - 1
-	}
-	if old := set[lru]; old != 0 {
-		ek := ((old - 1) >> t.setShift) & filtMask
-		t.filt[s*filtWords+ek>>3] -= 1 << (uint(ek&7) << 3)
-	}
-	set[lru] = tag
-	t.head[s] = uint16(lru)
-	t.filt[fw] += 1 << fs
-	return false
-}
-
-// scanHit scans the set for tag in recency order (two linear segments of
-// the circular layout), promoting a hit to the front.
-func (t *TLB) scanHit(set []uint64, h int, tag uint64) bool {
-	for i := h + 1; i < len(set); i++ {
-		if set[i] == tag {
-			copy(set[h+1:i+1], set[h:i])
-			set[h] = tag
-			return true
-		}
-	}
-	for i := 0; i < h; i++ {
-		if set[i] == tag {
-			copy(set[1:i+1], set[:i])
-			set[0] = set[len(set)-1]
-			copy(set[h+1:], set[h:len(set)-1])
-			set[h] = tag
-			return true
-		}
-	}
-	return false
-}
-
-// The pools hold the models finished threads handed back, one sync.Pool
+// The pools hold the caches finished threads handed back, one sync.Pool
 // per geometry. They are process-wide, and the garbage collector may
 // empty them.
 var (
-	poolMu     sync.Mutex
-	cachePools = map[platform.CacheGeom]*sync.Pool{}
-	tlbPools   = map[platform.TLBGeom]*sync.Pool{}
+	poolMu sync.Mutex
+	pools  = map[platform.CacheGeom]*sync.Pool{}
 )
 
-// poolOf returns the pool of geometry g in m, creating it on first use.
-func poolOf[G comparable](m map[G]*sync.Pool, g G) *sync.Pool {
+// poolOf returns the pool of geometry g, creating it on first use.
+func poolOf(g platform.CacheGeom) *sync.Pool {
 	poolMu.Lock()
 	defer poolMu.Unlock()
-	if m[g] == nil {
-		m[g] = new(sync.Pool)
+	if pools[g] == nil {
+		pools[g] = new(sync.Pool)
 	}
-	return m[g]
+	return pools[g]
 }
 
-// get returns a model in the state fresh(g) returns: a pooled one of
-// geometry g, reset, or fresh(g) when the pool is empty.
-func get[G comparable, M interface{ Reset() }](m map[G]*sync.Pool, g G, fresh func(G) M) M {
-	if x, ok := poolOf(m, g).Get().(M); ok {
-		x.Reset()
-		return x
+// Get returns a cache in the state New(g) returns: a pooled one of
+// geometry g, reset, or a new one when the pool is empty.
+func Get(g platform.CacheGeom) *Cache {
+	if c, ok := poolOf(g).Get().(*Cache); ok {
+		c.Reset()
+		return c
 	}
-	return fresh(g)
+	return New(g)
 }
-
-// Get returns a cache in the state New(g) returns, recycled if it can.
-func Get(g platform.CacheGeom) *Cache { return get(cachePools, g, New) }
 
 // Put hands c back for a later Get; the caller must not use c afterwards.
-func Put(c *Cache) { poolOf(cachePools, c.geom).Put(c) }
+func Put(c *Cache) { poolOf(c.geom).Put(c) }
 
-// GetTLB returns a TLB in the state NewTLB(g) returns, recycled if it can.
-func GetTLB(g platform.TLBGeom) *TLB { return get(tlbPools, g, NewTLB) }
-
-// PutTLB hands t back for a later GetTLB; the caller must not use t
-// afterwards.
-func PutTLB(t *TLB) { poolOf(tlbPools, t.geom).Put(t) }
-
-// RefCache is the original timestamp-LRU cache level, kept as the
-// reference implementation for the engine's per-op path (golden tests and
-// cmd/bench baselines). Its replacement decisions are identical to Cache.
+// RefCache is the original timestamp-LRU cache level, data cache or TLB,
+// kept as the reference implementation for the engine's per-op path
+// (golden tests and cmd/bench baselines). Its replacement decisions are
+// identical to Cache.
 type RefCache struct {
 	sets     uint64
 	ways     int
@@ -528,52 +435,4 @@ func (c *RefCache) Fill(line uint64, write bool) (evicted uint64, evictedDirty, 
 	c.stamp[victim] = c.tick
 	c.dirty[victim] = write
 	return evicted, evictedDirty, ok
-}
-
-// RefTLB is the original timestamp-LRU TLB, the reference counterpart of
-// TLB.
-type RefTLB struct {
-	sets  uint64
-	ways  int
-	tags  []uint64
-	stamp []uint64
-	tick  uint64
-}
-
-// NewRefTLB builds a reference TLB with the given geometry.
-func NewRefTLB(g platform.TLBGeom) *RefTLB {
-	sets := pow2Sets(int64(g.Entries / g.Ways))
-	n := sets * uint64(g.Ways)
-	return &RefTLB{sets: sets, ways: g.Ways, tags: make([]uint64, n), stamp: make([]uint64, n)}
-}
-
-// Access probes for page; on a miss the page is installed (evicting an
-// empty way if present, else LRU). It returns whether the probe hit.
-func (t *RefTLB) Access(page uint64) bool {
-	base := (page % t.sets) * uint64(t.ways)
-	tag := page + 1
-	t.tick++
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < t.ways; w++ {
-		i := base + uint64(w)
-		if t.tags[i] == tag {
-			t.stamp[i] = t.tick
-			return true
-		}
-		if t.tags[i] == 0 {
-			if oldest != 0 {
-				oldest = 0
-				victim = i
-			}
-			continue
-		}
-		if t.stamp[i] < oldest {
-			oldest = t.stamp[i]
-			victim = i
-		}
-	}
-	t.tags[victim] = tag
-	t.stamp[victim] = t.tick
-	return false
 }

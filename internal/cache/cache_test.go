@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"sgxbench/internal/platform"
@@ -87,16 +88,28 @@ func TestDirtyWriteback(t *testing.T) {
 	}
 }
 
+// refTLB is a TLB's probe on the reference representation: Access, then
+// Fill on a miss.
+func refTLB(g platform.TLBGeom) func(page uint64) bool {
+	ref := NewRef(g.Cache())
+	return func(page uint64) bool {
+		if ref.Access(page, false) {
+			return true
+		}
+		ref.Fill(page, false)
+		return false
+	}
+}
+
 // TestTLBSetIndexing checks set selection and that an empty way is always
-// preferred over evicting a valid entry, for both TLB implementations.
+// preferred over evicting a valid entry, for both representations built
+// from a TLB geometry.
 func TestTLBSetIndexing(t *testing.T) {
 	geom := platform.TLBGeom{Entries: 8, Ways: 4} // 2 sets x 4 ways
 	for _, impl := range []string{"fast", "ref"} {
-		var access func(uint64) bool
-		if impl == "fast" {
-			access = NewTLB(geom).Access
-		} else {
-			access = NewRefTLB(geom).Access
+		access := NewTLB(geom).Access
+		if impl == "ref" {
+			access = refTLB(geom)
 		}
 		// Pages 0,2,4,6 map to set 0; pages 1,3,5 to set 1.
 		for _, p := range []uint64{0, 2, 4, 6} {
@@ -111,15 +124,13 @@ func TestTLBSetIndexing(t *testing.T) {
 				t.Errorf("%s: page %d evicted by an install in another set", impl, p)
 			}
 		}
-		// Set 0 is full; page 8 evicts its LRU (page 0, refreshed last ->
-		// LRU is page 2 after the re-touches above... order after touches
-		// is 6,4,2,0 oldest-first? re-touches went 0,2,4,6 so LRU is 0).
+		// Set 0 is full and the re-touches went 0, 2, 4, 6, so its LRU is
+		// page 0: page 8 evicts it.
 		access(8)
 		if access(0) {
 			t.Errorf("%s: page 0 (LRU) should have been evicted", impl)
 		}
-		// 2 was re-installed by the miss above? No: Access(0) missed and
-		// installed page 0 again, evicting the then-LRU page 2.
+		// That miss re-installed page 0, evicting the then-LRU page 2.
 		if !access(8) || !access(6) || !access(4) {
 			t.Errorf("%s: recently used pages evicted", impl)
 		}
@@ -200,7 +211,7 @@ func TestWidestSetOneFilterKey(t *testing.T) {
 	geom := platform.CacheGeom{SizeBytes: ways * 64, Ways: ways, LineBytes: 64}
 	tgeom := platform.TLBGeom{Entries: ways, Ways: ways}
 	fast, ref := New(geom), NewRef(geom)
-	tlb, refTLB := NewTLB(tgeom), NewRefTLB(tgeom)
+	tlb, tlbRef := NewTLB(tgeom), refTLB(tgeom)
 	r := rng.NewXorShift(3)
 	for i := 0; i < 20000; i++ {
 		n := uint64(i % ways)
@@ -222,32 +233,34 @@ func TestWidestSetOneFilterKey(t *testing.T) {
 				t.Fatalf("op %d: line %d eviction fast=(%d,%v,%v) ref=(%d,%v,%v)", i, line, fe, fd, fok, re, rd, rok)
 			}
 		}
-		if fh, rh := tlb.Access(line), refTLB.Access(line); fh != rh {
+		if fh, rh := tlb.Access(line), tlbRef(line); fh != rh {
 			t.Fatalf("op %d: TLB page %d fast hit=%v ref hit=%v", i, line, fh, rh)
 		}
 	}
 }
 
-// TestTLBImplEquivalence drives both TLB implementations with the same
-// randomized page trace, interrupted by the occasional cold restart.
+// TestTLBImplEquivalence drives both representations, built from a TLB
+// geometry, with the same randomized page trace, interrupted by the
+// occasional cold restart.
 func TestTLBImplEquivalence(t *testing.T) {
 	geom := platform.TLBGeom{Entries: 16, Ways: 4} // 4 sets x 4 ways
-	fast := NewTLB(geom)
-	ref := NewRefTLB(geom)
+	fast, ref := NewTLB(geom), refTLB(geom)
 	r := rng.NewXorShift(13)
 	for i := 0; i < 200000; i++ {
 		page := r.Next() % 64
 		if r.Next()%4096 == 0 {
-			fast, ref = NewTLB(geom), NewRefTLB(geom)
+			fast, ref = NewTLB(geom), refTLB(geom)
 		}
 		fh := fast.Access(page)
-		rh := ref.Access(page)
+		rh := ref(page)
 		if fh != rh {
 			t.Fatalf("op %d: access(page %d) fast=%v ref=%v", i, page, fh, rh)
 		}
-		// After any probe (hit or miss-install) the page is its set's MRU.
-		if !fast.MRUHit(page) {
-			t.Fatalf("op %d: page %d not MRU after probe", i, page)
+		// After any probe (hit or miss-install) the page is its set's MRU:
+		// a re-probe hits and changes nothing.
+		data, head := slices.Clone(fast.data), slices.Clone(fast.head)
+		if !fast.Access(page) || !slices.Equal(fast.data, data) || !slices.Equal(fast.head, head) {
+			t.Fatalf("op %d: re-probe of page %d missed or changed the TLB", i, page)
 		}
 	}
 }

@@ -25,10 +25,11 @@ const noPage = ^uint64(0)
 // — this is why the paper's EPCM-check overhead hurts random accesses
 // (Fig 5) but leaves linear scans at ~-3 % (Fig 13).
 
-// fastTranslate performs the full translation for a page that misses the
-// one-entry last-page cache, updating it. Callers pre-check
-// dtlb.MRUHit(page) inline (a DTLB-set-MRU page hits without any state
-// change), so this function runs only when a real probe is needed.
+// fastTranslate is the production engine's one translation step, for a
+// page that misses the one-entry last-page cache, and records the page
+// there. The DTLB probe checks its set's MRU way first, so a page already
+// MRU in its set hits without any state change; an STLB hit adds LatSTLB
+// and an STLB miss walks the page table.
 func (t *Thread) fastTranslate(page uint64, b *mem.Buffer) uint64 {
 	var tlbLat uint64
 	if !t.dtlb.Access(page) {

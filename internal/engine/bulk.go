@@ -133,11 +133,7 @@ func (t *Thread) fastLoadRun(b *mem.Buffer, off, elem int64, n int, dep Tok, tok
 		var tlbLat uint64
 		page := addr >> t.pageShift
 		if page != t.lastPage {
-			if t.dtlb.MRUHit(page) {
-				t.lastPage = page
-			} else {
-				tlbLat = t.fastTranslate(page, b)
-			}
+			tlbLat = t.fastTranslate(page, b)
 		}
 		t.mruLine = line
 		// Fused hierarchy walk.
@@ -226,15 +222,11 @@ func (t *Thread) StoreLinesNT(b *mem.Buffer, off int64, nLines int, addrDep, dat
 		if t.ref != nil {
 			t.refTranslateNT(page, node, epc, remote)
 		} else if page != t.lastPage {
-			if t.dtlb.MRUHit(page) {
-				t.lastPage = page
-			} else {
-				t.fastTranslate(page, b)
-				// The walk's PTE/EPCM fetches touched the hierarchy, so
-				// the MRU line memo can no longer vouch for its line (no
-				// data access follows to re-establish it).
-				t.mruLine = noPage
-			}
+			t.fastTranslate(page, b)
+			// A walk's PTE/EPCM fetches may have touched the hierarchy,
+			// so the MRU line memo can no longer vouch for its line (no
+			// data access follows to re-establish it).
+			t.mruLine = noPage
 		}
 		t.st.DRAMBytes[bNode] += lineBytes
 		if remote {
@@ -323,11 +315,7 @@ func (t *Thread) StoreRun(b *mem.Buffer, off, elem int64, n int, addrDep, dataDe
 		var tlbLat uint64
 		page := addr >> t.pageShift
 		if page != t.lastPage {
-			if t.dtlb.MRUHit(page) {
-				t.lastPage = page
-			} else {
-				tlbLat = t.fastTranslate(page, b)
-			}
+			tlbLat = t.fastTranslate(page, b)
 		}
 		t.mruLine = line
 		var done Tok
@@ -398,11 +386,7 @@ func (t *Thread) loadAt(b *mem.Buffer, addr uint64, node int, epc, remote bool, 
 	var tlbLat uint64
 	page := addr >> t.pageShift
 	if page != t.lastPage {
-		if t.dtlb.MRUHit(page) {
-			t.lastPage = page
-		} else {
-			tlbLat = t.fastTranslate(page, b)
-		}
+		tlbLat = t.fastTranslate(page, b)
 	}
 	t.mruLine = line
 	if hit, _, _, _ := t.l1.AccessOrFill(line, false); hit {
@@ -463,11 +447,7 @@ func (t *Thread) storeAt(b *mem.Buffer, addr uint64, node int, epc, remote bool,
 		var tlbLat uint64
 		page := addr >> t.pageShift
 		if page != t.lastPage {
-			if t.dtlb.MRUHit(page) {
-				t.lastPage = page
-			} else {
-				tlbLat = t.fastTranslate(page, b)
-			}
+			tlbLat = t.fastTranslate(page, b)
 		}
 		t.mruLine = line
 		if hit, _, _, _ := t.l1.AccessOrFill(line, true); hit {

@@ -34,16 +34,18 @@
 //     Load/Store/CAS and the bulk APIs — the sequential runs LoadRun,
 //     LoadRunToks, LoadLines, StoreRun and StoreLinesNT, and the
 //     random-access batches LoadGather, StoreScatter, RMWScatter,
-//     LoadChain and CASLoad — over packed recency-ordered caches with
-//     fused probe+fill set walks, a one-entry last-page translation cache
-//     in front of the DTLB, a one-entry MRU line memo that charges
-//     same-line repeat accesses as pure L1 hits, a cached prefetcher
-//     stream slot and precomputed stream-pacing latencies;
+//     LoadChain and CASLoad — over packed recency-ordered caches and TLBs
+//     (cache.Cache) with fused probe+fill set walks, one translation step
+//     (fastTranslate) behind a one-entry last-page cache, a one-entry MRU
+//     line memo that charges same-line repeat accesses as pure L1 hits, a
+//     cached prefetcher stream slot and precomputed stream-pacing
+//     latencies;
 //   - the reference engine (reference.go, Config.Reference = true): the
 //     original implementation and the executable specification — one full
 //     TLB probe, stream-table scan and separate cache probe/fill walk per
 //     access over internal/cache's timestamp-LRU reference structures,
-//     every run API decomposed into per-op Load/Store calls.
+//     the TLBs' included, every run API decomposed into per-op Load/Store
+//     calls.
 //
 // A Thread holds the reference engine behind one pointer, Thread.ref, nil
 // in production, consulted at eight hand-over points and nowhere else:
@@ -120,6 +122,9 @@ type SGXCosts struct {
 	// UCELatency is added per cache line crossing the UPI link to a
 	// remote socket's EPC (UPI Crypto Engine, Section 2).
 	UCELatency uint64
+	// EPCStreamTax is the multiplicative streaming bandwidth factor for
+	// local EPC data (TME-MK; Fig 13: -3 % outside the caches).
+	EPCStreamTax float64
 	// UPIStreamTaxEPC is the multiplicative bandwidth factor for
 	// encrypted UPI streams (Fig 16: 77% single-thread remote).
 	UPIStreamTaxEPC float64
@@ -132,6 +137,7 @@ func DefaultSGXCosts() SGXCosts {
 		EPCMCheckCycles: 120,
 		EPCMAccesses:    1,
 		UCELatency:      150,
+		EPCStreamTax:    0.97,
 		UPIStreamTaxEPC: 0.77,
 	}
 }
@@ -265,8 +271,7 @@ type Thread struct {
 
 	// Cache hierarchy (nil on a reference thread, whose refModel owns the
 	// reference structures instead, and after Release).
-	l1, l2, l3 *cache.Cache
-	dtlb, stlb *cache.TLB
+	l1, l2, l3, dtlb, stlb *cache.Cache
 
 	// ref is the reference engine (reference.go): non-nil only when the
 	// thread was built with Config.Reference.
@@ -354,13 +359,22 @@ type Config struct {
 
 // NewThread creates a thread with cold caches (possibly models a released
 // thread handed back, reset by cache.Get). It panics with the platform's
-// Validate error if the model cannot run on cfg.Plat.
+// Validate error if the model cannot run on cfg.Plat, and names a stream
+// tax outside (0, 1].
 func NewThread(cfg Config, id int) *Thread {
 	if cfg.Plat == nil {
 		panic("engine: Config.Plat is required")
 	}
 	if err := cfg.Plat.Validate(); err != nil {
 		panic(err)
+	}
+	for _, tax := range []struct {
+		name string
+		v    float64
+	}{{"EPCStreamTax", cfg.Costs.EPCStreamTax}, {"UPIStreamTaxEPC", cfg.Costs.UPIStreamTaxEPC}} {
+		if !(tax.v > 0 && tax.v <= 1) {
+			panic(fmt.Sprintf("engine: SGXCosts.%s must be in (0,1], got %g", tax.name, tax.v))
+		}
 	}
 	l3geom := cfg.Plat.L3 // the thread's share of the socket L3, at least one set
 	l3geom.SizeBytes = max(l3geom.SizeBytes/int64(max(cfg.L3Share, 1)), int64(l3geom.Ways)*l3geom.LineBytes)
@@ -389,8 +403,8 @@ func NewThread(cfg Config, id int) *Thread {
 		t.l1 = cache.Get(cfg.Plat.L1D)
 		t.l2 = cache.Get(cfg.Plat.L2)
 		t.l3 = cache.Get(l3geom)
-		t.dtlb = cache.GetTLB(cfg.Plat.DTLB)
-		t.stlb = cache.GetTLB(cfg.Plat.STLB)
+		t.dtlb = cache.Get(cfg.Plat.DTLB.Cache())
+		t.stlb = cache.Get(cfg.Plat.STLB.Cache())
 	}
 	t.pageShift = uint(bits.TrailingZeros64(uint64(cfg.Plat.PageBytes)))
 	t.lpShift = t.pageShift - 6
@@ -400,7 +414,7 @@ func NewThread(cfg Config, id int) *Thread {
 	// expressions match the per-access formula bit for bit.
 	line := float64(cfg.Plat.L1D.LineBytes)
 	t.pacedLat[0] = uint64(line / cfg.Plat.CoreStreamBW)
-	t.pacedLat[1] = uint64(line / (cfg.Plat.CoreStreamBW * cfg.Plat.EPCStreamTax))
+	t.pacedLat[1] = uint64(line / (cfg.Plat.CoreStreamBW * cfg.Costs.EPCStreamTax))
 	t.pacedLat[2] = uint64(line / cfg.Plat.RemoteStreamBW)
 	t.pacedLat[3] = uint64(line / (cfg.Plat.RemoteStreamBW * cfg.Costs.UPIStreamTaxEPC))
 	return t
@@ -417,8 +431,8 @@ func (t *Thread) Release() {
 	cache.Put(t.l1)
 	cache.Put(t.l2)
 	cache.Put(t.l3)
-	cache.PutTLB(t.dtlb)
-	cache.PutTLB(t.stlb)
+	cache.Put(t.dtlb)
+	cache.Put(t.stlb)
 	t.l1, t.l2, t.l3, t.dtlb, t.stlb = nil, nil, nil, nil, nil
 	t.lastPage, t.mruLine = noPage, noPage
 }

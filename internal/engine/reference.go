@@ -13,11 +13,10 @@ import (
 // seam" in the package comment; a production Thread (t.ref == nil) never
 // reaches this file.
 
-// refModel owns the reference cache hierarchy (timestamp LRU, separate
-// probe and fill walks).
+// refModel owns the reference cache hierarchy and TLBs (timestamp LRU,
+// separate probe and fill walks).
 type refModel struct {
-	l1, l2, l3 *cache.RefCache
-	dtlb, stlb *cache.RefTLB
+	l1, l2, l3, dtlb, stlb *cache.RefCache
 }
 
 func newRefModel(p *platform.Platform, l3 platform.CacheGeom) *refModel {
@@ -25,9 +24,19 @@ func newRefModel(p *platform.Platform, l3 platform.CacheGeom) *refModel {
 		l1:   cache.NewRef(p.L1D),
 		l2:   cache.NewRef(p.L2),
 		l3:   cache.NewRef(l3),
-		dtlb: cache.NewRefTLB(p.DTLB),
-		stlb: cache.NewRefTLB(p.STLB),
+		dtlb: cache.NewRef(p.DTLB.Cache()),
+		stlb: cache.NewRef(p.STLB.Cache()),
 	}
+}
+
+// refProbe probes a reference TLB for page, installing it on a miss, and
+// reports whether the probe hit.
+func refProbe(tlb *cache.RefCache, page uint64) bool {
+	if tlb.Access(page, false) {
+		return true
+	}
+	tlb.Fill(page, false)
+	return false
 }
 
 // refLoad is the per-op reference implementation of loadAt.
@@ -106,8 +115,8 @@ func (t *Thread) refAccess(b *mem.Buffer, addr uint64, write bool) (lat uint64, 
 	// --- Translation ---
 	var tlbLat uint64
 	page := addr / uint64(t.Plat.PageBytes)
-	if !t.ref.dtlb.Access(page) {
-		if t.ref.stlb.Access(page) {
+	if !refProbe(t.ref.dtlb, page) {
+		if refProbe(t.ref.stlb, page) {
 			tlbLat += t.Plat.LatSTLB
 		} else {
 			tlbLat += t.walkPage(page, b.Reg.Node, epc, remote)
@@ -132,7 +141,7 @@ func (t *Thread) refAccess(b *mem.Buffer, addr uint64, write bool) (lat uint64, 
 					bw *= t.Costs.UPIStreamTaxEPC
 				}
 			} else if epc {
-				bw *= t.Plat.EPCStreamTax
+				bw *= t.Costs.EPCStreamTax
 			}
 			lat = uint64(float64(t.Plat.L1D.LineBytes) / bw)
 			t.st.StreamFills++
@@ -223,7 +232,7 @@ func (t *Thread) refHier(addr uint64, write bool, homeNode int, epc, remote bool
 // refTranslateNT advances the translation state for one StoreLinesNT
 // line: a full probe per line whose latency hides behind the stream.
 func (t *Thread) refTranslateNT(page uint64, node int, epc, remote bool) {
-	if !t.ref.dtlb.Access(page) && !t.ref.stlb.Access(page) {
+	if !refProbe(t.ref.dtlb, page) && !refProbe(t.ref.stlb, page) {
 		t.walkPage(page, node, epc, remote)
 	}
 }

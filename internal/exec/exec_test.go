@@ -41,7 +41,7 @@ func TestGroupReleaseRecycles(t *testing.T) {
 	var keep []any
 	models := allocated(func() {
 		for range 2 {
-			keep = append(keep, cache.New(p.L1D), cache.New(p.L2), cache.New(l3), cache.NewTLB(p.DTLB), cache.NewTLB(p.STLB))
+			keep = append(keep, cache.New(p.L1D), cache.New(p.L2), cache.New(l3), cache.New(p.DTLB.Cache()), cache.New(p.STLB.Cache()))
 		}
 	})
 	cfg := engine.Config{Plat: p, Mode: engine.PlainCPU, Costs: engine.DefaultSGXCosts()}
@@ -76,7 +76,7 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 // Releasing twice is harmless, and a reference thread, whose models are
 // never pooled, keeps working after Release.
 func TestReleasedThreadPanics(t *testing.T) {
-	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU}
+	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU, Costs: engine.DefaultSGXCosts()}
 	buf := mem.NewSpace(1).Alloc("b", 4096, mem.Region{})
 	load := func(th *engine.Thread, _ int) { th.Load(&buf, 0, 8, 0) }
 	g := NewGroup(cfg, 2, nil)
@@ -133,7 +133,7 @@ func lineLoads(buf *mem.Buffer, lines int) func(*engine.Thread, int) {
 
 // stageGroup returns a 2-thread group and a buffer for lineLoads.
 func stageGroup() (*Group, *mem.Buffer) {
-	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU}
+	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU, Costs: engine.DefaultSGXCosts()}
 	buf := mem.NewSpace(1).Alloc("b", 1<<16, mem.Region{})
 	return NewGroup(cfg, 2, nil), &buf
 }
@@ -254,7 +254,7 @@ func TestScope(t *testing.T) {
 // sees the previous one finished, and a body's panic reaches Phase's
 // caller, where it can be recovered, without running later threads.
 func TestPhaseRunsInOrderOnCaller(t *testing.T) {
-	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU}
+	cfg := engine.Config{Plat: platform.XeonGold6326().Scaled(256), Mode: engine.PlainCPU, Costs: engine.DefaultSGXCosts()}
 	g := NewGroup(cfg, 4, nil)
 	defer g.Release()
 	var order []int

@@ -35,6 +35,12 @@ type TLBGeom struct {
 	Ways    int
 }
 
+// Cache returns the TLB as the cache it is: Entries/Ways sets of Ways
+// one-page lines, whose line numbers are page numbers.
+func (g TLBGeom) Cache() CacheGeom {
+	return CacheGeom{SizeBytes: int64(g.Entries) * 4096, Ways: g.Ways, LineBytes: 4096}
+}
+
 // Platform is the full hardware description used by the timing engine.
 // All code paths treat a Platform as immutable after construction.
 type Platform struct {
@@ -69,7 +75,6 @@ type Platform struct {
 	CoreStreamBW   float64 // single-core streaming bandwidth
 	SocketDRAMBW   float64 // aggregate DRAM bandwidth per socket
 	UPIBW          float64 // aggregate cross-socket UPI bandwidth (all links)
-	EPCStreamTax   float64 // multiplicative streaming slowdown for EPC data (TME-MK)
 	RemoteStreamBW float64 // single-core streaming bandwidth to the remote socket
 
 	// Memory sizes.
@@ -115,7 +120,6 @@ func XeonGold6326() *Platform {
 		CoreStreamBW:   3.1,  // ~9 GB/s per core
 		SocketDRAMBW:   38.0, // ~110 GB/s sustained per socket
 		UPIBW:          23.0, // ~67.2 GB/s over 3 UPI links (paper, §5.4)
-		EPCStreamTax:   0.97, // Fig 13: -3% outside cache
 		RemoteStreamBW: 2.4,
 
 		DRAMPerSocket: 256 << 30,
@@ -181,23 +185,21 @@ func (p *Platform) Validate() error {
 		return fmt.Errorf("platform: StoreBufSize must be >= 1, got %d", p.StoreBufSize)
 	case p.CoreStreamBW <= 0 || p.RemoteStreamBW <= 0 || p.SocketDRAMBW <= 0 || p.UPIBW <= 0:
 		return fmt.Errorf("platform: bandwidths must be positive")
-	case p.EPCStreamTax <= 0 || p.EPCStreamTax > 1:
-		return fmt.Errorf("platform: EPCStreamTax must be in (0,1], got %g", p.EPCStreamTax)
+	case p.L1D.LineBytes != 64 || p.L2.LineBytes != 64 || p.L3.LineBytes != 64:
+		// The engine computes line numbers as addr >> 6.
+		return fmt.Errorf("platform: cache line size must be 64 bytes, got %d/%d/%d (L1D/L2/L3)",
+			p.L1D.LineBytes, p.L2.LineBytes, p.L3.LineBytes)
 	}
-	for _, g := range []CacheGeom{p.L1D, p.L2, p.L3} {
-		switch {
-		case g.LineBytes != 64:
-			// The engine computes line numbers as addr >> 6.
-			return fmt.Errorf("platform: cache line size must be 64 bytes, got %d", g.LineBytes)
+	// A TLB is a cache of pages and obeys the same rules.
+	for _, l := range []struct {
+		name string
+		g    CacheGeom
+	}{{"L1D cache", p.L1D}, {"L2 cache", p.L2}, {"L3 cache", p.L3}, {"DTLB", p.DTLB.Cache()}, {"STLB", p.STLB.Cache()}} {
+		switch g := l.g; {
 		case g.Ways < 1 || g.Ways > maxWays:
-			return fmt.Errorf("platform: cache ways must be in [1,%d], got %d", maxWays, g.Ways)
+			return fmt.Errorf("platform: %s ways must be in [1,%d], got %d", l.name, maxWays, g.Ways)
 		case g.SizeBytes < int64(g.Ways)*g.LineBytes:
-			return fmt.Errorf("platform: cache smaller than one set (%d bytes, %d ways)", g.SizeBytes, g.Ways)
-		}
-	}
-	for _, g := range []TLBGeom{p.DTLB, p.STLB} {
-		if g.Ways < 1 || g.Ways > maxWays {
-			return fmt.Errorf("platform: TLB ways must be in [1,%d], got %d", maxWays, g.Ways)
+			return fmt.Errorf("platform: %s smaller than one set (capacity %d lines, %d ways)", l.name, g.SizeBytes/g.LineBytes, g.Ways)
 		}
 	}
 	return nil

@@ -24,8 +24,6 @@ func TestValidate(t *testing.T) {
 		{"core stream bandwidth zero", func(p *Platform) { p.CoreStreamBW = 0 }, "bandwidths"},
 		{"socket bandwidth negative", func(p *Platform) { p.SocketDRAMBW = -1 }, "bandwidths"},
 		{"UPI bandwidth zero", func(p *Platform) { p.UPIBW = 0 }, "bandwidths"},
-		{"EPC stream tax zero", func(p *Platform) { p.EPCStreamTax = 0 }, "EPCStreamTax"},
-		{"EPC stream tax above one", func(p *Platform) { p.EPCStreamTax = 1.5 }, "EPCStreamTax"},
 		{"cache smaller than one set", func(p *Platform) { p.L2.SizeBytes = 64 }, "smaller than one set"},
 		{"line sizes disagree", func(p *Platform) { p.L2.LineBytes = 128 }, "line size"},
 
@@ -40,6 +38,9 @@ func TestValidate(t *testing.T) {
 		{"TLB ways overflow the MRU index", func(p *Platform) { p.STLB.Ways = 1 << 16 }, "TLB ways"},
 		{"cache ways overflow a filter counter", func(p *Platform) { p.L2.Ways = 256 }, "cache ways"},
 		{"TLB ways overflow a filter counter", func(p *Platform) { p.DTLB.Ways = 256 }, "TLB ways"},
+		{"DTLB without entries", func(p *Platform) { p.DTLB.Entries = 0 }, "DTLB smaller than one set"},
+		{"DTLB smaller than one set", func(p *Platform) { p.DTLB.Entries = 3 }, "DTLB smaller than one set"},
+		{"DTLB with negative entries", func(p *Platform) { p.DTLB.Entries = -8 }, "DTLB smaller than one set"},
 	} {
 		p := XeonGold6326()
 		tc.mutate(p)
@@ -53,12 +54,19 @@ func TestValidate(t *testing.T) {
 }
 
 // TestScaledPlatformsValidate covers every scale factor the repository
-// builds a platform with (1 to 512), and the widest associativity the
-// packed cache models' one-byte filter counters can hold.
+// builds a platform with (1 to 512), where each TLB's cache geometry has
+// Entries/Ways sets of Ways one-page lines, and the widest associativity
+// the packed cache models' one-byte filter counters can hold.
 func TestScaledPlatformsValidate(t *testing.T) {
 	for f := int64(1); f <= 512; f *= 2 {
-		if err := XeonGold6326().Scaled(f).Validate(); err != nil {
+		p := XeonGold6326().Scaled(f)
+		if err := p.Validate(); err != nil {
 			t.Errorf("Scaled(%d): %v", f, err)
+		}
+		for _, g := range []TLBGeom{p.DTLB, p.STLB} {
+			if c := g.Cache(); c.Sets() != int64(g.Entries/g.Ways) || c.Ways != g.Ways || c.LineBytes != 4096 {
+				t.Errorf("Scaled(%d): %+v.Cache() = %+v, %d sets", f, g, c, c.Sets())
+			}
 		}
 	}
 	p := XeonGold6326()
