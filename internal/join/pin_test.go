@@ -67,55 +67,122 @@ func joinDigest(res *Result) uint64 {
 }
 
 // pinnedJoinDigests holds the digest of every case of
-// TestJoinDigestsPinned. A change to how PHT or RHO hold their tables
+// TestJoinDigestsPinned. A change to how the joins hold their tables
 // in host memory must leave all of them unchanged; a change that is
 // meant to move simulated numbers regenerates them (the failure message
 // prints each new value).
 var pinnedJoinDigests = map[string]uint64{
-	"PHT/fk/Plain CPU/opt=false/T=1":  0x2cd237d62fb3d1f6,
-	"PHT/fk/Plain CPU/opt=false/T=2":  0x234c7391acb94cb4,
-	"PHT/fk/Plain CPU/opt=true/T=1":   0x9f9f19ed562dc025,
-	"PHT/fk/Plain CPU/opt=true/T=2":   0x9fd3ad9fc57ba827,
-	"PHT/fk/SGX DiE/opt=false/T=1":    0x92935dffd779671e,
-	"PHT/fk/SGX DiE/opt=false/T=2":    0x8987b389941cfa3c,
-	"PHT/fk/SGX DiE/opt=true/T=1":     0xfe414299bb117d6b,
-	"PHT/fk/SGX DiE/opt=true/T=2":     0xa59047ba52e9b5c9,
-	"PHT/dup/Plain CPU/opt=false/T=1": 0x38c16499dc87403b,
-	"PHT/dup/Plain CPU/opt=false/T=2": 0x64c53f7547654317,
-	"PHT/dup/Plain CPU/opt=true/T=1":  0x8243a3528ea17bd0,
-	"PHT/dup/Plain CPU/opt=true/T=2":  0x6cbe879ab95040e7,
-	"PHT/dup/SGX DiE/opt=false/T=1":   0xa4169b93c92e3cd1,
-	"PHT/dup/SGX DiE/opt=false/T=2":   0xeee02776421e0756,
-	"PHT/dup/SGX DiE/opt=true/T=1":    0xe48afe5d4df6357c,
-	"PHT/dup/SGX DiE/opt=true/T=2":    0xdff7709f8a76cf6b,
-	"RHO/fk/Plain CPU/opt=false/T=1":  0x916feb27375d077c,
-	"RHO/fk/Plain CPU/opt=false/T=2":  0xc209001ec1c57a6f,
-	"RHO/fk/Plain CPU/opt=true/T=1":   0x6d3805d5857d77c9,
-	"RHO/fk/Plain CPU/opt=true/T=2":   0x2cfac3edc95b40d3,
-	"RHO/fk/SGX DiE/opt=false/T=1":    0x8a00f61f36fcabd1,
-	"RHO/fk/SGX DiE/opt=false/T=2":    0xc94d5eb23c2a734,
-	"RHO/fk/SGX DiE/opt=true/T=1":     0x3cee11bbf38334a2,
-	"RHO/fk/SGX DiE/opt=true/T=2":     0xdf1e4e89785d6e72,
-	"RHO/dup/Plain CPU/opt=false/T=1": 0x4c02acbbb916f5b0,
-	"RHO/dup/Plain CPU/opt=false/T=2": 0x473ac0e7224337fc,
-	"RHO/dup/Plain CPU/opt=true/T=1":  0x1bcfe404c8c72d27,
-	"RHO/dup/Plain CPU/opt=true/T=2":  0xddaac95e4af14eed,
-	"RHO/dup/SGX DiE/opt=false/T=1":   0xdd04a34a15274c21,
-	"RHO/dup/SGX DiE/opt=false/T=2":   0xeb2dafe5021a1417,
-	"RHO/dup/SGX DiE/opt=true/T=1":    0xa83f42951e8f27dd,
-	"RHO/dup/SGX DiE/opt=true/T=2":    0x9ec3575c149c0b2b,
+	"PHT/fk/Plain CPU/opt=false/T=1":      0x2cd237d62fb3d1f6,
+	"PHT/fk/Plain CPU/opt=false/T=2":      0x234c7391acb94cb4,
+	"PHT/fk/Plain CPU/opt=true/T=1":       0x9f9f19ed562dc025,
+	"PHT/fk/Plain CPU/opt=true/T=2":       0x9fd3ad9fc57ba827,
+	"PHT/fk/SGX DiE/opt=false/T=1":        0x92935dffd779671e,
+	"PHT/fk/SGX DiE/opt=false/T=2":        0x8987b389941cfa3c,
+	"PHT/fk/SGX DiE/opt=true/T=1":         0xfe414299bb117d6b,
+	"PHT/fk/SGX DiE/opt=true/T=2":         0xa59047ba52e9b5c9,
+	"PHT/dup/Plain CPU/opt=false/T=1":     0x38c16499dc87403b,
+	"PHT/dup/Plain CPU/opt=false/T=2":     0x64c53f7547654317,
+	"PHT/dup/Plain CPU/opt=true/T=1":      0x8243a3528ea17bd0,
+	"PHT/dup/Plain CPU/opt=true/T=2":      0x6cbe879ab95040e7,
+	"PHT/dup/SGX DiE/opt=false/T=1":       0xa4169b93c92e3cd1,
+	"PHT/dup/SGX DiE/opt=false/T=2":       0xeee02776421e0756,
+	"PHT/dup/SGX DiE/opt=true/T=1":        0xe48afe5d4df6357c,
+	"PHT/dup/SGX DiE/opt=true/T=2":        0xdff7709f8a76cf6b,
+	"RHO/fk/Plain CPU/opt=false/T=1":      0x916feb27375d077c,
+	"RHO/fk/Plain CPU/opt=false/T=2":      0xc209001ec1c57a6f,
+	"RHO/fk/Plain CPU/opt=true/T=1":       0x6d3805d5857d77c9,
+	"RHO/fk/Plain CPU/opt=true/T=2":       0x2cfac3edc95b40d3,
+	"RHO/fk/SGX DiE/opt=false/T=1":        0x8a00f61f36fcabd1,
+	"RHO/fk/SGX DiE/opt=false/T=2":        0xc94d5eb23c2a734,
+	"RHO/fk/SGX DiE/opt=true/T=1":         0x3cee11bbf38334a2,
+	"RHO/fk/SGX DiE/opt=true/T=2":         0xdf1e4e89785d6e72,
+	"RHO/dup/Plain CPU/opt=false/T=1":     0x4c02acbbb916f5b0,
+	"RHO/dup/Plain CPU/opt=false/T=2":     0x473ac0e7224337fc,
+	"RHO/dup/Plain CPU/opt=true/T=1":      0x1bcfe404c8c72d27,
+	"RHO/dup/Plain CPU/opt=true/T=2":      0xddaac95e4af14eed,
+	"RHO/dup/SGX DiE/opt=false/T=1":       0xdd04a34a15274c21,
+	"RHO/dup/SGX DiE/opt=false/T=2":       0xeb2dafe5021a1417,
+	"RHO/dup/SGX DiE/opt=true/T=1":        0xa83f42951e8f27dd,
+	"RHO/dup/SGX DiE/opt=true/T=2":        0x9ec3575c149c0b2b,
+	"CrkJoin/fk/Plain CPU/opt=false/T=1":  0xdfa10de6023fc279,
+	"CrkJoin/fk/Plain CPU/opt=false/T=2":  0x84bb5bc4357b9065,
+	"CrkJoin/fk/Plain CPU/opt=true/T=1":   0x55c82793c3995828,
+	"CrkJoin/fk/Plain CPU/opt=true/T=2":   0xdd80b7c8c6c8fcd2,
+	"CrkJoin/fk/SGX DiE/opt=false/T=1":    0xdecfa48a57dafabe,
+	"CrkJoin/fk/SGX DiE/opt=false/T=2":    0xd42562fc26b9ff15,
+	"CrkJoin/fk/SGX DiE/opt=true/T=1":     0xf99507a47da49fed,
+	"CrkJoin/fk/SGX DiE/opt=true/T=2":     0x2d2b1bba26db0be9,
+	"CrkJoin/dup/Plain CPU/opt=false/T=1": 0xa9862e1e13722920,
+	"CrkJoin/dup/Plain CPU/opt=false/T=2": 0xfeb18648a163e8f3,
+	"CrkJoin/dup/Plain CPU/opt=true/T=1":  0x6eabd236cabac8be,
+	"CrkJoin/dup/Plain CPU/opt=true/T=2":  0x8daef2dc54a33e53,
+	"CrkJoin/dup/SGX DiE/opt=false/T=1":   0x67c441589841a63e,
+	"CrkJoin/dup/SGX DiE/opt=false/T=2":   0xc757f15b690d9ec4,
+	"CrkJoin/dup/SGX DiE/opt=true/T=1":    0x544f3cc269e8fd09,
+	"CrkJoin/dup/SGX DiE/opt=true/T=2":    0xc44ecfb5f97b35e9,
+	"GRACE/fk/Plain CPU/opt=false/T=1":    0xe57bb9c542b00a,
+	"GRACE/fk/Plain CPU/opt=false/T=2":    0x4c4bc191aa3b77a2,
+	"GRACE/fk/Plain CPU/opt=true/T=1":     0xb719878a389b20e9,
+	"GRACE/fk/Plain CPU/opt=true/T=2":     0xc4af76e50c09cdb5,
+	"GRACE/fk/SGX DiE/opt=false/T=1":      0x57c10b3cc257db88,
+	"GRACE/fk/SGX DiE/opt=false/T=2":      0xab76a6f65777ed49,
+	"GRACE/fk/SGX DiE/opt=true/T=1":       0xeeafd610695ab9bf,
+	"GRACE/fk/SGX DiE/opt=true/T=2":       0x888e8d89f6e2dcbd,
+	"GRACE/dup/Plain CPU/opt=false/T=1":   0xef281c54b9a5208b,
+	"GRACE/dup/Plain CPU/opt=false/T=2":   0x8130d34b4bf33d03,
+	"GRACE/dup/Plain CPU/opt=true/T=1":    0xf9536ae921578ba,
+	"GRACE/dup/Plain CPU/opt=true/T=2":    0x4bc168319e5c71fb,
+	"GRACE/dup/SGX DiE/opt=false/T=1":     0x31c59eb8d6ff77b4,
+	"GRACE/dup/SGX DiE/opt=false/T=2":     0x9a089a3975b10359,
+	"GRACE/dup/SGX DiE/opt=true/T=1":      0xc01d181c90e40918,
+	"GRACE/dup/SGX DiE/opt=true/T=2":      0x3d4aa57a9438cdc3,
+	"INL/fk/Plain CPU/opt=false/T=1":      0xb5a947f4d89b0e4,
+	"INL/fk/Plain CPU/opt=false/T=2":      0x929d8374bbf26f75,
+	"INL/fk/SGX DiE/opt=false/T=1":        0xbc599de844a6a0c3,
+	"INL/fk/SGX DiE/opt=false/T=2":        0x8aa73227ebc764c3,
+	"INL/dup/Plain CPU/opt=false/T=1":     0x422dc3a987c0bc3f,
+	"INL/dup/Plain CPU/opt=false/T=2":     0xfe767189086eeba8,
+	"INL/dup/SGX DiE/opt=false/T=1":       0xe533b2dba4c5d9b2,
+	"INL/dup/SGX DiE/opt=false/T=2":       0xde7bfe7fc783d5cd,
+	"MWAY/fk/Plain CPU/opt=false/T=1":     0xe5ad4b70782bde1a,
+	"MWAY/fk/Plain CPU/opt=false/T=2":     0x2514744ea73dda75,
+	"MWAY/fk/SGX DiE/opt=false/T=1":       0xe373b9a1f489f906,
+	"MWAY/fk/SGX DiE/opt=false/T=2":       0x89b0261ffb66ba26,
+	"MWAY/dup/Plain CPU/opt=false/T=1":    0x69c73e31b30ee7cf,
+	"MWAY/dup/Plain CPU/opt=false/T=2":    0xdd5340e2b40ea8df,
+	"MWAY/dup/SGX DiE/opt=false/T=1":      0x4ce6e89a6688edb8,
+	"MWAY/dup/SGX DiE/opt=false/T=2":      0xce0ecc0e53a356a,
+	"GRACE/fk/SGX DiE/opt=true/T=2/epc":   0x56ab13d7e5529291,
 }
 
-// TestJoinDigestsPinned pins PHT and RHO, scalar and optimized, under
-// the plain and the enclave setting, over a foreign-key build and a
+// TestJoinDigestsPinned pins every join, scalar and optimized, under the
+// plain and the enclave setting, over a foreign-key build and a
 // duplicate-heavy one, single-threaded with materialized output and
 // two-threaded counting only (TestGoldenRHOMaterialized and
-// TestGoldenPHTMaterialized cover multi-threaded materialization).
+// TestGoldenPHTMaterialized cover multi-threaded materialization). One
+// more GRACE case runs under an EPC limit, two-threaded and
+// materializing, so the drain into the spill region is pinned too.
 func TestJoinDigestsPinned(t *testing.T) {
-	for _, alg := range []Algorithm{NewPHT(), NewRHO()} {
+	check := func(label string, alg Algorithm, env *core.Env, r, s *rel.Relation, opt Options) {
+		res, err := alg.Run(env, r, s, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if want := rel.ReferenceJoinCount(r, s); res.Matches != want {
+			t.Errorf("%s: matches=%d want %d", label, res.Matches, want)
+		}
+		if got, want := joinDigest(res), pinnedJoinDigests[label]; got != want {
+			t.Errorf("%q: %#x, // pinned %#x", label, got, want)
+		}
+	}
+	for _, alg := range []Algorithm{NewPHT(), NewRHO(), NewCrk(), NewGrace(), NewINL(), NewMWAY()} {
+		opts := []bool{false, true}
+		if alg.Name() == "INL" || alg.Name() == "MWAY" {
+			opts = opts[:1] // neither reads Options.Optimized
+		}
 		for _, build := range []string{"fk", "dup"} {
 			for _, setting := range []core.Setting{core.PlainCPU, core.SGXDiE} {
-				for _, optimized := range []bool{false, true} {
+				for _, optimized := range opts {
 					for _, threads := range []int{1, 2} {
 						label := fmt.Sprintf("%s/%s/%s/opt=%v/T=%d", alg.Name(), build, setting, optimized, threads)
 						env := testEnv(setting)
@@ -125,19 +192,13 @@ func TestJoinDigestsPinned(t *testing.T) {
 						} else {
 							r, s = genDupPair(env, 3000, 31)
 						}
-						res, err := alg.Run(env, r, s, Options{Threads: threads, Optimized: optimized, Materialize: threads == 1})
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if want := rel.ReferenceJoinCount(r, s); res.Matches != want {
-							t.Errorf("%s: matches=%d want %d", label, res.Matches, want)
-						}
-						if got, want := joinDigest(res), pinnedJoinDigests[label]; got != want {
-							t.Errorf("%q: %#x, // pinned %#x", label, got, want)
-						}
+						check(label, alg, env, r, s, Options{Threads: threads, Optimized: optimized, Materialize: threads == 1})
 					}
 				}
 			}
 		}
 	}
+	env := spillEnv(core.SGXDiE, false, epcHalf(2000, 8000))
+	r, s := rel.GenFKPair(env.Space, 2000, 8000, env.DataRegion(), 31)
+	check("GRACE/fk/SGX DiE/opt=true/T=2/epc", NewGrace(), env, r, s, Options{Threads: 2, Optimized: true, Materialize: true})
 }
