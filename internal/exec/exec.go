@@ -189,7 +189,8 @@ func (g *Group) Phases() []PhaseStats { return g.phases }
 // before running so that the stage's own phases, aggregate stats and
 // clock advance can be extracted afterwards, even though the group is
 // shared across operators (simulated caches and TLBs deliberately carry
-// over between stages).
+// over between stages). The zero Mark is the start of the phase
+// log: Since(Mark{}) covers every recorded phase.
 type Mark struct {
 	phase int
 	clock uint64
@@ -215,14 +216,4 @@ func (g *Group) Since(m Mark) ([]PhaseStats, engine.Stats, uint64) {
 func (g *Group) ResetPhases() {
 	g.phases = nil
 	g.clock = 0
-}
-
-// TotalStats sums the aggregate stats over all recorded phases.
-func (g *Group) TotalStats() engine.Stats {
-	var s engine.Stats
-	for _, p := range g.phases {
-		s.Add(p.Agg)
-	}
-	s.Cycles = g.clock
-	return s
 }

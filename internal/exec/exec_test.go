@@ -141,7 +141,7 @@ func stageGroup() (*Group, *mem.Buffer) {
 // TestSince runs before phases, takes a Mark, runs after more, and
 // checks stage extraction: Since returns exactly the phases after the
 // mark, their summed stats with Cycles set to the clock advance, and
-// that advance; TotalStats sums every phase up to Clock; ResetPhases
+// that advance; Since(Mark{}) sums every phase up to Clock; ResetPhases
 // empties the log and rebases the clock.
 func TestSince(t *testing.T) {
 	for _, tc := range []struct{ before, after int }{
@@ -187,8 +187,8 @@ func TestSince(t *testing.T) {
 			total.Add(p.Agg)
 		}
 		total.Cycles = g.Clock()
-		if got := g.TotalStats(); got != total {
-			t.Errorf("%s: TotalStats\n got %+v\nwant %+v", name, got, total)
+		if _, got, _ := g.Since(Mark{}); got != total {
+			t.Errorf("%s: Since(Mark{})\n got %+v\nwant %+v", name, got, total)
 		}
 
 		g.ResetPhases()

@@ -85,6 +85,7 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 	T := opt.threads()
 	g := env.NewGroup(T, nil)
 	defer g.Release()
+	mark := g.Mark()
 	res := &Result{Algorithm: c.Name()}
 
 	// CrkJoin cracks in place: work on clones so callers keep their
@@ -95,9 +96,9 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 	// Total bits: RHO's, partitions sized for L2, as configured by the
 	// authors.
 	bits := kernels.PartitionBits(int64(build.N())*rel.TupleBytes, env.L2Target(), 2, 18)
-	nPart := 1 << bits
 
-	// Partition boundaries per table: bounds[k] holds 2^level+1 offsets.
+	// Partition boundaries per table: 2^level+1 offsets after each level,
+	// 2^bits+1 at the end.
 	type table struct {
 		t      *rel.Relation
 		bounds []int
@@ -132,53 +133,7 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 	}
 
 	// In-cache join per partition, all threads.
-	maxPart := 0
-	for _, tb := range tabs[:1] {
-		for p := 0; p < nPart; p++ {
-			if l := tb.bounds[p+1] - tb.bounds[p]; l > maxPart {
-				maxPart = l
-			}
-		}
-	}
-	scratches := make([]*scratch, T)
-	for i := range scratches {
-		scratches[i] = newScratch(env, maxPart)
-	}
-	counts := make([]uint64, T)
-	buildCy := make([]uint64, T)
-	probeCy := make([]uint64, T)
-	outs := make([]*outWriter, T)
-	g.Phase("Join", func(t *engine.Thread, id int) {
-		var out *outWriter
-		if opt.Materialize {
-			out = newOutWriter(env, id, opt.outBuf(id))
-			outs[id] = out
-		}
-		var local uint64
-		for p := id; p < nPart; p += T {
-			local += joinPartition(t,
-				R.Tup, tabs[0].bounds[p], tabs[0].bounds[p+1],
-				S.Tup, tabs[1].bounds[p], tabs[1].bounds[p+1],
-				scratches[id], opt.Optimized, out, &buildCy[id], &probeCy[id])
-		}
-		counts[id] = local
-	})
-
-	for id := 0; id < T; id++ {
-		res.Matches += counts[id]
-		res.BuildCycles += buildCy[id]
-		res.ProbeCycles += probeCy[id]
-	}
-	if opt.Materialize {
-		res.Output = make([][]uint64, T)
-		for i, w := range outs {
-			if w != nil {
-				res.Output[i] = w.result()
-			}
-		}
-	}
-	res.Phases = g.Phases()
-	res.WallCycles = g.Clock()
-	res.Stats = g.TotalStats()
+	joinPartitions(env, g, "Join", R.Tup, tabs[0].bounds, S.Tup, tabs[1].bounds, 1, opt, res)
+	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res, nil
 }

@@ -133,10 +133,10 @@ func TestJoinAllocsFlat(t *testing.T) {
 		optimized bool
 		budget    uint64 // allocations per Run
 	}{
-		{NewRHO(), true, 112},
-		{NewRHO(), false, 90},
-		{NewGrace(), true, 105},
-		{NewPHT(), true, 32},
+		{NewRHO(), true, 110},
+		{NewRHO(), false, 88},
+		{NewGrace(), true, 102},
+		{NewPHT(), true, 30},
 	} {
 		var counts []uint64
 		var bits []uint

@@ -3,16 +3,17 @@ package join
 import (
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
+	"sgxbench/internal/exec"
 	"sgxbench/internal/mem"
 	"sgxbench/internal/rng"
 )
 
 // scratch is a per-thread reusable hash area for in-cache partition joins
-// (the join method RHO and CrkJoin share, [3, 26]). Buckets hold 1-based
-// entry indexes; each entry packs the build tuple together with its chain
-// link (16 bytes), as in the bucket-chained tables of the TEEBench
-// lineage — a probe hop therefore costs one load, not a tuple load plus a
-// separate link load. An epoch counter makes clearing free; the timed
+// (the join method RHO, CrkJoin and GRACE share, [3, 26]). Buckets hold
+// 1-based entry indexes; each entry packs the build tuple together with
+// its chain link (16 bytes), as in the bucket-chained tables of the
+// TEEBench lineage — a probe hop therefore costs one load, not a tuple
+// load plus a separate link load. An epoch counter makes clearing free; the timed
 // cost of the (tiny) bucket memset is charged explicitly.
 type scratch struct {
 	buckets *mem.U32Buf
@@ -36,23 +37,56 @@ func newScratch(env *core.Env, maxPartRows int) *scratch {
 	}
 }
 
+// joinPartitions runs the in-cache partition phase that RHO, CrkJoin and
+// GRACE end in, as group phase name: partition p joins
+// R[rStart[p]:rStart[p+1]] with S[sStart[p]:sStart[p+1]]. Threads take
+// blocks of blk consecutive partitions round-robin (RHO's blocks are its
+// pass-1 partitions, the others' single partitions), each with its own
+// scratch sized by the largest build partition. Matches, build/probe
+// cycles and output are folded into res.
+func joinPartitions(env *core.Env, g *exec.Group, name string, R *mem.U64Buf, rStart []int, S *mem.U64Buf, sStart []int, blk int, opt Options, res *Result) {
+	T := len(g.Threads)
+	P := len(rStart) - 1
+	maxPart := 0
+	for p := 0; p < P; p++ {
+		maxPart = max(maxPart, rStart[p+1]-rStart[p])
+	}
+	scratches := make([]*scratch, T)
+	for i := range scratches {
+		scratches[i] = newScratch(env, maxPart)
+	}
+	tl := make(tallies, T)
+	cycles := make([][2]uint64, T) // per thread: build, probe
+	g.Phase(name, func(t *engine.Thread, id int) {
+		out := tl.writer(env, id, opt)
+		for b := id * blk; b < P; b += T * blk {
+			for p := b; p < b+blk; p++ {
+				tl[id].matches += joinPartition(t, R, rStart[p], rStart[p+1], S, sStart[p], sStart[p+1],
+					scratches[id], opt.Optimized, out, &cycles[id])
+			}
+		}
+	})
+	tl.fold(res, opt)
+	for _, c := range cycles {
+		res.BuildCycles += c[0]
+		res.ProbeCycles += c[1]
+	}
+}
+
 // joinPartition builds a hash table over R[rLo:rHi] and probes it with
-// S[sLo:sHi]. It returns the number of matches; build/probe cycle splits
-// are accumulated into the provided counters. Both loops exist in scalar
+// S[sLo:sHi]. It returns the number of matches and adds the build and
+// probe cycles to cycles[0] and cycles[1]. Both loops exist in scalar
 // and unroll+reorder (optimized) forms: the hash-table insert is a
 // data-dependent write (bucket head update at a hash-derived address),
 // so the scalar form pays the full SSB serialization inside enclaves even
 // though every access hits the cache (Table 2, "data-dependent write,
 // < LLC").
 func joinPartition(t *engine.Thread, R *mem.U64Buf, rLo, rHi int, S *mem.U64Buf, sLo, sHi int,
-	sc *scratch, optimized bool, out *outWriter, buildCycles, probeCycles *uint64) uint64 {
+	sc *scratch, optimized bool, out *outWriter, cycles *[2]uint64) uint64 {
 
 	rLen := rHi - rLo
 	if rLen <= 0 {
-		if probeCycles != nil {
-			// Still scan S to count zero matches (no table: no matches).
-		}
-		return 0
+		return 0 // no table: no matches
 	}
 	nb := rng.NextPow2(rLen)
 	if nb < 16 {
@@ -133,9 +167,7 @@ func joinPartition(t *engine.Thread, R *mem.U64Buf, rLo, rHi int, S *mem.U64Buf,
 	}
 	t.Drain()
 	mid := t.Cycle()
-	if buildCycles != nil {
-		*buildCycles += mid - start
-	}
+	cycles[0] += mid - start
 
 	// --- Probe ---
 	var matches uint64
@@ -229,8 +261,6 @@ func joinPartition(t *engine.Thread, R *mem.U64Buf, rLo, rHi int, S *mem.U64Buf,
 		}
 	}
 	t.Drain()
-	if probeCycles != nil {
-		*probeCycles += t.Cycle() - mid
-	}
+	cycles[1] += t.Cycle() - mid
 	return matches
 }

@@ -49,15 +49,10 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	}
 	idx := btree.BulkLoad(env.Space, "inl.index", pairs, env.DataRegion())
 
-	counts := make([]uint64, T)
-	outs := make([]*outWriter, T)
+	tl := make(tallies, T)
 	ps := g.Phase("Probe", func(t *engine.Thread, id int) {
 		lo, hi := exec.Chunk(probe.N(), T, id)
-		var out *outWriter
-		if opt.Materialize {
-			out = newOutWriter(env, id, opt.outBuf(id))
-			outs[id] = out
-		}
+		out := tl.writer(env, id, opt)
 		var local uint64
 		var vals []uint32
 		for i := lo; i < hi; i++ {
@@ -73,21 +68,10 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 				}
 			}
 		}
-		counts[id] = local
+		tl[id].matches = local
 	})
 	res.ProbeCycles = ps.WallCycles
-
-	for _, c := range counts {
-		res.Matches += c
-	}
-	if opt.Materialize {
-		res.Output = make([][]uint64, T)
-		for i, w := range outs {
-			if w != nil {
-				res.Output[i] = w.result()
-			}
-		}
-	}
+	tl.fold(res, opt)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res, nil
 }

@@ -73,9 +73,9 @@ type Result struct {
 	// Phases is the barrier-phase breakdown (names depend on algorithm;
 	// RHO: Hist1, Copy1, Hist2, Copy2, Join).
 	Phases []exec.PhaseStats
-	// BuildCycles/ProbeCycles split the in-cache join phase of RHO and
-	// CrkJoin (aggregated across threads), and the build/probe phases of
-	// PHT; used for the Fig 4/6 breakdowns.
+	// BuildCycles/ProbeCycles split the in-cache join phase of RHO,
+	// CrkJoin and GRACE (aggregated across threads), and the build/probe
+	// phases of PHT; used for the Fig 4/6 breakdowns.
 	BuildCycles uint64
 	ProbeCycles uint64
 	// Output holds materialized output rows per thread (when requested).

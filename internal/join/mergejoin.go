@@ -28,16 +28,11 @@ func MergeJoinSorted(env *core.Env, g *exec.Group, R *mem.U64Buf, nR int, S *mem
 	T := len(g.Threads)
 	mark := g.Mark()
 	res := &Result{Algorithm: "MergeJoin"}
-	counts := make([]uint64, T)
-	outs := make([]*outWriter, T)
+	tl := make(tallies, T)
 	g.Phase("MergeJoin", func(t *engine.Thread, id int) {
 		loKey, hiKey := sortop.Splitter(maxKey, T, id), sortop.Splitter(maxKey, T, id+1)
 		last := id == T-1
-		var out *outWriter
-		if opt.Materialize {
-			out = newOutWriter(env, id, opt.outBuf(id))
-			outs[id] = out
-		}
+		out := tl.writer(env, id, opt)
 		ri := stdsort.Search(nR, func(i int) bool { return mem.TupleKey(R.D[i]) >= loKey })
 		si := stdsort.Search(nS, func(i int) bool { return mem.TupleKey(S.D[i]) >= loKey })
 		// The last range is unbounded above: an exclusive hiKey could
@@ -106,20 +101,9 @@ func MergeJoinSorted(env *core.Env, g *exec.Group, R *mem.U64Buf, nR int, S *mem
 			ri++
 			t.Work(1)
 		}
-		counts[id] = local
+		tl[id].matches = local
 	})
-
-	for _, c := range counts {
-		res.Matches += c
-	}
-	if opt.Materialize {
-		res.Output = make([][]uint64, T)
-		for i, w := range outs {
-			if w != nil {
-				res.Output[i] = w.result()
-			}
-		}
-	}
+	tl.fold(res, opt)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res
 }

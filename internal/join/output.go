@@ -35,6 +35,41 @@ func newOutWriter(env *core.Env, id int, fixed *mem.U64Buf) *outWriter {
 	return &outWriter{env: env, id: id, fixed: fixed}
 }
 
+// tally is one thread's share of a join phase's result: its match count
+// and, when the join materializes, its output writer.
+type tally struct {
+	matches uint64
+	out     *outWriter
+}
+
+// tallies holds the per-thread tallies of one join phase, indexed by
+// thread id.
+type tallies []tally
+
+// writer returns thread id's output writer, or nil when the join only
+// counts. Each thread calls it once, at the start of its phase body.
+func (tl tallies) writer(env *core.Env, id int, opt Options) *outWriter {
+	if !opt.Materialize {
+		return nil
+	}
+	tl[id].out = newOutWriter(env, id, opt.outBuf(id))
+	return tl[id].out
+}
+
+// fold adds the threads' matches to res and, when the join
+// materializes, sets res.Output to each thread's rows.
+func (tl tallies) fold(res *Result, opt Options) {
+	for _, c := range tl {
+		res.Matches += c.matches
+	}
+	if opt.Materialize {
+		res.Output = make([][]uint64, len(tl))
+		for i, c := range tl {
+			res.Output[i] = c.out.result()
+		}
+	}
+}
+
 // append writes one output row; dep is the token the row's fields were
 // loaded at (the store's data dependency — the address is a sequential
 // cursor and thus statically known). In fixed mode the pre-allocated

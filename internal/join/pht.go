@@ -394,15 +394,10 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	})
 	res.BuildCycles = bp.WallCycles
 
-	counts := make([]uint64, T)
-	outs := make([]*outWriter, T)
+	tl := make(tallies, T)
 	pp := g.Phase("Probe", func(t *engine.Thread, id int) {
 		lo, hi := exec.Chunk(probe.N(), T, id)
-		var out *outWriter
-		if opt.Materialize {
-			out = newOutWriter(env, id, opt.outBuf(id))
-			outs[id] = out
-		}
+		out := tl.writer(env, id, opt)
 		var local uint64
 		if unroll == 1 {
 			for i := lo; i < hi; i++ {
@@ -427,21 +422,10 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 				local += m
 			}
 		}
-		counts[id] = local
+		tl[id].matches = local
 	})
 	res.ProbeCycles = pp.WallCycles
-
-	for _, c := range counts {
-		res.Matches += c
-	}
-	if opt.Materialize {
-		res.Output = make([][]uint64, T)
-		for i, w := range outs {
-			if w != nil {
-				res.Output[i] = w.result()
-			}
-		}
-	}
+	tl.fold(res, opt)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res, nil
 }

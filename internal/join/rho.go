@@ -179,50 +179,8 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		st.start2[p1*p2] = st.in.Len()
 	}
 
-	// --- In-cache join per final partition ---
-	maxPart := 0
-	for fp := 0; fp < p1*p2; fp++ {
-		maxPart = max(maxPart, R.start2[fp+1]-R.start2[fp])
-	}
-	scratches := make([]*scratch, T)
-	for i := range scratches {
-		scratches[i] = newScratch(env, maxPart)
-	}
-	counts := make([]uint64, T)
-	buildCy := make([]uint64, T)
-	probeCy := make([]uint64, T)
-	outs := make([]*outWriter, T)
-	g.Phase("Join", func(t *engine.Thread, id int) {
-		var out *outWriter
-		if opt.Materialize {
-			out = newOutWriter(env, id, opt.outBuf(id))
-			outs[id] = out
-		}
-		var local uint64
-		for pp := id; pp < p1; pp += T {
-			for fp := pp * p2; fp < (pp+1)*p2; fp++ {
-				local += joinPartition(t,
-					R.out, R.start2[fp], R.start2[fp+1],
-					S.out, S.start2[fp], S.start2[fp+1],
-					scratches[id], opt.Optimized, out, &buildCy[id], &probeCy[id])
-			}
-		}
-		counts[id] = local
-	})
-
-	for id := 0; id < T; id++ {
-		res.Matches += counts[id]
-		res.BuildCycles += buildCy[id]
-		res.ProbeCycles += probeCy[id]
-	}
-	if opt.Materialize {
-		res.Output = make([][]uint64, T)
-		for i, w := range outs {
-			if w != nil {
-				res.Output[i] = w.result()
-			}
-		}
-	}
+	// --- In-cache join per final partition, by pass-1 partition ---
+	joinPartitions(env, g, "Join", R.out, R.start2, S.out, S.start2, p2, opt, res)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res, nil
 }

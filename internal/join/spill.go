@@ -144,51 +144,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 	}
 
 	// --- In-cache join per final chunk, round-robin ---
-	P := len(R.start) - 1
-	maxPart := 0
-	for p := 0; p < P; p++ {
-		if c := R.start[p+1] - R.start[p]; c > maxPart {
-			maxPart = c
-		}
-	}
-	scratches := make([]*scratch, T)
-	for i := range scratches {
-		scratches[i] = newScratch(env, maxPart)
-	}
-	counts := make([]uint64, T)
-	buildCy := make([]uint64, T)
-	probeCy := make([]uint64, T)
-	outs := make([]*outWriter, T)
-	Rout, Sout := R.src(), S.src()
-	g.Phase("Spill.Join", func(t *engine.Thread, id int) {
-		var out *outWriter
-		if opt.Materialize {
-			out = newOutWriter(env, id, opt.outBuf(id))
-			outs[id] = out
-		}
-		var local uint64
-		for p := id; p < P; p += T {
-			local += joinPartition(t,
-				Rout, R.start[p], R.start[p+1],
-				Sout, S.start[p], S.start[p+1],
-				scratches[id], opt.Optimized, out, &buildCy[id], &probeCy[id])
-		}
-		counts[id] = local
-	})
-
-	for id := 0; id < T; id++ {
-		res.Matches += counts[id]
-		res.BuildCycles += buildCy[id]
-		res.ProbeCycles += probeCy[id]
-	}
-	if opt.Materialize {
-		res.Output = make([][]uint64, T)
-		for i, w := range outs {
-			if w != nil {
-				res.Output[i] = w.result()
-			}
-		}
-	}
+	joinPartitions(env, g, "Spill.Join", R.src(), R.start, S.src(), S.start, 1, opt, res)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res, nil
 }

@@ -76,7 +76,8 @@ func Execute(env *core.Env, ds *Dataset, opt Options, name string, root Node) *R
 	res := &Result{Pipeline: name, Check: rng.FNVOffset64}
 	ctx := &Context{Env: env, G: g, DS: ds, SC: sc, Opt: opt, Res: res}
 	root.Exec(ctx)
-	return finish(g, res)
+	res.Phases, res.Stats, res.WallCycles = g.Since(exec.Mark{})
+	return res
 }
 
 // stage folds one completed stage into the result.
@@ -148,13 +149,7 @@ func execJoin(ctx *Context, alg joinRunner, in Stream, level int) Stream {
 	if err != nil {
 		panic(err)
 	}
-	ctx.stage("join", jr.WallCycles, jr.Matches, jr.Matches)
-	segs := joinSegments(ctx.SC, jr)
-	n := 0
-	for _, s := range segs {
-		n += s.N
-	}
-	return Stream{Segs: segs, N: n}
+	return joinStream(ctx, jr)
 }
 
 // HashJoin probes the chain-level dimension with a hash join: the
@@ -245,13 +240,7 @@ func (m MergeJoin) Exec(ctx *Context) Stream {
 		Materialize: true, OutBufs: sc.JoinOut,
 	})
 	closeJoin()
-	ctx.stage("join", jr.WallCycles, jr.Matches, jr.Matches)
-	segs := joinSegments(sc, jr)
-	n := 0
-	for _, s := range segs {
-		n += s.N
-	}
-	return Stream{Segs: segs, N: n}
+	return joinStream(ctx, jr)
 }
 
 // projectBlock is the number of tuples swapped per engine batch.

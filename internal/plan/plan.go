@@ -291,14 +291,18 @@ func capRuns(runs []scan.IDRun, maxN int) ([]scan.IDRun, int) {
 	return out, n
 }
 
-// joinSegments maps a materialized join result onto the aggregation's
-// input segments: one per thread, backed by the pre-allocated output
-// buffer. Rows past a buffer's capacity spilled to dynamically claimed
-// chunks at non-deterministic addresses; they are excluded here (size
-// Scratch to the workload so this never truncates — the stage row
-// counts in Result.Stages expose it when it does).
-func joinSegments(sc *Scratch, jr *join.Result) []agg.Input {
+// joinStream folds a materialized join's "join" stage into the result
+// and maps its output onto the next node's input segments: one per
+// thread, backed by the pre-allocated output buffer. Rows past a
+// buffer's capacity went to chunks claimed while the join ran, outside
+// the buffer; they are excluded here (size Scratch to the workload so
+// this never truncates — the stage row counts in Result.Stages expose it
+// when it does).
+func joinStream(ctx *Context, jr *join.Result) Stream {
+	ctx.stage("join", jr.WallCycles, jr.Matches, jr.Matches)
+	sc := ctx.SC
 	segs := make([]agg.Input, 0, len(jr.Output))
+	total := 0
 	for i, rows := range jr.Output {
 		n := len(rows)
 		if i < len(sc.JoinOut) {
@@ -306,15 +310,8 @@ func joinSegments(sc *Scratch, jr *join.Result) []agg.Input {
 				n = c
 			}
 			segs = append(segs, agg.Input{Tup: sc.JoinOut[i], N: n})
+			total += n
 		}
 	}
-	return segs
-}
-
-// finish seals the pipeline result from the group's full run.
-func finish(g *exec.Group, res *Result) *Result {
-	res.Phases = g.Phases()
-	res.WallCycles = g.Clock()
-	res.Stats = g.TotalStats()
-	return res
+	return Stream{Segs: segs, N: total}
 }
