@@ -17,9 +17,9 @@
 //     is a short scan plus a move-to-front rotation, a miss victim is
 //     always the last slot (O(1), no timestamp scan), and probe + fill
 //     are one pass over the set: AccessOrFill, AccessOrFillStream and
-//     the TLB's read probe Access are the packed cache's only probes. Set
-//     counts are rounded up to a power of two so indexing is a mask, not
-//     a division.
+//     the TLB's read probe Access are the packed cache's only probes.
+//     platform.Validate guarantees power-of-two set counts, so indexing
+//     is a mask, not a division.
 //   - RefCache: the original timestamp-LRU representation with separate
 //     Access and Fill probes, kept verbatim as the oracle. Only the
 //     engine's reference model (internal/engine/reference.go) and the
@@ -44,41 +44,6 @@ import (
 
 	"sgxbench/internal/platform"
 )
-
-// pow2Sets rounds a set count up to the next power of two (minimum 1) so
-// that set indexing is a mask. Both representations use the rounded count,
-// for caches and TLBs alike, so they stay behaviourally identical to each
-// other.
-//
-// Note the modeling consequence: a level whose set count is not a power
-// of two simulates more capacity than its geometry states. The full-size
-// Table 1 geometries are all exact, but every scale the repository runs
-// rounds at least one level (nominal → simulated):
-//
-//	scale     L1D           L2             STLB
-//	1         exact         exact          exact
-//	32        8 → 12 KiB    exact          exact
-//	64        8 → 12 KiB    exact          32 → 24 entries
-//	128–512   8 → 12 KiB    16 → 20 KiB    32 → 24 entries
-//
-// (the STLB shrinks because its geometry's set count, Entries/Ways,
-// floors first). Making the scaled geometries exact is an open ROADMAP
-// item; until then this rounding is part of what the golden file pins.
-func pow2Sets(n int64) uint64 {
-	if n < 1 {
-		return 1
-	}
-	return 1 << uint(bits.Len64(uint64(n-1)))
-}
-
-// lineShift returns log2 of the line size.
-func lineShift(lineBytes int64) uint {
-	l := uint(0)
-	for b := lineBytes; b > 1; b >>= 1 {
-		l++
-	}
-	return l
-}
 
 // Cache is one set-associative level, a data cache or a TLB (fast
 // representation). The zero value is not usable; use New.
@@ -109,14 +74,17 @@ type Cache struct {
 	geom platform.CacheGeom // the pool Put returns the cache to
 }
 
-// New builds a cache with the given geometry.
+// New builds a cache with geometry g, and panics if g fails g.Check.
 func New(g platform.CacheGeom) *Cache {
-	sets := pow2Sets(g.Sets())
+	if err := g.Check(); err != nil {
+		panic("cache: " + err.Error())
+	}
+	sets := uint64(g.Sets())
 	stride := uint64(filtWords + g.Ways)
 	return &Cache{
 		mask:     sets - 1,
 		stride:   stride,
-		lineBits: lineShift(g.LineBytes),
+		lineBits: uint(bits.TrailingZeros64(uint64(g.LineBytes))),
 		setShift: uint(bits.Len64(sets - 1)),
 		data:     make([]uint64, sets*stride),
 		head:     make([]uint16, sets),
@@ -371,14 +339,17 @@ type RefCache struct {
 	tick     uint64
 }
 
-// NewRef builds a reference cache with the given geometry.
+// NewRef builds a reference cache with geometry g, and panics as New does.
 func NewRef(g platform.CacheGeom) *RefCache {
-	sets := pow2Sets(g.Sets())
+	if err := g.Check(); err != nil {
+		panic("cache: " + err.Error())
+	}
+	sets := uint64(g.Sets())
 	n := sets * uint64(g.Ways)
 	return &RefCache{
 		sets:     sets,
 		ways:     g.Ways,
-		lineBits: lineShift(g.LineBytes),
+		lineBits: uint(bits.TrailingZeros64(uint64(g.LineBytes))),
 		tags:     make([]uint64, n),
 		stamp:    make([]uint64, n),
 		dirty:    make([]bool, n),

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sgxbench/internal/platform"
@@ -18,10 +20,8 @@ import (
 func TestResetIsNew(t *testing.T) {
 	for _, f := range []int64{1, 32, 128, 256, 512} {
 		p := platform.XeonGold6326().Scaled(f)
-		l3Share := p.L3
-		l3Share.SizeBytes = max(l3Share.SizeBytes/2, int64(l3Share.Ways)*l3Share.LineBytes)
 		r := rng.NewXorShift(uint64(f))
-		for _, g := range []platform.CacheGeom{p.L1D, p.L2, p.L3, l3Share, p.DTLB.Cache(), p.STLB.Cache()} {
+		for _, g := range []platform.CacheGeom{p.L1D, p.L2, p.L3, p.L3.Share(2), p.DTLB.Cache(), p.STLB.Cache()} {
 			span := uint64(4 * g.SizeBytes / g.LineBytes)
 			drive := func(c *Cache) {
 				for i := 0; i < 20000; i++ {
@@ -50,6 +50,48 @@ func TestResetIsNew(t *testing.T) {
 			if got := Get(g); !reflect.DeepEqual(got, New(g)) {
 				t.Errorf("scale %d, cache %+v: Get after Put differs from New", f, g)
 			}
+		}
+	}
+}
+
+// TestNominalIsSimulated: for every scale from 1 to 2^16, each level of
+// the platform, and the L3 share of each of 1 to 16 threads, builds caches
+// of exactly the sets its geometry states, so the capacity a platform
+// reports is the capacity both representations simulate.
+func TestNominalIsSimulated(t *testing.T) {
+	for f := int64(1); f <= 1<<16; f *= 2 {
+		p := platform.XeonGold6326().Scaled(f)
+		levels := map[string]platform.CacheGeom{"L1D": p.L1D, "L2": p.L2, "DTLB": p.DTLB.Cache(), "STLB": p.STLB.Cache()}
+		for k := 1; k <= 16; k++ {
+			levels[fmt.Sprintf("L3/%d", k)] = p.L3.Share(k)
+		}
+		for name, g := range levels {
+			if fast, ref := New(g).mask+1, NewRef(g).sets; fast != uint64(g.Sets()) || ref != uint64(g.Sets()) {
+				t.Errorf("Scaled(%d) %s: %d sets stated, Cache simulates %d, RefCache %d", f, name, g.Sets(), fast, ref)
+			}
+		}
+	}
+}
+
+// TestNewRejectsInexactGeometry: a geometry whose set count is not a power
+// of two used to be rounded up to one; both representations now refuse
+// it with platform.CacheGeom.Check's error.
+func TestNewRejectsInexactGeometry(t *testing.T) {
+	for _, g := range []platform.CacheGeom{
+		{SizeBytes: 3 * 4 * 64, Ways: 4, LineBytes: 64},      // 3 sets
+		{SizeBytes: 4*64 + 64, Ways: 4, LineBytes: 64},       // a set and one line
+		{SizeBytes: 2 * 64, Ways: 4, LineBytes: 64},          // half a set
+		{SizeBytes: 64 * 256 * 64, Ways: 256, LineBytes: 64}, // too wide
+	} {
+		for name, build := range map[string]func(){"New": func() { New(g) }, "NewRef": func() { NewRef(g) }} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "cache: ") || !strings.Contains(msg, g.Check().Error()) {
+						t.Errorf("%s(%+v) panicked with %q, want Check's error", name, g, msg)
+					}
+				}()
+				build()
+			}()
 		}
 	}
 }

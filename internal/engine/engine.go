@@ -376,8 +376,7 @@ func NewThread(cfg Config, id int) *Thread {
 			panic(fmt.Sprintf("engine: SGXCosts.%s must be in (0,1], got %g", tax.name, tax.v))
 		}
 	}
-	l3geom := cfg.Plat.L3 // the thread's share of the socket L3, at least one set
-	l3geom.SizeBytes = max(l3geom.SizeBytes/int64(max(cfg.L3Share, 1)), int64(l3geom.Ways)*l3geom.LineBytes)
+	l3geom := cfg.Plat.L3.Share(cfg.L3Share)
 	t := &Thread{
 		Plat:  cfg.Plat,
 		Mode:  cfg.Mode,

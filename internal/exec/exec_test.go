@@ -36,8 +36,7 @@ func TestGroupReleaseRecycles(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := platform.XeonGold6326()
-	l3 := p.L3 // each of the two threads' share of the socket L3
-	l3.SizeBytes /= 2
+	l3 := p.L3.Share(2) // each of the two threads' share of the socket L3
 	var keep []any
 	models := allocated(func() {
 		for range 2 {

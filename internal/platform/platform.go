@@ -11,7 +11,10 @@
 // relative cache/TLB residency behaviour.
 package platform
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheGeom describes one set-associative cache level.
 type CacheGeom struct {
@@ -21,12 +24,39 @@ type CacheGeom struct {
 }
 
 // Sets returns the number of sets implied by the geometry.
-func (g CacheGeom) Sets() int64 {
-	s := g.SizeBytes / (int64(g.Ways) * g.LineBytes)
-	if s < 1 {
-		return 1
+func (g CacheGeom) Sets() int64 { return g.SizeBytes / (int64(g.Ways) * g.LineBytes) }
+
+// Check returns an error naming the rule g breaks, nil if the cache
+// models simulate exactly the capacity g states: 1 to maxWays ways, and a
+// whole number of sets that is a power of two, so that a set index is a
+// mask of the line number.
+func (g CacheGeom) Check() error {
+	if g.Ways < 1 || g.Ways > maxWays {
+		return fmt.Errorf("ways must be in [1,%d], got %d", maxWays, g.Ways)
 	}
-	return s
+	if s := g.Sets(); s < 1 || s&(s-1) != 0 || s*int64(g.Ways)*g.LineBytes != g.SizeBytes {
+		return fmt.Errorf("must hold a power-of-two number of whole sets of %d ways, got %d lines (%d sets)", g.Ways, g.SizeBytes/g.LineBytes, s)
+	}
+	return nil
+}
+
+// Share returns the part of g one of k threads sharing it simulates (k < 1
+// counts as 1): a k-th of the sets, at least one, rounded up to a power of
+// two. The round-up is the one place a simulated geometry exceeds what it
+// is derived from, for k that are not powers of two.
+func (g CacheGeom) Share(k int) CacheGeom {
+	s := max(g.Sets()/int64(max(k, 1)), 1)
+	s = 1 << bits.Len64(uint64(s-1))
+	g.SizeBytes = s * int64(g.Ways) * g.LineBytes
+	return g
+}
+
+// scaled returns g with its set count divided by f, but not below floor
+// sets (nor above g's own).
+func (g CacheGeom) scaled(f, floor int64) CacheGeom {
+	s := g.Sets()
+	g.SizeBytes = max(s/f, min(s, floor)) * int64(g.Ways) * g.LineBytes
+	return g
 }
 
 // TLBGeom describes one TLB level (4 KiB pages).
@@ -135,21 +165,24 @@ func XeonGold6326() *Platform {
 // working-set capacities L1d and the first-level dTLB — stay (mostly)
 // fixed: structures like radix-partition cursors, bucket lines and spill
 // slots do not shrink with the data, so scaling L1 with the data would
-// make kernels thrash unphysically. L1 and the dTLB are floored at 8 KiB
-// and 16 entries. An experiment that divides its data sizes by the same f
-// observes the same L2/L3/TLB residency transitions as the full-size
-// platform. f must be a positive power of two.
+// make kernels thrash unphysically. Each cache and TLB level divides its
+// set count, so every level keeps a power-of-two number of sets, floored
+// at 16 sets for L1d (12 KiB) and L2 (20 KiB), 64 for L3 (48 KiB), 4 for
+// the dTLB (16 entries) and 2 for the STLB (24 entries). An experiment
+// that divides its data sizes by the same f observes the same L2/L3/TLB
+// residency transitions as the full-size platform. f must be a positive
+// power of two.
 func (p *Platform) Scaled(f int64) *Platform {
 	if f <= 0 || f&(f-1) != 0 {
 		panic(fmt.Sprintf("platform: scale factor %d must be a positive power of two", f))
 	}
 	q := *p
 	q.Scale = p.Scale * f
-	q.L1D.SizeBytes = max(p.L1D.SizeBytes/f, min(p.L1D.SizeBytes, 8<<10))
-	q.L2.SizeBytes = max(p.L2.SizeBytes/f, 2*q.L1D.SizeBytes)
-	q.L3.SizeBytes = max(p.L3.SizeBytes/f, 2*q.L2.SizeBytes)
-	q.DTLB.Entries = max(p.DTLB.Entries/int(f), min(p.DTLB.Entries, 16))
-	q.STLB.Entries = max(p.STLB.Entries/int(f), 2*q.DTLB.Entries)
+	q.L1D = p.L1D.scaled(f, 16)
+	q.L2 = p.L2.scaled(f, 16)
+	q.L3 = p.L3.scaled(f, 64)
+	q.DTLB.Entries = int(p.DTLB.Cache().scaled(f, 4).Sets()) * p.DTLB.Ways
+	q.STLB.Entries = int(p.STLB.Cache().scaled(f, 2).Sets()) * p.STLB.Ways
 	q.DRAMPerSocket = max(p.DRAMPerSocket/f, 1<<20)
 	q.EPCPerSocket = max(p.EPCPerSocket/f, 1<<20)
 	return &q
@@ -195,11 +228,8 @@ func (p *Platform) Validate() error {
 		name string
 		g    CacheGeom
 	}{{"L1D cache", p.L1D}, {"L2 cache", p.L2}, {"L3 cache", p.L3}, {"DTLB", p.DTLB.Cache()}, {"STLB", p.STLB.Cache()}} {
-		switch g := l.g; {
-		case g.Ways < 1 || g.Ways > maxWays:
-			return fmt.Errorf("platform: %s ways must be in [1,%d], got %d", l.name, maxWays, g.Ways)
-		case g.SizeBytes < int64(g.Ways)*g.LineBytes:
-			return fmt.Errorf("platform: %s smaller than one set (capacity %d lines, %d ways)", l.name, g.SizeBytes/g.LineBytes, g.Ways)
+		if err := l.g.Check(); err != nil {
+			return fmt.Errorf("platform: %s %w", l.name, err)
 		}
 	}
 	return nil
