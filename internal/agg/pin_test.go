@@ -26,10 +26,10 @@ var pinnedAggDigests = map[string]uint64{
 	"run/SGX DiE/groups=700":      0x382335b8658eb014,
 	"run/SGX DiE/groups=40":       0x56787b63405c30ae,
 	"run/SGX DiE/groups=0":        0xb3a1d083e7021a1,
-	"spill/Plain CPU/groups=700":  0x21b002a4e0e4ede8,
+	"spill/Plain CPU/groups=700":  0x9aacfded670e8b49,
 	"spill/Plain CPU/groups=40":   0x9aacfded670e8b49,
 	"spill/Plain CPU/groups=0":    0x61d4abc37cf03d4d,
-	"spill/SGX DiE/groups=700":    0xa25a34567a388e1a,
+	"spill/SGX DiE/groups=700":    0xdedaf89eceacc60,
 	"spill/SGX DiE/groups=40":     0xdedaf89eceacc60,
 	"spill/SGX DiE/groups=0":      0x1d3bfff2ea354e98,
 	"direct/Plain CPU/groups=700": 0x7b0e575cf8b25201,

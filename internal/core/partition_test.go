@@ -42,12 +42,12 @@ func TestPartitionPlans(t *testing.T) {
 		{32, 2, 4, "rho1/1 rho5/5 rho9/9 grace[2] grace[8 5] grace[8 8 4] agg1 agg8 agg12 spill[1] spill[8 5] spill[8 8] run1280"},
 		{32, 64, 1, "rho1/1 rho5/5 rho9/9 grace[2] grace[8 2] grace[8 8 4] agg1 agg8 agg12 spill[1] spill[8 2] spill[8 8] run1280"},
 		{32, 64, 4, "rho1/1 rho5/5 rho9/9 grace[2] grace[8 2] grace[8 8 4] agg1 agg8 agg12 spill[1] spill[8 2] spill[8 8] run1280"},
-		{512, 0, 1, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run512"},
-		{512, 0, 4, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run512"},
-		{512, 2, 1, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 5] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 5] spill[8 8] run512"},
-		{512, 2, 4, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 5] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 5] spill[8 8] run512"},
-		{512, 64, 1, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run512"},
-		{512, 64, 4, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run512"},
+		{512, 0, 1, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run640"},
+		{512, 0, 4, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run640"},
+		{512, 2, 1, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 5] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 5] spill[8 8] run640"},
+		{512, 2, 4, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 5] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 5] spill[8 8] run640"},
+		{512, 64, 1, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run640"},
+		{512, 64, 4, "rho1/1 rho6/5 rho9/9 grace[2] grace[8 3] grace[8 8 4] agg1 agg9 agg12 spill[1] spill[8 3] spill[8 8] run640"},
 	} {
 		env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(tc.scale), Setting: core.SGXDiE, EPCPages: tc.epcPages})
 		var plan []string

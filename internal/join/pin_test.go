@@ -96,14 +96,14 @@ var pinnedJoinDigests = map[string]uint64{
 	"RHO/fk/SGX DiE/opt=false/T=2":        0xc94d5eb23c2a734,
 	"RHO/fk/SGX DiE/opt=true/T=1":         0x3cee11bbf38334a2,
 	"RHO/fk/SGX DiE/opt=true/T=2":         0xdf1e4e89785d6e72,
-	"RHO/dup/Plain CPU/opt=false/T=1":     0x4c02acbbb916f5b0,
-	"RHO/dup/Plain CPU/opt=false/T=2":     0x473ac0e7224337fc,
-	"RHO/dup/Plain CPU/opt=true/T=1":      0x1bcfe404c8c72d27,
-	"RHO/dup/Plain CPU/opt=true/T=2":      0xddaac95e4af14eed,
-	"RHO/dup/SGX DiE/opt=false/T=1":       0xdd04a34a15274c21,
-	"RHO/dup/SGX DiE/opt=false/T=2":       0xeb2dafe5021a1417,
-	"RHO/dup/SGX DiE/opt=true/T=1":        0xa83f42951e8f27dd,
-	"RHO/dup/SGX DiE/opt=true/T=2":        0x9ec3575c149c0b2b,
+	"RHO/dup/Plain CPU/opt=false/T=1":     0x95d24c08ffc0cef0,
+	"RHO/dup/Plain CPU/opt=false/T=2":     0xa1c03bac9ddb66da,
+	"RHO/dup/Plain CPU/opt=true/T=1":      0x59a1cbf48af0eac9,
+	"RHO/dup/Plain CPU/opt=true/T=2":      0xa3e3eb7fa7aa62e0,
+	"RHO/dup/SGX DiE/opt=false/T=1":       0x8d709e3b73646733,
+	"RHO/dup/SGX DiE/opt=false/T=2":       0x5ad762d3a429d82c,
+	"RHO/dup/SGX DiE/opt=true/T=1":        0x12df04b43f40efa2,
+	"RHO/dup/SGX DiE/opt=true/T=2":        0x484ddfda3c4a3475,
 	"CrkJoin/fk/Plain CPU/opt=false/T=1":  0xdfa10de6023fc279,
 	"CrkJoin/fk/Plain CPU/opt=false/T=2":  0x84bb5bc4357b9065,
 	"CrkJoin/fk/Plain CPU/opt=true/T=1":   0x55c82793c3995828,
@@ -112,14 +112,14 @@ var pinnedJoinDigests = map[string]uint64{
 	"CrkJoin/fk/SGX DiE/opt=false/T=2":    0xd42562fc26b9ff15,
 	"CrkJoin/fk/SGX DiE/opt=true/T=1":     0xf99507a47da49fed,
 	"CrkJoin/fk/SGX DiE/opt=true/T=2":     0x2d2b1bba26db0be9,
-	"CrkJoin/dup/Plain CPU/opt=false/T=1": 0xa9862e1e13722920,
-	"CrkJoin/dup/Plain CPU/opt=false/T=2": 0xfeb18648a163e8f3,
-	"CrkJoin/dup/Plain CPU/opt=true/T=1":  0x6eabd236cabac8be,
-	"CrkJoin/dup/Plain CPU/opt=true/T=2":  0x8daef2dc54a33e53,
-	"CrkJoin/dup/SGX DiE/opt=false/T=1":   0x67c441589841a63e,
-	"CrkJoin/dup/SGX DiE/opt=false/T=2":   0xc757f15b690d9ec4,
-	"CrkJoin/dup/SGX DiE/opt=true/T=1":    0x544f3cc269e8fd09,
-	"CrkJoin/dup/SGX DiE/opt=true/T=2":    0xc44ecfb5f97b35e9,
+	"CrkJoin/dup/Plain CPU/opt=false/T=1": 0x34c571947b2e0de,
+	"CrkJoin/dup/Plain CPU/opt=false/T=2": 0xaa3da18c920aed0f,
+	"CrkJoin/dup/Plain CPU/opt=true/T=1":  0x201e159fc7e8b79c,
+	"CrkJoin/dup/Plain CPU/opt=true/T=2":  0xfce19ff40080f438,
+	"CrkJoin/dup/SGX DiE/opt=false/T=1":   0x6b2ed28f6b49fe01,
+	"CrkJoin/dup/SGX DiE/opt=false/T=2":   0x92cf73565ffaa71f,
+	"CrkJoin/dup/SGX DiE/opt=true/T=1":    0x275473814aee9fe,
+	"CrkJoin/dup/SGX DiE/opt=true/T=2":    0xd93495293eed9c7,
 	"GRACE/fk/Plain CPU/opt=false/T=1":    0xe57bb9c542b00a,
 	"GRACE/fk/Plain CPU/opt=false/T=2":    0x4c4bc191aa3b77a2,
 	"GRACE/fk/Plain CPU/opt=true/T=1":     0xb719878a389b20e9,
@@ -128,14 +128,14 @@ var pinnedJoinDigests = map[string]uint64{
 	"GRACE/fk/SGX DiE/opt=false/T=2":      0xab76a6f65777ed49,
 	"GRACE/fk/SGX DiE/opt=true/T=1":       0xeeafd610695ab9bf,
 	"GRACE/fk/SGX DiE/opt=true/T=2":       0x888e8d89f6e2dcbd,
-	"GRACE/dup/Plain CPU/opt=false/T=1":   0xef281c54b9a5208b,
-	"GRACE/dup/Plain CPU/opt=false/T=2":   0x8130d34b4bf33d03,
-	"GRACE/dup/Plain CPU/opt=true/T=1":    0xf9536ae921578ba,
-	"GRACE/dup/Plain CPU/opt=true/T=2":    0x4bc168319e5c71fb,
-	"GRACE/dup/SGX DiE/opt=false/T=1":     0x31c59eb8d6ff77b4,
-	"GRACE/dup/SGX DiE/opt=false/T=2":     0x9a089a3975b10359,
-	"GRACE/dup/SGX DiE/opt=true/T=1":      0xc01d181c90e40918,
-	"GRACE/dup/SGX DiE/opt=true/T=2":      0x3d4aa57a9438cdc3,
+	"GRACE/dup/Plain CPU/opt=false/T=1":   0xf3ef817a0b524911,
+	"GRACE/dup/Plain CPU/opt=false/T=2":   0x9411863b0a75797b,
+	"GRACE/dup/Plain CPU/opt=true/T=1":    0x419055e6439b957e,
+	"GRACE/dup/Plain CPU/opt=true/T=2":    0x697a5382a404e518,
+	"GRACE/dup/SGX DiE/opt=false/T=1":     0x452b35ff2ed887cd,
+	"GRACE/dup/SGX DiE/opt=false/T=2":     0xedf953f4aefe74dc,
+	"GRACE/dup/SGX DiE/opt=true/T=1":      0xd1c9e34f12304f20,
+	"GRACE/dup/SGX DiE/opt=true/T=2":      0x56df7fb8e9507fac,
 	"INL/fk/Plain CPU/opt=false/T=1":      0xb5a947f4d89b0e4,
 	"INL/fk/Plain CPU/opt=false/T=2":      0x929d8374bbf26f75,
 	"INL/fk/SGX DiE/opt=false/T=1":        0xbc599de844a6a0c3,
@@ -144,14 +144,14 @@ var pinnedJoinDigests = map[string]uint64{
 	"INL/dup/Plain CPU/opt=false/T=2":     0xfe767189086eeba8,
 	"INL/dup/SGX DiE/opt=false/T=1":       0xe533b2dba4c5d9b2,
 	"INL/dup/SGX DiE/opt=false/T=2":       0xde7bfe7fc783d5cd,
-	"MWAY/fk/Plain CPU/opt=false/T=1":     0xe5ad4b70782bde1a,
-	"MWAY/fk/Plain CPU/opt=false/T=2":     0x2514744ea73dda75,
-	"MWAY/fk/SGX DiE/opt=false/T=1":       0xe373b9a1f489f906,
-	"MWAY/fk/SGX DiE/opt=false/T=2":       0x89b0261ffb66ba26,
-	"MWAY/dup/Plain CPU/opt=false/T=1":    0x69c73e31b30ee7cf,
-	"MWAY/dup/Plain CPU/opt=false/T=2":    0xdd5340e2b40ea8df,
-	"MWAY/dup/SGX DiE/opt=false/T=1":      0x4ce6e89a6688edb8,
-	"MWAY/dup/SGX DiE/opt=false/T=2":      0xce0ecc0e53a356a,
+	"MWAY/fk/Plain CPU/opt=false/T=1":     0x38e93296f4d67a91,
+	"MWAY/fk/Plain CPU/opt=false/T=2":     0xbeff9cf51b5e562a,
+	"MWAY/fk/SGX DiE/opt=false/T=1":       0xc2196dd8c2627cb2,
+	"MWAY/fk/SGX DiE/opt=false/T=2":       0x870ea5d6eeb5b02f,
+	"MWAY/dup/Plain CPU/opt=false/T=1":    0x696af34ffa230e4f,
+	"MWAY/dup/Plain CPU/opt=false/T=2":    0xe4c0f895c3227b03,
+	"MWAY/dup/SGX DiE/opt=false/T=1":      0xafc14c414da3c90c,
+	"MWAY/dup/SGX DiE/opt=false/T=2":      0x4afa69d0ed93bc34,
 	"GRACE/fk/SGX DiE/opt=true/T=2/epc":   0x56ab13d7e5529291,
 }
 
