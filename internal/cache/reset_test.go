@@ -61,13 +61,14 @@ func TestResetIsNew(t *testing.T) {
 func TestNominalIsSimulated(t *testing.T) {
 	for f := int64(1); f <= 1<<16; f *= 2 {
 		p := platform.XeonGold6326().Scaled(f)
-		levels := map[string]platform.CacheGeom{"L1D": p.L1D, "L2": p.L2, "DTLB": p.DTLB.Cache(), "STLB": p.STLB.Cache()}
+		names := []string{"L1D", "L2", "DTLB", "STLB"}
+		levels := []platform.CacheGeom{p.L1D, p.L2, p.DTLB.Cache(), p.STLB.Cache()}
 		for k := 1; k <= 16; k++ {
-			levels[fmt.Sprintf("L3/%d", k)] = p.L3.Share(k)
+			names, levels = append(names, fmt.Sprintf("L3/%d", k)), append(levels, p.L3.Share(k))
 		}
-		for name, g := range levels {
+		for i, g := range levels {
 			if fast, ref := New(g).mask+1, NewRef(g).sets; fast != uint64(g.Sets()) || ref != uint64(g.Sets()) {
-				t.Errorf("Scaled(%d) %s: %d sets stated, Cache simulates %d, RefCache %d", f, name, g.Sets(), fast, ref)
+				t.Errorf("Scaled(%d) %s: %d sets stated, Cache simulates %d, RefCache %d", f, names[i], g.Sets(), fast, ref)
 			}
 		}
 	}
