@@ -184,7 +184,9 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	start := radixPass(g, "Agg.Hist", "Agg.Part", []int{0, n}, ins, hist, cur, parts, opt.Sel, 0, pBits)
 
 	// --- Phase 3: per-partition in-cache aggregation + emission ---
-	return aggregate(env, g, mark, n, groups, parts, out, start, opt.Sel, pBits)
+	hw := getHostWords()
+	defer putHostWords(hw)
+	return aggregate(env, g, mark, hw, n, groups, parts, out, start, opt.Sel, pBits)
 }
 
 // mustHold panics, before any phase runs, when the caller-supplied
@@ -231,7 +233,8 @@ func radixPass(g *exec.Group, histName, copyName string, prev []int, src []Input
 // partition's start slot; it then closes the stage's Result. groups is
 // the expected group count: a worker's host arena starts at twice a
 // partition's share of it (at least 16 entries) and grows on demand.
-func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, parts, out *mem.U64Buf, start []int, sel Sel, pBits uint) *Result {
+// The workers' host words come from hw and go back to it, grown.
+func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, hw *hostWords, n, groups int, parts, out *mem.U64Buf, start []int, sel Sel, pBits uint) *Result {
 	T := len(g.Threads)
 	P := len(start) - 1
 	res := &Result{Rows: n, Out: out, PartStart: start, PartGroups: make([]int, P)}
@@ -240,18 +243,22 @@ func aggregate(env *core.Env, g *exec.Group, mark exec.Mark, n, groups int, part
 		maxPart = max(maxPart, start[p+1]-start[p])
 	}
 	perPart := max(2*((groups+P-1)/P), 16)
-	workers := make([]*worker, T)
+	workers := make([]worker, T)
+	hw.fit(T)
 	for i := range workers {
-		workers[i] = newWorker(env, maxPart, perPart)
+		workers[i] = newWorker(env, maxPart, perPart, hw.heads[i], hw.ents[i])
 	}
 	g.Phase("Agg.Build", func(t *engine.Thread, id int) {
-		w := workers[id]
+		w := &workers[id]
 		for p := id; p < P; p += T {
 			nG := w.aggregatePartition(t, parts, start[p], start[p+1], sel, pBits)
 			w.emit(t, out, start[p], nG)
 			res.PartGroups[p] = nG
 		}
 	})
+	for i := range workers {
+		hw.heads[i], hw.ents[i] = workers[i].buckets.D, workers[i].ents.D
+	}
 
 	for _, gp := range res.PartGroups {
 		res.Groups += gp

@@ -111,20 +111,26 @@ func scatterSeg(t *engine.Thread, in *mem.U64Buf, lo, hi int, parts *mem.U64Buf,
 // groups a partition is expected to hold) and double when a partition
 // holds more.
 type worker struct {
-	buckets *mem.U32Buf
-	ents    *mem.U64Buf
+	buckets mem.U32Buf
+	ents    mem.U64Buf
 }
 
-func newWorker(env *core.Env, maxPartRows, entries int) *worker {
-	nb := rng.NextPow2(maxPartRows)
-	if nb < 16 {
-		nb = 16
-	}
-	return &worker{
-		buckets: env.Space.AllocU32("agg.buckets", nb, env.DataRegion()),
-		ents: &mem.U64Buf{
-			Buffer: env.Space.Alloc("agg.ents", int64(EntryWords*(maxPartRows+2))*8, env.DataRegion()),
-			D:      make([]uint64, EntryWords*(min(maxPartRows, entries)+2)),
+// newWorker makes a worker for partitions of at most maxPartRows rows.
+// Its host words are heads and ents when their capacity suffices (a
+// recycled arena keeps the words it grew to, up to its simulated range)
+// and new ones otherwise; nil slices always give new, zeroed words.
+func newWorker(env *core.Env, maxPartRows, entries int, heads []uint32, ents []uint64) worker {
+	nb := max(rng.NextPow2(maxPartRows), 16)
+	arena := EntryWords * (maxPartRows + 2)
+	need := EntryWords * (min(maxPartRows, entries) + 2)
+	return worker{
+		buckets: mem.U32Buf{
+			Buffer: env.Space.Alloc("agg.buckets", int64(nb)*4, env.DataRegion()),
+			D:      reuse(heads, nb),
+		},
+		ents: mem.U64Buf{
+			Buffer: env.Space.Alloc("agg.ents", int64(arena)*8, env.DataRegion()),
+			D:      reuse(ents, min(max(cap(ents), need), arena)),
 		},
 	}
 }

@@ -1,8 +1,6 @@
 package agg
 
 import (
-	"fmt"
-
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/exec"
@@ -46,6 +44,8 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	mark := g.Mark()
 	n, groups := sizes(ins, opt.Groups)
 	mustHold("SpillRunOn", "Out", opt.Out, EntryWords*n, n)
+	hw := getHostWords()
+	defer putHostWords(hw)
 	// Enough hash bits that a partition's aggregation working set —
 	// EntryBytes per expected group plus the bucket table's word per row —
 	// meets the spill target, in TLB-friendly passes of at most 8 bits.
@@ -64,7 +64,8 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	}
 	// sp1 gets host words only when the drain or a second pass writes it.
 	if drain || len(passes) > 1 {
-		bufs[1].D = make([]uint64, max(n, 1))
+		hw.stage = reuse(hw.stage, max(n, 1))
+		bufs[1].D = hw.stage
 	}
 
 	src := ins
@@ -97,10 +98,11 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 		if pass > 0 {
 			rows = len(start) - 1 // refining pass: one per partition
 		}
-		hist := env.Space.AllocU32(fmt.Sprintf("agg.h%d", pass+1), rows<<bk, stageReg)
-		cur := env.Space.AllocU32(fmt.Sprintf("agg.c%d", pass+1), rows<<bk, stageReg)
+		nm := passNames[pass]
+		hist := env.Space.AllocU32(nm.hist, rows<<bk, stageReg)
+		cur := env.Space.AllocU32(nm.cur, rows<<bk, stageReg)
 		parts = bufs[pass&1]
-		start = radixPass(g, fmt.Sprintf("Agg.Hist%d", pass+1), fmt.Sprintf("Agg.Part%d", pass+1), start, src, hist, cur, parts, opt.Sel, shift, bk)
+		start = radixPass(g, nm.histPhase, nm.partPhase, start, src, hist, cur, parts, opt.Sel, shift, bk)
 		src = []Input{{Tup: parts, N: n}}
 		shift += bk
 	}
@@ -110,7 +112,15 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	if out == nil {
 		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), env.DataRegion())
 	}
-	return aggregate(env, g, mark, n, groups, parts, out, start, opt.Sel, shift)
+	return aggregate(env, g, mark, hw, n, groups, parts, out, start, opt.Sel, shift)
+}
+
+// passNames names each partitioning pass's counter buffers and phases.
+// A plan has at most two passes: SplitBits cuts at most 16 partition bits
+// into passes of at most 8.
+var passNames = [2]struct{ hist, cur, histPhase, partPhase string }{
+	{"agg.h1", "agg.c1", "Agg.Hist1", "Agg.Part1"},
+	{"agg.h2", "agg.c2", "Agg.Hist2", "Agg.Part2"},
 }
 
 // DirectRun executes the naive single-table group-by under env on one
@@ -129,12 +139,9 @@ func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
 	if out == nil {
 		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
-	w := newWorker(env, max(n, 1), groups)
-	nb := rng.NextPow2(max(n, 1))
-	if nb < 16 {
-		nb = 16
-	}
-	bBits := rng.Log2(nb)
+	// New, zeroed words: the one table is never cleared.
+	w := newWorker(env, max(n, 1), groups, nil, nil)
+	bBits := rng.Log2(w.buckets.Len())
 	res := &Result{Rows: n, Out: out}
 	g.Phase("Agg.Direct", func(t *engine.Thread, id int) {
 		if id != 0 {
