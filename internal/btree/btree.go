@@ -7,6 +7,7 @@
 package btree
 
 import (
+	"fmt"
 	"sort"
 
 	"sgxbench/internal/engine"
@@ -43,25 +44,22 @@ type Tree struct {
 	innerArena mem.Buffer
 }
 
-// KV is one key-value pair for bulk loading.
-type KV struct {
-	K uint32
-	V uint32
-}
-
-// BulkLoad builds a tree from pairs (sorted in place by key) with node
-// storage accounted in region reg. An empty tree has one empty leaf.
-func BulkLoad(space *mem.Space, name string, pairs []KV, reg mem.Region) *Tree {
-	// Not a stable sort: the order sort.Slice leaves equal keys in decides
-	// which values LookupAll returns first, and TestLookupAllPinned pins it.
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].K < pairs[j].K })
-	t := &Tree{
-		keys:    make([]uint32, len(pairs)),
-		vals:    make([]uint32, len(pairs)),
-		nLeaves: max(1, (len(pairs)+leafCap-1)/leafCap),
+// BulkLoad builds a tree over the pairs (keys[i], vals[i]), with node
+// storage accounted in region reg. The tree takes both slices and sorts
+// them in tandem by key; the caller must not use them afterwards. An
+// empty tree has one empty leaf.
+func BulkLoad(space *mem.Space, name string, keys, vals []uint32, reg mem.Region) *Tree {
+	if len(keys) != len(vals) {
+		panic(fmt.Sprintf("btree: BulkLoad %q with %d keys and %d values", name, len(keys), len(vals)))
 	}
-	for i, p := range pairs {
-		t.keys[i], t.vals[i] = p.K, p.V
+	// Not a stable sort: the order the sort leaves equal keys in decides
+	// which values LookupAll returns first, and TestLookupAllPinned pins
+	// it; sort.Sort runs the same pdqsort as sort.Slice.
+	sort.Sort(byKey{keys, vals})
+	t := &Tree{
+		keys:    keys,
+		vals:    vals,
+		nLeaves: max(1, (len(keys)+leafCap-1)/leafCap),
 	}
 	// Child c of inner level l roots the subtree that starts at leaf
 	// c*innerCap^l, so its first key is keys[c*stride] with stride =
@@ -80,6 +78,16 @@ func BulkLoad(space *mem.Space, name string, pairs []KV, reg mem.Region) *Tree {
 	t.leafArena = space.Alloc(name+".leaves", int64(t.nLeaves)*nodeBytes, reg)
 	t.innerArena = space.Alloc(name+".inner", int64(max(1, nInner))*nodeBytes, reg)
 	return t
+}
+
+// byKey sorts keys and their vals in tandem.
+type byKey struct{ keys, vals []uint32 }
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
 }
 
 // lowerBound returns the index of the first key in s that is >= key, or

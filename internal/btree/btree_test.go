@@ -20,12 +20,25 @@ func testEnv(ref bool) *core.Env {
 // buildTree bulk-loads n keys 0..n-1 with value = 3*key, shuffled
 // deterministically so BulkLoad's sort actually works.
 func buildTree(env *core.Env, n int) *btree.Tree {
-	pairs := make([]btree.KV, n)
+	pairs := make([]kv, n)
 	for i := 0; i < n; i++ {
 		j := (i*2654435761 + 13) % n // deterministic shuffle of 0..n-1
-		pairs[i] = btree.KV{K: uint32(j), V: uint32(3 * j)}
+		pairs[i] = kv{uint32(j), uint32(3 * j)}
 	}
-	return btree.BulkLoad(env.Space, "idx", pairs, env.DataRegion())
+	return load(env, "idx", pairs)
+}
+
+// kv is one key-value pair a test loads.
+type kv struct{ k, v uint32 }
+
+// load bulk-loads pairs, split into the key and value slices BulkLoad
+// sorts in tandem.
+func load(env *core.Env, name string, pairs []kv) *btree.Tree {
+	keys, vals := make([]uint32, len(pairs)), make([]uint32, len(pairs))
+	for i, p := range pairs {
+		keys[i], vals[i] = p.k, p.v
+	}
+	return btree.BulkLoad(env.Space, name, keys, vals, env.DataRegion())
 }
 
 // TestLookupCorrectness: every loaded key resolves to its one value; keys
@@ -58,18 +71,18 @@ func TestLookupCorrectness(t *testing.T) {
 func TestLookupAllDuplicates(t *testing.T) {
 	env := testEnv(false)
 	// 100 copies of key 7 (spanning >3 leaves of 32), plus neighbours.
-	var pairs []btree.KV
+	var pairs []kv
 	for i := 0; i < 100; i++ {
-		pairs = append(pairs, btree.KV{K: 7, V: uint32(1000 + i)})
+		pairs = append(pairs, kv{7, uint32(1000 + i)})
 	}
 	for i := 0; i < 500; i++ {
 		k := uint32(i)
 		if k == 7 {
 			continue
 		}
-		pairs = append(pairs, btree.KV{K: k, V: k})
+		pairs = append(pairs, kv{k, k})
 	}
-	tr := btree.BulkLoad(env.Space, "dup", pairs, env.DataRegion())
+	tr := load(env, "dup", pairs)
 	th := env.NewThread()
 	out, _ := tr.LookupAll(th, 7, 0, nil)
 	if len(out) != 100 {
@@ -163,4 +176,16 @@ func TestBulkLoadAccounting(t *testing.T) {
 	if grew < minBytes {
 		t.Errorf("arena accounting grew %d bytes, want >= %d", grew, minBytes)
 	}
+}
+
+// TestBulkLoadLengthMismatch: keys and values of different lengths are a
+// caller's bug, named before anything is sorted.
+func TestBulkLoadLengthMismatch(t *testing.T) {
+	env := testEnv(false)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("BulkLoad of 3 keys and 2 values did not panic")
+		}
+	}()
+	btree.BulkLoad(env.Space, "bad", make([]uint32, 3), make([]uint32, 2), env.DataRegion())
 }

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"sgxbench/internal/btree"
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/platform"
@@ -15,7 +14,7 @@ import (
 // each probe depending on the previous one's token.
 type pinCase struct {
 	name   string
-	pairs  func() []btree.KV
+	pairs  func() []kv
 	height int
 	leaves int
 	probes []uint32
@@ -30,8 +29,8 @@ type pinCase struct {
 
 // shuffled returns pairs in a fixed pseudo-random order, so BulkLoad's
 // sort decides where each pair lands.
-func shuffled(pairs []btree.KV) []btree.KV {
-	out := make([]btree.KV, len(pairs))
+func shuffled(pairs []kv) []kv {
+	out := make([]kv, len(pairs))
 	n := len(pairs)
 	for i := range pairs {
 		out[(i*7919+13)%n] = pairs[i]
@@ -50,12 +49,12 @@ func shuffled(pairs []btree.KV) []btree.KV {
 //	positions 192..291  singles 710..1700 step 10
 //
 // 292 pairs, 10 leaves, one inner level. Every value is distinct.
-func dupPairs() []btree.KV {
-	var p []btree.KV
+func dupPairs() []kv {
+	var p []kv
 	v := uint32(0)
 	add := func(k uint32, times int) {
 		for ; times > 0; times-- {
-			p = append(p, btree.KV{K: k, V: v})
+			p = append(p, kv{k, v})
 			v++
 		}
 	}
@@ -78,11 +77,11 @@ func dupPairs() []btree.KV {
 }
 
 // oddPairs loads n distinct odd keys 2i+1 with value i.
-func oddPairs(n int) func() []btree.KV {
-	return func() []btree.KV {
-		p := make([]btree.KV, n)
+func oddPairs(n int) func() []kv {
+	return func() []kv {
+		p := make([]kv, n)
 		for i := range p {
-			p[i] = btree.KV{K: uint32(2*i + 1), V: uint32(i)}
+			p[i] = kv{uint32(2*i + 1), uint32(i)}
 		}
 		return shuffled(p)
 	}
@@ -106,7 +105,7 @@ func pinCases() []pinCase {
 	return []pinCase{
 		{
 			name:   "empty",
-			pairs:  func() []btree.KV { return nil },
+			pairs:  func() []kv { return nil },
 			height: 0, leaves: 1,
 			probes: []uint32{0, 5, 1<<32 - 1},
 			digest: 0x58c023736aeb0535,
@@ -150,7 +149,7 @@ func pinRun(t *testing.T, c pinCase, ref bool) uint64 {
 		Setting:   core.SGXDiE,
 		Reference: ref,
 	})
-	tr := btree.BulkLoad(env.Space, c.name, c.pairs(), env.DataRegion())
+	tr := load(env, c.name, c.pairs())
 	if tr.Height() != c.height || tr.Leaves() != c.leaves {
 		t.Fatalf("%s: height %d, %d leaves; want %d, %d", c.name, tr.Height(), tr.Leaves(), c.height, c.leaves)
 	}

@@ -43,11 +43,11 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	res := &Result{Algorithm: n.Name()}
 
 	// Pre-built index (setup, untimed).
-	pairs := make([]btree.KV, build.N())
-	for i := range pairs {
-		pairs[i] = btree.KV{K: build.Key(i), V: build.Payload(i)}
+	keys, vals := make([]uint32, build.N()), make([]uint32, build.N())
+	for i := range keys {
+		keys[i], vals[i] = build.Key(i), build.Payload(i)
 	}
-	idx := btree.BulkLoad(env.Space, "inl.index", pairs, env.DataRegion())
+	idx := btree.BulkLoad(env.Space, "inl.index", keys, vals, env.DataRegion())
 
 	tl := make(tallies, T)
 	ps := g.Phase("Probe", func(t *engine.Thread, id int) {
