@@ -210,9 +210,10 @@ type rings struct{ spans, samples int }
 var suiteRings = rings{1 << 12, 1 << 10}
 
 // bencher is one suite run in progress. Entries run concurrently
-// (bencher.exec) and read only o, z, rings and the calibrations cals,
-// which are all set before the walk; everything else is written on the
-// walk's own goroutine, in registry order (bencher.record).
+// (bencher.exec) and read only o, z and rings, which are all set before
+// the walk, and the process-wide calibrations; everything else is
+// written on the walk's own goroutine, in registry order
+// (bencher.record).
 type bencher struct {
 	o   Options
 	z   sizes
@@ -224,9 +225,8 @@ type bencher struct {
 	// strayed from the exact sorted-slice oracle by more than one bucket
 	// width (or whose Max stopped being exact): obs_percentiles_ok.
 	pctlViolations []string
-	cals           map[string]calibration // serve.Calibrate results, keyed by calKey
-	agree, decided int                    // planner entries whose pick is near-best / whose field is spread out
-	rings          rings                  // the fast serving runs' rings; twins keep suiteRings
+	agree, decided int   // planner entries whose pick is near-best / whose field is spread out
+	rings          rings // the fast serving runs' rings; twins keep suiteRings
 }
 
 func (b *bencher) printf(format string, a ...any) { fmt.Fprintf(b.out, format, a...) }
@@ -260,13 +260,12 @@ func Run(o Options, out io.Writer) (*Report, error) {
 	return run(o, z, runtime.GOMAXPROCS(0), out)
 }
 
-// run calibrates every serving entry's workloads, then walks the
-// registry: entries run on at most workers goroutines, and each is
-// recorded in registry order — its family's header before its first
-// entry, the family's gate rows after its last. Then come the
+// run walks the registry: entries run on at most workers goroutines,
+// and each is recorded in registry order — its family's header before
+// its first entry, the family's gate rows after its last. Then come the
 // equivalence and golden sections.
 func run(o Options, z sizes, workers int, out io.Writer) (*Report, error) {
-	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{}, cals: map[string]calibration{},
+	b := &bencher{o: o, z: z, out: out, vals: map[string]float64{},
 		rings: suiteRings, rep: raised(&Report{
 			Schema:    "sgxbench/bench_engine/v4",
 			Timestamp: time.Now().UTC().Format(time.RFC3339),
@@ -275,7 +274,6 @@ func run(o Options, z sizes, workers int, out io.Writer) (*Report, error) {
 			Quick:     o.Quick,
 		})}
 	es := entries()
-	b.calibrate(es, workers)
 	slots := make([]*slot, len(es))
 	err := inOrder(len(es), workers, func(i int) { slots[i] = b.exec(&es[i]) }, func(i int) error {
 		f := es[i].fam

@@ -28,7 +28,6 @@ type Entry struct {
 	run      func(b *bencher, c prepCtx) ([]sample, error) // on c.ref's engine path: a sample per repetition, detail in c.out
 	twin     bool                                          // under SGX DiE, a reference-path run must reproduce the fast one
 	check    func(b *bencher, r *Replayed)                 // the entry's own checks and progress line
-	cal      *serve.CalibrateOptions                       // serving entries: the calibration run reads, Setting and Reference unset
 }
 
 // twinned reports whether e runs a reference twin.
@@ -109,7 +108,6 @@ func entries() []Entry {
 // runs its checks. Replay and the tests run single entries through it;
 // run splits it into exec and record.
 func (b *bencher) entry(e *Entry) (*Replayed, error) {
-	b.calibrate([]Entry{*e}, 1)
 	return b.record(e, b.exec(e))
 }
 
@@ -196,7 +194,7 @@ func Lookup(workload string, s core.Setting) (*Entry, error) {
 func (e *Entry) Replay() (*Replayed, error) {
 	var log strings.Builder
 	b := &bencher{o: Options{Quick: true, Threads: goldenThreads}, z: quickSizes, out: &log, rep: raised(&Report{}),
-		vals: map[string]float64{}, cals: map[string]calibration{}, rings: rings{math.MaxInt, math.MaxInt}}
+		vals: map[string]float64{}, rings: rings{math.MaxInt, math.MaxInt}}
 	out, err := b.entry(e)
 	if err != nil {
 		return nil, err

@@ -201,14 +201,14 @@ type calibration struct {
 	err error
 }
 
-// calKey names a calibration in bencher.cals and calibrations.
+// calKey names a calibration in calibrations.
 func calKey(o serve.CalibrateOptions) string { return fmt.Sprintf("%+v", o) }
 
-// calibrations shares serve.Calibrate results between the suite runs
-// and replays of one process: a *sharedCal per calKey, calibrated once
-// by whichever run asks first. Calibrate is deterministic and the
-// Workload it returns is only read afterwards, so every run sees what
-// its own calibration would have given it.
+// calibrations shares serve.Calibrate results between the entries, suite
+// runs and replays of one process: a *sharedCal per calKey, calibrated
+// once by whichever entry asks first while any other waits. Calibrate
+// is deterministic and the Workload it returns is only read afterwards,
+// so every run sees what its own calibration would have given it.
 var calibrations sync.Map
 
 type sharedCal struct {
@@ -227,44 +227,13 @@ func calibrated(o serve.CalibrateOptions) calibration {
 	return c.cal
 }
 
-// calibrate fetches every calibration the entries read and b.cals lacks,
-// on at most workers goroutines: each setting's serve entries calibrate
-// once per engine path, the fault entries reuse the SGX DiE pair, the
-// scale entries have their own. Entries then only read b.cals.
-func (b *bencher) calibrate(es []Entry, workers int) {
-	var todo []serve.CalibrateOptions
-	for i := range es {
-		e := &es[i]
-		if e.cal == nil {
-			continue
-		}
-		o := *e.cal
-		o.Setting = e.Setting
-		paths := []bool{false}
-		if e.twinned() {
-			paths = append(paths, true)
-		}
-		for _, ref := range paths {
-			o.Reference = ref
-			k := calKey(o)
-			if _, ok := b.cals[k]; !ok {
-				b.cals[k] = calibration{}
-				todo = append(todo, o)
-			}
-		}
-	}
-	done := make([]calibration, len(todo))
-	inOrder(len(todo), workers, func(i int) { done[i] = calibrated(todo[i]) },
-		func(i int) error { b.cals[calKey(todo[i])] = done[i]; return nil })
-}
-
 // servingEntry is sc's traced entry: its run replays sc on the
 // calibration for the entry's setting and engine path.
 func servingEntry(sc scenario, fam *family, line func(*bencher, *Replayed)) Entry {
-	return Entry{fam: fam, Traced: true, twin: true, check: line, cal: &sc.cal, run: func(b *bencher, c prepCtx) ([]sample, error) {
+	return Entry{fam: fam, Traced: true, twin: true, check: line, run: func(b *bencher, c prepCtx) ([]sample, error) {
 		o := sc.cal
 		o.Setting, o.Reference = c.setting, c.ref
-		cal := b.cals[calKey(o)]
+		cal := calibrated(o)
 		if cal.err != nil {
 			return nil, cal.err
 		}

@@ -99,11 +99,10 @@ func joinAt[A join.Algorithm](alg func() A, shrink int64) func(prepCtx) runner {
 // pipelineWorkloads is one row per fixed query shape: the unfiltered ones
 // feed the whole q3Fact-row fact table downstream, the others cap at qMaxRows.
 func pipelineWorkloads() []workload {
-	unfiltered := map[string]bool{plan.Q3Name: true, plan.Q5Name: true, plan.Q3SName: true}
 	var wls []workload
 	for _, p := range plan.Fixed() {
 		wls = append(wls, workload{name: p.Name, profiled: true, prep: func(c prepCtx) runner {
-			if unfiltered[p.Name] {
+			if p.Unfiltered {
 				return prepPipeline(c, p, c.z.qDim, c.z.q3Fact, 0)
 			}
 			return prepPipeline(c, p, c.z.qDim, c.z.qFact, c.z.qMaxRows)

@@ -42,6 +42,7 @@ const (
 // Join strategy identifiers (Alternative.Join values).
 const (
 	JoinRHO   = "rho"
+	JoinPHT   = "pht" // fixed shapes only: never enumerated or priced
 	JoinINL   = "inl"
 	JoinMerge = "merge"
 	JoinGrace = "grace"
@@ -143,9 +144,9 @@ func calRun(setting core.Setting, threads int, epcPages int64, q Query, alt Alte
 func probeTree(q Query, alt Alternative, cut string) Node {
 	switch cut {
 	case "join":
-		return joinNode(alt.Join, scanned, 0)
+		return joinNode(alt.Join, Filter{}, 0)
 	case "project":
-		return Project{Input: joinNode(alt.Join, scanned, 0)}
+		return Project{Input: joinNode(alt.Join, Filter{}, 0)}
 	}
 	return q.Tree(alt) // "agg", "topk", "": the measured stage is the last
 }

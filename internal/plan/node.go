@@ -27,15 +27,13 @@ type Context struct {
 }
 
 // Stream is the data flowing between plan nodes: a base relation
-// (Scan), a contiguous tuple stream (Gather/Sort/Project), or the
+// (Scan), a contiguous tuple stream (Filter/Sort/Project), or the
 // per-thread segments of a materialized join.
 type Stream struct {
 	Rel  *rel.Relation // base table (Scan); nil downstream
 	Tup  *mem.U64Buf   // contiguous tuples
 	N    int           // row count
 	Segs []agg.Input   // segmented join output
-	ids  *mem.U64Buf   // row-id list (Filter)
-	runs []scan.IDRun  // per-thread id runs (Filter)
 }
 
 // aggInputs adapts the stream to the aggregation operators' segment
@@ -95,51 +93,65 @@ func (Scan) Exec(ctx *Context) Stream {
 	return Stream{Rel: ctx.DS.Fact, Tup: ctx.DS.Fact.Tup, N: ctx.DS.Fact.N()}
 }
 
-// Filter is σ(fact): a row-id scan over the filter column with
-// Options.Pred, emitting the qualifying row ids as per-thread runs.
-type Filter struct{ Input Node }
+// Filter is σ(fact) materialized, a leaf like Scan: a row-id scan over
+// the filter column with Options.Pred, then a gather of the qualifying
+// rows' fact tuples, densely packed in per-thread run order (the
+// data-dependent random-access stage). Each stage keeps its own stage
+// and profile scope, "filter" then "gather".
+type Filter struct{}
 
-// Exec runs the row-id scan.
-func (f Filter) Exec(ctx *Context) Stream {
-	in := f.Input.Exec(ctx)
+// Exec runs the row-id scan and the tuple gather.
+func (Filter) Exec(ctx *Context) Stream {
 	closeFilter := ctx.G.Scope("filter")
 	sr := scan.RunOn(ctx.Env, ctx.G, ctx.DS.Filter, scan.Options{Pred: ctx.Opt.Pred, RowIDs: true, IDs: ctx.SC.IDs})
 	closeFilter()
 	ctx.stage("filter", sr.WallCycles, sr.Matches, sr.Matches)
-	return Stream{Rel: in.Rel, N: int(sr.Matches), ids: ctx.SC.IDs, runs: sr.IDRuns}
-}
-
-// Gather materializes the filtered rows: fetches the base table's
-// tuples at the filter's row ids, densely packed in per-thread run
-// order (the data-dependent random-access stage).
-type Gather struct{ Input Node }
-
-// Exec runs the tuple gather.
-func (gn Gather) Exec(ctx *Context) Stream {
-	in := gn.Input.Exec(ctx)
 	maxN := ctx.SC.FTup.Len()
 	if ctx.Opt.MaxRows > 0 && ctx.Opt.MaxRows < maxN {
 		maxN = ctx.Opt.MaxRows
 	}
-	runs, n := capRuns(in.runs, maxN)
+	runs, n := capRuns(sr.IDRuns, maxN)
 	closeGather := ctx.G.Scope("gather")
-	gr := scan.GatherU64On(ctx.Env, ctx.G, in.Rel.Tup, in.ids, runs, ctx.SC.FTup)
+	gr := scan.GatherU64On(ctx.Env, ctx.G, ctx.DS.Fact.Tup, ctx.SC.IDs, runs, ctx.SC.FTup)
 	closeGather()
 	ctx.stage("gather", gr.WallCycles, uint64(n), gr.Sum)
 	return Stream{Tup: ctx.SC.FTup, N: n}
 }
 
-// joinRunner is the slice of the join algorithms the nodes drive: every
+// joinRunner is the slice of the join algorithms Join drives: every
 // algorithm that can execute on a caller-owned group.
 type joinRunner interface {
-	Name() string
 	RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt join.Options) (*join.Result, error)
 }
 
-// execJoin runs one materializing FK join of the input stream against
-// the chain-level dimension on the shared group.
-func execJoin(ctx *Context, alg joinRunner, in Stream, level int) Stream {
-	build := ctx.DS.dim(level)
+// Join probes the chain-level dimension with one materializing FK join
+// on the shared group, under strategy Alg: the radix-partitioned RHO
+// (JoinRHO, the default), the paper's no-partitioning shared-table PHT
+// (JoinPHT), an index nested loop over a pre-built B+-tree (JoinINL: no
+// build cost, but every lookup is a chain of dependent random reads),
+// or the spill-partitioned GRACE (JoinGrace), which stages partition
+// runs in untrusted memory under an EPC capacity limit.
+type Join struct {
+	Input Node
+	Alg   string // join strategy id
+	Level int    // dimension chain level (0 = Dim)
+}
+
+// Exec runs the join.
+func (j Join) Exec(ctx *Context) Stream {
+	var alg joinRunner
+	switch j.Alg {
+	case JoinPHT:
+		alg = join.NewPHT()
+	case JoinINL:
+		alg = join.NewINL()
+	case JoinGrace:
+		alg = join.NewGrace()
+	default:
+		alg = join.NewRHO()
+	}
+	in := j.Input.Exec(ctx)
+	build := ctx.DS.dim(j.Level)
 	probe := in.probeRel()
 	closeJoin := ctx.G.Scope("join")
 	jr, err := alg.RunOn(ctx.Env, ctx.G, build, probe, join.Options{
@@ -150,52 +162,6 @@ func execJoin(ctx *Context, alg joinRunner, in Stream, level int) Stream {
 		panic(err)
 	}
 	return joinStream(ctx, jr)
-}
-
-// HashJoin probes the chain-level dimension with a hash join: the
-// radix-partitioned RHO by default, or the shared-table PHT (the
-// paper's no-partitioning join) when Shared is set.
-type HashJoin struct {
-	Input  Node
-	Shared bool // PHT instead of RHO
-	Level  int  // dimension chain level (0 = Dim)
-}
-
-// Exec runs the hash join.
-func (h HashJoin) Exec(ctx *Context) Stream {
-	var alg joinRunner = join.NewRHO()
-	if h.Shared {
-		alg = join.NewPHT()
-	}
-	return execJoin(ctx, alg, h.Input.Exec(ctx), h.Level)
-}
-
-// INLJoin probes a pre-built B+-tree index over the chain-level
-// dimension once per input row: no build cost, but every lookup is a
-// chain of dependent random reads — the strategy the planner picks when
-// very few rows survive the filter.
-type INLJoin struct {
-	Input Node
-	Level int
-}
-
-// Exec runs the index nested loop join.
-func (n INLJoin) Exec(ctx *Context) Stream {
-	return execJoin(ctx, join.NewINL(), n.Input.Exec(ctx), n.Level)
-}
-
-// GraceJoin probes the chain-level dimension with the spill-partitioned
-// GRACE join, which stages partition runs in untrusted memory under an
-// EPC capacity limit and degrades gracefully when the working set
-// outgrows the enclave.
-type GraceJoin struct {
-	Input Node
-	Level int
-}
-
-// Exec runs the grace join.
-func (gj GraceJoin) Exec(ctx *Context) Stream {
-	return execJoin(ctx, join.NewGrace(), gj.Input.Exec(ctx), gj.Level)
 }
 
 // sortTuples sorts n tuples from tup into a scratch (or fallback)
@@ -366,10 +332,16 @@ func (l Limit) Exec(ctx *Context) Stream {
 }
 
 // GroupBy is the final γ: the partitioned hash aggregation over the
-// input stream or join segments (SUM/COUNT/MIN/MAX per group).
+// input stream or join segments (SUM/COUNT/MIN/MAX per group). With
+// Spill it runs the spill-partitioned aggregation instead, which stages
+// partition runs in untrusted memory under an EPC capacity limit; its
+// staging buffers' simulated ranges are operator-internal, and the first
+// one borrows the host words of the Scratch's partition intermediate,
+// which no other node of a spill query touches.
 type GroupBy struct {
 	Input Node
 	Sel   agg.Sel // group key selector (ByKey or ByPayload)
+	Spill bool    // spill aggregation instead of the resident one
 }
 
 // Exec runs the aggregation.
@@ -380,40 +352,14 @@ func (gb GroupBy) Exec(ctx *Context) Stream {
 	for _, seg := range ins {
 		rows += seg.N
 	}
+	opt := agg.Options{Sel: gb.Sel, Groups: ctx.DS.Dim.N(), Out: ctx.SC.AggOut, Parts: ctx.SC.AggPart}
 	closeAgg := ctx.G.Scope("agg")
-	ar := agg.RunOn(ctx.Env, ctx.G, ins, agg.Options{
-		Sel: gb.Sel, Groups: ctx.DS.Dim.N(), Out: ctx.SC.AggOut, Parts: ctx.SC.AggPart,
-	})
-	closeAgg()
-	ctx.stage("agg", ar.WallCycles, uint64(ar.Groups), ar.Check)
-	ctx.Res.Rows = uint64(rows)
-	ctx.Res.Groups = ar.Groups
-	return Stream{}
-}
-
-// SpillGroupBy is GroupBy on the spill-partitioned aggregation, which
-// stages partition runs in untrusted memory under an EPC capacity limit.
-// The staging buffers' simulated ranges are operator-internal; the first
-// one borrows the host words of the Scratch's partition intermediate,
-// which no other node of a spill query touches, and the output entry
-// array is the Scratch's.
-type SpillGroupBy struct {
-	Input Node
-	Sel   agg.Sel
-}
-
-// Exec runs the spill aggregation.
-func (gb SpillGroupBy) Exec(ctx *Context) Stream {
-	in := gb.Input.Exec(ctx)
-	ins := in.aggInputs()
-	rows := 0
-	for _, seg := range ins {
-		rows += seg.N
+	var ar *agg.Result
+	if gb.Spill {
+		ar = agg.SpillRunOn(ctx.Env, ctx.G, ins, opt)
+	} else {
+		ar = agg.RunOn(ctx.Env, ctx.G, ins, opt)
 	}
-	closeAgg := ctx.G.Scope("agg")
-	ar := agg.SpillRunOn(ctx.Env, ctx.G, ins, agg.Options{
-		Sel: gb.Sel, Groups: ctx.DS.Dim.N(), Out: ctx.SC.AggOut, Parts: ctx.SC.AggPart,
-	})
 	closeAgg()
 	ctx.stage("agg", ar.WallCycles, uint64(ar.Groups), ar.Check)
 	ctx.Res.Rows = uint64(rows)

@@ -1,6 +1,7 @@
 // Package plan is the query planning and execution layer: composable
-// plan nodes (Scan, Filter, Gather, the join family, GroupBy, Sort,
-// TopK, Limit) that each execute over ONE shared exec.Group with
+// plan nodes, one per operator family (Scan, Filter, Join, MergeJoin,
+// Project, GroupBy, Sort, TopK, Limit), that each execute over ONE
+// shared exec.Group with
 // pre-allocated Scratch intermediates, an enclave-aware cost model
 // calibrated from the simulated engine itself, and a planner that
 // enumerates join/aggregation strategy alternatives and picks the
@@ -10,7 +11,10 @@
 //
 // Every query is addressed through one registry (ByName): the seven
 // fixed shapes q1..q5, q2s, q3s (Fixed), plus the 20-query planner suite
-// (Suite) whose strategies the planner picks per setting.
+// (Suite) whose strategies the planner picks per setting. Every query is
+// a shape plus a strategy Alternative, and Query.Tree is the one
+// function that lowers the pair to a plan tree: a fixed shape carries
+// its strategy, a suite query gets the planner's.
 //
 // A pipeline runs all of its stages on ONE exec.Group: the same
 // simulated threads execute scan, join and aggregation phases back to

@@ -109,10 +109,10 @@ func TestSuiteCorrectness(t *testing.T) {
 }
 
 // TestTreeFastRefEquivalence enforces the fast-path invariant on plan
-// trees that exercise every node type — Project, INLJoin, GraceJoin,
-// MergeJoin, Sort, TopK, Limit — under all four settings: fast and
-// reference engine paths must be bit-identical in check, wall cycles
-// and aggregate statistics.
+// trees that exercise every node type — Project, Join under INL and
+// GRACE, MergeJoin, Sort, TopK, Limit, the spill GroupBy — under all
+// four settings: fast and reference engine paths must be bit-identical
+// in check, wall cycles and aggregate statistics.
 func TestTreeFastRefEquivalence(t *testing.T) {
 	t.Parallel()
 	cases := []struct {

@@ -14,19 +14,23 @@ const (
 	OrdSort = "sort" // full sort + LIMIT cutoff
 )
 
-// Query is one declarative query: a star/snowflake shape the planner
-// lowers to a plan tree by picking join, aggregation and order
-// strategies — or one of the seven fixed shapes (Fixed), whose tree is
-// hard-wired.
+// Query is one declarative query: a star/snowflake shape that Tree
+// lowers to a plan tree under join, aggregation and order strategies —
+// the planner's cheapest, or for the seven fixed shapes (Fixed) the
+// strategy the shape carries.
 type Query struct {
 	Name string
-	// fixed, when set, is the tree Run executes as is, under the caller's
-	// Options: no planning, no predicate or limit of its own.
-	fixed Node
+	// fixed, when set, is the strategy Run lowers the shape with, under
+	// the caller's Options: no planning, no predicate or limit of its
+	// own. The zero value means "plan it".
+	fixed Alternative
 	// Pred is the fact filter predicate (the selectivity knob).
 	Pred scan.Predicate
 	// Dims is the join chain depth: 0 (pure aggregation) to 3.
 	Dims int
+	// Unfiltered starts the tree at the whole fact table instead of its
+	// filtered, gathered rows.
+	Unfiltered bool
 	// Skew marks the dataset recipe: fact foreign keys drawn
 	// self-similar (80/20) instead of uniform. A dataset property — the
 	// plan shape and the planner's uniform cost estimate are unchanged.
@@ -37,9 +41,10 @@ type Query struct {
 	Limit int
 }
 
-// Alternative is one static strategy choice the planner weighs.
+// Alternative is one static strategy choice the planner weighs, or the
+// one a fixed shape carries.
 type Alternative struct {
-	Join string // JoinRHO/JoinINL/JoinMerge/JoinGrace ("" when Dims == 0)
+	Join string // JoinRHO/JoinPHT/JoinINL/JoinMerge/JoinGrace ("" when Dims == 0)
 	Agg  string // AggHash/AggSpill ("" for ORDER BY queries)
 	Ord  string // OrdTopK/OrdSort ("" for aggregation queries)
 }
@@ -66,6 +71,8 @@ func (a Alternative) String() string {
 // deterministic order (the planner's tie-break prefers earlier
 // entries). MergeJoin is enumerated for single-level joins; deeper
 // chains would need a re-sort per level, which no strategy here models.
+// JoinPHT is never enumerated: only a fixed shape carries it, so the
+// cost model has no price for it.
 func (q Query) Alternatives() []Alternative {
 	joins := []string{""}
 	if q.Dims > 0 {
@@ -93,26 +100,20 @@ func (q Query) Alternatives() []Alternative {
 	return out
 }
 
-// scanned is the prefix every planned tree starts with: the filtered
-// fact rows, materialized.
-var scanned Node = Gather{Input: Filter{Input: Scan{}}}
-
 // joinNode lowers one chain level's join under strategy s.
 func joinNode(s string, in Node, lvl int) Node {
-	switch s {
-	case JoinINL:
-		return INLJoin{Input: in, Level: lvl}
-	case JoinGrace:
-		return GraceJoin{Input: in, Level: lvl}
-	case JoinMerge:
+	if s == JoinMerge {
 		return MergeJoin{Input: in}
 	}
-	return HashJoin{Input: in, Level: lvl}
+	return Join{Input: in, Alg: s, Level: lvl}
 }
 
 // Tree lowers q to a plan tree under the given strategy alternative.
 func (q Query) Tree(alt Alternative) Node {
-	root := scanned
+	var root Node = Filter{}
+	if q.Unfiltered {
+		root = Scan{}
+	}
 	for lvl := 0; lvl < q.Dims; lvl++ {
 		root = joinNode(alt.Join, root, lvl)
 		if lvl < q.Dims-1 || q.Order {
@@ -133,11 +134,7 @@ func (q Query) Tree(alt Alternative) Node {
 		if q.Dims > 0 {
 			sel = agg.ByPayload
 		}
-		if alt.Agg == AggSpill {
-			root = SpillGroupBy{Input: root, Sel: sel}
-		} else {
-			root = GroupBy{Input: root, Sel: sel}
-		}
+		root = GroupBy{Input: root, Sel: sel, Spill: alt.Agg == AggSpill}
 	}
 	return root
 }
@@ -183,13 +180,13 @@ func (q Query) Plan(env *core.Env, ds *Dataset, threads int) (Node, Alternative)
 	return q.Tree(alt), alt
 }
 
-// Run executes q end to end: a fixed shape runs its tree; a suite query
-// ensures the snowflake chain exists, picks the cheapest strategy for
-// the environment's setting and EPC regime, and executes the lowered
-// tree.
+// Run executes q end to end: a fixed shape runs the tree of its own
+// strategy; a suite query ensures the snowflake chain exists, picks the
+// cheapest strategy for the environment's setting and EPC regime, and
+// executes the lowered tree.
 func (q Query) Run(env *core.Env, ds *Dataset, opt Options) *Result {
-	if q.fixed != nil {
-		return Execute(env, ds, opt, q.Name, q.fixed)
+	if q.fixed != (Alternative{}) {
+		return Execute(env, ds, opt, q.Name, q.Tree(q.fixed))
 	}
 	if q.Dims > 1 {
 		EnsureChain(env, ds, q.Dims-1)

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 
-	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
 	"sgxbench/internal/rel"
 	"sgxbench/internal/scan"
@@ -20,43 +19,41 @@ const (
 	Q3SName = "q3s.join-agg-spill"
 )
 
-// filtered is the σ(fact) → gather prefix q1/q2/q4/q2s share.
-var filtered = Gather{Input: Filter{Input: Scan{}}}
-
-// Fixed returns the seven fixed-shape queries in report order. Their
-// trees reproduce the original hand-wired pipelines operator call for
-// operator call, so their simulated cycles, checks and statistics are
-// bit-identical to the golden entries recorded before they were trees.
-// With pre-allocated Scratch they are run-to-run deterministic at any
-// thread count (q3's shared PHT table preclaims its insert slots in
-// input order, so even the multi-threaded build repeats bit-identically).
+// Fixed returns the seven fixed-shape queries in report order. Each
+// carries its strategy, and Run lowers it through Tree exactly as the
+// original hand-wired pipelines ran, operator call for operator call, so
+// their simulated cycles, checks and statistics are bit-identical to the
+// golden entries recorded before they were trees. With pre-allocated
+// Scratch they are run-to-run deterministic at any thread count (q3's
+// shared PHT table preclaims its insert slots in input order, so even
+// the multi-threaded build repeats bit-identically).
 func Fixed() []Query {
 	return []Query{
 		// The selective aggregation: the gather is data-dependent random
 		// access; the group-by keys are the fact foreign keys.
-		{Name: Q1Name, fixed: GroupBy{Input: filtered, Sel: agg.ByKey}},
+		{Name: Q1Name, fixed: Alternative{Agg: AggHash}},
 		// The full star query over the paper's best join (RHO, materialized
 		// into per-thread pre-allocated buffers the aggregation reads as
 		// segments).
-		{Name: Q2Name, fixed: GroupBy{Input: HashJoin{Input: filtered}, Sel: agg.ByPayload}},
+		{Name: Q2Name, Dims: 1, fixed: Alternative{Join: JoinRHO, Agg: AggHash}},
 		// The unfiltered join-aggregation over the no-partitioning join (PHT),
 		// whose shared-table build is the paper's most SSB-sensitive operator.
-		{Name: Q3Name, fixed: GroupBy{Input: HashJoin{Input: Scan{}, Shared: true}, Sel: agg.ByPayload}},
+		{Name: Q3Name, Dims: 1, Unfiltered: true, fixed: Alternative{Join: JoinPHT, Agg: AggHash}},
 		// The selective top-k query: Result.Groups reports the emitted row
 		// count and Result.TopRows the rows (ORDER BY key, ties by tuple).
-		{Name: Q4Name, fixed: TopK{Input: filtered}},
+		{Name: Q4Name, Order: true, Limit: DefaultLimit, fixed: Alternative{Ord: OrdTopK}},
 		// The sort-based star query (run-sort both inputs, MWAY's final
 		// merge-join pass), q2/q3's contrast workload: the same γ, so any
 		// end-to-end slowdown difference is attributable to the join path's
 		// access pattern.
-		{Name: Q5Name, fixed: GroupBy{Input: MergeJoin{Input: Scan{}}, Sel: agg.ByPayload}},
+		{Name: Q5Name, Dims: 1, Unfiltered: true, fixed: Alternative{Join: JoinMerge, Agg: AggHash}},
 		// q2 and q3 rebuilt from the spill-partitioned pair (GRACE ⋈ → spill
 		// γ), which detects an EPC capacity limit on the Env and stages
 		// partition runs in untrusted memory: without a limit they run fully
 		// resident, under one they degrade gracefully (the oversubscription
 		// gate's spill-aware side).
-		{Name: Q2SName, fixed: SpillGroupBy{Input: GraceJoin{Input: filtered}, Sel: agg.ByPayload}},
-		{Name: Q3SName, fixed: SpillGroupBy{Input: GraceJoin{Input: Scan{}}, Sel: agg.ByPayload}},
+		{Name: Q2SName, Dims: 1, fixed: Alternative{Join: JoinGrace, Agg: AggSpill}},
+		{Name: Q3SName, Dims: 1, Unfiltered: true, fixed: Alternative{Join: JoinGrace, Agg: AggSpill}},
 	}
 }
 

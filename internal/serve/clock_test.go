@@ -34,6 +34,13 @@ func TestClockNeverWraps(t *testing.T) {
 			fc.Teardown = math.MaxUint64
 			c.Fault = &FaultPlan{Seed: 11, CrashInterval: 100_000, RebuildPages: 4, Costs: fc}
 		}, "clock wrapped"},
+		{"abort detection past the end of the clock", func(c *Config) {
+			fc := sgx.DefaultFaultCosts()
+			// Wraps to about 1 000 cycles before the attempt's own end,
+			// which is still at or after the event being handled.
+			fc.AbortDetect = math.MaxUint64 - 1000
+			c.Fault = &FaultPlan{Seed: 1, FailPct: 100, Costs: fc}
+		}, "clock wrapped"},
 	}
 	for _, tc := range cases {
 		c := base

@@ -720,7 +720,11 @@ func (s *sim) dispatch(w, si int32, t uint64) {
 		s.bd.AEXCycles += aexN * s.fc.AEX
 		s.bd.ServiceCycles += work
 		if abort != 0 {
-			end += s.fc.AbortDetect
+			var c uint64
+			if end, c = bits.Add64(end, s.fc.AbortDetect, 0); c != 0 {
+				s.err = fmt.Errorf("serve: virtual clock wrapped: the abort of an attempt started at cycle %d is detected past 2^64 cycles", start)
+				return
+			}
 		}
 		start = end
 		if batched {

@@ -63,12 +63,6 @@ type timerWheel struct {
 
 	nodes []wheelNode
 	free  int32 // head of the recycled-node chain
-
-	// late catches pushes with t < cur. The simulator never schedules
-	// into the past, but the heap would serve such an event first and
-	// the wheel must not silently diverge, so they are kept sorted and
-	// drained before anything else.
-	late []event
 }
 
 // newTimerWheel returns an empty wheel whose node slab has room for n
@@ -77,18 +71,11 @@ func newTimerWheel(n int) *timerWheel { return &timerWheel{nodes: make([]wheelNo
 
 func (w *timerWheel) empty() bool { return w.n == 0 }
 
+// push adds e, which must not be earlier than cur (the time of the
+// event last popped): the simulator's scheduleGen refuses an event in
+// the past with an error instead of pushing it.
 func (w *timerWheel) push(e event) {
 	w.n++
-	if e.t < w.cur {
-		i := len(w.late)
-		for i > 0 && (w.late[i-1].t > e.t || (w.late[i-1].t == e.t && w.late[i-1].seq > e.seq)) {
-			i--
-		}
-		w.late = append(w.late, event{})
-		copy(w.late[i+1:], w.late[i:])
-		w.late[i] = e
-		return
-	}
 	i := w.free
 	if i != 0 {
 		w.free = w.nodes[i].next
@@ -131,11 +118,6 @@ func (w *timerWheel) place(i int32) {
 
 func (w *timerWheel) pop() event {
 	w.n--
-	if len(w.late) > 0 {
-		e := w.late[0]
-		w.late = w.late[1:]
-		return e
-	}
 	for w.occ[0] == 0 {
 		// Cascade the earliest slot of the lowest occupied level: advance
 		// cur's digit at that level to the slot's, zero the digits below,

@@ -182,24 +182,6 @@ func TestWheelLonePops(t *testing.T) {
 	}
 }
 
-// TestWheelLatePush: the simulator never schedules into the past, but
-// the wheel must not silently diverge from heap semantics if it ever
-// did — a late event pops first, ordered among other late events.
-func TestWheelLatePush(t *testing.T) {
-	wh := newTimerWheel(0)
-	hp := &heapQueue{}
-	both := func(e event) { wh.push(e); hp.push(e) }
-	both(event{t: 1000, seq: 1})
-	popBoth(t, wh, hp, 0) // advances wheel cur to 1000
-	both(event{t: 2000, seq: 2})
-	both(event{t: 500, seq: 3}) // late
-	both(event{t: 500, seq: 4}) // late tie: seq order
-	both(event{t: 250, seq: 5}) // later but earlier t: sorts first
-	for i := 0; i < 4; i++ {
-		popBoth(t, wh, hp, i)
-	}
-}
-
 // wheelTestWorkload is a hand-built workload for full-replay
 // differential tests (internal twin of serve_test.synthetic).
 func wheelTestWorkload(setting core.Setting) *Workload {
