@@ -43,12 +43,3 @@ func (h *hostWords) fit(T int) {
 		h.ents = append(h.ents, nil)
 	}
 }
-
-// reuse returns s resliced to n words when its capacity holds them, else
-// a new slice of n words.
-func reuse[T uint32 | uint64](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}

@@ -126,11 +126,11 @@ func newWorker(env *core.Env, maxPartRows, entries int, heads []uint32, ents []u
 	return worker{
 		buckets: mem.U32Buf{
 			Buffer: env.Space.Alloc("agg.buckets", int64(nb)*4, env.DataRegion()),
-			D:      reuse(heads, nb),
+			D:      mem.Reuse(heads, nb),
 		},
 		ents: mem.U64Buf{
 			Buffer: env.Space.Alloc("agg.ents", int64(arena)*8, env.DataRegion()),
-			D:      reuse(ents, min(max(cap(ents), need), arena)),
+			D:      mem.Reuse(ents, min(max(cap(ents), need), arena)),
 		},
 	}
 }

@@ -64,7 +64,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	}
 	// sp1 gets host words only when the drain or a second pass writes it.
 	if drain || len(passes) > 1 {
-		hw.stage = reuse(hw.stage, max(n, 1))
+		hw.stage = mem.Reuse(hw.stage, max(n, 1))
 		bufs[1].D = hw.stage
 	}
 

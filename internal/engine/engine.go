@@ -68,6 +68,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"sgxbench/internal/cache"
 	"sgxbench/internal/mem"
@@ -330,6 +331,10 @@ type Thread struct {
 	// chase per access on the fast path.
 	latL1, latL2, latL3 uint64
 
+	// words is the pooled set mlp, sbuf and the EPC state came from; nil
+	// on a reference thread and after Release.
+	words *threadWords
+
 	st Stats
 }
 
@@ -358,7 +363,8 @@ type Config struct {
 }
 
 // NewThread creates a thread with cold caches (possibly models a released
-// thread handed back, reset by cache.Get). It panics with the platform's
+// thread handed back, reset by cache.Get) and empty MLP slots, store
+// buffer and EPC state (possibly a released thread's words, cleared). It panics with the platform's
 // Validate error if the model cannot run on cfg.Plat, and names a stream
 // tax outside (0, 1].
 func NewThread(cfg Config, id int) *Thread {
@@ -383,18 +389,31 @@ func NewThread(cfg Config, id int) *Thread {
 		Costs: cfg.Costs,
 		Node:  cfg.Node,
 		ID:    id,
-		mlp:   make([]uint64, cfg.Plat.MLPSlots),
-		sbuf:  make([]uint64, cfg.Plat.StoreBufSize),
 	}
+	// Reference threads are never released, so they take new words.
+	var w threadWords
+	if !cfg.Reference {
+		t.words = getThreadWords()
+		w = *t.words
+	}
+	t.mlp = mem.Reuse(w.mlp, cfg.Plat.MLPSlots)
+	t.sbuf = mem.Reuse(w.sbuf, cfg.Plat.StoreBufSize)
+	clear(t.mlp)
+	clear(t.sbuf)
 	t.lastPage = noPage
 	t.mruLine = noPage
 	t.epcLast = noPage
 	if cfg.EPC != nil && cfg.EPC.TotalPages > 0 {
-		budget := max(cfg.EPC.TotalPages/max(int64(cfg.EPCShare), 1), 1)
+		budget := int(max(cfg.EPC.TotalPages/max(int64(cfg.EPCShare), 1), 1))
 		t.epcDom = cfg.EPC
-		t.epcRing = make([]uint64, budget)
-		t.epcRef = make([]bool, budget)
-		t.epcIdx = make(map[uint64]int, budget)
+		t.epcRing = mem.Reuse(w.epcRing, budget)
+		t.epcRef = mem.Reuse(w.epcRef, budget)
+		clear(t.epcRing)
+		clear(t.epcRef)
+		if t.epcIdx = w.epcIdx; t.epcIdx == nil {
+			t.epcIdx = make(map[uint64]int, budget)
+		}
+		clear(t.epcIdx)
 	}
 	if cfg.Reference {
 		t.ref = newRefModel(cfg.Plat, l3geom)
@@ -419,10 +438,11 @@ func NewThread(cfg Config, id int) *Thread {
 	return t
 }
 
-// Release hands the thread's cache and TLB models back for a later
-// NewThread. Their pointers become nil and the memos empty, so a later
-// access panics instead of probing another thread's cache. Releasing
-// twice, or a reference thread (never pooled), does nothing.
+// Release hands the thread's cache and TLB models and its host words
+// back for a later NewThread. Their pointers become nil and the memos
+// empty, so a later access panics instead of probing another thread's
+// cache or words. Releasing twice, or a reference thread (never pooled),
+// does nothing.
 func (t *Thread) Release() {
 	if t.l1 == nil {
 		return
@@ -434,6 +454,39 @@ func (t *Thread) Release() {
 	cache.Put(t.stlb)
 	t.l1, t.l2, t.l3, t.dtlb, t.stlb = nil, nil, nil, nil, nil
 	t.lastPage, t.mruLine = noPage, noPage
+	w := t.words
+	w.mlp, w.sbuf = t.mlp, t.sbuf
+	if t.epcDom != nil {
+		w.epcRing, w.epcRef, w.epcIdx = t.epcRing, t.epcRef, t.epcIdx
+	}
+	wordsPool.Put(w)
+	t.words, t.mlp, t.sbuf, t.epcRing, t.epcRef, t.epcIdx = nil, nil, nil, nil, nil, nil
+}
+
+// threadWords are a thread's host words beyond its cache models: the MLP
+// slots, the store buffer and the EPC ring, reference bits and index.
+// NewThread takes them from wordsPool and clears the part it uses, so a
+// recycled set starts exactly as new words do; Release hands them back.
+// A set whose thread had no EPC domain keeps the EPC words it held.
+type threadWords struct {
+	mlp, sbuf []uint64
+	epcRing   []uint64
+	epcRef    []bool
+	epcIdx    map[uint64]int
+}
+
+// wordsPool holds released threads' host words, as the cache package's
+// pools hold their models. It is process-wide, and the garbage collector
+// may empty it.
+var wordsPool sync.Pool
+
+// getThreadWords returns a released thread's host words, or empty ones
+// when the pool is empty.
+func getThreadWords() *threadWords {
+	if w, ok := wordsPool.Get().(*threadWords); ok {
+		return w
+	}
+	return new(threadWords)
 }
 
 // Cycle returns the thread's current cycle (issue clock; completions may

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sgxbench/internal/cache"
 	"sgxbench/internal/engine"
@@ -25,8 +26,11 @@ func allocated(f func()) uint64 {
 
 // TestGroupReleaseRecycles creates and releases a 2-thread group 100
 // times on the full-size platform, whose cache models dominate a group's
-// bytes. Released models are reused by the next group, so the 100 groups
-// together allocate less than 1.5x the models of one.
+// bytes, once without an EPC limit and once with one. Released models
+// and host words (store buffers, MLP slots, EPC rings and indexes) are
+// reused by the next group, so the 100 groups together allocate less
+// than 1.5x the models of one, and once the pools hold a group's worth,
+// a group allocates little more than its two Thread structs.
 func TestGroupReleaseRecycles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items on purpose under the race detector")
@@ -43,15 +47,35 @@ func TestGroupReleaseRecycles(t *testing.T) {
 			keep = append(keep, cache.New(p.L1D), cache.New(p.L2), cache.New(l3), cache.New(p.DTLB.Cache()), cache.New(p.STLB.Cache()))
 		}
 	})
-	cfg := engine.Config{Plat: p, Mode: engine.PlainCPU, Costs: engine.DefaultSGXCosts()}
-	got := allocated(func() {
-		for range 100 {
-			NewGroup(cfg, 2, nil).Release()
+	// The two Thread structs, and 1 kB for the Group and its slices.
+	bound := 2*uint64(unsafe.Sizeof(engine.Thread{})) + 1024
+	for _, tc := range []struct {
+		name string
+		epc  *engine.EPCDomain
+	}{
+		{"no EPC limit", nil},
+		{"EPC limit", &engine.EPCDomain{TotalPages: 1 << 12}}, // 2 048 pages per thread
+	} {
+		cfg := engine.Config{Plat: p, Mode: engine.PlainCPU, Costs: engine.DefaultSGXCosts(), EPC: tc.epc}
+		groups := func() {
+			for range 100 {
+				NewGroup(cfg, 2, nil).Release()
+			}
 		}
-	})
-	t.Logf("100 groups: %d B; one group's models: %d B (%d kept)", got, models, len(keep))
-	if float64(got) >= 1.5*float64(models) {
-		t.Errorf("100 released groups allocated %d B, not under 1.5x one group's models (%d B): models are not recycled", got, models)
+		// A pooled item survives one collection but not two: each
+		// config starts on empty pools.
+		runtime.GC()
+		runtime.GC()
+		cold := allocated(groups)
+		warm := allocated(groups) / 100
+		t.Logf("%s: 100 groups: %d B; one group's models: %d B (%d kept); then %d B per group (bound %d)",
+			tc.name, cold, models, len(keep), warm, bound)
+		if float64(cold) >= 1.5*float64(models) {
+			t.Errorf("%s: 100 released groups allocated %d B, not under 1.5x one group's models (%d B): models or words are not recycled", tc.name, cold, models)
+		}
+		if warm > bound {
+			t.Errorf("%s: %d B per group on full pools, bound %d (two Thread structs and 1 kB): host words are not recycled", tc.name, warm, bound)
+		}
 	}
 }
 

@@ -39,10 +39,11 @@ func hostBytes(prep func() func()) uint64 {
 // behind the simulated buffers follow what an operator holds, not what
 // it reserves. RHO may allocate 1.3x its input bytes per Run (one
 // partitioned copy of each input plus scratch), PHT 2.5x its build bytes
-// (the counting-sorted table plus its claims). A group-by recycles its
-// workers' bucket tables and entry arenas from call to call, and a spill
-// group-by given Parts stages its first pass in Parts' words, so each
-// allocates a few kB per call.
+// (the counting-sorted table plus its claims). INL recycles its index's
+// key and value words from call to call, as a group-by does its workers'
+// bucket tables and entry arenas, and a spill group-by given Parts
+// stages its first pass in Parts' words: a group-by allocates a few kB
+// per call, INL about 19 kB (its tree's separator levels).
 func TestJoinHostBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -85,6 +86,27 @@ func TestJoinHostBytes(t *testing.T) {
 	// private slot is invisible from another P.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	// INL: the index's key and value words (8 B per build row, 819 kB
+	// here) come from a pool the previous call handed them back to, as do
+	// its threads' store buffers and MLP slots, so a call allocates only
+	// its tree's separator levels (4 B per 32-row leaf, 13 kB here), its
+	// two Thread structs, counters, descriptors and result.
+	const inlBudget = 19104 * 5 / 4 // bytes per Run: measured + 25%
+	got := hostBytes(func() func() {
+		env := newEnv()
+		build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1)
+		return func() {
+			if _, err := NewINL().Run(env, build, probe, Options{Threads: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("INL: %d B per Run (budget %d)", got, inlBudget)
+	if got > inlBudget {
+		t.Errorf("INL: %d B per Run, budget %d: index words are not recycled", got, inlBudget)
+	}
+
 	const rows, groups = 1 << 17, 64
 	for _, op := range []struct {
 		name   string

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"sync"
+
 	"sgxbench/internal/btree"
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
@@ -42,12 +44,15 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	mark := g.Mark()
 	res := &Result{Algorithm: n.Name()}
 
-	// Pre-built index (setup, untimed).
-	keys, vals := make([]uint32, build.N()), make([]uint32, build.N())
-	for i := range keys {
-		keys[i], vals[i] = build.Key(i), build.Payload(i)
+	// Pre-built index (setup, untimed). Its pairs live in recycled host
+	// words, handed back when the probe is done with the tree.
+	w := getIndexWords()
+	defer indexPool.Put(w)
+	w.keys, w.vals = mem.Reuse(w.keys, build.N()), mem.Reuse(w.vals, build.N())
+	for i := range w.keys {
+		w.keys[i], w.vals[i] = build.Key(i), build.Payload(i)
 	}
-	idx := btree.BulkLoad(env.Space, "inl.index", keys, vals, env.DataRegion())
+	idx := btree.BulkLoad(env.Space, "inl.index", w.keys, w.vals, env.DataRegion())
 
 	tl := make(tallies, T)
 	ps := g.Phase("Probe", func(t *engine.Thread, id int) {
@@ -74,4 +79,27 @@ func (n *INL) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	tl.fold(res, opt)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res, nil
+}
+
+// indexWords are the host words behind one INL call's index: the key and
+// value slices btree.BulkLoad takes and sorts. The tree lives only as
+// long as RunOn (Result holds nothing of it), so RunOn hands the words
+// back to indexPool when it returns, as internal/agg recycles its
+// group-by words. They come back dirty, which no reader sees: RunOn
+// writes all build.N() pairs before the sort reads them. The node
+// arenas are Space.Alloc ranges made on every call, so no simulated
+// address depends on what the pool held.
+type indexWords struct{ keys, vals []uint32 }
+
+// indexPool holds finished INL calls' index words. It is process-wide,
+// and the garbage collector may empty it.
+var indexPool sync.Pool
+
+// getIndexWords returns a finished call's index words, or empty ones when
+// the pool is empty.
+func getIndexWords() *indexWords {
+	if w, ok := indexPool.Get().(*indexWords); ok {
+		return w
+	}
+	return new(indexWords)
 }

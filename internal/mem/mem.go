@@ -126,6 +126,18 @@ func (s *Space) Used(r Region) int64 {
 	return s.used[r]
 }
 
+// Reuse returns s resliced to n elements when its capacity holds them,
+// else a new slice of n zeroed elements. A resliced s keeps whatever it
+// held: a caller that reads an element before writing it clears it.
+// Operators pass it the host words a sync.Pool handed back, so a call
+// in the steady state allocates none.
+func Reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // U64Buf is a buffer of 64-bit words with real backing data. Join tuples
 // are stored as one word each: key in the low 32 bits, payload in the high
 // 32 bits, matching the paper's 8-byte <key, value> rows.

@@ -206,3 +206,19 @@ func TestTuple(t *testing.T) {
 		t.Errorf("Kind names: %q, %q", EPC, Untrusted)
 	}
 }
+
+// TestReuse checks both ways Reuse can go: a slice whose capacity holds
+// n elements comes back resliced over the same backing array with its
+// old contents, and a shorter one is replaced by n zeroed elements.
+func TestReuse(t *testing.T) {
+	s := []uint64{7, 8, 9, 10}
+	if got := Reuse(s[:1], 3); len(got) != 3 || &got[0] != &s[0] || got[2] != 9 {
+		t.Errorf("Reuse within capacity: %v (shares backing: %v), want [7 8 9] over the same array", got, &got[0] == &s[0])
+	}
+	if got := Reuse(s, 5); len(got) != 5 || &got[0] == &s[0] || got[0] != 0 {
+		t.Errorf("Reuse beyond capacity: %v, want five new zeroed elements", got)
+	}
+	if got := Reuse([]bool(nil), 2); len(got) != 2 || got[0] || got[1] {
+		t.Errorf("Reuse of nil: %v, want [false false]", got)
+	}
+}
